@@ -119,6 +119,8 @@ func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget)
 	n := g.NumNodes()
 	out := newRowRel(n)
 	scratch := bitset.New(n)
+	ws, release := eval.WorkerSource(g)
+	defer release()
 	for _, p := range paths {
 		if len(p) == 0 {
 			for v := int32(0); v < int32(n); v++ {
@@ -131,7 +133,7 @@ func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget)
 		}
 		// Per-source frontier composition using bitsets.
 		for v := int32(0); v < int32(n); v++ {
-			if len(g.Neighbors(v, p[0].pred, p[0].inv)) == 0 {
+			if len(ws.Neighbors(v, p[0].pred, p[0].inv)) == 0 {
 				continue
 			}
 			frontier := scratch
@@ -141,7 +143,7 @@ func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget)
 			for _, s := range p {
 				next := bitset.New(n)
 				frontier.Range(func(x int32) bool {
-					for _, w := range g.Neighbors(x, s.pred, s.inv) {
+					for _, w := range ws.Neighbors(x, s.pred, s.inv) {
 						next.Add(w)
 					}
 					return true

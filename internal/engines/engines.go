@@ -165,15 +165,19 @@ func resolveWorkers(w int) int {
 // the preds' shards: paced by the pool's range cursor when sharded, or
 // as a free-running sweep over the storage ranges when the scan is one
 // sequential pass (there is no cursor to pace by, and engine scans may
-// jump around on deeper unbound conjuncts anyway).
-func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir, out *tupleSet, scan func(rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error) error {
+// jump around on deeper unbound conjuncts anyway). scan reads adjacency
+// through the ws it is handed — the calling goroutine's own
+// eval.WorkerSource of g — never through g.
+func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir, out *tupleSet, scan func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error) error {
 	full := eval.NodeRange{Lo: 0, Hi: int32(g.NumNodes())}
 	seq := func() error {
 		pf := eval.NewPrefetcher(g, preds, eval.SourceRanges(g, 1), prefetch)
 		pf.Sweep()
 		defer pf.Close()
+		ws, release := eval.WorkerSource(g)
+		defer release()
 		var stop atomic.Bool
-		return scan(full, out, &stop)
+		return scan(ws, full, out, &stop)
 	}
 	if workers <= 1 {
 		return seq()
@@ -197,13 +201,15 @@ func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
+			ws, release := eval.WorkerSource(g)
+			defer release()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(ranges) || stop.Load() {
 					return
 				}
 				pf.Advance(i)
-				if err := scan(ranges[i], locals[w], &stop); err != nil {
+				if err := scan(ws, ranges[i], locals[w], &stop); err != nil {
 					errs[w] = err
 					stop.Store(true)
 					return

@@ -101,8 +101,8 @@ func (e *GraphDB) EvaluateOpt(g eval.Source, q *query.Query, budget eval.Budget,
 	w := resolveWorkers(opt.Workers)
 	for ri := range c.rules {
 		r := &c.rules[ri]
-		err := runRanges(g, w, c.arity, opt.Prefetch, rulePredDirs(r), out, func(rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
-			return e.evalRuleRange(g, r, bt, local, rg, stop)
+		err := runRanges(g, w, c.arity, opt.Prefetch, rulePredDirs(r), out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
+			return e.evalRuleRange(ws, r, bt, local, rg, stop)
 		})
 		if err != nil {
 			return 0, err

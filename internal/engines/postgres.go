@@ -168,8 +168,10 @@ func (e *Postgres) symbolScan(g eval.Source, s csym, bt *pgBudget) ([]pair, erro
 		n = pc.PredEdgeCount(s.pred)
 	}
 	out := make([]pair, 0, n)
+	ws, release := eval.WorkerSource(g)
+	defer release()
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		for _, w := range g.Neighbors(v, s.pred, s.inv) {
+		for _, w := range ws.Neighbors(v, s.pred, s.inv) {
 			out = append(out, pair{v, w})
 		}
 	}

@@ -83,8 +83,8 @@ func (e *TripleStore) EvaluateOpt(g eval.Source, q *query.Query, budget eval.Bud
 		if err != nil {
 			return 0, err
 		}
-		err = runRanges(g, w, c.arity, opt.Prefetch, rulePredDirs(r), out, func(rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
-			return e.evalRuleRange(g, r, closures, bt, local, rg, stop)
+		err = runRanges(g, w, c.arity, opt.Prefetch, rulePredDirs(r), out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
+			return e.evalRuleRange(ws, r, closures, bt, local, rg, stop)
 		})
 		if err != nil {
 			return 0, err
@@ -299,8 +299,10 @@ func (e *TripleStore) naiveClosure(g eval.Source, cj *compiledConjunct, bt *tsBu
 	n := int32(g.NumNodes())
 	// One-step adjacency via per-source path images.
 	step := make(map[int32][]int32)
+	ws, release := eval.WorkerSource(g)
+	defer release()
 	for v := int32(0); v < n; v++ {
-		img, err := e.pathImage(g, cj.paths, v, true, bt)
+		img, err := e.pathImage(ws, cj.paths, v, true, bt)
 		if err != nil {
 			return nil, err
 		}

@@ -253,12 +253,18 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	pf := NewPrefetcher(g, prefetchPreds(plans), ranges, prefetch)
 	defer pf.Close()
 
+	// Every optional interface of g has been consulted above; from here
+	// on each scanning goroutine walks Neighbors through its own
+	// WorkerSource, released before the count returns so the source's
+	// statistics are complete when the caller reads them.
 	var stop atomic.Bool
 	if workers <= 1 {
 		st := newScanState(n)
+		ws, release := WorkerSource(g)
+		defer release()
 		for i, rg := range ranges {
 			pf.Advance(i)
-			if err := scanRange(g, plans, filters, rg, st, tr, &stop); err != nil {
+			if err := scanRange(ws, plans, filters, rg, st, tr, &stop); err != nil {
 				return 0, err
 			}
 			if st.witness {
@@ -278,13 +284,15 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 		go func(w int) {
 			defer wg.Done()
 			st := states[w]
+			ws, release := WorkerSource(g)
+			defer release()
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= len(ranges) || stop.Load() {
 					return
 				}
 				pf.Advance(i)
-				if err := scanRange(g, plans, filters, ranges[i], st, tr, &stop); err != nil {
+				if err := scanRange(ws, plans, filters, ranges[i], st, tr, &stop); err != nil {
 					errs[w] = err
 					stop.Store(true)
 					return

@@ -232,9 +232,11 @@ func StarDomain(g Source, firsts, lasts []BoundarySym) *bitset.Set {
 		}
 	}
 	mask := bitset.New(g.NumNodes())
+	ws, release := WorkerSource(g)
+	defer release()
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		for _, s := range firsts {
-			if len(g.Neighbors(v, s.Pred, s.Inv)) > 0 {
+			if len(ws.Neighbors(v, s.Pred, s.Inv)) > 0 {
 				mask.Add(v)
 				break
 			}
@@ -245,7 +247,7 @@ func StarDomain(g Source, firsts, lasts []BoundarySym) *bitset.Set {
 		for _, s := range lasts {
 			// An incoming s-edge at v is an outgoing edge of the
 			// inverted symbol.
-			if len(g.Neighbors(v, s.Pred, !s.Inv)) > 0 {
+			if len(ws.Neighbors(v, s.Pred, !s.Inv)) > 0 {
 				mask.Add(v)
 				break
 			}
@@ -335,17 +337,6 @@ func startFilterFor(g Source, e compiledExpr) startFilter {
 	return startFilter{probe: true}
 }
 
-// nodeRanges returns the source's storage ranges, or the whole id
-// space as one range for sources without range structure.
-func nodeRanges(g Source) []NodeRange {
-	if rs, ok := g.(RangedSource); ok {
-		if r := rs.NodeRanges(); len(r) > 0 {
-			return r
-		}
-	}
-	return []NodeRange{{Lo: 0, Hi: int32(g.NumNodes())}}
-}
-
 // reverse returns the compiled expression of the inverse relation.
 // The epsilon mask carries over verbatim: the star domain is symmetric
 // under reversal (reversing swaps and inverts the first/last boundary
@@ -403,13 +394,15 @@ func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 	// without epsilon, the epsilon mask) when available, else by
 	// probing each node's first-symbol adjacency.
 	filter := startFilterFor(g, ce)
+	ws, release := WorkerSource(g)
+	defer release()
 	for v := int32(0); v < int32(n); v++ {
-		if !filter.startable(g, ce, v) {
+		if !filter.startable(ws, ce, v) {
 			continue
 		}
 		src.Clear()
 		src.Add(v)
-		if err := exprImage(g, ce, src, dst, sa, sb, tr); err != nil {
+		if err := exprImage(ws, ce, src, dst, sa, sb, tr); err != nil {
 			return nil, err
 		}
 		if dst.Empty() {

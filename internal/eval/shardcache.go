@@ -3,6 +3,7 @@ package eval
 import (
 	"container/list"
 	"sync"
+	"sync/atomic"
 
 	"gmark/internal/graph"
 	"gmark/internal/graphgen"
@@ -32,7 +33,19 @@ import (
 // evicted by a concurrent evaluation, evictions that happen while any
 // reader bracket (AcquireReader) is open retire the mapping instead of
 // releasing it; the last reader to leave reclaims everything retired.
+//
+// The lock is the shared slow path. Evaluation workers read through a
+// private shardView (SpillSource.WorkerView) that memoizes the shards
+// this cache handed it and revalidates the memo against epoch, so a
+// resident shard costs no lock, no LRU touch and no counter update per
+// Neighbors; the view settles its hits and recency in one creditView.
 type ShardCache struct {
+	// epoch counts evictions. A view that memoized shards under one
+	// epoch drops them all when it observes another, so nothing evicted
+	// is served past the next probe and the budget stays strict. First
+	// in the struct per the concurrency lint's atomics-prefix rule.
+	epoch atomic.Uint64
+
 	mu      sync.Mutex
 	budget  int64
 	used    int64
@@ -173,6 +186,7 @@ func (c *ShardCache) evictBack() (release func()) {
 	delete(c.entries, old.key)
 	c.used -= old.sh.bytes
 	c.evictions++
+	c.epoch.Add(1)
 	if old.sh.release == nil {
 		return nil
 	}
@@ -182,6 +196,22 @@ func (c *ShardCache) evictBack() (release func()) {
 		return nil
 	}
 	return old.sh.release
+}
+
+// creditView settles a released shardView's batched bookkeeping: the
+// lookups it answered from its memo count as cache hits, and the
+// shards it memoized — those still resident as the very shard the view
+// holds — move to the front of the LRU order, where the per-call
+// touches they replace would have left them.
+func (c *ShardCache) creditView(v *shardView) {
+	c.mu.Lock()
+	c.hits += v.hits
+	for _, key := range v.filled {
+		if e, ok := c.entries[key]; ok && e.elem != nil && e.sh == v.table[v.slot(key.pred, key.inv, key.idx)] {
+			c.order.MoveToFront(e.elem)
+		}
+	}
+	c.mu.Unlock()
 }
 
 // get returns the cached shard for key, calling load — with no cache

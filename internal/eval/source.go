@@ -102,6 +102,34 @@ func AcquireSourceReader(g Source) func() {
 	return func() {}
 }
 
+// ViewSource is an optional Source refinement for sources whose
+// Neighbors synchronizes internally and that can instead hand each
+// goroutine a private, unsynchronized view of themselves. SpillSource
+// implements it with a per-worker shard memo that takes the cache
+// lock, the LRU touch and the statistics off every lookup of a
+// resident shard.
+type ViewSource interface {
+	Source
+	// WorkerView returns a Source with the receiver's Neighbors results
+	// for the exclusive use of one goroutine, and the release that goroutine
+	// must call exactly once when done with it. The view implements
+	// none of the receiver's other refinements.
+	WorkerView() (view Source, release func())
+}
+
+// WorkerSource returns the Source one evaluation goroutine should walk
+// Neighbors through — g's WorkerView when g is a ViewSource, g itself
+// otherwise (the in-memory graph) — and the release to call when the
+// goroutine is done. Assert g's optional interfaces (RangedSource,
+// DomainSource, PrefetchSource) on g, before or after; the returned
+// Source answers only the Source methods.
+func WorkerSource(g Source) (Source, func()) {
+	if vs, ok := g.(ViewSource); ok {
+		return vs.WorkerView()
+	}
+	return g, func() {}
+}
+
 // DomainSource is an optional Source refinement for sources that know
 // each predicate's active domain — the nodes carrying at least one
 // edge of the predicate in a direction — without scanning adjacency.

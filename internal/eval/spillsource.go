@@ -26,7 +26,9 @@ const DefaultSpillCacheBytes = 256 << 20
 // may share one source (or several sources sharing one ShardCache via
 // NewSpillSourceWith), and they share shard residency — a miss one
 // evaluator pays is a hit for every other, and simultaneous misses on
-// one shard collapse into a single file read.
+// one shard collapse into a single file read. Its own Neighbors takes
+// the cache lock on every call; loops that make many read through a
+// per-goroutine WorkerView (eval.WorkerSource), which does not.
 type SpillSource struct {
 	// Per-evaluator attribution: accesses this source initiated,
 	// regardless of how many sources share the cache. First in the
@@ -36,6 +38,11 @@ type SpillSource struct {
 	spill     *graphgen.CSRSpill
 	predIndex map[string]graph.PredID
 	cache     *ShardCache
+	ranges    []NodeRange // one per shard-file node span; read-only after open
+
+	// views recycles released shardViews, so a worker of the next query
+	// reuses the slot table instead of allocating one.
+	views sync.Pool
 
 	// useMmap serves raw ("GMKCSR3\n" — see graphgen's magic
 	// constants) shards in place — mapped on linux, read into one
@@ -180,6 +187,12 @@ func NewSpillSourceOpt(spill *graphgen.CSRSpill, cache *ShardCache, opt SpillSou
 	for i, p := range spill.Manifest.Predicates {
 		s.predIndex[p.Name] = graph.PredID(i)
 	}
+	if w, n := spill.Manifest.ShardNodes, spill.Manifest.Nodes; w > 0 && n > 0 {
+		s.ranges = make([]NodeRange, 0, (n+w-1)/w)
+		for lo := 0; lo < n; lo += w {
+			s.ranges = append(s.ranges, NodeRange{Lo: int32(lo), Hi: int32(min(lo+w, n))})
+		}
+	}
 	return s
 }
 
@@ -211,23 +224,10 @@ func (s *SpillSource) PredEdgeCount(p graph.PredID) int {
 
 // NodeRanges implements RangedSource: one range per shard-file node
 // span, so the streaming evaluator's scan order — and the parallel
-// evaluator's work units — match the on-disk layout.
-func (s *SpillSource) NodeRanges() []NodeRange {
-	w := s.spill.Manifest.ShardNodes
-	n := s.spill.Manifest.Nodes
-	if w <= 0 || n <= 0 {
-		return nil
-	}
-	ranges := make([]NodeRange, 0, (n+w-1)/w)
-	for lo := 0; lo < n; lo += w {
-		hi := lo + w
-		if hi > n {
-			hi = n
-		}
-		ranges = append(ranges, NodeRange{Lo: int32(lo), Hi: int32(hi)})
-	}
-	return ranges
-}
+// evaluator's work units — match the on-disk layout. The slice is
+// computed once at open and shared by every caller: treat it as
+// read-only.
+func (s *SpillSource) NodeRanges() []NodeRange { return s.ranges }
 
 // ActiveDomain implements DomainSource: the bitmap comes from the
 // spill's persisted domain file when the manifest names one
@@ -310,15 +310,29 @@ func (s *SpillSource) Neighbors(v graph.NodeID, p graph.PredID, inverse bool) []
 	if err != nil {
 		return nil
 	}
+	adj, ok := sh.row(v)
+	if !ok {
+		s.failOutside(sh, v, idx)
+	}
+	return adj
+}
+
+// failOutside records that sh, resolved for v as the idx-th shard of
+// its direction, does not cover v: a manifest Lo disagreeing with
+// idx*ShardNodes, or a shard narrower than its manifest range —
+// structural corruption, not a sparse node.
+func (s *SpillSource) failOutside(sh *cachedShard, v graph.NodeID, idx int) {
+	s.fail(fmt.Errorf("eval: node %d outside shard %d range [%d,%d)", v, idx, sh.lo, int(sh.lo)+len(sh.off)-1))
+}
+
+// row returns v's adjacency; ok is false when the shard does not cover
+// v.
+func (sh *cachedShard) row(v graph.NodeID) (adj []int32, ok bool) {
 	local := int(v) - int(sh.lo)
 	if local < 0 || local+1 >= len(sh.off) {
-		// Manifest Lo disagreeing with idx*ShardNodes, or a shard
-		// narrower than its manifest range: structural corruption, not
-		// a sparse node.
-		s.fail(fmt.Errorf("eval: node %d outside shard %d range [%d,%d)", v, idx, sh.lo, int(sh.lo)+len(sh.off)-1))
-		return nil
+		return nil, false
 	}
-	return sh.adj[sh.off[local]:sh.off[local+1]]
+	return sh.adj[sh.off[local]:sh.off[local+1]], true
 }
 
 // fail records the first lookup failure.
@@ -464,7 +478,7 @@ func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
 // shardMeta resolves key against the manifest (read-only after open).
 func (s *SpillSource) shardMeta(key shardKey) (graphgen.CSRShard, error) {
 	preds := s.spill.Manifest.Predicates
-	if int(key.pred) >= len(preds) {
+	if key.pred < 0 || int(key.pred) >= len(preds) {
 		return graphgen.CSRShard{}, fmt.Errorf("eval: spill has no predicate %d", key.pred)
 	}
 	shards := preds[key.pred].Fwd
