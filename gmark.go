@@ -557,13 +557,14 @@ type (
 	// pinned equal to what the batch sinks write for the same
 	// coordinates. It implements http.Handler.
 	SliceServer = serve.Server
-	// SliceServerOptions bounds a SliceServer: slice-cache budget,
-	// job-registry size, per-job node and query ceilings, and the
+	// SliceServerOptions bounds a SliceServer: the cache budget its
+	// rendered slices and emitted edge columns share, job-registry size, per-job node and query ceilings, and the
 	// generation parallelism behind each slice (which never changes
 	// slice bytes).
 	SliceServerOptions = serve.Options
 	// SliceServerStats is a server's /statsz payload: request and
-	// byte counters plus slice-cache statistics.
+	// byte counters, slice-cache statistics, and the emission and
+	// residency counters of the columns cache behind it.
 	SliceServerStats = serve.Stats
 	// SliceCacheStats reports the slice cache's hit, miss and
 	// eviction counters.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -11,7 +12,7 @@ import (
 type sliceKey struct {
 	jobID string
 	kind  string // "graph" or "workload"
-	pred  string
+	pred  int    // predicate index in the job's schema
 	dir   byte   // 'f' or 'b' for CSR slices
 	rng   int    // node-range index; -1 means the whole graph
 	enc   string // "text", "binary", or a SpillCompression name
@@ -20,21 +21,40 @@ type sliceKey struct {
 	syn   string // workload syntax
 }
 
-// sliceEntry is one resident cache entry.
-type sliceEntry struct {
-	key  sliceKey
-	data []byte
+// columnsKey identifies one predicate's emitted edge columns, the
+// intermediate every graph slice of that predicate is cut from.
+type columnsKey struct {
+	jobID string
+	pred  int // predicate index in the job's schema
 }
 
-// inflightSlice coalesces concurrent loads of one key: the first
-// requester computes, the rest wait on done and share the result.
-type inflightSlice struct {
+// sliceColumnsShare is the divisor of Options.CacheBytes that the
+// columns cache gets; slices keep the rest. Measured on gmark-perf's
+// serve-hot (2 MiB budget, 400-800 KB intermediates): one LRU shared
+// by both halved the slice hit ratio, while a 1/8, 1/4 or 1/2 share
+// all read alike.
+const sliceColumnsShare = 4
+
+// errLoadPanicked is what coalesced waiters get when the goroutine
+// computing their key panicked instead of returning.
+var errLoadPanicked = errors.New("serve: the computation this request was waiting on panicked")
+
+// cacheEntry is one resident cache entry.
+type cacheEntry[K comparable, V any] struct {
+	key  K
+	val  V
+	size int64
+}
+
+// flight coalesces concurrent loads of one key: the first requester
+// computes, the rest wait on done and share the result.
+type flight[V any] struct {
 	done chan struct{}
-	data []byte
+	val  V
 	err  error
 }
 
-// CacheStats is the cache half of the /statsz payload.
+// CacheStats is the slice-cache half of the /statsz payload.
 type CacheStats struct {
 	// Hits counts lookups served from a resident entry or a coalesced
 	// in-flight computation.
@@ -49,96 +69,104 @@ type CacheStats struct {
 	Bytes int64 `json:"bytes"`
 }
 
-// sliceCache is a byte-budgeted LRU of computed slices with
-// single-flight load coalescing. All state sits behind one mutex;
-// loads run outside it.
-type sliceCache struct {
+// lruCache is a byte-budgeted LRU with single-flight load coalescing.
+// The server keeps two: computed slices and the emitted columns they
+// are cut from. All state sits behind one mutex; loads run outside it.
+type lruCache[K comparable, V any] struct {
 	mu        sync.Mutex
 	budget    int64
+	sizeOf    func(V) int64
 	bytes     int64
 	hits      int64
 	misses    int64
 	evictions int64
 	ll        *list.List // front = most recently used
-	entries   map[sliceKey]*list.Element
-	inflight  map[sliceKey]*inflightSlice
+	entries   map[K]*list.Element
+	inflight  map[K]*flight[V]
 }
 
-// newSliceCache returns an empty cache with the given byte budget.
-func newSliceCache(budget int64) *sliceCache {
-	c := &sliceCache{
+// newLRUCache returns an empty cache with the given byte budget;
+// sizeOf prices a value against it.
+func newLRUCache[K comparable, V any](budget int64, sizeOf func(V) int64) *lruCache[K, V] {
+	return &lruCache[K, V]{
 		budget:   budget,
+		sizeOf:   sizeOf,
 		ll:       list.New(),
-		entries:  make(map[sliceKey]*list.Element),
-		inflight: make(map[sliceKey]*inflightSlice),
+		entries:  make(map[K]*list.Element),
+		inflight: make(map[K]*flight[V]),
 	}
-	return c
 }
 
-// get returns the slice for key, computing it with load on a miss.
+// get returns the value for key, computing it with load on a miss.
 // Concurrent gets of the same key run load once. The returned bool
-// reports whether the bytes came from the cache (or a coalesced
+// reports whether the value came from the cache (or a coalesced
 // flight) rather than a fresh computation by this caller. Callers must
-// not mutate the returned bytes.
-func (c *sliceCache) get(key sliceKey, load func() ([]byte, error)) ([]byte, bool, error) {
+// not mutate the returned value. If load panics the panic reaches this
+// caller, the waiters get errLoadPanicked, and the key can be loaded
+// again.
+func (c *lruCache[K, V]) get(key K, load func() (V, error)) (V, bool, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[key]; ok {
 		c.ll.MoveToFront(el)
 		c.hits++
-		data := el.Value.(*sliceEntry).data
+		val := el.Value.(*cacheEntry[K, V]).val
 		c.mu.Unlock()
-		return data, true, nil
+		return val, true, nil
 	}
 	if fl, ok := c.inflight[key]; ok {
 		c.hits++
 		c.mu.Unlock()
 		<-fl.done
-		return fl.data, true, fl.err
+		return fl.val, true, fl.err
 	}
-	fl := &inflightSlice{done: make(chan struct{})}
+	// The error is overwritten only if load returns.
+	fl := &flight[V]{done: make(chan struct{}), err: errLoadPanicked}
 	c.inflight[key] = fl
 	c.misses++
 	c.mu.Unlock()
 
-	fl.data, fl.err = load()
-	close(fl.done)
-
-	c.mu.Lock()
-	delete(c.inflight, key)
-	if fl.err == nil {
-		c.insert(key, fl.data)
-	}
-	c.mu.Unlock()
-	return fl.data, false, fl.err
+	defer func() {
+		close(fl.done)
+		c.mu.Lock()
+		delete(c.inflight, key)
+		if fl.err == nil {
+			c.insert(key, fl.val)
+		}
+		c.mu.Unlock()
+	}()
+	val, err := load()
+	fl.val, fl.err = val, err
+	return val, false, err
 }
 
 // insert adds an entry and evicts from the cold end until the budget
-// holds. A slice larger than the whole budget is served but never
+// holds. A value larger than the whole budget is served but never
 // cached. Caller holds the lock.
-func (c *sliceCache) insert(key sliceKey, data []byte) {
-	if int64(len(data)) > c.budget {
+func (c *lruCache[K, V]) insert(key K, val V) {
+	size := c.sizeOf(val)
+	if size > c.budget {
 		return
 	}
 	if _, ok := c.entries[key]; ok {
 		return // a racing flight already populated it
 	}
-	c.entries[key] = c.ll.PushFront(&sliceEntry{key: key, data: data})
-	c.bytes += int64(len(data))
+	c.entries[key] = c.ll.PushFront(&cacheEntry[K, V]{key: key, val: val, size: size})
+	c.bytes += size
 	for c.bytes > c.budget {
 		el := c.ll.Back()
 		if el == nil {
 			break
 		}
-		ent := el.Value.(*sliceEntry)
+		ent := el.Value.(*cacheEntry[K, V])
 		c.ll.Remove(el)
 		delete(c.entries, ent.key)
-		c.bytes -= int64(len(ent.data))
+		c.bytes -= ent.size
 		c.evictions++
 	}
 }
 
 // stats returns a snapshot of the cache counters.
-func (c *sliceCache) stats() CacheStats {
+func (c *lruCache[K, V]) stats() CacheStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return CacheStats{

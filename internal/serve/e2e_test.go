@@ -50,13 +50,13 @@ func e2eSpec(uc string) *manifest.JobSpec {
 }
 
 // registerJob POSTs a spec and returns the job id.
-func registerJob(t *testing.T, ts *httptest.Server, spec *manifest.JobSpec) string {
+func registerJob(t *testing.T, base string, spec *manifest.JobSpec) string {
 	t.Helper()
 	body, err := manifest.EncodeJobSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,33 +253,60 @@ func runTasks(t *testing.T, tasks []fetchTask, workers int) {
 	wg.Wait()
 }
 
+// cacheBudgets are the two regimes the byte-equality tests run under:
+// the default budget, where slices and columns stay resident, and one
+// byte, where nothing is retained and every request re-emits its
+// predicate. The bytes must not know the difference.
+var cacheBudgets = []int64{0, 1}
+
 // TestServeConformance is the tentpole contract test: for all four
 // paper use cases, every graph shard and workload window served over
 // HTTP — fetched concurrently, in arbitrary order — is byte-identical
 // to the corresponding batch sink output.
 func TestServeConformance(t *testing.T) {
-	srv := New(Options{Parallelism: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
+	var servers []*Server
+	var bases []string
+	for _, budget := range cacheBudgets {
+		srv := New(Options{Parallelism: 2, CacheBytes: budget})
+		ts := httptest.NewServer(srv)
+		defer ts.Close()
+		servers, bases = append(servers, srv), append(bases, ts.URL)
+	}
 
 	for _, uc := range usecases.Names {
 		t.Run(uc, func(t *testing.T) {
 			textDir, binDir, spillDir, wlDir := batchArtifacts(t, uc)
-			jobID := registerJob(t, ts, e2eSpec(uc))
-			tasks := conformanceTasks(t, ts.URL, jobID, textDir, binDir, spillDir, wlDir)
-			if len(tasks) == 0 {
-				t.Fatal("no conformance tasks built")
+			for _, base := range bases {
+				jobID := registerJob(t, base, e2eSpec(uc))
+				tasks := conformanceTasks(t, base, jobID, textDir, binDir, spillDir, wlDir)
+				if len(tasks) == 0 {
+					t.Fatal("no conformance tasks built")
+				}
+				runTasks(t, tasks, 8)
 			}
-			runTasks(t, tasks, 8)
 		})
 	}
 
-	stats := srv.Stats()
-	if stats.Jobs != len(usecases.Names) {
-		t.Errorf("stats: %d jobs, want %d", stats.Jobs, len(usecases.Names))
+	for i, srv := range servers {
+		stats := srv.Stats()
+		if stats.Jobs != len(usecases.Names) {
+			t.Errorf("budget %d: %d jobs, want %d", cacheBudgets[i], stats.Jobs, len(usecases.Names))
+		}
+		if stats.SlicesServed == 0 || stats.BytesServed == 0 {
+			t.Errorf("budget %d: no slices recorded: %+v", cacheBudgets[i], stats)
+		}
 	}
-	if stats.SlicesServed == 0 || stats.BytesServed == 0 {
-		t.Errorf("stats: no slices recorded: %+v", stats)
+	// Every graph slice asks for its predicate's columns exactly once,
+	// so with nothing retained each one is an emission of its own
+	// (bar those that joined a concurrent one), and with everything
+	// retained a predicate is emitted once.
+	kept, dropped := servers[0].Stats(), servers[1].Stats()
+	if kept.Emissions >= dropped.Emissions || kept.ColumnHits <= dropped.ColumnHits {
+		t.Errorf("emissions %d with the default budget, %d with nothing retained; column hits %d and %d",
+			kept.Emissions, dropped.Emissions, kept.ColumnHits, dropped.ColumnHits)
+	}
+	if dropped.ColumnBytes != 0 || dropped.Cache.Bytes > 1 {
+		t.Errorf("a one-byte budget retained %d column bytes and %d slice bytes", dropped.ColumnBytes, dropped.Cache.Bytes)
 	}
 }
 
@@ -287,10 +314,12 @@ func TestServeConformance(t *testing.T) {
 // shard requested as none, deflate, or raw matches the batch spill
 // written with that setting, independent of the job's default.
 func TestServeCompressionOverrides(t *testing.T) {
-	srv := New(Options{Parallelism: 2})
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	jobID := registerJob(t, ts, e2eSpec("bib"))
+	var jobURLs []string
+	for _, budget := range cacheBudgets {
+		ts := httptest.NewServer(New(Options{Parallelism: 2, CacheBytes: budget}))
+		defer ts.Close()
+		jobURLs = append(jobURLs, ts.URL+"/v1/jobs/"+registerJob(t, ts.URL, e2eSpec("bib")))
+	}
 
 	gcfg, err := usecases.ByName("bib", e2eNodes)
 	if err != nil {
@@ -318,15 +347,55 @@ func TestServeCompressionOverrides(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tasks = append(tasks, fetchTask{
-					name: fmt.Sprintf("csr/%s/%s/%d", comp, p.Name, r),
-					url: fmt.Sprintf("%s/v1/jobs/%s/graph/%s/%d?compress=%s",
-						ts.URL, jobID, url.PathEscape(p.Name), r, comp),
-					want: want,
-				})
+				for i, jobURL := range jobURLs {
+					tasks = append(tasks, fetchTask{
+						name: fmt.Sprintf("budget %d: csr/%s/%s/%d", cacheBudgets[i], comp, p.Name, r),
+						url:  fmt.Sprintf("%s/graph/%s/%d?compress=%s", jobURL, url.PathEscape(p.Name), r, comp),
+						want: want,
+					})
+				}
 			}
 		}
 		runTasks(t, tasks, 4)
+	}
+}
+
+// TestServeSweepEmitsEachPredicateOnce is the loader's access pattern:
+// every range of every predicate as forward CSR, backward CSR and
+// text. Each slice is a slice-cache miss, and all the slices of one
+// predicate are cut from one emission.
+func TestServeSweepEmitsEachPredicateOnce(t *testing.T) {
+	srv := New(Options{Parallelism: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	jobURL := ts.URL + "/v1/jobs/" + registerJob(t, ts.URL, e2eSpec("sp"))
+
+	var man JobManifest
+	body, _ := mustGet(t, jobURL+"/manifest")
+	if err := json.Unmarshal(body, &man); err != nil {
+		t.Fatal(err)
+	}
+	fetched := 0
+	for _, p := range man.Predicates {
+		for _, query := range []string{"enc=csr&dir=f", "enc=csr&dir=b", "enc=text"} {
+			for r := 0; r < man.Ranges; r++ {
+				_, hdr := mustGet(t, fmt.Sprintf("%s/graph/%s/%d?%s", jobURL, url.PathEscape(p.Name), r, query))
+				if hdr.Get("X-Gmark-Cache") != "miss" {
+					t.Errorf("%s/%d?%s: X-Gmark-Cache %q on a first fetch", p.Name, r, query, hdr.Get("X-Gmark-Cache"))
+				}
+				fetched++
+			}
+		}
+	}
+	st := srv.Stats()
+	if st.Emissions != int64(len(man.Predicates)) {
+		t.Errorf("%d emissions for %d predicates", st.Emissions, len(man.Predicates))
+	}
+	if st.Cache.Misses != int64(fetched) || st.Cache.Hits != 0 {
+		t.Errorf("%d slices fetched once each: %d slice misses, %d hits", fetched, st.Cache.Misses, st.Cache.Hits)
+	}
+	if st.ColumnHits != int64(fetched-len(man.Predicates)) {
+		t.Errorf("%d column hits, want %d", st.ColumnHits, fetched-len(man.Predicates))
 	}
 }
 
@@ -340,7 +409,7 @@ func TestServeReassembledCounts(t *testing.T) {
 
 	for _, uc := range []string{"bib", "sp"} {
 		t.Run(uc, func(t *testing.T) {
-			jobID := registerJob(t, ts, e2eSpec(uc))
+			jobID := registerJob(t, ts.URL, e2eSpec(uc))
 			gcfg, err := usecases.ByName(uc, e2eNodes)
 			if err != nil {
 				t.Fatal(err)
@@ -410,7 +479,7 @@ func TestServeTextRangeSlices(t *testing.T) {
 	srv := New(Options{Parallelism: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	jobID := registerJob(t, ts, e2eSpec("lsn"))
+	jobID := registerJob(t, ts.URL, e2eSpec("lsn"))
 
 	var man JobManifest
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + jobID + "/manifest")
@@ -472,7 +541,7 @@ func TestServeCacheAndErrors(t *testing.T) {
 	srv := New(Options{Parallelism: 2})
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	jobID := registerJob(t, ts, e2eSpec("wd"))
+	jobID := registerJob(t, ts.URL, e2eSpec("wd"))
 
 	var man JobManifest
 	resp, err := http.Get(ts.URL + "/v1/jobs/" + jobID + "/manifest")
@@ -498,7 +567,7 @@ func TestServeCacheAndErrors(t *testing.T) {
 	}
 
 	// Registering the identical spec again is idempotent.
-	if again := registerJob(t, ts, e2eSpec("wd")); again != jobID {
+	if again := registerJob(t, ts.URL, e2eSpec("wd")); again != jobID {
 		t.Errorf("re-registration returned %s, want %s", again, jobID)
 	}
 

@@ -5,7 +5,6 @@ import (
 	"io"
 	"net/http"
 
-	"gmark/internal/graphgen"
 	"gmark/internal/translate"
 )
 
@@ -74,7 +73,7 @@ func (s *Server) handleGraphSlice(w http.ResponseWriter, r *http.Request) {
 		key.dir = g.dir
 		key.enc = g.comp.String()
 	}
-	data, cached, err := s.cache.get(key, func() ([]byte, error) {
+	data, cached, err := s.slices.get(key, func() ([]byte, error) {
 		return s.computeGraphSlice(j, g)
 	})
 	if err != nil {
@@ -86,8 +85,7 @@ func (s *Server) handleGraphSlice(w http.ResponseWriter, r *http.Request) {
 		ct = "text/plain; charset=utf-8"
 	}
 	w.Header().Set("Content-Type", ct)
-	w.Header().Set("X-Gmark-Expected-Edges",
-		fmt.Sprint(graphgen.ExpectedPredicateEdges(j.gcfg, g.pred)))
+	w.Header().Set("X-Gmark-Expected-Edges", j.expectedEdgesHeader[g.pred])
 	setCacheHeader(w, cached)
 	s.serveSlice(w, data)
 }
@@ -143,7 +141,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	key := sliceKey{jobID: j.id, kind: "workload", from: from, to: to, syn: string(syn)}
-	data, cached, err := s.cache.get(key, func() ([]byte, error) {
+	data, cached, err := s.slices.get(key, func() ([]byte, error) {
 		return s.computeWorkloadSlice(j, from, to, syn)
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"net/http"
+	"strconv"
 
 	"gmark/internal/graphgen"
 	"gmark/internal/manifest"
@@ -28,10 +29,14 @@ type job struct {
 	typeNames  []string
 	typeCounts []int
 	predNames  []string
-	numNodes   int
-	shardNodes int
-	nRanges    int
-	comp       graphgen.SpillCompression
+	// Per predicate, in predNames order: the schema-derived edge-count
+	// expectation, and its rendering for X-Gmark-Expected-Edges.
+	expectedEdges       []int
+	expectedEdgesHeader []string
+	numNodes            int
+	shardNodes          int
+	nRanges             int
+	comp                graphgen.SpillCompression
 
 	gen      *querygen.Generator // safe for concurrent use
 	syntaxes []translate.Syntax
@@ -115,6 +120,11 @@ func (s *Server) resolveJob(spec *manifest.JobSpec) (*job, *httpError) {
 		syntaxes: syntaxes,
 	}
 	j.typeNames, j.typeCounts, j.predNames = graphgen.Layout(gcfg)
+	for _, name := range j.predNames {
+		n := graphgen.ExpectedPredicateEdges(gcfg, name)
+		j.expectedEdges = append(j.expectedEdges, n)
+		j.expectedEdgesHeader = append(j.expectedEdgesHeader, strconv.Itoa(n))
+	}
 	for _, c := range j.typeCounts {
 		j.numNodes += c
 	}
@@ -230,11 +240,8 @@ func manifestOf(j *job) JobManifest {
 	for i, name := range j.typeNames {
 		m.Types = append(m.Types, graphgen.PartitionType{Name: name, Count: j.typeCounts[i]})
 	}
-	for _, name := range j.predNames {
-		m.Predicates = append(m.Predicates, JobPredicate{
-			Name:          name,
-			ExpectedEdges: graphgen.ExpectedPredicateEdges(j.gcfg, name),
-		})
+	for i, name := range j.predNames {
+		m.Predicates = append(m.Predicates, JobPredicate{Name: name, ExpectedEdges: j.expectedEdges[i]})
 	}
 	for _, syn := range j.syntaxes {
 		m.Syntaxes = append(m.Syntaxes, string(syn))

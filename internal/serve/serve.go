@@ -8,12 +8,21 @@
 //
 // The core contract is byte determinism: a slice is a pure function of
 // (spec, slice coordinates). Nothing is generated at registration
-// time; every slice is recomputed (or served from a bounded LRU cache)
-// when asked for, using the same sub-seed derivations the batch
-// pipeline uses. Two servers given the same spec serve identical
-// bytes, in any request order, at any concurrency — and those bytes
-// are identical to what the batch sinks (PartitionedSink, CSRSpillSink,
-// SyntaxDirSink) write to disk for the same configuration.
+// time; a slice is computed when asked for, using the same sub-seed
+// derivations the batch pipeline uses. Two servers given the same spec
+// serve identical bytes, in any request order, at any concurrency —
+// and those bytes are identical to what the batch sinks
+// (PartitionedSink, CSRSpillSink, SyntaxDirSink) write to disk for the
+// same configuration.
+//
+// Two bounded LRU caches, both behind Options.CacheBytes, keep that
+// from costing a generation per request. A graph-slice request looks
+// up the slice cache, then the columns cache — a predicate's emitted
+// (source, target) columns in emission order, which every range,
+// direction and encoding of that predicate is cut from — and only
+// then emits the predicate. Neither cache can change a byte: a slice
+// is cut from the columns by the same code whether they were resident
+// or emitted for this request.
 package serve
 
 import (
@@ -28,7 +37,9 @@ import (
 // defaults; limits exist so a hostile or typo'd spec cannot ask one
 // request to materialize a billion-node instance.
 type Options struct {
-	// CacheBytes bounds the slice cache (default 256 MiB).
+	// CacheBytes bounds what the server keeps of what it generated
+	// (default 256 MiB): a quarter for predicates' emitted columns,
+	// the rest for rendered slices.
 	CacheBytes int64
 	// MaxJobs bounds the number of registered jobs (default 1024).
 	MaxJobs int
@@ -62,7 +73,7 @@ func (o Options) defaults() Options {
 }
 
 // Server is the HTTP slice server. It holds no generated data beyond
-// the bounded slice cache: jobs are specs, and slices are recomputed
+// its two bounded caches: jobs are specs, and slices are recomputed
 // deterministically on demand. Safe for concurrent use.
 type Server struct {
 	// Request counters come first so the struct layout satisfies the
@@ -71,9 +82,10 @@ type Server struct {
 	slicesServed atomic.Int64
 	bytesServed  atomic.Int64
 
-	opt   Options
-	mux   *http.ServeMux
-	cache *sliceCache
+	opt     Options
+	mux     *http.ServeMux
+	slices  *lruCache[sliceKey, []byte]
+	columns *lruCache[columnsKey, *collectSink]
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -83,11 +95,14 @@ type Server struct {
 // New returns a Server ready to be passed to http.Serve (or driven
 // directly through ServeHTTP in tests).
 func New(opt Options) *Server {
+	opt = opt.defaults()
+	columnsBudget := opt.CacheBytes / sliceColumnsShare
 	s := &Server{
-		opt:   opt.defaults(),
-		mux:   http.NewServeMux(),
-		jobs:  make(map[string]*job),
-		cache: newSliceCache(opt.defaults().CacheBytes),
+		opt:     opt,
+		mux:     http.NewServeMux(),
+		jobs:    make(map[string]*job),
+		slices:  newLRUCache[sliceKey](opt.CacheBytes-columnsBudget, func(b []byte) int64 { return int64(len(b)) }),
+		columns: newLRUCache[columnsKey](columnsBudget, columnsBytes),
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/manifest", s.handleManifest)
@@ -115,8 +130,20 @@ type Stats struct {
 	BytesServed int64 `json:"bytes_served"`
 	// Jobs is the number of registered jobs.
 	Jobs int `json:"jobs"`
-	// Cache reports the slice cache counters.
+	// Cache reports the slice cache counters; X-Gmark-Cache on a
+	// response is the same cache's disposition of that request.
 	Cache CacheStats `json:"cache"`
+	// Emissions counts whole-predicate generations: lookups of the
+	// columns cache that found nothing resident or in flight.
+	Emissions int64 `json:"emissions"`
+	// ColumnHits counts slice computations cut from resident columns
+	// or from an emission another request had in flight.
+	ColumnHits int64 `json:"column_hits"`
+	// ColumnBytes is the current size of the resident columns.
+	ColumnBytes int64 `json:"column_bytes"`
+	// ColumnEvictions counts predicates' columns dropped to stay under
+	// their share of the budget.
+	ColumnEvictions int64 `json:"column_evictions"`
 }
 
 // Stats returns a snapshot of the server counters.
@@ -124,12 +151,17 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	jobs := len(s.jobs)
 	s.mu.Unlock()
+	columns := s.columns.stats()
 	return Stats{
-		Requests:     s.requests.Load(),
-		SlicesServed: s.slicesServed.Load(),
-		BytesServed:  s.bytesServed.Load(),
-		Jobs:         jobs,
-		Cache:        s.cache.stats(),
+		Requests:        s.requests.Load(),
+		SlicesServed:    s.slicesServed.Load(),
+		BytesServed:     s.bytesServed.Load(),
+		Jobs:            jobs,
+		Cache:           s.slices.stats(),
+		Emissions:       columns.Misses,
+		ColumnHits:      columns.Hits,
+		ColumnBytes:     columns.Bytes,
+		ColumnEvictions: columns.Evictions,
 	}
 }
 
