@@ -1,15 +1,25 @@
-// Command gmark-bench regenerates the paper's tables and figures
-// (see DESIGN.md's experiment index and EXPERIMENTS.md for recorded
-// results).
+// Command gmark-bench regenerates the artefacts of the paper's
+// evaluation (gMark Sections 6 and 7; abstract in PAPER.md) from the
+// registry in internal/experiments. It reproduces paper artefacts
+// only: the performance of this implementation is measured by
+// cmd/gmark-perf.
 //
 // Usage:
 //
 //	gmark-bench -exp table2            # one experiment
 //	gmark-bench -exp all -full         # everything at paper scale
 //
-// Experiments: table1, table2, table3, table4, fig10, fig11, fig12,
-// qgen-scal, gen-scal, gen-shard, query-scal, spill-eval, spill-engines,
-// spill-size, par-eval, cold-eval, all.
+// Experiments (-exp; "all" runs them in this order):
+//
+//	table1     Table 1 (Section 5.2.2): boundedness and alpha of the selectivity-class operations
+//	table2     Table 2 (Section 6.2): measured alpha per selectivity class, use case and workload kind
+//	table3     Table 3 (Section 6.2): graph generation time per use case and size
+//	table4     Table 4 (Section 7): two recursive Bib queries on engines P, S, G, D
+//	fig10      Fig. 10 (Section 6.2): SP2Bench-style vs gMark-generated queries on SP
+//	fig11      Fig. 11 (Section 6.2): measured vs fitted selectivities on Bib
+//	fig12      Fig. 12 (Section 7.2): Len/Dis/Con workloads per class on engines P, S, G, D
+//	qgen-scal  Section 6.2: time to generate and translate a thousand-query workload
+//	coverage   Section 6.1: shape, class and alphabet coverage of generated workloads
 package main
 
 import (
@@ -23,15 +33,24 @@ import (
 
 	"gmark/internal/eval"
 	"gmark/internal/experiments"
-	"gmark/internal/graphgen"
 )
+
+// experimentList renders the registry as the table shown by -h and
+// repeated in the package comment (main_test.go keeps the two equal).
+func experimentList() string {
+	var b strings.Builder
+	for _, e := range experiments.All() {
+		fmt.Fprintf(&b, "%-10s %s\n", e.ID, e.Paper)
+	}
+	return b.String()
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("gmark-bench: ")
 
 	var (
-		exp      = flag.String("exp", "all", "experiment id (table1..4, fig10..12, qgen-scal, gen-scal, gen-shard, query-scal, spill-eval, spill-engines, spill-size, par-eval, cold-eval, all)")
+		exp      = flag.String("exp", "all", "experiment id from the list below, or all")
 		full     = flag.Bool("full", false, "paper-scale sweeps (slower)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		sizes    = flag.String("sizes", "", "comma-separated graph sizes override")
@@ -40,19 +59,20 @@ func main() {
 		maxPairs = flag.Int64("max-pairs", 50_000_000, "per-query materialization budget")
 		runs     = flag.Int("runs", 1, "engine runs per measurement; >= 3 enables the paper's cold+warm protocol (Section 7.1)")
 		par      = flag.Int("parallelism", 0, "graph-generation workers (0 = all cores)")
-		evalWork = flag.Int("eval-workers", 0, "evaluation workers for par-eval (0 = all cores)")
-		spillCmp = flag.String("spill-compress", "", "shard encoding for spill-writing experiments (none, raw, varint, deflate; empty = default varint; cold-eval sweeps encodings itself)")
 		quiet    = flag.Bool("quiet", false, "suppress progress output")
 	)
+	flag.Usage = func() {
+		fmt.Fprintf(flag.CommandLine.Output(), "Usage of %s:\n", os.Args[0])
+		flag.PrintDefaults()
+		fmt.Fprintf(flag.CommandLine.Output(), "\nExperiments:\n%s", experimentList())
+	}
 	flag.Parse()
 
-	// The same parse/validate path cmd/gmark uses, so an invalid or
-	// reserved encoding (zstd) fails here with the same error text
-	// instead of deep inside an experiment.
-	if *spillCmp != "" {
-		if _, err := graphgen.ParseSpillCompression(*spillCmp); err != nil {
-			log.Fatal(err)
-		}
+	// Resolved before anything runs or prints, so a mistyped id fails
+	// up front with the valid ones.
+	exps, err := experiments.Select(*exp)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	opt := experiments.Options{
@@ -62,8 +82,6 @@ func main() {
 		Budget:          eval.Budget{MaxPairs: *maxPairs, Timeout: *budget},
 		Runs:            *runs,
 		Parallelism:     *par,
-		EvalWorkers:     *evalWork,
-		SpillCompress:   *spillCmp,
 	}
 	if !*quiet {
 		opt.Progress = os.Stderr
@@ -78,126 +96,12 @@ func main() {
 		}
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		ids = []string{"table1", "table2", "table3", "table4", "fig10", "fig11", "fig12", "qgen-scal", "gen-scal", "gen-shard", "query-scal", "spill-eval", "spill-engines", "spill-size", "par-eval", "cold-eval", "coverage"}
-	}
-	for _, id := range ids {
-		fmt.Printf("\n================ %s ================\n", id)
+	for _, e := range exps {
+		fmt.Printf("\n================ %s ================\n", e.ID)
 		start := time.Now()
-		if err := run(id, opt); err != nil {
-			log.Fatalf("%s: %v", id, err)
+		if err := e.Run(opt, os.Stdout); err != nil {
+			log.Fatalf("%s: %v", e.ID, err)
 		}
-		fmt.Printf("[%s completed in %v]\n", id, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("[%s completed in %v]\n", e.ID, time.Since(start).Round(time.Millisecond))
 	}
-}
-
-func run(id string, opt experiments.Options) error {
-	switch id {
-	case "table1":
-		rows, err := experiments.Table1(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTable1(os.Stdout, rows)
-	case "table2":
-		rows, err := experiments.Table2(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTable2(os.Stdout, rows)
-	case "table3":
-		rows, err := experiments.Table3(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTable3(os.Stdout, rows)
-	case "table4":
-		rows, err := experiments.Table4(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderTable4(os.Stdout, rows)
-	case "fig10":
-		series, err := experiments.Fig10(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig10(os.Stdout, series)
-	case "fig11":
-		series, err := experiments.Fig11(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig11(os.Stdout, series)
-	case "fig12":
-		results, err := experiments.Fig12(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderFig12(os.Stdout, results)
-	case "qgen-scal":
-		rows, err := experiments.QGenScalability(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderScalability(os.Stdout, rows)
-	case "gen-scal":
-		rows, err := experiments.GraphGenScalability(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderGenScalability(os.Stdout, rows)
-	case "gen-shard":
-		rows, err := experiments.GenShardScalability(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderGenShardScalability(os.Stdout, rows)
-	case "query-scal":
-		rows, err := experiments.WorkloadScalability(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderWorkloadScalability(os.Stdout, rows)
-	case "spill-eval":
-		rows, err := experiments.SpillEval(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderSpillEval(os.Stdout, rows)
-	case "par-eval":
-		rows, err := experiments.ParEval(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderParEval(os.Stdout, rows)
-	case "spill-engines":
-		rows, err := experiments.SpillEngines(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderSpillEngines(os.Stdout, rows)
-	case "cold-eval":
-		rows, err := experiments.ColdEval(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderColdEval(os.Stdout, rows)
-	case "spill-size":
-		rows, err := experiments.SpillSize(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderSpillSize(os.Stdout, rows)
-	case "coverage":
-		rows, err := experiments.Coverage(opt)
-		if err != nil {
-			return err
-		}
-		experiments.RenderCoverage(os.Stdout, rows)
-	default:
-		return fmt.Errorf("unknown experiment %q", id)
-	}
-	return nil
 }

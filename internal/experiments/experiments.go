@@ -1,9 +1,9 @@
-// Package experiments implements one driver per table and figure of
-// the paper's evaluation (Sections 6 and 7), as indexed in DESIGN.md.
-// Each driver returns structured rows and has a text renderer that
-// prints the same layout the paper reports. The bench harness
-// (bench_test.go) and the gmark-bench command both call into this
-// package.
+// Package experiments reproduces the paper's own evaluation (gMark
+// Sections 6 and 7) and nothing else: one driver per table, figure
+// and in-text claim, each returning structured rows plus a text
+// renderer that prints the layout the paper reports. All() is the
+// registry cmd/gmark-bench runs from. Performance of this
+// implementation is measured by cmd/gmark-perf, not here.
 package experiments
 
 import (
@@ -16,6 +16,7 @@ import (
 	"gmark/internal/graphgen"
 	"gmark/internal/query"
 	"gmark/internal/querygen"
+	"gmark/internal/regpath"
 	"gmark/internal/stats"
 	"gmark/internal/usecases"
 )
@@ -48,23 +49,6 @@ type Options struct {
 	// cores). Generated instances are identical for any value at a
 	// fixed seed.
 	Parallelism int
-	// EvalWorkers is the evaluation worker count for the parallel
-	// evaluation study (0 = all cores, 1 = sequential; counts are
-	// identical for any value).
-	EvalWorkers int
-	// SpillCompress selects the shard encoding for experiments that
-	// write CSR spills ("" = the default, varint). The cold-eval study
-	// sweeps encodings itself and ignores this.
-	SpillCompress string
-}
-
-// spillCompression resolves the SpillCompress option to a shard
-// encoding, defaulting to delta-varint like the spill writers do.
-func (o Options) spillCompression() (graphgen.SpillCompression, error) {
-	if o.SpillCompress == "" {
-		return graphgen.SpillCompressVarint, nil
-	}
-	return graphgen.ParseSpillCompression(o.SpillCompress)
 }
 
 // measureEngine runs one engine evaluation under the configured
@@ -142,21 +126,15 @@ func (o Options) progressf(format string, args ...any) {
 	}
 }
 
-// buildGraph generates one use-case instance through the unified
-// pipeline.
-func buildGraph(usecase string, n int, seed int64, parallelism int) (*graph.Graph, error) {
-	cfg, err := usecases.ByName(usecase, n)
-	if err != nil {
-		return nil, err
-	}
-	return graphgen.Generate(cfg, graphgen.Options{Seed: seed, Parallelism: parallelism})
-}
-
 // buildGraphs generates one instance per size, reporting progress.
 func buildGraphs(o Options, usecase string, sizes []int) (map[int]*graph.Graph, error) {
 	graphs := make(map[int]*graph.Graph, len(sizes))
 	for _, n := range sizes {
-		g, err := buildGraph(usecase, n, o.Seed, o.Parallelism)
+		cfg, err := usecases.ByName(usecase, n)
+		if err != nil {
+			return nil, err
+		}
+		g, err := graphgen.Generate(cfg, graphgen.Options{Seed: o.Seed, Parallelism: o.Parallelism})
 		if err != nil {
 			return nil, fmt.Errorf("%s at %d nodes: %w", usecase, n, err)
 		}
@@ -166,12 +144,26 @@ func buildGraphs(o Options, usecase string, sizes []int) (map[int]*graph.Graph, 
 	return graphs, nil
 }
 
+// presetGenerator builds the query generator for one of the built-in
+// workload kinds over a use case's schema.
+func presetGenerator(usecase, kind string, nodes int, seed int64) (*querygen.Generator, error) {
+	gcfg, err := usecases.ByName(usecase, nodes)
+	if err != nil {
+		return nil, err
+	}
+	wcfg, err := usecases.Workload(kind, gcfg, seed)
+	if err != nil {
+		return nil, err
+	}
+	return querygen.New(wcfg)
+}
+
 // classWorkload generates per-class query sets with the Section 6.2
 // protocol: QueriesPerClass queries for each of the three selectivity
 // classes.
 func classWorkload(gen *querygen.Generator, perClass int) (map[query.SelectivityClass][]*query.Query, error) {
 	out := make(map[query.SelectivityClass][]*query.Query, 3)
-	for _, class := range []query.SelectivityClass{query.Constant, query.Linear, query.Quadratic} {
+	for _, class := range classes {
 		for i := 0; i < perClass; i++ {
 			q, err := gen.GenerateWithClass(class)
 			if err != nil {
@@ -181,6 +173,18 @@ func classWorkload(gen *querygen.Generator, perClass int) (map[query.Selectivity
 		}
 	}
 	return out, nil
+}
+
+// pathQuery is the fixed binary query (?x, ?y) <- (?x, expr, ?y) with a
+// declared selectivity class, as Table 4 and Fig. 10 use.
+func pathQuery(expr string, class query.SelectivityClass) *query.Query {
+	return &query.Query{
+		Shape: query.Chain, HasClass: true, Class: class,
+		Rules: []query.Rule{{
+			Head: []query.Var{0, 1},
+			Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(expr)}},
+		}},
+	}
 }
 
 // classes lists the three classes in table order.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -392,75 +393,91 @@ func TestQGenScalabilitySmoke(t *testing.T) {
 	}
 }
 
-func TestGenShardScalabilitySmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("short mode")
-	}
-	opt := fastOpts()
-	opt.Sizes = []int{5000}
-	rows, err := GenShardScalability(opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 6 { // 2 scenarios x 3 shard granularities
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.Edges == 0 || r.Sequential <= 0 || r.Parallel <= 0 {
-			t.Errorf("%s shard=%d: %+v", r.Scenario, r.ShardEdges, r)
+// smokeOpts is the size CI's "paper artefacts smoke" step runs at.
+func smokeOpts() Options {
+	return Options{Sizes: []int{500, 1000}, Seed: 1, QueriesPerClass: 1}
+}
+
+func TestRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, e := range All() {
+		if e.ID == "" || e.ID == "all" || seen[e.ID] {
+			t.Errorf("registry id %q is empty, reserved or duplicated", e.ID)
 		}
+		seen[e.ID] = true
+		if e.Paper == "" {
+			t.Errorf("%s: no paper reference", e.ID)
+		}
+		t.Run(e.ID, func(t *testing.T) {
+			var buf bytes.Buffer
+			if err := e.Run(smokeOpts(), &buf); err != nil {
+				t.Fatal(err)
+			}
+			if strings.TrimSpace(buf.String()) == "" {
+				t.Error("rendered nothing")
+			}
+			one, err := Select(e.ID)
+			if err != nil || len(one) != 1 || one[0].ID != e.ID {
+				t.Errorf("Select(%q) = %v, %v", e.ID, one, err)
+			}
+		})
 	}
-	var buf bytes.Buffer
-	RenderGenShardScalability(&buf, rows)
-	if !strings.Contains(buf.String(), "shard") {
-		t.Error("render output incomplete")
+	if all, err := Select("all"); err != nil || len(all) != len(All()) {
+		t.Errorf("Select(all) = %d experiments, %v; want %d", len(all), err, len(All()))
+	}
+	_, err := Select("bogus")
+	if err == nil {
+		t.Fatal("Select(bogus) succeeded")
+	}
+	for id := range seen {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-id error %q does not name %s", err, id)
+		}
 	}
 }
 
-func TestSpillEnginesSmoke(t *testing.T) {
-	rows, err := SpillEngines(Options{Sizes: []int{400}, Seed: 1})
+// TestOnlyBudgetErrorsAreFailureCells pins the difference between the
+// paper's failure cell and a crash: a budget violation renders as "-",
+// any other evaluation error aborts the driver. The crash is provoked
+// by handing each driver LSN instances, which lack every predicate its
+// Bib/SP queries mention.
+func TestOnlyBudgetErrorsAreFailureCells(t *testing.T) {
+	opt := smokeOpts().withDefaults()
+	sizes := opt.Sizes
+	lsn, err := buildGraphs(opt, "lsn", sizes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 4 engines x 3 queries, none failing at this scale.
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(rows))
-	}
-	for _, r := range rows {
-		if r.Failed {
-			t.Errorf("engine %s on %s failed at smoke scale: %s", r.Engine, r.Query, r.Err)
-		}
-		if r.Loads == 0 {
-			t.Errorf("engine %s on %s loaded no shards", r.Engine, r.Query)
-		}
-	}
-	var buf strings.Builder
-	RenderSpillEngines(&buf, rows)
-	if !strings.Contains(buf.String(), "authors-.authors") {
-		t.Error("render missing query column")
-	}
-}
+	tight := smokeOpts()
+	tight.Budget.MaxPairs = 1
 
-func TestSpillSizeSmoke(t *testing.T) {
-	rows, err := SpillSize(Options{Sizes: []int{2000}, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 use cases x 3 encodings.
-	if len(rows) != 12 {
-		t.Fatalf("rows = %d, want 12", len(rows))
-	}
-	for _, r := range rows {
-		if r.Bytes <= 0 || r.Loads == 0 || r.DiskBytes <= 0 {
-			t.Errorf("%s %s: %+v", r.Usecase, r.Format, r)
-		}
-		if r.Format != "v2-none" && r.VsV2 <= 1 {
-			t.Errorf("%s %s: not smaller than v2 (%.2fx)", r.Usecase, r.Format, r.VsV2)
-		}
-	}
-	var buf strings.Builder
-	RenderSpillSize(&buf, rows)
-	if !strings.Contains(buf.String(), "v3-varint") {
-		t.Error("render missing format column")
+	for _, tc := range []struct {
+		id     string
+		onLSN  func() (any, error)
+		marker string // how the renderer prints a failure cell
+	}{
+		{"table2", func() (any, error) { return table2Row(opt, "bib", "con", sizes, lsn) }, " -\n"},
+		{"table4", func() (any, error) { return table4Rows(opt, sizes, lsn) }, " -\n"},
+		{"fig10", func() (any, error) { return fig10Series(opt, sizes, lsn) }, "evaluation failed (budget)"},
+		{"fig11", func() (any, error) { return fig11Series(opt, sizes, lsn) }, "evaluation failed (budget)"},
+		{"fig12", func() (any, error) { return fig12Results(opt, sizes, lsn) }, " -\n"},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			_, err := tc.onLSN()
+			if err == nil || errors.Is(err, eval.ErrBudget) || !strings.Contains(err.Error(), "unknown predicate") {
+				t.Errorf("queries over an instance lacking their predicates: err = %v, want an unknown-predicate abort", err)
+			}
+			exps, err := Select(tc.id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := exps[0].Run(tight, &buf); err != nil {
+				t.Fatalf("1-pair budget aborted the driver: %v", err)
+			}
+			if !strings.Contains(buf.String(), tc.marker) {
+				t.Errorf("1-pair budget rendered no failure cell %q:\n%s", tc.marker, buf.String())
+			}
+		})
 	}
 }

@@ -1,39 +1,29 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"gmark/internal/eval"
+	"gmark/internal/graph"
 	"gmark/internal/query"
-	"gmark/internal/querygen"
-	"gmark/internal/regpath"
 	"gmark/internal/stats"
-	"gmark/internal/usecases"
 )
 
 // SP2BenchQueries returns the three fixed queries standing in for the
 // original SP2Bench query load of Fig. 10, one per selectivity class,
-// expressed over our SP schema encoding (DESIGN.md substitution #3):
+// expressed over our SP schema encoding (internal/usecases):
 //
 //	constant:  journals linked by a citation between their articles
 //	linear:    inproceedings paired with the editors of their venue
 //	quadratic: pairs of articles published in the same journal
 func SP2BenchQueries() map[query.SelectivityClass]*query.Query {
-	mk := func(expr string, class query.SelectivityClass) *query.Query {
-		return &query.Query{
-			Shape: query.Chain, HasClass: true, Class: class,
-			Rules: []query.Rule{{
-				Head: []query.Var{0, 1},
-				Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(expr)}},
-			}},
-		}
-	}
 	return map[query.SelectivityClass]*query.Query{
-		query.Constant:  mk("publishedIn-.cites.publishedIn", query.Constant),
-		query.Linear:    mk("partOf.editorOf-", query.Linear),
-		query.Quadratic: mk("publishedIn.publishedIn-", query.Quadratic),
+		query.Constant:  pathQuery("publishedIn-.cites.publishedIn", query.Constant),
+		query.Linear:    pathQuery("partOf.editorOf-", query.Linear),
+		query.Quadratic: pathQuery("publishedIn.publishedIn-", query.Quadratic),
 	}
 }
 
@@ -63,16 +53,11 @@ func Fig10(opt Options) ([]Fig10Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fig10Series(opt, sizes, graphs)
+}
 
-	gcfg, err := usecases.ByName("sp", sizes[0])
-	if err != nil {
-		return nil, err
-	}
-	wcfg, err := usecases.Workload("con", gcfg, opt.Seed)
-	if err != nil {
-		return nil, err
-	}
-	gen, err := querygen.New(wcfg)
+func fig10Series(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Fig10Series, error) {
+	gen, err := presetGenerator("sp", "con", sizes[0], opt.Seed)
 	if err != nil {
 		return nil, err
 	}
@@ -94,6 +79,9 @@ func Fig10(opt Options) ([]Fig10Series, error) {
 				c, err := eval.Count(graphs[n], spec.q, opt.Budget)
 				elapsed := time.Since(start)
 				if err != nil {
+					if !errors.Is(err, eval.ErrBudget) {
+						return nil, fmt.Errorf("%s/%s at %d nodes: %s: %w", class, spec.origin, n, s.Query, err)
+					}
 					s.Failed = true
 					break
 				}

@@ -1,13 +1,14 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"math"
 
 	"gmark/internal/eval"
+	"gmark/internal/graph"
 	"gmark/internal/query"
-	"gmark/internal/querygen"
 	"gmark/internal/stats"
 	"gmark/internal/usecases"
 )
@@ -40,18 +41,13 @@ func Fig11(opt Options) ([]Fig11Series, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fig11Series(opt, sizes, graphs)
+}
 
+func fig11Series(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Fig11Series, error) {
 	var out []Fig11Series
 	for _, kind := range usecases.WorkloadKinds {
-		gcfg, err := usecases.ByName("bib", sizes[0])
-		if err != nil {
-			return nil, err
-		}
-		wcfg, err := usecases.Workload(kind, gcfg, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := querygen.New(wcfg)
+		gen, err := presetGenerator("bib", kind, sizes[0], opt.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -70,6 +66,9 @@ func Fig11(opt Options) ([]Fig11Series, error) {
 			for _, n := range sizes {
 				c, err := eval.Count(graphs[n], q, opt.Budget)
 				if err != nil {
+					if !errors.Is(err, eval.ErrBudget) {
+						return nil, fmt.Errorf("Bib-%s %s at %d nodes: %s: %w", kind, s.Label, n, s.Query, err)
+					}
 					s.Failed = true
 					break
 				}

@@ -1,15 +1,16 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"gmark/internal/engines"
+	"gmark/internal/eval"
+	"gmark/internal/graph"
 	"gmark/internal/query"
-	"gmark/internal/querygen"
 	"gmark/internal/stats"
-	"gmark/internal/usecases"
 )
 
 // Fig12Cell is one bar of Fig. 12: the query execution time of one
@@ -47,7 +48,10 @@ func Fig12(opt Options) ([]Fig12Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return fig12Results(opt, sizes, graphs)
+}
 
+func fig12Results(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Fig12Result, error) {
 	kinds := []string{"len", "dis", "con"}
 	results := make([]Fig12Result, len(classes))
 	for ci, class := range classes {
@@ -55,15 +59,7 @@ func Fig12(opt Options) ([]Fig12Result, error) {
 	}
 
 	for _, kind := range kinds {
-		gcfg, err := usecases.ByName("bib", sizes[0])
-		if err != nil {
-			return nil, err
-		}
-		wcfg, err := usecases.Workload(kind, gcfg, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		gen, err := querygen.New(wcfg)
+		gen, err := presetGenerator("bib", kind, sizes[0], opt.Seed)
 		if err != nil {
 			return nil, err
 		}
@@ -83,6 +79,9 @@ func Fig12(opt Options) ([]Fig12Result, error) {
 							return eng.Evaluate(g, q, opt.Budget)
 						})
 						if err != nil {
+							if !errors.Is(err, eval.ErrBudget) {
+								return nil, fmt.Errorf("%s/%s engine %s at %d nodes: %s: %w", kind, class, eng.Name(), n, q, err)
+							}
 							cell.Failures++
 							continue
 						}

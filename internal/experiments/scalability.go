@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
-	"gmark/internal/graphgen"
 	"gmark/internal/query"
 	"gmark/internal/querygen"
 	"gmark/internal/translate"
@@ -56,7 +54,7 @@ func QGenScalability(opt Options) ([]ScalabilityRow, error) {
 		start := time.Now()
 		// Pinned to one worker: this experiment reproduces the paper's
 		// single-threaded Section 6.2 numbers; the parallel pipeline is
-		// measured by WorkloadScalability (query-scal).
+		// gmark-perf's qgen workload (querygen.emit_s / emit_seq_s).
 		queries, err := gen.GenerateWith(querygen.Options{Parallelism: 1})
 		if err != nil {
 			return nil, err
@@ -93,163 +91,5 @@ func RenderScalability(w io.Writer, rows []ScalabilityRow) {
 			r.Scenario, r.NumQueries,
 			r.GenerateTime.Round(time.Millisecond),
 			r.TranslateTime.Round(time.Millisecond))
-	}
-}
-
-// QueryScalRow reports the workload-pipeline scaling study for one use
-// case: wall-clock time to emit a workload through the plan/emit/sink
-// pipeline with one worker and with all cores, on the same seed (the
-// workloads are identical by construction, so the comparison is purely
-// about throughput).
-type QueryScalRow struct {
-	Scenario   string
-	NumQueries int
-	Workers    int
-	Sequential time.Duration
-	Parallel   time.Duration
-}
-
-// Speedup is Sequential/Parallel.
-func (r QueryScalRow) Speedup() float64 {
-	if r.Parallel <= 0 {
-		return 0
-	}
-	return float64(r.Sequential) / float64(r.Parallel)
-}
-
-// WorkloadScalability measures the parallel query-emission stage
-// against the sequential path on every use case (the workload-side
-// companion of GraphGenScalability).
-func WorkloadScalability(opt Options) ([]QueryScalRow, error) {
-	opt = opt.withDefaults()
-	numQueries := 200
-	if opt.Full {
-		numQueries = 1000
-	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var rows []QueryScalRow
-	for _, sc := range []string{"bib", "lsn", "sp", "wd"} {
-		gcfg, err := usecases.ByName(sc, 100000)
-		if err != nil {
-			return nil, err
-		}
-		wcfg, err := usecases.Workload("con", gcfg, opt.Seed)
-		if err != nil {
-			return nil, err
-		}
-		wcfg.Count = numQueries
-		wcfg.Classes = []query.SelectivityClass{query.Constant, query.Linear, query.Quadratic}
-		gen, err := querygen.New(wcfg)
-		if err != nil {
-			return nil, err
-		}
-
-		start := time.Now()
-		if _, err := gen.Emit(querygen.Options{Parallelism: 1}, querygen.DiscardSink{}); err != nil {
-			return nil, err
-		}
-		seq := time.Since(start)
-		start = time.Now()
-		if _, err := gen.Emit(querygen.Options{Parallelism: workers}, querygen.DiscardSink{}); err != nil {
-			return nil, err
-		}
-		par := time.Since(start)
-
-		row := QueryScalRow{Scenario: sc, NumQueries: numQueries,
-			Workers: workers, Sequential: seq, Parallel: par}
-		rows = append(rows, row)
-		opt.progressf("query-scal %s: %d queries seq %v, %d workers %v (%.2fx)",
-			sc, numQueries, seq, workers, par, row.Speedup())
-	}
-	return rows, nil
-}
-
-// RenderWorkloadScalability prints the rows.
-func RenderWorkloadScalability(w io.Writer, rows []QueryScalRow) {
-	fmt.Fprintf(w, "%-6s %10s %14s %14s %8s\n", "", "#queries", "sequential", "parallel", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s %10d %14v %14v %7.2fx\n",
-			r.Scenario, r.NumQueries,
-			r.Sequential.Round(time.Millisecond),
-			r.Parallel.Round(time.Millisecond),
-			r.Speedup())
-	}
-}
-
-// GenScalRow reports the graph-generation scaling study for one use
-// case: wall-clock time through the unified pipeline with one worker
-// and with all cores, on the same seed (the outputs are identical by
-// construction, so the comparison is purely about throughput).
-type GenScalRow struct {
-	Scenario   string
-	Nodes      int
-	Edges      int
-	Workers    int
-	Sequential time.Duration
-	Parallel   time.Duration
-}
-
-// Speedup is Sequential/Parallel.
-func (r GenScalRow) Speedup() float64 {
-	if r.Parallel <= 0 {
-		return 0
-	}
-	return float64(r.Sequential) / float64(r.Parallel)
-}
-
-// GraphGenScalability measures the parallel emission stage against the
-// sequential path (Table 3's companion study for the multi-core
-// pipeline).
-func GraphGenScalability(opt Options) ([]GenScalRow, error) {
-	opt = opt.withDefaults()
-	size := 200_000
-	if opt.Full {
-		size = 1_000_000
-	}
-	if len(opt.Sizes) > 0 {
-		size = opt.Sizes[0]
-	}
-	workers := opt.Parallelism
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var rows []GenScalRow
-	for _, sc := range []string{"bib", "lsn", "sp"} {
-		cfg, err := usecases.ByName(sc, size)
-		if err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		g, err := graphgen.Generate(cfg, graphgen.Options{Seed: opt.Seed, Parallelism: 1})
-		if err != nil {
-			return nil, err
-		}
-		seq := time.Since(start)
-		start = time.Now()
-		if _, err := graphgen.Generate(cfg, graphgen.Options{Seed: opt.Seed, Parallelism: workers}); err != nil {
-			return nil, err
-		}
-		par := time.Since(start)
-		row := GenScalRow{Scenario: sc, Nodes: size, Edges: g.NumEdges(),
-			Workers: workers, Sequential: seq, Parallel: par}
-		rows = append(rows, row)
-		opt.progressf("gen-scal %s n=%d: seq %v, %d workers %v (%.2fx)",
-			sc, size, seq, workers, par, row.Speedup())
-	}
-	return rows, nil
-}
-
-// RenderGenScalability prints the rows.
-func RenderGenScalability(w io.Writer, rows []GenScalRow) {
-	fmt.Fprintf(w, "%-6s %10s %12s %14s %14s %8s\n", "", "nodes", "edges", "sequential", "parallel", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-6s %10d %12d %14v %14v %7.2fx\n",
-			r.Scenario, r.Nodes, r.Edges,
-			r.Sequential.Round(time.Millisecond),
-			r.Parallel.Round(time.Millisecond),
-			r.Speedup())
 	}
 }

@@ -60,14 +60,11 @@ func Table1(opt Options) ([]Table1Row, error) {
 			sizes = []int{1000, 8000}
 		}
 	}
-	small, err := buildGraph("bib", sizes[0], opt.Seed, opt.Parallelism)
+	graphs, err := buildGraphs(opt, "bib", sizes)
 	if err != nil {
 		return nil, err
 	}
-	large, err := buildGraph("bib", sizes[1], opt.Seed, opt.Parallelism)
-	if err != nil {
-		return nil, err
-	}
+	small, large := graphs[sizes[0]], graphs[sizes[1]]
 
 	var rows []Table1Row
 	for _, spec := range table1Specs {

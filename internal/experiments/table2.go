@@ -1,13 +1,13 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"strings"
 
 	"gmark/internal/eval"
 	"gmark/internal/graph"
-	"gmark/internal/querygen"
 	"gmark/internal/stats"
 	"gmark/internal/usecases"
 )
@@ -83,15 +83,7 @@ func table2Row(opt Options, scenario, kind string, sizes []int, graphs map[int]*
 	if wkind == "" {
 		wkind = "con"
 	}
-	gcfg, err := usecases.ByName(scenario, sizes[0])
-	if err != nil {
-		return row, err
-	}
-	wcfg, err := usecases.Workload(wkind, gcfg, opt.Seed)
-	if err != nil {
-		return row, err
-	}
-	gen, err := querygen.New(wcfg)
+	gen, err := presetGenerator(scenario, wkind, sizes[0], opt.Seed)
 	if err != nil {
 		return row, err
 	}
@@ -109,6 +101,9 @@ func table2Row(opt Options, scenario, kind string, sizes []int, graphs map[int]*
 			for _, n := range sizes {
 				c, err := eval.Count(graphs[n], q, opt.Budget)
 				if err != nil {
+					if !errors.Is(err, eval.ErrBudget) {
+						return row, fmt.Errorf("%s at %d nodes: %s: %w", row.Label(), n, q, err)
+					}
 					row.Failures++
 					failed = true
 					break

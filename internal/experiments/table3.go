@@ -24,9 +24,8 @@ type Table3Row struct {
 	Cells    []Table3Cell
 }
 
-// table3DefaultSizes is the laptop-scale sweep; the paper sweeps 100K
-// to 100M (Full extends toward that range; see DESIGN.md substitution
-// #4).
+// table3Sizes is the laptop-scale sweep; the paper sweeps 100K to
+// 100M (Section 6.2, Table 3) and Full extends toward that range.
 func table3Sizes(full bool) []int {
 	if full {
 		return []int{100_000, 1_000_000, 10_000_000}

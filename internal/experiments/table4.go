@@ -1,14 +1,15 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"time"
 
 	"gmark/internal/engines"
 	"gmark/internal/eval"
+	"gmark/internal/graph"
 	"gmark/internal/query"
-	"gmark/internal/regpath"
 )
 
 // Table4Queries returns the two fixed recursive queries of Table 4 on
@@ -21,21 +22,10 @@ import (
 //	  the co-authorship closure over papers; the hub structure of the
 //	  Zipfian authors relation makes it quadratic.
 func Table4Queries() [2]*query.Query {
-	q1 := &query.Query{
-		Shape: query.Chain, HasClass: true, Class: query.Constant,
-		Rules: []query.Rule{{
-			Head: []query.Var{0, 1},
-			Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("(heldIn-.heldIn)*")}},
-		}},
+	return [2]*query.Query{
+		pathQuery("(heldIn-.heldIn)*", query.Constant),
+		pathQuery("(authors-.authors)*", query.Quadratic),
 	}
-	q2 := &query.Query{
-		Shape: query.Chain, HasClass: true, Class: query.Quadratic,
-		Rules: []query.Rule{{
-			Head: []query.Var{0, 1},
-			Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("(authors-.authors)*")}},
-		}},
-	}
-	return [2]*query.Query{q1, q2}
 }
 
 // Table4Cell is one engine/size measurement of Table 4.
@@ -66,10 +56,12 @@ func Table4(opt Options) ([]Table4Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	queries := Table4Queries()
+	return table4Rows(opt, sizes, graphs)
+}
 
+func table4Rows(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Table4Row, error) {
 	var rows []Table4Row
-	for qi, q := range queries {
+	for qi, q := range Table4Queries() {
 		for _, eng := range engines.All() {
 			row := Table4Row{Query: qi + 1, Engine: eng.Name()}
 			for _, n := range sizes {
@@ -82,11 +74,14 @@ func Table4(opt Options) ([]Table4Row, error) {
 					return eng.Evaluate(g, q, opt.Budget)
 				})
 				cell.Elapsed = elapsed
-				if err != nil {
+				switch {
+				case err == nil:
+					cell.Count = c
+				case errors.Is(err, eval.ErrBudget):
 					cell.Failed = true
 					cell.Err = err.Error()
-				} else {
-					cell.Count = c
+				default:
+					return nil, fmt.Errorf("query %d, engine %s at %d nodes: %w", qi+1, eng.Name(), n, err)
 				}
 				row.Cells = append(row.Cells, cell)
 				opt.progressf("table4 q%d %s n=%d: count=%d failed=%v in %v",

@@ -89,7 +89,7 @@ func reportClockAndRand(p *Pass, file *ast.File) {
 		case "time":
 			switch fn.Name() {
 			case "Now", "Since", "Until":
-				p.Reportf(call.Pos(), "time.%s in a deterministic path; move measurement to cmd/experiments or the budget files, or justify with //lint:ignore determinism <reason>", fn.Name())
+				p.Reportf(call.Pos(), "time.%s in a deterministic path; move measurement under cmd/, examples/ or internal/experiments, or into the budget files, or justify with //lint:ignore determinism <reason>", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":
 			// Constructors (New, NewSource, NewZipf, ...) build the
