@@ -45,12 +45,15 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 	}
 	fmt.Fprintln(bw)
 	fmt.Fprintf(bw, "# predicates %s\n", strings.Join(g.predNames, " "))
+	lines := NewEdgeLines(g.predNames)
 	var err error
 	g.Edges(func(e Edge) {
 		if err != nil {
 			return
 		}
-		_, err = fmt.Fprintf(bw, "%d %s %d\n", e.Src, g.predNames[e.Pred], e.Dst)
+		// Rendered straight into the writer's free space: Write then
+		// finds the bytes already in place.
+		_, err = bw.Write(lines[e.Pred].Append(bw.AvailableBuffer(), e.Src, e.Dst))
 	})
 	if err != nil {
 		return err

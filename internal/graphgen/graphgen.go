@@ -28,15 +28,18 @@
 //     PartitionedSink writes one edge-list file per predicate;
 //     CSRSpillSink spills node-range-sharded binary CSR files for
 //     out-of-core evaluation; callers can plug their own via Emit.
+//     The text sinks are rendering sinks (render.go): in a parallel run
+//     the emit workers render their own shard's lines with
+//     graph.EdgeLine and the flusher only concatenates them.
 //
 // Determinism is a hard invariant: a given (configuration, seed,
 // ShardEdges) triple produces identical output regardless of worker
 // count, because every shard owns an independent sub-seeded RNG,
 // shard boundaries never depend on the worker count or the machine,
-// and completed shard batches are flushed to the sink in ascending
-// (constraint, shard) order. A constraint that fits in one shard is
-// additionally byte-compatible with the historical unsharded
-// pipeline.
+// and completed shards — id batches or rendered text — are flushed to
+// the sink in ascending (constraint, shard) order. A constraint that
+// fits in one shard is additionally byte-compatible with the historical
+// unsharded pipeline.
 package graphgen
 
 import (
@@ -102,11 +105,7 @@ func Generate(cfg *schema.GraphConfig, opt Options) (*graph.Graph, error) {
 	if err != nil {
 		return nil, err
 	}
-	sink := NewGraphSink(g)
-	if err := p.run(sink); err != nil {
-		return nil, err
-	}
-	if err := sink.Flush(); err != nil {
+	if _, err := p.emitInto(NewGraphSink(g)); err != nil {
 		return nil, err
 	}
 	g.Freeze()
@@ -123,6 +122,14 @@ func Emit(cfg *schema.GraphConfig, opt Options, sink EdgeSink) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	return p.emitInto(sink)
+}
+
+// emitInto is the one run/flush sequencing every entry point (Generate,
+// Emit, EmitPredicate, Stream) goes through: run the emission stage,
+// tell an abortable sink when it failed, Flush exactly once either way,
+// and report the emission error ahead of a flush error.
+func (p *plan) emitInto(sink EdgeSink) (int, error) {
 	runErr := p.run(sink)
 	if runErr != nil {
 		abortSink(sink) // don't finalize indexes over partial output
@@ -163,18 +170,7 @@ func EmitPredicate(cfg *schema.GraphConfig, opt Options, pred string, sink EdgeS
 		}
 	}
 	p.shards = kept
-	runErr := p.run(sink)
-	if runErr != nil {
-		abortSink(sink) // don't finalize indexes over partial output
-	}
-	flushErr := sink.Flush()
-	if runErr != nil {
-		return 0, runErr
-	}
-	if flushErr != nil {
-		return 0, flushErr
-	}
-	return p.emitted, nil
+	return p.emitInto(sink)
 }
 
 // run executes the emission stage against the sink, sequentially or
@@ -206,29 +202,52 @@ func (p *plan) runSequential(sink EdgeSink) error {
 	return nil
 }
 
+// shardResult is what one emit worker hands the flusher: the shard's
+// edges as id columns (batch path) or as rendered lines (rendering
+// path), never both.
+type shardResult struct {
+	srcs, dsts []graph.NodeID
+	chunks     [][]byte
+	edges      int
+	err        error
+}
+
 // runParallel fans shards out across workers. Each worker buffers its
-// shard's edges into a private batch; a single flusher goroutine (the
-// caller) consumes batches strictly in (constraint, shard) order, so
-// the sink observes the same sequence as the sequential path.
-// Admission slots are released only after a batch has been flushed, so
-// in-flight memory — emitting plus emitted-but-unflushed shards — is
-// bounded by the worker count times the largest batch, not by the
-// whole graph, even when an early shard is the slowest.
+// shard's edges privately — as a (srcs, dsts) batch, or, for a rendering
+// sink, as the final text in pooled chunks — and a single flusher
+// goroutine (the caller) consumes the results strictly in (constraint,
+// shard) order, so the sink observes the same sequence as the
+// sequential path. Admission slots are released only after a result has
+// been flushed, so in-flight memory — emitting plus emitted-but-unflushed
+// shards — is bounded by the worker count times the largest shard, not
+// by the whole graph, even when an early shard is the slowest.
 func (p *plan) runParallel(sink EdgeSink) error {
-	type result struct {
-		srcs, dsts []graph.NodeID
-		err        error
-	}
 	n := len(p.shards)
-	results := make([]result, n)
+	results := make([]shardResult, n)
 	done := make([]chan struct{}, n)
 	for i := range done {
 		done[i] = make(chan struct{})
 	}
 
+	// A rendering sink gets its bytes from the workers. A sink laid out
+	// for fewer predicates than the plan emits falls back to the batch
+	// path, where the mismatch surfaces on the caller's goroutine.
+	var lines []graph.EdgeLine
+	p.chunks = nil
+	rs, _ := sink.(renderingSink)
+	if rs != nil {
+		lines = rs.edgeLines()
+	}
+	if lines == nil || len(lines) < len(p.predNames) {
+		rs = nil
+	} else {
+		p.chunks = newChunkPool(renderChunksPerWorker * p.opt.workers())
+	}
+
 	// aborted tells workers to stop generating once the flusher has
-	// recorded an error; checked once per emitted edge (one atomic
-	// load, negligible against the RNG draws around it).
+	// recorded an error; checked once per collected edge or rendered
+	// chunk (one atomic load, negligible against the RNG draws around
+	// it).
 	var aborted atomic.Bool
 
 	// Dispatcher: at most workers() shards admitted at once. Workers
@@ -242,18 +261,11 @@ func (p *plan) runParallel(sink EdgeSink) error {
 			go func(i int) {
 				defer close(done[i])
 				sp := &p.shards[i]
-				r := &results[i]
-				expect := sp.expectedEdges()
-				r.srcs = make([]graph.NodeID, 0, expect)
-				r.dsts = make([]graph.NodeID, 0, expect)
-				r.err = sp.emit(p.opt, func(src, dst graph.NodeID) error {
-					if aborted.Load() {
-						return errAborted
-					}
-					r.srcs = append(r.srcs, src)
-					r.dsts = append(r.dsts, dst)
-					return nil
-				})
+				if rs != nil {
+					results[i] = sp.render(p.opt, lines[sp.cp.pred], p.totalNodes, p.chunks, &aborted)
+				} else {
+					results[i] = sp.collect(p.opt, &aborted)
+				}
 			}(i)
 		}
 	}()
@@ -271,17 +283,68 @@ func (p *plan) runParallel(sink EdgeSink) error {
 			aborted.Store(true)
 		}
 		if firstErr == nil {
-			if err := addBatch(sink, sp.cp.pred, r.srcs, r.dsts); err != nil {
+			var err error
+			if rs != nil {
+				err = rs.addRendered(sp.cp.pred, r.edges, r.chunks)
+			} else {
+				err = addBatch(sink, sp.cp.pred, r.srcs, r.dsts)
+			}
+			if err != nil {
 				firstErr = err
 				aborted.Store(true)
 			} else {
-				p.emitted += len(r.srcs)
+				p.emitted += r.edges
 			}
 		}
-		results[i] = result{} // release the batch eagerly
-		<-sem                 // admit the next shard only now
+		p.chunks.put(r.chunks)
+		results[i] = shardResult{} // release the batch eagerly
+		<-sem                      // admit the next shard only now
 	}
 	return firstErr
+}
+
+// collect emits one shard into a private (srcs, dsts) batch.
+func (sp *shardPlan) collect(opt Options, aborted *atomic.Bool) (r shardResult) {
+	expect := sp.expectedEdges()
+	r.srcs = make([]graph.NodeID, 0, expect)
+	r.dsts = make([]graph.NodeID, 0, expect)
+	r.err = sp.emit(opt, func(src, dst graph.NodeID) error {
+		if aborted.Load() {
+			return errAborted
+		}
+		r.srcs = append(r.srcs, src)
+		r.dsts = append(r.dsts, dst)
+		return nil
+	})
+	r.edges = len(r.srcs)
+	return r
+}
+
+// render emits one shard straight into its final text: every edge is
+// appended in place to the current chunk, and a fresh chunk is drawn
+// whenever the worst-case line of this plan's node ids might not fit,
+// so no chunk ever grows and the id columns never exist.
+func (sp *shardPlan) render(opt Options, line graph.EdgeLine, numNodes int, pool *chunkPool, aborted *atomic.Bool) (r shardResult) {
+	maxLine := line.MaxLen(numNodes)
+	var cur []byte
+	r.err = sp.emit(opt, func(src, dst graph.NodeID) error {
+		if cap(cur)-len(cur) < maxLine {
+			if aborted.Load() {
+				return errAborted
+			}
+			if cur != nil {
+				r.chunks = append(r.chunks, cur)
+			}
+			cur = pool.get()
+		}
+		cur = line.Append(cur, src, dst)
+		r.edges++
+		return nil
+	})
+	if cur != nil {
+		r.chunks = append(r.chunks, cur)
+	}
+	return r
 }
 
 // errAborted marks work cancelled after another shard already failed;

@@ -174,14 +174,9 @@ func partitionFileName(i int, name string, binary bool) string {
 	return fmt.Sprintf("edges-%03d-%s.%s", i, b.String(), ext)
 }
 
-// appendTextEdge appends one "src dst" line of the text partition
-// layout.
-func appendTextEdge(b []byte, src, dst graph.NodeID) []byte {
-	b = strconv.AppendInt(b, int64(src), 10)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(dst), 10)
-	return append(b, '\n')
-}
+// textEdge is the "src dst" line of the text partition layout: the
+// predicate-less form of the module's one line encoder.
+var textEdge = graph.NewEdgeLine("")
 
 // appendVarintEdge appends one binary delta-varint pair — the zigzag
 // deltas of src and dst against the running previous pair — updating
@@ -212,7 +207,7 @@ func EncodePartitionedEdges(srcs, dsts []graph.NodeID, binaryMode bool) []byte {
 	}
 	out := make([]byte, 0, 8*len(srcs)+16)
 	for i := range srcs {
-		out = appendTextEdge(out, srcs[i], dsts[i])
+		out = textEdge.Append(out, srcs[i], dsts[i])
 	}
 	return out
 }
@@ -224,9 +219,13 @@ func (ps *PartitionedSink) AddEdge(src graph.NodeID, pred graph.PredID, dst grap
 	if ps.binary {
 		return ps.writePair(pred, src, dst)
 	}
-	b := appendTextEdge(ps.line[:0], src, dst)
-	ps.line = b
-	_, err := ps.ws[pred].Write(b)
+	return writeTextEdge(ps.ws[pred], src, dst)
+}
+
+// writeTextEdge renders one text line straight into w's free space;
+// Write then finds the bytes already in place.
+func writeTextEdge(w *bufio.Writer, src, dst graph.NodeID) error {
+	_, err := w.Write(textEdge.Append(w.AvailableBuffer(), src, dst))
 	return err
 }
 
@@ -241,6 +240,9 @@ func (ps *PartitionedSink) writePair(pred graph.PredID, src, dst graph.NodeID) e
 
 // AddEdgeBatch implements BatchEdgeSink.
 func (ps *PartitionedSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
+	}
 	ps.per[pred] += len(srcs)
 	ps.edges += len(srcs)
 	if ps.binary {
@@ -253,9 +255,33 @@ func (ps *PartitionedSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.No
 	}
 	w := ps.ws[pred]
 	for i := range srcs {
-		b := appendTextEdge(ps.line[:0], srcs[i], dsts[i])
-		ps.line = b
-		if _, err := w.Write(b); err != nil {
+		if err := writeTextEdge(w, srcs[i], dsts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// edgeLines implements renderingSink: text mode renders every
+// predicate's file with the same predicate-less line; binary mode's
+// deltas depend on the previous edge, so it takes batches.
+func (ps *PartitionedSink) edgeLines() []graph.EdgeLine {
+	if ps.binary {
+		return nil
+	}
+	lines := make([]graph.EdgeLine, len(ps.predNames))
+	for i := range lines {
+		lines[i] = textEdge
+	}
+	return lines
+}
+
+// addRendered implements renderingSink.
+func (ps *PartitionedSink) addRendered(pred graph.PredID, edges int, chunks [][]byte) error {
+	ps.per[pred] += edges
+	ps.edges += edges
+	for _, c := range chunks {
+		if _, err := ps.ws[pred].Write(c); err != nil {
 			return err
 		}
 	}

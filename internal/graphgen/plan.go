@@ -33,6 +33,10 @@ type plan struct {
 	// emitted counts the edges delivered by the last run; it is only
 	// touched from the single flusher goroutine.
 	emitted int
+
+	// chunks is the last parallel run's render-chunk free list; nil when
+	// the sink took batches.
+	chunks *chunkPool
 }
 
 // constraintPlan is one eta entry with its node-id ranges resolved and

@@ -1,0 +1,489 @@
+package graphgen
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"io"
+	"os"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"testing"
+	"time"
+
+	"gmark/internal/graph"
+	"gmark/internal/usecases"
+)
+
+// dirBytes concatenates a directory's files as "name\n<content>" in
+// name order: two partition directories are identical iff these are.
+func dirBytes(t *testing.T, dir string) []byte {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Name() < entries[j].Name() })
+	var out []byte
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, e.Name()...)
+		out = append(out, '\n')
+		out = append(out, data...)
+	}
+	return out
+}
+
+// TestRenderingSinksByteIdentical is the contract of the rendering seam:
+// WriterSink and the text PartitionedSink produce the same bytes whether
+// the sink renders per edge (Parallelism 1), the emit workers render
+// (direct, Parallelism > 1) or the sink renders whole batches (behind a
+// MultiEdgeSink), at every shard granularity, for every use case.
+func TestRenderingSinksByteIdentical(t *testing.T) {
+	for _, name := range usecases.Names {
+		cfg, err := usecases.ByName(name, 200)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shardEdges := range []int{1, 7, 0} {
+			var refStream, refParts []byte
+			for _, par := range []int{1, 2, 8} {
+				for _, wrapped := range []bool{false, true} {
+					id := fmt.Sprintf("%s shard=%d par=%d wrapped=%v", name, shardEdges, par, wrapped)
+					opt := Options{Seed: 11, Parallelism: par, ShardEdges: shardEdges}
+					var sb bytes.Buffer
+					ws, err := NewWriterSink(&sb, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					dir := filepath.Join(t.TempDir(), "parts")
+					ps, err := NewPartitionedSink(dir, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, sink := range []EdgeSink{ws, ps} {
+						if wrapped {
+							sink = MultiEdgeSink(sink, &countingSink{})
+						}
+						if _, err := Emit(cfg, opt, sink); err != nil {
+							t.Fatalf("%s: %v", id, err)
+						}
+					}
+					parts := dirBytes(t, dir)
+					if ws.Edges() == 0 || ws.Edges() != ps.Edges() {
+						t.Fatalf("%s: WriterSink counted %d edges, PartitionedSink %d", id, ws.Edges(), ps.Edges())
+					}
+					if refStream == nil {
+						refStream, refParts = sb.Bytes(), parts
+						continue
+					}
+					if !bytes.Equal(refStream, sb.Bytes()) {
+						t.Errorf("%s: edge list differs from the per-edge reference", id)
+					}
+					if !bytes.Equal(refParts, parts) {
+						t.Errorf("%s: partition directory differs from the per-edge reference", id)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRenderedShardsSpanChunks runs shards whose text is many chunks
+// long, so chunk boundaries fall inside shards: the bytes must still be
+// the sequential ones, and they must still parse.
+func TestRenderedShardsSpanChunks(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 30_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ref bytes.Buffer
+	refStats, err := Stream(cfg, Options{Seed: 5, Parallelism: 1}, &ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ref.Len() < 8*renderChunkSize {
+		t.Fatalf("instance renders to %d bytes, too small to span chunks", ref.Len())
+	}
+	var got bytes.Buffer
+	stats, err := Stream(cfg, Options{Seed: 5, Parallelism: 3}, &got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != refStats || !bytes.Equal(ref.Bytes(), got.Bytes()) {
+		t.Fatalf("parallel stream (%+v) differs from the sequential one (%+v)", stats, refStats)
+	}
+	g, err := graph.ReadEdgeList(&got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumEdges() != stats.Edges {
+		t.Fatalf("parsed %d edges, streamed %d", g.NumEdges(), stats.Edges)
+	}
+}
+
+// TestWriteEdgeListMatchesFmt pins graph.WriteEdgeList's body to the
+// fmt formatting it used before it shared the line encoder, and to the
+// multiset of lines WriterSink streams for the same instance.
+func TestWriteEdgeListMatchesFmt(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 3000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opt := Options{Seed: 17}
+	g, err := Generate(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	fmt.Fprintf(&want, "# gmark graph nodes=%d edges=%d\n# types", g.NumNodes(), g.NumEdges())
+	for i := 0; i < g.NumTypes(); i++ {
+		fmt.Fprintf(&want, " %s:%d", g.TypeName(i), g.TypeCount(i))
+	}
+	want.WriteString("\n# predicates")
+	for i := 0; i < g.NumPredicates(); i++ {
+		fmt.Fprintf(&want, " %s", g.PredName(graph.PredID(i)))
+	}
+	want.WriteByte('\n')
+	header := want.Len()
+	g.Edges(func(e graph.Edge) {
+		fmt.Fprintf(&want, "%d %s %d\n", e.Src, g.PredName(e.Pred), e.Dst)
+	})
+	got := edgeListBytes(t, g)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatal("WriteEdgeList differs from the fmt formatting")
+	}
+	back, err := graph.ReadEdgeList(bytes.NewReader(got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(edgeListBytes(t, back), got) {
+		t.Fatal("ReadEdgeList(WriteEdgeList(g)) does not round-trip")
+	}
+
+	var streamed bytes.Buffer
+	if _, err := Stream(cfg, opt, &streamed); err != nil {
+		t.Fatal(err)
+	}
+	sortedBody := func(b []byte) []byte {
+		lines := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
+		sort.Slice(lines, func(i, j int) bool { return bytes.Compare(lines[i], lines[j]) < 0 })
+		return bytes.Join(lines, []byte("\n"))
+	}
+	_, sbody, _ := bytes.Cut(streamed.Bytes(), []byte("# predicates"))
+	if !bytes.Equal(sortedBody(got[header:]), sortedBody(sbody[bytes.IndexByte(sbody, '\n')+1:])) {
+		t.Fatal("WriterSink lines are not WriteEdgeList's lines")
+	}
+}
+
+// TestMismatchedBatchRefused: every batch sink, reached through the
+// pipeline's addBatch or called directly, answers a batch whose columns
+// do not pair up with an error — never a panic, never a partial write.
+func TestMismatchedBatchRefused(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srcs, dsts := []graph.NodeID{1, 2, 3}, []graph.NodeID{4, 5}
+	sinks := map[string]func(t *testing.T) EdgeSink{
+		"GraphSink": func(t *testing.T) EdgeSink {
+			s, err := NewGraphSinkFor(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"WriterSink": func(t *testing.T) EdgeSink {
+			s, err := NewWriterSink(&bytes.Buffer{}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"PartitionedSink/text": func(t *testing.T) EdgeSink {
+			s, err := NewPartitionedSink(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"PartitionedSink/binary": func(t *testing.T) EdgeSink {
+			s, err := NewBinaryPartitionedSink(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"CSRSpillSink": func(t *testing.T) EdgeSink {
+			s, err := NewCSRSpillSink(t.TempDir(), cfg, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		},
+		"MultiEdgeSink": func(t *testing.T) EdgeSink {
+			s, err := NewPartitionedSink(t.TempDir(), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return MultiEdgeSink(&countingSink{}, s)
+		},
+		"per-edge sink": func(t *testing.T) EdgeSink { return &countingSink{} },
+	}
+	for name, mk := range sinks {
+		t.Run(name, func(t *testing.T) {
+			for _, swap := range []bool{false, true} {
+				a, b := srcs, dsts
+				if swap {
+					a, b = dsts, srcs
+				}
+				sink := mk(t)
+				if err := addBatch(sink, 0, a, b); err == nil {
+					t.Errorf("addBatch accepted %d sources with %d targets", len(a), len(b))
+				}
+				if bs, ok := sink.(BatchEdgeSink); ok {
+					if err := bs.AddEdgeBatch(0, a, b); err == nil {
+						t.Errorf("AddEdgeBatch accepted %d sources with %d targets", len(a), len(b))
+					}
+				}
+				abortSink(sink)
+				if err := sink.Flush(); err != nil {
+					t.Errorf("flush after a refused batch: %v", err)
+				}
+				if c, ok := sink.(interface{ Edges() int }); ok && c.Edges() != 0 {
+					t.Errorf("refused batch still counted %d edges", c.Edges())
+				}
+			}
+		})
+	}
+}
+
+var errInjected = errors.New("injected: write refused")
+
+// failOnWrite succeeds until its k-th Write, which fails; it keeps what
+// it accepted and counts the writes that arrive after the failure.
+type failOnWrite struct {
+	k        int
+	calls    int
+	accepted bytes.Buffer
+	after    int
+}
+
+func (w *failOnWrite) Write(p []byte) (int, error) {
+	w.calls++
+	switch {
+	case w.calls < w.k:
+		return w.accepted.Write(p)
+	case w.calls == w.k:
+		return 0, errInjected
+	}
+	w.after++
+	return 0, errInjected
+}
+
+// flushCounter counts Flush calls on its way through to the sink.
+type flushCounter struct {
+	EdgeSink
+	flushes int
+}
+
+func (f *flushCounter) Flush() error {
+	f.flushes++
+	return f.EdgeSink.Flush()
+}
+
+// settleGoroutines waits for the goroutine count to come back to base.
+func settleGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for i := 0; i < 200; i++ {
+		if runtime.NumGoroutine() <= base {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	t.Errorf("%d goroutines left running, %d before the run", runtime.NumGoroutine(), base)
+}
+
+// TestFailingWriterStopsTheRun: a writer that fails on its k-th Write
+// makes Emit and Stream return exactly that error, at any parallelism;
+// nothing reaches the writer afterwards (no later slot's chunk, no
+// retried flush), what it accepted before is a prefix of the true
+// output, every worker is joined and every chunk comes home.
+func TestFailingWriterStopsTheRun(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 20_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shardEdges = 4000 // ~1.3 chunks a shard, some forty shards
+	var ref bytes.Buffer
+	refStats, err := Stream(cfg, Options{Seed: 9, Parallelism: 1, ShardEdges: shardEdges}, &ref)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 8} {
+		opt := Options{Seed: 9, Parallelism: par, ShardEdges: shardEdges}
+		ks := []int{2, 3, 7}
+		if par == 1 {
+			ks = ks[:1] // the sink's own buffer makes few, large writes
+		}
+		for _, k := range ks {
+			id := fmt.Sprintf("par=%d k=%d", par, k)
+			base := runtime.NumGoroutine()
+
+			w := &failOnWrite{k: k}
+			if _, err := Stream(cfg, opt, w); !errors.Is(err, errInjected) {
+				t.Errorf("%s: Stream returned %v, want the writer's error", id, err)
+			}
+			if w.after != 0 {
+				t.Errorf("%s: Stream wrote %d more times after the failure", id, w.after)
+			}
+			if !bytes.HasPrefix(ref.Bytes(), w.accepted.Bytes()) || w.accepted.Len() == 0 {
+				t.Errorf("%s: the %d bytes Stream delivered are not a prefix of the output", id, w.accepted.Len())
+			}
+
+			w = &failOnWrite{k: k}
+			p, err := newPlan(cfg, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sink, err := newWriterSink(w, p.typeNames, p.typeCounts, p.predNames)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := p.emitInto(sink); !errors.Is(err, errInjected) {
+				t.Errorf("%s: emitInto returned %v, want the writer's error", id, err)
+			}
+			if w.after != 0 {
+				t.Errorf("%s: %d writes after the failure", id, w.after)
+			}
+			if !bytes.HasPrefix(ref.Bytes(), w.accepted.Bytes()) {
+				t.Errorf("%s: delivered bytes are not a prefix of the output", id)
+			}
+			if p.chunks != nil && p.chunks.outstanding.Load() != 0 {
+				t.Errorf("%s: %d chunks never returned to the pool", id, p.chunks.outstanding.Load())
+			}
+			if par > 1 && p.emitted >= refStats.Edges {
+				t.Errorf("%s: all %d edges were delivered despite the failure", id, p.emitted)
+			}
+
+			// Behind a wrapper the sink renders per edge into its own
+			// buffer: the header is write 1, the flush write 2.
+			w = &failOnWrite{k: 2}
+			ws, err := NewWriterSink(w, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			counted := &flushCounter{EdgeSink: ws}
+			if _, err := Emit(cfg, opt, counted); !errors.Is(err, errInjected) {
+				t.Errorf("%s: Emit returned %v, want the writer's error", id, err)
+			}
+			if counted.flushes != 1 || w.after != 0 {
+				t.Errorf("%s: Emit flushed %d times, %d writes after the failure; want 1 and 0", id, counted.flushes, w.after)
+			}
+			settleGoroutines(t, base)
+		}
+	}
+}
+
+// TestEmissionErrorStillFlushes: when emission itself fails, the one
+// sequencing path behind Emit and Stream still flushes the sink — the
+// edges of the shards that did complete reach the writer.
+func TestEmissionErrorStillFlushes(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 4} {
+		p, err := newPlan(cfg, Options{Seed: 1, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		last := &p.constraints[len(p.constraints)-1]
+		last.c.Out.Kind, last.c.In.Kind = 99, 99 // passes no sampler
+		var buf bytes.Buffer
+		sink, err := newWriterSink(&buf, p.typeNames, p.typeCounts, p.predNames)
+		if err != nil {
+			t.Fatal(err)
+		}
+		header := buf.Len()
+		counted := &flushCounter{EdgeSink: sink}
+		if _, err := p.emitInto(counted); err == nil {
+			t.Fatalf("par=%d: broken constraint did not fail the run", par)
+		}
+		if counted.flushes != 1 {
+			t.Errorf("par=%d: sink flushed %d times, want 1", par, counted.flushes)
+		}
+		if buf.Len() <= header || buf.Bytes()[buf.Len()-1] != '\n' {
+			t.Errorf("par=%d: the completed shards' edges were not flushed (%d bytes past the header)", par, buf.Len()-header)
+		}
+	}
+}
+
+// poolProbe is a rendering sink that samples the plan's chunk pool at
+// every delivery — the moments in-flight chunks peak, since chunks only
+// come home right after one.
+type poolProbe struct {
+	*WriterSink
+	p        *plan
+	peak     int32
+	maxEdges int
+}
+
+func (s *poolProbe) addRendered(pred graph.PredID, edges int, chunks [][]byte) error {
+	s.peak = max(s.peak, s.p.chunks.outstanding.Load())
+	s.maxEdges = max(s.maxEdges, edges)
+	for _, c := range chunks {
+		if cap(c) != renderChunkSize {
+			return fmt.Errorf("chunk of capacity %d, want %d", cap(c), renderChunkSize)
+		}
+	}
+	return s.WriterSink.addRendered(pred, edges, chunks)
+}
+
+// TestRenderChunksBounded: the free list holds at most its capacity,
+// and the rendered bytes in flight never exceed workers x one shard.
+func TestRenderChunksBounded(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 60_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 3
+	p, err := newPlan(cfg, Options{Seed: 2, Parallelism: workers, ShardEdges: 20_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ws, err := newWriterSink(io.Discard, p.typeNames, p.typeCounts, p.predNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	probe := &poolProbe{WriterSink: ws, p: p}
+	if _, err := p.emitInto(probe); err != nil {
+		t.Fatal(err)
+	}
+	pool := p.chunks
+	if pool == nil {
+		t.Fatal("the run did not take the rendering path")
+	}
+	if cap(pool.free) != renderChunksPerWorker*workers || len(pool.free) > cap(pool.free) {
+		t.Errorf("free list holds %d of %d chunks, want capacity %d", len(pool.free), cap(pool.free), renderChunksPerWorker*workers)
+	}
+	if len(pool.free) == 0 {
+		t.Error("no chunk was recycled")
+	}
+	if n := pool.outstanding.Load(); n != 0 {
+		t.Errorf("%d chunks outstanding after the run", n)
+	}
+	// A shard of e edges needs at most e*maxLine/(chunk-maxLine)+1 chunks.
+	maxLine := ws.maxLine
+	perShard := probe.maxEdges*maxLine/(renderChunkSize-maxLine) + 1
+	if probe.peak == 0 || int(probe.peak) > workers*perShard {
+		t.Errorf("%d chunks in flight at peak; bound is %d workers x %d chunks per shard", probe.peak, workers, perShard)
+	}
+	if perShard < 4 {
+		t.Fatalf("shards render to %d chunks: too small to test the bound", perShard)
+	}
+}

@@ -1,10 +1,8 @@
 package graphgen
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"strconv"
 
 	"gmark/internal/graph"
 	"gmark/internal/schema"
@@ -33,9 +31,22 @@ type BatchEdgeSink interface {
 	AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error
 }
 
+// checkBatch is the one definition of a well-formed batch: edge i is
+// (srcs[i], dsts[i]), so the columns must pair up.
+func checkBatch(srcs, dsts []graph.NodeID) error {
+	if len(srcs) != len(dsts) {
+		return fmt.Errorf("graphgen: batch length mismatch: %d sources, %d targets", len(srcs), len(dsts))
+	}
+	return nil
+}
+
 // addBatch delivers one batch to the sink, using the batch fast path
-// when available.
+// when available. A mismatched batch is refused here, before any sink
+// (the pipeline's own or a caller's) can index past the shorter column.
 func addBatch(sink EdgeSink, pred graph.PredID, srcs, dsts []graph.NodeID) error {
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
+	}
 	if bs, ok := sink.(BatchEdgeSink); ok {
 		return bs.AddEdgeBatch(pred, srcs, dsts)
 	}
@@ -128,15 +139,34 @@ func (s *GraphSink) Edges() int { return s.edges }
 
 // WriterSink streams edges as the textual edge-list format of
 // graph.WriteEdgeList ("src pred dst" over global node ids), preceded
-// by the node-layout header that graph.ReadEdgeList accepts. It
-// replaces the hand-rolled loop the streaming path used to carry.
+// by the node-layout header that graph.ReadEdgeList accepts. Lines are
+// rendered by graph.EdgeLine, in place: by the sink into its own buffer
+// on the per-edge and batch paths, and by the emit workers themselves
+// when a parallel run drives it (it is a renderingSink), in which case
+// the sink only writes finished chunks through.
 type WriterSink struct {
-	bw        *bufio.Writer
-	predNames []string
-	nodes     int
-	edges     int
-	line      []byte // scratch buffer, reused across edges
+	w       io.Writer
+	buf     []byte // rendered and not yet written
+	err     error  // the first write error; sticky, like bufio.Writer's
+	lines   []graph.EdgeLine
+	maxLine int // longest line over the header's node ids, any predicate
+	nodes   int
+	edges   int
 }
+
+const (
+	// writerSinkBuffer is the capacity of WriterSink's own buffer: one
+	// render chunk, so the writer sees the same write size whichever
+	// side rendered, and a parallel run — which only passes the header
+	// and the odd small chunk through it — does not carry a large idle
+	// buffer as live heap.
+	writerSinkBuffer = renderChunkSize
+
+	// writerSinkCoalesce is the rendered-chunk size below which
+	// addRendered copies into the buffer instead of writing through, so
+	// a run of tiny shards does not become a run of tiny writes.
+	writerSinkCoalesce = 4 << 10
+)
 
 // NewWriterSink builds a sink over w and immediately writes the header
 // derived from the configuration. The header cannot carry the edge
@@ -150,47 +180,116 @@ func NewWriterSink(w io.Writer, cfg *schema.GraphConfig) (*WriterSink, error) {
 // planning stage hands its own layout here, so the header and the
 // emitted node ids cannot drift apart).
 func newWriterSink(w io.Writer, typeNames []string, typeCounts []int, predNames []string) (*WriterSink, error) {
-	bw := bufio.NewWriterSize(w, 1<<20)
 	total := 0
 	for _, c := range typeCounts {
 		total += c
 	}
-	fmt.Fprintf(bw, "# gmark graph nodes=%d\n", total)
-	fmt.Fprintf(bw, "# types")
+	s := &WriterSink{
+		w:     w,
+		buf:   make([]byte, 0, writerSinkBuffer),
+		lines: graph.NewEdgeLines(predNames),
+		nodes: total,
+	}
+	for _, l := range s.lines {
+		s.maxLine = max(s.maxLine, l.MaxLen(total))
+	}
+	s.buf = fmt.Appendf(s.buf, "# gmark graph nodes=%d\n# types", total)
 	for i, name := range typeNames {
-		fmt.Fprintf(bw, " %s:%d", name, typeCounts[i])
+		s.buf = fmt.Appendf(s.buf, " %s:%d", name, typeCounts[i])
 	}
-	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, "# predicates")
+	s.buf = append(s.buf, "\n# predicates"...)
 	for _, name := range predNames {
-		fmt.Fprintf(bw, " %s", name)
+		s.buf = fmt.Appendf(s.buf, " %s", name)
 	}
-	fmt.Fprintln(bw)
-	if err := bw.Flush(); err != nil {
+	s.buf = append(s.buf, '\n')
+	if err := s.drain(); err != nil {
 		return nil, err
 	}
-	return &WriterSink{bw: bw, predNames: predNames, nodes: total, line: make([]byte, 0, 64)}, nil
+	return s, nil
 }
 
-// AddEdge implements EdgeSink. Lines are assembled with
-// strconv.AppendInt into a reused buffer; this is the hot path of the
-// streaming generator.
-func (s *WriterSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	b := s.line[:0]
-	b = strconv.AppendInt(b, int64(src), 10)
-	b = append(b, ' ')
-	b = append(b, s.predNames[pred]...)
-	b = append(b, ' ')
-	b = strconv.AppendInt(b, int64(dst), 10)
-	b = append(b, '\n')
-	s.line = b
-	s.edges++
-	_, err := s.bw.Write(b)
+// write hands p to the underlying writer unless an earlier write failed.
+func (s *WriterSink) write(p []byte) error {
+	if s.err != nil {
+		return s.err
+	}
+	n, err := s.w.Write(p)
+	if err == nil && n < len(p) {
+		err = io.ErrShortWrite
+	}
+	s.err = err
 	return err
 }
 
+// drain writes the buffered bytes out.
+func (s *WriterSink) drain() error {
+	if len(s.buf) == 0 {
+		return s.err
+	}
+	err := s.write(s.buf)
+	s.buf = s.buf[:0]
+	return err
+}
+
+// appendLine renders one line in place at the end of the buffer, which
+// is drained first whenever the longest possible line might not fit.
+func (s *WriterSink) appendLine(line graph.EdgeLine, src, dst graph.NodeID) error {
+	if cap(s.buf)-len(s.buf) < s.maxLine {
+		if err := s.drain(); err != nil {
+			return err
+		}
+	}
+	s.buf = line.Append(s.buf, src, dst)
+	return nil
+}
+
+// AddEdge implements EdgeSink.
+func (s *WriterSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
+	s.edges++
+	return s.appendLine(s.lines[pred], src, dst)
+}
+
+// AddEdgeBatch implements BatchEdgeSink; it is the path a WriterSink
+// behind a MultiEdgeSink is fed through.
+func (s *WriterSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
+	}
+	s.edges += len(srcs)
+	line := s.lines[pred]
+	for i, src := range srcs {
+		if err := s.appendLine(line, src, dsts[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// edgeLines implements renderingSink.
+func (s *WriterSink) edgeLines() []graph.EdgeLine { return s.lines }
+
+// addRendered implements renderingSink: whatever the sink rendered
+// itself goes out first, then the shard's chunks, written through as
+// they are — the flusher's share of a parallel run is concatenation.
+func (s *WriterSink) addRendered(_ graph.PredID, edges int, chunks [][]byte) error {
+	for _, c := range chunks {
+		if len(c) < writerSinkCoalesce && len(c) <= cap(s.buf)-len(s.buf) {
+			s.buf = append(s.buf, c...)
+			continue
+		}
+		if err := s.drain(); err != nil {
+			return err
+		}
+		if err := s.write(c); err != nil {
+			return err
+		}
+	}
+	s.edges += edges
+	return nil
+}
+
 // Flush implements EdgeSink.
-func (s *WriterSink) Flush() error { return s.bw.Flush() }
+func (s *WriterSink) Flush() error { return s.drain() }
 
 // Nodes returns the total node count described by the header.
 func (s *WriterSink) Nodes() int { return s.nodes }
@@ -222,7 +321,12 @@ type multiEdgeSink []EdgeSink
 // delivered to every sink in argument order, stopping on the first
 // error. It lets one generation pass feed, say, the streaming edge
 // list, a partitioned directory and a CSR spill at once.
-func MultiEdgeSink(sinks ...EdgeSink) EdgeSink { return multiEdgeSink(sinks) }
+func MultiEdgeSink(sinks ...EdgeSink) EdgeSink {
+	if len(sinks) == 1 {
+		return sinks[0] // nothing to fan out: keep the sink's own fast paths
+	}
+	return multiEdgeSink(sinks)
+}
 
 // AddEdge implements EdgeSink.
 func (m multiEdgeSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {

@@ -266,8 +266,8 @@ func (s *CSRSpillSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.No
 
 // AddEdgeBatch implements BatchEdgeSink.
 func (s *CSRSpillSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
-	if len(srcs) != len(dsts) {
-		return fmt.Errorf("graphgen: batch length mismatch: %d sources, %d targets", len(srcs), len(dsts))
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
 	}
 	for i := range srcs {
 		if err := s.AddEdge(srcs[i], pred, dsts[i]); err != nil {

@@ -14,13 +14,14 @@ type StreamStats struct {
 
 // Stream runs the generation pipeline writing edges directly to w in
 // the edge-list format of graph.WriteEdgeList, without materializing
-// the graph in memory: it is Generate with a WriterSink instead of a
-// GraphSink. With Parallelism=1, peak memory is bounded by the largest
-// single constraint's occurrence vectors; with N workers, by N
-// in-flight constraint batches — either way the paper's Table 3 sizes
-// (up to 100M nodes) stay reachable on ordinary machines, and the
-// output is byte-identical for a given seed regardless of worker
-// count.
+// the graph in memory: it is Emit into a WriterSink laid out by the
+// plan itself, and shares Emit's sequencing — the sink is flushed
+// exactly once, also when emission fails. With Parallelism=1, peak
+// memory is bounded by the largest single shard's occurrence vectors;
+// with N workers, by N in-flight shards, each held as its rendered
+// text — either way the paper's Table 3 sizes (up to 100M nodes) stay
+// reachable on ordinary machines, and the output is byte-identical for
+// a given seed regardless of worker count.
 func Stream(cfg *schema.GraphConfig, opt Options, w io.Writer) (StreamStats, error) {
 	p, err := newPlan(cfg, opt)
 	if err != nil {
@@ -30,10 +31,6 @@ func Stream(cfg *schema.GraphConfig, opt Options, w io.Writer) (StreamStats, err
 	if err != nil {
 		return StreamStats{}, err
 	}
-	stats := StreamStats{Nodes: p.totalNodes}
-	if err := p.run(sink); err != nil {
-		return stats, err
-	}
-	stats.Edges = sink.Edges()
-	return stats, sink.Flush()
+	edges, err := p.emitInto(sink)
+	return StreamStats{Nodes: p.totalNodes, Edges: edges}, err
 }
