@@ -39,9 +39,14 @@ var clockExemptFiles = map[string]bool{
 }
 
 // emissionDirs are the packages whose output order is part of the
-// determinism contract: graph emission, query emission, and the
-// evaluator (whose counts must not depend on visit order).
-var emissionDirs = []string{"internal/graphgen", "internal/querygen", "internal/eval"}
+// determinism contract: graph emission, query emission, the evaluator
+// (whose counts must not depend on visit order), and the packages that
+// render query bytes — the translators, the rule and path-expression
+// text they embed, and the workload profile report.
+var emissionDirs = []string{
+	"internal/graphgen", "internal/querygen", "internal/eval",
+	"internal/translate", "internal/query", "internal/regpath", "internal/workload",
+}
 
 // orderedEmitVerbs are method names that commit bytes or ordered
 // entries; reaching one from inside a map range is order-dependent.

@@ -6,6 +6,7 @@ package query
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"gmark/internal/regpath"
@@ -158,7 +159,13 @@ func (t Size) String() string {
 // Var is a query variable, identified by index; Var(0) renders as ?x0.
 type Var int
 
-func (v Var) String() string { return fmt.Sprintf("?x%d", int(v)) }
+func (v Var) String() string { return string(v.Append(nil)) }
+
+// Append appends the String rendering to dst and returns the extended
+// slice.
+func (v Var) Append(dst []byte) []byte {
+	return strconv.AppendInt(append(dst, "?x"...), int64(v), 10)
+}
 
 // Conjunct is one subgoal (?src, r, ?dst) of a rule body.
 type Conjunct struct {
@@ -166,8 +173,15 @@ type Conjunct struct {
 	Expr     regpath.Expr
 }
 
-func (c Conjunct) String() string {
-	return fmt.Sprintf("(%s, %s, %s)", c.Src, c.Expr, c.Dst)
+func (c Conjunct) String() string { return string(c.Append(nil)) }
+
+// Append appends the String rendering to dst and returns the extended
+// slice.
+func (c Conjunct) Append(dst []byte) []byte {
+	dst = c.Src.Append(append(dst, '('))
+	dst = c.Expr.Append(append(dst, ", "...))
+	dst = c.Dst.Append(append(dst, ", "...))
+	return append(dst, ')')
 }
 
 // Rule is one query rule head <- body.
@@ -180,16 +194,36 @@ type Rule struct {
 
 // String renders the rule in the paper's notation, e.g.
 // "(?x0, ?x2) <- (?x0, a.b, ?x1), (?x1, c-, ?x2)".
-func (r Rule) String() string {
-	heads := make([]string, len(r.Head))
+func (r Rule) String() string { return string(r.Append(nil)) }
+
+// Append appends the String rendering to dst and returns the extended
+// slice.
+func (r Rule) Append(dst []byte) []byte {
+	dst = append(dst, '(')
 	for i, v := range r.Head {
-		heads[i] = v.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = v.Append(dst)
 	}
-	bodies := make([]string, len(r.Body))
+	dst = append(dst, ") <- "...)
 	for i, c := range r.Body {
-		bodies[i] = c.String()
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = c.Append(dst)
 	}
-	return fmt.Sprintf("(%s) <- %s", strings.Join(heads, ", "), strings.Join(bodies, ", "))
+	return dst
+}
+
+// binds reports whether some conjunct of the body mentions v.
+func (r Rule) binds(v Var) bool {
+	for _, c := range r.Body {
+		if c.Src == v || c.Dst == v {
+			return true
+		}
+	}
+	return false
 }
 
 // Query is a UCRPQ: a non-empty set of rules of equal arity.
@@ -286,16 +320,13 @@ func (q *Query) Validate() error {
 		if len(r.Body) == 0 {
 			return fmt.Errorf("query: rule %d has empty body", i)
 		}
-		bound := make(map[Var]bool)
 		for _, c := range r.Body {
 			if err := c.Expr.Validate(); err != nil {
 				return fmt.Errorf("query: rule %d: %w", i, err)
 			}
-			bound[c.Src] = true
-			bound[c.Dst] = true
 		}
 		for _, v := range r.Head {
-			if !bound[v] {
+			if !r.binds(v) {
 				return fmt.Errorf("query: rule %d: head variable %s not bound in body", i, v)
 			}
 		}
@@ -305,11 +336,14 @@ func (q *Query) Validate() error {
 
 // String renders all rules, one per line.
 func (q *Query) String() string {
-	lines := make([]string, len(q.Rules))
+	var b []byte
 	for i, r := range q.Rules {
-		lines[i] = r.String()
+		if i > 0 {
+			b = append(b, '\n')
+		}
+		b = r.Append(b)
 	}
-	return strings.Join(lines, "\n")
+	return string(b)
 }
 
 // Predicates returns the distinct predicate names used across the

@@ -1,0 +1,254 @@
+package querygen_test
+
+import (
+	"errors"
+	"math/rand"
+	"reflect"
+	"runtime"
+	"testing"
+	"time"
+
+	"gmark/internal/query"
+	"gmark/internal/querygen"
+	"gmark/internal/regpath"
+	"gmark/internal/translate"
+	"gmark/internal/usecases"
+)
+
+// TestPathCountsMatchCountPathsTo checks the nb_path tables built once
+// per generator against a table computed for the request, for every
+// target the samplers take — each G_S node, each type, any node — and
+// every window of the relaxation ladder: the one table to the widest
+// window must contain each narrower one.
+func TestPathCountsMatchCountPathsTo(t *testing.T) {
+	for _, uc := range usecases.Names {
+		gcfg, err := usecases.ByName(uc, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kind := range usecases.WorkloadKinds {
+			cfg, err := usecases.Workload(kind, gcfg, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := querygen.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sg, pc := gen.SchemaGraph(), gen.PathCounts()
+			for relax := 0; relax <= querygen.MaxRelaxation; relax++ {
+				lmax := gen.LengthWindow(relax).Max
+				check := func(what string, id int, cached [][]float64, isTarget func(int) bool) {
+					if len(cached) <= lmax {
+						t.Fatalf("%s.%s: table to %s %d has %d lengths, window needs %d", uc, kind, what, id, len(cached), lmax+1)
+					}
+					if want := sg.CountPathsTo(isTarget, lmax); !reflect.DeepEqual(cached[:lmax+1], want) {
+						t.Errorf("%s.%s: cached table to %s %d differs from CountPathsTo up to length %d", uc, kind, what, id, lmax)
+					}
+				}
+				for v := range sg.Nodes {
+					check("node", v, pc.ToNode[v], func(u int) bool { return u == v })
+				}
+				for typ := 0; typ < gen.Estimator().NumTypes(); typ++ {
+					check("type", typ, pc.ToType[typ], func(u int) bool { return sg.Nodes[u].Type == typ })
+				}
+				check("any", 0, pc.ToAny, func(int) bool { return true })
+			}
+		}
+	}
+}
+
+// TestReseededWorkerStream checks that a worker's one RNG, re-seeded
+// per unit, draws the stream of a fresh rand.New(rand.NewSource(seed))
+// whatever was drawn from it before.
+func TestReseededWorkerStream(t *testing.T) {
+	gen, err := querygen.New(bibConfig(t, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := gen.WorkerRNG()
+	for i, seed := range []int64{0, 1, -1, 42, 1 << 40, -(1 << 62), 89482311, 42} {
+		for j := 0; j < i*7; j++ { // leave the stream at a different point every round
+			rng.Float64()
+			rng.Intn(j + 1)
+		}
+		rng.Seed(seed)
+		fresh := rand.New(rand.NewSource(seed))
+		for j := 0; j < 700; j++ { // past the generator's 607-word state
+			switch j % 3 {
+			case 0:
+				if a, b := rng.Int63(), fresh.Int63(); a != b {
+					t.Fatalf("seed %d draw %d: Int63 %d, fresh %d", seed, j, a, b)
+				}
+			case 1:
+				if a, b := rng.Float64(), fresh.Float64(); a != b {
+					t.Fatalf("seed %d draw %d: Float64 %g, fresh %g", seed, j, a, b)
+				}
+			default:
+				if a, b := rng.Intn(j+1), fresh.Intn(j+1); a != b {
+					t.Fatalf("seed %d draw %d: Intn %d, fresh %d", seed, j, a, b)
+				}
+			}
+		}
+	}
+}
+
+// blockConfig is pipelineConfig sized to several emission blocks with
+// a short last one.
+func blockConfig(t *testing.T, name string, seed int64) querygen.Config {
+	cfg := pipelineConfig(t, name, seed)
+	cfg.Count = 5*querygen.EmitBlock + 3
+	return cfg
+}
+
+// TestBlockEmissionInvariance checks byte-identical workloads at
+// Parallelism 1/2/3/8 — fewer workers than blocks, and more — for a
+// full Emit and for windows that start and end on block boundaries and
+// inside blocks. The race step runs it under the detector.
+func TestBlockEmissionInvariance(t *testing.T) {
+	const b = querygen.EmitBlock
+	cfg := blockConfig(t, "bib", 23)
+	gen, err := querygen.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full, err := gen.GenerateWith(querygen.Options{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full) != cfg.Count {
+		t.Fatalf("sequential run produced %d queries, want %d", len(full), cfg.Count)
+	}
+	windows := [][2]int{
+		{0, cfg.Count},
+		{0, b}, {b, 3 * b}, {2 * b, 2*b + 1}, // on boundaries
+		{5, b + 5}, {b - 1, 2*b + 1}, {3, 4*b - 2}, // inside blocks
+		{b + 7, 5 * b}, {4 * b, cfg.Count}, {5 * b, cfg.Count}, // mixed, and the short last block
+	}
+	for _, par := range []int{1, 2, 3, 8} {
+		for _, w := range windows {
+			from, to := w[0], w[1]
+			sink := &querygen.SliceSink{}
+			n, err := gen.EmitWindow(querygen.Options{Parallelism: par}, from, to, sink)
+			if err != nil {
+				t.Fatalf("parallelism %d window [%d, %d): %v", par, from, to, err)
+			}
+			if n != to-from {
+				t.Fatalf("parallelism %d window [%d, %d): %d queries delivered", par, from, to, n)
+			}
+			if got, want := workloadText(sink.Queries), workloadText(full[from:to]); got != want {
+				t.Errorf("parallelism %d window [%d, %d) differs from the sequential run", par, from, to)
+			}
+		}
+	}
+}
+
+// stopSink fails on its k-th AddQuery and records everything the
+// pipeline does to it.
+type stopSink struct {
+	failAt  int
+	indexes []int
+	flushes int
+}
+
+var errStop = errors.New("injected: sink stopped")
+
+func (s *stopSink) AddQuery(index int, _ *query.Query) error {
+	s.indexes = append(s.indexes, index)
+	if len(s.indexes) == s.failAt {
+		return errStop
+	}
+	return nil
+}
+
+func (s *stopSink) Flush() error { s.flushes++; return nil }
+
+// TestSinkFailureStopsEmission checks the error path of block
+// emission: a sink failing on its k-th query — inside the first block,
+// on a block boundary, in the last block — gets no later query and
+// exactly one Flush, Emit returns that error, and every worker
+// goroutine is gone when it does.
+func TestSinkFailureStopsEmission(t *testing.T) {
+	const b = querygen.EmitBlock
+	cfg := blockConfig(t, "bib", 29)
+	gen, err := querygen.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 3, 8} {
+		for _, k := range []int{1, 5, b, b + 1, 3*b - 1, cfg.Count} {
+			before := runtime.NumGoroutine()
+			sink := &stopSink{failAt: k}
+			n, err := gen.Emit(querygen.Options{Parallelism: par}, sink)
+			if !errors.Is(err, errStop) || n != 0 {
+				t.Errorf("parallelism %d, k=%d: Emit returned (%d, %v), want the sink's error", par, k, n, err)
+			}
+			if sink.flushes != 1 {
+				t.Errorf("parallelism %d, k=%d: %d flushes, want 1", par, k, sink.flushes)
+			}
+			if len(sink.indexes) != k {
+				t.Errorf("parallelism %d, k=%d: sink received %d queries", par, k, len(sink.indexes))
+			}
+			for i, index := range sink.indexes {
+				if index != i {
+					t.Fatalf("parallelism %d, k=%d: %d-th query has index %d", par, k, i, index)
+				}
+			}
+			// Emit joins its workers before returning; allow the
+			// scheduler a moment to retire the exited goroutines.
+			deadline := time.Now().Add(2 * time.Second)
+			for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+				runtime.Gosched()
+			}
+			if after := runtime.NumGoroutine(); after > before {
+				t.Errorf("parallelism %d, k=%d: %d goroutines before Emit, %d after", par, k, before, after)
+			}
+		}
+	}
+}
+
+// TestQueryFileAllocs pins the allocation contract of the per-query
+// file bytes: appending into spare capacity allocates nothing, and the
+// exactly-sized QueryFileContent allocates its result only.
+func TestQueryFileAllocs(t *testing.T) {
+	q := &query.Query{
+		Shape: query.Chain, HasClass: true, Class: query.Linear, Relaxed: true,
+		Rules: []query.Rule{{
+			Head: []query.Var{0, 2},
+			Body: []query.Conjunct{
+				{Src: 0, Dst: 1, Expr: regpath.MustParse("(a.b+c-)")},
+				{Src: 1, Dst: 2, Expr: regpath.MustParse("(a+b.c)*")},
+			},
+		}},
+	}
+	buf := make([]byte, 0, 8192)
+	for _, syn := range translate.Syntaxes {
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := querygen.AppendQueryFile(buf, 7, q, syn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s: AppendQueryFile into spare capacity allocates %v times, want 0", syn, allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if _, err := querygen.QueryFileContent(7, q, syn); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: QueryFileContent allocates %v times, want 1", syn, allocs)
+		}
+		appended, err := querygen.AppendQueryFile([]byte("prefix"), 7, q, syn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		content, err := querygen.QueryFileContent(7, q, syn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(appended) != "prefix"+string(content) || len(content) != cap(content) {
+			t.Errorf("%s: QueryFileContent is not the exactly-sized AppendQueryFile bytes", syn)
+		}
+	}
+}

@@ -1,0 +1,19 @@
+package querygen
+
+import (
+	"math/rand"
+
+	"gmark/internal/query"
+	"gmark/internal/selectivity"
+)
+
+// Internals the external test package pins.
+
+const (
+	EmitBlock     = emitBlock
+	MaxRelaxation = maxRelaxation
+)
+
+func (g *Generator) PathCounts() *selectivity.PathCounts   { return g.paths }
+func (g *Generator) LengthWindow(relax int) query.Interval { return g.lengthWindow(relax) }
+func (g *Generator) WorkerRNG() *rand.Rand                 { return g.newWorker().rng }

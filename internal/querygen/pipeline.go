@@ -2,6 +2,7 @@ package querygen
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 
 	"gmark/internal/query"
@@ -50,7 +51,7 @@ func (g *Generator) EmitWindow(opt Options, from, to int, sink QuerySink) (int, 
 		err = fmt.Errorf("querygen: window [%d, %d) outside workload of %d queries", from, to, len(units))
 	} else {
 		units = units[from:to]
-		if opt.workers() == 1 || len(units) <= 1 {
+		if opt.workers() == 1 || len(units) <= emitBlock {
 			err = g.emitSequential(units, sink)
 		} else {
 			err = g.emitParallel(units, opt, sink)
@@ -69,10 +70,11 @@ func (g *Generator) EmitWindow(opt Options, from, to int, sink QuerySink) (int, 
 // emitSequential generates every unit in order, straight into the
 // sink.
 func (g *Generator) emitSequential(units []queryUnit, sink QuerySink) error {
+	w := g.newWorker()
 	for i := range units {
-		q, err := g.emitUnit(units[i])
+		q, err := w.emitUnit(units[i])
 		if err != nil {
-			return fmt.Errorf("querygen: query %d: %w", units[i].index, err)
+			return err
 		}
 		if err := sink.AddQuery(units[i].index, q); err != nil {
 			return err
@@ -81,74 +83,90 @@ func (g *Generator) emitSequential(units []queryUnit, sink QuerySink) error {
 	return nil
 }
 
-// emitParallel fans units out across workers. Each worker publishes
-// its query into a slot of a fixed ring; the flusher (the caller)
-// consumes slots strictly in index order, so the sink observes the
-// same call sequence as the sequential path. Unit i uses slot i mod k:
-// the admission semaphore guarantees unit i is launched only after
-// unit i-k has been flushed, so slot reuse never overlaps, and total
-// in-flight memory is O(workers) — not O(workload) — preserving the
-// streaming sinks' constant-memory property for huge workloads.
-func (g *Generator) emitParallel(units []queryUnit, opt Options, sink QuerySink) error {
-	type result struct {
-		q   *query.Query
-		err error
-	}
-	n := len(units)
-	k := opt.workers()
-	if k > n {
-		k = n
-	}
-	results := make([]result, k)
-	// done[s] is buffered and reused by send/receive pairs; each pair
-	// orders the slot write before the flusher's read.
-	done := make([]chan struct{}, k)
-	for i := range done {
-		done[i] = make(chan struct{}, 1)
-	}
+// emitBlock is the number of consecutive units a worker generates per
+// hand-off to the flusher: large enough that the two channel operations
+// per block vanish next to the generation work, small enough that a
+// served window of a few dozen queries still spreads over the workers.
+const emitBlock = 16
 
-	// aborted tells not-yet-started workers to skip generating once the
-	// flusher has recorded an error.
+// emitParallel splits the units into blocks of emitBlock and fans the
+// blocks out across long-lived workers, each with one RNG re-seeded per
+// unit. Block b belongs to slot b mod k of a fixed ring, and worker
+// b mod k fills it; the flusher (the caller) consumes the slots strictly
+// in block order, so the sink observes the same call sequence as the
+// sequential path. A worker is admitted to block b only after block b-k
+// has been flushed, so slot reuse never overlaps, and total in-flight
+// memory is O(workers x emitBlock) queries — not O(workload) —
+// preserving the streaming sinks' constant-memory property for huge
+// workloads.
+func (g *Generator) emitParallel(units []queryUnit, opt Options, sink QuerySink) error {
+	// slot is one block in flight: the queries generated so far and the
+	// error that stopped the block short, if any.
+	type slot struct {
+		qs  [emitBlock]*query.Query
+		n   int
+		err error
+		// filled and free hand the slot back and forth; each send
+		// orders the slot accesses before it ahead of those after the
+		// matching receive.
+		filled, free chan struct{}
+	}
+	blocks := (len(units) + emitBlock - 1) / emitBlock
+	k := min(opt.workers(), blocks)
+	slots := make([]slot, k)
+
+	// aborted tells workers to skip generating once the flusher has
+	// recorded an error.
 	var aborted atomic.Bool
 
-	sem := make(chan struct{}, k)
-	//lint:ignore concurrency dispatcher exits after admitting n queries; the ordered flush below joins every worker by draining all n done signals before returning
-	go func() {
-		for i := 0; i < n; i++ {
-			sem <- struct{}{}
-			go func(i int) {
-				slot := i % k
-				defer func() { done[slot] <- struct{}{} }()
-				if aborted.Load() {
-					results[slot] = result{} // clear the previous occupant
-					return
+	var wg sync.WaitGroup
+	for s := range slots {
+		slots[s].filled = make(chan struct{}, 1)
+		slots[s].free = make(chan struct{}, 1)
+		slots[s].free <- struct{}{}
+		wg.Add(1)
+		go func(sl *slot, first int) {
+			defer wg.Done()
+			w := g.newWorker()
+			for b := first; b < blocks; b += k {
+				<-sl.free
+				sl.n, sl.err = 0, nil
+				block := units[b*emitBlock : min((b+1)*emitBlock, len(units))]
+				for i := 0; i < len(block) && !aborted.Load(); i++ {
+					q, err := w.emitUnit(block[i])
+					if err != nil {
+						sl.err = err
+						break
+					}
+					sl.qs[sl.n] = q
+					sl.n++
 				}
-				q, err := g.emitUnit(units[i])
-				results[slot] = result{q: q, err: err}
-			}(i)
-		}
-	}()
+				sl.filled <- struct{}{}
+			}
+		}(&slots[s], s)
+	}
 
-	// Ordered flush. On error, keep draining (and keep releasing
-	// admission slots) so no goroutine leaks, but stop touching the
+	// Ordered flush. On error, keep draining (and keep releasing the
+	// slots) so every worker runs to its end, but stop touching the
 	// sink.
 	var firstErr error
-	for i := 0; i < n; i++ {
-		slot := i % k
-		<-done[slot]
-		r := results[slot]
-		results[slot] = result{} // release the query eagerly
-		if firstErr == nil && r.err != nil {
-			firstErr = fmt.Errorf("querygen: query %d: %w", units[i].index, r.err)
+	for b := 0; b < blocks; b++ {
+		sl := &slots[b%k]
+		<-sl.filled
+		for i := 0; i < sl.n; i++ {
+			if firstErr == nil {
+				firstErr = sink.AddQuery(units[b*emitBlock+i].index, sl.qs[i])
+			}
+			sl.qs[i] = nil // release the query eagerly
+		}
+		if firstErr == nil {
+			firstErr = sl.err
+		}
+		if firstErr != nil {
 			aborted.Store(true)
 		}
-		if firstErr == nil && r.q != nil {
-			if err := sink.AddQuery(units[i].index, r.q); err != nil {
-				firstErr = err
-				aborted.Store(true)
-			}
-		}
-		<-sem // admit the unit k ahead only now
+		sl.free <- struct{}{}
 	}
+	wg.Wait()
 	return firstErr
 }

@@ -1,6 +1,7 @@
 package querygen
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 
@@ -69,13 +70,28 @@ func (g *Generator) planWorkload() []queryUnit {
 	return units
 }
 
-// emitUnit generates one planned query on a fresh worker seeded with
-// the unit's sub-seed. It touches only read-only generator state and
-// is safe to call from any goroutine.
-func (g *Generator) emitUnit(u queryUnit) (*query.Query, error) {
-	w := worker{g: g, rng: rand.New(rand.NewSource(u.seed))}
+// newWorker returns an emission worker whose RNG emitUnit re-seeds per
+// unit. Re-seeding yields the identical stream to a fresh
+// rand.New(rand.NewSource(seed)) without allocating a new 4.9 KB source
+// per query.
+func (g *Generator) newWorker() *worker {
+	return &worker{g: g, rng: rand.New(rand.NewSource(0))}
+}
+
+// emitUnit generates one planned query from the unit's sub-seed. It
+// touches only read-only generator state besides the worker's own RNG,
+// so distinct workers may run it concurrently.
+func (w *worker) emitUnit(u queryUnit) (*query.Query, error) {
+	w.rng.Seed(u.seed)
+	var q *query.Query
+	var err error
 	if u.hasClass {
-		return w.classQuery(u.class, u.numRules)
+		q, err = w.classQuery(u.class, u.numRules)
+	} else {
+		q, err = w.plainQuery(u.shape, u.arity, u.numRules)
 	}
-	return w.plainQuery(u.shape, u.arity, u.numRules)
+	if err != nil {
+		return nil, fmt.Errorf("querygen: query %d: %w", u.index, err)
+	}
+	return q, nil
 }

@@ -7,11 +7,12 @@
 //     assignment — shape, selectivity class, arity, rule count — and a
 //     deterministic RNG sub-seed derived from (Config.Seed, index)
 //     with a splitmix64 mix.
-//  2. Emission (pipeline.go): query workers run across
-//     Options.Parallelism goroutines. Each worker owns its own RNG and
-//     a read-only view of the shared schema analysis (the selectivity
-//     estimator, the schema graph G_S and the per-window selectivity
-//     graphs G_sel, all frozen at New).
+//  2. Emission (pipeline.go): Options.Parallelism workers each take
+//     contiguous blocks of units. Each worker owns one RNG, re-seeded
+//     per unit, and a read-only view of the shared schema analysis
+//     (the selectivity estimator, the schema graph G_S, the per-window
+//     selectivity graphs G_sel and the nb_path tables, all frozen at
+//     New).
 //  3. Sinks (sink.go): queries flow into a QuerySink in index order.
 //     SliceSink materializes the workload (Generate); ProfileSink
 //     streams a workload.Profile without materializing; SyntaxDirSink
@@ -120,6 +121,10 @@ type Generator struct {
 	// for concurrent reads (this replaces the lazily-mutated cache the
 	// single-threaded generator used to carry).
 	gsel map[query.Interval]*selectivity.SelectivityGraph
+	// paths holds the nb_path tables every path-sampling call reads,
+	// built once for the widest relaxation window (which contains every
+	// narrower one) instead of once per sampled disjunct.
+	paths *selectivity.PathCounts
 	// startNodes caches the G_S identity nodes that have at least one
 	// outgoing edge (usable walk starts).
 	startNodes []int
@@ -129,7 +134,8 @@ type Generator struct {
 }
 
 // New builds a generator, precomputing the schema graph, its distance
-// matrix, and the selectivity graphs of every relaxation window.
+// matrix, the selectivity graphs of every relaxation window and the
+// nb_path tables of the widest one.
 func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -163,6 +169,7 @@ func New(cfg Config) (*Generator, error) {
 			g.gsel[w] = sg.Selectivity(w.Min, w.Max)
 		}
 	}
+	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
 	g.seq = worker{g: g, rng: rand.New(rand.NewSource(cfg.Seed))}
 	return g, nil
 }
@@ -224,9 +231,9 @@ func (g *Generator) GenerateWithClass(class query.SelectivityClass) (*query.Quer
 }
 
 // worker is one emission context: the shared read-only generator state
-// plus a private RNG. The planning stage hands each queryUnit to a
-// fresh worker seeded with the unit's sub-seed; the sequential API
-// reuses one long-lived worker on the Config.Seed stream.
+// plus a private RNG. An emission worker re-seeds its RNG with each
+// queryUnit's sub-seed (emitUnit); the sequential API reuses one
+// long-lived worker on the Config.Seed stream.
 type worker struct {
 	g   *Generator
 	rng *rand.Rand
@@ -360,19 +367,16 @@ func (w *worker) instantiateChain(walk []int, starred []bool, window query.Inter
 // a to node b: a disjunction of label paths with lengths in the
 // window.
 func (w *worker) stepExpr(a, b int, window query.Interval, exact bool) (regpath.Expr, bool) {
-	sg := w.g.sg
 	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
-	targetType := sg.Nodes[b].Type
+	targetType := w.g.sg.Nodes[b].Type
 	var paths []regpath.Path
 	for d := 0; d < numDisjuncts; d++ {
 		var p regpath.Path
 		var ok bool
 		if exact {
-			p, ok = sg.SamplePathBetween(w.rng, a, b, window.Min, window.Max)
+			p, ok = w.g.paths.SampleToNode(w.rng, a, b, window.Min, window.Max)
 		} else {
-			p, _, ok = sg.SamplePathBetweenSets(w.rng, a,
-				func(v int) bool { return sg.Nodes[v].Type == targetType },
-				window.Min, window.Max)
+			p, _, ok = w.g.paths.SampleToType(w.rng, a, targetType, window.Min, window.Max)
 		}
 		if !ok {
 			if d == 0 {
@@ -404,9 +408,7 @@ func (w *worker) starExpr(a int, window query.Interval) (regpath.Expr, bool) {
 	}
 	var paths []regpath.Path
 	for d := 0; d < numDisjuncts; d++ {
-		p, _, ok := sg.SamplePathBetweenSets(w.rng, sg.IdentityNode(t),
-			func(v int) bool { return sg.Nodes[v].Type == t },
-			lmin, window.Max)
+		p, _, ok := w.g.paths.SampleToType(w.rng, sg.IdentityNode(t), t, lmin, window.Max)
 		if !ok {
 			if d == 0 {
 				return regpath.Expr{}, false

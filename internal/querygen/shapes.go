@@ -122,17 +122,14 @@ func (ws *walkState) step(window query.Interval, allowStar bool) (regpath.Expr, 
 		// No loop back to this type: fall through to a plain step.
 	}
 	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
-	first, end, ok := sg.SamplePathBetweenSets(w.rng, ws.node,
-		func(int) bool { return true }, window.Min, window.Max)
+	first, end, ok := w.g.paths.SampleToAny(w.rng, ws.node, window.Min, window.Max)
 	if !ok {
 		return regpath.Expr{}, false
 	}
 	endType := sg.Nodes[end].Type
 	paths := []regpath.Path{first}
 	for d := 1; d < numDisjuncts; d++ {
-		p, _, ok := sg.SamplePathBetweenSets(w.rng, ws.node,
-			func(v int) bool { return sg.Nodes[v].Type == endType },
-			window.Min, window.Max)
+		p, _, ok := w.g.paths.SampleToType(w.rng, ws.node, endType, window.Min, window.Max)
 		if !ok {
 			break
 		}
@@ -152,9 +149,7 @@ func (ws *walkState) stepToType(window query.Interval, endType int) (regpath.Exp
 	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
 	var paths []regpath.Path
 	for d := 0; d < numDisjuncts; d++ {
-		p, _, ok := sg.SamplePathBetweenSets(w.rng, ws.node,
-			func(v int) bool { return sg.Nodes[v].Type == endType },
-			window.Min, window.Max)
+		p, _, ok := w.g.paths.SampleToType(w.rng, ws.node, endType, window.Min, window.Max)
 		if !ok {
 			if d == 0 {
 				return regpath.Expr{}, false

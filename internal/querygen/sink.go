@@ -7,7 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
+	"strconv"
 	"sync"
 
 	"gmark/internal/query"
@@ -200,36 +200,49 @@ func (s *SyntaxDirSink) fail(err error) {
 	s.mu.Unlock()
 }
 
-// QueryFileContent renders the exact bytes SyntaxDirSink writes into
+// AppendQueryFile appends the exact bytes SyntaxDirSink writes into
 // query-<index>.<syn>: the comment header in the syntax's comment
-// style, the rule lines, then the translated query text with a
-// guaranteed trailing newline. It is the single definition of the
+// style, the rule lines, then the translated query text (every
+// renderer ends it with a newline). It is the single definition of the
 // per-query file bytes, shared by the batch sink and the slice
 // server's workload windows, so a window served over HTTP cannot
-// drift from the batch file.
-func QueryFileContent(index int, q *query.Query, syn translate.Syntax) ([]byte, error) {
-	text, err := translate.To(syn, q, translate.Options{})
-	if err != nil {
-		return nil, fmt.Errorf("querygen: query %d: %w", index, err)
-	}
-	var b strings.Builder
+// drift from the batch file. Appending into spare capacity allocates
+// nothing; on error dst is returned at its original length.
+func AppendQueryFile(dst []byte, index int, q *query.Query, syn translate.Syntax) ([]byte, error) {
+	start := len(dst)
 	c := commentPrefix(syn)
-	fmt.Fprintf(&b, "%s gmark query %d: shape=%s", c, index, q.Shape)
+	dst = append(append(dst, c...), " gmark query "...)
+	dst = strconv.AppendInt(dst, int64(index), 10)
+	dst = append(append(dst, ": shape="...), q.Shape.String()...)
 	if q.HasClass {
-		fmt.Fprintf(&b, " selectivity=%s", q.Class)
+		dst = append(append(dst, " selectivity="...), q.Class.String()...)
 	}
 	if q.Relaxed {
-		fmt.Fprintf(&b, " relaxed")
+		dst = append(dst, " relaxed"...)
 	}
-	b.WriteByte('\n')
+	dst = append(dst, '\n')
 	for _, r := range q.Rules {
-		fmt.Fprintf(&b, "%s   %s\n", c, r.String())
+		dst = r.Append(append(append(dst, c...), "   "...))
+		dst = append(dst, '\n')
 	}
-	b.WriteString(text)
-	if !strings.HasSuffix(text, "\n") {
-		b.WriteByte('\n')
+	dst, err := translate.AppendTo(dst, syn, q, translate.Options{})
+	if err != nil {
+		return dst[:start], fmt.Errorf("querygen: query %d: %w", index, err)
 	}
-	return []byte(b.String()), nil
+	return dst, nil
+}
+
+// QueryFileContent is AppendQueryFile into a fresh, exactly-sized
+// slice.
+func QueryFileContent(index int, q *query.Query, syn translate.Syntax) ([]byte, error) {
+	// Most files render into the stack scratch, leaving the exact-size
+	// copy as the only allocation.
+	var scratch [4096]byte
+	b, err := AppendQueryFile(scratch[:0], index, q, syn)
+	if err != nil {
+		return nil, err
+	}
+	return append(make([]byte, 0, len(b)), b...), nil
 }
 
 // AddQuery implements QuerySink: it translates the query into every

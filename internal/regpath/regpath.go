@@ -11,10 +11,7 @@
 // The zero-length path is the empty word epsilon.
 package regpath
 
-import (
-	"fmt"
-	"strings"
-)
+import "fmt"
 
 // Symbol is one edge label or its inverse (a or a-).
 type Symbol struct {
@@ -33,19 +30,35 @@ func (s Symbol) String() string {
 	return s.Pred
 }
 
+// Append appends the String rendering to dst and returns the extended
+// slice.
+func (s Symbol) Append(dst []byte) []byte {
+	dst = append(dst, s.Pred...)
+	if s.Inverse {
+		dst = append(dst, '-')
+	}
+	return dst
+}
+
 // Path is a concatenation of symbols; the empty path is epsilon.
 type Path []Symbol
 
 // String renders "a.b-.c" or "eps" for the empty path.
-func (p Path) String() string {
+func (p Path) String() string { return string(p.Append(nil)) }
+
+// Append appends the String rendering to dst and returns the extended
+// slice.
+func (p Path) Append(dst []byte) []byte {
 	if len(p) == 0 {
-		return "eps"
+		return append(dst, "eps"...)
 	}
-	parts := make([]string, len(p))
 	for i, s := range p {
-		parts[i] = s.String()
+		if i > 0 {
+			dst = append(dst, '.')
+		}
+		dst = s.Append(dst)
 	}
-	return strings.Join(parts, ".")
+	return dst
 }
 
 // Equal reports structural equality.
@@ -94,19 +107,28 @@ func (e Expr) Validate() error {
 }
 
 // String renders the expression, e.g. "(a.b+c)*" or "a.b-".
-func (e Expr) String() string {
-	parts := make([]string, len(e.Paths))
+func (e Expr) String() string { return string(e.Append(nil)) }
+
+// Append appends the String rendering to dst and returns the extended
+// slice.
+func (e Expr) Append(dst []byte) []byte {
+	paren := e.Star || len(e.Paths) > 1
+	if paren {
+		dst = append(dst, '(')
+	}
 	for i, p := range e.Paths {
-		parts[i] = p.String()
+		if i > 0 {
+			dst = append(dst, '+')
+		}
+		dst = p.Append(dst)
 	}
-	body := strings.Join(parts, "+")
+	if paren {
+		dst = append(dst, ')')
+	}
 	if e.Star {
-		return "(" + body + ")*"
+		dst = append(dst, '*')
 	}
-	if len(e.Paths) > 1 {
-		return "(" + body + ")"
-	}
-	return body
+	return dst
 }
 
 // Equal reports structural equality.

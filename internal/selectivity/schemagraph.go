@@ -27,11 +27,11 @@ type SelEdge struct {
 //
 // Concurrency contract: a SchemaGraph is immutable after
 // NewSchemaGraph returns. All sampling methods (SamplePathTo,
-// SamplePathBetween, SamplePathBetweenSets, CountPathsTo, Selectivity)
-// only read the graph; their randomness comes exclusively from the
+// CountPathsTo, Selectivity, and the PathCounts samplers) only read
+// the graph; their randomness comes exclusively from the
 // *rand.Rand the caller passes in. Concurrent use is therefore safe as
 // long as each goroutine brings its own RNG — which is exactly how the
-// query-generation pipeline's per-query workers operate. The same
+// query-generation pipeline's emission workers operate. The same
 // holds for SelectivityGraph and its Walk methods.
 type SchemaGraph struct {
 	est   *Estimator
@@ -333,67 +333,121 @@ func (sg *SchemaGraph) SamplePathTo(rng *rand.Rand, from, length int, cnt [][]fl
 	path := make(regpath.Path, 0, length)
 	cur := from
 	for l := length; l > 0; l-- {
-		var ws []float64
-		var edges []SelEdge
+		// One weighted draw among the edges that still reach a target
+		// in l-1 steps: sum their counts, then take the first whose
+		// running sum passes the drawn point.
 		var total float64
 		for _, e := range sg.Out[cur] {
-			if c := cnt[l-1][e.To]; c > 0 {
-				edges = append(edges, e)
-				ws = append(ws, c)
-				total += c
-			}
+			total += cnt[l-1][e.To]
 		}
 		if total == 0 {
 			return nil, -1, false
 		}
-		e := edges[weightedIndex(rng, ws, total)]
-		path = append(path, e.Sym)
-		cur = e.To
+		u := rng.Float64() * total
+		var pick SelEdge
+		acc := 0.0
+		for _, e := range sg.Out[cur] {
+			c := cnt[l-1][e.To]
+			if c == 0 {
+				continue
+			}
+			pick = e
+			acc += c
+			if u < acc {
+				break
+			}
+		}
+		path = append(path, pick.Sym)
+		cur = pick.To
 	}
 	return path, cur, true
 }
 
-// SamplePathBetweenSets draws a label path from `from` to any node
-// satisfying isTarget with length in [lmin, lmax], choosing the length
-// proportionally to the number of available paths of each length;
-// false when none exists.
-func (sg *SchemaGraph) SamplePathBetweenSets(rng *rand.Rand, from int, isTarget func(int) bool, lmin, lmax int) (regpath.Path, int, bool) {
-	cnt := sg.CountPathsTo(isTarget, lmax)
-	var lengths []int
-	var ws []float64
+// samplePathWithin draws a label path from `from` to a target of the
+// count table cnt with length in [lmin, lmax], choosing the length
+// proportionally to the number of available paths of each length
+// (cnt[0][from] is 1 exactly when `from` is itself a target); false
+// when none exists. cnt must reach lmax.
+func (sg *SchemaGraph) samplePathWithin(rng *rand.Rand, from int, cnt [][]float64, lmin, lmax int) (regpath.Path, int, bool) {
 	var total float64
 	for l := lmin; l <= lmax; l++ {
-		if l == 0 {
-			if isTarget(from) {
-				lengths = append(lengths, 0)
-				ws = append(ws, 1)
-				total++
-			}
-			continue
-		}
-		if c := cnt[l][from]; c > 0 {
-			lengths = append(lengths, l)
-			ws = append(ws, c)
-			total += c
-		}
+		total += cnt[l][from]
 	}
 	if total == 0 {
 		return nil, -1, false
 	}
-	l := lengths[weightedIndex(rng, ws, total)]
-	if l == 0 {
+	u := rng.Float64() * total
+	length := lmin
+	acc := 0.0
+	for l := lmin; l <= lmax; l++ {
+		c := cnt[l][from]
+		if c == 0 {
+			continue
+		}
+		length = l
+		acc += c
+		if u < acc {
+			break
+		}
+	}
+	if length == 0 {
 		return regpath.Path{}, from, true
 	}
-	return sg.SamplePathTo(rng, from, l, cnt)
+	return sg.SamplePathTo(rng, from, length, cnt)
 }
 
-// SamplePathBetween draws a label path between two specific G_S nodes
-// with length in [lmin, lmax]. The distance matrix D prunes impossible
-// requests up front (the ablation benchmarks measure its effect).
-func (sg *SchemaGraph) SamplePathBetween(rng *rand.Rand, from, target, lmin, lmax int) (regpath.Path, bool) {
-	if d := sg.Dist[from][target]; d < 0 || d > lmax {
-		return nil, false
+// PathCounts holds the nb_path tables (CountPathsTo) towards every
+// target set the query generator samples a path to — one G_S node, all
+// nodes of one type, or any node — up to one maximum path length. A
+// table to length L contains the table to every shorter length, so one
+// set built for the widest window serves all narrower ones. It is
+// immutable after construction and safe for concurrent use under the
+// SchemaGraph contract. Memory: (|G_S| + types + 1) tables of
+// (maxLen+1) x |G_S| float64.
+type PathCounts struct {
+	sg *SchemaGraph
+	// ToNode[v] counts the paths ending at node v, ToType[t] those
+	// ending at any node of type t, ToAny those ending anywhere; each
+	// is indexed [length][from] like CountPathsTo's result.
+	ToNode [][][]float64
+	ToType [][][]float64
+	ToAny  [][]float64
+}
+
+// PathCounts builds the tables for paths of up to maxLen edges.
+func (sg *SchemaGraph) PathCounts(maxLen int) *PathCounts {
+	pc := &PathCounts{
+		sg:     sg,
+		ToNode: make([][][]float64, len(sg.Nodes)),
+		ToType: make([][][]float64, len(sg.identity)),
+		ToAny:  sg.CountPathsTo(func(int) bool { return true }, maxLen),
 	}
-	p, _, ok := sg.SamplePathBetweenSets(rng, from, func(v int) bool { return v == target }, lmin, lmax)
+	for v := range pc.ToNode {
+		pc.ToNode[v] = sg.CountPathsTo(func(u int) bool { return u == v }, maxLen)
+	}
+	for t := range pc.ToType {
+		pc.ToType[t] = sg.CountPathsTo(func(u int) bool { return sg.Nodes[u].Type == t }, maxLen)
+	}
+	return pc
+}
+
+// SampleToNode draws a label path from `from` to the G_S node target
+// with length in [lmin, lmax]; false when none exists.
+func (pc *PathCounts) SampleToNode(rng *rand.Rand, from, target, lmin, lmax int) (regpath.Path, bool) {
+	p, _, ok := pc.sg.samplePathWithin(rng, from, pc.ToNode[target], lmin, lmax)
 	return p, ok
+}
+
+// SampleToType draws a label path from `from` to any node of type t
+// with length in [lmin, lmax], returning the path and its end node;
+// false when none exists.
+func (pc *PathCounts) SampleToType(rng *rand.Rand, from, t, lmin, lmax int) (regpath.Path, int, bool) {
+	return pc.sg.samplePathWithin(rng, from, pc.ToType[t], lmin, lmax)
+}
+
+// SampleToAny draws a label path from `from` to any node with length
+// in [lmin, lmax], returning the path and its end node; false when
+// none exists.
+func (pc *PathCounts) SampleToAny(rng *rand.Rand, from, lmin, lmax int) (regpath.Path, int, bool) {
+	return pc.sg.samplePathWithin(rng, from, pc.ToAny, lmin, lmax)
 }

@@ -2,9 +2,12 @@ package selectivity
 
 import (
 	"math/rand"
+	"reflect"
+	"sync"
 	"testing"
 
 	"gmark/internal/query"
+	"gmark/internal/regpath"
 )
 
 func newSG(t *testing.T) *SchemaGraph {
@@ -226,15 +229,16 @@ func TestSamplePathBetween(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	from := sg.NodeIndex(SelNode{Type: 0, Triple: Identity(Many)})
 	to := sg.NodeIndex(SelNode{Type: 0, Triple: Triple{Many, OpCross, Many}})
-	p, ok := sg.SamplePathBetween(rng, from, to, 1, 2)
+	pc := sg.PathCounts(2)
+	p, ok := pc.SampleToNode(rng, from, to, 1, 2)
 	if !ok {
 		t.Fatal("a-.a reaches (T1,(N,x,N)) in 2 steps")
 	}
 	if len(p) < 1 || len(p) > 2 {
 		t.Fatalf("path length %d", len(p))
 	}
-	// Distance-pruned impossible request.
-	if _, ok := sg.SamplePathBetween(rng, from, to, 1, 1); ok {
+	// Impossible request: the target is two symbols away.
+	if _, ok := pc.SampleToNode(rng, from, to, 1, 1); ok {
 		t.Error("x is not reachable from identity in one symbol")
 	}
 }
@@ -243,9 +247,9 @@ func TestSamplePathRespectsWindow(t *testing.T) {
 	sg := newSG(t)
 	rng := rand.New(rand.NewSource(10))
 	from := sg.IdentityNode(0)
-	any := func(int) bool { return true }
+	pc := sg.PathCounts(4) // wider than the window sampled in
 	for i := 0; i < 50; i++ {
-		p, _, ok := sg.SamplePathBetweenSets(rng, from, any, 2, 3)
+		p, _, ok := pc.SampleToAny(rng, from, 2, 3)
 		if !ok {
 			t.Fatal("sampling failed")
 		}
@@ -278,4 +282,43 @@ func TestAlphaOfSchemaGraphNodes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestPathCountsConcurrentSampling shares one PathCounts between
+// goroutines that each bring their own RNG — the query pipeline's
+// usage — and checks every goroutine draws what a lone caller with the
+// same seed draws. The race step runs it under the detector.
+func TestPathCountsConcurrentSampling(t *testing.T) {
+	sg := newSG(t)
+	pc := sg.PathCounts(4)
+	draw := func(seed int64) []string {
+		rng := rand.New(rand.NewSource(seed))
+		var out []string
+		for i := 0; i < 200; i++ {
+			from := sg.IdentityNode(i % 3)
+			var p regpath.Path
+			switch i % 3 {
+			case 0:
+				p, _, _ = pc.SampleToAny(rng, from, 1, 3)
+			case 1:
+				p, _, _ = pc.SampleToType(rng, from, (i/3)%3, 0, 4)
+			default:
+				p, _ = pc.SampleToNode(rng, from, i%len(sg.Nodes), 1, 4)
+			}
+			out = append(out, p.String())
+		}
+		return out
+	}
+	want := draw(77)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := draw(77); !reflect.DeepEqual(got, want) {
+				t.Error("a concurrent sampler drew a different sequence than a lone one")
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -210,12 +210,9 @@ type windowSink struct {
 
 // AddQuery implements querygen.QuerySink.
 func (s *windowSink) AddQuery(index int, q *query.Query) error {
-	content, err := querygen.QueryFileContent(index, q, s.syn)
-	if err != nil {
-		return err
-	}
-	s.buf = append(s.buf, content...)
-	return nil
+	var err error
+	s.buf, err = querygen.AppendQueryFile(s.buf, index, q, s.syn)
+	return err
 }
 
 // Flush implements querygen.QuerySink.

@@ -2,7 +2,6 @@ package translate
 
 import (
 	"fmt"
-	"strings"
 
 	"gmark/internal/query"
 	"gmark/internal/regpath"
@@ -20,107 +19,135 @@ const maxCypherExpansions = 16
 // restriction discussed in Section 7.1, which makes recursive Cypher
 // queries incomparable to the other syntaxes.
 func ToOpenCypher(q *query.Query, opt Options) (string, error) {
-	var ret string
-	switch {
-	case q.Arity() == 0:
-		ret = "RETURN DISTINCT true AS result"
-	case opt.Count:
-		ret = fmt.Sprintf("RETURN count(DISTINCT [%s]) AS cnt", headList(q.Rules[0].Head, "", ", "))
-	default:
-		ret = "RETURN DISTINCT " + headList(q.Rules[0].Head, "", ", ")
-	}
+	return To(OpenCypher, q, opt)
+}
 
-	var branches []string
+func appendOpenCypher(dst []byte, q *query.Query, opt Options) ([]byte, error) {
+	start := len(dst)
+	first := true
 	for _, r := range q.Rules {
 		// Each conjunct contributes a list of alternative pattern
-		// fragments; the rule expands to their cartesian product.
-		alts := make([][]string, len(r.Body))
-		for i, c := range r.Body {
-			frags, err := cypherConjunctAlternatives(c)
-			if err != nil {
-				return "", err
+		// fragments; the rule expands to the first
+		// maxCypherExpansions combinations of their cartesian product,
+		// the last conjunct varying fastest.
+		combos := 1
+		for _, c := range r.Body {
+			combos = min(combos*cypherAlternatives(c.Expr), maxCypherExpansions)
+		}
+		for k := 0; k < combos; k++ {
+			if !first {
+				dst = append(dst, "\nUNION\n"...)
 			}
-			alts[i] = frags
-		}
-		for _, combo := range boundedProduct(alts, maxCypherExpansions) {
-			branches = append(branches, "MATCH "+strings.Join(combo, ", ")+"\n"+ret)
-		}
-	}
-	return strings.Join(branches, "\nUNION\n") + "\n", nil
-}
-
-// boundedProduct enumerates the cartesian product of the alternative
-// lists, stopping after limit combinations.
-func boundedProduct(alts [][]string, limit int) [][]string {
-	out := [][]string{nil}
-	for _, options := range alts {
-		var next [][]string
-		for _, prefix := range out {
-			for _, o := range options {
-				combo := append(append([]string(nil), prefix...), o)
-				next = append(next, combo)
-				if len(next) >= limit {
-					break
+			first = false
+			dst = append(dst, "MATCH "...)
+			for i, c := range r.Body {
+				if i > 0 {
+					dst = append(dst, ", "...)
+				}
+				// The alternative of conjunct i in combination k is
+				// k's digit in the mixed radix of the alternative
+				// counts.
+				digit := k
+				for j := len(r.Body) - 1; j > i && digit > 0; j-- {
+					digit /= cypherAlternatives(r.Body[j].Expr)
+				}
+				var err error
+				dst, err = appendCypherFragment(dst, c, digit%cypherAlternatives(c.Expr))
+				if err != nil {
+					return dst[:start], err
 				}
 			}
-			if len(next) >= limit {
-				break
+			dst = append(dst, '\n')
+			switch {
+			case q.Arity() == 0:
+				dst = append(dst, "RETURN DISTINCT true AS result"...)
+			case opt.Count:
+				dst = append(dst, "RETURN count(DISTINCT ["...)
+				dst = appendHead(dst, q.Rules[0].Head, "x", ", ")
+				dst = append(dst, "]) AS cnt"...)
+			default:
+				dst = append(dst, "RETURN DISTINCT "...)
+				dst = appendHead(dst, q.Rules[0].Head, "x", ", ")
 			}
 		}
-		out = next
 	}
-	return out
+	return append(dst, '\n'), nil
 }
 
-// cypherConjunctAlternatives renders one conjunct as one or more
-// alternative MATCH pattern fragments.
-func cypherConjunctAlternatives(c query.Conjunct) ([]string, error) {
-	src, dst := varName(c.Src), varName(c.Dst)
-	e := c.Expr
+// cypherAlternatives returns the number of alternative MATCH pattern
+// fragments a conjunct expands to: one for a star (restricted to a
+// single label) and for a disjunction of single forward symbols (the
+// [:a|b] form), otherwise one per disjunct.
+func cypherAlternatives(e regpath.Expr) int {
+	if e.Star || allSingleForward(e) {
+		return 1
+	}
+	return len(e.Paths)
+}
 
+// appendCypherFragment appends the alt-th alternative pattern fragment
+// of a conjunct.
+func appendCypherFragment(dst []byte, c query.Conjunct, alt int) ([]byte, error) {
+	e := c.Expr
 	if e.Star {
 		// Restriction: only a single non-inverse label survives under
 		// the star.
 		label := starLabel(e)
 		if label == "" {
-			return nil, fmt.Errorf("translate: starred expression %s has no usable label for openCypher", e)
+			return dst, fmt.Errorf("translate: starred expression %s has no usable label for openCypher", e)
 		}
-		return []string{fmt.Sprintf("(%s)-[:%s*0..]->(%s)", src, label, dst)}, nil
+		dst = appendCypherNode(dst, c.Src)
+		dst = append(append(append(dst, "-[:"...), label...), "*0..]->"...)
+		return appendCypherNode(dst, c.Dst), nil
 	}
-
-	// All disjuncts single forward symbols: use the [:a|b] form.
 	if allSingleForward(e) {
-		labels := make([]string, len(e.Paths))
+		dst = append(appendCypherNode(dst, c.Src), "-[:"...)
 		for i, p := range e.Paths {
-			labels[i] = p[0].Pred
+			if i > 0 {
+				dst = append(dst, '|')
+			}
+			dst = append(dst, p[0].Pred...)
 		}
-		return []string{fmt.Sprintf("(%s)-[:%s]->(%s)", src, strings.Join(labels, "|"), dst)}, nil
+		return appendCypherNode(append(dst, "]->"...), c.Dst), nil
 	}
+	p := e.Paths[alt]
+	if len(p) == 0 {
+		// Epsilon: bind both variables to the same node.
+		dst = append(appendCypherNode(dst, c.Src), ", "...)
+		dst = append(appendCypherNode(dst, c.Dst), " WHERE "...)
+		dst = append(appendName(dst, "x", c.Src), " = "...)
+		return appendName(dst, "x", c.Dst), nil
+	}
+	dst = appendCypherNode(dst, c.Src)
+	for si, s := range p {
+		if s.Inverse {
+			dst = append(dst, "<-[:"...)
+		} else {
+			dst = append(dst, "-[:"...)
+		}
+		dst = append(dst, s.Pred...)
+		if s.Inverse {
+			dst = append(dst, "]-("...)
+		} else {
+			dst = append(dst, "]->("...)
+		}
+		if si == len(p)-1 {
+			dst = appendName(dst, "x", c.Dst)
+		} else {
+			// A fresh node per inner hop, unique across the query's
+			// conjuncts, disjuncts and positions.
+			dst = append(appendName(dst, "x", c.Src), '_')
+			dst = append(appendName(dst, "x", c.Dst), "_h"...)
+			dst = appendInt(append(appendInt(dst, alt), '_'), si)
+		}
+		dst = append(dst, ')')
+	}
+	return dst, nil
+}
 
-	// General case: one pattern fragment per disjunct.
-	var frags []string
-	for di, p := range e.Paths {
-		if len(p) == 0 {
-			// Epsilon: bind both variables to the same node.
-			frags = append(frags, fmt.Sprintf("(%s), (%s) WHERE %s = %s", src, dst, src, dst))
-			continue
-		}
-		var b strings.Builder
-		fmt.Fprintf(&b, "(%s)", src)
-		for si, s := range p {
-			endName := dst
-			if si < len(p)-1 {
-				endName = fmt.Sprintf("%s_%s_h%d_%d", src, dst, di, si)
-			}
-			if s.Inverse {
-				fmt.Fprintf(&b, "<-[:%s]-(%s)", s.Pred, endName)
-			} else {
-				fmt.Fprintf(&b, "-[:%s]->(%s)", s.Pred, endName)
-			}
-		}
-		frags = append(frags, b.String())
-	}
-	return frags, nil
+// appendCypherNode appends the node pattern (x<v>).
+func appendCypherNode(dst []byte, v query.Var) []byte {
+	return append(appendName(append(dst, '('), "x", v), ')')
 }
 
 // starLabel picks the first non-inverse symbol of the first disjunct;

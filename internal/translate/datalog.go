@@ -1,9 +1,6 @@
 package translate
 
 import (
-	"fmt"
-	"strings"
-
 	"gmark/internal/query"
 	"gmark/internal/regpath"
 )
@@ -13,112 +10,122 @@ import (
 // X -> Y) plus node(X) for the active domain. Starred conjuncts use
 // the classical linear-recursive encoding.
 func ToDatalog(q *query.Query, opt Options) (string, error) {
-	var b strings.Builder
-	b.WriteString("% UCRPQ translated to Datalog by gmark\n")
+	return To(Datalog, q, opt)
+}
 
-	fresh := 0
-	freshVar := func() string {
-		fresh++
-		return fmt.Sprintf("Z%d", fresh)
-	}
-
-	cteID := 0
+func appendDatalog(dst []byte, q *query.Query, opt Options) []byte {
+	dst = append(dst, "% UCRPQ translated to Datalog by gmark\n"...)
+	// Conjunct relations are numbered p0, p1, ... and inner path
+	// variables Z1, Z2, ... across the whole program.
+	next, fresh := 0, 0
 	for _, r := range q.Rules {
-		var bodyAtoms []string
+		base := next
 		for _, c := range r.Body {
-			name := fmt.Sprintf("p%d", cteID)
-			cteID++
-			// Disjunct rules for the one-step relation.
-			stepName := name
-			if c.Expr.Star {
-				stepName = name + "_step"
-			}
-			for _, p := range c.Expr.Paths {
-				atoms := datalogPathAtoms(p, "X", "Y", freshVar)
-				fmt.Fprintf(&b, "%s(X, Y) :- %s.\n", stepName, strings.Join(atoms, ", "))
-			}
-			if c.Expr.Star {
-				// Zero-length paths over the star's active domain:
-				// nodes that can start some disjunct (an outgoing
-				// first-symbol edge) or end one (an incoming
-				// last-symbol edge) — the same rule the evaluator and
-				// the engines use.
-				for _, fact := range starDomainAtoms(c.Expr) {
-					fmt.Fprintf(&b, "%s(X, X) :- %s.\n", name, fact)
-				}
-				fmt.Fprintf(&b, "%s(X, Y) :- %s(X, Z), %s(Z, Y).\n", name, name, stepName)
-			}
-			bodyAtoms = append(bodyAtoms, fmt.Sprintf("%s(X%d, X%d)", name, int(c.Src), int(c.Dst)))
+			dst, fresh = appendDatalogConjunct(dst, next, c.Expr, fresh)
+			next++
 		}
-		headVars := make([]string, len(r.Head))
-		for i, v := range r.Head {
-			headVars[i] = "X" + fmt.Sprint(int(v))
+		dst = append(dst, "ans"...)
+		if len(r.Head) > 0 {
+			dst = append(appendHead(append(dst, '('), r.Head, "X", ", "), ')')
 		}
-		head := "ans"
-		if len(headVars) > 0 {
-			head = fmt.Sprintf("ans(%s)", strings.Join(headVars, ", "))
+		dst = append(dst, " :- "...)
+		for i, c := range r.Body {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendInt(append(dst, 'p'), base+i)
+			dst = append(appendName(append(dst, '('), "X", c.Src), ", "...)
+			dst = append(appendName(dst, "X", c.Dst), ')')
 		}
-		fmt.Fprintf(&b, "%s :- %s.\n", head, strings.Join(bodyAtoms, ", "))
+		dst = append(dst, ".\n"...)
 	}
 	if opt.Count {
-		b.WriteString("% result: count(distinct ans)\n")
+		dst = append(dst, "% result: count(distinct ans)\n"...)
 	}
-	return b.String(), nil
+	return dst
 }
 
-// starDomainAtoms renders the active-domain membership conditions of
-// a starred expression as EDB atoms over X, deduplicated: for each
-// non-empty disjunct, an outgoing first-symbol edge or an incoming
-// last-symbol edge.
-func starDomainAtoms(e regpath.Expr) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(atom string) {
-		if !seen[atom] {
-			seen[atom] = true
-			out = append(out, atom)
-		}
-	}
+// appendDatalogConjunct appends the rules defining relation p<id> of
+// one conjunct: one rule per disjunct for the one-step relation, and
+// for a starred conjunct the zero-length facts over the star's active
+// domain plus the linear recursion over the step relation p<id>_step.
+// fresh is the number of inner variables used so far; the updated
+// count is returned.
+func appendDatalogConjunct(dst []byte, id int, e regpath.Expr, fresh int) ([]byte, int) {
 	for _, p := range e.Paths {
-		if len(p) == 0 {
+		dst = appendInt(append(dst, 'p'), id)
+		if e.Star {
+			dst = append(dst, "_step"...)
+		}
+		dst = append(dst, "(X, Y) :- "...)
+		dst, fresh = appendDatalogPathAtoms(dst, p, fresh)
+		dst = append(dst, ".\n"...)
+	}
+	if !e.Star {
+		return dst, fresh
+	}
+	for m := 0; m < 2*len(e.Paths); m++ {
+		side, ok := starDomainSide(e, m)
+		if !ok {
 			continue
 		}
-		first, last := p[0], p[len(p)-1]
-		// Outgoing first-symbol edge at X.
-		if first.Inverse {
-			add(fmt.Sprintf("%s(_, X)", first.Pred))
+		dst = appendInt(append(dst, 'p'), id)
+		dst = append(append(dst, "(X, X) :- "...), side.pred...)
+		if side.trg {
+			dst = append(dst, "(_, X).\n"...)
 		} else {
-			add(fmt.Sprintf("%s(X, _)", first.Pred))
-		}
-		// Incoming last-symbol edge at X.
-		if last.Inverse {
-			add(fmt.Sprintf("%s(X, _)", last.Pred))
-		} else {
-			add(fmt.Sprintf("%s(_, X)", last.Pred))
+			dst = append(dst, "(X, _).\n"...)
 		}
 	}
-	return out
+	dst = appendInt(append(dst, 'p'), id)
+	dst = appendInt(append(dst, "(X, Y) :- p"...), id)
+	dst = appendInt(append(dst, "(X, Z), p"...), id)
+	return append(dst, "_step(Z, Y).\n"...), fresh
 }
 
-// datalogPathAtoms renders one path as a chain of EDB atoms between
-// the given endpoint variables. The empty path is node(X), X = Y.
-func datalogPathAtoms(p regpath.Path, srcVar, dstVar string, freshVar func() string) []string {
+// The variables of a path rule: its endpoints X and Y, and the inner
+// variables Z1, Z2, ... numbered from 1.
+const (
+	datalogX = 0
+	datalogY = -1
+)
+
+// appendDatalogPathAtoms appends one path as a chain of EDB atoms from
+// X to Y through fresh inner variables. The empty path is node(X),
+// X = Y.
+func appendDatalogPathAtoms(dst []byte, p regpath.Path, fresh int) ([]byte, int) {
 	if len(p) == 0 {
-		return []string{fmt.Sprintf("node(%s)", srcVar), fmt.Sprintf("%s = %s", srcVar, dstVar)}
+		return append(dst, "node(X), X = Y"...), fresh
 	}
-	var atoms []string
-	cur := srcVar
+	cur := datalogX
 	for i, s := range p {
-		next := dstVar
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		next := datalogY
 		if i < len(p)-1 {
-			next = freshVar()
+			fresh++
+			next = fresh
 		}
+		// An inverse symbol swaps the atom's arguments.
+		from, to := cur, next
 		if s.Inverse {
-			atoms = append(atoms, fmt.Sprintf("%s(%s, %s)", s.Pred, next, cur))
-		} else {
-			atoms = append(atoms, fmt.Sprintf("%s(%s, %s)", s.Pred, cur, next))
+			from, to = next, cur
 		}
+		dst = append(append(dst, s.Pred...), '(')
+		dst = append(appendDatalogPathVar(dst, from), ", "...)
+		dst = append(appendDatalogPathVar(dst, to), ')')
 		cur = next
 	}
-	return atoms
+	return dst, fresh
+}
+
+func appendDatalogPathVar(dst []byte, v int) []byte {
+	switch v {
+	case datalogX:
+		return append(dst, 'X')
+	case datalogY:
+		return append(dst, 'Y')
+	}
+	return appendInt(append(dst, 'Z'), v)
 }

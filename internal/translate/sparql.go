@@ -1,135 +1,131 @@
 package translate
 
 import (
-	"fmt"
-	"strings"
-
 	"gmark/internal/query"
 	"gmark/internal/regpath"
 )
+
+const sparqlPrefix = "PREFIX : <http://gmark.example.org/pred/>\n"
 
 // ToSPARQL renders the query in SPARQL 1.1, with regular path
 // expressions as property paths. Rules become UNION blocks; Boolean
 // queries become ASK.
 func ToSPARQL(q *query.Query, opt Options) (string, error) {
-	var blocks []string
-	for _, r := range q.Rules {
-		var pats []string
-		for _, c := range r.Body {
-			pat, err := sparqlConjunct(c)
-			if err != nil {
-				return "", err
-			}
-			pats = append(pats, pat)
-		}
-		blocks = append(blocks, "  { "+strings.Join(pats, " ")+" }")
-	}
-	body := strings.Join(blocks, "\n  UNION\n")
+	return To(SPARQL, q, opt)
+}
 
-	var b strings.Builder
-	b.WriteString("PREFIX : <http://gmark.example.org/pred/>\n")
+func appendSPARQL(dst []byte, q *query.Query, opt Options) []byte {
+	dst = append(dst, sparqlPrefix...)
 	switch {
 	case q.Arity() == 0:
-		b.WriteString("ASK\nWHERE {\n")
+		dst = append(dst, "ASK\nWHERE {\n"...)
+		dst = appendSPARQLBlocks(dst, q, "")
+		return append(dst, "}\n"...)
 	case opt.Count:
-		fmt.Fprintf(&b, "SELECT (COUNT(DISTINCT *) AS ?cnt)\nWHERE {\n")
-	default:
-		fmt.Fprintf(&b, "SELECT DISTINCT %s\nWHERE {\n", headList(q.Rules[0].Head, "?", " "))
-	}
-	b.WriteString(body)
-	b.WriteString("\n}\n")
-	if q.Arity() > 0 && opt.Count {
 		// COUNT(DISTINCT *) counts distinct bindings of all variables;
 		// restrict the visible variables with an inner SELECT.
-		inner := fmt.Sprintf("SELECT DISTINCT %s\nWHERE {\n%s\n}", headList(q.Rules[0].Head, "?", " "), body)
-		b.Reset()
-		b.WriteString("PREFIX : <http://gmark.example.org/pred/>\n")
-		b.WriteString("SELECT (COUNT(*) AS ?cnt)\nWHERE {\n  {\n")
-		for _, line := range strings.Split(inner, "\n") {
-			b.WriteString("    " + line + "\n")
-		}
-		b.WriteString("  }\n}\n")
-	}
-	return b.String(), nil
-}
-
-// sparqlConjunct renders one conjunct as a triple pattern with a
-// property path, or a FILTER for a pure-epsilon expression.
-func sparqlConjunct(c query.Conjunct) (string, error) {
-	path, kind, err := sparqlPathExpr(c.Expr)
-	if err != nil {
-		return "", err
-	}
-	src, dst := "?"+varName(c.Src), "?"+varName(c.Dst)
-	switch kind {
-	case pathEmpty:
-		// The expression denotes only the empty word: variable
-		// equality.
-		return fmt.Sprintf("FILTER(%s = %s) .", src, dst), nil
+		const pad = "    "
+		dst = append(dst, "SELECT (COUNT(*) AS ?cnt)\nWHERE {\n  {\n"...)
+		dst = appendSPARQLSelect(dst, q, pad)
+		return append(dst, "  }\n}\n"...)
 	default:
-		return fmt.Sprintf("%s %s %s .", src, path, dst), nil
+		return appendSPARQLSelect(dst, q, "")
 	}
 }
 
-type sparqlPathKind int
+// appendSPARQLSelect appends the SELECT DISTINCT query over the head
+// variables, every line indented by pad.
+func appendSPARQLSelect(dst []byte, q *query.Query, pad string) []byte {
+	dst = append(append(dst, pad...), "SELECT DISTINCT "...)
+	dst = appendHead(dst, q.Rules[0].Head, "?x", " ")
+	dst = append(append(append(dst, '\n'), pad...), "WHERE {\n"...)
+	dst = appendSPARQLBlocks(dst, q, pad)
+	return append(append(dst, pad...), "}\n"...)
+}
 
-const (
-	pathNormal sparqlPathKind = iota
-	pathEmpty                 // epsilon only
-)
+// appendSPARQLBlocks appends one group graph pattern line per rule,
+// UNION lines between them, every line indented by pad.
+func appendSPARQLBlocks(dst []byte, q *query.Query, pad string) []byte {
+	for i, r := range q.Rules {
+		if i > 0 {
+			dst = append(append(dst, pad...), "  UNION\n"...)
+		}
+		dst = append(append(dst, pad...), "  { "...)
+		for j, c := range r.Body {
+			if j > 0 {
+				dst = append(dst, ' ')
+			}
+			dst = appendSPARQLConjunct(dst, c)
+		}
+		dst = append(dst, " }\n"...)
+	}
+	return dst
+}
 
-// sparqlPathExpr renders a regular path expression as a SPARQL 1.1
-// property path.
-func sparqlPathExpr(e regpath.Expr) (string, sparqlPathKind, error) {
-	var alts []string
-	hasEps := false
-	for _, p := range e.Paths {
+// appendSPARQLConjunct appends one conjunct as a triple pattern with a
+// property path, or as a FILTER when the expression denotes only the
+// empty word (eps, or (eps)* which equals it): variable equality.
+func appendSPARQLConjunct(dst []byte, c query.Conjunct) []byte {
+	alts, hasEps := 0, false
+	for _, p := range c.Expr.Paths {
 		if len(p) == 0 {
 			hasEps = true
+		} else {
+			alts++
+		}
+	}
+	if alts == 0 {
+		dst = c.Src.Append(append(dst, "FILTER("...))
+		dst = c.Dst.Append(append(dst, " = "...))
+		return append(dst, ") ."...)
+	}
+	dst = append(c.Src.Append(dst), ' ')
+	// A star subsumes an epsilon disjunct; without one, epsilon makes
+	// the path optional.
+	paren := alts > 1 || c.Expr.Star || hasEps
+	if paren {
+		dst = append(dst, '(')
+	}
+	first := true
+	for _, p := range c.Expr.Paths {
+		if len(p) == 0 {
 			continue
 		}
-		alts = append(alts, sparqlPath(p))
-	}
-	if len(alts) == 0 {
-		if e.Star {
-			// (eps)* == eps.
-			return "", pathEmpty, nil
+		if !first {
+			dst = append(dst, '|')
 		}
-		return "", pathEmpty, nil
+		first = false
+		dst = appendSPARQLPath(dst, p)
 	}
-	body := strings.Join(alts, "|")
-	wrapped := body
-	if len(alts) > 1 {
-		wrapped = "(" + body + ")"
+	if paren {
+		dst = append(dst, ')')
 	}
 	switch {
-	case e.Star:
-		// Star subsumes the epsilon disjunct.
-		if len(alts) > 1 {
-			return wrapped + "*", pathNormal, nil
-		}
-		return "(" + body + ")*", pathNormal, nil
+	case c.Expr.Star:
+		dst = append(dst, '*')
 	case hasEps:
-		if len(alts) > 1 {
-			return wrapped + "?", pathNormal, nil
-		}
-		return "(" + body + ")?", pathNormal, nil
-	default:
-		return wrapped, pathNormal, nil
+		dst = append(dst, '?')
 	}
+	dst = c.Dst.Append(append(dst, ' '))
+	return append(dst, " ."...)
 }
 
-func sparqlPath(p regpath.Path) string {
-	parts := make([]string, len(p))
+// appendSPARQLPath appends a non-empty path as a sequence path.
+func appendSPARQLPath(dst []byte, p regpath.Path) []byte {
+	if len(p) > 1 {
+		dst = append(dst, '(')
+	}
 	for i, s := range p {
-		if s.Inverse {
-			parts[i] = "^:" + s.Pred
-		} else {
-			parts[i] = ":" + s.Pred
+		if i > 0 {
+			dst = append(dst, '/')
 		}
+		if s.Inverse {
+			dst = append(dst, '^')
+		}
+		dst = append(append(dst, ':'), s.Pred...)
 	}
-	if len(parts) == 1 {
-		return parts[0]
+	if len(p) > 1 {
+		dst = append(dst, ')')
 	}
-	return "(" + strings.Join(parts, "/") + ")"
+	return dst
 }

@@ -1,9 +1,6 @@
 package translate
 
 import (
-	"fmt"
-	"strings"
-
 	"gmark/internal/query"
 	"gmark/internal/regpath"
 )
@@ -19,163 +16,212 @@ import (
 // starred conjuncts become WITH RECURSIVE CTEs seeded with the
 // identity relation.
 func ToPostgreSQL(q *query.Query, opt Options) (string, error) {
-	var ctes []string
-	needsRecursive := false
-	var ruleSelects []string
+	return To(PostgreSQL, q, opt)
+}
 
-	cteID := 0
+func appendPostgreSQL(dst []byte, q *query.Query, opt Options) []byte {
+	// The CTEs of all rules, numbered c0, c1, ... in body order.
+	if q.HasRecursion() {
+		dst = append(dst, "WITH RECURSIVE "...)
+	} else {
+		dst = append(dst, "WITH "...)
+	}
+	cte := 0
 	for _, r := range q.Rules {
-		var fromParts []string
-		var whereParts []string
-		varSource := map[query.Var]string{}
-
 		for _, c := range r.Body {
-			name := fmt.Sprintf("c%d", cteID)
-			cteID++
-			body, err := sqlConjunctBody(c.Expr)
-			if err != nil {
-				return "", err
+			if cte > 0 {
+				dst = append(dst, ",\n"...)
 			}
-			if c.Expr.Star {
-				needsRecursive = true
-				step := name + "_step"
-				ctes = append(ctes, fmt.Sprintf("%s(src, trg) AS (\n%s\n)", step, indent(body, 2)))
-				// The zero-length path matches the star's active
-				// domain: nodes with an outgoing first-symbol edge or
-				// an incoming last-symbol edge of some disjunct — the
-				// same rule the evaluator and the engines use.
-				seed := fmt.Sprintf("SELECT n, n FROM (%s) dom", strings.Join(sqlDomainSelects(c.Expr), " UNION "))
-				rec := fmt.Sprintf("%s(src, trg) AS (\n  %s\n  UNION\n  SELECT r.src, s.trg FROM %s r JOIN %s s ON r.trg = s.src\n)",
-					name, seed, name, step)
-				ctes = append(ctes, rec)
-			} else {
-				ctes = append(ctes, fmt.Sprintf("%s(src, trg) AS (\n%s\n)", name, indent(body, 2)))
-			}
-			alias := name + "_t"
-			fromParts = append(fromParts, fmt.Sprintf("%s AS %s", name, alias))
-			for v, col := range map[query.Var]string{c.Src: alias + ".src", c.Dst: alias + ".trg"} {
-				if prev, ok := varSource[v]; ok {
-					whereParts = append(whereParts, fmt.Sprintf("%s = %s", prev, col))
-				} else {
-					varSource[v] = col
-				}
-			}
+			dst = appendSQLConjunctCTE(dst, cte, c.Expr)
+			cte++
 		}
-
-		var sel string
-		if len(r.Head) == 0 {
-			sel = "SELECT 1"
-		} else {
-			cols := make([]string, len(r.Head))
-			for i, v := range r.Head {
-				cols[i] = fmt.Sprintf("%s AS %s", varSource[v], varName(v))
-			}
-			sel = "SELECT DISTINCT " + strings.Join(cols, ", ")
-		}
-		stmt := sel + "\nFROM " + strings.Join(fromParts, ", ")
-		if len(whereParts) > 0 {
-			stmt += "\nWHERE " + strings.Join(whereParts, " AND ")
-		}
-		ruleSelects = append(ruleSelects, stmt)
 	}
+	dst = append(dst, '\n')
 
-	union := strings.Join(ruleSelects, "\nUNION\n")
-	var b strings.Builder
-	if len(ctes) > 0 {
-		kw := "WITH "
-		if needsRecursive {
-			kw = "WITH RECURSIVE "
-		}
-		b.WriteString(kw + strings.Join(ctes, ",\n") + "\n")
-	}
+	// One SELECT per rule over its conjuncts' CTEs, UNIONed.
+	pad := ""
 	switch {
 	case opt.Count && q.Arity() > 0:
-		fmt.Fprintf(&b, "SELECT COUNT(*) AS cnt FROM (\n%s\n) AS result;\n", indent(union, 2))
+		dst = append(dst, "SELECT COUNT(*) AS cnt FROM (\n"...)
+		pad = "  "
 	case q.Arity() == 0:
-		fmt.Fprintf(&b, "SELECT EXISTS (\n%s\n) AS result;\n", indent(union, 2))
-	default:
-		b.WriteString(union + ";\n")
+		dst = append(dst, "SELECT EXISTS (\n"...)
+		pad = "  "
 	}
-	return b.String(), nil
-}
-
-// sqlConjunctBody renders the non-starred part of a conjunct: the
-// UNION of its disjunct path joins over the edge table.
-func sqlConjunctBody(e regpath.Expr) (string, error) {
-	var alts []string
-	for _, p := range e.Paths {
-		alts = append(alts, sqlPathSelect(p))
-	}
-	return strings.Join(alts, "\nUNION\n"), nil
-}
-
-// sqlPathSelect renders one path as a join chain over edge; the empty
-// path is the identity over node.
-func sqlPathSelect(p regpath.Path) string {
-	if len(p) == 0 {
-		return "SELECT id AS src, id AS trg FROM node"
-	}
-	var from []string
-	var where []string
-	// hop columns: hop i goes from point i to point i+1.
-	startCol := make([]string, len(p))
-	endCol := make([]string, len(p))
-	for i, s := range p {
-		alias := fmt.Sprintf("e%d", i)
-		from = append(from, "edge "+alias)
-		where = append(where, fmt.Sprintf("%s.label = '%s'", alias, s.Pred))
-		if s.Inverse {
-			startCol[i] = alias + ".trg"
-			endCol[i] = alias + ".src"
-		} else {
-			startCol[i] = alias + ".src"
-			endCol[i] = alias + ".trg"
+	cte = 0
+	for i, r := range q.Rules {
+		if i > 0 {
+			dst = append(append(append(dst, '\n'), pad...), "UNION\n"...)
 		}
+		dst = appendSQLRuleSelect(dst, r, cte, pad)
+		cte += len(r.Body)
 	}
-	for i := 1; i < len(p); i++ {
-		where = append(where, fmt.Sprintf("%s = %s", endCol[i-1], startCol[i]))
+	if pad == "" {
+		return append(dst, ";\n"...)
 	}
-	return fmt.Sprintf("SELECT %s AS src, %s AS trg FROM %s WHERE %s",
-		startCol[0], endCol[len(p)-1], strings.Join(from, ", "), strings.Join(where, " AND "))
+	return append(dst, "\n) AS result;\n"...)
 }
 
-// sqlDomainSelects renders the star's active-domain membership as
-// edge-table selects, deduplicated: per non-empty disjunct, the
-// outgoing first-symbol side and the incoming last-symbol side.
-func sqlDomainSelects(e regpath.Expr) []string {
-	seen := map[string]bool{}
-	var out []string
-	add := func(col, label string) {
-		sel := fmt.Sprintf("SELECT %s AS n FROM edge WHERE label = '%s'", col, label)
-		if !seen[sel] {
-			seen[sel] = true
-			out = append(out, sel)
-		}
+// appendSQLConjunctCTE appends the CTE c<id> of one conjunct: the
+// UNION of its disjunct path joins, and for a starred conjunct the
+// linear recursion over that step relation, seeded with the identity
+// on the star's active domain.
+func appendSQLConjunctCTE(dst []byte, id int, e regpath.Expr) []byte {
+	dst = appendInt(append(dst, 'c'), id)
+	if e.Star {
+		dst = append(dst, "_step"...)
 	}
-	for _, p := range e.Paths {
-		if len(p) == 0 {
+	dst = append(dst, "(src, trg) AS (\n"...)
+	for i, p := range e.Paths {
+		if i > 0 {
+			dst = append(dst, "\n  UNION\n"...)
+		}
+		dst = appendSQLPathSelect(append(dst, "  "...), p)
+	}
+	dst = append(dst, "\n)"...)
+	if !e.Star {
+		return dst
+	}
+	dst = appendInt(append(dst, ",\nc"...), id)
+	dst = append(dst, "(src, trg) AS (\n  SELECT n, n FROM ("...)
+	first := true
+	for m := 0; m < 2*len(e.Paths); m++ {
+		side, ok := starDomainSide(e, m)
+		if !ok {
 			continue
 		}
-		first, last := p[0], p[len(p)-1]
-		if first.Inverse {
-			add("trg", first.Pred)
-		} else {
-			add("src", first.Pred)
+		if !first {
+			dst = append(dst, " UNION "...)
 		}
-		if last.Inverse {
-			add("src", last.Pred)
+		first = false
+		if side.trg {
+			dst = append(dst, "SELECT trg AS n FROM edge WHERE label = '"...)
 		} else {
-			add("trg", last.Pred)
+			dst = append(dst, "SELECT src AS n FROM edge WHERE label = '"...)
 		}
+		dst = append(append(dst, side.pred...), '\'')
 	}
-	return out
+	dst = append(dst, ") dom\n  UNION\n  SELECT r.src, s.trg FROM c"...)
+	dst = appendInt(append(appendInt(dst, id), " r JOIN c"...), id)
+	return append(dst, "_step s ON r.trg = s.src\n)"...)
 }
 
-func indent(s string, n int) string {
-	pad := strings.Repeat(" ", n)
-	lines := strings.Split(s, "\n")
-	for i := range lines {
-		lines[i] = pad + lines[i]
+// appendSQLPathSelect appends one path as a join chain over edge, hop
+// i aliased e<i>; the empty path is the identity over node.
+func appendSQLPathSelect(dst []byte, p regpath.Path) []byte {
+	if len(p) == 0 {
+		return append(dst, "SELECT id AS src, id AS trg FROM node"...)
 	}
-	return strings.Join(lines, "\n")
+	dst = appendSQLHopColumn(append(dst, "SELECT "...), p, 0, false)
+	dst = appendSQLHopColumn(append(dst, " AS src, "...), p, len(p)-1, true)
+	dst = append(dst, " AS trg FROM "...)
+	for i := range p {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendInt(append(dst, "edge e"...), i)
+	}
+	dst = append(dst, " WHERE "...)
+	for i, s := range p {
+		if i > 0 {
+			dst = append(dst, " AND "...)
+		}
+		dst = appendInt(append(dst, 'e'), i)
+		dst = append(append(append(dst, ".label = '"...), s.Pred...), '\'')
+	}
+	for i := 1; i < len(p); i++ {
+		dst = appendSQLHopColumn(append(dst, " AND "...), p, i-1, true)
+		dst = appendSQLHopColumn(append(dst, " = "...), p, i, false)
+	}
+	return dst
+}
+
+// appendSQLHopColumn appends the edge column where hop i of the path
+// starts or ends: an inverse symbol is traversed from trg to src.
+func appendSQLHopColumn(dst []byte, p regpath.Path, i int, end bool) []byte {
+	dst = appendInt(append(dst, 'e'), i)
+	if p[i].Inverse != end {
+		return append(dst, ".trg"...)
+	}
+	return append(dst, ".src"...)
+}
+
+// appendSQLRuleSelect appends the SELECT of one rule whose conjuncts
+// are the CTEs c<base>, c<base+1>, ...; every line is indented by pad.
+// A variable is read from the first column that mentions it, in body
+// order with a conjunct's source before its target; every later
+// mention becomes an equality with that column.
+func appendSQLRuleSelect(dst []byte, r query.Rule, base int, pad string) []byte {
+	dst = append(dst, pad...)
+	if len(r.Head) == 0 {
+		dst = append(dst, "SELECT 1"...)
+	} else {
+		dst = append(dst, "SELECT DISTINCT "...)
+		for i, v := range r.Head {
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = appendSQLEndpoint(dst, base, firstMention(r.Body, v, 2*len(r.Body)))
+			dst = appendName(append(dst, " AS "...), "x", v)
+		}
+	}
+	dst = append(append(append(dst, '\n'), pad...), "FROM "...)
+	for i := range r.Body {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = appendInt(append(dst, 'c'), base+i)
+		dst = appendInt(append(dst, " AS c"...), base+i)
+		dst = append(dst, "_t"...)
+	}
+	joined := false
+	for m := 0; m < 2*len(r.Body); m++ {
+		prev := firstMention(r.Body, endpointVar(r.Body, m), m)
+		if prev < 0 {
+			continue
+		}
+		if joined {
+			dst = append(dst, " AND "...)
+		} else {
+			dst = append(append(append(dst, '\n'), pad...), "WHERE "...)
+			joined = true
+		}
+		dst = appendSQLEndpoint(dst, base, prev)
+		dst = appendSQLEndpoint(append(dst, " = "...), base, m)
+	}
+	return dst
+}
+
+// endpointVar returns the variable at endpoint m of a rule body: the
+// source (m even) or target (m odd) of conjunct m/2.
+func endpointVar(body []query.Conjunct, m int) query.Var {
+	if m%2 == 0 {
+		return body[m/2].Src
+	}
+	return body[m/2].Dst
+}
+
+// firstMention returns the first endpoint before end that is the
+// variable v, or -1.
+func firstMention(body []query.Conjunct, v query.Var, end int) int {
+	for m := 0; m < end; m++ {
+		if endpointVar(body, m) == v {
+			return m
+		}
+	}
+	return -1
+}
+
+// appendSQLEndpoint appends the column c<base+m/2>_t.src or .trg of
+// endpoint m; nothing for m < 0 (an unbound variable, which Validate
+// rejects).
+func appendSQLEndpoint(dst []byte, base, m int) []byte {
+	if m < 0 {
+		return dst
+	}
+	dst = appendInt(append(dst, 'c'), base+m/2)
+	if m%2 == 0 {
+		return append(dst, "_t.src"...)
+	}
+	return append(dst, "_t.trg"...)
 }

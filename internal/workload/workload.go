@@ -156,6 +156,9 @@ func countsOf[K comparable](m map[K]int) []int {
 			out = append(out, c)
 		}
 	}
+	// Float summation is order-sensitive in its last bits; a fixed
+	// order keeps the entropy of a profile reproducible.
+	sort.Ints(out)
 	return out
 }
 
