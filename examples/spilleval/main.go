@@ -30,8 +30,10 @@ func main() {
 
 	// Stream the generation pipeline into the incremental spill sink:
 	// edges are routed to per-(predicate, direction, node-range) runs
-	// under a fixed buffer budget, then merged one range at a time, so
-	// peak writer memory is bounded regardless of instance size.
+	// under a fixed buffer budget; Flush then builds and writes each run
+	// as an independent unit on GOMAXPROCS workers, admitting units only
+	// while the pairs in flight fit the same budget, so peak writer
+	// memory is bounded regardless of instance size.
 	sink, err := gmark.NewGraphCSRSpillSink(dir, cfg, 0)
 	if err != nil {
 		log.Fatal(err)

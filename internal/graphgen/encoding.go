@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 )
 
 // This file is the self-contained byte codec of the compressed
@@ -147,7 +148,18 @@ func (r *byteReader) svarint() (int64, error) {
 // rest returns the number of unread bytes.
 func (r *byteReader) rest() int { return len(r.buf) - r.pos }
 
-// encodeCSRPayload renders one shard's adjacency as the v3 varint
+// growBytes returns dst with room for n more bytes. An empty dst that
+// is too small is replaced by an allocation of exactly n, so an image
+// encoded from nil has no slack and a worker's reused buffer settles at
+// its largest shard instead of a doubling of it.
+func growBytes(dst []byte, n int) []byte {
+	if len(dst) == 0 && cap(dst) < n {
+		return make([]byte, 0, n)
+	}
+	return slices.Grow(dst, n)
+}
+
+// appendCSRPayload appends one shard's adjacency as the v3 varint
 // payload. off is the shard's offset slice (nLocal+1 entries, not
 // necessarily rebased — only the gaps are stored), adj the shard's
 // adjacency entries with rows sorted ascending.
@@ -159,9 +171,9 @@ func (r *byteReader) rest() int { return len(r.buf) - r.pos }
 // row's remaining neighbor gaps as uvarints. Rows are sorted, so both
 // gap kinds are small by construction and the payload shrinks several
 // fold against raw uint32s.
-func encodeCSRPayload(off, adj []int32) []byte {
+func appendCSRPayload(buf []byte, off, adj []int32) []byte {
 	// Degrees are usually 1-2 varint bytes; neighbor gaps 1-3.
-	buf := make([]byte, 0, len(off)+2*len(adj)+16)
+	buf = growBytes(buf, len(off)+2*len(adj)+16)
 	for i := 0; i+1 < len(off); i++ {
 		buf = binary.AppendUvarint(buf, uint64(off[i+1]-off[i]))
 	}
@@ -182,7 +194,7 @@ func encodeCSRPayload(off, adj []int32) []byte {
 	return buf
 }
 
-// decodeCSRPayload inverts encodeCSRPayload: it rebuilds the rebased
+// decodeCSRPayload inverts appendCSRPayload: it rebuilds the rebased
 // offset slice (off[0] == 0) and the adjacency entries of a shard
 // covering nLocal nodes with edges entries. Every accumulated value is
 // range-checked so corrupt input yields an error, never out-of-range
@@ -247,47 +259,59 @@ func decodeCSRPayload(payload []byte, nLocal, edges int) (off, adj []int32, err 
 	return off, adj, nil
 }
 
-// encodeCSRShardV3 renders one complete v3 shard file image: magic,
-// codec flag byte, counts, payload length, payload. Under
-// SpillCompressDeflate the frame is applied per shard only when it
-// actually shrinks the payload, and the flag byte records the choice;
-// SpillCompressNone callers must use the v1 writer instead.
-func encodeCSRShardV3(off, adj []int32, comp SpillCompression) ([]byte, error) {
-	nLocal := len(off) - 1
-	base := off[0]
-	edges := int(off[nLocal] - base)
-	payload := encodeCSRPayload(off, adj[base:off[nLocal]])
-	codec := codecRaw
+// csrShardV3Header is the byte length of a v3 shard's header: magic,
+// codec flag byte, node count, edge count, payload length.
+const csrShardV3Header = len(csrMagicV3) + 13
+
+// appendCSRShardV3 appends one complete v3 shard file image: magic,
+// codec flag byte, counts, payload length, payload — the payload
+// encoded in place behind the header, whose codec and length fields are
+// patched once it is known. Under SpillCompressDeflate the frame is
+// applied per shard only when it actually shrinks the payload, and the
+// flag byte records the choice; SpillCompressNone callers must use the
+// v1 writer instead.
+func appendCSRShardV3(dst []byte, off, adj []int32, comp SpillCompression) ([]byte, error) {
 	switch comp {
-	case SpillCompressVarint:
-	case SpillCompressDeflate:
-		if framed, err := deflateBytes(payload); err == nil && len(framed) < len(payload) {
-			payload, codec = framed, codecDeflate
-		}
+	case SpillCompressVarint, SpillCompressDeflate:
 	case SpillCompressZstd:
 		return nil, fmt.Errorf("graphgen: zstd is a reserved codec (ID %d) with no coder in this build", codecZstd)
 	default:
 		return nil, fmt.Errorf("graphgen: %v is not a v3 shard compression", comp)
 	}
-	out := make([]byte, 0, len(csrMagicV3)+13+len(payload))
-	out = append(out, csrMagicV3...)
-	out = append(out, codec)
-	out = binary.LittleEndian.AppendUint32(out, uint32(nLocal))
-	out = binary.LittleEndian.AppendUint32(out, uint32(edges))
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	return append(out, payload...), nil
+	nLocal := len(off) - 1
+	base := off[0]
+	edges := int(off[nLocal] - base)
+	head := len(dst)
+	dst = growBytes(dst, csrShardV3Header+len(off)+2*edges+16)
+	dst = append(dst, csrMagicV3...)
+	dst = append(dst, codecRaw)
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(nLocal))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(edges))
+	dst = binary.LittleEndian.AppendUint32(dst, 0)
+	body := len(dst)
+	dst = appendCSRPayload(dst, off, adj[base:off[nLocal]])
+	if comp == SpillCompressDeflate {
+		if framed, err := deflateBytes(dst[body:]); err == nil && len(framed) < len(dst)-body {
+			dst = append(dst[:body], framed...)
+			dst[head+len(csrMagicV3)] = codecDeflate
+		}
+	}
+	binary.LittleEndian.PutUint32(dst[body-4:], uint32(len(dst)-body))
+	return dst, nil
 }
 
-// encodeCSRShardV1 renders one complete legacy ("GMKCSR1\n") shard
+// appendCSRShardV1 appends one complete legacy ("GMKCSR1\n") shard
 // file image: magic, node and edge counts, the rebased offsets, then
 // the adjacency — all little-endian uint32s. off follows the same
 // convention as the other shard encoders: the global offset slice of
 // the shard's range, rebased here so the stored off[0] is 0.
-func encodeCSRShardV1(off, adj []int32) []byte {
+func appendCSRShardV1(dst []byte, off, adj []int32) []byte {
 	nLocal := len(off) - 1
 	base := off[0]
 	local := adj[base:off[nLocal]]
-	out := make([]byte, len(csrMagic)+8+4*(nLocal+1)+4*len(local))
+	size := len(csrMagic) + 8 + 4*(nLocal+1) + 4*len(local)
+	dst = growBytes(dst, size)
+	out := dst[len(dst) : len(dst)+size]
 	copy(out, csrMagic)
 	binary.LittleEndian.PutUint32(out[len(csrMagic):], uint32(nLocal))
 	binary.LittleEndian.PutUint32(out[len(csrMagic)+4:], uint32(len(local)))
@@ -299,7 +323,7 @@ func encodeCSRShardV1(off, adj []int32) []byte {
 	for i, v := range local {
 		binary.LittleEndian.PutUint32(out[p+4*i:], uint32(v))
 	}
-	return out
+	return dst[:len(dst)+size]
 }
 
 // EncodeCSRShard renders one complete shard file image — the exact
@@ -310,11 +334,26 @@ func encodeCSRShardV1(off, adj []int32) []byte {
 // (SpillCompressVarint / SpillCompressDeflate). off is the global
 // offset slice of the shard's node range (nLocal+1 entries, not
 // necessarily rebased); adj is the full adjacency the offsets index
-// into, rows sorted ascending. It is the single byte-layout
-// definition shared by WriteCSRSpillFromGraph, CSRSpillSink and the
-// slice server, so a shard served on demand cannot drift from its
-// batch twin.
+// into, rows sorted ascending. The returned image is freshly allocated
+// at its exact size, for callers — the slice server's cache — that keep
+// it.
 func EncodeCSRShard(off, adj []int32, comp SpillCompression) ([]byte, error) {
+	img, err := appendCSRShard(nil, off, adj, comp)
+	if err != nil {
+		return nil, err
+	}
+	if cap(img) > len(img) {
+		img = bytes.Clone(img)
+	}
+	return img, nil
+}
+
+// appendCSRShard is EncodeCSRShard into a caller-owned buffer: the
+// image is appended to dst, which a spill worker reuses from one shard
+// to the next. It is the single byte-layout definition shared by
+// WriteCSRSpillFromGraph, CSRSpillSink and the slice server, so a shard
+// served on demand cannot drift from its batch twin.
+func appendCSRShard(dst []byte, off, adj []int32, comp SpillCompression) ([]byte, error) {
 	if err := checkSpillCompression(comp); err != nil {
 		return nil, err
 	}
@@ -323,11 +362,11 @@ func EncodeCSRShard(off, adj []int32, comp SpillCompression) ([]byte, error) {
 	}
 	switch comp {
 	case SpillCompressNone:
-		return encodeCSRShardV1(off, adj), nil
+		return appendCSRShardV1(dst, off, adj), nil
 	case SpillCompressRaw:
-		return encodeCSRShardRaw(off, adj), nil
+		return appendCSRShardRaw(dst, off, adj), nil
 	default:
-		return encodeCSRShardV3(off, adj, comp)
+		return appendCSRShardV3(dst, off, adj, comp)
 	}
 }
 
@@ -557,18 +596,24 @@ func CheckShardOffsets(off []int32, edges int) error {
 	return nil
 }
 
-// encodeCSRShardRaw renders one complete raw (mappable) shard image:
+// appendCSRShardRaw appends one complete raw (mappable) shard image:
 // the page-padded header, the rebased offset array, zero padding to
 // the next 8-byte boundary, then the adjacency array. off is the
 // global offset slice of the shard's range (not necessarily rebased);
 // adj is the full adjacency the offsets index into.
-func encodeCSRShardRaw(off, adj []int32) []byte {
+func appendCSRShardRaw(dst []byte, off, adj []int32) []byte {
 	nLocal := len(off) - 1
 	base := off[0]
 	local := adj[base:off[nLocal]]
 	offBytes := 4 * (nLocal + 1)
 	adjStart := (rawShardHeaderLen + offBytes + 7) &^ 7
-	out := make([]byte, adjStart+4*len(local))
+	size := adjStart + 4*len(local)
+	dst = growBytes(dst, size)
+	out := dst[len(dst) : len(dst)+size]
+	// A reused buffer holds the previous shard: the header's padding and
+	// the gap before the adjacency must be written as zeros.
+	clear(out[:rawShardHeaderLen])
+	clear(out[rawShardHeaderLen+offBytes : adjStart])
 	copy(out, csrMagicRaw)
 	binary.LittleEndian.PutUint32(out[8:12], uint32(nLocal))
 	binary.LittleEndian.PutUint32(out[12:16], uint32(len(local)))
@@ -579,7 +624,7 @@ func encodeCSRShardRaw(off, adj []int32) []byte {
 	for i, v := range local {
 		binary.LittleEndian.PutUint32(out[adjStart+4*i:], uint32(v))
 	}
-	return out
+	return dst[:len(dst)+size]
 }
 
 // decodeCSRShardRaw is the copying reader of the raw layout — the path
@@ -626,8 +671,14 @@ func appendPairBlock(dst []byte, from, to []int32) []byte {
 
 // decodePairBlocks parses a concatenation of appendPairBlock blocks
 // back into (from, to) slices, rejecting truncated or out-of-range
-// input.
-func decodePairBlocks(data []byte) (from, to []int32, err error) {
+// input. hint, when positive, is the capacity to allocate up front — a
+// caller that knows how many pairs it wrote (plus any it will append)
+// gets both columns in one allocation each; 0 grows them as the blocks
+// are read.
+func decodePairBlocks(data []byte, hint int) (from, to []int32, err error) {
+	if hint > 0 {
+		from, to = make([]int32, 0, hint), make([]int32, 0, hint)
+	}
 	r := &byteReader{buf: data}
 	for r.rest() > 0 {
 		n, err := r.uvarint()

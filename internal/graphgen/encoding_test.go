@@ -38,7 +38,7 @@ func TestCSRPayloadRoundTrip(t *testing.T) {
 		nLocal := rng.Intn(40)
 		off, adj := randomCSR(rng, nLocal, 12, 1<<20)
 		for _, comp := range []SpillCompression{SpillCompressVarint, SpillCompressDeflate} {
-			img, err := encodeCSRShardV3(off, adj, comp)
+			img, err := appendCSRShardV3(nil, off, adj, comp)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -58,7 +58,7 @@ func TestCSRPayloadRoundTrip(t *testing.T) {
 func TestCSRPayloadRebasing(t *testing.T) {
 	off := []int32{100, 102, 102, 105}
 	adj := []int32{7, 9, 1, 4, 8}
-	img, err := encodeCSRShardV3(off, append(make([]int32, 100), adj...), SpillCompressVarint)
+	img, err := appendCSRShardV3(nil, off, append(make([]int32, 100), adj...), SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestCSRPayloadRebasing(t *testing.T) {
 // the DEFLATE frame does not shrink the payload (tiny/incompressible
 // shards) and deflate when it does.
 func TestDeflateFrameOnlyWhenSmaller(t *testing.T) {
-	tiny, err := encodeCSRShardV3([]int32{0, 1}, []int32{3}, SpillCompressDeflate)
+	tiny, err := appendCSRShardV3(nil, []int32{0, 1}, []int32{3}, SpillCompressDeflate)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,14 +91,14 @@ func TestDeflateFrameOnlyWhenSmaller(t *testing.T) {
 		base := int32(i * 8)
 		adj = append(adj, base, base+1, base+2, base+3)
 	}
-	big, err := encodeCSRShardV3(off, adj, SpillCompressDeflate)
+	big, err := appendCSRShardV3(nil, off, adj, SpillCompressDeflate)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if codec := big[len(csrMagicV3)]; codec != codecDeflate {
 		t.Fatalf("regular 16K-edge shard kept codec %d; expected a winning DEFLATE frame", codec)
 	}
-	raw, err := encodeCSRShardV3(off, adj, SpillCompressVarint)
+	raw, err := appendCSRShardV3(nil, off, adj, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func mustUsecase(t *testing.T, uc string, n int) *schema.GraphConfig {
 func TestDecodeCSRShardRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	off, adj := randomCSR(rng, 20, 6, 1000)
-	img, err := encodeCSRShardV3(off, adj, SpillCompressVarint)
+	img, err := appendCSRShardV3(nil, off, adj, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,17 +200,17 @@ func TestPairBlocksRoundTrip(t *testing.T) {
 		wantF = append(wantF, from...)
 		wantT = append(wantT, to...)
 	}
-	gotF, gotT, err := decodePairBlocks(buf)
+	gotF, gotT, err := decodePairBlocks(buf, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(gotF, wantF) || !slices.Equal(gotT, wantT) {
 		t.Fatal("pair blocks round trip mismatch")
 	}
-	if _, _, err := decodePairBlocks(buf[:len(buf)-1]); err == nil {
+	if _, _, err := decodePairBlocks(buf[:len(buf)-1], 0); err == nil {
 		t.Error("truncated pair stream decoded without error")
 	}
-	if _, _, err := decodePairBlocks([]byte{0xFF}); err == nil {
+	if _, _, err := decodePairBlocks([]byte{0xFF}, 0); err == nil {
 		t.Error("truncated block count decoded without error")
 	}
 }
@@ -424,7 +424,7 @@ func FuzzCSRShardDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	off, adj := randomCSR(rng, 16, 5, 500)
 	for _, comp := range []SpillCompression{SpillCompressVarint, SpillCompressDeflate} {
-		img, err := encodeCSRShardV3(off, adj, comp)
+		img, err := appendCSRShardV3(nil, off, adj, comp)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -441,7 +441,7 @@ func FuzzCSRShardDecode(f *testing.F) {
 	}
 	f.Add(v1.Bytes())
 	f.Add([]byte(csrMagicV3))
-	f.Add(encodeCSRShardRaw(off, adj))
+	f.Add(appendCSRShardRaw(nil, off, adj))
 	f.Add([]byte(csrMagicRaw))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off, adj, err := decodeCSRShard(data)
@@ -472,7 +472,7 @@ func FuzzPairBlocksDecode(f *testing.F) {
 	f.Add(buf)
 	f.Add(buf[:len(buf)-2])
 	f.Fuzz(func(t *testing.T, data []byte) {
-		from, to, err := decodePairBlocks(data)
+		from, to, err := decodePairBlocks(data, 0)
 		if err != nil {
 			return
 		}

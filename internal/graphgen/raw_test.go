@@ -17,7 +17,7 @@ func TestRawShardRoundTrip(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nLocal := rng.Intn(40)
 		off, adj := randomCSR(rng, nLocal, 12, 1<<20)
-		img := encodeCSRShardRaw(off, adj)
+		img := appendCSRShardRaw(nil, off, adj)
 
 		lay, isRaw, err := ParseRawShardImage(img)
 		if err != nil || !isRaw {
@@ -55,7 +55,7 @@ func TestRawShardRoundTrip(t *testing.T) {
 func TestRawShardRebasing(t *testing.T) {
 	off := []int32{100, 102, 102, 105}
 	adj := []int32{7, 9, 1, 4, 8}
-	img := encodeCSRShardRaw(off, append(make([]int32, 100), adj...))
+	img := appendCSRShardRaw(nil, off, append(make([]int32, 100), adj...))
 	gotOff, gotAdj, err := decodeCSRShard(img)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestRawShardRebasing(t *testing.T) {
 func TestRawShardRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	off, adj := randomCSR(rng, 20, 6, 1000)
-	img := encodeCSRShardRaw(off, adj)
+	img := appendCSRShardRaw(nil, off, adj)
 
 	cases := map[string][]byte{
 		"truncated header":    img[:12],

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync"
 
 	"gmark/internal/bitset"
 	"gmark/internal/graph"
@@ -135,54 +136,280 @@ type CSRShard struct {
 // spill sink buffers in memory before spilling every buffered run to
 // its per-(predicate, direction, node-range) temp file. Each routed
 // edge occupies two pairs (one per direction), 8 bytes each, so the
-// default bounds the buffers near 16 MiB. A variable so tests can
-// force spilling on small inputs.
+// default bounds the buffers near 16 MiB. The same number caps the
+// pairs Flush's units hold in flight. A variable so tests can force
+// spilling on small inputs.
 var csrSpillBufferEdges = 1 << 21
 
 // csrRunDir is the temp subdirectory holding raw per-range edge runs
 // during emission; it is removed by Flush and Abort.
 const csrRunDir = "runs-tmp"
 
-// CSRSpillSink writes the generated edges as node-range-sharded binary
-// CSR files (both directions) for out-of-core query evaluation. The
-// writer is incremental: during emission each edge is routed to its
-// forward (by source) and backward (by destination) node range and
-// buffered; when the buffers exceed a fixed budget they are appended
-// to raw per-(predicate, direction, range) run files on disk. Flush
-// merges one range at a time — read its run, build the range's CSR
-// through the same graph.BuildAdjacency code path Freeze uses, write
-// the shard — so peak writer memory is bounded by the buffer budget
-// plus a single node-range's edges, never by the whole instance:
-// producing a spill no longer needs Generate-sized memory. The shard
-// bytes are identical to WriteCSRSpillFromGraph's (test-pinned).
-type CSRSpillSink struct {
+// spillLayout is the unit grid of one CSR spill: every (predicate,
+// direction, node-range) triple is one unit — one shard file, built
+// and written independently of every other — numbered
+//
+//	u = (p*2 + d)*nRanges + r        d = 0 forward, 1 backward
+//
+// so a (predicate, direction) group is nRanges consecutive units and
+// the manifest's shard lists are consecutive slices of one array
+// indexed by u. Both spill writers (CSRSpillSink.Flush and
+// WriteCSRSpillFromGraphWith) are a layout plus a function producing a
+// unit's CSR; writeUnits is the one place shards, domain bitmaps and
+// the manifest entries come from.
+type spillLayout struct {
 	dir        string
+	comp       SpillCompression
+	numNodes   int
 	shardNodes int
 	nRanges    int
-	comp       SpillCompression
-	typeNames  []string
-	typeCounts []int
 	predNames  []string
-	numNodes   int
+}
 
-	// bufs[(p*2+dir)*nRanges + r] buffers the pairs of predicate p,
-	// direction dir (0 forward, keyed by source; 1 backward, keyed by
+// newSpillLayout resolves the shard width (0 selects the default) and
+// the range count; an empty instance still has one range, so it still
+// writes one shard per (predicate, direction).
+func newSpillLayout(dir string, comp SpillCompression, numNodes, shardNodes int, predNames []string) spillLayout {
+	if shardNodes <= 0 {
+		shardNodes = defaultCSRShardNodes
+	}
+	return spillLayout{
+		dir:        dir,
+		comp:       comp,
+		numNodes:   numNodes,
+		shardNodes: shardNodes,
+		nRanges:    max(1, (numNodes+shardNodes-1)/shardNodes),
+		predNames:  predNames,
+	}
+}
+
+// units is the number of units of the grid.
+func (l *spillLayout) units() int { return len(l.predNames) * 2 * l.nRanges }
+
+// unit decodes a unit index into its predicate, direction tag ("f" or
+// "b"), range index and node range [lo, hi).
+func (l *spillLayout) unit(u int) (p int, tag string, r, lo, hi int) {
+	r = u % l.nRanges
+	p, tag = u/l.nRanges/2, "f"
+	if u/l.nRanges%2 == 1 {
+		tag = "b"
+	}
+	lo = r * l.shardNodes
+	return p, tag, r, lo, min(lo+l.shardNodes, l.numNodes)
+}
+
+// unitPool hands the units of a grid to a bounded set of workers in
+// index order, admitting a unit only while the pairs of the admitted,
+// unfinished units stay within limit — the memory bound of a parallel
+// flush. limit is at least the largest unit, so a unit can always run
+// alone. Claiming and admission are one step under one lock: a worker
+// waiting for room holds the cursor, so units are admitted strictly in
+// index order and a large unit cannot be starved by small ones behind
+// it.
+type unitPool struct {
+	mu       sync.Mutex
+	room     sync.Cond // signalled when in-flight pairs fall
+	weights  []int     // pairs held by each unit while it is in flight
+	next     int       // the cursor: first unclaimed unit
+	limit    int
+	inflight int // pairs of admitted, unfinished units
+	peak     int // high-water mark of inflight
+	stopped  bool
+}
+
+func newUnitPool(budget int, weights []int) *unitPool {
+	q := &unitPool{weights: weights, limit: budget}
+	q.room.L = &q.mu
+	for _, w := range weights {
+		q.limit = max(q.limit, w)
+	}
+	return q
+}
+
+// claim returns the next unit and its weight once it is admitted; ok is
+// false when the units are exhausted or one has failed.
+func (q *unitPool) claim() (u, w int, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for {
+		if q.stopped || q.next == len(q.weights) {
+			return 0, 0, false
+		}
+		if w = q.weights[q.next]; q.inflight+w <= q.limit {
+			break
+		}
+		q.room.Wait()
+	}
+	u = q.next
+	q.next++
+	q.inflight += w
+	q.peak = max(q.peak, q.inflight)
+	return u, w, true
+}
+
+// release returns a finished unit's pairs; a failed unit stops every
+// further claim (units already admitted run to completion).
+func (q *unitPool) release(w int, failed bool) {
+	q.mu.Lock()
+	q.inflight -= w
+	q.stopped = q.stopped || failed
+	q.mu.Unlock()
+	q.room.Broadcast()
+}
+
+// domainGroup accumulates one (predicate, direction) active-domain
+// bitmap from its units. The bitmap exists from the group's first
+// finished unit to its last, which writes the file; units are claimed
+// in index order, so at most one group per worker is live at a time.
+type domainGroup struct {
+	mu   sync.Mutex
+	dom  *bitset.Set
+	left int // units of the group not yet finished
+}
+
+// writeUnits runs every unit of the grid — build(u) yields the CSR of
+// the unit's node range (len(off) == hi-lo+1, not necessarily rebased;
+// adj the array off indexes into), which is encoded, written as the
+// unit's shard file and ORed into its group's domain bitmap — on a pool
+// of GOMAXPROCS workers drained through one cursor (unitPool: weights[u]
+// is the pairs unit u holds while it runs, budget caps the pairs in
+// flight). Results are stored by unit index, so the returned shard
+// entries, every shard file and every domain file are the same at any
+// worker count. When units fail, no further unit is claimed and the
+// error returned is the lowest-index one's: that unit is claimed before
+// any higher one, whatever the interleaving. No goroutine outlives the
+// call. peak is the pool's in-flight high-water mark.
+func (l *spillLayout) writeUnits(budget int, weights []int, build func(u int) (off, adj []int32, err error)) (shards []CSRShard, peak int, err error) {
+	n := len(weights)
+	shards = make([]CSRShard, n)
+	errs := make([]error, n)
+	groups := make([]domainGroup, n/l.nRanges)
+	for i := range groups {
+		groups[i].left = l.nRanges
+	}
+	pool := newUnitPool(budget, weights)
+	var wg sync.WaitGroup
+	for i := min(runtime.GOMAXPROCS(0), n); i > 0; i-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var img []byte // the worker's encode buffer, reused across units
+			for {
+				u, w, ok := pool.claim()
+				if !ok {
+					return
+				}
+				img, errs[u] = l.writeUnit(u, img[:0], &shards[u], &groups[u/l.nRanges], build)
+				pool.release(w, errs[u] != nil)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, pool.peak, err
+		}
+	}
+	return shards, pool.peak, nil
+}
+
+// writeUnit builds, encodes and writes one unit into img, returning
+// the buffer for the worker's next unit.
+func (l *spillLayout) writeUnit(u int, img []byte, sh *CSRShard, g *domainGroup, build func(u int) (off, adj []int32, err error)) ([]byte, error) {
+	p, tag, r, lo, hi := l.unit(u)
+	off, adj, err := build(u)
+	if err != nil {
+		return img, err
+	}
+	if img, err = appendCSRShard(img, off, adj, l.comp); err != nil {
+		return img, err
+	}
+	name := fmt.Sprintf("csr-%s-%03d-%06d.bin", tag, p, r)
+	if err := os.WriteFile(filepath.Join(l.dir, name), img, 0o644); err != nil {
+		return img, err
+	}
+	*sh = CSRShard{File: name, Lo: lo, Hi: hi, Edges: int(off[len(off)-1] - off[0])}
+
+	g.mu.Lock()
+	if g.dom == nil {
+		g.dom = bitset.New(l.numNodes)
+	}
+	DomainFromOffsets(g.dom, lo, off)
+	g.left--
+	last := g.left == 0
+	g.mu.Unlock()
+	if !last {
+		return img, nil
+	}
+	err = writeDomainFile(l.dir, tag, p, g.dom)
+	g.dom = nil
+	return img, err
+}
+
+// manifest assembles the spill's manifest from the unit-indexed shard
+// entries writeUnits returned.
+func (l *spillLayout) manifest(edges int, types []PartitionType, shards []CSRShard) *CSRManifest {
+	m := &CSRManifest{
+		FormatVersion: manifestVersionFor(l.comp),
+		Nodes:         l.numNodes,
+		ShardNodes:    l.shardNodes,
+		Edges:         edges,
+		Encoding:      manifestEncodingFor(l.comp),
+		Types:         types,
+	}
+	for p, name := range l.predNames {
+		fwd := shards[2*p*l.nRanges:][:l.nRanges:l.nRanges]
+		bwd := shards[(2*p+1)*l.nRanges:][:l.nRanges:l.nRanges]
+		m.Predicates = append(m.Predicates, CSRSpillPredicate{
+			Name: name, Fwd: fwd, Bwd: bwd,
+			FwdDomain: domainFileName("f", p), BwdDomain: domainFileName("b", p),
+		})
+	}
+	return m
+}
+
+// CSRSpillSink writes the generated edges as node-range-sharded binary
+// CSR files (both directions) for out-of-core query evaluation. The
+// writer is incremental: during emission each batch is routed, run by
+// run, to its forward (by source) and backward (by destination) node
+// ranges and buffered; when the buffers reach a fixed budget of pairs
+// they are appended to raw per-(predicate, direction, range) run files
+// on disk. Flush then treats every (predicate, direction, range) as an
+// independent unit — read its run into exactly-sized columns, build the
+// range's CSR through the same graph.BuildAdjacency code path Freeze
+// uses, encode, write the shard — and drains the units on a pool of
+// GOMAXPROCS workers that admits a unit only while the pairs in flight
+// stay within the same budget (or one unit, when one alone is larger).
+// Peak writer memory is therefore bounded by the buffer budget plus the
+// units that budget admits, never by the whole instance: producing a
+// spill does not need Generate-sized memory. The shard, bitmap and
+// manifest bytes are the same at any GOMAXPROCS and identical to
+// WriteCSRSpillFromGraph's (test-pinned).
+type CSRSpillSink struct {
+	spillLayout
+	types []PartitionType
+
+	// bufs[u] buffers the pairs of unit u (see spillLayout): predicate
+	// p, direction d (0 forward, keyed by source; 1 backward, keyed by
 	// destination), node range r. from is the range-owning endpoint.
 	bufs     []csrRunBuf
 	buffered int // pairs currently buffered across all bufs
 
 	maxBuffered int  // high-water mark of buffered (memory-bound tests)
+	maxInflight int  // high-water mark of Flush's in-flight pairs (same)
 	spilledRuns bool // whether any run file was written
 
-	edges   int
-	aborted bool
+	edges    int
+	aborted  bool
+	flushed  bool
+	flushErr error // the first Flush's outcome, replayed by later calls
 }
 
-// csrRunBuf is one (predicate, direction, node-range) buffer plus
-// whether part of its run already lives on disk.
+// csrRunBuf is one unit's buffer plus the number of its pairs that
+// already live in its run file on disk.
 type csrRunBuf struct {
-	from, to []int32
-	onDisk   bool
+	from, to  []int32
+	diskPairs int
 }
 
 // NewCSRSpillSink creates dir (and parents) and returns a spill sink
@@ -204,132 +431,155 @@ func NewCSRSpillSinkWith(dir string, cfg *schema.GraphConfig, shardNodes int, co
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	if shardNodes <= 0 {
-		shardNodes = defaultCSRShardNodes
-	}
 	typeNames, typeCounts, predNames := resolveLayout(cfg)
-	sink := &CSRSpillSink{
-		dir:        dir,
-		shardNodes: shardNodes,
-		comp:       comp,
-		typeNames:  typeNames,
-		typeCounts: typeCounts,
-		predNames:  predNames,
+	sink := &CSRSpillSink{}
+	numNodes := 0
+	for i, name := range typeNames {
+		sink.types = append(sink.types, PartitionType{Name: name, Count: typeCounts[i]})
+		numNodes += typeCounts[i]
 	}
-	for _, c := range typeCounts {
-		sink.numNodes += c
-	}
-	sink.nRanges = (sink.numNodes + shardNodes - 1) / shardNodes
-	if sink.nRanges == 0 {
-		sink.nRanges = 1 // an empty instance still writes one shard
-	}
-	sink.bufs = make([]csrRunBuf, len(predNames)*2*sink.nRanges)
+	sink.spillLayout = newSpillLayout(dir, comp, numNodes, shardNodes, predNames)
+	sink.bufs = make([]csrRunBuf, sink.units())
 	return sink, nil
 }
 
-// bufIndex addresses the buffer of (pred, direction, range).
-func (s *CSRSpillSink) bufIndex(pred graph.PredID, backward bool, rng int) int {
-	d := 0
-	if backward {
-		d = 1
-	}
-	return (int(pred)*2+d)*s.nRanges + rng
-}
-
-// route buffers one pair into its owning range, spilling all buffers
-// to run files when the budget is exceeded.
-func (s *CSRSpillSink) route(pred graph.PredID, backward bool, from, to int32) error {
-	b := &s.bufs[s.bufIndex(pred, backward, int(from)/s.shardNodes)]
-	b.from = append(b.from, from)
-	b.to = append(b.to, to)
-	s.buffered++
-	if s.buffered > s.maxBuffered {
-		s.maxBuffered = s.buffered
-	}
-	if s.buffered >= csrSpillBufferEdges {
-		return s.drainRuns()
-	}
-	return nil
-}
-
-// AddEdge implements EdgeSink.
+// AddEdge implements EdgeSink: the one-pair case of AddEdgeBatch.
 func (s *CSRSpillSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	if err := s.route(pred, false, src, dst); err != nil {
-		return err
-	}
-	if err := s.route(pred, true, dst, src); err != nil {
-		return err
-	}
-	s.edges++
-	return nil
+	srcs, dsts := [1]graph.NodeID{src}, [1]graph.NodeID{dst}
+	return s.AddEdgeBatch(pred, srcs[:], dsts[:])
 }
 
-// AddEdgeBatch implements BatchEdgeSink.
+// AddEdgeBatch implements BatchEdgeSink: the batch is routed as two
+// columns of pairs, forward (keyed by source) and backward (keyed by
+// destination). An edge with a node id or predicate outside the
+// configuration's layout is refused and aborts the sink — it has no
+// range to be routed to, and a spill missing edges its manifest counts
+// must not be finalized.
 func (s *CSRSpillSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	if err := checkBatch(srcs, dsts); err != nil {
 		return err
 	}
-	for i := range srcs {
-		if err := s.AddEdge(srcs[i], pred, dsts[i]); err != nil {
-			return err
+	if s.aborted || s.flushed {
+		return fmt.Errorf("graphgen: CSRSpillSink: edge added after Flush or Abort")
+	}
+	if pred < 0 || int(pred) >= len(s.predNames) {
+		s.Abort()
+		return fmt.Errorf("graphgen: CSRSpillSink: predicate %d outside the schema's %d predicates", pred, len(s.predNames))
+	}
+	if err := s.routeColumn(pred, 0, srcs, dsts); err != nil {
+		return err
+	}
+	if err := s.routeColumn(pred, 1, dsts, srcs); err != nil {
+		return err
+	}
+	s.edges += len(srcs)
+	return nil
+}
+
+// routeColumn buffers one direction of a batch: pair i is (keys[i],
+// vals[i]) and belongs to the node range holding keys[i]. Consecutive
+// pairs of one range — emission walks sources in ascending order, so
+// forward runs are long — are appended with one append per column. The
+// batch is cut where the buffers reach the budget and the runs are
+// drained there, so buffered never exceeds csrSpillBufferEdges.
+func (s *CSRSpillSink) routeColumn(pred graph.PredID, d int, keys, vals []int32) error {
+	row := s.bufs[(int(pred)*2+d)*s.nRanges:][:s.nRanges]
+	for len(keys) > 0 {
+		n := min(len(keys), max(1, csrSpillBufferEdges-s.buffered))
+		for i := 0; i < n; {
+			r := int(keys[i]) / s.shardNodes
+			if r < 0 || r >= s.nRanges {
+				return s.reject(pred, d, keys[i], vals[i])
+			}
+			lo := int32(r * s.shardNodes)
+			width := uint32(min(s.shardNodes, s.numNodes-int(lo)))
+			j := i
+			for j < n && uint32(keys[j]-lo) < width {
+				j++
+			}
+			if j == i { // keys[i] is negative, or past the last node
+				return s.reject(pred, d, keys[i], vals[i])
+			}
+			b := &row[r]
+			b.from = append(b.from, keys[i:j]...)
+			b.to = append(b.to, vals[i:j]...)
+			i = j
+		}
+		keys, vals = keys[n:], vals[n:]
+		s.buffered += n
+		s.maxBuffered = max(s.maxBuffered, s.buffered)
+		if s.buffered >= csrSpillBufferEdges {
+			if err := s.drainRuns(); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-// runPath names the run file of (pred, direction, range).
-func (s *CSRSpillSink) runPath(pred int, backward bool, rng int) string {
-	tag := "f"
-	if backward {
-		tag = "b"
+// reject aborts the sink over a pair whose key has no node range and
+// returns the error naming the edge it came from.
+func (s *CSRSpillSink) reject(pred graph.PredID, d int, key, val int32) error {
+	s.Abort()
+	src, dst := key, val
+	if d == 1 {
+		src, dst = val, key
 	}
-	return filepath.Join(s.dir, csrRunDir, fmt.Sprintf("run-%s-%03d-%06d.bin", tag, pred, rng))
+	return fmt.Errorf("graphgen: CSRSpillSink: edge (%d %s %d): node id %d outside [0, %d)", src, s.predNames[pred], dst, key, s.numNodes)
 }
 
-// drainRuns appends every non-empty buffer to its run file and
-// releases the buffer storage — capacities are dropped, not kept,
+// runPath names the run file of a unit.
+func (s *CSRSpillSink) runPath(u int) string {
+	p, tag, r, _, _ := s.unit(u)
+	return filepath.Join(s.dir, csrRunDir, fmt.Sprintf("run-%s-%03d-%06d.bin", tag, p, r))
+}
+
+// drainRuns appends every non-empty buffer to its run file — one
+// self-delimiting delta-varint block per buffer (see appendPairBlock),
+// all encoded into one block buffer sized for the largest — and
+// releases the buffer storage. Capacities are dropped, not kept,
 // because retained high-water capacity would otherwise accumulate
 // across all (predicate, direction, range) buffers and grow with the
 // range count, exactly the unbounded footprint the incremental writer
-// exists to avoid. Run files are opened, appended and closed per drain
-// so the sink never holds more than one descriptor.
+// exists to avoid. Runs are temporary spill state, but they set the
+// disk high-water mark of a constant-memory streaming run —
+// delta-varint keeps them severalfold below the raw 8-bytes-per-pair
+// layout, since emission walks sources in ascending order and the
+// deltas stay small. Run files are opened, appended and closed per
+// drain so the sink never holds more than one descriptor.
 func (s *CSRSpillSink) drainRuns() error {
 	if err := os.MkdirAll(filepath.Join(s.dir, csrRunDir), 0o755); err != nil {
 		return err
 	}
-	for p := range s.predNames {
-		for _, backward := range []bool{false, true} {
-			for r := 0; r < s.nRanges; r++ {
-				b := &s.bufs[s.bufIndex(graph.PredID(p), backward, r)]
-				if len(b.from) == 0 {
-					continue
-				}
-				if err := appendRunPairs(s.runPath(p, backward, r), b.from, b.to); err != nil {
-					return err
-				}
-				b.onDisk = true
-				b.from, b.to = nil, nil
-			}
+	largest := 0
+	for u := range s.bufs {
+		largest = max(largest, len(s.bufs[u].from))
+	}
+	block := make([]byte, 0, 3*largest+8)
+	for u := range s.bufs {
+		b := &s.bufs[u]
+		if len(b.from) == 0 {
+			continue
 		}
+		block = appendPairBlock(block[:0], b.from, b.to)
+		if err := appendFile(s.runPath(u), block); err != nil {
+			return err
+		}
+		b.diskPairs += len(b.from)
+		b.from, b.to = nil, nil
 	}
 	s.buffered = 0
 	s.spilledRuns = true
 	return nil
 }
 
-// appendRunPairs appends (from, to) pairs as one self-delimiting
-// delta-varint block (see appendPairBlock). Runs are temporary spill
-// state, but they set the disk high-water mark of a constant-memory
-// streaming run — delta-varint keeps them severalfold below the raw
-// 8-bytes-per-pair layout, since emission walks sources in ascending
-// order and the deltas stay small.
-func appendRunPairs(path string, from, to []int32) error {
+// appendFile appends data to the file at path, creating it if needed.
+func appendFile(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	block := appendPairBlock(make([]byte, 0, 3*len(from)+8), from, to)
-	if _, err := f.Write(block); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		return err
 	}
@@ -337,17 +587,21 @@ func appendRunPairs(path string, from, to []int32) error {
 }
 
 // readRunPairs loads a run file — a concatenation of delta-varint
-// blocks, one per drain — back into (from, to) slices. It is only
-// called for buffers that spilled, so a missing file means the run
-// data was lost (temp dir deleted externally, Flush run twice) — that
-// must fail the Flush, never silently write a spill with fewer edges
-// than its manifest claims.
-func readRunPairs(path string) (from, to []int32, err error) {
+// blocks, one per drain — back into (from, to) columns allocated once,
+// at pairs (what the sink drained into the file) plus room for tail
+// more. It is only called for buffers that spilled, so a missing file,
+// or one holding another number of pairs, means the run data was lost
+// (temp dir deleted externally) — that must fail the Flush, never
+// silently write a spill with fewer edges than its manifest claims.
+func readRunPairs(path string, pairs, tail int) (from, to []int32, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	from, to, err = decodePairBlocks(data)
+	from, to, err = decodePairBlocks(data, pairs+tail)
+	if err == nil && len(from) != pairs {
+		err = fmt.Errorf("holds %d pairs, the sink drained %d", len(from), pairs)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("graphgen: %s: corrupt run file: %w", path, err)
 	}
@@ -364,93 +618,64 @@ func (s *CSRSpillSink) Abort() {
 	os.RemoveAll(filepath.Join(s.dir, csrRunDir))
 }
 
-// Flush implements EdgeSink: merges each (predicate, direction,
-// node-range) run — disk runs plus the still-buffered tail — into its
-// final CSR shard file and writes the manifest. Only one range's edges
-// are resident at a time. After Abort it is a no-op.
+// Flush implements EdgeSink: merges each unit's run — disk run plus
+// the still-buffered tail — into its final CSR shard file on the unit
+// pool (see CSRSpillSink), removes the temp runs, and writes the
+// manifest last, so a Flush that fails leaves no manifest behind. The
+// sink is finished afterwards: a second Flush does nothing and returns
+// the first one's result, as does a Flush after Abort (nil).
 func (s *CSRSpillSink) Flush() error {
-	if s.aborted {
-		return nil
+	if s.aborted || s.flushed {
+		return s.flushErr
 	}
-	workers := runtime.GOMAXPROCS(0)
-	m := CSRManifest{
-		FormatVersion: manifestVersionFor(s.comp),
-		Nodes:         s.numNodes,
-		ShardNodes:    s.shardNodes,
-		Edges:         s.edges,
-		Encoding:      manifestEncodingFor(s.comp),
-	}
-	for i, name := range s.typeNames {
-		m.Types = append(m.Types, PartitionType{Name: name, Count: s.typeCounts[i]})
-	}
-	for p, name := range s.predNames {
-		entry := CSRSpillPredicate{Name: name}
-		var err error
-		entry.Fwd, entry.FwdDomain, err = s.flushDirection(p, false, workers)
-		if err != nil {
-			return err
-		}
-		entry.Bwd, entry.BwdDomain, err = s.flushDirection(p, true, workers)
-		if err != nil {
-			return err
-		}
-		m.Predicates = append(m.Predicates, entry)
-	}
-	if err := os.RemoveAll(filepath.Join(s.dir, csrRunDir)); err != nil {
-		return err
-	}
-	return writeJSONFile(filepath.Join(s.dir, csrManifestFile), &m)
+	s.flushed = true
+	s.flushErr = s.flush()
+	return s.flushErr
 }
 
-// flushDirection merges one direction's ranges into shard files and
-// writes the direction's active-domain bitmap, accumulated from the
-// per-range offsets as each range is built (no extra pass).
-func (s *CSRSpillSink) flushDirection(p int, backward bool, workers int) ([]CSRShard, string, error) {
-	tag := "f"
-	if backward {
-		tag = "b"
+func (s *CSRSpillSink) flush() error {
+	weights := make([]int, len(s.bufs))
+	for u := range s.bufs {
+		weights[u] = s.bufs[u].diskPairs + len(s.bufs[u].from)
 	}
-	dom := bitset.New(s.numNodes)
-	var shards []CSRShard
-	for r := 0; r < s.nRanges; r++ {
-		lo := r * s.shardNodes
-		hi := lo + s.shardNodes
-		if hi > s.numNodes {
-			hi = s.numNodes
-		}
-		b := &s.bufs[s.bufIndex(graph.PredID(p), backward, r)]
-		from, to := b.from, b.to
-		if b.onDisk {
-			var err error
-			// Disk runs first, then the buffered tail: emission order is
-			// preserved, though BuildAdjacency's per-node sort makes the
-			// shard bytes order-independent anyway.
-			from, to, err = readRunPairs(s.runPath(p, backward, r))
-			if err != nil {
-				return nil, "", err
-			}
-			from = append(from, b.from...)
-			to = append(to, b.to...)
-		}
-		// Rebase the owning endpoint to the range-local id space; the
-		// built offsets then match the shard format (off[0] == 0).
-		for i := range from {
-			from[i] -= int32(lo)
-		}
-		off, adj := graph.BuildAdjacency(hi-lo, from, to, workers)
-		DomainFromOffsets(dom, lo, off)
-		b.from, b.to = nil, nil // release before the next range
-		sh, err := writeShardFile(s.dir, tag, p, r, lo, hi, off, adj, s.comp)
-		if err != nil {
-			return nil, "", err
-		}
-		shards = append(shards, sh)
+	shards, peak, err := s.writeUnits(csrSpillBufferEdges, weights, s.buildUnit)
+	s.maxInflight = peak
+	s.bufs = nil
+	if rmErr := os.RemoveAll(filepath.Join(s.dir, csrRunDir)); err == nil {
+		err = rmErr
 	}
-	domFile, err := writeDomainFile(s.dir, tag, p, dom)
 	if err != nil {
-		return nil, "", err
+		return err
 	}
-	return shards, domFile, nil
+	return writeJSONFile(filepath.Join(s.dir, csrManifestFile), s.manifest(s.edges, s.types, shards))
+}
+
+// buildUnit is the sink's unit producer: the unit's pairs — disk run
+// first, then the buffered tail: emission order is preserved, though
+// BuildAdjacency's per-node sort makes the shard bytes
+// order-independent anyway — become the CSR of its range. The build is
+// sequential: the parallelism is the pool's, and nesting both would
+// oversubscribe the cores and double the build's scratch.
+func (s *CSRSpillSink) buildUnit(u int) (off, adj []int32, err error) {
+	_, _, _, lo, hi := s.unit(u)
+	b := &s.bufs[u]
+	from, to := b.from, b.to
+	if b.diskPairs > 0 {
+		from, to, err = readRunPairs(s.runPath(u), b.diskPairs, len(b.from))
+		if err != nil {
+			return nil, nil, err
+		}
+		from = append(from, b.from...)
+		to = append(to, b.to...)
+	}
+	b.from, b.to = nil, nil
+	// Rebase the owning endpoint to the range-local id space; the built
+	// offsets then match the shard format (off[0] == 0).
+	for i := range from {
+		from[i] -= int32(lo)
+	}
+	off, adj = graph.BuildAdjacency(hi-lo, from, to, 1)
+	return off, adj, nil
 }
 
 // DomainFromOffsets marks, in dom, every node of the range starting at
@@ -473,10 +698,9 @@ func domainFileName(tag string, p int) string {
 	return fmt.Sprintf("dom-%s-%03d.bin", tag, p)
 }
 
-// writeDomainFile writes one direction's active-domain bitmap and
-// returns its manifest-relative filename.
-func writeDomainFile(dir, tag string, p int, dom *bitset.Set) (string, error) {
-	name := domainFileName(tag, p)
+// writeDomainFile writes one direction's active-domain bitmap under
+// its manifest-relative name, domainFileName(tag, p).
+func writeDomainFile(dir, tag string, p int, dom *bitset.Set) error {
 	words := dom.Words()
 	buf := make([]byte, len(domMagic)+4+8*len(words))
 	copy(buf, domMagic)
@@ -484,10 +708,7 @@ func writeDomainFile(dir, tag string, p int, dom *bitset.Set) (string, error) {
 	for i, w := range words {
 		binary.LittleEndian.PutUint64(buf[len(domMagic)+4+8*i:], w)
 	}
-	if err := os.WriteFile(filepath.Join(dir, name), buf, 0o644); err != nil {
-		return "", err
-	}
-	return name, nil
+	return os.WriteFile(filepath.Join(dir, domainFileName(tag, p)), buf, 0o644)
 }
 
 // readDomainFile loads an active-domain bitmap file back as a set of
@@ -531,7 +752,10 @@ func WriteCSRSpillFromGraph(dir string, g *graph.Graph, shardNodes int) error {
 
 // WriteCSRSpillFromGraphWith is WriteCSRSpillFromGraph with an
 // explicit shard compression setting; the shard bytes stay identical
-// to a CSRSpillSink configured the same way (test-pinned).
+// to a CSRSpillSink configured the same way (test-pinned). It runs the
+// same units on the same pool as the sink's Flush — its units are
+// slices of the frozen adjacency, so they have no build step and hold
+// no pairs.
 func WriteCSRSpillFromGraphWith(dir string, g *graph.Graph, shardNodes int, comp SpillCompression) error {
 	if err := checkSpillCompression(comp); err != nil {
 		return err
@@ -539,92 +763,24 @@ func WriteCSRSpillFromGraphWith(dir string, g *graph.Graph, shardNodes int, comp
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if shardNodes <= 0 {
-		shardNodes = defaultCSRShardNodes
+	predNames := make([]string, g.NumPredicates())
+	for p := range predNames {
+		predNames[p] = g.PredName(int32(p))
 	}
-	m := CSRManifest{
-		FormatVersion: manifestVersionFor(comp),
-		Nodes:         g.NumNodes(),
-		ShardNodes:    shardNodes,
-		Edges:         g.NumEdges(),
-		Encoding:      manifestEncodingFor(comp),
-	}
+	var types []PartitionType
 	for t := 0; t < g.NumTypes(); t++ {
-		m.Types = append(m.Types, PartitionType{Name: g.TypeName(t), Count: g.TypeCount(t)})
+		types = append(types, PartitionType{Name: g.TypeName(t), Count: g.TypeCount(t)})
 	}
-	for p := 0; p < g.NumPredicates(); p++ {
-		entry := CSRSpillPredicate{Name: g.PredName(int32(p))}
-		for _, tag := range []string{"f", "b"} {
-			off, adj := g.Adjacency(int32(p), tag == "b")
-			shards, err := writeCSRDirection(dir, shardNodes, g.NumNodes(), p, tag, off, adj, comp)
-			if err != nil {
-				return err
-			}
-			dom := bitset.New(g.NumNodes())
-			DomainFromOffsets(dom, 0, off)
-			domFile, err := writeDomainFile(dir, tag, p, dom)
-			if err != nil {
-				return err
-			}
-			if tag == "f" {
-				entry.Fwd, entry.FwdDomain = shards, domFile
-			} else {
-				entry.Bwd, entry.BwdDomain = shards, domFile
-			}
-		}
-		m.Predicates = append(m.Predicates, entry)
-	}
-	return writeJSONFile(filepath.Join(dir, csrManifestFile), &m)
-}
-
-// writeShardFile writes one (predicate, direction, range) shard and
-// returns its manifest entry; shared by the from-graph writer and the
-// incremental sink's Flush so the filename format and manifest shape
-// cannot drift between the two byte-identical paths.
-func writeShardFile(dir, tag string, p, r, lo, hi int, off, adj []int32, comp SpillCompression) (CSRShard, error) {
-	name := fmt.Sprintf("csr-%s-%03d-%06d.bin", tag, p, r)
-	edges, err := writeCSRShard(filepath.Join(dir, name), off, adj, comp)
+	l := newSpillLayout(dir, comp, g.NumNodes(), shardNodes, predNames)
+	shards, _, err := l.writeUnits(0, make([]int, l.units()), func(u int) (off, adj []int32, err error) {
+		p, tag, _, lo, hi := l.unit(u)
+		off, adj = g.Adjacency(int32(p), tag == "b")
+		return off[lo : hi+1], adj, nil
+	})
 	if err != nil {
-		return CSRShard{}, err
+		return err
 	}
-	return CSRShard{File: name, Lo: lo, Hi: hi, Edges: edges}, nil
-}
-
-// writeCSRDirection writes one direction's node-range shard files
-// from a built CSR.
-func writeCSRDirection(dir string, shardNodes, numNodes, p int, tag string, off, adj []int32, comp SpillCompression) ([]CSRShard, error) {
-	var shards []CSRShard
-	for lo := 0; lo < numNodes || (lo == 0 && numNodes == 0); lo += shardNodes {
-		hi := lo + shardNodes
-		if hi > numNodes {
-			hi = numNodes
-		}
-		sh, err := writeShardFile(dir, tag, p, lo/shardNodes, lo, hi, off[lo:hi+1], adj, comp)
-		if err != nil {
-			return nil, err
-		}
-		shards = append(shards, sh)
-		if hi == numNodes {
-			break
-		}
-	}
-	return shards, nil
-}
-
-// writeCSRShard writes one shard file in the layout comp selects. off
-// is the global offset slice of the shard's node range (hi-lo+1
-// entries); offsets are rebased so the stored off[0] is 0 and adj
-// holds only the shard's entries. All byte layouts are defined by
-// EncodeCSRShard, which the slice server also serves through.
-func writeCSRShard(path string, off []int32, adj []int32, comp SpillCompression) (int, error) {
-	img, err := EncodeCSRShard(off, adj, comp)
-	if err != nil {
-		return 0, err
-	}
-	if err := os.WriteFile(path, img, 0o644); err != nil {
-		return 0, err
-	}
-	return int(off[len(off)-1] - off[0]), nil
+	return writeJSONFile(filepath.Join(dir, csrManifestFile), l.manifest(g.NumEdges(), types, shards))
 }
 
 // CSRSpill is an opened spill directory: the manifest plus shard
