@@ -157,8 +157,8 @@ func (s *Set) AnyInRange(lo, hi int32) bool {
 }
 
 // Words returns the backing 64-bit words (bit i of word w is element
-// w*64+i), for serialization. The slice is shared with the set and
-// must not be modified.
+// w*64+i), for serialization and word-at-a-time readers. The slice is
+// shared with the set and must not be modified.
 func (s *Set) Words() []uint64 { return s.words }
 
 // FromWords builds a set of capacity n from serialized words (the

@@ -2,12 +2,12 @@ package eval
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
 
-	"gmark/internal/bitset"
 	"gmark/internal/query"
 )
 
@@ -53,8 +53,8 @@ func (o EvalOptions) workerCount() int {
 // Count evaluates the query under set semantics and returns the number
 // of distinct head tuples, |Q(G)| (the selectivity of Q on G, paper
 // Section 5.2.1). Chain-shaped rules with endpoint projections are
-// evaluated by a streaming per-source algorithm; everything else goes
-// through the join evaluator.
+// evaluated by a streaming scan that walks 64 sources per traversal;
+// everything else goes through the join evaluator.
 func Count(g Source, q *query.Query, b Budget) (int64, error) {
 	return CountWith(g, q, b, EvalOptions{Workers: 1})
 }
@@ -63,6 +63,15 @@ func Count(g Source, q *query.Query, b Budget) (int64, error) {
 // the streaming scan into per-node-range work units evaluated by a
 // bounded worker pool, merging per-range accumulators so the parallel
 // count equals the sequential one exactly.
+//
+// Each worker holds one pooled scratch for the duration of the count:
+// up to seven frontiers of 8 B + 1 bit per node — two always, two more
+// for paths of two or more symbols, two for Kleene stars, one for pair
+// unions of several rules — plus one bit per node for unary results,
+// so at most 57 B x NumNodes per worker (a 1M-node graph: 16 MB for a
+// one-symbol chain, 57 MB at most). Scratches are recycled across
+// counts on graphs of the same size; a warm count allocates a small
+// constant, independent of the number of sources.
 func CountWith(g Source, q *query.Query, b Budget, opt EvalOptions) (int64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -186,34 +195,13 @@ func chainEndpoints(r query.Rule) (start, end query.Var, ok bool) {
 	return start, end, true
 }
 
-// scanState holds one worker's scratch bitsets and partial results for
-// the streaming scan. Pair counts sum across states (every source is
-// scanned by exactly one worker), unary endpoints merge by bitset
-// union, and a Boolean witness in any state decides the query.
-type scanState struct {
-	cur, nxt  *bitset.Set
-	sa, sb    *bitset.Set
-	acc       *bitset.Set // per-source union across rules (pair heads)
-	nodeUnion *bitset.Set // union of projected endpoints (unary heads)
-	total     int64
-	witness   bool
-}
-
-func newScanState(n int) *scanState {
-	return &scanState{
-		cur: bitset.New(n), nxt: bitset.New(n),
-		sa: bitset.New(n), sb: bitset.New(n),
-		acc: bitset.New(n), nodeUnion: bitset.New(n),
-	}
-}
-
-// countStreaming evaluates all plans source by source, unioning the
-// per-source result sets across rules before counting, which yields
-// distinct counts across the whole union without materializing it.
-// Unary rules project either chain endpoint — a union may mix head
-// (start) and head (end) rules — so all unary projections accumulate
-// into one shared node set and the final dispatch goes by query arity,
-// never by any single rule's projection.
+// countStreaming evaluates all plans one window of 64 consecutive
+// sources at a time (window.go), unioning the per-window results across
+// rules before counting, which yields distinct counts across the whole
+// union without materializing it. Unary rules project either chain
+// endpoint — a union may mix head (start) and head (end) rules — so all
+// unary projections accumulate into one shared node set and the final
+// dispatch goes by query arity, never by any single rule's projection.
 //
 // The source scan is ordered by the source's storage ranges (one spill
 // shard's sources are exhausted before the next shard loads), and each
@@ -223,7 +211,7 @@ func newScanState(n int) *scanState {
 // read at all.
 //
 // With workers > 1 the surviving ranges become a work queue drained by
-// a bounded pool; each worker owns a scanState and the partial results
+// a bounded pool; each worker owns a scratch and the partial results
 // merge deterministically afterwards, so the parallel count equals the
 // sequential one exactly. A Boolean witness flips a shared stop flag so
 // every worker quits early, mirroring the sequential early return.
@@ -242,9 +230,9 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 			ranges = append(ranges, rg)
 		}
 	}
-	if workers > len(ranges) {
-		workers = len(ranges)
-	}
+	// A worker beyond the number of ranges, or of windows any plan can
+	// start in, would find nothing to do.
+	workers = min(workers, len(ranges), startWindows(filters, ranges, workers))
 
 	// The prefetcher warms only the ranges that survived the
 	// active-domain filter — the ones the scan will actually visit —
@@ -259,7 +247,8 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	// statistics are complete when the caller reads them.
 	var stop atomic.Bool
 	if workers <= 1 {
-		st := newScanState(n)
+		st := acquireScratch(n)
+		defer st.release()
 		ws, release := WorkerSource(g)
 		defer release()
 		for i, rg := range ranges {
@@ -271,15 +260,16 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 				return 1, nil
 			}
 		}
-		return finishStreaming(arity, []*scanState{st}), nil
+		return finishStreaming(arity, []*scratch{st}), nil
 	}
 
-	states := make([]*scanState, workers)
+	states := make([]*scratch, workers)
 	errs := make([]error, workers)
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		states[w] = newScanState(n)
+		states[w] = acquireScratch(n)
+		defer states[w].release()
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -319,52 +309,52 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	return finishStreaming(arity, states), nil
 }
 
-// scanRange runs the streaming scan over one node range, accumulating
-// into st. On a Boolean witness it charges the tuple, marks st, and
-// raises stop so sibling workers quit. The stop flag is polled per
-// source so a budget error or witness elsewhere halts this worker
-// promptly.
-func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange, st *scanState, tr *tracker, stop *atomic.Bool) error {
-	for v := rg.Lo; v < rg.Hi; v++ {
+// scanRange runs the streaming scan over one node range in 64-aligned
+// windows, accumulating into st; ids of a window outside the range are
+// masked off, so a range may start and end mid-word. On a Boolean
+// witness it charges the tuple, marks st, and raises stop so sibling
+// workers quit. The deadline and the stop flag are polled per window
+// (and per star level, inside the kernel), so a budget error or witness
+// elsewhere halts this worker promptly.
+//
+// Budget charges are what the result grows by, once per window: a
+// sequential evaluation charges exactly its count, whatever the window
+// schedule.
+func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange, st *scratch, tr *tracker, stop *atomic.Bool) error {
+	for v0, in := range windows(rg) {
 		if stop.Load() {
 			return nil
 		}
 		if err := tr.checkTime(); err != nil {
 			return err
 		}
-		accUsed := false
+		var pairs int64
 		for pi, p := range plans {
-			// A source that cannot begin a match of the first
-			// expression contributes nothing from v (the same
-			// restriction evalCompiled applies).
-			if !filters[pi].startable(g, p.exprs[0], v) {
+			// A source that cannot begin a match of the first expression
+			// contributes nothing (the same restriction evalCompiled
+			// applies).
+			start := filters[pi].window(g, p.exprs[0], v0, in)
+			if p.proj == projSource {
+				// A source projection can only ever contribute the source
+				// itself; skip the chain walk for those already in the
+				// result.
+				start &^= st.nodeUnion.Words()[v0>>6]
+			}
+			if start == 0 {
 				continue
 			}
-			// A source projection can only ever contribute v itself;
-			// skip the chain walk once v is in the result.
-			if p.proj == projSource && st.nodeUnion.Has(v) {
+			fin, err := st.runChain(g, p.exprs, v0, start, tr)
+			if err != nil {
+				return err
+			}
+			if fin == nil {
 				continue
 			}
-			st.cur.Clear()
-			st.cur.Add(v)
-			ok := true
-			for _, e := range p.exprs {
-				if err := exprImage(g, e, st.cur, st.nxt, st.sa, st.sb, tr); err != nil {
-					return err
-				}
-				st.cur.CopyFrom(st.nxt)
-				if st.cur.Empty() {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
+			var grown int64
 			switch p.proj {
 			case projBoolean:
 				// The first witness decides a Boolean query; stop
-				// scanning the remaining sources.
+				// scanning the remaining windows.
 				if err := tr.charge(1); err != nil {
 					return err
 				}
@@ -372,28 +362,46 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 				stop.Store(true)
 				return nil
 			case projSource:
-				st.nodeUnion.Add(v)
-				if err := tr.charge(1); err != nil {
-					return err
+				var reached uint64
+				for _, m := range fin.all() {
+					reached |= m
+				}
+				grown = int64(bits.OnesCount64(reached))
+				for ; reached != 0; reached &= reached - 1 {
+					st.nodeUnion.Add(v0 + int32(bits.TrailingZeros64(reached)))
 				}
 			case projTarget:
-				if added := st.nodeUnion.UnionWithCount(st.cur); added > 0 {
-					if err := tr.charge(int64(added)); err != nil {
-						return err
-					}
-				}
+				grown = int64(st.nodeUnion.UnionWithCount(fin.active))
 			case projPair:
-				st.acc.UnionWith(st.cur)
-				accUsed = true
+				if len(plans) == 1 {
+					for _, m := range fin.all() {
+						pairs += int64(bits.OnesCount64(m))
+					}
+					break
+				}
+				// Distinct across rules per source: a target two rules
+				// reach from one source sets the same bit twice.
+				acc := st.slot(slotAcc)
+				for v, m := range fin.all() {
+					pairs += int64(bits.OnesCount64(m &^ acc.mask[v]))
+					acc.or(v, m)
+				}
+			}
+			fin.clear()
+			if grown > 0 {
+				if err := tr.charge(grown); err != nil {
+					return err
+				}
 			}
 		}
-		if accUsed {
-			c := int64(st.acc.Count())
-			st.total += c
-			if err := tr.charge(c); err != nil {
+		if pairs > 0 {
+			if len(plans) > 1 {
+				st.slot(slotAcc).clear()
+			}
+			st.total += pairs
+			if err := tr.charge(pairs); err != nil {
 				return err
 			}
-			st.acc.Clear()
 		}
 	}
 	return nil
@@ -403,7 +411,7 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 // count: pair totals sum (each source belongs to exactly one range),
 // unary endpoint sets union before counting so duplicates found by two
 // workers count once, and a witness was already handled by the caller.
-func finishStreaming(arity int, states []*scanState) int64 {
+func finishStreaming(arity int, states []*scratch) int64 {
 	switch arity {
 	case 0:
 		return 0 // no rule produced a witness
@@ -426,8 +434,9 @@ func finishStreaming(arity int, states []*scanState) int64 {
 // RangedSource's own storage ranges are authoritative (each is one
 // spill shard, so a worker exhausts a shard before touching the next).
 // Otherwise the node space is cut into about four chunks per worker —
-// small enough to balance skew, no smaller than 64 nodes — so parallel
-// scans of in-memory graphs get a work queue too.
+// small enough to balance skew, each a multiple of the 64-source window
+// so no window is split between workers — so parallel scans of
+// in-memory graphs get a work queue too.
 func scanRanges(g Source, workers int) []NodeRange {
 	if r, ok := g.(RangedSource); ok {
 		if rs := r.NodeRanges(); len(rs) > 0 {
@@ -441,10 +450,7 @@ func scanRanges(g Source, workers int) []NodeRange {
 	if workers <= 1 {
 		return []NodeRange{{Lo: 0, Hi: n}}
 	}
-	chunk := n/int32(workers*4) + 1
-	if chunk < 64 {
-		chunk = 64
-	}
+	chunk := (n/int32(workers*4) + windowSize) &^ (windowSize - 1)
 	out := make([]NodeRange, 0, int(n/chunk)+1)
 	for lo := int32(0); lo < n; lo += chunk {
 		hi := lo + chunk
@@ -477,6 +483,26 @@ func rangeHasStart(filters []startFilter, rg NodeRange) bool {
 		}
 	}
 	return false
+}
+
+// startWindows counts the windows of ranges some plan may have a
+// source in, up to limit.
+func startWindows(filters []startFilter, ranges []NodeRange, limit int) int {
+	count := 0
+	for _, rg := range ranges {
+		for v0, in := range windows(rg) {
+			if count == limit {
+				return count
+			}
+			for _, f := range filters {
+				if f.mask == nil || f.mask.Words()[v0>>6]&in != 0 {
+					count++
+					break
+				}
+			}
+		}
+	}
+	return count
 }
 
 // countJoin evaluates via the join evaluator and counts distinct head

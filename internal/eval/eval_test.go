@@ -360,7 +360,7 @@ func randomChainQuery(r *rand.Rand, preds int) *query.Query {
 }
 
 // TestStreamingMatchesJoin cross-checks the two evaluation strategies
-// on random graphs and random chain queries: the streaming per-source
+// on random graphs and random chain queries: the streaming window
 // algorithm and the materializing join evaluator must agree exactly.
 func TestStreamingMatchesJoin(t *testing.T) {
 	r := rand.New(rand.NewSource(99))

@@ -5,14 +5,16 @@
 // unions of conjunctive regular path queries with inverses and
 // outermost Kleene stars — under the standard set-oriented
 // (duplicate-eliminating, homomorphic) semantics. Chain-shaped rules
-// are evaluated by a streaming per-source frontier algorithm that never
-// materializes intermediate binary relations; other shapes fall back to
-// a join-based evaluator.
+// are evaluated by a streaming scan that walks 64 consecutive sources
+// per traversal (window.go) and never materializes intermediate binary
+// relations; other shapes fall back to a join-based evaluator whose
+// per-conjunct relations come out of the same kernel.
 package eval
 
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -53,7 +55,9 @@ func newTracker(b Budget) *tracker {
 	return t
 }
 
-// charge accounts n materialized tuples and checks both limits.
+// charge accounts n materialized tuples and checks both limits. The
+// deadline is consulted whenever the running total crosses a multiple
+// of 1024, whatever the size of the charges that take it there.
 func (t *tracker) charge(n int64) error {
 	if t == nil {
 		return nil
@@ -62,7 +66,7 @@ func (t *tracker) charge(n int64) error {
 	if t.maxPairs > 0 && pairs > t.maxPairs {
 		return fmt.Errorf("%w: more than %d tuples", ErrBudget, t.maxPairs)
 	}
-	if !t.deadline.IsZero() && pairs%1024 == 0 && time.Now().After(t.deadline) {
+	if !t.deadline.IsZero() && pairs>>10 != (pairs-n)>>10 && time.Now().After(t.deadline) {
 		return fmt.Errorf("%w: timeout", ErrBudget)
 	}
 	return nil
@@ -91,75 +95,6 @@ func resolveSymbol(g Source, s regpath.Symbol) (symbolID, error) {
 		return symbolID{}, fmt.Errorf("eval: unknown predicate %q", s.Pred)
 	}
 	return symbolID{pred: p, inv: s.Inverse}, nil
-}
-
-// stepSet computes the image of the node set src under one symbol,
-// adding results to dst (dst may equal a scratch set).
-func stepSet(g Source, src *bitset.Set, sym symbolID, dst *bitset.Set) {
-	src.Range(func(v int32) bool {
-		for _, w := range g.Neighbors(v, sym.pred, sym.inv) {
-			dst.Add(w)
-		}
-		return true
-	})
-}
-
-// exprImage computes the image of set src under expression e,
-// replacing dst's contents. scratchA/B are reusable sets of graph
-// capacity.
-func exprImage(g Source, e compiledExpr, src, dst, scratchA, scratchB *bitset.Set, tr *tracker) error {
-	dst.Clear()
-	if !e.star {
-		return altImage(g, e.paths, src, dst, scratchA, scratchB)
-	}
-	// Kleene star: BFS over the alternation relation; the zero-length
-	// path contributes the sources inside the star's active domain.
-	dst.UnionWith(src)
-	if e.epsMask != nil {
-		dst.IntersectWith(e.epsMask)
-	}
-	frontier := src.Clone()
-	next := bitset.New(src.Cap())
-	for !frontier.Empty() {
-		if err := tr.checkTime(); err != nil {
-			return err
-		}
-		next.Clear()
-		if err := altImage(g, e.paths, frontier, next, scratchA, scratchB); err != nil {
-			return err
-		}
-		next.DiffWith(dst)
-		if next.Empty() {
-			break
-		}
-		dst.UnionWith(next)
-		frontier.CopyFrom(next)
-	}
-	return nil
-}
-
-// altImage adds the image of src under the alternation of paths into
-// dst (without clearing dst).
-func altImage(g Source, paths [][]symbolID, src, dst, scratchA, scratchB *bitset.Set) error {
-	for _, path := range paths {
-		if len(path) == 0 {
-			// Epsilon disjunct.
-			dst.UnionWith(src)
-			continue
-		}
-		cur, nxt := scratchA, scratchB
-		cur.CopyFrom(src)
-		for i, sym := range path {
-			nxt.Clear()
-			stepSet(g, cur, sym, nxt)
-			if i == len(path)-1 {
-				dst.UnionWith(nxt)
-			} else {
-				cur, nxt = nxt, cur
-			}
-		}
-	}
-	return nil
 }
 
 // compiledExpr is a path expression with resolved predicate ids.
@@ -291,16 +226,22 @@ type startFilter struct {
 	probe bool
 }
 
-// startable reports whether v may begin a match under the filter,
-// probing the source only in the probe case.
-func (f startFilter) startable(g Source, e compiledExpr, v int32) bool {
+// window returns which of the sources in (bits of the window at v0)
+// may begin a match under the filter: one word of the mask, or, in the
+// probe case only, one canStart per source.
+func (f startFilter) window(g Source, e compiledExpr, v0 int32, in uint64) uint64 {
 	if f.mask != nil {
-		return f.mask.Has(v)
+		return f.mask.Words()[v0>>6] & in
 	}
 	if f.probe {
-		return canStart(g, e, v)
+		for rest := in; rest != 0; rest &= rest - 1 {
+			b := bits.TrailingZeros64(rest)
+			if !canStart(g, e, v0+int32(b)) {
+				in &^= 1 << b
+			}
+		}
 	}
-	return true
+	return in
 }
 
 // startFilterFor derives the tightest cheap source restriction for a
@@ -382,12 +323,13 @@ func EvalExpr(g Source, e regpath.Expr, b Budget) (*Rel, error) {
 	return evalCompiled(g, ce, newTracker(b))
 }
 
+// evalCompiled materializes e source window by source window with the
+// streaming scan's kernel, transposing each window's final masks (node
+// -> sources reaching it) into rows (source -> nodes reached). Nodes
+// are visited in ascending order, so rows come out sorted.
 func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 	n := g.NumNodes()
 	rel := &Rel{N: n, Rows: make(map[int32][]int32)}
-	src := bitset.New(n)
-	dst := bitset.New(n)
-	sa, sb := bitset.New(n), bitset.New(n)
 
 	// Restrict sources to nodes that can possibly start a path — via
 	// the precomputed filter (active-domain bitmaps or, for stars
@@ -396,23 +338,41 @@ func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 	filter := startFilterFor(g, ce)
 	ws, release := WorkerSource(g)
 	defer release()
-	for v := int32(0); v < int32(n); v++ {
-		if !filter.startable(ws, ce, v) {
+	st := acquireScratch(n)
+	defer st.release()
+
+	exprs := []compiledExpr{ce}
+	var rows [windowSize][]int32
+	for v0, in := range windows(NodeRange{Lo: 0, Hi: int32(n)}) {
+		start := filter.window(ws, ce, v0, in)
+		if start == 0 {
 			continue
 		}
-		src.Clear()
-		src.Add(v)
-		if err := exprImage(ws, ce, src, dst, sa, sb, tr); err != nil {
+		fin, err := st.runChain(ws, exprs, v0, start, tr)
+		if err != nil {
 			return nil, err
 		}
-		if dst.Empty() {
+		if fin == nil {
 			continue
 		}
-		row := dst.AppendTo(make([]int32, 0, dst.Count()))
-		if err := tr.charge(int64(len(row))); err != nil {
+		var pairs int64
+		for u, m := range fin.all() {
+			pairs += int64(bits.OnesCount64(m))
+			for ; m != 0; m &= m - 1 {
+				b := bits.TrailingZeros64(m)
+				rows[b] = append(rows[b], u)
+			}
+		}
+		fin.clear()
+		for b, row := range rows {
+			if len(row) > 0 {
+				rel.Rows[v0+int32(b)] = row
+				rows[b] = nil
+			}
+		}
+		if err := tr.charge(pairs); err != nil {
 			return nil, err
 		}
-		rel.Rows[v] = row
 	}
 	return rel, nil
 }

@@ -20,12 +20,13 @@ import (
 
 // recipeQueries draws the paper's Section 6.2 protocol the way
 // gmark-perf does: for each workload kind (len, dis, con, rec),
-// perClass queries of each selectivity class.
-func recipeQueries(t *testing.T, cfg *schema.GraphConfig, perClass int) []*query.Query {
+// perClass queries of each selectivity class. gmark-perf's query seed
+// is 2.
+func recipeQueries(t *testing.T, cfg *schema.GraphConfig, seed int64, perClass int) []*query.Query {
 	t.Helper()
 	var out []*query.Query
 	for _, kind := range usecases.WorkloadKinds {
-		wcfg, err := usecases.Workload(kind, cfg, 2)
+		wcfg, err := usecases.Workload(kind, cfg, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -144,7 +145,7 @@ func TestShardViewUnderEviction(t *testing.T) {
 		t.Run(vt.name, func(t *testing.T) {
 			t.Parallel()
 			g, dir := buildSpillComp(t, "sp", 400, 25, vt.comp)
-			queries := recipeQueries(t, testutil.Config(t, "sp", 400), 1)
+			queries := recipeQueries(t, testutil.Config(t, "sp", 400), 2, 1)
 			want := make([]int64, len(queries))
 			for i, q := range queries {
 				var err error
@@ -224,7 +225,7 @@ func TestShardViewStatsConserved(t *testing.T) {
 		t.Fatal(err)
 	}
 	counting := &countingSource{Graph: g, spill: src}
-	for i, q := range recipeQueries(t, testutil.Config(t, "sp", 400), 2) {
+	for i, q := range recipeQueries(t, testutil.Config(t, "sp", 400), 2, 2) {
 		want, err := CountWith(counting, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
