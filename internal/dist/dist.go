@@ -15,6 +15,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 )
 
 // Kind names a distribution family. The zero value is NotSpecified, so
@@ -130,6 +131,11 @@ func (d Distribution) Validate() error {
 		}
 		return nil
 	case Gaussian:
+		// NaN fails every comparison below, and encoding/xml reads
+		// mu="NaN" and sigma="Inf", so finiteness is checked first.
+		if !finite(d.Mu) || !finite(d.Sigma) {
+			return fmt.Errorf("dist: gaussian mu %g and sigma %g must be finite", d.Mu, d.Sigma)
+		}
 		if d.Mu < 0 {
 			return fmt.Errorf("dist: gaussian mu %g < 0", d.Mu)
 		}
@@ -138,6 +144,9 @@ func (d Distribution) Validate() error {
 		}
 		return nil
 	case Zipfian:
+		if !finite(d.S) {
+			return fmt.Errorf("dist: zipfian exponent %g must be finite", d.S)
+		}
 		if d.S <= 0 {
 			return fmt.Errorf("dist: zipfian exponent %g must be positive", d.S)
 		}
@@ -169,17 +178,7 @@ func (d Distribution) Mean() float64 {
 	case Gaussian:
 		return d.Mu
 	case Zipfian:
-		n := d.zipfN()
-		var num, den float64
-		for k := 1; k <= n; k++ {
-			w := math.Pow(float64(k), -d.S)
-			den += w
-			num += w * float64(k)
-		}
-		if den == 0 {
-			return 0
-		}
-		return num / den
+		return zipfTableOf(d.S, d.zipfN()).mean
 	default:
 		return 0
 	}
@@ -210,8 +209,8 @@ type Sampler interface {
 }
 
 // NewSampler compiles the distribution into a sampler. Zipfian
-// samplers precompute the cumulative mass table once so a draw is one
-// uniform variate plus a binary search.
+// samplers share their (S, N)'s cumulative mass table, computed once
+// per process, so a draw is one uniform variate plus a binary search.
 func (d Distribution) NewSampler() (Sampler, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
@@ -222,7 +221,7 @@ func (d Distribution) NewSampler() (Sampler, error) {
 	case Gaussian:
 		return gaussianSampler{mu: d.Mu, sigma: d.Sigma}, nil
 	case Zipfian:
-		return newZipfSampler(d.S, d.zipfN()), nil
+		return zipfSampler{cdf: zipfTableOf(d.S, d.zipfN()).cdf}, nil
 	default:
 		return nil, fmt.Errorf("dist: cannot sample %s distribution", d.Kind)
 	}
@@ -249,24 +248,65 @@ func (s gaussianSampler) Sample(rng *rand.Rand) int {
 }
 
 // zipfSampler draws ranks 1..n with P(k) proportional to k^-s via
-// inversion over the precomputed CDF.
+// inversion over the shared, read-only CDF of its zipfTable.
 type zipfSampler struct {
-	cdf []float64 // cdf[i] = P(K <= i+1), cdf[n-1] == 1
+	cdf []float64
 }
 
-func newZipfSampler(s float64, n int) zipfSampler {
+// zipfTable is one Zipfian's support walked once: the normalized CDF a
+// sampler inverts and the exact mean H(N, S-1)/H(N, S).
+type zipfTable struct {
+	cdf  []float64 // cdf[i] = P(K <= i+1), cdf[n-1] == 1
+	mean float64
+}
+
+type zipfKey struct {
+	s float64
+	n int
+}
+
+// zipfTables memoizes tables by (S, N), so the 1 000 math.Pow calls of
+// a default Zipfian run once per process, not once per Mean or sampler
+// (every plan, shard side and served predicate asks again). Only
+// finite S is stored: NaN never equals itself, so each lookup of a NaN
+// key would add an entry.
+var zipfTables sync.Map // zipfKey -> *zipfTable
+
+func zipfTableOf(s float64, n int) *zipfTable {
+	key := zipfKey{s, n}
+	if t, ok := zipfTables.Load(key); ok {
+		return t.(*zipfTable)
+	}
+	t := newZipfTable(s, n)
+	if finite(s) {
+		if prev, loaded := zipfTables.LoadOrStore(key, t); loaded {
+			return prev.(*zipfTable)
+		}
+	}
+	return t
+}
+
+// newZipfTable computes the CDF and the mean in one loop, summing in
+// the same order as the two loops it replaces, so both are bit-identical
+// to what Mean and the sampler computed separately.
+func newZipfTable(s float64, n int) *zipfTable {
 	cdf := make([]float64, n)
-	total := 0.0
+	var num, den float64
 	for k := 1; k <= n; k++ {
-		total += math.Pow(float64(k), -s)
-		cdf[k-1] = total
+		w := math.Pow(float64(k), -s)
+		den += w
+		num += w * float64(k)
+		cdf[k-1] = den
 	}
 	for i := range cdf {
-		cdf[i] /= total
+		cdf[i] /= den
 	}
 	cdf[n-1] = 1
-	return zipfSampler{cdf: cdf}
+	// den >= 1: its first term is Pow(1, -s), which is 1 for every s.
+	return &zipfTable{cdf: cdf, mean: num / den}
 }
+
+func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
 
 func (z zipfSampler) Sample(rng *rand.Rand) int {
 	u := rng.Float64()

@@ -3,6 +3,7 @@ package dist
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -103,6 +104,105 @@ func TestZipfianCustomSupport(t *testing.T) {
 	}
 }
 
+// TestZipfTableMatchesSeparateLoops pins the memoized table to the two
+// loops it replaced — Mean's (num, den) sum and the sampler's running
+// CDF — bit for bit, and checks that samplers of one (S, N) share it.
+func TestZipfTableMatchesSeparateLoops(t *testing.T) {
+	for _, d := range []Distribution{
+		NewZipfian(1.1), NewZipfian(2.5), NewZipfian(1e-9), NewZipfian(300),
+		{Kind: Zipfian, S: 1.3, N: 1}, {Kind: Zipfian, S: 0.7, N: 4096},
+	} {
+		n := d.zipfN()
+		var num, den float64
+		for k := 1; k <= n; k++ {
+			w := math.Pow(float64(k), -d.S)
+			den += w
+			num += w * float64(k)
+		}
+		cdf := make([]float64, n)
+		total := 0.0
+		for k := 1; k <= n; k++ {
+			total += math.Pow(float64(k), -d.S)
+			cdf[k-1] = total
+		}
+		for i := range cdf {
+			cdf[i] /= total
+		}
+		cdf[n-1] = 1
+
+		if got, want := d.Mean(), num/den; math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("%v: Mean() = %v, two-loop mean %v", d, got, want)
+		}
+		s1, err := d.NewSampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		s2, _ := d.NewSampler()
+		got := s1.(zipfSampler).cdf
+		for i := range cdf {
+			if math.Float64bits(got[i]) != math.Float64bits(cdf[i]) {
+				t.Fatalf("%v: cdf[%d] = %v, two-loop cdf %v", d, i, got[i], cdf[i])
+			}
+		}
+		if &s2.(zipfSampler).cdf[0] != &got[0] {
+			t.Errorf("%v: two samplers built two tables", d)
+		}
+	}
+}
+
+// TestZipfTablesConcurrent asks for the same fresh tables from several
+// goroutines at once, as graphgen's emit workers do; the CI race step
+// runs it under the detector. Every caller must get the one stored
+// table.
+func TestZipfTablesConcurrent(t *testing.T) {
+	ds := []Distribution{{Kind: Zipfian, S: 1.234, N: 77}, {Kind: Zipfian, S: 2.345, N: 99}}
+	const workers = 4
+	got := make([][]*zipfTable, workers)
+	var wg sync.WaitGroup
+	for w := range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, d := range ds {
+				s, err := d.NewSampler()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				s.Sample(rand.New(rand.NewSource(int64(w))))
+				got[w] = append(got[w], zipfTableOf(d.S, d.zipfN()))
+				_ = d.Mean()
+			}
+		}()
+	}
+	wg.Wait()
+	for w := 1; w < workers; w++ {
+		for i := range ds {
+			if got[w][i] != got[0][i] {
+				t.Errorf("%v: worker %d got a different table than worker 0", ds[i], w)
+			}
+		}
+	}
+}
+
+// TestZipfTablesStoreFiniteExponentsOnly checks that a NaN exponent,
+// which Mean still accepts unvalidated, cannot grow the memo: a NaN key
+// never matches, so storing it would add an entry per call.
+func TestZipfTablesStoreFiniteExponentsOnly(t *testing.T) {
+	entries := func() (n int) {
+		zipfTables.Range(func(any, any) bool { n++; return true })
+		return n
+	}
+	before := entries()
+	for range 3 {
+		NewZipfian(math.NaN()).Mean()
+		NewZipfian(math.Inf(1)).Mean()
+	}
+	if after := entries(); after != before {
+		t.Errorf("non-finite exponents added %d memo entries", after-before)
+	}
+}
+
 func TestUnspecified(t *testing.T) {
 	d := Unspecified()
 	if d.Specified() {
@@ -130,10 +230,20 @@ func TestValidate(t *testing.T) {
 		{Kind: Zipfian, S: -2},
 		{Kind: Zipfian, S: 2, N: -5},
 		{Kind: Kind(99)},
+		// NaN fails every ordered comparison, so these passed `< 0`.
+		{Kind: Gaussian, Mu: math.NaN(), Sigma: 1},
+		{Kind: Gaussian, Mu: math.Inf(1), Sigma: 1},
+		{Kind: Gaussian, Mu: 3, Sigma: math.NaN()},
+		{Kind: Gaussian, Mu: 3, Sigma: math.Inf(1)},
+		{Kind: Zipfian, S: math.NaN()},
+		{Kind: Zipfian, S: math.Inf(1)},
 	}
 	for _, d := range bad {
 		if err := d.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", d)
+		}
+		if _, err := d.NewSampler(); err == nil {
+			t.Errorf("NewSampler(%+v) accepted", d)
 		}
 	}
 	good := []Distribution{

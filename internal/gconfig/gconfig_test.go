@@ -189,6 +189,30 @@ func TestParseErrors(t *testing.T) {
 	}
 }
 
+// TestNonFiniteDistributionRejected pins the regression where
+// encoding/xml's NaN and Inf passed every `< 0` check and crashed
+// generation inside an emit worker: the configuration must fail to
+// resolve instead.
+func TestNonFiniteDistributionRejected(t *testing.T) {
+	const zipf = `<in type="zipfian" s="1.8"/>`
+	for _, in := range []string{
+		`<in type="gaussian" mu="NaN" sigma="1"/>`,
+		`<in type="gaussian" mu="+Inf" sigma="1"/>`,
+		`<in type="gaussian" mu="3" sigma="Inf"/>`,
+		`<in type="gaussian" mu="3" sigma="nan"/>`,
+		`<in type="zipfian" s="NaN"/>`,
+		`<in type="zipfian" s="Inf"/>`,
+	} {
+		doc, err := Parse(strings.NewReader(strings.Replace(sampleXML, zipf, in, 1)))
+		if err != nil {
+			t.Fatalf("%s: encoding/xml should read it: %v", in, err)
+		}
+		if _, err := doc.GraphConfig(); err == nil || !strings.Contains(err.Error(), "finite") {
+			t.Errorf("%s: GraphConfig() error = %v, want a non-finite parameter error", in, err)
+		}
+	}
+}
+
 func TestQueriesXMLRoundTrip(t *testing.T) {
 	gcfg := usecases.Bib(1000)
 	wcfg, err := usecases.Workload("con", gcfg, 3)

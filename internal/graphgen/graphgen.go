@@ -44,12 +44,14 @@ package graphgen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync/atomic"
 
 	"gmark/internal/dist"
 	"gmark/internal/graph"
+	"gmark/internal/prng"
 	"gmark/internal/schema"
 )
 
@@ -375,7 +377,7 @@ func (sp *shardPlan) emit(opt Options, emitEdge func(src, dst graph.NodeID) erro
 	if nSrc == 0 || nTrg == 0 {
 		return nil
 	}
-	rng := rand.New(rand.NewSource(sp.seed))
+	rng := prng.New(sp.seed)
 
 	vsrc, err := occurrenceVector(cp.c.Out, nSrc, rng)
 	if err != nil {
@@ -453,9 +455,7 @@ func occurrenceVector(d dist.Distribution, n int, rng *rand.Rand) ([]int32, erro
 	if err != nil {
 		return nil, err
 	}
-	// Pre-size using the expected total to avoid repeated growth.
-	expected := int(d.Mean()*float64(n)) + n/8 + 16
-	v := make([]int32, 0, expected)
+	v := make([]int32, 0, occurrenceCap(d.Mean(), n))
 	for j := 0; j < n; j++ {
 		k := sampler.Sample(rng)
 		for i := 0; i < k; i++ {
@@ -463,6 +463,19 @@ func occurrenceVector(d dist.Distribution, n int, rng *rand.Rand) ([]int32, erro
 		}
 	}
 	return v, nil
+}
+
+// occurrenceCap pre-sizes an occurrence vector of n nodes drawing with
+// the given mean, to avoid repeated growth. The expected total counts
+// only when it is finite and fits in int32: a huge finite mean would
+// overflow the int conversion into a negative capacity, so the vector
+// then starts small and grows with what is actually drawn.
+func occurrenceCap(mean float64, n int) int {
+	c := n/8 + 16
+	if e := mean * float64(n); e >= 0 && e <= math.MaxInt32 {
+		c += int(e)
+	}
+	return c
 }
 
 // partialShuffle performs the first m steps of a Fisher-Yates shuffle,

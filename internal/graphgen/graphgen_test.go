@@ -32,6 +32,50 @@ func TestGenerateValidatesConfig(t *testing.T) {
 	}
 }
 
+// TestNonFiniteDistributionFailsGenerate pins the regression where a
+// NaN or infinite parameter passed validation and then panicked inside
+// an emit worker, where no caller can recover it (Mu NaN or +Inf, S
+// NaN), or silently emitted no edges (Sigma NaN).
+func TestNonFiniteDistributionFailsGenerate(t *testing.T) {
+	for _, d := range []dist.Distribution{
+		dist.NewGaussian(math.NaN(), 1),
+		dist.NewGaussian(math.Inf(1), 1),
+		dist.NewGaussian(3, math.NaN()),
+		dist.NewGaussian(3, math.Inf(1)),
+		dist.NewZipfian(math.NaN()),
+	} {
+		for _, par := range []int{1, 2} {
+			cfg := twoTypeConfig(1000, d, dist.NewUniform(1, 3))
+			if _, err := Generate(cfg, Options{Seed: 1, Parallelism: par}); err == nil {
+				t.Errorf("%v at parallelism %d: Generate accepted it", d, par)
+			}
+		}
+	}
+}
+
+// TestOccurrenceCap checks that the occurrence-vector pre-size uses the
+// expected total only when it is finite and fits in int32; a mean of
+// 1e18 used to overflow into a negative capacity and panic.
+func TestOccurrenceCap(t *testing.T) {
+	for _, c := range []struct {
+		mean float64
+		n    int
+		want int
+	}{
+		{2, 100, 200 + 100/8 + 16},
+		{0, 0, 16},
+		{math.MaxInt32, 1, math.MaxInt32 + 16},
+		{1e18, 1, 16},
+		{1e9, 1000, 1000/8 + 16},
+		{math.Inf(1), 100, 100/8 + 16},
+		{math.NaN(), 100, 100/8 + 16},
+	} {
+		if got := occurrenceCap(c.mean, c.n); got != c.want {
+			t.Errorf("occurrenceCap(%g, %d) = %d, want %d", c.mean, c.n, got, c.want)
+		}
+	}
+}
+
 func TestNodeCountsHonored(t *testing.T) {
 	cfg := &schema.GraphConfig{
 		Nodes: 1000,

@@ -18,7 +18,8 @@ var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "no wall clock or global math/rand outside the allowlisted " +
 		"measurement/budget files; map iteration in emission packages " +
-		"must not feed ordered output unsorted",
+		"must not feed ordered output unsorted, and their RNGs come " +
+		"from prng.New, not math/rand.NewSource",
 	Run: runDeterminism,
 }
 
@@ -68,6 +69,7 @@ func runDeterminism(p *Pass) {
 		}
 		if checkMaps {
 			reportUnsortedMapEmission(p, file)
+			reportNewSource(p, file)
 		}
 	}
 }
@@ -78,16 +80,8 @@ func runDeterminism(p *Pass) {
 // everywhere — it is the ambient global stream that is banned.
 func reportClockAndRand(p *Pass, file *ast.File) {
 	ast.Inspect(file, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		fn, ok := p.Info.Uses[sel.Sel].(*types.Func)
-		if !ok || fn.Pkg() == nil {
+		call, fn := calledFunc(p, n)
+		if fn == nil {
 			return true
 		}
 		switch fn.Pkg().Path() {
@@ -110,6 +104,38 @@ func reportClockAndRand(p *Pass, file *ast.File) {
 		}
 		return true
 	})
+}
+
+// reportNewSource flags math/rand.NewSource in the emission packages.
+// Its Seed walks a 1 841-step LCG chain serially (≈ 11 µs) once per
+// query and per shard; internal/prng draws the identical stream and
+// seeds it by jump-ahead, so a new unit loop must not bring the walk
+// back.
+func reportNewSource(p *Pass, file *ast.File) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		if call, fn := calledFunc(p, n); fn != nil && fn.Pkg().Path() == "math/rand" && fn.Name() == "NewSource" {
+			p.Reportf(call.Pos(), "math/rand.NewSource in an emission package; use prng.New: the same stream, seeded by jump-ahead")
+		}
+		return true
+	})
+}
+
+// calledFunc returns n and the function it calls when n is a pkg.F or
+// x.M call of a function that belongs to a package; otherwise fn is nil.
+func calledFunc(p *Pass, n ast.Node) (call *ast.CallExpr, fn *types.Func) {
+	call, ok := n.(*ast.CallExpr)
+	if !ok {
+		return nil, nil
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return nil, nil
+	}
+	fn, ok = p.Info.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil {
+		return nil, nil
+	}
+	return call, fn
 }
 
 // reportUnsortedMapEmission flags a range over a map whose body

@@ -1,7 +1,8 @@
 // Package graphgenfix is the clean formats/determinism fixture: it
 // sits at the fixture-relative dir internal/graphgen, the one place
 // magic strings and format-version constants may be defined, and its
-// map iteration uses the collect-then-sort idiom.
+// map iteration uses the collect-then-sort idiom. Its one violation is
+// seed.go's math/rand.NewSource, which only emission packages refuse.
 package graphgenfix
 
 import "sort"

@@ -1,0 +1,153 @@
+// Package prng produces math/rand's exact stream with a seeding cost
+// the generation pipelines can pay once per query and once per shard.
+//
+// rand.NewSource(seed) fills its 607-word lagged-Fibonacci register by
+// running a Park–Miller LCG (x ← 48271·x mod 2³¹−1) for 1 841 steps in
+// a row, packing three consecutive values into each word and XORing it
+// with a fixed table. Step k of that chain is seed·48271^k mod 2³¹−1, so
+// Source.Seed computes every value on its own from a power table built
+// at init: one independent multiply and Mersenne fold per value instead
+// of a serial chain. The draws are math/rand's bodies unchanged. The
+// stream is rand.NewSource's bit for bit at every seed, which is what
+// keeps every generated graph and workload byte where it was.
+package prng
+
+import "math/rand"
+
+const (
+	rngLen  = 607
+	rngTap  = 273
+	rngMask = 1<<63 - 1
+
+	lcgMod = 1<<31 - 1 // the Mersenne prime 2³¹−1
+	lcgMul = 48271
+	// lcgSkip is the number of LCG steps math/rand discards before the
+	// first value it packs.
+	lcgSkip = 20
+	// zeroSeed replaces a seed ≡ 0 (mod 2³¹−1), a fixed point of the LCG.
+	zeroSeed = 89482311
+)
+
+// jump[i][j] = 48271^(lcgSkip+1+3i+j) mod 2³¹−1: the multiplier taking
+// the seed straight to the j-th value packed into state word i. It is
+// the 1 841-step power table with the 20 discarded steps dropped.
+var jump [rngLen][3]uint32
+
+// cooked is math/rand's rngCooked table, which every seeded word is
+// XORed with. It is recovered at init rather than copied (deriveCooked).
+var cooked [rngLen]int64
+
+func init() {
+	p := uint64(1)
+	for k := 0; k < lcgSkip; k++ {
+		p = p * lcgMul % lcgMod
+	}
+	for i := range jump {
+		for j := range jump[i] {
+			p = p * lcgMul % lcgMod
+			jump[i][j] = uint32(p)
+		}
+	}
+	cooked = deriveCooked()
+}
+
+// deriveCooked recovers rngCooked from rand.NewSource(1), whose seeded
+// register is vec[i] = raw[i] ^ cooked[i] with raw the packed LCG values
+// of seed 1. Its first rngLen draws write every word exactly once (feed
+// visits each index once) and return the word written, so together they
+// are the whole register after rngLen steps. Undoing the updates newest
+// first restores the seeded register; XORing away raw leaves the table.
+// It runs while cooked is still zero, so Seed(1) yields raw itself.
+func deriveCooked() [rngLen]int64 {
+	src := rand.NewSource(1).(rand.Source64)
+	var vec [rngLen]int64
+	feed := rngLen - rngTap
+	for range rngLen {
+		feed = (feed + rngLen - 1) % rngLen
+		vec[feed] = int64(src.Uint64())
+	}
+	// After rngLen steps tap and feed are back at their seeded positions
+	// (0 and rngLen-rngTap), which is where the newest step left them;
+	// each undo moves both one place forward, to the step before.
+	tap, feed := 0, rngLen-rngTap
+	for range rngLen {
+		vec[feed] -= vec[tap]
+		tap, feed = (tap+1)%rngLen, (feed+1)%rngLen
+	}
+	var raw Source
+	raw.Seed(1)
+	for i := range vec {
+		vec[i] ^= raw.vec[i]
+	}
+	return vec
+}
+
+// Source is a rand.Source64 whose stream is rand.NewSource's at the
+// same seed. The zero value draws zeros until seeded; use New, or Seed
+// a Source that already exists to reuse its 4.9 KB of state.
+type Source struct {
+	tap  int
+	feed int
+	vec  [rngLen]int64
+}
+
+// New returns a *rand.Rand drawing exactly rand.New(rand.NewSource(seed))'s
+// stream. Re-seeding it with (*rand.Rand).Seed allocates nothing.
+func New(seed int64) *rand.Rand {
+	src := new(Source)
+	src.Seed(seed)
+	return rand.New(src)
+}
+
+// Seed sets the register to the state rand.NewSource(seed) starts from.
+func (r *Source) Seed(seed int64) {
+	r.tap = 0
+	r.feed = rngLen - rngTap
+
+	seed %= lcgMod
+	if seed < 0 {
+		seed += lcgMod
+	}
+	if seed == 0 {
+		seed = zeroSeed
+	}
+	s := uint64(seed)
+	for i := range r.vec {
+		p := &jump[i]
+		u := int64(mulMod(s, p[0]))<<40 ^ int64(mulMod(s, p[1]))<<20 ^ int64(mulMod(s, p[2]))
+		r.vec[i] = u ^ cooked[i]
+	}
+}
+
+// mulMod returns s·p mod 2³¹−1 for s, p in [1, 2³¹−1) without a
+// branch, by folding twice with 2³¹ ≡ 1. The first fold leaves t below
+// 2³²; the second maps t ≥ 2³¹ to t − (2³¹−1) and keeps a smaller t.
+// No congruent value along the way can be 0 or the modulus, since it is
+// prime and neither factor is a multiple of it, so the result is exact.
+func mulMod(s uint64, p uint32) uint64 {
+	x := s * uint64(p)
+	t := x&lcgMod + x>>31
+	return t&lcgMod + t>>31
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (r *Source) Int63() int64 {
+	return int64(r.Uint64() & rngMask)
+}
+
+// Uint64 returns a pseudo-random 64-bit value.
+func (r *Source) Uint64() uint64 {
+	r.tap--
+	if r.tap < 0 {
+		r.tap += rngLen
+	}
+
+	r.feed--
+	if r.feed < 0 {
+		r.feed += rngLen
+	}
+
+	x := r.vec[r.feed] + r.vec[r.tap]
+	r.vec[r.feed] = x
+	return uint64(x)
+}

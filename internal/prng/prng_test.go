@@ -1,0 +1,151 @@
+package prng
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// edgeSeeds are the seeds where math/rand's seed reduction branches:
+// zero and its replacement, the modulus and its neighbours, the int32
+// and int64 extremes.
+var edgeSeeds = []int64{
+	0, 1, -1, lcgMod, -lcgMod, lcgMod - 1, lcgMod + 1, 2 * lcgMod, 1 << 31,
+	-(1 << 31), zeroSeed, math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
+}
+
+// compareStreams draws n values from New(seed) and from
+// rand.New(rand.NewSource(seed)) through every rand.Rand method the
+// generators use, re-seeds both through (*rand.Rand).Seed mid-stream,
+// and draws n more; the first difference fails the test.
+func compareStreams(t *testing.T, seed int64, n int) {
+	t.Helper()
+	got, want := New(seed), rand.New(rand.NewSource(seed))
+	for half, s := range [2]int64{seed, ^seed} {
+		if half == 1 {
+			got.Seed(s)
+			want.Seed(s)
+		}
+		for j := 0; j < n; j++ {
+			var a, b any
+			switch j % 9 {
+			case 0:
+				a, b = got.Uint64(), want.Uint64()
+			case 1:
+				a, b = got.Int63(), want.Int63()
+			case 2:
+				a, b = got.Intn(j+1), want.Intn(j+1)
+			case 3:
+				a, b = got.Intn(1<<40+j), want.Intn(1<<40+j)
+			case 4:
+				a, b = got.Int31n(int32(j%1000+1)), want.Int31n(int32(j%1000+1))
+			case 5:
+				a, b = got.Float64(), want.Float64()
+			case 6:
+				a, b = got.NormFloat64(), want.NormFloat64()
+			case 7:
+				a, b = digits(got.Perm(j%11)), digits(want.Perm(j%11))
+			default:
+				x, y := []int{0, 1, 2, 3, 4, 5, 6, 7, 8}, []int{0, 1, 2, 3, 4, 5, 6, 7, 8}
+				got.Shuffle(len(x), func(i, k int) { x[i], x[k] = x[k], x[i] })
+				want.Shuffle(len(y), func(i, k int) { y[i], y[k] = y[k], y[i] })
+				a, b = digits(x), digits(y)
+			}
+			if a != b {
+				t.Fatalf("seed %d, re-seeded %v, draw %d (method %d): got %v, math/rand %v", seed, half == 1, j, j%9, a, b)
+			}
+		}
+	}
+}
+
+// digits packs a permutation of fewer than 11 elements into one
+// comparable number.
+func digits(p []int) int {
+	n := 0
+	for _, v := range p {
+		n = n*11 + v + 1
+	}
+	return n
+}
+
+// TestSourceMatchesMathRand pins the stream to math/rand's at every
+// seed branch and 2 000 random seeds; 1 500 draws per seed wrap the
+// 607-word register twice.
+func TestSourceMatchesMathRand(t *testing.T) {
+	seeds := append([]int64(nil), edgeSeeds...)
+	pick := rand.New(rand.NewSource(2025))
+	for len(seeds) < 2000+len(edgeSeeds) {
+		seeds = append(seeds, int64(pick.Uint64()))
+	}
+	for _, seed := range seeds {
+		compareStreams(t, seed, 1500)
+	}
+}
+
+// TestReseedAllocatesNothing pins the reason the generators keep one
+// rand.Rand per worker: re-seeding reuses the source's state.
+func TestReseedAllocatesNothing(t *testing.T) {
+	r := New(1)
+	seed := int64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		seed++
+		r.Seed(seed)
+	})
+	if allocs != 0 {
+		t.Errorf("re-seeding allocates %v times, want 0", allocs)
+	}
+}
+
+// FuzzSourceMatchesMathRand compares the streams at any seed and
+// length the fuzzer finds.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for _, seed := range edgeSeeds {
+		f.Add(seed, uint16(700))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+		compareStreams(t, seed, int(draws))
+	})
+}
+
+var sink uint64
+
+// BenchmarkSeed compares one re-seed of the 607-word register by
+// jump-ahead against math/rand's serial LCG walk.
+func BenchmarkSeed(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		src  rand.Source64
+	}{
+		{"prng", new(Source)},
+		{"math-rand", rand.NewSource(1).(rand.Source64)},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			seed := int64(0)
+			for b.Loop() {
+				seed++
+				bc.src.Seed(seed)
+			}
+			sink += bc.src.Uint64()
+		})
+	}
+}
+
+// BenchmarkDraw compares one Int63 through *rand.Rand, the generators'
+// view of either source.
+func BenchmarkDraw(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		rng  *rand.Rand
+	}{
+		{"prng", New(1)},
+		{"math-rand", rand.New(rand.NewSource(1))},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var acc uint64
+			for b.Loop() {
+				acc += uint64(bc.rng.Int63())
+			}
+			sink += acc
+		})
+	}
+}

@@ -42,6 +42,7 @@ import (
 	"fmt"
 	"math/rand"
 
+	"gmark/internal/prng"
 	"gmark/internal/query"
 	"gmark/internal/regpath"
 	"gmark/internal/schema"
@@ -170,7 +171,7 @@ func New(cfg Config) (*Generator, error) {
 		}
 	}
 	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
-	g.seq = worker{g: g, rng: rand.New(rand.NewSource(cfg.Seed))}
+	g.seq = worker{g: g, rng: prng.New(cfg.Seed)}
 	return g, nil
 }
 
