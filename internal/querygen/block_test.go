@@ -93,18 +93,26 @@ func TestReseededWorkerStream(t *testing.T) {
 	}
 }
 
-// blockConfig is pipelineConfig sized to several emission blocks with
-// a short last one.
+// maxTestParallelism is the widest worker count the block tests run;
+// wrap is its slot ring's size in queries.
+const (
+	maxTestParallelism = 8
+	wrap               = maxTestParallelism * querygen.RingDepth * querygen.EmitBlock
+)
+
+// blockConfig is pipelineConfig sized so that the slot ring wraps more
+// than twice at every tested parallelism, with a short last block.
 func blockConfig(t *testing.T, name string, seed int64) querygen.Config {
 	cfg := pipelineConfig(t, name, seed)
-	cfg.Count = 5*querygen.EmitBlock + 3
+	cfg.Count = 2*wrap + querygen.EmitBlock + 3
 	return cfg
 }
 
 // TestBlockEmissionInvariance checks byte-identical workloads at
-// Parallelism 1/2/3/8 — fewer workers than blocks, and more — for a
-// full Emit and for windows that start and end on block boundaries and
-// inside blocks. The race step runs it under the detector.
+// Parallelism 1/2/3/8 — fewer workers than blocks, and more; rings
+// that wrap, and rings clamped to a short window — for a full Emit and
+// for windows that start and end on block boundaries, inside blocks
+// and across ring wraps. The race step runs it under the detector.
 func TestBlockEmissionInvariance(t *testing.T) {
 	const b = querygen.EmitBlock
 	cfg := blockConfig(t, "bib", 23)
@@ -123,9 +131,10 @@ func TestBlockEmissionInvariance(t *testing.T) {
 		{0, cfg.Count},
 		{0, b}, {b, 3 * b}, {2 * b, 2*b + 1}, // on boundaries
 		{5, b + 5}, {b - 1, 2*b + 1}, {3, 4*b - 2}, // inside blocks
-		{b + 7, 5 * b}, {4 * b, cfg.Count}, {5 * b, cfg.Count}, // mixed, and the short last block
+		{b + 7, 5 * b}, {cfg.Count - 3, cfg.Count}, // mixed, and the short last block
+		{wrap - 5, 2*wrap + 5}, {b + 1, cfg.Count}, // across ring wraps
 	}
-	for _, par := range []int{1, 2, 3, 8} {
+	for _, par := range []int{1, 2, 3, maxTestParallelism} {
 		for _, w := range windows {
 			from, to := w[0], w[1]
 			sink := &querygen.SliceSink{}
@@ -144,9 +153,12 @@ func TestBlockEmissionInvariance(t *testing.T) {
 }
 
 // stopSink fails on its k-th AddQuery and records everything the
-// pipeline does to it.
+// pipeline does to it. With stall set, its first AddQuery sleeps that
+// long, so the workers run ahead and fill the ring's later slots
+// before the failure fires.
 type stopSink struct {
 	failAt  int
+	stall   time.Duration
 	indexes []int
 	flushes int
 }
@@ -154,6 +166,9 @@ type stopSink struct {
 var errStop = errors.New("injected: sink stopped")
 
 func (s *stopSink) AddQuery(index int, _ *query.Query) error {
+	if len(s.indexes) == 0 {
+		time.Sleep(s.stall)
+	}
 	s.indexes = append(s.indexes, index)
 	if len(s.indexes) == s.failAt {
 		return errStop
@@ -165,9 +180,10 @@ func (s *stopSink) Flush() error { s.flushes++; return nil }
 
 // TestSinkFailureStopsEmission checks the error path of block
 // emission: a sink failing on its k-th query — inside the first block,
-// on a block boundary, in the last block — gets no later query and
-// exactly one Flush, Emit returns that error, and every worker
-// goroutine is gone when it does.
+// on a block boundary, after a ring wrap, in the last block, and after
+// a stall that lets the workers fill the ring ahead of it — gets no
+// later query and exactly one Flush, Emit returns that error, and
+// every worker goroutine is gone when it does.
 func TestSinkFailureStopsEmission(t *testing.T) {
 	const b = querygen.EmitBlock
 	cfg := blockConfig(t, "bib", 29)
@@ -175,10 +191,20 @@ func TestSinkFailureStopsEmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{1, 2, 3, 8} {
-		for _, k := range []int{1, 5, b, b + 1, 3*b - 1, cfg.Count} {
+	type failure struct {
+		k     int
+		stall time.Duration
+	}
+	var failures []failure
+	for _, k := range []int{1, 5, b, b + 1, 3*b - 1, wrap + 1, 2*wrap + b/2, cfg.Count} {
+		failures = append(failures, failure{k: k})
+	}
+	failures = append(failures, failure{k: b + 1, stall: 50 * time.Millisecond})
+	for _, par := range []int{1, 2, 3, maxTestParallelism} {
+		for _, f := range failures {
+			k := f.k
 			before := runtime.NumGoroutine()
-			sink := &stopSink{failAt: k}
+			sink := &stopSink{failAt: k, stall: f.stall}
 			n, err := gen.Emit(querygen.Options{Parallelism: par}, sink)
 			if !errors.Is(err, errStop) || n != 0 {
 				t.Errorf("parallelism %d, k=%d: Emit returned (%d, %v), want the sink's error", par, k, n, err)

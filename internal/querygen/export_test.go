@@ -11,6 +11,7 @@ import (
 
 const (
 	EmitBlock     = emitBlock
+	RingDepth     = ringDepth
 	MaxRelaxation = maxRelaxation
 )
 

@@ -11,8 +11,9 @@
 //     contiguous blocks of units. Each worker owns one RNG, re-seeded
 //     per unit, and a read-only view of the shared schema analysis
 //     (the selectivity estimator, the schema graph G_S, the per-window
-//     selectivity graphs G_sel and the nb_path tables, all frozen at
-//     New).
+//     selectivity graphs G_sel with their per-class walk-count tables,
+//     and the nb_path tables, all frozen at New). Finished blocks wait
+//     in a slot ring of ringDepth slots per worker.
 //  3. Sinks (sink.go): queries flow into a QuerySink in index order.
 //     SliceSink materializes the workload (Generate); ProfileSink
 //     streams a workload.Profile without materializing; SyntaxDirSink
@@ -122,6 +123,10 @@ type Generator struct {
 	// for concurrent reads (this replaces the lazily-mutated cache the
 	// single-threaded generator used to carry).
 	gsel map[query.Interval]*selectivity.SelectivityGraph
+	// walks holds the G_sel walk-count table of every (ladder window,
+	// configured class) pair, to walks of Size.Conjuncts.Max edges —
+	// the longest a class chain draws — so no walk rebuilds one.
+	walks map[walkKey]*selectivity.ClassWalks
 	// paths holds the nb_path tables every path-sampling call reads,
 	// built once for the widest relaxation window (which contains every
 	// narrower one) instead of once per sampled disjunct.
@@ -134,9 +139,15 @@ type Generator struct {
 	seq worker
 }
 
+// walkKey names one walk-count table: a length window and a class.
+type walkKey struct {
+	window query.Interval
+	class  query.SelectivityClass
+}
+
 // New builds a generator, precomputing the schema graph, its distance
-// matrix, the selectivity graphs of every relaxation window and the
-// nb_path tables of the widest one.
+// matrix, the selectivity graphs of every relaxation window with their
+// walk-count tables, and the nb_path tables of the widest one.
 func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -147,10 +158,11 @@ func New(cfg Config) (*Generator, error) {
 	}
 	sg := selectivity.NewSchemaGraph(est)
 	g := &Generator{
-		cfg:  cfg,
-		est:  est,
-		sg:   sg,
-		gsel: make(map[query.Interval]*selectivity.SelectivityGraph),
+		cfg:   cfg,
+		est:   est,
+		sg:    sg,
+		gsel:  make(map[query.Interval]*selectivity.SelectivityGraph),
+		walks: make(map[walkKey]*selectivity.ClassWalks),
 	}
 	for t := 0; t < est.NumTypes(); t++ {
 		n := sg.IdentityNode(t)
@@ -166,8 +178,13 @@ func New(cfg Config) (*Generator, error) {
 	// cache before any worker can observe it.
 	for relax := 0; relax <= maxRelaxation; relax++ {
 		w := g.lengthWindow(relax)
-		if _, ok := g.gsel[w]; !ok {
-			g.gsel[w] = sg.Selectivity(w.Min, w.Max)
+		if _, ok := g.gsel[w]; ok {
+			continue
+		}
+		gs := sg.Selectivity(w.Min, w.Max)
+		g.gsel[w] = gs
+		for _, c := range cfg.Classes {
+			g.walks[walkKey{w, c}] = gs.ClassWalks(c, cfg.Size.Conjuncts.Max)
 		}
 	}
 	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
@@ -181,15 +198,15 @@ func (g *Generator) Estimator() *selectivity.Estimator { return g.est }
 // SchemaGraph exposes the schema graph G_S.
 func (g *Generator) SchemaGraph() *selectivity.SchemaGraph { return g.sg }
 
-// selGraph returns the selectivity graph for a length window. Ladder
-// windows hit the frozen cache; an out-of-ladder window (none exists
-// today) is computed on the fly without touching the cache, keeping
-// the method safe for concurrent use.
-func (g *Generator) selGraph(w query.Interval) *selectivity.SelectivityGraph {
-	if gs, ok := g.gsel[w]; ok {
-		return gs
+// classWalks returns the walk-count table of a ladder window and a
+// class. Configured classes hit the frozen cache; an unconfigured one
+// (GenerateWithClass) gets a table built on the fly without touching
+// the cache, keeping the method safe for concurrent use.
+func (g *Generator) classWalks(w query.Interval, class query.SelectivityClass) *selectivity.ClassWalks {
+	if cw, ok := g.walks[walkKey{w, class}]; ok {
+		return cw
 	}
-	return g.sg.Selectivity(w.Min, w.Max)
+	return g.gsel[w].ClassWalks(class, g.cfg.Size.Conjuncts.Max)
 }
 
 // lengthWindow returns the configured path-length window, widened by
@@ -298,7 +315,7 @@ func (w *worker) classChainRule(class query.SelectivityClass) (query.Rule, bool,
 	g := w.g
 	for relax := 0; relax <= maxRelaxation; relax++ {
 		window := g.lengthWindow(relax)
-		gsel := g.selGraph(window)
+		walks := g.classWalks(window, class)
 		for attempt := 0; attempt < attemptsPerQuery; attempt++ {
 			numConjuncts := w.interval(g.cfg.Size.Conjuncts)
 			starred := make([]bool, numConjuncts)
@@ -310,11 +327,11 @@ func (w *worker) classChainRule(class query.SelectivityClass) (query.Rule, bool,
 					walkSteps++
 				}
 			}
-			walk, ok := gsel.WalkToClass(w.rng, walkSteps, class)
+			walk, ok := walks.Walk(w.rng, walkSteps)
 			if !ok {
 				// Retry with all conjuncts unstarred before widening.
 				if walkSteps != numConjuncts {
-					walk, ok = gsel.WalkToClass(w.rng, numConjuncts, class)
+					walk, ok = walks.Walk(w.rng, numConjuncts)
 					if ok {
 						starred = make([]bool, numConjuncts)
 					}

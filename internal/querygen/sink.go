@@ -2,6 +2,7 @@ package querygen
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"gmark/internal/query"
 	"gmark/internal/translate"
@@ -84,13 +86,17 @@ type SyntaxDirSink struct {
 	count    int
 	create   func(string) (io.WriteCloser, error)
 
-	jobs  chan dirWriteJob
-	wg    sync.WaitGroup
-	close sync.Once
+	jobs    chan dirWriteJob
+	wg      sync.WaitGroup
+	close   sync.Once
+	flushed atomic.Bool
 
 	mu  sync.Mutex
 	err error
 }
+
+// errSinkFlushed is AddQuery's answer once Flush has closed the pool.
+var errSinkFlushed = errors.New("querygen: AddQuery on a flushed SyntaxDirSink")
 
 // dirWriteJob is one file for the writer pool.
 type dirWriteJob struct {
@@ -246,8 +252,12 @@ func QueryFileContent(index int, q *query.Query, syn translate.Syntax) ([]byte, 
 }
 
 // AddQuery implements QuerySink: it translates the query into every
-// requested syntax and hands the files to the writer pool.
+// requested syntax and hands the files to the writer pool. After Flush
+// it returns an error.
 func (s *SyntaxDirSink) AddQuery(index int, q *query.Query) error {
+	if s.flushed.Load() {
+		return errSinkFlushed
+	}
 	if err := s.sticky(); err != nil {
 		return err // fail fast instead of translating into a dead pool
 	}
@@ -267,9 +277,10 @@ func (s *SyntaxDirSink) AddQuery(index int, q *query.Query) error {
 // the first write error. The pipeline calls Flush even when emission
 // fails, which is what tears the pool down; Flush is idempotent so
 // combined sinks cannot double-close it. The sink must not be reused
-// afterwards.
+// afterwards: a later AddQuery returns an error.
 func (s *SyntaxDirSink) Flush() error {
 	s.close.Do(func() {
+		s.flushed.Store(true)
 		close(s.jobs)
 		s.wg.Wait()
 	})

@@ -3,6 +3,7 @@ package querygen
 import (
 	"errors"
 	"io"
+	"path/filepath"
 	"testing"
 
 	"gmark/internal/dist"
@@ -133,5 +134,36 @@ func TestSyntaxDirSinkCloseError(t *testing.T) {
 	}
 	if _, err := gen.Emit(Options{}, sink); !errors.Is(err, closeErr) {
 		t.Fatalf("Emit returned %v, want the injected close error", err)
+	}
+}
+
+// TestSyntaxDirSinkAddAfterFlush pins the closed-sink contract: an
+// AddQuery after Flush returns an error (it used to panic sending on
+// the closed writer queue) and writes no file.
+func TestSyntaxDirSinkAddAfterFlush(t *testing.T) {
+	gen, err := New(failSinkConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := gen.GenerateOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	sink, err := NewSyntaxDirSink(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.AddQuery(0, q); !errors.Is(err, errSinkFlushed) {
+		t.Fatalf("AddQuery after Flush returned %v, want errSinkFlushed", err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatalf("second Flush returned %v", err)
+	}
+	if files, _ := filepath.Glob(filepath.Join(dir, "query-*")); len(files) != 0 || sink.Count() != 0 {
+		t.Errorf("flushed sink wrote %d files, counts %d queries", len(files), sink.Count())
 	}
 }

@@ -208,19 +208,15 @@ func (sg *SchemaGraph) Selectivity(lmin, lmax int) *SelectivityGraph {
 // of exactly steps edges in G_sel that starts at an identity node and
 // ends at a node of the requested selectivity class (Section 5.2.4).
 // It returns the node sequence (steps+1 nodes) or false when no such
-// walk exists.
+// walk exists. It builds the walk-count table for this one call;
+// ClassWalks builds it once for many.
 func (gsel *SelectivityGraph) WalkToClass(rng *rand.Rand, steps int, class query.SelectivityClass) ([]int, bool) {
-	starts := make([]int, 0, gsel.sg.est.NumTypes())
-	for t := 0; t < gsel.sg.est.NumTypes(); t++ {
-		starts = append(starts, gsel.sg.IdentityNode(t))
-	}
-	return gsel.Walk(rng, steps, starts, func(v int) bool { return gsel.sg.ClassOf(v) == class })
+	return gsel.Walk(rng, steps, gsel.sg.identity, gsel.inClass(class))
 }
 
-// WalkBetween draws a walk of exactly steps edges from a fixed start
-// node to any node satisfying isTarget.
-func (gsel *SelectivityGraph) WalkBetween(rng *rand.Rand, steps, start int, isTarget func(int) bool) ([]int, bool) {
-	return gsel.Walk(rng, steps, []int{start}, isTarget)
+// inClass is the target predicate of a class walk.
+func (gsel *SelectivityGraph) inClass(class query.SelectivityClass) func(int) bool {
+	return func(v int) bool { return gsel.sg.ClassOf(v) == class }
 }
 
 // Walk draws, uniformly at random among all candidates, a walk of
@@ -228,17 +224,26 @@ func (gsel *SelectivityGraph) WalkBetween(rng *rand.Rand, steps, start int, isTa
 // nodes and ending at a node satisfying isTarget. The draw is weighted
 // by the walk-count saturation algorithm of Section 5.2.4.
 func (gsel *SelectivityGraph) Walk(rng *rand.Rand, steps int, startCandidates []int, isTarget func(int) bool) ([]int, bool) {
+	return gsel.drawWalk(rng, gsel.walkCounts(isTarget, steps), steps, startCandidates)
+}
+
+// walkCounts returns nbw with nbw[i][v] the number of walks of i edges
+// from v ending in a target, for i <= steps. Row i depends only on the
+// rows below it, so a table to a longer length contains every shorter
+// one.
+func (gsel *SelectivityGraph) walkCounts(isTarget func(int) bool, steps int) [][]float64 {
 	n := len(gsel.sg.Nodes)
-	// nbw[i][v]: number of walks of length i from v ending in a target.
+	flat := make([]float64, (steps+1)*n)
 	nbw := make([][]float64, steps+1)
-	nbw[0] = make([]float64, n)
+	for i := range nbw {
+		nbw[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	}
 	for v := 0; v < n; v++ {
 		if isTarget(v) {
 			nbw[0][v] = 1
 		}
 	}
 	for i := 1; i <= steps; i++ {
-		nbw[i] = make([]float64, n)
 		for v := 0; v < n; v++ {
 			var s float64
 			for _, w := range gsel.Adj[v] {
@@ -247,53 +252,80 @@ func (gsel *SelectivityGraph) Walk(rng *rand.Rand, steps int, startCandidates []
 			nbw[i][v] = s
 		}
 	}
+	return nbw
+}
 
-	var starts []int
-	var weights []float64
-	var total float64
-	for _, v := range startCandidates {
-		if w := nbw[steps][v]; w > 0 {
-			starts = append(starts, v)
-			weights = append(weights, w)
-			total += w
-		}
-	}
-	if total == 0 {
+// drawWalk draws a walk of exactly steps edges from a walk-count table
+// reaching at least steps: a start among starts, then one successor per
+// step, each weighted by its count. It reads the table only.
+func (gsel *SelectivityGraph) drawWalk(rng *rand.Rand, nbw [][]float64, steps int, starts []int) ([]int, bool) {
+	cur, ok := weightedPick(rng, starts, nbw[steps])
+	if !ok {
 		return nil, false
 	}
-	cur := starts[weightedIndex(rng, weights, total)]
-	walk := []int{cur}
+	walk := make([]int, 1, steps+1)
+	walk[0] = cur
 	for i := steps; i > 0; i-- {
-		var ws []float64
-		var cands []int
-		var t float64
-		for _, w := range gsel.Adj[cur] {
-			if c := nbw[i-1][w]; c > 0 {
-				cands = append(cands, w)
-				ws = append(ws, c)
-				t += c
-			}
-		}
-		if t == 0 {
+		if cur, ok = weightedPick(rng, gsel.Adj[cur], nbw[i-1]); !ok {
 			return nil, false
 		}
-		cur = cands[weightedIndex(rng, ws, t)]
 		walk = append(walk, cur)
 	}
 	return walk, true
 }
 
-// weightedIndex draws an index proportionally to weights (sum total).
-func weightedIndex(rng *rand.Rand, weights []float64, total float64) int {
+// weightedPick draws one of cands with probability proportional to
+// weight[c] (a walk count: never negative), skipping those of weight
+// zero; false, without drawing, when every weight is zero. It consumes
+// one Float64.
+func weightedPick(rng *rand.Rand, cands []int, weight []float64) (int, bool) {
+	var total float64
+	for _, c := range cands {
+		total += weight[c]
+	}
+	if total == 0 {
+		return -1, false
+	}
 	u := rng.Float64() * total
-	acc := 0.0
-	for i, w := range weights {
+	pick, acc := -1, 0.0
+	for _, c := range cands {
+		w := weight[c]
+		if w == 0 {
+			continue
+		}
+		pick = c
 		acc += w
 		if u < acc {
-			return i
+			break
 		}
 	}
-	return len(weights) - 1
+	return pick, true
+}
+
+// ClassWalks is WalkToClass's walk-count table for one selectivity
+// class, built once up to a maximum walk length. It is immutable after
+// construction and safe for concurrent use under the SchemaGraph
+// contract. Memory: (maxSteps+1) x |G_S| float64.
+type ClassWalks struct {
+	gsel  *SelectivityGraph
+	class query.SelectivityClass
+	nbw   [][]float64
+}
+
+// ClassWalks builds the table for walks of up to maxSteps edges ending
+// in class.
+func (gsel *SelectivityGraph) ClassWalks(class query.SelectivityClass, maxSteps int) *ClassWalks {
+	return &ClassWalks{gsel: gsel, class: class, nbw: gsel.walkCounts(gsel.inClass(class), maxSteps)}
+}
+
+// Walk is WalkToClass(rng, steps, class) drawn from the prebuilt table:
+// the same walk and the same RNG consumption. A walk longer than the
+// table falls back to WalkToClass.
+func (cw *ClassWalks) Walk(rng *rand.Rand, steps int) ([]int, bool) {
+	if steps >= len(cw.nbw) {
+		return cw.gsel.WalkToClass(rng, steps, cw.class)
+	}
+	return cw.gsel.drawWalk(rng, cw.nbw, steps, cw.gsel.sg.identity)
 }
 
 // CountPathsTo computes, for every length l <= maxLen and every G_S

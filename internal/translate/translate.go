@@ -105,8 +105,17 @@ func To(s Syntax, q *query.Query, opt Options) (string, error) {
 	return string(b), nil
 }
 
-// appendInt appends n in decimal.
-func appendInt(dst []byte, n int) []byte { return strconv.AppendInt(dst, int64(n), 10) }
+// appendInt appends n in decimal. Renderers mostly number variables,
+// columns and predicates below 100, which take the two-digit path.
+func appendInt(dst []byte, n int) []byte {
+	switch {
+	case uint(n) < 10:
+		return append(dst, byte('0'+n))
+	case uint(n) < 100:
+		return append(dst, byte('0'+n/10), byte('0'+n%10))
+	}
+	return strconv.AppendInt(dst, int64(n), 10)
+}
 
 // appendName appends the variable as prefix followed by its index:
 // ?x3, x3 or X3, depending on the language.

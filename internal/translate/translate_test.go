@@ -1,6 +1,8 @@
 package translate
 
 import (
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -363,6 +365,23 @@ func TestAllSyntaxesOnShapes(t *testing.T) {
 			if len(out) == 0 {
 				t.Errorf("query %d to %s: empty", qi, s)
 			}
+		}
+	}
+}
+
+// TestAppendIntMatchesStrconv checks appendInt's one- and two-digit
+// fast paths and the strconv fallback against strconv.AppendInt: every
+// value below 1000 (so the 9/10 and 99/100 boundaries), then large and
+// negative values, appended behind a prefix.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	ns := []int{65535, 1 << 31, math.MaxInt64, -1, -9, -10, -99, -100, math.MinInt64}
+	for n := 0; n < 1000; n++ {
+		ns = append(ns, n)
+	}
+	for _, n := range ns {
+		got := appendInt([]byte("p"), n)
+		if want := strconv.AppendInt([]byte("p"), int64(n), 10); string(got) != string(want) {
+			t.Errorf("appendInt(%d) = %q, want %q", n, got, want)
 		}
 	}
 }
