@@ -82,12 +82,11 @@ func main() {
 		evalEngine  = flag.String("eval-engine", "", "evaluate -eval-query with a simulated engine instead of the reference evaluator: P, G, S, D, or \"all\" to compare every engine")
 		evalWorkers = flag.Int("eval-workers", 0, "evaluation workers for -eval-spill (0 = all cores, 1 = sequential; counts are identical for any value)")
 		evalMmap    = flag.Bool("spill-mmap", false, "serve raw (-spill-compress=raw) shards of -eval-spill zero-copy from memory mappings; other encodings fall back to decoding")
-		evalPref    = flag.Int("eval-prefetch", 0, "node ranges to warm ahead of the -eval-spill scan with a background prefetcher (0 = off)")
 	)
 	flag.Parse()
 
 	if *evalSpill != "" {
-		if err := evalOverSpill(*evalSpill, *evalQuery, *evalCacheMB, *evalEngine, *evalWorkers, *evalMmap, *evalPref); err != nil {
+		if err := evalOverSpill(*evalSpill, *evalQuery, *evalCacheMB, *evalEngine, *evalWorkers, *evalMmap); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -367,7 +366,7 @@ var errMissingEvalQuery = errors.New("-eval-spill requires -eval-query (a regula
 // regular path expression over it — with the reference evaluator or a
 // selected simulated engine — and reports the shard-cache behavior,
 // without ever materializing the instance.
-func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, useMmap bool, prefetch int) error {
+func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, useMmap bool) error {
 	if expr == "" {
 		return errMissingEvalQuery
 	}
@@ -386,7 +385,7 @@ func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, us
 	if err != nil {
 		return err
 	}
-	opt := eval.EvalOptions{Workers: workers, Prefetch: prefetch}
+	opt := eval.EvalOptions{Workers: workers}
 	log.Printf("spill: %d nodes, %d edges, %d predicates in %s",
 		src.NumNodes(), src.NumEdges(), len(src.Manifest().Predicates), dir)
 
@@ -430,8 +429,8 @@ func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, us
 		log.Printf("engine %s: count(%s) = %d", eng.Name(), expr, n)
 	}
 	st := src.CacheStats()
-	log.Printf("shard cache: %d loads (%d prefetched, %d bytes from disk), %d hits (%d deduped in flight), %d evictions, %d domain-rebuild reads, %d bytes resident (%d mapped, peak %d)",
-		st.Loads, st.PrefetchLoads, st.DiskBytesLoaded, st.Hits, st.DedupHits, st.Evictions, st.DomainRebuilds, st.BytesUsed, st.MappedBytes, st.PeakBytes)
+	log.Printf("shard cache: %d loads (%d bytes from disk), %d hits (%d deduped in flight), %d evictions, %d domain-rebuild reads, %d bytes resident (%d mapped, peak %d)",
+		st.Loads, st.DiskBytesLoaded, st.Hits, st.DedupHits, st.Evictions, st.DomainRebuilds, st.BytesUsed, st.MappedBytes, st.PeakBytes)
 	return nil
 }
 

@@ -1,0 +1,104 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"log"
+	"path/filepath"
+	"regexp"
+	"strconv"
+	"strings"
+	"testing"
+
+	"gmark/internal/eval"
+	"gmark/internal/graphgen"
+	"gmark/internal/query"
+	"gmark/internal/regpath"
+	"gmark/internal/testutil"
+)
+
+var countLine = regexp.MustCompile(`count\(([^)]*)\) = (\d+)`)
+
+// runEval runs evalOverSpill with the package logger captured and
+// returns what it logged.
+func runEval(t *testing.T, dir, expr, engine string, useMmap bool) (string, error) {
+	t.Helper()
+	var buf bytes.Buffer
+	out := log.Writer()
+	log.SetOutput(&buf)
+	defer log.SetOutput(out)
+	err := evalOverSpill(dir, expr, 0, engine, 2, useMmap)
+	return buf.String(), err
+}
+
+// TestEvalOverSpill pins the -eval-spill mode: over a bib@1000 spill
+// with several node ranges, in every tested encoding and through the
+// mmap path, each count line the reference evaluator, one engine and
+// the whole engine comparison log equals eval.Count on the in-memory
+// graph.
+func TestEvalOverSpill(t *testing.T) {
+	_, g := testutil.Graph(t, "bib", 1000, 5)
+	const expr = "authors-.authors"
+	q := &query.Query{Rules: []query.Rule{{
+		Head: []query.Var{0, 1},
+		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(expr)}},
+	}}}
+	want, err := eval.Count(g, q, eval.Budget{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	modes := []struct {
+		name  string
+		lines int // count lines it must log
+	}{{"", 1}, {"S", 1}, {"all", 4}}
+
+	for _, comp := range []graphgen.SpillCompression{graphgen.SpillCompressNone, graphgen.SpillCompressVarint, graphgen.SpillCompressRaw} {
+		dir := filepath.Join(t.TempDir(), "csr")
+		if err := graphgen.WriteCSRSpillFromGraphWith(dir, g, 100, comp); err != nil {
+			t.Fatal(err)
+		}
+		mmaps := []bool{false}
+		if comp == graphgen.SpillCompressRaw {
+			mmaps = append(mmaps, true)
+		}
+		for _, useMmap := range mmaps {
+			for _, eng := range modes {
+				name := fmt.Sprintf("comp=%v mmap=%v engine=%q", comp, useMmap, eng.name)
+				logged, err := runEval(t, dir, expr, eng.name, useMmap)
+				if err != nil {
+					t.Fatalf("%s: %v\n%s", name, err, logged)
+				}
+				matches := countLine.FindAllStringSubmatch(logged, -1)
+				if len(matches) != eng.lines {
+					t.Fatalf("%s: %d count lines, want %d\n%s", name, len(matches), eng.lines, logged)
+				}
+				for _, m := range matches {
+					got, _ := strconv.ParseInt(m[2], 10, 64)
+					if m[1] != expr || got != want {
+						t.Errorf("%s: logged count(%s) = %d, in-memory count(%s) = %d", name, m[1], got, expr, want)
+					}
+				}
+				if !strings.Contains(logged, "shard cache: ") {
+					t.Errorf("%s: no shard-cache line\n%s", name, logged)
+				}
+			}
+		}
+	}
+}
+
+// TestEvalOverSpillErrors: a missing expression and an unknown engine
+// are reported as errors, not as a count.
+func TestEvalOverSpillErrors(t *testing.T) {
+	_, dir := testutil.Spill(t, "bib", 200, 100, 5)
+	if _, err := runEval(t, dir, "", "", false); !errors.Is(err, errMissingEvalQuery) {
+		t.Errorf("missing -eval-query: err = %v, want %v", err, errMissingEvalQuery)
+	}
+	logged, err := runEval(t, dir, "authors", "X", false)
+	if err == nil || !strings.Contains(err.Error(), "unknown engine") {
+		t.Errorf("unknown engine: err = %v", err)
+	}
+	if countLine.MatchString(logged) {
+		t.Errorf("unknown engine logged a count:\n%s", logged)
+	}
+}

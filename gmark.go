@@ -374,8 +374,7 @@ type (
 	GraphShardCache = eval.ShardCache
 	// EvalOptions tunes evaluation: Workers shards the scan
 	// (0 = GOMAXPROCS, 1 = sequential; results are identical either
-	// way), CacheBytes bounds spill shard residency, and Prefetch
-	// warms upcoming node ranges in the background.
+	// way).
 	EvalOptions = eval.EvalOptions
 	// GraphSpillSourceOptions configures OpenGraphSpillWith: the shard
 	// cache budget and whether raw shards are served from zero-copy
@@ -384,9 +383,6 @@ type (
 	// WorkerEngine is a simulated engine whose evaluation can shard
 	// its top-level source scan (engines S and G).
 	WorkerEngine = engines.WorkerEngine
-	// OptionsEngine is a simulated engine that consumes full
-	// EvalOptions — workers plus prefetch — natively (engines S and G).
-	OptionsEngine = engines.OptionsEngine
 )
 
 var (
@@ -483,9 +479,8 @@ func CompareEngines(src EvalSource, q *Query, b Budget) []EngineComparison {
 
 // CompareEnginesWith is CompareEngines with explicit evaluation
 // options: engines that support range-sharded evaluation (S and G) run
-// with EvalOptions.Workers and pace their own prefetcher, the rest run
-// sequentially (with a background sweep when Prefetch is set), and
-// every count equals its sequential counterpart.
+// with EvalOptions.Workers, the rest run sequentially, and every count
+// equals its sequential counterpart.
 func CompareEnginesWith(src EvalSource, q *Query, b Budget, opt EvalOptions) []EngineComparison {
 	sticky, _ := src.(interface{ Err() error })
 	all := engines.All()

@@ -80,6 +80,7 @@ func (r *rowRel) pairs() []pair {
 
 // Evaluate implements Engine.
 func (e *DatalogEngine) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (int64, error) {
+	defer eval.AcquireSourceReader(g)()
 	c, err := compile(g, q)
 	if err != nil {
 		return 0, err

@@ -55,7 +55,9 @@ type Engine interface {
 	Describe() string
 	// Evaluate runs the query over any evaluation source — in-memory
 	// graph or CSR spill — and returns the number of distinct result
-	// tuples. Budget violations return eval.ErrBudget.
+	// tuples. Budget violations return eval.ErrBudget. It holds the
+	// source's reader bracket (eval.AcquireSourceReader) throughout, so
+	// adjacency slices into mapped shards stay valid under eviction.
 	Evaluate(g eval.Source, q *query.Query, b eval.Budget) (int64, error)
 }
 
@@ -72,76 +74,15 @@ type WorkerEngine interface {
 	EvaluateWorkers(g eval.Source, q *query.Query, b eval.Budget, workers int) (int64, error)
 }
 
-// OptionsEngine is an Engine that consumes the full eval.EvalOptions —
-// worker count plus prefetch depth — natively, pacing a background
-// prefetcher by its own range cursor. Engines S and G implement it;
-// P and D get prefetching externally via EvaluateOpt's sweep wrapper.
-type OptionsEngine interface {
-	Engine
-	// EvaluateOpt is Evaluate under explicit evaluation options,
-	// following the eval.EvalOptions conventions for Workers and
-	// Prefetch. The count is pinned equal to Evaluate's.
-	EvaluateOpt(g eval.Source, q *query.Query, b eval.Budget, opt eval.EvalOptions) (int64, error)
-}
-
-// EvaluateWith runs the engine with the given worker count when it
-// supports range-sharded evaluation and falls back to the sequential
-// Evaluate otherwise, so callers can apply one worker setting across
-// the whole engine comparison.
-func EvaluateWith(eng Engine, g eval.Source, q *query.Query, b eval.Budget, workers int) (int64, error) {
-	return EvaluateOpt(eng, g, q, b, eval.EvalOptions{Workers: workers})
-}
-
-// EvaluateOpt runs the engine under the given evaluation options,
-// degrading gracefully by capability: an OptionsEngine (S, G) paces
-// its own prefetcher from its range cursor; a WorkerEngine honors
-// Workers; any other engine (P, D) evaluates sequentially while a
-// free-running background sweep warms the spill's shards for the
-// query's predicates, which is the best pacing available for engines
-// whose cost lives in fixpoints rather than an outer source scan.
-// Every path holds the source's reader bracket (AcquireSourceReader)
-// for the duration, keeping mapped shards safe to read throughout.
+// EvaluateOpt runs the engine under the given evaluation options: a
+// WorkerEngine (S, G) honors opt.Workers, any other engine (P, D)
+// evaluates sequentially, so callers can apply one worker setting
+// across the whole engine comparison.
 func EvaluateOpt(eng Engine, g eval.Source, q *query.Query, b eval.Budget, opt eval.EvalOptions) (int64, error) {
-	defer eval.AcquireSourceReader(g)()
-	if oe, ok := eng.(OptionsEngine); ok {
-		return oe.EvaluateOpt(g, q, b, opt)
-	}
 	if we, ok := eng.(WorkerEngine); ok {
 		return we.EvaluateWorkers(g, q, b, opt.Workers)
 	}
-	if opt.Prefetch > 0 {
-		if preds, err := queryPredDirs(g, q); err == nil {
-			pf := eval.NewPrefetcher(g, preds, eval.SourceRanges(g, 1), opt.Prefetch)
-			pf.Sweep()
-			defer pf.Close()
-		}
-	}
 	return eng.Evaluate(g, q, b)
-}
-
-// queryPredDirs collects the distinct (predicate, direction) pairs the
-// query's bodies touch — the shards an evaluation may load.
-func queryPredDirs(g eval.Source, q *query.Query) ([]eval.PredDir, error) {
-	c, err := compile(g, q)
-	if err != nil {
-		return nil, err
-	}
-	seen := make(map[csym]struct{})
-	var out []eval.PredDir
-	for _, r := range c.rules {
-		for _, cj := range r.body {
-			for _, p := range cj.paths {
-				for _, s := range p {
-					if _, ok := seen[s]; ok {
-						continue
-					}
-					seen[s] = struct{}{}
-					out = append(out, eval.PredDir{Pred: s.pred, Inv: s.inv})
-				}
-			}
-		}
-	}
-	return out, nil
 }
 
 // resolveWorkers applies the eval.EvalOptions.Workers convention.
@@ -161,19 +102,11 @@ func resolveWorkers(w int) int {
 // private tupleSet that merges into out afterwards. scan must treat
 // [rg.Lo, rg.Hi) as the candidate sources of the rule's first conjunct
 // only; a raised stop flag means another worker failed and remaining
-// work is discarded. When prefetch > 0 a background prefetcher warms
-// the preds' shards: paced by the pool's range cursor when sharded, or
-// as a free-running sweep over the storage ranges when the scan is one
-// sequential pass (there is no cursor to pace by, and engine scans may
-// jump around on deeper unbound conjuncts anyway). scan reads adjacency
-// through the ws it is handed — the calling goroutine's own
-// eval.WorkerSource of g — never through g.
-func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir, out *tupleSet, scan func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error) error {
+// work is discarded. scan reads adjacency through the ws it is handed —
+// the calling goroutine's own eval.WorkerSource of g — never through g.
+func runRanges(g eval.Source, workers, arity int, out *tupleSet, scan func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error) error {
 	full := eval.NodeRange{Lo: 0, Hi: int32(g.NumNodes())}
 	seq := func() error {
-		pf := eval.NewPrefetcher(g, preds, eval.SourceRanges(g, 1), prefetch)
-		pf.Sweep()
-		defer pf.Close()
 		ws, release := eval.WorkerSource(g)
 		defer release()
 		var stop atomic.Bool
@@ -189,8 +122,6 @@ func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir
 	if workers <= 1 {
 		return seq()
 	}
-	pf := eval.NewPrefetcher(g, preds, ranges, prefetch)
-	defer pf.Close()
 	locals := make([]*tupleSet, workers)
 	errs := make([]error, workers)
 	var next atomic.Int64
@@ -208,7 +139,6 @@ func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir
 				if i >= len(ranges) || stop.Load() {
 					return
 				}
-				pf.Advance(i)
 				if err := scan(ws, ranges[i], locals[w], &stop); err != nil {
 					errs[w] = err
 					stop.Store(true)
@@ -227,25 +157,6 @@ func runRanges(g eval.Source, workers, arity, prefetch int, preds []eval.PredDir
 		out.merge(l)
 	}
 	return nil
-}
-
-// rulePredDirs collects the distinct (predicate, direction) pairs one
-// compiled rule's body touches, for prefetch hints.
-func rulePredDirs(r *compiledRule) []eval.PredDir {
-	seen := make(map[csym]struct{})
-	var out []eval.PredDir
-	for _, cj := range r.body {
-		for _, p := range cj.paths {
-			for _, s := range p {
-				if _, ok := seen[s]; ok {
-					continue
-				}
-				seen[s] = struct{}{}
-				out = append(out, eval.PredDir{Pred: s.pred, Inv: s.inv})
-			}
-		}
-	}
-	return out
 }
 
 // predEdgeCounter is implemented by sources that know per-predicate

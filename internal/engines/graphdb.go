@@ -85,23 +85,17 @@ func (e *GraphDB) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (i
 // one (traverseStar allocates its visited set per call, so concurrent
 // traversals never share mutable state).
 func (e *GraphDB) EvaluateWorkers(g eval.Source, q *query.Query, budget eval.Budget, workers int) (int64, error) {
-	return e.EvaluateOpt(g, q, budget, eval.EvalOptions{Workers: workers})
-}
-
-// EvaluateOpt implements OptionsEngine: EvaluateWorkers plus a
-// background prefetcher over each rule's predicates, paced by the
-// range cursor of the sharded start-node scan.
-func (e *GraphDB) EvaluateOpt(g eval.Source, q *query.Query, budget eval.Budget, opt eval.EvalOptions) (int64, error) {
+	defer eval.AcquireSourceReader(g)()
 	c, err := compile(g, q)
 	if err != nil {
 		return 0, err
 	}
 	bt := newGdbBudget(budget)
 	out := newTupleSet(c.arity)
-	w := resolveWorkers(opt.Workers)
+	w := resolveWorkers(workers)
 	for ri := range c.rules {
 		r := &c.rules[ri]
-		err := runRanges(g, w, c.arity, opt.Prefetch, rulePredDirs(r), out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
+		err := runRanges(g, w, c.arity, out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
 			return e.evalRuleRange(ws, r, bt, local, rg, stop)
 		})
 		if err != nil {

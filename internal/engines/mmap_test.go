@@ -9,11 +9,10 @@ import (
 )
 
 // TestEnginesOverMmapSpillMatchInMemory: every engine run through
-// EvaluateOpt — with the zero-copy mapping path and the background
-// prefetcher both on — counts pinned equal to its own in-memory
-// evaluation over a raw spill. This is the engines-level half of the
-// mmap acceptance property; eval's TestRawMmapCountsIdentical covers
-// the reference evaluator.
+// EvaluateOpt with two workers over the zero-copy mapping path counts
+// pinned equal to its own in-memory evaluation over a raw spill. This
+// is the engines-level half of the mmap acceptance property; eval's
+// TestRawMmapCountsIdentical covers the reference evaluator.
 func TestEnginesOverMmapSpillMatchInMemory(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 220)
 	g, dir := testutil.SpillComp(t, "bib", 220, 20, 11, graphgen.SpillCompressRaw)
@@ -22,7 +21,7 @@ func TestEnginesOverMmapSpillMatchInMemory(t *testing.T) {
 		t.Fatal(err)
 	}
 	preds := testutil.Predicates(cfg)
-	opt := eval.EvalOptions{Workers: 2, Prefetch: 2}
+	opt := eval.EvalOptions{Workers: 2}
 	for qi, q := range engineSpillQueries(preds) {
 		for _, eng := range All() {
 			want, err := eng.Evaluate(g, q, eval.Budget{})
@@ -44,5 +43,48 @@ func TestEnginesOverMmapSpillMatchInMemory(t *testing.T) {
 	st := src.CacheStats()
 	if st.Loads == 0 {
 		t.Fatal("engines never loaded a shard")
+	}
+}
+
+// TestEngineMethodsBracketMappedReads: an engine's own methods, called
+// directly rather than through EvaluateOpt, hold the reader bracket
+// too. A one-byte cache evicts — munmaps — the previous shard on every
+// load, so without the bracket a traversal still iterating one shard's
+// adjacency reads an unmapped page as soon as it loads the next.
+func TestEngineMethodsBracketMappedReads(t *testing.T) {
+	cfg := testutil.Config(t, "bib", 220)
+	g, dir := testutil.SpillComp(t, "bib", 220, 20, 11, graphgen.SpillCompressRaw)
+	src, err := eval.OpenSpillSourceWith(dir, eval.SpillSourceOptions{Mmap: true, CacheBytes: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for qi, q := range engineSpillQueries(testutil.Predicates(cfg)) {
+		for _, eng := range All() {
+			want, err := eng.Evaluate(g, q, eval.Budget{})
+			if err != nil {
+				t.Fatalf("q%d engine %s in-memory: %v", qi, eng.Name(), err)
+			}
+			calls := map[string]func() (int64, error){
+				"Evaluate": func() (int64, error) { return eng.Evaluate(src, q, eval.Budget{}) },
+			}
+			if we, ok := eng.(WorkerEngine); ok {
+				calls["EvaluateWorkers(2)"] = func() (int64, error) { return we.EvaluateWorkers(src, q, eval.Budget{}, 2) }
+			}
+			for name, call := range calls {
+				got, err := call()
+				if err != nil {
+					t.Fatalf("q%d engine %s %s: %v", qi, eng.Name(), name, err)
+				}
+				if got != want {
+					t.Errorf("q%d engine %s %s: mmap spill=%d in-memory=%d", qi, eng.Name(), name, got, want)
+				}
+			}
+		}
+	}
+	if err := src.Err(); err != nil {
+		t.Fatalf("sticky spill error: %v", err)
+	}
+	if st := src.CacheStats(); st.Evictions == 0 {
+		t.Fatalf("one-byte cache evicted nothing (%+v)", st)
 	}
 }

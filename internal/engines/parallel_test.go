@@ -69,7 +69,7 @@ func TestWorkerEnginesOverSpill(t *testing.T) {
 	}
 }
 
-// TestEvaluateWithFallback: EvaluateWith applies the worker count to
+// TestEvaluateWithFallback: EvaluateOpt applies the worker count to
 // WorkerEngines and silently falls back to sequential Evaluate for the
 // others, with identical counts everywhere.
 func TestEvaluateWithFallback(t *testing.T) {
@@ -81,11 +81,11 @@ func TestEvaluateWithFallback(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s sequential: %v", eng.Name(), err)
 		}
-		got, err := EvaluateWith(eng, g, q, eval.Budget{}, 4)
+		got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 4})
 		if err != nil {
-			t.Errorf("%s EvaluateWith: %v", eng.Name(), err)
+			t.Errorf("%s EvaluateOpt: %v", eng.Name(), err)
 		} else if got != want {
-			t.Errorf("%s EvaluateWith: %d != %d", eng.Name(), got, want)
+			t.Errorf("%s EvaluateOpt: %d != %d", eng.Name(), got, want)
 		}
 		if _, ok := eng.(WorkerEngine); ok != (eng.Name() == "S" || eng.Name() == "G") {
 			t.Errorf("%s: unexpected WorkerEngine support = %v", eng.Name(), ok)

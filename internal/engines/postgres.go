@@ -52,6 +52,7 @@ func (b *pgBudget) charge(n int64) error {
 
 // Evaluate implements Engine.
 func (e *Postgres) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (int64, error) {
+	defer eval.AcquireSourceReader(g)()
 	c, err := compile(g, q)
 	if err != nil {
 		return 0, err

@@ -63,27 +63,21 @@ func (e *TripleStore) Evaluate(g eval.Source, q *query.Query, budget eval.Budget
 // Starred closures are materialized once per rule, before the workers
 // start, and shared read-only.
 func (e *TripleStore) EvaluateWorkers(g eval.Source, q *query.Query, budget eval.Budget, workers int) (int64, error) {
-	return e.EvaluateOpt(g, q, budget, eval.EvalOptions{Workers: workers})
-}
-
-// EvaluateOpt implements OptionsEngine: EvaluateWorkers plus a
-// background prefetcher over each rule's predicates, paced by the
-// range cursor of the sharded subject scan.
-func (e *TripleStore) EvaluateOpt(g eval.Source, q *query.Query, budget eval.Budget, opt eval.EvalOptions) (int64, error) {
+	defer eval.AcquireSourceReader(g)()
 	c, err := compile(g, q)
 	if err != nil {
 		return 0, err
 	}
 	bt := newTsBudget(budget)
 	out := newTupleSet(c.arity)
-	w := resolveWorkers(opt.Workers)
+	w := resolveWorkers(workers)
 	for ri := range c.rules {
 		r := &c.rules[ri]
 		closures, err := e.ruleClosures(g, r, bt)
 		if err != nil {
 			return 0, err
 		}
-		err = runRanges(g, w, c.arity, opt.Prefetch, rulePredDirs(r), out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
+		err = runRanges(g, w, c.arity, out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
 			return e.evalRuleRange(ws, r, closures, bt, local, rg, stop)
 		})
 		if err != nil {

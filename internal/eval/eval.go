@@ -27,16 +27,6 @@ type EvalOptions struct {
 	// workers may charge twice; the budget is still a hard bound and
 	// never undercharges relative to the result size.
 	Workers int
-	// CacheBytes bounds the resident shard bytes of spill sources the
-	// caller opens for this evaluation (<= 0 selects
-	// DefaultSpillCacheBytes). Count itself never opens a spill; the
-	// facade's spill helpers consume this field.
-	CacheBytes int64
-	// Prefetch is how many node ranges ahead of the streaming scan a
-	// background prefetcher keeps warm (0 = no prefetching). It only
-	// applies to sources that implement PrefetchSource — SpillSource
-	// does — and only changes when shard I/O happens, never the count.
-	Prefetch int
 }
 
 // workerCount resolves the Workers convention against the machine.
@@ -79,7 +69,7 @@ func CountWith(g Source, q *query.Query, b Budget, opt EvalOptions) (int64, erro
 	defer AcquireSourceReader(g)()
 	tr := newTracker(b)
 	if plans, ok := planStreaming(g, q); ok {
-		return countStreaming(g, q, plans, tr, opt.workerCount(), opt.Prefetch)
+		return countStreaming(g, q, plans, tr, opt.workerCount())
 	}
 	return countJoin(g, q, tr)
 }
@@ -215,7 +205,7 @@ func chainEndpoints(r query.Rule) (start, end query.Var, ok bool) {
 // merge deterministically afterwards, so the parallel count equals the
 // sequential one exactly. A Boolean witness flips a shared stop flag so
 // every worker quits early, mirroring the sequential early return.
-func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, workers, prefetch int) (int64, error) {
+func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, workers int) (int64, error) {
 	n := g.NumNodes()
 	arity := q.Arity()
 
@@ -234,13 +224,6 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	// start in, would find nothing to do.
 	workers = min(workers, len(ranges), startWindows(filters, ranges, workers))
 
-	// The prefetcher warms only the ranges that survived the
-	// active-domain filter — the ones the scan will actually visit —
-	// and is paced by the scan position so it never runs more than
-	// `prefetch` ranges ahead of the slowest consumer.
-	pf := NewPrefetcher(g, prefetchPreds(plans), ranges, prefetch)
-	defer pf.Close()
-
 	// Every optional interface of g has been consulted above; from here
 	// on each scanning goroutine walks Neighbors through its own
 	// WorkerSource, released before the count returns so the source's
@@ -251,8 +234,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 		defer st.release()
 		ws, release := WorkerSource(g)
 		defer release()
-		for i, rg := range ranges {
-			pf.Advance(i)
+		for _, rg := range ranges {
 			if err := scanRange(ws, plans, filters, rg, st, tr, &stop); err != nil {
 				return 0, err
 			}
@@ -281,7 +263,6 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 				if i >= len(ranges) || stop.Load() {
 					return
 				}
-				pf.Advance(i)
 				if err := scanRange(ws, plans, filters, ranges[i], st, tr, &stop); err != nil {
 					errs[w] = err
 					stop.Store(true)

@@ -14,8 +14,8 @@ import (
 const mmapSupported = true
 
 // mapShardFile maps path read-only and advises the kernel the pages
-// will be needed soon (the prefetcher's map-ahead is what makes the
-// advice useful). The release closure unmaps; it must not run while a
+// will be needed soon: the scan that demanded the shard is about to
+// walk it. The release closure unmaps; it must not run while a
 // slice into data can still be read — ShardCache's reader bracket
 // enforces that.
 func mapShardFile(path string) (data []byte, release func(), err error) {

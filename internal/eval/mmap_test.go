@@ -43,7 +43,7 @@ func TestRawMmapCountsIdentical(t *testing.T) {
 					}
 					for _, forceRead := range []bool{false, true} {
 						src := openRaw(t, dir, forceRead)
-						got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: 2, Prefetch: 2})
+						got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: 2})
 						if err != nil {
 							t.Fatalf("forceRead=%v %s: %v", forceRead, expr, err)
 						}
@@ -60,6 +60,34 @@ func TestRawMmapCountsIdentical(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestSpillWorkerCountsIdentical: a multi-range bib spill, raw served
+// by mmap and varint served by the decoding reader, counts
+// authors-.authors equal to the in-memory evaluator sequentially and
+// with three workers.
+func TestSpillWorkerCountsIdentical(t *testing.T) {
+	for _, comp := range []graphgen.SpillCompression{graphgen.SpillCompressRaw, graphgen.SpillCompressVarint} {
+		g, dir := buildSpillComp(t, "bib", 300, 10, comp)
+		q := chainQuery(t, "authors-.authors")
+		want, err := Count(g, q, Budget{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			src, err := OpenSpillSourceWith(dir, SpillSourceOptions{Mmap: comp == graphgen.SpillCompressRaw})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != want {
+				t.Errorf("%v workers=%d: count %d != in-memory %d", comp, workers, got, want)
+			}
 		}
 	}
 }

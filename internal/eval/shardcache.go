@@ -55,7 +55,6 @@ type ShardCache struct {
 
 	hits, loads, evictions, dedups int64
 	diskLoaded                     int64 // cumulative on-disk bytes read by fresh loads
-	prefetchLoads                  int64 // fresh loads initiated by a prefetcher
 	mappedBytes                    int64 // resident bytes served from mappings
 
 	readers int      // open AcquireReader brackets
@@ -123,7 +122,6 @@ func (c *ShardCache) Stats() SpillCacheStats {
 		PeakBytes:       c.peak,
 		DiskBytesLoaded: c.diskLoaded,
 		MappedBytes:     c.mappedBytes,
-		PrefetchLoads:   c.prefetchLoads,
 	}
 }
 
@@ -218,9 +216,8 @@ func (c *ShardCache) creditView(v *shardView) {
 // lock held — when the shard is neither resident nor already being
 // loaded by another goroutine. A failed load is not cached: the next
 // access retries, and every waiter of the failed flight receives the
-// same error. prefetch marks the access as prefetcher-initiated for
-// the PrefetchLoads counter; it changes no caching behavior.
-func (c *ShardCache) get(key sharedShardKey, prefetch bool, load func() (*cachedShard, error)) (*cachedShard, loadOutcome, error) {
+// same error.
+func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) (*cachedShard, loadOutcome, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.elem != nil {
@@ -256,9 +253,6 @@ func (c *ShardCache) get(key sharedShardKey, prefetch bool, load func() (*cached
 	}
 	e.sh = sh
 	c.loads++
-	if prefetch {
-		c.prefetchLoads++
-	}
 	c.diskLoaded += sh.diskBytes
 	c.used += sh.bytes
 	if sh.release != nil {

@@ -130,7 +130,7 @@ func (v *shardView) Neighbors(n graph.NodeID, p graph.PredID, inverse bool) []in
 // shared lookup path, which counts the access as a hit, a load or a
 // dedup hit; nil means the lookup failed and the source recorded why.
 func (v *shardView) fetch(slot int, key shardKey) *cachedShard {
-	sh, err := v.src.shard(key, false)
+	sh, err := v.src.shard(key)
 	if err != nil {
 		return nil
 	}

@@ -51,31 +51,6 @@ type RangedSource interface {
 	NodeRanges() []NodeRange
 }
 
-// PredDir names one (predicate, direction) adjacency a plan touches —
-// the prefetch hint a compiled query hands the background prefetcher
-// so it warms exactly the shard files the scan will read.
-type PredDir struct {
-	// Pred is the predicate id in the source's own index.
-	Pred graph.PredID
-	// Inv selects the inverse (in-neighbor) direction.
-	Inv bool
-}
-
-// PrefetchSource is an optional Source refinement for sources that can
-// warm a node range's storage before the scan reaches it. SpillSource
-// implements it by pulling the range's shard files through the shared
-// ShardCache (mmap + madvise for raw shards, decode-ahead for
-// varint/deflate ones); the singleflight cache deduplicates a prefetch
-// against a concurrent demand load, so warming is never a second read.
-type PrefetchSource interface {
-	Source
-	// PrefetchRange loads the shards of rg for each listed
-	// (predicate, direction), best-effort: failures are left for the
-	// demand path to surface, since a prefetched shard may never
-	// actually be read.
-	PrefetchRange(rg NodeRange, preds []PredDir)
-}
-
 // MappedSource is an optional Source refinement for sources whose
 // Neighbors slices may point into memory-mapped storage that eviction
 // reclaims (munmap). Evaluation entry points bracket themselves with
@@ -121,7 +96,7 @@ type ViewSource interface {
 // Neighbors through — g's WorkerView when g is a ViewSource, g itself
 // otherwise (the in-memory graph) — and the release to call when the
 // goroutine is done. Assert g's optional interfaces (RangedSource,
-// DomainSource, PrefetchSource) on g, before or after; the returned
+// DomainSource, MappedSource) on g, before or after; the returned
 // Source answers only the Source methods.
 func WorkerSource(g Source) (Source, func()) {
 	if vs, ok := g.(ViewSource); ok {

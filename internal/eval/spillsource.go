@@ -33,7 +33,7 @@ type SpillSource struct {
 	// Per-evaluator attribution: accesses this source initiated,
 	// regardless of how many sources share the cache. First in the
 	// struct per the concurrency lint's atomics-prefix layout rule.
-	localHits, localLoads, localDedups, localPrefetch atomic.Int64
+	localHits, localLoads, localDedups atomic.Int64
 
 	spill     *graphgen.CSRSpill
 	predIndex map[string]graph.PredID
@@ -109,8 +109,7 @@ type cachedShard struct {
 // StarDomain performs no full-shard sweep. MappedBytes is the subset
 // of BytesUsed served from file mappings (raw shards under mmap) —
 // those entries charge their mapped file size, and eviction returns
-// the bytes by munmap. PrefetchLoads is the subset of Loads a
-// background prefetcher initiated rather than the scan itself.
+// the bytes by munmap.
 type SpillCacheStats struct {
 	Hits            int64
 	Loads           int64
@@ -121,7 +120,6 @@ type SpillCacheStats struct {
 	DiskBytesLoaded int64
 	DomainRebuilds  int64
 	MappedBytes     int64
-	PrefetchLoads   int64
 }
 
 // OpenSpillSource opens a CSR spill directory as an evaluation Source
@@ -306,7 +304,7 @@ func (s *SpillSource) Neighbors(v graph.NodeID, p graph.PredID, inverse bool) []
 		return nil
 	}
 	idx := int(v) / shardNodes
-	sh, err := s.shard(shardKey{pred: p, inv: inverse, idx: idx}, false)
+	sh, err := s.shard(shardKey{pred: p, inv: inverse, idx: idx})
 	if err != nil {
 		return nil
 	}
@@ -371,10 +369,9 @@ func (s *SpillSource) CacheStats() SpillCacheStats {
 // properties and stay zero here; read them from CacheStats.
 func (s *SpillSource) LocalCacheStats() SpillCacheStats {
 	st := SpillCacheStats{
-		Hits:          s.localHits.Load(),
-		Loads:         s.localLoads.Load(),
-		DedupHits:     s.localDedups.Load(),
-		PrefetchLoads: s.localPrefetch.Load(),
+		Hits:      s.localHits.Load(),
+		Loads:     s.localLoads.Load(),
+		DedupHits: s.localDedups.Load(),
 	}
 	s.mu.Lock()
 	st.DomainRebuilds = s.domainRebuilds
@@ -389,39 +386,18 @@ func (s *SpillSource) AcquireReader() (release func()) {
 	return s.cache.AcquireReader()
 }
 
-// PrefetchRange implements PrefetchSource: it pulls the shard of each
-// listed (predicate, direction) covering rg through the shared cache —
-// mapping raw shards with readahead advice, decoding the rest — so the
-// scan finds them resident. Best-effort: load failures are not sticky
-// here, because a prefetched shard may never be demanded; if it is,
-// the demand load retries and surfaces the error.
-func (s *SpillSource) PrefetchRange(rg NodeRange, preds []PredDir) {
-	shardNodes := s.spill.Manifest.ShardNodes
-	if shardNodes <= 0 {
-		return
-	}
-	idx := int(rg.Lo) / shardNodes
-	for _, pd := range preds {
-		_, _ = s.shard(shardKey{pred: pd.Pred, inv: pd.Inv, idx: idx}, true)
-	}
-}
-
 // shard resolves key against the manifest and fetches it through the
 // shared cache; the file read happens with no lock held, and
 // simultaneous misses on one shard collapse into a single read.
-// prefetch marks a prefetcher-initiated access: its loads count as
-// PrefetchLoads and its failures are not sticky.
-func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
+// Failures are sticky (see Err).
+func (s *SpillSource) shard(key shardKey) (*cachedShard, error) {
 	meta, err := s.shardMeta(key)
 	if err != nil {
-		if !prefetch {
-			s.fail(err)
-		}
+		s.fail(err)
 		return nil, err
 	}
 	sh, outcome, err := s.cache.get(
 		sharedShardKey{spill: s.spill, pred: key.pred, inv: key.inv, idx: key.idx},
-		prefetch,
 		func() (*cachedShard, error) {
 			if s.useMmap {
 				sh, handled, err := s.loadRawShard(meta)
@@ -456,9 +432,7 @@ func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
 			}, nil
 		})
 	if err != nil {
-		if !prefetch {
-			s.fail(err)
-		}
+		s.fail(err)
 		return nil, err
 	}
 	switch outcome {
@@ -468,9 +442,6 @@ func (s *SpillSource) shard(key shardKey, prefetch bool) (*cachedShard, error) {
 		s.localDedups.Add(1)
 	case loadFresh:
 		s.localLoads.Add(1)
-		if prefetch {
-			s.localPrefetch.Add(1)
-		}
 	}
 	return sh, nil
 }
