@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gmark/internal/bitset"
 	"gmark/internal/query"
 )
 
@@ -43,8 +44,8 @@ func (o EvalOptions) workerCount() int {
 // Count evaluates the query under set semantics and returns the number
 // of distinct head tuples, |Q(G)| (the selectivity of Q on G, paper
 // Section 5.2.1). Chain-shaped rules with endpoint projections are
-// evaluated by a streaming scan that walks 64 sources per traversal;
-// everything else goes through the join evaluator.
+// evaluated by a streaming scan that walks up to 512 sources per
+// traversal; everything else goes through the join evaluator.
 func Count(g Source, q *query.Query, b Budget) (int64, error) {
 	return CountWith(g, q, b, EvalOptions{Workers: 1})
 }
@@ -54,14 +55,21 @@ func Count(g Source, q *query.Query, b Budget) (int64, error) {
 // bounded worker pool, merging per-range accumulators so the parallel
 // count equals the sequential one exactly.
 //
-// Each worker holds one pooled scratch for the duration of the count:
-// up to seven frontiers of 8 B + 1 bit per node — two always, two more
-// for paths of two or more symbols, two for Kleene stars, one for pair
-// unions of several rules — plus one bit per node for unary results,
-// so at most 57 B x NumNodes per worker (a 1M-node graph: 16 MB for a
-// one-symbol chain, 57 MB at most). Scratches are recycled across
-// counts on graphs of the same size; a warm count allocates a small
-// constant, independent of the number of sources.
+// The scan walks windows of 64·L consecutive sources, L mask words per
+// node, chosen once per count: the largest L in {1, 2, 4, 8} whose
+// frontier mask (8·L B per node) fits 2 MiB and whose window is no
+// wider than the widest range scanned (a RangedSource's widest storage
+// range, else all nodes) rounded up to 64. Each worker holds one pooled
+// scratch for the duration of the count: up to seven frontiers of 8·L B
+// + 1 bit per node — two always, two more for paths of two or more
+// symbols, two for Kleene stars, one for pair unions of several rules —
+// plus one bit per node for unary results, so at most (56·L + 1) B x
+// NumNodes per worker. Up to 131 072 nodes that is at most 14 MiB + 1 B
+// x NumNodes; above, L is 1 and the bound 57 B x NumNodes (a 1M-node
+// graph: 16 MB for a one-symbol chain, 57 MB at most). Scratches are
+// recycled across counts on graphs of the same size and width; a warm
+// count allocates a small constant, independent of the number of
+// sources.
 func CountWith(g Source, q *query.Query, b Budget, opt EvalOptions) (int64, error) {
 	if err := q.Validate(); err != nil {
 		return 0, err
@@ -185,7 +193,7 @@ func chainEndpoints(r query.Rule) (start, end query.Var, ok bool) {
 	return start, end, true
 }
 
-// countStreaming evaluates all plans one window of 64 consecutive
+// countStreaming evaluates all plans one window of 64·L consecutive
 // sources at a time (window.go), unioning the per-window results across
 // rules before counting, which yields distinct counts across the whole
 // union without materializing it. Unary rules project either chain
@@ -214,15 +222,16 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 		filters[i] = startFilterFor(g, plans[i].exprs[0])
 	}
 
+	words := windowWordsFor(g)
 	ranges := make([]NodeRange, 0, 8)
-	for _, rg := range scanRanges(g, workers) {
+	for _, rg := range scanRanges(g, workers, words) {
 		if rangeHasStart(filters, rg) {
 			ranges = append(ranges, rg)
 		}
 	}
 	// A worker beyond the number of ranges, or of windows any plan can
 	// start in, would find nothing to do.
-	workers = min(workers, len(ranges), startWindows(filters, ranges, workers))
+	workers = min(workers, len(ranges), startWindows(filters, ranges, words, workers))
 
 	// Every optional interface of g has been consulted above; from here
 	// on each scanning goroutine walks Neighbors through its own
@@ -230,7 +239,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	// statistics are complete when the caller reads them.
 	var stop atomic.Bool
 	if workers <= 1 {
-		st := acquireScratch(n)
+		st := acquireScratch(n, words)
 		defer st.release()
 		ws, release := WorkerSource(g)
 		defer release()
@@ -250,7 +259,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		states[w] = acquireScratch(n)
+		states[w] = acquireScratch(n, words)
 		defer states[w].release()
 		wg.Add(1)
 		go func(w int) {
@@ -290,11 +299,11 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 	return finishStreaming(arity, states), nil
 }
 
-// scanRange runs the streaming scan over one node range in 64-aligned
-// windows, accumulating into st; ids of a window outside the range are
-// masked off, so a range may start and end mid-word. On a Boolean
-// witness it charges the tuple, marks st, and raises stop so sibling
-// workers quit. The deadline and the stop flag are polled per window
+// scanRange runs the streaming scan over one node range in windows of
+// st.words words, accumulating into st; ids of a window outside the
+// range are masked off, so a range may start and end mid-word. On a
+// Boolean witness it charges the tuple, marks st, and raises stop so
+// sibling workers quit. The deadline and the stop flag are polled per window
 // (and per star level, inside the kernel), so a budget error or witness
 // elsewhere halts this worker promptly.
 //
@@ -302,7 +311,8 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 // sequential evaluation charges exactly its count, whatever the window
 // schedule.
 func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange, st *scratch, tr *tracker, stop *atomic.Bool) error {
-	for v0, in := range windows(rg) {
+	start := st.start
+	for v0, in := range windows(rg, st.in) {
 		if stop.Load() {
 			return nil
 		}
@@ -314,14 +324,10 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 			// A source that cannot begin a match of the first expression
 			// contributes nothing (the same restriction evalCompiled
 			// applies).
-			start := filters[pi].window(g, p.exprs[0], v0, in)
-			if p.proj == projSource {
-				// A source projection can only ever contribute the source
-				// itself; skip the chain walk for those already in the
-				// result.
-				start &^= st.nodeUnion.Words()[v0>>6]
+			if !filters[pi].window(g, p.exprs[0], v0, in, start) {
+				continue
 			}
-			if start == 0 {
+			if p.proj == projSource && !dropCounted(start, st.nodeUnion, v0) {
 				continue
 			}
 			fin, err := st.runChain(g, p.exprs, v0, start, tr)
@@ -343,20 +349,27 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 				stop.Store(true)
 				return nil
 			case projSource:
-				var reached uint64
+				reached := st.reached
+				clear(reached)
 				for _, m := range fin.all() {
-					reached |= m
+					for i, w := range m {
+						reached[i] |= w
+					}
 				}
-				grown = int64(bits.OnesCount64(reached))
-				for ; reached != 0; reached &= reached - 1 {
-					st.nodeUnion.Add(v0 + int32(bits.TrailingZeros64(reached)))
+				for i, w := range reached {
+					grown += int64(bits.OnesCount64(w))
+					for ; w != 0; w &= w - 1 {
+						st.nodeUnion.Add(v0 + int32(i<<6+bits.TrailingZeros64(w)))
+					}
 				}
 			case projTarget:
 				grown = int64(st.nodeUnion.UnionWithCount(fin.active))
 			case projPair:
 				if len(plans) == 1 {
 					for _, m := range fin.all() {
-						pairs += int64(bits.OnesCount64(m))
+						for _, w := range m {
+							pairs += int64(bits.OnesCount64(w))
+						}
 					}
 					break
 				}
@@ -364,7 +377,10 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 				// reach from one source sets the same bit twice.
 				acc := st.slot(slotAcc)
 				for v, m := range fin.all() {
-					pairs += int64(bits.OnesCount64(m &^ acc.mask[v]))
+					seen := acc.row(v)
+					for i, w := range m {
+						pairs += int64(bits.OnesCount64(w &^ seen[i]))
+					}
 					acc.or(v, m)
 				}
 			}
@@ -386,6 +402,23 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 		}
 	}
 	return nil
+}
+
+// dropCounted removes from start, the start mask of the window at v0,
+// the sources already in the unary result u — a source projection can
+// only ever contribute the source itself, so their chain walks are
+// skipped — and reports whether any source remains.
+func dropCounted(start []uint64, u *bitset.Set, v0 int32) bool {
+	counted := u.Words()
+	var some uint64
+	for i, w := range start {
+		if w != 0 {
+			w &^= counted[int(v0>>6)+i]
+			start[i] = w
+			some |= w
+		}
+	}
+	return some != 0
 }
 
 // finishStreaming merges the per-worker partial results into the final
@@ -415,14 +448,12 @@ func finishStreaming(arity int, states []*scratch) int64 {
 // RangedSource's own storage ranges are authoritative (each is one
 // spill shard, so a worker exhausts a shard before touching the next).
 // Otherwise the node space is cut into about four chunks per worker —
-// small enough to balance skew, each a multiple of the 64-source window
-// so no window is split between workers — so parallel scans of
+// small enough to balance skew, each a multiple of the window of words
+// words so no window is split between workers — so parallel scans of
 // in-memory graphs get a work queue too.
-func scanRanges(g Source, workers int) []NodeRange {
-	if r, ok := g.(RangedSource); ok {
-		if rs := r.NodeRanges(); len(rs) > 0 {
-			return rs
-		}
+func scanRanges(g Source, workers, words int) []NodeRange {
+	if rs := storageRanges(g); rs != nil {
+		return rs
 	}
 	n := int32(g.NumNodes())
 	if n <= 0 {
@@ -431,7 +462,8 @@ func scanRanges(g Source, workers int) []NodeRange {
 	if workers <= 1 {
 		return []NodeRange{{Lo: 0, Hi: n}}
 	}
-	chunk := (n/int32(workers*4) + windowSize) &^ (windowSize - 1)
+	width := int32(64 * words)
+	chunk := (n/int32(workers*4) + width) &^ (width - 1)
 	out := make([]NodeRange, 0, int(n/chunk)+1)
 	for lo := int32(0); lo < n; lo += chunk {
 		hi := lo + chunk
@@ -446,9 +478,10 @@ func scanRanges(g Source, workers int) []NodeRange {
 // SourceRanges exposes the evaluator's range-partitioning of a source
 // for other evaluation stages (the simulated engines shard their
 // per-source outer loops over the same units): a RangedSource's own
-// ranges, or an even cut of the node space sized for workers.
+// ranges, or an even cut of the node space sized for workers, on
+// multiples of 64 ids.
 func SourceRanges(g Source, workers int) []NodeRange {
-	return scanRanges(g, workers)
+	return scanRanges(g, workers, 1)
 }
 
 // rangeHasStart reports whether any plan may have a source inside the
@@ -466,24 +499,38 @@ func rangeHasStart(filters []startFilter, rg NodeRange) bool {
 	return false
 }
 
-// startWindows counts the windows of ranges some plan may have a
-// source in, up to limit.
-func startWindows(filters []startFilter, ranges []NodeRange, limit int) int {
+// startWindows counts the windows of words words of ranges some plan
+// may have a source in, up to limit.
+func startWindows(filters []startFilter, ranges []NodeRange, words, limit int) int {
 	count := 0
+	in := make([]uint64, words)
 	for _, rg := range ranges {
-		for v0, in := range windows(rg) {
+		for v0, in := range windows(rg, in) {
 			if count == limit {
 				return count
 			}
-			for _, f := range filters {
-				if f.mask == nil || f.mask.Words()[v0>>6]&in != 0 {
-					count++
-					break
-				}
+			if windowHasStart(filters, v0, in) {
+				count++
 			}
 		}
 	}
 	return count
+}
+
+// windowHasStart reports whether any plan may have a source among in,
+// the ids of the window at v0.
+func windowHasStart(filters []startFilter, v0 int32, in []uint64) bool {
+	for _, f := range filters {
+		if f.mask == nil {
+			return true
+		}
+		for i, w := range in {
+			if w != 0 && w&f.mask.Words()[int(v0>>6)+i] != 0 {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // countJoin evaluates via the join evaluator and counts distinct head
@@ -558,8 +605,17 @@ func joinRule(g Source, r *query.Rule, tr *tracker, out map[string][]int32) erro
 		return nil
 	}
 
+	// Backtracking can run long without a charge — a head of few distinct
+	// tuples is charged only when it grows — so the deadline is polled
+	// once per 1024 calls, in every branch.
+	calls := 0
 	var solve func() error
 	solve = func() error {
+		if calls++; calls&1023 == 0 {
+			if err := tr.checkTime(); err != nil {
+				return err
+			}
+		}
 		// Pick the most constrained unused conjunct.
 		var pick *crel
 		bestScore := -1

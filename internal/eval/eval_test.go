@@ -281,6 +281,39 @@ func TestBudgetTimeout(t *testing.T) {
 	}
 }
 
+// TestJoinHonorsTimeout: the join path's backtracking polls the deadline
+// in every branch, not only once per outer source. The head (x1) has at
+// most 200 distinct tuples, so charges almost never happen, while the
+// dense graph gives each outer source 200^3 bindings to walk.
+func TestJoinHonorsTimeout(t *testing.T) {
+	const n = 200
+	var edges [][3]int32
+	for v := int32(0); v < n; v++ {
+		for w := int32(0); w < n; w++ {
+			edges = append(edges, [3]int32{v, 0, w})
+		}
+	}
+	g := handGraph(t, n, 1, edges...)
+	a := regpath.MustParse("a")
+	q := &query.Query{Rules: []query.Rule{{
+		Head: []query.Var{1},
+		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: a}, {Src: 1, Dst: 2, Expr: a}, {Src: 2, Dst: 3, Expr: a}, {Src: 3, Dst: 4, Expr: a}},
+	}}}
+	done := make(chan error, 1)
+	go func() {
+		_, err := Count(g, q, Budget{Timeout: 20 * time.Millisecond})
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrBudget) {
+			t.Errorf("Count with a 20 ms timeout: %v, want ErrBudget", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Count with a 20 ms timeout is still running after 5 s")
+	}
+}
+
 func TestBudgetMaxPairs(t *testing.T) {
 	g := cycleGraph(t, 200)
 	q := binChain("(a)*") // 40000 pairs

@@ -86,11 +86,14 @@ func naiveRows(g Source, e regpath.Expr) map[int32][]int32 {
 }
 
 // naiveCount counts the distinct head tuples of a union of chain rules
-// whose heads use only the chain's endpoints.
+// whose heads use only the chain's endpoints, at most two of them.
 func naiveCount(t testing.TB, g Source, q *query.Query) int64 {
-	tuples := map[string]bool{}
+	tuples := map[[2]int32]bool{}
 	for _, r := range q.Rules {
 		start, end := r.Body[0].Src, r.Body[len(r.Body)-1].Dst
+		if len(r.Head) > 2 {
+			t.Fatalf("naive oracle: head of arity %d: %v", len(r.Head), r)
+		}
 		for v := int32(0); v < int32(g.NumNodes()); v++ {
 			reach := nodeSet{v: true}
 			for i, c := range r.Body {
@@ -100,7 +103,7 @@ func naiveCount(t testing.TB, g Source, q *query.Query) int64 {
 				reach = naiveImage(g, c.Expr, reach)
 			}
 			for w := range reach {
-				tuple := make([]int32, len(r.Head))
+				var tuple [2]int32
 				for i, h := range r.Head {
 					switch h {
 					case start:
@@ -111,7 +114,7 @@ func naiveCount(t testing.TB, g Source, q *query.Query) int64 {
 						t.Fatalf("naive oracle: head variable %v is not an endpoint of %v", h, r)
 					}
 				}
-				tuples[fmt.Sprint(tuple)] = true
+				tuples[tuple] = true
 			}
 		}
 	}
@@ -167,6 +170,38 @@ func TestCountMatchesNaiveOracle(t *testing.T) {
 				}
 			}
 			mm.Cache().Purge()
+		}
+	}
+}
+
+// TestCountMatchesNaiveOracleWideWindows is the differential test at a
+// size of more than two widest windows (512 sources each): the recipe
+// over every use case at 1 200 nodes, at worker counts 1/8, in memory
+// (three windows of 512) and over a varint spill at shard width 100
+// (windows of 128, cut mid-word by every other shard).
+func TestCountMatchesNaiveOracleWideWindows(t *testing.T) {
+	const n, seed = 1200, 1
+	for _, uc := range usecases.Names {
+		cfg, g := testutil.Graph(t, uc, n, seed)
+		dir := filepath.Join(t.TempDir(), "csr")
+		if err := graphgen.WriteCSRSpillFromGraphWith(dir, g, 100, graphgen.SpillCompressVarint); err != nil {
+			t.Fatal(err)
+		}
+		spill, err := OpenSpillSource(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range recipeQueries(t, cfg, seed, 5) {
+			want := naiveCount(t, g, q)
+			for name, src := range map[string]Source{"memory": g, "varint/100": spill} {
+				for _, workers := range []int{1, 8} {
+					got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: workers})
+					if err != nil || got != want {
+						t.Errorf("(%s, query %d) %s workers=%d: count %d (%v), naive oracle %d\n%s",
+							uc, qi, name, workers, got, err, want, q)
+					}
+				}
+			}
 		}
 	}
 }

@@ -5,10 +5,11 @@
 // unions of conjunctive regular path queries with inverses and
 // outermost Kleene stars — under the standard set-oriented
 // (duplicate-eliminating, homomorphic) semantics. Chain-shaped rules
-// are evaluated by a streaming scan that walks 64 consecutive sources
-// per traversal (window.go) and never materializes intermediate binary
-// relations; other shapes fall back to a join-based evaluator whose
-// per-conjunct relations come out of the same kernel.
+// are evaluated by a streaming scan that walks a window of 64 to 512
+// consecutive sources per traversal, sized from the graph (window.go),
+// and never materializes intermediate binary relations; other shapes
+// fall back to a join-based evaluator whose per-conjunct relations come
+// out of the same kernel.
 package eval
 
 import (
@@ -226,22 +227,30 @@ type startFilter struct {
 	probe bool
 }
 
-// window returns which of the sources in (bits of the window at v0)
-// may begin a match under the filter: one word of the mask, or, in the
-// probe case only, one canStart per source.
-func (f startFilter) window(g Source, e compiledExpr, v0 int32, in uint64) uint64 {
-	if f.mask != nil {
-		return f.mask.Words()[v0>>6] & in
-	}
-	if f.probe {
-		for rest := in; rest != 0; rest &= rest - 1 {
-			b := bits.TrailingZeros64(rest)
-			if !canStart(g, e, v0+int32(b)) {
-				in &^= 1 << b
+// window writes to start which of the sources in (the words of the
+// window at v0) may begin a match under the filter — the mask's words
+// at v0, or, in the probe case only, one canStart per source — and
+// reports whether any may.
+func (f startFilter) window(g Source, e compiledExpr, v0 int32, in, start []uint64) bool {
+	start = start[:len(in)]
+	var some uint64
+	for i, w := range in {
+		if w != 0 {
+			if f.mask != nil {
+				w &= f.mask.Words()[int(v0>>6)+i]
+			} else if f.probe {
+				for rest := w; rest != 0; rest &= rest - 1 {
+					b := bits.TrailingZeros64(rest)
+					if !canStart(g, e, v0+int32(i<<6+b)) {
+						w &^= 1 << b
+					}
+				}
 			}
 		}
+		start[i] = w
+		some |= w
 	}
-	return in
+	return some != 0
 }
 
 // startFilterFor derives the tightest cheap source restriction for a
@@ -326,7 +335,8 @@ func EvalExpr(g Source, e regpath.Expr, b Budget) (*Rel, error) {
 // evalCompiled materializes e source window by source window with the
 // streaming scan's kernel, transposing each window's final masks (node
 // -> sources reaching it) into rows (source -> nodes reached). Nodes
-// are visited in ascending order, so rows come out sorted.
+// are visited in ascending order, so rows come out sorted. The window
+// width follows the same rule as a count's (windowWordsFor).
 func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 	n := g.NumNodes()
 	rel := &Rel{N: n, Rows: make(map[int32][]int32)}
@@ -338,17 +348,16 @@ func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 	filter := startFilterFor(g, ce)
 	ws, release := WorkerSource(g)
 	defer release()
-	st := acquireScratch(n)
+	st := acquireScratch(n, windowWordsFor(g))
 	defer st.release()
 
 	exprs := []compiledExpr{ce}
-	var rows [windowSize][]int32
-	for v0, in := range windows(NodeRange{Lo: 0, Hi: int32(n)}) {
-		start := filter.window(ws, ce, v0, in)
-		if start == 0 {
+	rows := make([][]int32, 64*st.words)
+	for v0, in := range windows(NodeRange{Lo: 0, Hi: int32(n)}, st.in) {
+		if !filter.window(ws, ce, v0, in, st.start) {
 			continue
 		}
-		fin, err := st.runChain(ws, exprs, v0, start, tr)
+		fin, err := st.runChain(ws, exprs, v0, st.start, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -357,10 +366,12 @@ func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 		}
 		var pairs int64
 		for u, m := range fin.all() {
-			pairs += int64(bits.OnesCount64(m))
-			for ; m != 0; m &= m - 1 {
-				b := bits.TrailingZeros64(m)
-				rows[b] = append(rows[b], u)
+			for i, w := range m {
+				pairs += int64(bits.OnesCount64(w))
+				for ; w != 0; w &= w - 1 {
+					b := i<<6 + bits.TrailingZeros64(w)
+					rows[b] = append(rows[b], u)
+				}
 			}
 		}
 		fin.clear()

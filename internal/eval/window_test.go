@@ -80,44 +80,119 @@ func union(rules ...query.Rule) *query.Query { return &query.Query{Rules: rules}
 func countAllWays(t *testing.T, label string, g Source, q *query.Query) int64 {
 	t.Helper()
 	want := naiveCount(t, g, q)
+	countsMatch(t, label, g, q, want)
+	return want
+}
+
+// countsMatch requires the sequential and the parallel counts to be
+// want.
+func countsMatch(t *testing.T, label string, g Source, q *query.Query, want int64) {
+	t.Helper()
 	for _, workers := range []int{1, 2, 8} {
 		got, err := CountWith(g, q, Budget{}, EvalOptions{Workers: workers})
 		if err != nil || got != want {
 			t.Errorf("%s workers=%d: count %d (%v), naive oracle %d\n%s", label, workers, got, err, want, q)
 		}
 	}
-	return want
 }
 
 // TestWindowBoundaries runs every head shape, single rules and unions,
-// over random graphs whose size sits on, just under and just over the
-// window width, with ranges that start and end mid-word.
+// over random graphs whose size sits on, just under and just over a
+// word and every window width, with ranges that start and end mid-word
+// — in the first word of a window and in the middle of a wider one —
+// and that narrow the window through its range clause.
 func TestWindowBoundaries(t *testing.T) {
 	exprs := []string{"a", "a-", "a.b", "a.a.a-", "(a+b-)", "(a.b+eps)", "(a)*", "(a.b-)*", "(a+b)*", "(a.a.a)*", "(a+eps)*"}
 	r := rand.New(rand.NewSource(64))
-	for _, n := range []int{1, 63, 64, 65, 130} {
-		g := randomGraph(r, n, 2, 2*n)
-		for _, ranges := range [][]NodeRange{cutAt(n), cutAt(n, 5, 70), cutAt(n, 63, 64, 65, 129), cutAt(n, 1, 2, 3, 100)} {
-			src := cutGraph{g, ranges}
-			for i, e := range exprs {
-				e2 := exprs[(i+3)%len(exprs)]
-				for _, q := range []*query.Query{
-					union(chainRule("", e)),
-					union(chainRule("s", e)),
-					union(chainRule("e", e)),
-					union(chainRule("se", e)),
-					union(chainRule("es", e)),
-					union(chainRule("se", e, e2)),
-					union(chainRule("es", e, e2, "b")),
-					union(chainRule("s", e), chainRule("e", e2)),
-					union(chainRule("e", e, e2), chainRule("s", e2)),
-					union(chainRule("se", e), chainRule("se", e2)),
-					union(chainRule("se", e), chainRule("es", e2), chainRule("se", "b", e)),
-				} {
-					countAllWays(t, fmt.Sprintf("n=%d ranges=%v", n, ranges), src, q)
+	for _, n := range []int{1, 63, 64, 65, 127, 129, 130, 255, 257, 511, 512, 513, 1025} {
+		// At most 600 edges: past 300 nodes the graph thins out, which
+		// keeps the naive oracle's per-source walks short.
+		g := randomGraph(r, n, 2, min(2*n, 600))
+		cuts := [][]NodeRange{
+			cutAt(n), cutAt(n, 5, 70), cutAt(n, 63, 64, 65, 129), cutAt(n, 1, 2, 3, 100),
+			cutAt(n, 100, 300, 700), cutAt(n, 200, 400, 600, 800, 1000), cutAt(n, 130, 260, 390, 520, 650, 780, 910),
+		}
+		for i, e := range exprs {
+			e2 := exprs[(i+3)%len(exprs)]
+			for _, q := range []*query.Query{
+				union(chainRule("", e)),
+				union(chainRule("s", e)),
+				union(chainRule("e", e)),
+				union(chainRule("se", e)),
+				union(chainRule("es", e)),
+				union(chainRule("se", e, e2)),
+				union(chainRule("es", e, e2, "b")),
+				union(chainRule("s", e), chainRule("e", e2)),
+				union(chainRule("e", e, e2), chainRule("s", e2)),
+				union(chainRule("se", e), chainRule("se", e2)),
+				union(chainRule("se", e), chainRule("es", e2), chainRule("se", "b", e)),
+			} {
+				want := naiveCount(t, g, q)
+				for _, ranges := range cuts {
+					countsMatch(t, fmt.Sprintf("n=%d ranges=%v", n, ranges), cutGraph{g, ranges}, q, want)
 				}
 			}
 		}
+	}
+}
+
+// TestWindowWidthRule pins the width rule at its thresholds: the
+// frontier cap (8·words·n bytes within 2 MiB) and the range clause
+// (64·words sources within the widest range rounded up to 64).
+func TestWindowWidthRule(t *testing.T) {
+	for _, c := range []struct{ n, widest, want int }{
+		// The cap, ranges as wide as the graph.
+		{32_768, 32_768, 8}, {32_769, 32_769, 4},
+		{65_536, 65_536, 4}, {65_537, 65_537, 2},
+		{131_072, 131_072, 2}, {131_073, 131_073, 1},
+		{100_000, 100_000, 2}, {1 << 20, 1 << 20, 1}, {1 << 20, 200, 1},
+		// The range clause, under the cap.
+		{4000, 4000, 8}, {800, 200, 4}, {4000, 1, 1}, {4000, 64, 1},
+		{4000, 65, 2}, {4000, 128, 2}, {4000, 129, 2}, {4000, 192, 2},
+		{4000, 193, 4}, {4000, 256, 4}, {4000, 448, 4}, {4000, 449, 8},
+		{4000, 512, 8}, {4000, 513, 8}, {1, 1, 1}, {130, 130, 2},
+	} {
+		if got := windowWords(c.n, c.widest); got != c.want {
+			t.Errorf("windowWords(n=%d, widest=%d) = %d, want %d", c.n, c.widest, got, c.want)
+		}
+	}
+	// A RangedSource's widest storage range decides, not its node count;
+	// a graph without ranges is one range.
+	g := handGraph(t, 1000, 1)
+	for _, c := range []struct {
+		src  Source
+		want int
+	}{
+		{g, 8},
+		{cutGraph{g, cutAt(1000, 250, 500, 750)}, 4},
+		{cutGraph{g, cutAt(1000, 100, 200, 300, 400, 500, 600, 700, 800, 900)}, 2},
+		{cutGraph{g, cutAt(1000, 10, 20)}, 8},
+		{cutGraph{g, nil}, 8},
+	} {
+		if got := windowWordsFor(c.src); got != c.want {
+			t.Errorf("windowWordsFor(%T, ranges %v) = %d, want %d", c.src, storageRanges(c.src), got, c.want)
+		}
+	}
+}
+
+// TestScratchBoundAboveCap: where the cap leaves one word per node, a
+// worker's scratch with every frontier allocated is no larger than
+// 57 B per node, plus its three one-window buffers.
+func TestScratchBoundAboveCap(t *testing.T) {
+	const n = 131_136 // the first multiple of 64 past the cap's last two-word graph
+	words := windowWords(n, n)
+	if words != 1 {
+		t.Fatalf("windowWords(%d) = %d, want 1", n, words)
+	}
+	st := acquireScratch(n, words)
+	defer st.release()
+	bytes := 8 * (len(st.in) + len(st.start) + len(st.reached) + len(st.nodeUnion.Words()))
+	for i := range numSlots {
+		f := st.slot(i)
+		bytes += 8 * (cap(f.mask) + len(f.active.Words()))
+	}
+	if limit := 57*n + 3*8*words; bytes > limit {
+		t.Errorf("scratch at n=%d: %d B, more than 57 B x n + 3 words = %d B", n, bytes, limit)
 	}
 }
 
@@ -210,7 +285,7 @@ func TestBudgetIsAFunctionOfTheResult(t *testing.T) {
 // reversed they must be the naive oracle's sorted rows.
 func TestEvalCompiledRowsMatchOracle(t *testing.T) {
 	r := rand.New(rand.NewSource(65))
-	for _, n := range []int{1, 64, 65, 130} {
+	for _, n := range []int{1, 63, 64, 65, 127, 129, 130, 255, 257, 511, 512, 513, 1025} {
 		g := randomGraph(r, n, 2, 2*n)
 		for _, expr := range []string{"a", "a.b-", "(a+b.b)", "(a+eps)", "(a)*", "(a.b+b-)*"} {
 			e := regpath.MustParse(expr)
@@ -294,8 +369,13 @@ func TestCountAllocationsDoNotGrowWithSources(t *testing.T) {
 	}
 }
 
-// kernelCase decodes fuzzer bytes into a small graph, a union of one or
+// kernelCase decodes fuzzer bytes into a graph, a union of one or
 // two chain rules with endpoint heads, and a cut of the node space.
+//
+// A first byte below 200 spells n = 1..200 and every node id in one
+// byte. A first byte of 200 or more takes a second and spells n =
+// 201..1100 — past two windows of 512 sources — and node ids above 256
+// nodes take two bytes, little-endian.
 func kernelCase(t testing.TB, data []byte) (cutGraph, *query.Query) {
 	next := func() int {
 		if len(data) == 0 {
@@ -305,8 +385,18 @@ func kernelCase(t testing.TB, data []byte) (cutGraph, *query.Query) {
 		data = data[1:]
 		return int(b)
 	}
-	n, preds := 1+next()%200, 1+next()%3
-	ranges := cutAt(n, next()%n, next()%n)
+	n := 1 + next()
+	if n > 200 {
+		n = 201 + ((n-201)<<8|next())%900
+	}
+	node := func() int {
+		if n <= 256 {
+			return next() % n
+		}
+		return (next() | next()<<8) % n
+	}
+	preds := 1 + next()%3
+	ranges := cutAt(n, node(), node())
 	arity := next() % 3
 	heads := [][]string{{""}, {"s", "e"}, {"se", "es"}}[arity]
 	q := &query.Query{}
@@ -330,15 +420,15 @@ func kernelCase(t testing.TB, data []byte) (cutGraph, *query.Query) {
 		q.Rules = append(q.Rules, chainRule(head, exprs...))
 	}
 	var edges [][3]int32
-	for len(data) >= 3 && len(edges) < 600 {
-		edges = append(edges, [3]int32{int32(next() % n), int32(next() % preds), int32(next() % n)})
+	for len(data) >= 3 && len(edges) < 1200 {
+		edges = append(edges, [3]int32{int32(node()), int32(next() % preds), int32(node())})
 	}
 	return cutGraph{handGraph(t, n, preds, edges...), ranges}, q
 }
 
-// FuzzWindowKernel: on any small graph, chain query, head shape and
-// range cut the fuzzer can spell, the kernel counts what the naive
-// oracle counts, sequentially and in parallel.
+// FuzzWindowKernel: on any graph of up to 1 100 nodes, chain query,
+// head shape and range cut the fuzzer can spell, the kernel counts what
+// the naive oracle counts, sequentially and in parallel.
 func FuzzWindowKernel(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{64, 1, 5, 70, 2, 0, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 2, 63, 0, 0})
