@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"sync"
 )
 
@@ -117,6 +116,13 @@ func NewZipfian(s float64) Distribution {
 // Definition 3.1 allows eta entries with one non-specified side).
 func (d Distribution) Specified() bool { return d.Kind != NotSpecified }
 
+// maxParam bounds a uniform Max, a Gaussian Mu or Sigma and a Zipfian
+// N. A degree draws that many edges at one node, and CSR offsets are
+// int32; past it a uniform span overflows int, a Zipfian table cannot
+// be allocated, and a Gaussian grows an occurrence vector until the
+// process is killed.
+const maxParam = math.MaxInt32
+
 // Validate checks the parameters of the distribution.
 func (d Distribution) Validate() error {
 	switch d.Kind {
@@ -128,6 +134,9 @@ func (d Distribution) Validate() error {
 		}
 		if d.Max < d.Min {
 			return fmt.Errorf("dist: uniform max %d < min %d", d.Max, d.Min)
+		}
+		if d.Max > maxParam {
+			return fmt.Errorf("dist: uniform max %d > %d", d.Max, maxParam)
 		}
 		return nil
 	case Gaussian:
@@ -142,6 +151,9 @@ func (d Distribution) Validate() error {
 		if d.Sigma < 0 {
 			return fmt.Errorf("dist: gaussian sigma %g < 0", d.Sigma)
 		}
+		if d.Mu > maxParam || d.Sigma > maxParam {
+			return fmt.Errorf("dist: gaussian mu %g and sigma %g must not exceed %d", d.Mu, d.Sigma, maxParam)
+		}
 		return nil
 	case Zipfian:
 		if !finite(d.S) {
@@ -152,6 +164,9 @@ func (d Distribution) Validate() error {
 		}
 		if d.N < 0 {
 			return fmt.Errorf("dist: zipfian support %d < 0", d.N)
+		}
+		if d.N > maxParam {
+			return fmt.Errorf("dist: zipfian support %d > %d", d.N, maxParam)
 		}
 		return nil
 	default:
@@ -208,31 +223,52 @@ type Sampler interface {
 	Sample(rng *rand.Rand) int
 }
 
-// NewSampler compiles the distribution into a sampler. Zipfian
-// samplers share their (S, N)'s cumulative mass table, computed once
-// per process, so a draw is one uniform variate plus a binary search.
+// NewSampler compiles the distribution into a sampler. Uniform
+// samplers precompute their rejection bound; Zipfian samplers share
+// their (S, N)'s cumulative mass table and its guide table, computed
+// once per process, so a draw is one uniform variate plus a short
+// forward scan.
 func (d Distribution) NewSampler() (Sampler, error) {
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}
 	switch d.Kind {
 	case Uniform:
-		return uniformSampler{min: d.Min, span: d.Max - d.Min + 1}, nil
+		return newUniformSampler(d.Min, d.Max-d.Min+1), nil
 	case Gaussian:
 		return gaussianSampler{mu: d.Mu, sigma: d.Sigma}, nil
 	case Zipfian:
-		return zipfSampler{cdf: zipfTableOf(d.S, d.zipfN()).cdf}, nil
+		return zipfSampler{zipfTableOf(d.S, d.zipfN())}, nil
 	default:
 		return nil, fmt.Errorf("dist: cannot sample %s distribution", d.Kind)
 	}
 }
 
+// uniformSampler draws min + rng.Intn(span) with the same draws, but
+// with Int31n's rejection bound computed once, so a draw costs one
+// division instead of two.
 type uniformSampler struct {
 	min, span int
+	bound     int32 // Int31n(span) redraws any Int31 above it
+}
+
+func newUniformSampler(min, span int) uniformSampler {
+	s := uniformSampler{min: min, span: span}
+	if span <= math.MaxInt32 {
+		s.bound = math.MaxInt32 - int32(uint32(1<<31)%uint32(span))
+	}
+	return s
 }
 
 func (s uniformSampler) Sample(rng *rand.Rand) int {
-	return s.min + rng.Intn(s.span)
+	if s.span > math.MaxInt32 {
+		return s.min + rng.Intn(s.span) // [0, MaxInt32]: Int63n's path
+	}
+	v := rng.Int31()
+	for v > s.bound {
+		v = rng.Int31()
+	}
+	return s.min + int(v%int32(s.span))
 }
 
 type gaussianSampler struct {
@@ -248,16 +284,30 @@ func (s gaussianSampler) Sample(rng *rand.Rand) int {
 }
 
 // zipfSampler draws ranks 1..n with P(k) proportional to k^-s via
-// inversion over the shared, read-only CDF of its zipfTable.
+// inversion over the shared, read-only tables of its zipfTable.
 type zipfSampler struct {
-	cdf []float64
+	t *zipfTable
+}
+
+func (z zipfSampler) Sample(rng *rand.Rand) int {
+	return z.t.search(rng.Float64()) + 1
 }
 
 // zipfTable is one Zipfian's support walked once: the normalized CDF a
-// sampler inverts and the exact mean H(N, S-1)/H(N, S).
+// sampler inverts, the guide table that starts each inversion near its
+// answer, and the exact mean H(N, S-1)/H(N, S).
+//
+// The guide cuts [0, 1) into n equal buckets, bucket(u) = int(u*n)
+// (n+1 entries: u*n can round up to n). guide[g] is the answer at a
+// float no greater than any u of bucket g, and the answer is monotone
+// in u, so it is a lower bound for every u of the bucket: a forward
+// scan from it finds sort.SearchFloat64s(cdf, u) exactly. With as
+// many buckets as ranks, a draw scans O(1) entries in expectation
+// instead of a binary search's log2(n) dependent steps.
 type zipfTable struct {
-	cdf  []float64 // cdf[i] = P(K <= i+1), cdf[n-1] == 1
-	mean float64
+	cdf   []float64 // cdf[i] = P(K <= i+1), cdf[n-1] == 1
+	guide []int32
+	mean  float64
 }
 
 type zipfKey struct {
@@ -288,7 +338,7 @@ func zipfTableOf(s float64, n int) *zipfTable {
 
 // newZipfTable computes the CDF and the mean in one loop, summing in
 // the same order as the two loops it replaces, so both are bit-identical
-// to what Mean and the sampler computed separately.
+// to what Mean and the sampler computed separately; then the guide.
 func newZipfTable(s float64, n int) *zipfTable {
 	cdf := make([]float64, n)
 	var num, den float64
@@ -303,12 +353,51 @@ func newZipfTable(s float64, n int) *zipfTable {
 	}
 	cdf[n-1] = 1
 	// den >= 1: its first term is Pow(1, -s), which is 1 for every s.
-	return &zipfTable{cdf: cdf, mean: num / den}
+	t := &zipfTable{cdf: cdf, mean: num / den}
+	t.buildGuide()
+	return t
+}
+
+// buildGuide fills the guide table of t's CDF: one scan, carried from
+// bucket to bucket.
+func (t *zipfTable) buildGuide() {
+	t.guide = make([]int32, len(t.cdf)+1)
+	i := 0
+	for g := range t.guide {
+		i = t.scan(i, t.bucketStart(g))
+		t.guide[g] = int32(i)
+	}
+}
+
+// bucket maps a variate in [0, 1) to its guide entry.
+func (t *zipfTable) bucket(u float64) int { return int(u * float64(len(t.cdf))) }
+
+// bucketStart returns a float64 no greater than any variate of bucket
+// g: the float g/n, stepped down while the float below it still falls
+// in bucket g or above. Rounding in u*n can put a variate an ulp or two
+// below g/n into bucket g; a start that is itself in bucket g-1 is
+// still a lower bound.
+func (t *zipfTable) bucketStart(g int) float64 {
+	x := float64(g) / float64(len(t.cdf))
+	for x > 0 && t.bucket(math.Nextafter(x, 0)) >= g {
+		x = math.Nextafter(x, 0)
+	}
+	return x
+}
+
+// scan returns the first index at or after i whose CDF reaches u. It
+// stops at n-1 for any u <= 1, since cdf[n-1] == 1.
+func (t *zipfTable) scan(i int, u float64) int {
+	for t.cdf[i] < u {
+		i++
+	}
+	return i
+}
+
+// search inverts the CDF: the smallest i with cdf[i] >= u, which is
+// sort.SearchFloat64s(cdf, u) for u in [0, 1).
+func (t *zipfTable) search(u float64) int {
+	return t.scan(int(t.guide[t.bucket(u)]), u)
 }
 
 func finite(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
-
-func (z zipfSampler) Sample(rng *rand.Rand) int {
-	u := rng.Float64()
-	return sort.SearchFloat64s(z.cdf, u) + 1
-}

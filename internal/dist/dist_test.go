@@ -1,8 +1,10 @@
 package dist
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"sync"
 	"testing"
 )
@@ -138,13 +140,13 @@ func TestZipfTableMatchesSeparateLoops(t *testing.T) {
 			t.Fatal(err)
 		}
 		s2, _ := d.NewSampler()
-		got := s1.(zipfSampler).cdf
+		got := s1.(zipfSampler).t.cdf
 		for i := range cdf {
 			if math.Float64bits(got[i]) != math.Float64bits(cdf[i]) {
 				t.Fatalf("%v: cdf[%d] = %v, two-loop cdf %v", d, i, got[i], cdf[i])
 			}
 		}
-		if &s2.(zipfSampler).cdf[0] != &got[0] {
+		if &s2.(zipfSampler).t.cdf[0] != &got[0] {
 			t.Errorf("%v: two samplers built two tables", d)
 		}
 	}
@@ -258,6 +260,111 @@ func TestValidate(t *testing.T) {
 	for _, d := range good {
 		if err := d.Validate(); err != nil {
 			t.Errorf("Validate(%v): %v", d, err)
+		}
+	}
+}
+
+// TestValidateRejectsOversizedParameters pins the parameters that
+// passed Validate and then crashed generation: a uniform span past
+// MaxInt panicked in rng.Intn, a Zipfian N of 2^40 died allocating its
+// table, a Gaussian mu of 1e12 grew an occurrence vector until the
+// process was killed. Every bound sits at MaxInt32, which is accepted.
+func TestValidateRejectsOversizedParameters(t *testing.T) {
+	for _, d := range []Distribution{
+		NewUniform(0, math.MaxInt),
+		NewUniform(5, math.MaxInt32+1),
+		NewGaussian(1e12, 1),
+		NewGaussian(3, 1e12),
+		{Kind: Zipfian, S: 2, N: 1 << 40},
+		{Kind: Zipfian, S: 2, N: math.MaxInt32 + 1},
+	} {
+		if err := d.Validate(); err == nil {
+			t.Errorf("Validate(%+v) accepted", d)
+		}
+	}
+	for _, d := range []Distribution{
+		NewUniform(0, math.MaxInt32),
+		NewGaussian(math.MaxInt32, math.MaxInt32),
+		{Kind: Zipfian, S: 2, N: math.MaxInt32},
+	} {
+		if err := d.Validate(); err != nil {
+			t.Errorf("Validate(%+v): %v", d, err)
+		}
+	}
+}
+
+// TestUniformSamplerMatchesIntn pins the precomputed rejection bound to
+// math/rand: a uniform sampler's draws are min + rng.Intn(span) at
+// every span where Int31n branches, and at 2^31, Int63n's.
+func TestUniformSamplerMatchesIntn(t *testing.T) {
+	for _, span := range []int{1, 2, 3, 7, 1 << 30, 1<<30 + 1, math.MaxInt32, 1 << 31} {
+		lo := min(4, math.MaxInt32+1-span) // keep Max within the bound
+		s, err := NewUniform(lo, lo+span-1).NewSampler()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 2, 3} {
+			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+			for i := range 5000 {
+				if a, b := s.Sample(got), lo+want.Intn(span); a != b {
+					t.Fatalf("span %d seed %d draw %d: sampler %d, Intn %d", span, seed, i, a, b)
+				}
+			}
+		}
+	}
+}
+
+// TestZipfGuideMatchesBinarySearch checks the guide-table inversion
+// against sort.SearchFloat64s where they could part: at every CDF
+// value and its float neighbours, and at every bucket edge g/N and its
+// neighbours. Real Zipfian tables almost never put a CDF value within
+// a float of a bucket edge, so crafted CDFs put one on, one float
+// below and one float above every edge: there a guide entry one float
+// off starts the scan past the answer.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	check := func(name string, tab *zipfTable) {
+		t.Helper()
+		n := len(tab.cdf)
+		var us []float64
+		near := func(x float64) {
+			us = append(us, math.Nextafter(x, 0), x, math.Nextafter(x, 1))
+		}
+		for _, c := range tab.cdf {
+			near(c)
+		}
+		for g := 0; g <= n; g++ {
+			near(float64(g) / float64(n))
+		}
+		for _, u := range us {
+			if u < 0 || u >= 1 {
+				continue
+			}
+			if got, want := tab.search(u), sort.SearchFloat64s(tab.cdf, u); got != want {
+				t.Fatalf("%s: search(%v) = %d, binary search %d", name, u, got, want)
+			}
+		}
+	}
+	for _, d := range []Distribution{
+		{Kind: Zipfian, S: 1.3, N: 1}, {Kind: Zipfian, S: 2, N: 2}, {Kind: Zipfian, S: 0.5, N: 3},
+		NewZipfian(1.1), NewZipfian(2.5), NewZipfian(1e-9), NewZipfian(300),
+		{Kind: Zipfian, S: 0.7, N: 4096}, {Kind: Zipfian, S: 1.01, N: 100_003},
+	} {
+		check(d.String(), zipfTableOf(d.S, d.zipfN()))
+	}
+	for n := 1; n <= 200; n++ {
+		for _, toward := range []float64{0, 0.5, 2} { // one float below, on, above
+			cdf := make([]float64, n)
+			for i := range cdf {
+				e := float64(i+1) / float64(n)
+				if toward != 0.5 {
+					e = math.Nextafter(e, toward)
+				}
+				cdf[i] = min(e, 1)
+			}
+			cdf[n-1] = 1
+			tab := &zipfTable{cdf: cdf}
+			tab.buildGuide()
+			check(fmt.Sprintf("crafted n=%d toward %v", n, toward), tab)
 		}
 	}
 }

@@ -213,6 +213,31 @@ func TestNonFiniteDistributionRejected(t *testing.T) {
 	}
 }
 
+// TestOversizedDistributionRejected pins the regression where integer
+// and float parameters too large to generate passed validation and
+// crashed generation: a uniform max of MaxInt overflowed the span and
+// panicked, a Zipfian n of 2^40 died allocating its table, a Gaussian
+// mu of 1e12 ran the process out of memory. The configuration must
+// fail to resolve instead.
+func TestOversizedDistributionRejected(t *testing.T) {
+	const zipf = `<in type="zipfian" s="1.8"/>`
+	for _, in := range []string{
+		`<in type="uniform" min="0" max="9223372036854775807"/>`,
+		`<in type="uniform" min="1" max="2147483648"/>`,
+		`<in type="zipfian" s="1.8" n="1099511627776"/>`,
+		`<in type="gaussian" mu="1e12" sigma="1"/>`,
+		`<in type="gaussian" mu="3" sigma="1e12"/>`,
+	} {
+		doc, err := Parse(strings.NewReader(strings.Replace(sampleXML, zipf, in, 1)))
+		if err != nil {
+			t.Fatalf("%s: encoding/xml should read it: %v", in, err)
+		}
+		if _, err := doc.GraphConfig(); err == nil {
+			t.Errorf("%s: GraphConfig() accepted it", in)
+		}
+	}
+}
+
 func TestQueriesXMLRoundTrip(t *testing.T) {
 	gcfg := usecases.Bib(1000)
 	wcfg, err := usecases.Workload("con", gcfg, 3)

@@ -1,6 +1,8 @@
 package graphgen
 
 import (
+	"bytes"
+	"sync"
 	"testing"
 
 	"gmark/internal/dist"
@@ -131,4 +133,51 @@ func TestEmitPredicateParallelismInvariant(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestEmitPredicateConcurrent runs EmitPredicate from 8 goroutines over
+// one configuration at once, as gmark serve does on concurrent slice
+// misses. Every shard of every run takes its scratch from one shared
+// pool; each result must equal the sequential one. The CI race step
+// runs it under the detector.
+func TestEmitPredicateConcurrent(t *testing.T) {
+	cfg := twoPredConfig(2000)
+	preds := []string{"p", "q"}
+	emitText := func(pred string, par int) ([]byte, error) {
+		var b bytes.Buffer
+		ws, err := NewWriterSink(&b, cfg)
+		if err != nil {
+			return nil, err
+		}
+		_, err = EmitPredicate(cfg, Options{Seed: 31, ShardEdges: 128, Parallelism: par}, pred, ws)
+		return b.Bytes(), err
+	}
+	want := make(map[string][]byte, len(preds))
+	for _, pred := range preds {
+		b, err := emitText(pred, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[pred] = b
+	}
+	var wg sync.WaitGroup
+	for w := range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 4 {
+				pred, par := preds[(w+i)%len(preds)], 1+(w+i)%2
+				got, err := emitText(pred, par)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !bytes.Equal(got, want[pred]) {
+					t.Errorf("goroutine %d, run %d: %s at parallelism %d differs from the sequential run", w, i, pred, par)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -47,9 +47,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync"
 	"sync/atomic"
 
-	"gmark/internal/dist"
 	"gmark/internal/graph"
 	"gmark/internal/prng"
 	"gmark/internal/schema"
@@ -79,12 +80,6 @@ type Options struct {
 	// different ShardEdges values select different (equally valid)
 	// instances of the same configuration.
 	ShardEdges int
-
-	// NaiveShuffle disables the paired-shuffle optimization and follows
-	// Fig. 5 literally (materialize both vectors, full Fisher-Yates on
-	// each). Used by the ablation benchmark; the two modes produce
-	// graphs from the same distribution.
-	NaiveShuffle bool
 }
 
 // workers resolves the effective worker count.
@@ -371,71 +366,71 @@ var errAborted = fmt.Errorf("generation aborted")
 // stratification never produces block-diagonal or disconnected
 // instances. A non-specified side keeps uniform random pairing over
 // the full partner type, exactly as unsharded.
+//
+// The RNG and both vectors come from a pooled shardScratch, so a warm
+// shard allocates nothing.
 func (sp *shardPlan) emit(opt Options, emitEdge func(src, dst graph.NodeID) error) error {
 	cp := sp.cp
 	nSrc, nTrg := sp.srcHi-sp.srcLo, sp.trgHi-sp.trgLo
 	if nSrc == 0 || nTrg == 0 {
 		return nil
 	}
-	rng := prng.New(sp.seed)
+	s := scratchPool.Get().(*shardScratch)
+	defer s.release(opt.scratchKeep())
+	s.src.Seed(sp.seed)
 
-	vsrc, err := occurrenceVector(cp.c.Out, nSrc, rng)
-	if err != nil {
-		return fmt.Errorf("out-distribution: %w", err)
+	var err error
+	if cp.out.sampler != nil {
+		if s.out, err = occurrenceVector(s.out, cp.out, nSrc, s.rng); err != nil {
+			return fmt.Errorf("out-distribution: %w", err)
+		}
 	}
-	vtrg, err := occurrenceVector(cp.c.In, nTrg, rng)
-	if err != nil {
-		return fmt.Errorf("in-distribution: %w", err)
+	if cp.in.sampler != nil {
+		if s.in, err = occurrenceVector(s.in, cp.in, nTrg, s.rng); err != nil {
+			return fmt.Errorf("in-distribution: %w", err)
+		}
 	}
+	vsrc, vtrg := s.out, s.in
 
 	srcOff := cp.srcOff + int32(sp.srcLo)
 	trgOff := cp.trgOff + int32(sp.trgLo)
 	switch {
-	case vsrc == nil && vtrg == nil:
+	case cp.out.sampler == nil && cp.in.sampler == nil:
 		// Validate() rejects this, but guard anyway.
 		return fmt.Errorf("both distributions non-specified")
-	case vsrc == nil:
+	case cp.out.sampler == nil:
 		// Out-distribution non-specified: each incoming occurrence is
 		// paired with a uniformly random source node over the whole
 		// source type.
 		for _, j := range vtrg {
-			if err := emitEdge(cp.srcOff+int32(rng.Intn(cp.nSrc)), trgOff+j); err != nil {
+			if err := emitEdge(cp.srcOff+int32(s.src.Intn(cp.nSrc)), trgOff+j); err != nil {
 				return err
 			}
 		}
 		return nil
-	case vtrg == nil:
+	case cp.in.sampler == nil:
 		// In-distribution non-specified: uniform random targets over
 		// the whole target type.
 		for _, j := range vsrc {
-			if err := emitEdge(srcOff+j, cp.trgOff+int32(rng.Intn(cp.nTrg))); err != nil {
+			if err := emitEdge(srcOff+j, cp.trgOff+int32(s.src.Intn(cp.nTrg))); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	m := len(vsrc)
-	if len(vtrg) < m {
-		m = len(vtrg)
+	// Fig. 5 shuffles both vectors and pairs the prefix of the shorter
+	// length. Pairing shuffle(vsrc) with shuffle(vtrg) truncated to m is
+	// distribution-equivalent to keeping the shorter vector in place and
+	// drawing a random m-subset of the longer one in random order
+	// (Section 4: partial Fisher-Yates, m swaps instead of
+	// |vsrc|+|vtrg|).
+	m := min(len(vsrc), len(vtrg))
+	longer := vsrc
+	if len(vtrg) > len(vsrc) {
+		longer = vtrg
 	}
-	if opt.NaiveShuffle {
-		// Fig. 5 verbatim: shuffle both vectors entirely, pair the
-		// prefix of the shorter length.
-		rng.Shuffle(len(vsrc), func(i, j int) { vsrc[i], vsrc[j] = vsrc[j], vsrc[i] })
-		rng.Shuffle(len(vtrg), func(i, j int) { vtrg[i], vtrg[j] = vtrg[j], vtrg[i] })
-	} else {
-		// Optimization (Section 4): pairing shuffle(vsrc) with
-		// shuffle(vtrg) truncated to m is distribution-equivalent to
-		// keeping the shorter vector in place and drawing a random
-		// m-subset of the longer one in random order (partial
-		// Fisher-Yates, m swaps instead of |vsrc|+|vtrg|).
-		longer := vsrc
-		if len(vtrg) > len(vsrc) {
-			longer = vtrg
-		}
-		partialShuffle(longer, m, rng)
-	}
+	partialShuffle(longer, m, &s.src)
 	for i := 0; i < m; i++ {
 		if err := emitEdge(srcOff+vsrc[i], trgOff+vtrg[i]); err != nil {
 			return err
@@ -444,23 +439,77 @@ func (sp *shardPlan) emit(opt Options, emitEdge func(src, dst graph.NodeID) erro
 	return nil
 }
 
-// occurrenceVector draws the per-node degree occurrences of one side:
-// node j (0-based within the shard's sub-range) appears draw(D) times.
-// A non-specified distribution returns a nil vector.
-func occurrenceVector(d dist.Distribution, n int, rng *rand.Rand) ([]int32, error) {
-	if !d.Specified() {
-		return nil, nil
+// shardScratch is one emission shard's working memory: the RNG and the
+// two occurrence vectors. A shard takes one from scratchPool, re-seeds
+// src (which allocates nothing) and fills the vectors in place.
+type shardScratch struct {
+	src     prng.Source
+	rng     *rand.Rand // over src, for the samplers
+	out, in []int32
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	s := new(shardScratch)
+	s.rng = rand.New(&s.src)
+	return s
+}}
+
+// release returns s to the pool, first dropping any vector that holds
+// more than keep entries, so the pool retains O(workers x shard) and
+// one outsized shard's vectors are garbage as soon as it is done.
+func (s *shardScratch) release(keep int) {
+	if cap(s.out) > keep {
+		s.out = nil
 	}
-	sampler, err := d.NewSampler()
-	if err != nil {
-		return nil, err
+	if cap(s.in) > keep {
+		s.in = nil
 	}
-	v := make([]int32, 0, occurrenceCap(d.Mean(), n))
+	scratchPool.Put(s)
+}
+
+// scratchKeep is the largest occurrence vector a released shard
+// scratch keeps: twice the shard edge target, 256K entries (1 MiB) at
+// the default granularity.
+func (o Options) scratchKeep() int {
+	target := o.ShardEdges
+	if target <= 0 {
+		target = defaultShardEdges
+	}
+	return 2 * target
+}
+
+// occurrenceVector draws the per-node degree occurrences of one side
+// into v's storage: node j (0-based within the shard's sub-range)
+// appears draw(D) times. It fails rather than grow a side past
+// math.MaxInt32 occurrences, the most an int32 CSR offset can count.
+//
+// Each node's run is written after one capacity check. Most degrees
+// are small, so the first four copies are stored unconditionally —
+// slots past the run lie beyond len and the next run overwrites them —
+// and only a longer run loops: a loop whose trip count is the random
+// degree mispredicts its exit on nearly every node, which cost more
+// than drawing the degree.
+func occurrenceVector(v []int32, d degreeSide, n int, rng *rand.Rand) ([]int32, error) {
+	v = v[:0]
+	if c := occurrenceCap(d.mean, n); cap(v) < c {
+		v = make([]int32, 0, c)
+	}
 	for j := 0; j < n; j++ {
-		k := sampler.Sample(rng)
-		for i := 0; i < k; i++ {
-			v = append(v, int32(j))
+		k := d.sampler.Sample(rng)
+		if k > math.MaxInt32-len(v) {
+			return nil, fmt.Errorf("more than %d occurrences over %d nodes", math.MaxInt32, n)
 		}
+		l, x := len(v), int32(j)
+		v = slices.Grow(v, max(k, 4))
+		head := v[l : l+4]
+		head[0], head[1], head[2], head[3] = x, x, x, x
+		if k > 4 {
+			tail := v[l+4 : l+k]
+			for i := range tail {
+				tail[i] = x
+			}
+		}
+		v = v[:l+k]
 	}
 	return v, nil
 }
@@ -480,11 +529,11 @@ func occurrenceCap(mean float64, n int) int {
 
 // partialShuffle performs the first m steps of a Fisher-Yates shuffle,
 // leaving a uniform random m-subset of v in uniform random order at
-// v[:m].
-func partialShuffle(v []int32, m int, rng *rand.Rand) {
+// v[:m]. It draws from src as rand.New(src).Intn would.
+func partialShuffle(v []int32, m int, src *prng.Source) {
 	n := len(v)
 	for i := 0; i < m && i < n-1; i++ {
-		j := i + rng.Intn(n-i)
+		j := i + src.Intn(n-i)
 		v[i], v[j] = v[j], v[i]
 	}
 }

@@ -2,10 +2,12 @@ package graphgen
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"gmark/internal/dist"
 	"gmark/internal/graph"
+	"gmark/internal/prng"
 	"gmark/internal/schema"
 )
 
@@ -49,6 +51,82 @@ func TestNonFiniteDistributionFailsGenerate(t *testing.T) {
 			if _, err := Generate(cfg, Options{Seed: 1, Parallelism: par}); err == nil {
 				t.Errorf("%v at parallelism %d: Generate accepted it", d, par)
 			}
+		}
+	}
+}
+
+// TestOversizedDistributionFailsGenerate pins the parameters that
+// passed validation and then crashed generation: a uniform [0, MaxInt]
+// overflowed its span and panicked in rng.Intn, a Zipfian over 2^40
+// ranks died allocating its table, a Gaussian of mean 1e12 grew an
+// occurrence vector until the process was killed.
+func TestOversizedDistributionFailsGenerate(t *testing.T) {
+	for _, d := range []dist.Distribution{
+		dist.NewUniform(0, math.MaxInt),
+		{Kind: dist.Zipfian, S: 2, N: 1 << 40},
+		dist.NewGaussian(1e12, 1),
+	} {
+		for _, par := range []int{1, 2} {
+			cfg := twoTypeConfig(50, d, dist.NewUniform(1, 3))
+			if _, err := Generate(cfg, Options{Seed: 1, Parallelism: par}); err == nil {
+				t.Errorf("%v at parallelism %d: Generate accepted it", d, par)
+			}
+		}
+	}
+}
+
+// degreeScript is a sampler that returns its entries in turn.
+type degreeScript struct {
+	k []int
+	i int
+}
+
+func (s *degreeScript) Sample(*rand.Rand) int {
+	k := s.k[s.i%len(s.k)]
+	s.i++
+	return k
+}
+
+// TestOccurrenceVectorStopsAtInt32 checks that a side whose draws add
+// up past math.MaxInt32 occurrences fails before it grows: one node of
+// degree 1, then one of degree MaxInt32.
+func TestOccurrenceVectorStopsAtInt32(t *testing.T) {
+	side := degreeSide{sampler: &degreeScript{k: []int{1, math.MaxInt32}}, mean: 1}
+	if v, err := occurrenceVector(nil, side, 2, prng.New(1)); err == nil {
+		t.Fatalf("occurrenceVector returned %d occurrences, want an error", len(v))
+	}
+}
+
+// TestWarmShardEmitAllocatesNothing pins the pooled shard scratch and
+// the plan-time samplers: once the pool holds a scratch whose vectors
+// fit, emitting a 20 000-node shard allocates nothing — no RNG, no
+// sampler, no occurrence vector — on either pairing path.
+func TestWarmShardEmitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of Puts under the race detector")
+	}
+	for _, c := range []struct{ in, out dist.Distribution }{
+		{dist.NewZipfian(2.5), dist.NewGaussian(3, 1)},
+		{dist.NewUniform(1, 3), dist.Unspecified()},
+		{dist.Unspecified(), dist.NewUniform(0, 4)},
+	} {
+		p, err := newPlan(twoTypeConfig(40_000, c.in, c.out), Options{Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp := &p.shards[0]
+		edges := 0
+		emit := func() {
+			if err := sp.emit(p.opt, func(_, _ graph.NodeID) error { edges++; return nil }); err != nil {
+				t.Fatal(err)
+			}
+		}
+		emit()
+		if allocs := testing.AllocsPerRun(20, emit); allocs != 0 {
+			t.Errorf("in %v, out %v: a warm shard allocates %v times, want 0", c.in, c.out, allocs)
+		}
+		if edges == 0 {
+			t.Errorf("in %v, out %v: no edges", c.in, c.out)
 		}
 	}
 }
@@ -263,9 +341,45 @@ func TestTrimmingToMinSide(t *testing.T) {
 	}
 }
 
-// TestNaiveShuffleEquivalentStats checks the ablation path: the
-// Fig. 5-literal shuffle and the optimized partial shuffle produce
-// graphs with identical edge counts and statistically matching degree
+// naiveShuffleGraph generates cfg with Fig. 5's pairing taken
+// verbatim: each shard shuffles both occurrence vectors entirely and
+// pairs their prefix of the shorter length. Every constraint of cfg
+// must have both sides specified.
+func naiveShuffleGraph(t *testing.T, cfg *schema.GraphConfig, seed int64) *graph.Graph {
+	t.Helper()
+	p, err := newPlan(cfg, Options{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.New(p.typeNames, p.typeCounts, p.predNames)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range p.shards {
+		sp := &p.shards[i]
+		cp := sp.cp
+		rng := prng.New(sp.seed)
+		vsrc, err := occurrenceVector(nil, cp.out, sp.srcHi-sp.srcLo, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vtrg, err := occurrenceVector(nil, cp.in, sp.trgHi-sp.trgLo, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng.Shuffle(len(vsrc), func(i, j int) { vsrc[i], vsrc[j] = vsrc[j], vsrc[i] })
+		rng.Shuffle(len(vtrg), func(i, j int) { vtrg[i], vtrg[j] = vtrg[j], vtrg[i] })
+		for k := range min(len(vsrc), len(vtrg)) {
+			g.AddEdge(cp.srcOff+int32(sp.srcLo)+vsrc[k], cp.pred, cp.trgOff+int32(sp.trgLo)+vtrg[k])
+		}
+	}
+	g.Freeze()
+	return g
+}
+
+// TestNaiveShuffleEquivalentStats checks the Section 4 optimization
+// against Fig. 5 verbatim: the partial shuffle and the full shuffle of
+// both vectors produce graphs with matching edge counts and degree
 // distributions.
 func TestNaiveShuffleEquivalentStats(t *testing.T) {
 	cfg := twoTypeConfig(3000, dist.NewGaussian(3, 1), dist.NewGaussian(3, 1))
@@ -273,10 +387,7 @@ func TestNaiveShuffleEquivalentStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := Generate(cfg, Options{Seed: 9, NaiveShuffle: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	naive := naiveShuffleGraph(t, cfg, 9)
 	if math.Abs(float64(fast.NumEdges()-naive.NumEdges())) > 0.05*float64(fast.NumEdges()) {
 		t.Errorf("edge counts diverge: %d vs %d", fast.NumEdges(), naive.NumEdges())
 	}

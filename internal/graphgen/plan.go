@@ -3,6 +3,7 @@ package graphgen
 import (
 	"fmt"
 
+	"gmark/internal/dist"
 	"gmark/internal/graph"
 	"gmark/internal/schema"
 	"gmark/internal/splitmix"
@@ -49,8 +50,32 @@ type constraintPlan struct {
 	srcOff, trgOff int32 // global node-id offset of the source/target type
 	nSrc, nTrg     int   // node counts of the source/target type
 
+	// out and in are the constraint's distributions compiled once at
+	// plan time; samplers are immutable, so every shard shares them.
+	out, in degreeSide
+
 	seed   int64
 	shards int // number of emission shards this constraint was split into
+}
+
+// degreeSide is one side of a constraint ready to draw from: its
+// sampler, nil when the side is non-specified, and its mean, which
+// pre-sizes the occurrence vectors.
+type degreeSide struct {
+	sampler dist.Sampler
+	mean    float64
+}
+
+// compileSide builds the degreeSide of one distribution.
+func compileSide(d dist.Distribution) (degreeSide, error) {
+	if !d.Specified() {
+		return degreeSide{}, nil
+	}
+	s, err := d.NewSampler()
+	if err != nil {
+		return degreeSide{}, err
+	}
+	return degreeSide{sampler: s, mean: d.Mean()}, nil
 }
 
 // shardPlan is one independently emittable unit of work: a contiguous
@@ -117,7 +142,8 @@ func newPlan(cfg *schema.GraphConfig, opt Options) (*plan, error) {
 
 	p.constraints = make([]constraintPlan, len(s.Constraints))
 	for i, c := range s.Constraints {
-		p.constraints[i] = constraintPlan{
+		cp := &p.constraints[i]
+		*cp = constraintPlan{
 			index:  i,
 			c:      c,
 			pred:   graph.PredID(s.PredicateIndex(c.Predicate)),
@@ -126,6 +152,14 @@ func newPlan(cfg *schema.GraphConfig, opt Options) (*plan, error) {
 			nSrc:   typeCount[c.Source],
 			nTrg:   typeCount[c.Target],
 			seed:   splitmix.SubSeed(opt.Seed, i),
+		}
+		// cfg.Validate has checked both distributions already.
+		var err error
+		if cp.out, err = compileSide(c.Out); err == nil {
+			cp.in, err = compileSide(c.In)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("graphgen: eta(%s,%s,%s): %w", c.Source, c.Target, c.Predicate, err)
 		}
 	}
 	for i := range p.constraints {
@@ -251,18 +285,12 @@ func (cp *constraintPlan) shardCount(opt Options) int {
 // will emit (the min-side expectation of Fig. 5), used to pre-size
 // emission buffers and to derive the shard count.
 func (cp *constraintPlan) expectedEdges() int {
-	var out, in float64
-	hasOut, hasIn := cp.c.Out.Specified(), cp.c.In.Specified()
-	if hasOut {
-		out = float64(cp.nSrc) * cp.c.Out.Mean()
-	}
-	if hasIn {
-		in = float64(cp.nTrg) * cp.c.In.Mean()
-	}
+	out := float64(cp.nSrc) * cp.out.mean
+	in := float64(cp.nTrg) * cp.in.mean
 	switch {
-	case hasOut && hasIn:
+	case cp.out.sampler != nil && cp.in.sampler != nil:
 		return int(min(out, in))
-	case hasOut:
+	case cp.out.sampler != nil:
 		return int(out)
 	default:
 		return int(in)

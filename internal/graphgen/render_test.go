@@ -403,7 +403,7 @@ func TestEmissionErrorStillFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := &p.constraints[len(p.constraints)-1]
-		last.c.Out.Kind, last.c.In.Kind = 99, 99 // passes no sampler
+		last.out, last.in = degreeSide{}, degreeSide{} // no side to draw
 		var buf bytes.Buffer
 		sink, err := newWriterSink(&buf, p.typeNames, p.typeCounts, p.predNames)
 		if err != nil {

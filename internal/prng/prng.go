@@ -10,6 +10,8 @@
 // of a serial chain. The draws are math/rand's bodies unchanged. The
 // stream is rand.NewSource's bit for bit at every seed, which is what
 // keeps every generated graph and workload byte where it was.
+// Source.Intn, the graph shards' pairing draw, returns rand.Rand.Intn's
+// values from the same draws with one division in the common case.
 package prng
 
 import "math/rand"
@@ -18,6 +20,8 @@ const (
 	rngLen  = 607
 	rngTap  = 273
 	rngMask = 1<<63 - 1
+
+	maxInt31 = 1<<31 - 1
 
 	lcgMod = 1<<31 - 1 // the Mersenne prime 2³¹−1
 	lcgMul = 48271
@@ -133,6 +137,35 @@ func mulMod(s uint64, p uint32) uint64 {
 // Int63 returns a non-negative pseudo-random 63-bit integer.
 func (r *Source) Int63() int64 {
 	return int64(r.Uint64() & rngMask)
+}
+
+// Intn returns what (*rand.Rand).Intn(n) returns over this source, with
+// the same draws. For n ≤ 2³¹−1 that is Int31n: the high 31 bits of a
+// draw modulo n, redrawn above a rejection bound that costs a second
+// division. A rejected draw is within n of 2³¹−1, so the bound is
+// computed only there and the common draw costs one division. A larger
+// n takes Int63n's path. It panics if n <= 0.
+func (r *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= maxInt31 {
+		n32 := int32(n)
+		v := int32(r.Int63() >> 32)
+		if v > maxInt31-n32 {
+			bound := maxInt31 - int32(uint32(1<<31)%uint32(n32))
+			for v > bound {
+				v = int32(r.Int63() >> 32)
+			}
+		}
+		return int(v % n32)
+	}
+	bound := rngMask - int64(uint64(1<<63)%uint64(n))
+	v := r.Int63()
+	for v > bound {
+		v = r.Int63()
+	}
+	return int(v % int64(n))
 }
 
 // Uint64 returns a pseudo-random 64-bit value.

@@ -96,15 +96,65 @@ func TestReseedAllocatesNothing(t *testing.T) {
 	}
 }
 
-// FuzzSourceMatchesMathRand compares the streams at any seed and
-// length the fuzzer finds.
-func FuzzSourceMatchesMathRand(f *testing.F) {
-	for _, seed := range edgeSeeds {
-		f.Add(seed, uint16(700))
+// compareIntn draws n values of Source.Intn(bound) and of
+// rand.New(rand.NewSource(seed)).Intn(bound); the first difference
+// fails the test.
+func compareIntn(t *testing.T, seed int64, n, bound int) {
+	t.Helper()
+	var got Source
+	got.Seed(seed)
+	want := rand.New(rand.NewSource(seed))
+	for j := 0; j < n; j++ {
+		if a, b := got.Intn(bound), want.Intn(bound); a != b {
+			t.Fatalf("seed %d, Intn(%d) draw %d: got %d, math/rand %d", seed, bound, j, a, b)
+		}
 	}
-	f.Fuzz(func(t *testing.T, seed int64, draws uint16) {
+}
+
+// intnBounds are the Intn arguments where Int31n and Int63n branch:
+// powers of two, which never reject; spans just past a power of two,
+// which reject almost half their draws; the Int31n/Int63n boundary.
+var intnBounds = []int64{
+	1, 2, 3, 6, 1000, 1 << 30, 1<<30 + 1, 1<<31 - 2, 1<<31 - 1,
+	1 << 31, 1<<31 + 1, 1<<40 + 1, 1 << 62, math.MaxInt64,
+}
+
+// FuzzSourceMatchesMathRand compares the streams at any seed and
+// length the fuzzer finds, and Source.Intn against math/rand's Intn at
+// any bound.
+func FuzzSourceMatchesMathRand(f *testing.F) {
+	for i, seed := range edgeSeeds {
+		f.Add(seed, uint16(700), intnBounds[i%len(intnBounds)])
+	}
+	f.Fuzz(func(t *testing.T, seed int64, draws uint16, bound int64) {
 		compareStreams(t, seed, int(draws))
+		if bound < 0 {
+			bound = ^bound
+		}
+		if bound == 0 || bound > math.MaxInt {
+			bound = 1
+		}
+		compareIntn(t, seed, int(draws), int(bound))
 	})
+}
+
+// TestIntnMatchesMathRand runs every branch bound at a few seeds, and
+// checks the panic of a non-positive bound.
+func TestIntnMatchesMathRand(t *testing.T) {
+	for _, bound := range intnBounds {
+		if bound > math.MaxInt {
+			continue
+		}
+		for _, seed := range edgeSeeds[:4] {
+			compareIntn(t, seed, 2000, int(bound))
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Intn(0) did not panic")
+		}
+	}()
+	new(Source).Intn(0)
 }
 
 var sink uint64
