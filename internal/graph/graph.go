@@ -408,6 +408,89 @@ func BuildAdjacency(n int, from, to []int32, workers int) (off, adj []int32) {
 	return c.off, c.adj
 }
 
+// AdjacencyPair is both directions' CSR of one edge list, each over
+// its own side's id interval: out-neighbors of source v are
+// FwdAdj[FwdOff[v-FwdLo]:FwdOff[v-FwdLo+1]], in-neighbors of target v
+// are BwdAdj[BwdOff[v-BwdLo]:BwdOff[v-BwdLo+1]], every list sorted
+// ascending with duplicates kept. An offset slice has one entry per id
+// in [min, max] of its side plus one; an empty edge list gives
+// single-entry offsets at Lo 0.
+type AdjacencyPair struct {
+	FwdLo, BwdLo   NodeID
+	FwdOff, FwdAdj []int32
+	BwdOff, BwdAdj []int32
+}
+
+// BuildAdjacencyPair builds both directions' CSR of the edge list
+// (srcs[i], dsts[i]) without a comparison sort, by double
+// transposition: a counting scatter of the sources by target gives the
+// backward lists in emission order; transposing those yields the
+// forward lists already sorted (targets are visited in ascending
+// order); transposing the forward lists back yields sorted backward
+// lists. Five linear passes — bounds, counts, scatter, two transposes —
+// and the lists equal BuildAdjacency's exactly. The slice server's
+// per-predicate cut index is its caller.
+func BuildAdjacencyPair(srcs, dsts []NodeID) AdjacencyPair {
+	var p AdjacencyPair
+	if len(srcs) == 0 {
+		p.FwdOff, p.BwdOff = []int32{0}, []int32{0}
+		return p
+	}
+	sLo, sHi := srcs[0], srcs[0]
+	dLo, dHi := dsts[0], dsts[0]
+	for i, s := range srcs {
+		sLo, sHi = min(sLo, s), max(sHi, s)
+		d := dsts[i]
+		dLo, dHi = min(dLo, d), max(dHi, d)
+	}
+	p.FwdLo, p.BwdLo = sLo, dLo
+	p.FwdOff = make([]int32, int(sHi)-int(sLo)+2)
+	p.BwdOff = make([]int32, int(dHi)-int(dLo)+2)
+	for i, s := range srcs {
+		p.FwdOff[s-sLo+1]++
+		p.BwdOff[dsts[i]-dLo+1]++
+	}
+	for i := 1; i < len(p.FwdOff); i++ {
+		p.FwdOff[i] += p.FwdOff[i-1]
+	}
+	for i := 1; i < len(p.BwdOff); i++ {
+		p.BwdOff[i] += p.BwdOff[i-1]
+	}
+	cursor := make([]int32, max(len(p.FwdOff), len(p.BwdOff))-1)
+
+	// Sources by target, in emission order.
+	byDst := make([]int32, len(srcs))
+	copy(cursor, p.BwdOff)
+	for i, d := range dsts {
+		k := d - dLo
+		byDst[cursor[k]] = srcs[i]
+		cursor[k]++
+	}
+	// Forward lists: targets arrive in ascending order.
+	p.FwdAdj = make([]int32, len(srcs))
+	copy(cursor, p.FwdOff)
+	for k := 0; k+1 < len(p.BwdOff); k++ {
+		d := dLo + int32(k)
+		for _, s := range byDst[p.BwdOff[k]:p.BwdOff[k+1]] {
+			p.FwdAdj[cursor[s-sLo]] = d
+			cursor[s-sLo]++
+		}
+	}
+	// Backward lists, sorted: sources arrive in ascending order. The
+	// emission-order lists are no longer needed, so their array is
+	// reused.
+	p.BwdAdj = byDst
+	copy(cursor, p.BwdOff)
+	for k := 0; k+1 < len(p.FwdOff); k++ {
+		s := sLo + int32(k)
+		for _, d := range p.FwdAdj[p.FwdOff[k]:p.FwdOff[k+1]] {
+			p.BwdAdj[cursor[d-dLo]] = s
+			cursor[d-dLo]++
+		}
+	}
+	return p
+}
+
 // Out returns the out-neighbors of v under predicate p. The returned
 // slice is shared; callers must not modify it.
 func (g *Graph) Out(v NodeID, p PredID) []int32 {

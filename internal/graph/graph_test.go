@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -322,5 +323,73 @@ func TestBuildAdjacency(t *testing.T) {
 	wantAdj := []int32{1, 2, 0, 3}
 	if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
 		t.Fatalf("got off=%v adj=%v, want off=%v adj=%v", off, adj, wantOff, wantAdj)
+	}
+}
+
+// TestBuildAdjacencyPairMatchesBuildAdjacency is the property test of
+// the sort-free builder: on random multigraphs — duplicates,
+// self-loops, ids not starting at 0 — and on the empty and one-node
+// edge lists, both directions' lists equal BuildAdjacency's, and each
+// offset array covers exactly its side's [min, max].
+func TestBuildAdjacencyPairMatchesBuildAdjacency(t *testing.T) {
+	check := func(name string, srcs, dsts []int32) {
+		t.Helper()
+		p := BuildAdjacencyPair(srcs, dsts)
+		n := 0
+		for i := range srcs {
+			n = max(n, int(srcs[i])+1, int(dsts[i])+1)
+		}
+		for _, d := range []struct {
+			tag      string
+			from, to []int32
+			lo       int32
+			off, adj []int32
+		}{
+			{"fwd", srcs, dsts, p.FwdLo, p.FwdOff, p.FwdAdj},
+			{"bwd", dsts, srcs, p.BwdLo, p.BwdOff, p.BwdAdj},
+		} {
+			if len(d.from) == 0 {
+				if d.lo != 0 || !slices.Equal(d.off, []int32{0}) || len(d.adj) != 0 {
+					t.Fatalf("%s %s: empty input gave lo=%d off=%v adj=%v", name, d.tag, d.lo, d.off, d.adj)
+				}
+				continue
+			}
+			lo, hi := slices.Min(d.from), slices.Max(d.from)
+			if d.lo != lo || len(d.off) != int(hi-lo)+2 || d.off[0] != 0 || int(d.off[len(d.off)-1]) != len(d.from) {
+				t.Fatalf("%s %s: lo=%d, %d offsets from %d to %d over ids [%d, %d] and %d edges",
+					name, d.tag, d.lo, len(d.off), d.off[0], d.off[len(d.off)-1], lo, hi, len(d.from))
+			}
+			wantOff, wantAdj := BuildAdjacency(n, d.from, d.to, 1)
+			for v := 0; v < n; v++ {
+				want := wantAdj[wantOff[v]:wantOff[v+1]]
+				var got []int32
+				if k := v - int(lo); k >= 0 && k < len(d.off)-1 {
+					got = d.adj[d.off[k]:d.off[k+1]]
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s %s: node %d lists %v, BuildAdjacency %v", name, d.tag, v, got, want)
+				}
+			}
+		}
+	}
+	check("empty", nil, nil)
+	check("one node", []int32{5}, []int32{5})
+	check("one node, repeated", []int32{3, 3, 3}, []int32{3, 3, 3})
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 300; trial++ {
+		// Sides over their own intervals, usually not starting at 0,
+		// and narrow enough for duplicates and self-loops to be common.
+		sBase, dBase := rng.Intn(50), rng.Intn(50)
+		sSpan, dSpan := 1+rng.Intn(20), 1+rng.Intn(20)
+		if trial%3 == 0 {
+			dBase, dSpan = sBase, sSpan // one node type: self-loops
+		}
+		m := rng.Intn(200)
+		srcs, dsts := make([]int32, m), make([]int32, m)
+		for i := range srcs {
+			srcs[i] = int32(sBase + rng.Intn(sSpan))
+			dsts[i] = int32(dBase + rng.Intn(dSpan))
+		}
+		check(fmt.Sprintf("trial %d", trial), srcs, dsts)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"sync"
 )
 
 // This file is the self-contained byte codec of the compressed
@@ -370,13 +371,20 @@ func appendCSRShard(dst []byte, off, adj []int32, comp SpillCompression) ([]byte
 	}
 }
 
+// flateWriters recycles DEFLATE writers across shards: a fresh writer
+// costs ~1 MB of tables, and Reset makes a used one equivalent to a
+// fresh one, so the frames are byte-identical either way.
+var flateWriters = sync.Pool{New: func() any {
+	fw, _ := flate.NewWriter(nil, flate.DefaultCompression) // cannot fail at a valid level
+	return fw
+}}
+
 // deflateBytes wraps b in a DEFLATE stream at the default level.
 func deflateBytes(b []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
+	fw := flateWriters.Get().(*flate.Writer)
+	defer flateWriters.Put(fw)
+	fw.Reset(&buf)
 	if _, err := fw.Write(b); err != nil {
 		return nil, err
 	}

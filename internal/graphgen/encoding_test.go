@@ -2,12 +2,14 @@ package graphgen
 
 import (
 	"bytes"
+	"compress/flate"
 	"encoding/binary"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"gmark/internal/schema"
@@ -485,4 +487,52 @@ func FuzzPairBlocksDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestPooledDeflateMatchesFreshWriter pins the pooled flate.Writer to
+// a fresh one: 8 goroutines deflate payloads of several sizes and
+// shapes, each through the pool several times so writers are reused
+// across payloads, and every frame equals a fresh writer's.
+func TestPooledDeflateMatchesFreshWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var payloads [][]byte
+	for _, n := range []int{0, 1, 100, 4 << 10, 70 << 10, 300 << 10} {
+		random := make([]byte, n)
+		rng.Read(random)
+		off, adj := randomCSR(rng, n/64+1, 12, 1<<20)
+		payloads = append(payloads, random, bytes.Repeat([]byte("gmark"), n/5), appendCSRPayload(nil, off, adj))
+	}
+	want := make([][]byte, len(payloads))
+	for i, p := range payloads {
+		var buf bytes.Buffer
+		fw, err := flate.NewWriter(&buf, flate.DefaultCompression)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fw.Write(p)
+		fw.Close()
+		want[i] = buf.Bytes()
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for round := 0; round < 3; round++ {
+				for k := range payloads {
+					i := (k + w) % len(payloads)
+					got, err := deflateBytes(payloads[i])
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if !bytes.Equal(got, want[i]) {
+						t.Errorf("goroutine %d round %d: payload %d deflated to %d bytes, a fresh writer gives %d",
+							w, round, i, len(got), len(want[i]))
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

@@ -165,6 +165,26 @@ func (c *lruCache[K, V]) insert(key K, val V) {
 	}
 }
 
+// grow charges delta more bytes to key's entry, if key is resident,
+// same accepts its value, and the budget has delta bytes free. It
+// never evicts to make room; a false return changes nothing. Eviction
+// releases the grown size with the entry.
+func (c *lruCache[K, V]) grow(key K, delta int64, same func(V) bool) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok || c.bytes+delta > c.budget {
+		return false
+	}
+	ent := el.Value.(*cacheEntry[K, V])
+	if !same(ent.val) {
+		return false
+	}
+	ent.size += delta
+	c.bytes += delta
+	return true
+}
+
 // stats returns a snapshot of the cache counters.
 func (c *lruCache[K, V]) stats() CacheStats {
 	c.mu.Lock()

@@ -281,7 +281,7 @@ func TestColumnsKeepToTheirShare(t *testing.T) {
 	if wire.Emissions == 0 || wire.ColumnHits == 0 || wire.ColumnBytes == 0 || wire.ColumnEvictions == 0 {
 		t.Errorf("/statsz column counters not moving: %+v", wire)
 	}
-	for _, field := range []string{`"emissions"`, `"column_hits"`, `"column_bytes"`, `"column_evictions"`} {
+	for _, field := range []string{`"emissions"`, `"column_hits"`, `"column_bytes"`, `"column_evictions"`, `"column_indexes"`} {
 		if !strings.Contains(rr.Body.String(), field) {
 			t.Errorf("/statsz has no %s field: %s", field, rr.Body)
 		}

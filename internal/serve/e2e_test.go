@@ -308,6 +308,12 @@ func TestServeConformance(t *testing.T) {
 	if dropped.ColumnBytes != 0 || dropped.Cache.Bytes > 1 {
 		t.Errorf("a one-byte budget retained %d column bytes and %d slice bytes", dropped.ColumnBytes, dropped.Cache.Bytes)
 	}
+	// Both cut paths are pinned against the batch bytes: resident
+	// columns are indexed, and with nothing retained every cut filters.
+	if kept.ColumnIndexes == 0 || dropped.ColumnIndexes != 0 {
+		t.Errorf("cut indexes: %d with the default budget (want > 0), %d with nothing retained (want 0)",
+			kept.ColumnIndexes, dropped.ColumnIndexes)
+	}
 }
 
 // TestServeCompressionOverrides checks the compress= override: a CSR
@@ -396,6 +402,10 @@ func TestServeSweepEmitsEachPredicateOnce(t *testing.T) {
 	}
 	if st.ColumnHits != int64(fetched-len(man.Predicates)) {
 		t.Errorf("%d column hits, want %d", st.ColumnHits, fetched-len(man.Predicates))
+	}
+	// Each predicate's second cut indexes its resident columns.
+	if st.ColumnIndexes != int64(len(man.Predicates)) {
+		t.Errorf("%d cut indexes for %d predicates", st.ColumnIndexes, len(man.Predicates))
 	}
 }
 

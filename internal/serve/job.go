@@ -132,11 +132,26 @@ func (s *Server) resolveJob(spec *manifest.JobSpec) (*job, *httpError) {
 	if j.shardNodes <= 0 {
 		j.shardNodes = graphgen.DefaultCSRShardNodes
 	}
-	j.nRanges = (j.numNodes + j.shardNodes - 1) / j.shardNodes
-	if j.nRanges == 0 {
-		j.nRanges = 1 // an empty instance still has one (empty) range
+	// Rounded up without forming numNodes + shardNodes - 1, which a
+	// spec's shard_nodes near MaxInt would overflow.
+	j.nRanges = j.numNodes / j.shardNodes
+	if j.numNodes%j.shardNodes != 0 || j.nRanges == 0 {
+		j.nRanges++ // an empty instance still has one (empty) range
 	}
 	return j, nil
+}
+
+// rangeBounds returns the node interval [lo, hi) of range r < nRanges,
+// computed in int and clamped to the node count. Every cut — CSR, text
+// and indexed — takes its bounds from here, so a shard width past
+// NodeID's range cannot truncate one of them.
+func (j *job) rangeBounds(r int) (lo, hi int) {
+	lo = r * j.shardNodes // < numNodes for r < nRanges, or 0
+	hi = j.numNodes
+	if j.shardNodes < hi-lo {
+		hi = lo + j.shardNodes
+	}
+	return lo, hi
 }
 
 // register resolves and stores a job, returning the job and whether it

@@ -20,9 +20,13 @@
 // up the slice cache, then the columns cache — a predicate's emitted
 // (source, target) columns in emission order, which every range,
 // direction and encoding of that predicate is cut from — and only
-// then emits the predicate. Neither cache can change a byte: a slice
-// is cut from the columns by the same code whether they were resident
-// or emitted for this request.
+// then emits the predicate. Resident columns cut a second time also
+// get a cut index (both directions' CSR and a per-range bucket), which
+// is charged to the columns' share if it has the room free and makes
+// every later cut O(slice). Neither cache nor index can change a byte:
+// the indexed and the filtering cut are pinned equal, and a slice is
+// cut by the same code whether its columns were resident or emitted
+// for this request.
 package serve
 
 import (
@@ -78,14 +82,15 @@ func (o Options) defaults() Options {
 type Server struct {
 	// Request counters come first so the struct layout satisfies the
 	// repo's atomic-alignment rule.
-	requests     atomic.Int64
-	slicesServed atomic.Int64
-	bytesServed  atomic.Int64
+	requests      atomic.Int64
+	slicesServed  atomic.Int64
+	bytesServed   atomic.Int64
+	columnIndexes atomic.Int64
 
 	opt     Options
 	mux     *http.ServeMux
 	slices  *lruCache[sliceKey, []byte]
-	columns *lruCache[columnsKey, *collectSink]
+	columns *lruCache[columnsKey, *columns]
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -139,11 +144,15 @@ type Stats struct {
 	// ColumnHits counts slice computations cut from resident columns
 	// or from an emission another request had in flight.
 	ColumnHits int64 `json:"column_hits"`
-	// ColumnBytes is the current size of the resident columns.
+	// ColumnBytes is the current size of the resident columns,
+	// including their cut indexes.
 	ColumnBytes int64 `json:"column_bytes"`
 	// ColumnEvictions counts predicates' columns dropped to stay under
 	// their share of the budget.
 	ColumnEvictions int64 `json:"column_evictions"`
+	// ColumnIndexes counts cut indexes built: resident columns cut a
+	// second time, with the index's bytes free in their share.
+	ColumnIndexes int64 `json:"column_indexes"`
 }
 
 // Stats returns a snapshot of the server counters.
@@ -151,17 +160,18 @@ func (s *Server) Stats() Stats {
 	s.mu.Lock()
 	jobs := len(s.jobs)
 	s.mu.Unlock()
-	columns := s.columns.stats()
+	cols := s.columns.stats()
 	return Stats{
 		Requests:        s.requests.Load(),
 		SlicesServed:    s.slicesServed.Load(),
 		BytesServed:     s.bytesServed.Load(),
 		Jobs:            jobs,
 		Cache:           s.slices.stats(),
-		Emissions:       columns.Misses,
-		ColumnHits:      columns.Hits,
-		ColumnBytes:     columns.Bytes,
-		ColumnEvictions: columns.Evictions,
+		Emissions:       cols.Misses,
+		ColumnHits:      cols.Hits,
+		ColumnBytes:     cols.Bytes,
+		ColumnEvictions: cols.Evictions,
+		ColumnIndexes:   s.columnIndexes.Load(),
 	}
 }
 
