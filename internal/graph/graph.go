@@ -175,7 +175,8 @@ func (g *Graph) AddEdgeBatch(pred PredID, srcs, dsts []NodeID) error {
 // available cores (the edge lists are never mutated after the
 // generation pipeline drains, so the builds are independent). With
 // enough predicates, one (predicate, direction) build runs per
-// worker; with few predicates — where per-predicate parallelism used
+// worker, each the sort-free counting build of buildCSRSequential;
+// with few predicates — where per-predicate parallelism used
 // to serialize — each build is itself sharded by node range (parallel
 // counting, block prefix-sum, parallel scatter, range-parallel sort).
 // The frozen structure is identical either way: adjacency lists are
@@ -325,26 +326,114 @@ func buildCSR(n int, from, to []int32, workers int) csr {
 	return csr{off: off, adj: adj}
 }
 
+// buildCSRSequential builds one compressed adjacency on the calling
+// goroutine. Whenever the neighbour ids span no more than n + E values
+// — the sizes of the offset and adjacency arrays the build returns
+// anyway, so the scratch never outgrows the result — it sorts without
+// comparisons: a counting scatter of the owners by neighbour, then one
+// transposition that visits neighbours in ascending order, so every
+// list comes out sorted (see sortedLists). Freeze's builds always
+// qualify (neighbours are ids below n); a spill unit whose few edges
+// reach a wide id range does not, and sorts each list instead.
 func buildCSRSequential(n int, from, to []int32) csr {
 	off := make([]int32, n+1)
-	for _, v := range from {
-		off[v+1]++
-	}
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
-	}
 	adj := make([]int32, len(from))
-	cursor := make([]int32, n)
-	for i, v := range from {
-		adj[off[v]+cursor[v]] = to[i]
-		cursor[v]++
+	if len(from) == 0 {
+		return csr{off: off, adj: adj}
 	}
-	// Sort each neighbor list for deterministic iteration and binary
-	// search lookups.
+	lo, hi := to[0], to[0]
+	for i, v := range from {
+		off[v+1]++
+		lo, hi = min(lo, to[i]), max(hi, to[i])
+	}
+	shiftStarts(off)
+	if span := int(hi) - int(lo) + 1; span <= n+len(from) {
+		sc := csrScratchPool.Get().(*csrScratch)
+		starts := resize(sc.starts, span+1)
+		clear(starts)
+		for _, v := range to {
+			starts[v-lo+1]++
+		}
+		shiftStarts(starts)
+		sc.bucket = resize(sc.bucket, len(from))
+		sortedLists(from, to, 0, lo, off, starts, sc.bucket, adj)
+		sc.starts = starts
+		csrScratchPool.Put(sc)
+		return csr{off: off, adj: adj}
+	}
+	scatter(from, to, 0, off, adj)
 	for v := 0; v < n; v++ {
 		slices.Sort(adj[off[v]:off[v+1]])
 	}
 	return csr{off: off, adj: adj}
+}
+
+// csrScratch is the working memory of one counting build, pooled
+// because every spill flush unit and every Freeze build needs one:
+// the neighbours' list starts (span+1 entries) and the owners
+// bucketed by neighbour (one per edge).
+type csrScratch struct {
+	starts, bucket []int32
+}
+
+var csrScratchPool = sync.Pool{New: func() any { return new(csrScratch) }}
+
+// resize returns s with length n, reallocating only when its capacity
+// is short. The contents are unspecified.
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	return s[:n]
+}
+
+// shiftStarts turns per-id list lengths (off[k+1] holds the length of
+// id k's list) into list starts shifted one slot right (off[k+1] is
+// where k's list begins). It is the cursor form scatter and transpose
+// write through: advancing off[k+1] past each entry placed in list k
+// leaves off as the final offsets, off[k+1] the end of list k.
+func shiftStarts(off []int32) {
+	var sum int32
+	for k := 1; k < len(off); k++ {
+		off[k], sum = sum, sum+off[k]
+	}
+}
+
+// scatter places vals[i] in the list of id keys[i]-keyLo, in input
+// order, advancing the shifted starts (see shiftStarts) into offsets.
+func scatter(keys, vals []int32, keyLo int32, starts, out []int32) {
+	for i, k := range keys {
+		j := k - keyLo + 1
+		out[starts[j]] = vals[i]
+		starts[j]++
+	}
+}
+
+// transpose turns the lists of ids lo+k, lists[off[k]:off[k+1]], into
+// the reverse lists: every x in list k puts lo+k in the list of
+// x-outLo, through out's shifted starts (see shiftStarts). Lists are
+// visited in ascending k, so every output list comes out sorted.
+func transpose(off, lists []int32, lo int32, outStarts, out []int32, outLo int32) {
+	for k := 0; k+1 < len(off); k++ {
+		id := lo + int32(k)
+		for _, x := range lists[off[k]:off[k+1]] {
+			j := x - outLo + 1
+			out[outStarts[j]] = id
+			outStarts[j]++
+		}
+	}
+}
+
+// sortedLists is the comparison-free core of both sequential builders:
+// a counting scatter of the owners from[i] into byTo by neighbour
+// to[i], then one transposition of those buckets into adj, which
+// leaves every owner's neighbour list sorted. fromStarts and toStarts
+// are each side's shifted list starts over ids from fromLo and toLo;
+// both end as final offsets, toStarts indexing byTo (the owners of
+// each neighbour in input order) and fromStarts indexing adj.
+func sortedLists(from, to []int32, fromLo, toLo int32, fromStarts, toStarts, byTo, adj []int32) {
+	scatter(to, from, toLo, toStarts, byTo)
+	transpose(toStarts, byTo, toLo, fromStarts, adj, fromLo)
 }
 
 // prefixSumParallel turns per-node counts (off[1..n] holding deg(v-1),
@@ -423,12 +512,11 @@ type AdjacencyPair struct {
 
 // BuildAdjacencyPair builds both directions' CSR of the edge list
 // (srcs[i], dsts[i]) without a comparison sort, by double
-// transposition: a counting scatter of the sources by target gives the
-// backward lists in emission order; transposing those yields the
-// forward lists already sorted (targets are visited in ascending
-// order); transposing the forward lists back yields sorted backward
-// lists. Five linear passes — bounds, counts, scatter, two transposes —
-// and the lists equal BuildAdjacency's exactly. The slice server's
+// transposition: sortedLists scatters the sources by target and
+// transposes those buckets into forward lists already sorted; one more
+// transposition of the forward lists yields sorted backward lists.
+// Five linear passes — bounds, counts, scatter, two transposes — and
+// the lists equal BuildAdjacency's exactly. The slice server's
 // per-predicate cut index is its caller.
 func BuildAdjacencyPair(srcs, dsts []NodeID) AdjacencyPair {
 	var p AdjacencyPair
@@ -450,44 +538,17 @@ func BuildAdjacencyPair(srcs, dsts []NodeID) AdjacencyPair {
 		p.FwdOff[s-sLo+1]++
 		p.BwdOff[dsts[i]-dLo+1]++
 	}
-	for i := 1; i < len(p.FwdOff); i++ {
-		p.FwdOff[i] += p.FwdOff[i-1]
-	}
-	for i := 1; i < len(p.BwdOff); i++ {
-		p.BwdOff[i] += p.BwdOff[i-1]
-	}
-	cursor := make([]int32, max(len(p.FwdOff), len(p.BwdOff))-1)
-
-	// Sources by target, in emission order.
+	shiftStarts(p.FwdOff)
+	shiftStarts(p.BwdOff)
 	byDst := make([]int32, len(srcs))
-	copy(cursor, p.BwdOff)
-	for i, d := range dsts {
-		k := d - dLo
-		byDst[cursor[k]] = srcs[i]
-		cursor[k]++
-	}
-	// Forward lists: targets arrive in ascending order.
 	p.FwdAdj = make([]int32, len(srcs))
-	copy(cursor, p.FwdOff)
-	for k := 0; k+1 < len(p.BwdOff); k++ {
-		d := dLo + int32(k)
-		for _, s := range byDst[p.BwdOff[k]:p.BwdOff[k+1]] {
-			p.FwdAdj[cursor[s-sLo]] = d
-			cursor[s-sLo]++
-		}
-	}
+	sortedLists(srcs, dsts, sLo, dLo, p.FwdOff, p.BwdOff, byDst, p.FwdAdj)
 	// Backward lists, sorted: sources arrive in ascending order. The
 	// emission-order lists are no longer needed, so their array is
-	// reused.
+	// reused, and the backward offsets shift back into starts.
 	p.BwdAdj = byDst
-	copy(cursor, p.BwdOff)
-	for k := 0; k+1 < len(p.FwdOff); k++ {
-		s := sLo + int32(k)
-		for _, d := range p.FwdAdj[p.FwdOff[k]:p.FwdOff[k+1]] {
-			p.BwdAdj[cursor[d-dLo]] = s
-			cursor[d-dLo]++
-		}
-	}
+	copy(p.BwdOff[1:], p.BwdOff)
+	transpose(p.FwdOff, p.FwdAdj, sLo, p.BwdOff, p.BwdAdj, dLo)
 	return p
 }
 

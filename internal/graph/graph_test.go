@@ -280,6 +280,79 @@ func TestParallelCSRMatchesSequential(t *testing.T) {
 	}
 }
 
+// sortingCSR is the comparison-sort CSR build the counting build
+// replaced, kept as its oracle: a counting scatter of the neighbours
+// by owner in input order, then a sort of every list.
+func sortingCSR(n int, from, to []int32) csr {
+	off := make([]int32, n+1)
+	for _, v := range from {
+		off[v+1]++
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	adj := make([]int32, len(from))
+	cursor := make([]int32, n)
+	for i, v := range from {
+		adj[off[v]+cursor[v]] = to[i]
+		cursor[v]++
+	}
+	for v := 0; v < n; v++ {
+		slices.Sort(adj[off[v]:off[v+1]])
+	}
+	return csr{off: off, adj: adj}
+}
+
+// TestCountingBuildMatchesSortingBuild pins the sequential CSR build
+// to the sorting oracle on 300 random multigraphs — duplicates,
+// self-loops, neighbour ids spanning both less and more than n + E
+// values, so both sides of the build's span rule run — and on the
+// empty edge list and a one-node graph.
+func TestCountingBuildMatchesSortingBuild(t *testing.T) {
+	check := func(name string, n int, from, to []int32) {
+		t.Helper()
+		got, want := buildCSRSequential(n, from, to), sortingCSR(n, from, to)
+		if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
+			t.Fatalf("%s: got off=%v adj=%v, want off=%v adj=%v", name, got.off, got.adj, want.off, want.adj)
+		}
+	}
+	check("empty", 4, nil, nil)
+	check("empty graph", 0, nil, nil)
+	check("one node", 1, []int32{0, 0, 0}, []int32{0, 0, 0})
+	rng := rand.New(rand.NewSource(17))
+	counting, sorting := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + rng.Intn(60)
+		// Neighbours are usually ids of the same n nodes (self-loops
+		// common), sometimes a window of a much wider id space, as in
+		// a spill unit whose owners are one node range.
+		base, width := 0, n
+		if trial%2 == 1 {
+			base, width = rng.Intn(1000), 1+rng.Intn(2000)
+		}
+		m := rng.Intn(200)
+		from, to := make([]int32, m), make([]int32, m)
+		for i := range from {
+			from[i] = int32(rng.Intn(n))
+			to[i] = int32(base + rng.Intn(width))
+			if i > 0 && rng.Intn(8) == 0 {
+				from[i], to[i] = from[i-1], to[i-1]
+			}
+		}
+		if m > 0 {
+			if span := int(slices.Max(to)-slices.Min(to)) + 1; span <= n+m {
+				counting++
+			} else {
+				sorting++
+			}
+		}
+		check(fmt.Sprintf("trial %d (n=%d, m=%d)", trial, n, m), n, from, to)
+	}
+	if counting < 50 || sorting < 50 {
+		t.Fatalf("span rule sides under-covered: %d counting builds, %d sorting builds", counting, sorting)
+	}
+}
+
 // TestFreezeFewPredicatesParallel forces the few-predicate Freeze path
 // (intra-build node-range sharding) on a single-predicate graph and
 // checks the frozen adjacency against a sequentially frozen copy.

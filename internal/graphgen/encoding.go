@@ -20,7 +20,7 @@ import (
 // external readers; the decoders here are hardened to reject
 // truncated, corrupt, or overflowing input with errors — never a
 // panic, never silent wrong adjacency — and are fuzzed
-// (FuzzCSRShardDecode).
+// (FuzzCSRShardDecode, FuzzVarint32).
 
 // SpillCompression selects the on-disk generation a CSR spill (or any
 // other compressible sink) writes. The zero value is the legacy raw
@@ -117,6 +117,21 @@ func zigzag(v int64) uint64 { return uint64((v << 1) ^ (v >> 63)) }
 // unzigzag inverts zigzag.
 func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
 
+// appendUvarint appends v exactly as binary.AppendUvarint does, with
+// the one- to three-byte encodings — nearly every value the codec
+// stores — inlined into the caller.
+func appendUvarint(b []byte, v uint64) []byte {
+	switch {
+	case v < 1<<7:
+		return append(b, byte(v))
+	case v < 1<<14:
+		return append(b, byte(v)|0x80, byte(v>>7))
+	case v < 1<<21:
+		return append(b, byte(v)|0x80, byte(v>>7)|0x80, byte(v>>14))
+	}
+	return binary.AppendUvarint(b, v)
+}
+
 // byteReader reads varints from a byte slice with explicit
 // truncation/overflow errors and a running position for messages.
 type byteReader struct {
@@ -124,17 +139,58 @@ type byteReader struct {
 	pos int
 }
 
-// uvarint reads one unsigned varint.
+// uvarint reads one unsigned varint of at most maxUvarintLen32 bytes,
+// equal to binary.Uvarint on every such input. Every value the codec
+// stores — an offset or neighbour gap, the zigzag delta of two int32
+// ids, a pair count — fits in five bytes, so a longer varint is
+// corrupt input, rejected before it can wrap a running total. One- to
+// three-byte varints are read without a loop.
 func (r *byteReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(r.buf[r.pos:])
-	if n <= 0 {
-		if n == 0 {
+	if b := r.buf[r.pos:]; len(b) >= 3 {
+		if b[0] < 0x80 {
+			r.pos++
+			return uint64(b[0]), nil
+		}
+		if b[1] < 0x80 {
+			r.pos += 2
+			return uint64(b[0]&0x7f) | uint64(b[1])<<7, nil
+		}
+		if b[2] < 0x80 {
+			r.pos += 3
+			return uint64(b[0]&0x7f) | uint64(b[1]&0x7f)<<7 | uint64(b[2])<<14, nil
+		}
+	}
+	return r.uvarintSlow()
+}
+
+// byte1 reads a one-byte varint, the common case, and reports false
+// (consuming nothing) when the next varint is longer or the buffer is
+// empty. It inlines, so the decoders' hot loops try it before calling
+// uvarint.
+func (r *byteReader) byte1() (uint64, bool) {
+	if r.pos < len(r.buf) && r.buf[r.pos] < 0x80 {
+		r.pos++
+		return uint64(r.buf[r.pos-1]), true
+	}
+	return 0, false
+}
+
+// uvarintSlow is uvarint's general path: four- and five-byte varints,
+// the last bytes of the buffer, and the errors.
+func (r *byteReader) uvarintSlow() (uint64, error) {
+	var v uint64
+	for i := 0; i < maxUvarintLen32; i++ {
+		if r.pos+i >= len(r.buf) {
 			return 0, fmt.Errorf("truncated varint at byte %d", r.pos)
 		}
-		return 0, fmt.Errorf("varint overflows 64 bits at byte %d", r.pos)
+		b := r.buf[r.pos+i]
+		v |= uint64(b&0x7f) << (7 * i)
+		if b < 0x80 {
+			r.pos += i + 1
+			return v, nil
+		}
 	}
-	r.pos += n
-	return v, nil
+	return 0, fmt.Errorf("varint longer than %d bytes at byte %d", maxUvarintLen32, r.pos)
 }
 
 // svarint reads one zigzag-encoded signed varint.
@@ -176,7 +232,7 @@ func appendCSRPayload(buf []byte, off, adj []int32) []byte {
 	// Degrees are usually 1-2 varint bytes; neighbor gaps 1-3.
 	buf = growBytes(buf, len(off)+2*len(adj)+16)
 	for i := 0; i+1 < len(off); i++ {
-		buf = binary.AppendUvarint(buf, uint64(off[i+1]-off[i]))
+		buf = appendUvarint(buf, uint64(off[i+1]-off[i]))
 	}
 	base := off[0]
 	prevFirst := int64(0)
@@ -186,10 +242,10 @@ func appendCSRPayload(buf []byte, off, adj []int32) []byte {
 			continue
 		}
 		first := int64(row[0])
-		buf = binary.AppendUvarint(buf, zigzag(first-prevFirst))
+		buf = appendUvarint(buf, zigzag(first-prevFirst))
 		prevFirst = first
 		for j := 1; j < len(row); j++ {
-			buf = binary.AppendUvarint(buf, uint64(row[j]-row[j-1]))
+			buf = appendUvarint(buf, uint64(row[j]-row[j-1]))
 		}
 	}
 	return buf
@@ -212,9 +268,11 @@ func decodeCSRPayload(payload []byte, nLocal, edges int) (off, adj []int32, err 
 	off = make([]int32, nLocal+1)
 	total := uint64(0)
 	for i := 0; i < nLocal; i++ {
-		gap, err := r.uvarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("offset gap %d: %w", i, err)
+		gap, ok := r.byte1()
+		if !ok {
+			if gap, err = r.uvarint(); err != nil {
+				return nil, nil, fmt.Errorf("offset gap %d: %w", i, err)
+			}
 		}
 		total += gap
 		if total > uint64(edges) {
@@ -243,9 +301,11 @@ func decodeCSRPayload(payload []byte, nLocal, edges int) (off, adj []int32, err 
 		prevFirst = v
 		adj[off[i]] = int32(v)
 		for j := 1; j < d; j++ {
-			gap, err := r.uvarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("row %d neighbor gap %d: %w", i, j, err)
+			gap, ok := r.byte1()
+			if !ok {
+				if gap, err = r.uvarint(); err != nil {
+					return nil, nil, fmt.Errorf("row %d neighbor gap %d: %w", i, j, err)
+				}
 			}
 			v += int64(gap)
 			if v > math.MaxInt32 {
@@ -409,7 +469,8 @@ func inflateBytes(b []byte, limit int64) ([]byte, error) {
 	return out, nil
 }
 
-// maxUvarintLen32 bounds one encoded entry, sizing the inflate guard.
+// maxUvarintLen32 bounds one encoded entry: the longest varint a
+// reader accepts, and the unit of the inflate guard.
 const maxUvarintLen32 = 5
 
 // decodeCSRShard parses a whole shard file image of either generation
@@ -666,12 +727,12 @@ func decodeCSRShardRaw(data []byte) (off, adj []int32, err error) {
 // starting from 0 at the block head). The spill sink's temp run files
 // are a concatenation of these blocks, one per drain.
 func appendPairBlock(dst []byte, from, to []int32) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(from)))
+	dst = appendUvarint(dst, uint64(len(from)))
 	prevF, prevT := int64(0), int64(0)
 	for i := range from {
 		f, t := int64(from[i]), int64(to[i])
-		dst = binary.AppendUvarint(dst, zigzag(f-prevF))
-		dst = binary.AppendUvarint(dst, zigzag(t-prevT))
+		dst = appendUvarint(dst, zigzag(f-prevF))
+		dst = appendUvarint(dst, zigzag(t-prevT))
 		prevF, prevT = f, t
 	}
 	return dst

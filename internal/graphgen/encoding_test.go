@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"maps"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -163,6 +165,7 @@ func TestDecodeCSRShardRejectsCorrupt(t *testing.T) {
 		"edges inflated":  mutate(img, len(csrMagicV3)+5, 0xFF),
 		"nLocal inflated": mutate(img, len(csrMagicV3)+1, 0xFF),
 	}
+	maps.Copy(cases, wrappingShards())
 	for name, data := range cases {
 		if _, _, err := decodeCSRShard(data); err == nil {
 			t.Errorf("%s: decoded without error", name)
@@ -175,6 +178,32 @@ func TestDecodeCSRShardRejectsCorrupt(t *testing.T) {
 	// The zstd rejection must name the codec, not just fail.
 	if _, _, err := decodeCSRShard(mutate(img, len(csrMagicV3), codecZstd)); err == nil || !strings.Contains(err.Error(), "zstd") {
 		t.Errorf("zstd shard unhelpfully rejected: %v", err)
+	}
+}
+
+// v3ShardImage wraps a varint payload in an uncompressed v3 shard
+// header declaring nLocal nodes and edges edges.
+func v3ShardImage(nLocal, edges uint32, payload []byte) []byte {
+	img := append([]byte(csrMagicV3), codecRaw)
+	img = binary.LittleEndian.AppendUint32(img, nLocal)
+	img = binary.LittleEndian.AppendUint32(img, edges)
+	img = binary.LittleEndian.AppendUint32(img, uint32(len(payload)))
+	return append(img, payload...)
+}
+
+// wrappingShards are two crafted shards whose ten-byte varints pass
+// every range check of a 64-bit varint reader: an offset gap of
+// 2^64-3 wraps the running total (3 nodes, 5 edges: a decoder that
+// takes it indexes past the adjacency), and a neighbour gap of
+// 2^64-15 steps the row [10, ...] down to -5. No valid shard holds a
+// varint longer than five bytes, so both must fail.
+func wrappingShards() map[string][]byte {
+	return map[string][]byte{
+		"offset gap wraps": v3ShardImage(3, 5, []byte{
+			0x05, 0xFD, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x03,
+			0x02, 0x01, 0x01, 0x01, 0x01, 0x02, 0x02, 0x01, 0x01}),
+		"neighbour gap wraps": v3ShardImage(1, 2, []byte{
+			0x02, 0x14, 0xF1, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01}),
 	}
 }
 
@@ -420,8 +449,12 @@ func TestCorruptBinaryPartitionRejected(t *testing.T) {
 
 // FuzzCSRShardDecode hardens the shard decoder: arbitrary input must
 // produce either an error or a structurally consistent CSR block —
-// offsets rebased and monotone, adjacency exactly off[last] entries —
-// and must never panic.
+// offsets rebased and monotone, adjacency exactly off[last] entries of
+// node ids in [0, MaxInt32], every row of a varint shard
+// non-decreasing — and must never panic. Rows of the raw layouts are
+// stored verbatim and not checked on load (their mmap path cannot,
+// without reading them), so only varint rows, which store unsigned
+// gaps, are held to their order.
 func FuzzCSRShardDecode(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	off, adj := randomCSR(rng, 16, 5, 500)
@@ -460,6 +493,56 @@ func FuzzCSRShardDecode(f *testing.F) {
 		}
 		if int(off[len(off)-1]) != len(adj) {
 			t.Fatalf("offsets end at %d, adjacency has %d entries", off[len(off)-1], len(adj))
+		}
+		for i, v := range adj {
+			if v < 0 { // an int32 never exceeds MaxInt32
+				t.Fatalf("adjacency entry %d is %d, not a node id", i, v)
+			}
+		}
+		if bytes.HasPrefix(data, []byte(csrMagicV3)) {
+			for k := 0; k+1 < len(off); k++ {
+				if row := adj[off[k]:off[k+1]]; !slices.IsSorted(row) {
+					t.Fatalf("varint row %d decoded out of order: %v", k, row)
+				}
+			}
+		}
+	})
+}
+
+// FuzzVarint32 pins the codec's varint primitives to encoding/binary:
+// appendUvarint must append binary.AppendUvarint's exact bytes for any
+// value, and byteReader must equal binary.Uvarint on every varint of
+// at most five bytes — the one-byte probe included — and reject longer
+// or truncated ones.
+func FuzzVarint32(f *testing.F) {
+	for _, v := range []uint64{0, 1, 1<<7 - 1, 1 << 7, 1<<14 - 1, 1 << 14, 1<<21 - 1, 1 << 21,
+		1<<28 - 1, 1 << 28, 1<<32 - 1, 1<<35 - 1, 1 << 35, math.MaxUint64} {
+		f.Add(v, binary.AppendUvarint(nil, v))
+	}
+	f.Add(uint64(0), []byte{0x80, 0x00}) // non-canonical zero
+	f.Add(uint64(0), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01})
+	f.Add(uint64(0), []byte{0xFF, 0xFF})
+	f.Fuzz(func(t *testing.T, v uint64, data []byte) {
+		prefix := data[:min(len(data), 3)]
+		got, want := appendUvarint(slices.Clone(prefix), v), binary.AppendUvarint(slices.Clone(prefix), v)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("appendUvarint(%x, %d) = %x, binary.AppendUvarint %x", prefix, v, got, want)
+		}
+
+		wantV, n := binary.Uvarint(data)
+		r := &byteReader{buf: data}
+		gotV, err := r.uvarint()
+		if n > 0 && n <= maxUvarintLen32 {
+			if err != nil || gotV != wantV || r.pos != n {
+				t.Fatalf("uvarint(%x) = %d, %v after %d bytes; binary.Uvarint %d after %d", data, gotV, err, r.pos, wantV, n)
+			}
+		} else if err == nil {
+			t.Fatalf("uvarint(%x) = %d after %d bytes; binary.Uvarint reports %d (longer than %d bytes or truncated)", data, gotV, r.pos, n, maxUvarintLen32)
+		}
+
+		r = &byteReader{buf: data}
+		if b, ok := r.byte1(); ok != (n == 1) || ok && (b != wantV || r.pos != 1) || !ok && r.pos != 0 {
+			t.Fatalf("byte1(%x) = %d, %v after %d bytes; binary.Uvarint %d after %d", data, b, ok, r.pos, wantV, n)
 		}
 	})
 }

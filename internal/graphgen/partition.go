@@ -2,7 +2,6 @@ package graphgen
 
 import (
 	"bufio"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -182,8 +181,8 @@ var textEdge = graph.NewEdgeLine("")
 // deltas of src and dst against the running previous pair — updating
 // the previous-pair state in place.
 func appendVarintEdge(b []byte, prevs, prevd *int64, src, dst graph.NodeID) []byte {
-	b = binary.AppendUvarint(b, zigzag(int64(src)-*prevs))
-	b = binary.AppendUvarint(b, zigzag(int64(dst)-*prevd))
+	b = appendUvarint(b, zigzag(int64(src)-*prevs))
+	b = appendUvarint(b, zigzag(int64(dst)-*prevd))
 	*prevs, *prevd = int64(src), int64(dst)
 	return b
 }

@@ -652,8 +652,8 @@ func (s *CSRSpillSink) flush() error {
 
 // buildUnit is the sink's unit producer: the unit's pairs — disk run
 // first, then the buffered tail: emission order is preserved, though
-// BuildAdjacency's per-node sort makes the shard bytes
-// order-independent anyway — become the CSR of its range. The build is
+// BuildAdjacency's sorted lists make the shard bytes order-independent
+// anyway — become the CSR of its range. The build is
 // sequential: the parallelism is the pool's, and nesting both would
 // oversubscribe the cores and double the build's scratch.
 func (s *CSRSpillSink) buildUnit(u int) (off, adj []int32, err error) {
