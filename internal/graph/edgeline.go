@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"encoding/binary"
 	"math/bits"
 	"slices"
 )
@@ -14,17 +15,43 @@ import (
 // The zero value is the predicate-less partition layout. An EdgeLine is
 // immutable and safe for concurrent use.
 type EdgeLine struct {
-	mid string // between the two ids: " pred " or " "
+	mid string // between the two ids: " pred " or " "; "" in the zero value
+
+	// pad is the separator zero-padded to a fixed width, so that the word
+	// path copies it with one fixed-size assignment; padLen is its length,
+	// or 0 when the separator is longer than the array (and in the zero
+	// value), which sends every line down the putDecimal path.
+	pad    [sepPad]byte
+	padLen uint8
 }
+
+const (
+	// sepPad is the width of EdgeLine's padded separator: predicate names
+	// of up to sepPad-2 bytes take the word path.
+	sepPad = 32
+
+	// wordMax bounds the ids of the word path: digits8 renders fewer than
+	// nine digits.
+	wordMax = 100_000_000
+
+	// wordSpare is the spare capacity the word path needs: an 8-byte
+	// store for the source, the padded separator after at most 8 digits,
+	// and an 8-byte store for the target after at most sepPad bytes of it.
+	wordSpare = 8 + sepPad + 8
+)
 
 // NewEdgeLine returns the encoder of one predicate's edge-list lines,
 // "src pred dst\n"; an empty pred selects the partition layout
 // "src dst\n", where the file fixes the predicate.
 func NewEdgeLine(pred string) EdgeLine {
-	if pred == "" {
-		return EdgeLine{}
+	l := EdgeLine{mid: " "}
+	if pred != "" {
+		l.mid = " " + pred + " "
 	}
-	return EdgeLine{mid: " " + pred + " "}
+	if len(l.mid) <= sepPad {
+		l.padLen = uint8(copy(l.pad[:], l.mid))
+	}
+	return l
 }
 
 // NewEdgeLines returns the edge-list encoder of every predicate, indexed
@@ -56,11 +83,30 @@ func (l EdgeLine) MaxLen(numNodes int) int {
 // written in place at their final offsets — no scratch line, no
 // per-number append; b grows (amortized, like append) only when its
 // spare capacity is short of the line.
+//
+// The common line — both ids in [0, 10⁸), a separator that fits the
+// padded array, wordSpare bytes free — is three stores: each id's
+// digits8 word and the padded separator, each store's overrun past its
+// text overwritten by the next one or left beyond the returned length.
+// Any other line (a negative or nine-digit id, a long predicate name,
+// the last lines before b's capacity) takes putDecimal's path.
 func (l EdgeLine) Append(b []byte, src, dst NodeID) []byte {
+	at := len(b)
+	if uint32(src) < wordMax && uint32(dst) < wordMax && l.padLen != 0 && cap(b)-at >= wordSpare {
+		vs, vd := digits8(uint32(src)), digits8(uint32(dst))
+		zs, zd := zeroPad(vs), zeroPad(vd)
+		ns, nd := 8-zs>>3, 8-zd>>3
+		w := b[at:cap(b)]
+		binary.LittleEndian.PutUint64(w, vs>>zs)
+		*(*[sepPad]byte)(w[ns:]) = l.pad
+		k := ns + int(l.padLen)
+		binary.LittleEndian.PutUint64(w[k:], vd>>zd)
+		w[k+nd] = '\n'
+		return b[:at+k+nd+1]
+	}
 	sep := l.separator()
 	us, ns := magnitude(src)
 	ud, nd := magnitude(dst)
-	at := len(b)
 	end := at + ns + len(sep) + nd + 1
 	if end > cap(b) {
 		b = slices.Grow(b, end-at)
@@ -71,6 +117,48 @@ func (l EdgeLine) Append(b []byte, src, dst NodeID) []byte {
 	putDecimal(b[end-1-nd:end-1], ud, dst < 0)
 	b[end-1] = '\n'
 	return b
+}
+
+// appendNodeID appends the decimal text of id to b, through the same
+// two paths as Append's ids.
+func appendNodeID(b []byte, id NodeID) []byte {
+	at := len(b)
+	if uint32(id) < wordMax && cap(b)-at >= 8 {
+		v := digits8(uint32(id))
+		z := zeroPad(v)
+		n := 8 - z>>3
+		binary.LittleEndian.PutUint64(b[at:cap(b)], v>>z)
+		return b[:at+n]
+	}
+	u, n := magnitude(id)
+	b = slices.Grow(b, n)[:at+n]
+	putDecimal(b[at:], u, id < 0)
+	return b
+}
+
+// asciiZeros is eight '0' digits.
+const asciiZeros = 0x3030_3030_3030_3030
+
+// zeroPad is the bit width of the leading zeros of a digits8 word: the
+// right shift that leaves the text at the word's low end, zero bytes
+// after it. The last digit always counts, so 0 renders as "0".
+func zeroPad(v uint64) int {
+	return bits.TrailingZeros64(v^asciiZeros|1<<56) &^ 7
+}
+
+// digits8 returns the eight zero-padded ASCII digits of u < 10⁸ as a
+// little-endian word, the most significant digit in the lowest byte.
+// Each step splits every lane into quotient (low half) and remainder
+// (high half) by a multiply-shift that is exact over the lane's range:
+// 4+4 digits in 32-bit lanes, 2+2 in 16-bit lanes, 1+1 in bytes.
+func digits8(u uint32) uint64 {
+	hi := u / 10000
+	v := uint64(hi) | uint64(u-hi*10000)<<32
+	q := (v * 10486 >> 20) & 0x0000007f_0000007f // lane / 100, lanes < 10⁴
+	v = q | (v-q*100)<<16
+	q = (v * 103 >> 10) & 0x000f_000f_000f_000f // lane / 10, lanes < 100
+	v = q | (v-q*10)<<8
+	return v + asciiZeros
 }
 
 // magnitude returns |id| and the byte length of id's decimal text, sign

@@ -5,19 +5,9 @@ import (
 	"fmt"
 	"math"
 	"strconv"
+	"strings"
 	"testing"
 )
-
-// appendNodeID renders one id through the line encoder's decimal path
-// (magnitude + putDecimal), the way Append lays out each of its two
-// numbers.
-func appendNodeID(b []byte, id NodeID) []byte {
-	u, n := magnitude(id)
-	at := len(b)
-	b = append(b, make([]byte, n)...)
-	putDecimal(b[at:], u, id < 0)
-	return b
-}
 
 // boundaryIDs are the ids around every digit-count boundary of an int32,
 // plus the sign cases.
@@ -29,36 +19,74 @@ func boundaryIDs() []NodeID {
 	return ids
 }
 
+// boundaryPreds are predicate names around the padded separator's
+// width: up to sepPad-2 bytes the separator " pred " fits it.
+func boundaryPreds() []string {
+	return []string{"", "p", "authors", "a b",
+		strings.Repeat("q", sepPad-3), strings.Repeat("q", sepPad-2),
+		strings.Repeat("q", sepPad-1), strings.Repeat("q", sepPad+1)}
+}
+
+// withSpare returns prefix copied into an array with exactly spare bytes
+// of capacity after it.
+func withSpare(prefix []byte, spare int) []byte {
+	return append(make([]byte, 0, len(prefix)+spare), prefix...)
+}
+
+// spares are capacities that take each path of the encoder: none, the
+// last byte short of the word stores, just enough for them, ample.
+var spares = []int{0, wordSpare - 1, wordSpare, 4 << 10}
+
 func TestAppendNodeIDMatchesStrconv(t *testing.T) {
 	for _, id := range boundaryIDs() {
 		want := strconv.AppendInt([]byte("x"), int64(id), 10)
-		if got := appendNodeID([]byte("x"), id); !bytes.Equal(got, want) {
-			t.Errorf("id %d: got %q, want %q", id, got, want)
+		for _, spare := range []int{0, 7, 8, 64} {
+			if got := appendNodeID(withSpare([]byte("x"), spare), id); !bytes.Equal(got, want) {
+				t.Errorf("id %d, spare %d: got %q, want %q", id, spare, got, want)
+			}
+		}
+	}
+}
+
+func TestDigits8(t *testing.T) {
+	for _, u := range []uint32{0, 1, 9, 10, 99, 100, 9999, 10000, 10001, 12345678, 99_999_999} {
+		want := fmt.Sprintf("%08d", u)
+		var got [8]byte
+		for i := range got {
+			got[i] = byte(digits8(u) >> (8 * i))
+		}
+		if string(got[:]) != want {
+			t.Errorf("digits8(%d) = %q, want %q", u, got, want)
 		}
 	}
 }
 
 func TestEdgeLineMatchesFormatting(t *testing.T) {
 	ids := boundaryIDs()
-	for _, pred := range []string{"", "p", "authors", "a b"} {
+	for _, pred := range boundaryPreds() {
 		line := NewEdgeLine(pred)
-		var got, want []byte
-		for i, src := range ids {
-			dst := ids[(i*7+3)%len(ids)]
-			got = line.Append(got, src, dst)
-			if pred == "" {
-				want = fmt.Appendf(want, "%d %d\n", src, dst)
-			} else {
-				want = fmt.Appendf(want, "%d %s %d\n", src, pred, dst)
+		for _, spare := range spares {
+			var want []byte
+			got := withSpare(nil, spare)
+			for i, src := range ids {
+				dst := ids[(i*7+3)%len(ids)]
+				got = line.Append(got, src, dst)
+				if pred == "" {
+					want = fmt.Appendf(want, "%d %d\n", src, dst)
+				} else {
+					want = fmt.Appendf(want, "%d %s %d\n", src, pred, dst)
+				}
 			}
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("pred %q: lines differ from fmt:\n got %q\nwant %q", pred, got, want)
+			if !bytes.Equal(got, want) {
+				t.Errorf("pred %q, spare %d: lines differ from fmt:\n got %q\nwant %q", pred, spare, got, want)
+			}
 		}
 	}
 	// The zero value is the partition layout too.
-	if got := string(EdgeLine{}.Append(nil, 12, 345)); got != "12 345\n" {
-		t.Errorf("zero EdgeLine: %q", got)
+	for _, spare := range spares {
+		if got := string(EdgeLine{}.Append(withSpare(nil, spare), 12, 345)); got != "12 345\n" {
+			t.Errorf("zero EdgeLine, spare %d: %q", spare, got)
+		}
 	}
 }
 
@@ -69,11 +97,13 @@ func TestEdgeLineMaxLenExact(t *testing.T) {
 		line := NewEdgeLine(pred)
 		for _, n := range []int{0, 1, 2, 10, 11, 100, 101, 99_999, 100_000, 100_001, math.MaxInt32} {
 			last := NodeID(max(n-1, 0))
-			if got, bound := len(line.Append(nil, last, last)), line.MaxLen(n); got != bound {
-				t.Errorf("pred %q nodes %d: longest line is %d bytes, MaxLen says %d", pred, n, got, bound)
-			}
-			if got, bound := len(line.Append(nil, 0, last/2)), line.MaxLen(n); got > bound {
-				t.Errorf("pred %q nodes %d: a %d-byte line exceeds MaxLen %d", pred, n, got, bound)
+			for _, spare := range spares {
+				if got, bound := len(line.Append(withSpare(nil, spare), last, last)), line.MaxLen(n); got != bound {
+					t.Errorf("pred %q nodes %d: longest line is %d bytes, MaxLen says %d", pred, n, got, bound)
+				}
+				if got, bound := len(line.Append(withSpare(nil, spare), 0, last/2)), line.MaxLen(n); got > bound {
+					t.Errorf("pred %q nodes %d: a %d-byte line exceeds MaxLen %d", pred, n, got, bound)
+				}
 			}
 		}
 	}
@@ -104,24 +134,54 @@ func TestEdgeLineAppendInPlace(t *testing.T) {
 	}
 }
 
+// FuzzAppendNodeID drives both paths of the encoder — the word stores
+// and putDecimal — through a fuzzed prefix and spare capacity: the text
+// must equal strconv's, the prefix must survive the word stores'
+// overrun, and a line (or id) with room to spare must land in place,
+// which is MaxLen's no-reallocation contract.
 func FuzzAppendNodeID(f *testing.F) {
 	for _, id := range boundaryIDs() {
-		f.Add(int32(id), int32(-id/3), "p")
+		f.Add(int32(id), int32(-id/3), "p", uint8(2), uint16(64))
 	}
-	f.Fuzz(func(t *testing.T, src, dst int32, pred string) {
-		if got, want := appendNodeID(nil, src), strconv.AppendInt(nil, int64(src), 10); !bytes.Equal(got, want) {
-			t.Fatalf("id %d: got %q, want %q", src, got, want)
+	for _, id := range []int32{99_999_999, 100_000_000, -1, math.MinInt32} {
+		for _, pred := range boundaryPreds() {
+			for _, spare := range spares {
+				f.Add(id, int32(7), pred, uint8(3), uint16(spare))
+				f.Add(int32(12), id, pred, uint8(1), uint16(spare))
+			}
 		}
+	}
+	f.Fuzz(func(t *testing.T, src, dst int32, pred string, prefixLen uint8, spare uint16) {
+		prefix := make([]byte, 1+int(prefixLen)%16)
+		for i := range prefix {
+			prefix[i] = byte('A' + i)
+		}
+
 		want := strconv.AppendInt(nil, int64(src), 10)
+		got := appendNodeID(withSpare(prefix, int(spare)), src)
+		checkAppended(t, fmt.Sprintf("id %d", src), prefix, int(spare), got, want)
+
 		want = append(want, ' ')
 		if pred != "" {
 			want = append(append(want, pred...), ' ')
 		}
 		want = append(strconv.AppendInt(want, int64(dst), 10), '\n')
-		prefix := []byte("# ")
-		got := NewEdgeLine(pred).Append(prefix, src, dst)
-		if !bytes.Equal(got[len(prefix):], want) || !bytes.HasPrefix(got, prefix) {
-			t.Fatalf("line(%d, %q, %d) = %q, want %q", src, pred, dst, got, want)
-		}
+		got = NewEdgeLine(pred).Append(withSpare(prefix, int(spare)), src, dst)
+		checkAppended(t, fmt.Sprintf("line(%d, %q, %d)", src, pred, dst), prefix, int(spare), got, want)
 	})
+}
+
+// checkAppended checks got, the result of appending want's text to a
+// copy of prefix that had spare bytes of capacity after it.
+func checkAppended(t *testing.T, what string, prefix []byte, spare int, got, want []byte) {
+	t.Helper()
+	if !bytes.Equal(got[:len(prefix)], prefix) {
+		t.Fatalf("%s: prefix %q became %q", what, prefix, got[:len(prefix)])
+	}
+	if !bytes.Equal(got[len(prefix):], want) {
+		t.Fatalf("%s = %q, want %q", what, got[len(prefix):], want)
+	}
+	if grew := cap(got) != len(prefix)+spare; grew && spare >= len(want) {
+		t.Fatalf("%s: reallocated with %d bytes to spare for %d", what, spare, len(want))
+	}
 }

@@ -10,11 +10,21 @@ import (
 
 // WriteNTriples writes the graph in N-Triples form, the data output
 // format mentioned in the paper's design principles (Section 1.1).
-// Nodes are rendered as IRIs embedding their type name and per-type
-// index; predicates as IRIs of their label.
+// Nodes are rendered as IRIs embedding their type name and global node
+// id — the id the edge list carries; predicates as IRIs of their label.
 func (g *Graph) WriteNTriples(w io.Writer, base string) error {
 	if base == "" {
 		base = "http://gmark.example.org/"
+	}
+	// A line is "<node IRI> <pred IRI> <node IRI> .": everything but the
+	// two ids depends on the endpoints' types and the predicate only.
+	nodeIRIs := make([]string, len(g.typeNames))
+	for t, name := range g.typeNames {
+		nodeIRIs[t] = "<" + base + "node/" + name + "/"
+	}
+	predIRIs := make([]string, len(g.predNames))
+	for p, name := range g.predNames {
+		predIRIs[p] = "> <" + base + "pred/" + name + "> "
 	}
 	bw := bufio.NewWriterSize(w, 1<<16)
 	var err error
@@ -22,10 +32,13 @@ func (g *Graph) WriteNTriples(w io.Writer, base string) error {
 		if err != nil {
 			return
 		}
-		_, err = fmt.Fprintf(bw, "<%snode/%s/%d> <%spred/%s> <%snode/%s/%d> .\n",
-			base, g.typeNames[g.TypeOf(e.Src)], e.Src,
-			base, g.predNames[e.Pred],
-			base, g.typeNames[g.TypeOf(e.Dst)], e.Dst)
+		// Built in the writer's free space, like WriteEdgeList's lines.
+		b := append(bw.AvailableBuffer(), nodeIRIs[g.TypeOf(e.Src)]...)
+		b = appendNodeID(b, e.Src)
+		b = append(b, predIRIs[e.Pred]...)
+		b = append(b, nodeIRIs[g.TypeOf(e.Dst)]...)
+		b = appendNodeID(b, e.Dst)
+		_, err = bw.Write(append(b, "> .\n"...))
 	})
 	if err != nil {
 		return err
@@ -85,10 +98,13 @@ func ReadEdgeList(r io.Reader) (*Graph, error) {
 			switch fields[0] {
 			case "types":
 				for _, f := range fields[1:] {
-					name, countStr, ok := strings.Cut(f, ":")
-					if !ok {
+					// The count follows the last colon: a prefixed
+					// name such as "ex:researcher" keeps its own.
+					i := strings.LastIndexByte(f, ':')
+					if i < 0 {
 						return nil, fmt.Errorf("graph: line %d: bad type entry %q", line, f)
 					}
+					name, countStr := f[:i], f[i+1:]
 					c, err := strconv.Atoi(countStr)
 					if err != nil {
 						return nil, fmt.Errorf("graph: line %d: bad type count %q", line, countStr)

@@ -3,11 +3,14 @@ package graphgen
 import (
 	"bytes"
 	"fmt"
+	"hash/crc32"
 	"io"
+	"strings"
 	"testing"
 
 	"gmark/internal/dist"
 	"gmark/internal/graph"
+	"gmark/internal/schema"
 	"gmark/internal/usecases"
 )
 
@@ -183,5 +186,126 @@ func TestWriterSinkHeader(t *testing.T) {
 	want := "# gmark graph nodes=100\n# types src:50 trg:50\n# predicates p\n"
 	if buf.String() != want {
 		t.Errorf("header = %q, want %q", buf.String(), want)
+	}
+}
+
+// renamedBib is bib at 300 nodes with one type or predicate renamed,
+// its constraints following.
+func renamedBib(t *testing.T, from, to string) *schema.GraphConfig {
+	t.Helper()
+	cfg, err := usecases.ByName("bib", 300)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &cfg.Schema
+	for i := range s.Types {
+		if s.Types[i].Name == from {
+			s.Types[i].Name = to
+		}
+	}
+	for i := range s.Predicates {
+		if s.Predicates[i].Name == from {
+			s.Predicates[i].Name = to
+		}
+	}
+	for i := range s.Constraints {
+		c := &s.Constraints[i]
+		for _, f := range []*string{&c.Source, &c.Target, &c.Predicate} {
+			if *f == from {
+				*f = to
+			}
+		}
+	}
+	return cfg
+}
+
+// writeEdgeListVia emits cfg through a WriterSink on the workers'
+// rendering path and returns the edge list.
+func writeEdgeListVia(cfg *schema.GraphConfig) ([]byte, error) {
+	var buf bytes.Buffer
+	sink, err := NewWriterSink(&buf, cfg)
+	if err != nil {
+		return nil, err
+	}
+	_, err = Emit(cfg, Options{Seed: 3, Parallelism: 2}, sink)
+	return buf.Bytes(), err
+}
+
+// TestWhitespaceNameRefused: a predicate named "authored by" would emit
+// "125 authored by 150", a line ReadEdgeList cannot split back, so the
+// run must fail before emitting anything.
+func TestWhitespaceNameRefused(t *testing.T) {
+	for _, c := range [][2]string{{"authors", "authored by"}, {"researcher", "senior\tresearcher"}} {
+		out, err := writeEdgeListVia(renamedBib(t, c[0], c[1]))
+		if err == nil {
+			_, rerr := graph.ReadEdgeList(bytes.NewReader(out))
+			t.Fatalf("%q: emitted an edge list ReadEdgeList reads as %v", c[1], rerr)
+		}
+		if !strings.Contains(err.Error(), "whitespace") {
+			t.Errorf("%q: error %q does not name the whitespace", c[1], err)
+		}
+	}
+}
+
+// TestPrefixedTypeNameRoundTrip: an RDF-style type name such as
+// "ex:researcher" keeps its colon in the "# types" header, whose
+// entries ReadEdgeList cuts at the count's colon, the last one.
+func TestPrefixedTypeNameRoundTrip(t *testing.T) {
+	cfg := renamedBib(t, "researcher", "ex:researcher")
+	out, err := writeEdgeListVia(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed, err := graph.ReadEdgeList(bytes.NewReader(out))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ti := parsed.TypeIndex("ex:researcher"); ti < 0 || parsed.TypeCount(ti) != cfg.TypeCount("ex:researcher") {
+		t.Fatalf("type ex:researcher read back as index %d", ti)
+	}
+	g, err := Generate(cfg, Options{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(edgeListBytes(t, g), edgeListBytes(t, parsed)) {
+		t.Fatal("the edge list read back differs from the generated graph")
+	}
+}
+
+// TestNTriplesBytes pins Graph.WriteNTriples on bib@500 to the
+// per-edge fmt.Fprintf rendering it replaced, kept here as the
+// reference, and to that rendering's CRC32, recorded from it.
+func TestNTriplesBytes(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Generate(cfg, Options{Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		base, ref string
+		crc       uint32
+	}{
+		{"", "http://gmark.example.org/", 0xb09c098c},
+		{"urn:x:", "urn:x:", 0x0923a314},
+	} {
+		var got, want bytes.Buffer
+		if err := g.WriteNTriples(&got, c.base); err != nil {
+			t.Fatal(err)
+		}
+		g.Edges(func(e graph.Edge) {
+			fmt.Fprintf(&want, "<%snode/%s/%d> <%spred/%s> <%snode/%s/%d> .\n",
+				c.ref, g.TypeName(g.TypeOf(e.Src)), e.Src,
+				c.ref, g.PredName(e.Pred),
+				c.ref, g.TypeName(g.TypeOf(e.Dst)), e.Dst)
+		})
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("base %q: N-Triples differ from the fmt rendering", c.base)
+		}
+		if crc := crc32.ChecksumIEEE(got.Bytes()); crc != c.crc {
+			t.Errorf("base %q: crc %08x, want %08x", c.base, crc, c.crc)
+		}
 	}
 }

@@ -10,6 +10,8 @@ package schema
 import (
 	"fmt"
 	"math"
+	"strings"
+	"unicode"
 
 	"gmark/internal/dist"
 )
@@ -150,16 +152,17 @@ func (s *Schema) TypeGrows(name string) bool {
 }
 
 // Validate checks referential integrity of the schema: every constraint
-// references known types and predicates, occurrence parameters are
-// legal, and every eta entry has at least one specified side.
+// references known types and predicates, names are non-empty and free
+// of whitespace, occurrence parameters are legal, and every eta entry
+// has at least one specified side.
 func (s *Schema) Validate() error {
 	if len(s.Types) == 0 {
 		return fmt.Errorf("schema: no node types")
 	}
 	seenT := make(map[string]bool, len(s.Types))
 	for _, t := range s.Types {
-		if t.Name == "" {
-			return fmt.Errorf("schema: empty type name")
+		if err := checkName("type", t.Name); err != nil {
+			return err
 		}
 		if seenT[t.Name] {
 			return fmt.Errorf("schema: duplicate type %q", t.Name)
@@ -171,8 +174,8 @@ func (s *Schema) Validate() error {
 	}
 	seenP := make(map[string]bool, len(s.Predicates))
 	for _, p := range s.Predicates {
-		if p.Name == "" {
-			return fmt.Errorf("schema: empty predicate name")
+		if err := checkName("predicate", p.Name); err != nil {
+			return err
 		}
 		if seenP[p.Name] {
 			return fmt.Errorf("schema: duplicate predicate %q", p.Name)
@@ -207,6 +210,19 @@ func (s *Schema) Validate() error {
 		if !c.In.Specified() && !c.Out.Specified() {
 			return fmt.Errorf("eta(%s,%s,%s): both distributions non-specified", c.Source, c.Target, c.Predicate)
 		}
+	}
+	return nil
+}
+
+// checkName rejects a type or predicate name that the textual outputs
+// cannot carry: the edge list and its header are whitespace-separated,
+// so a name must be one non-empty run of non-space characters.
+func checkName(kind, name string) error {
+	if name == "" {
+		return fmt.Errorf("schema: empty %s name", kind)
+	}
+	if strings.IndexFunc(name, unicode.IsSpace) >= 0 {
+		return fmt.Errorf("schema: %s name %q contains whitespace", kind, name)
 	}
 	return nil
 }

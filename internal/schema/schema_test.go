@@ -104,6 +104,23 @@ func TestSchemaValidateErrors(t *testing.T) {
 		{"dup type", func(s *Schema) { s.Types[1].Name = s.Types[0].Name }},
 		{"bad occurrence", func(s *Schema) { s.Types[0].Occurrence = Proportion(2) }},
 		{"empty pred name", func(s *Schema) { s.Predicates[0].Name = "" }},
+		// The edge list and its header split on whitespace, so such a
+		// name would emit lines ReadEdgeList cannot parse.
+		{"pred name with space", func(s *Schema) {
+			s.Predicates[0].Name = "authored by"
+			s.Constraints[0].Predicate = "authored by"
+		}},
+		{"pred name with tab", func(s *Schema) {
+			s.Predicates[0].Name = "authored\tby"
+			s.Constraints[0].Predicate = "authored\tby"
+		}},
+		{"type name with space", func(s *Schema) {
+			s.Types[0].Name = "senior researcher"
+			s.Constraints[0].Source = "senior researcher"
+		}},
+		{"type name with non-breaking space", func(s *Schema) {
+			s.Types[2].Name = "big\u00a0city"
+		}},
 		{"unknown source", func(s *Schema) { s.Constraints[0].Source = "x" }},
 		{"unknown target", func(s *Schema) { s.Constraints[0].Target = "x" }},
 		{"unknown predicate", func(s *Schema) { s.Constraints[0].Predicate = "x" }},
