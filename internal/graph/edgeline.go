@@ -36,8 +36,9 @@ const (
 
 	// wordSpare is the spare capacity the word path needs: an 8-byte
 	// store for the source, the padded separator after at most 8 digits,
-	// and an 8-byte store for the target after at most sepPad bytes of it.
-	wordSpare = 8 + sepPad + 8
+	// an 8-byte store for the target after at most sepPad bytes of it,
+	// and the newline after at most 8 digits of the target.
+	wordSpare = 8 + sepPad + 8 + 1
 )
 
 // NewEdgeLine returns the encoder of one predicate's edge-list lines,
@@ -93,14 +94,13 @@ func (l EdgeLine) MaxLen(numNodes int) int {
 func (l EdgeLine) Append(b []byte, src, dst NodeID) []byte {
 	at := len(b)
 	if uint32(src) < wordMax && uint32(dst) < wordMax && l.padLen != 0 && cap(b)-at >= wordSpare {
-		vs, vd := digits8(uint32(src)), digits8(uint32(dst))
-		zs, zd := zeroPad(vs), zeroPad(vd)
-		ns, nd := 8-zs>>3, 8-zd>>3
+		vs, ns := trimZeros(digits8(uint32(src)))
+		vd, nd := trimZeros(digits8(uint32(dst)))
 		w := b[at:cap(b)]
-		binary.LittleEndian.PutUint64(w, vs>>zs)
+		binary.LittleEndian.PutUint64(w, vs)
 		*(*[sepPad]byte)(w[ns:]) = l.pad
 		k := ns + int(l.padLen)
-		binary.LittleEndian.PutUint64(w[k:], vd>>zd)
+		binary.LittleEndian.PutUint64(w[k:], vd)
 		w[k+nd] = '\n'
 		return b[:at+k+nd+1]
 	}
@@ -124,10 +124,8 @@ func (l EdgeLine) Append(b []byte, src, dst NodeID) []byte {
 func appendNodeID(b []byte, id NodeID) []byte {
 	at := len(b)
 	if uint32(id) < wordMax && cap(b)-at >= 8 {
-		v := digits8(uint32(id))
-		z := zeroPad(v)
-		n := 8 - z>>3
-		binary.LittleEndian.PutUint64(b[at:cap(b)], v>>z)
+		v, n := trimZeros(digits8(uint32(id)))
+		binary.LittleEndian.PutUint64(b[at:cap(b)], v)
 		return b[:at+n]
 	}
 	u, n := magnitude(id)
@@ -139,11 +137,14 @@ func appendNodeID(b []byte, id NodeID) []byte {
 // asciiZeros is eight '0' digits.
 const asciiZeros = 0x3030_3030_3030_3030
 
-// zeroPad is the bit width of the leading zeros of a digits8 word: the
-// right shift that leaves the text at the word's low end, zero bytes
-// after it. The last digit always counts, so 0 renders as "0".
-func zeroPad(v uint64) int {
-	return bits.TrailingZeros64(v^asciiZeros|1<<56) &^ 7
+// trimZeros drops the leading zeros of a digits8 word: w is the decimal
+// text at the word's low end, zero bytes after it, and n its length.
+// The shift is the bit width of the leading '0' bytes, a trailing-zero
+// count of the word XOR eight '0's; the last digit always counts, so 0
+// renders as "0".
+func trimZeros(v uint64) (w uint64, n int) {
+	z := bits.TrailingZeros64(v^asciiZeros|1<<56) &^ 7
+	return v >> z, 8 - z>>3
 }
 
 // digits8 returns the eight zero-padded ASCII digits of u < 10⁸ as a

@@ -93,9 +93,10 @@ func TestEdgeLineMatchesFormatting(t *testing.T) {
 // TestEdgeLineMaxLenExact pins the bound as both safe and tight: the
 // largest id of the layout reaches it, nothing in range exceeds it.
 func TestEdgeLineMaxLenExact(t *testing.T) {
-	for _, pred := range []string{"", "cites"} {
+	for _, pred := range boundaryPreds() {
 		line := NewEdgeLine(pred)
-		for _, n := range []int{0, 1, 2, 10, 11, 100, 101, 99_999, 100_000, 100_001, math.MaxInt32} {
+		for _, n := range []int{0, 1, 2, 10, 11, 100, 101, 99_999, 100_000, 100_001,
+			10_000_000, 10_000_001, 100_000_000, 100_000_001, math.MaxInt32} {
 			last := NodeID(max(n-1, 0))
 			for _, spare := range spares {
 				if got, bound := len(line.Append(withSpare(nil, spare), last, last)), line.MaxLen(n); got != bound {
@@ -149,6 +150,13 @@ func FuzzAppendNodeID(f *testing.F) {
 				f.Add(id, int32(7), pred, uint8(3), uint16(spare))
 				f.Add(int32(12), id, pred, uint8(1), uint16(spare))
 			}
+		}
+	}
+	// Two eight-digit ids around the longest padded separator: the word
+	// path's farthest store, the newline, lands on its last spare byte.
+	for _, pred := range boundaryPreds() {
+		for _, spare := range spares {
+			f.Add(int32(99_999_999), int32(10_000_000), pred, uint8(0), uint16(spare))
 		}
 	}
 	f.Fuzz(func(t *testing.T, src, dst int32, pred string, prefixLen uint8, spare uint16) {
