@@ -23,6 +23,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -52,52 +53,61 @@ func main() {
 		serveMain(os.Args[2:])
 		return
 	}
+	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.Fatal(err)
+	}
+}
 
+// run is the batch CLI: it parses args, generates (or, with
+// -eval-spill, evaluates) and logs its progress to stderr.
+func run(args []string, stderr io.Writer) error {
+	lg := log.New(stderr, "gmark: ", 0)
+	fs := flag.NewFlagSet("gmark", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		configPath  = flag.String("config", "", "gMark XML configuration file (overrides -usecase)")
-		usecase     = flag.String("usecase", "bib", "built-in use case: bib, lsn, sp, wd")
-		nodes       = flag.Int("nodes", 10000, "graph size (number of nodes) for built-in use cases")
-		numQueries  = flag.Int("queries", 30, "number of workload queries")
-		kind        = flag.String("workload", "con", "workload kind: len, dis, con, rec")
-		classes     = flag.String("selectivity", "constant,linear,quadratic", "comma-separated selectivity classes, or empty to disable selectivity control")
-		seed        = flag.Int64("seed", 1, "random seed")
-		outDir      = flag.String("out", "out", "output directory")
-		ntriples    = flag.Bool("ntriples", false, "also write the graph as N-Triples")
-		checkTol    = flag.Float64("consistency", 0.25, "warn when in/out expected edge counts drift more than this fraction")
-		profile     = flag.Bool("profile", false, "print the workload diversity profile to stderr (streamed; the workload is never re-scanned)")
-		stream      = flag.Bool("stream", false, "stream the graph to disk without materializing it (for very large instances)")
-		par         = flag.Int("parallelism", 0, "graph- and workload-generation workers (0 = all cores; output is seed-deterministic for any value)")
-		shardEdges  = flag.Int("shard-edges", 0, "target edges per graph-emission shard (0 = default 128K; negative disables intra-constraint sharding)")
-		partition   = flag.Bool("partition", false, "also write the graph partitioned by predicate (one edge file each + index.json) under <out>/partitioned")
-		partBinary  = flag.Bool("partition-binary", false, "write -partition edge files as binary delta-varint pairs instead of text lines (severalfold smaller; implies -partition)")
-		csrSpill    = flag.Bool("csr-spill", false, "also spill the graph as node-range-sharded binary CSR files under <out>/csr")
-		spillComp   = flag.String("spill-compress", "varint", "CSR spill shard encoding: none (legacy v2), raw (mappable fixed-width v3), varint (delta-varint v3), deflate (varint + per-shard DEFLATE frame when smaller), zstd (reserved)")
-		verify      = flag.Bool("verify", false, "check the generated instance's degree statistics against the configured distributions (materialized path only)")
-		workloadOut = flag.String("workload-out", "", "directory for per-query translated files (default <out>/queries)")
-		syntax      = flag.String("syntax", "sparql,cypher,sql,datalog", "comma-separated translation syntaxes for the per-query files, or empty to skip translation")
-		manifestOut = flag.String("manifest", manifest.DefaultName, "filename (relative to -out) of the JSON run manifest indexing all artifacts; empty disables")
-		evalSpill   = flag.String("eval-spill", "", "evaluate -eval-query over this CSR spill directory (written by -csr-spill) and exit; generation is skipped")
-		evalQuery   = flag.String("eval-query", "", "regular path expression to count over the spill, e.g. \"authors-.authors\"")
-		evalCacheMB = flag.Int("eval-cache-mb", 0, "shard-cache budget in MiB for -eval-spill (0 = default 256 MiB)")
-		evalEngine  = flag.String("eval-engine", "", "evaluate -eval-query with a simulated engine instead of the reference evaluator: P, G, S, D, or \"all\" to compare every engine")
-		evalWorkers = flag.Int("eval-workers", 0, "evaluation workers for -eval-spill (0 = all cores, 1 = sequential; counts are identical for any value)")
-		evalMmap    = flag.Bool("spill-mmap", false, "serve raw (-spill-compress=raw) shards of -eval-spill zero-copy from memory mappings; other encodings fall back to decoding")
+		configPath  = fs.String("config", "", "gMark XML configuration file (overrides -usecase)")
+		usecase     = fs.String("usecase", "bib", "built-in use case: bib, lsn, sp, wd")
+		nodes       = fs.Int("nodes", 10000, "graph size (number of nodes) for built-in use cases")
+		numQueries  = fs.Int("queries", 30, "number of workload queries")
+		kind        = fs.String("workload", "con", "workload kind: len, dis, con, rec")
+		classes     = fs.String("selectivity", "constant,linear,quadratic", "comma-separated selectivity classes, or empty to disable selectivity control")
+		seed        = fs.Int64("seed", 1, "random seed")
+		outDir      = fs.String("out", "out", "output directory")
+		ntriples    = fs.Bool("ntriples", false, "also write the graph as N-Triples")
+		checkTol    = fs.Float64("consistency", 0.25, "warn when in/out expected edge counts drift more than this fraction")
+		profile     = fs.Bool("profile", false, "print the workload diversity profile to stderr (streamed; the workload is never re-scanned)")
+		stream      = fs.Bool("stream", false, "stream the graph to disk without materializing it (for very large instances)")
+		par         = fs.Int("parallelism", 0, "graph- and workload-generation workers (0 = all cores; output is seed-deterministic for any value)")
+		shardEdges  = fs.Int("shard-edges", 0, "target edges per graph-emission shard (0 = default 128K; negative disables intra-constraint sharding)")
+		partition   = fs.Bool("partition", false, "also write the graph partitioned by predicate (one edge file each + index.json) under <out>/partitioned")
+		partBinary  = fs.Bool("partition-binary", false, "write -partition edge files as binary delta-varint pairs instead of text lines (severalfold smaller; implies -partition)")
+		csrSpill    = fs.Bool("csr-spill", false, "also spill the graph as node-range-sharded binary CSR files under <out>/csr")
+		spillComp   = fs.String("spill-compress", "varint", "CSR spill shard encoding: none (legacy v2), raw (mappable fixed-width v3), varint (delta-varint v3), deflate (varint + per-shard DEFLATE frame when smaller), zstd (reserved)")
+		verify      = fs.Bool("verify", false, "check the generated instance's degree statistics against the configured distributions (materialized path only)")
+		workloadOut = fs.String("workload-out", "", "directory for per-query translated files (default <out>/queries)")
+		syntax      = fs.String("syntax", "sparql,cypher,sql,datalog", "comma-separated translation syntaxes for the per-query files, or empty to skip translation")
+		manifestOut = fs.String("manifest", manifest.DefaultName, "filename (relative to -out) of the JSON run manifest indexing all artifacts; empty disables")
+		evalSpill   = fs.String("eval-spill", "", "evaluate -eval-query over this CSR spill directory (written by -csr-spill) and exit; generation is skipped")
+		evalQuery   = fs.String("eval-query", "", "regular path expression to count over the spill, e.g. \"authors-.authors\"")
+		evalCacheMB = fs.Int("eval-cache-mb", 0, "shard-cache budget in MiB for -eval-spill (0 = default 256 MiB)")
+		evalEngine  = fs.String("eval-engine", "", "evaluate -eval-query with a simulated engine instead of the reference evaluator: P, G, S, D, or \"all\" to compare every engine")
+		evalWorkers = fs.Int("eval-workers", 0, "evaluation workers for -eval-spill (0 = all cores, 1 = sequential; counts are identical for any value)")
+		evalMmap    = fs.Bool("spill-mmap", false, "serve raw (-spill-compress=raw) shards of -eval-spill zero-copy from memory mappings; other encodings fall back to decoding")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *evalSpill != "" {
-		if err := evalOverSpill(*evalSpill, *evalQuery, *evalCacheMB, *evalEngine, *evalWorkers, *evalMmap); err != nil {
-			log.Fatal(err)
-		}
-		return
+		return evalOverSpill(lg, *evalSpill, *evalQuery, *evalCacheMB, *evalEngine, *evalWorkers, *evalMmap)
 	}
 	if *evalEngine != "" {
-		log.Fatal("-eval-engine requires -eval-spill")
+		return errors.New("-eval-engine requires -eval-spill")
 	}
 
 	comp, err := graphgen.ParseSpillCompression(*spillComp)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if *partBinary {
 		*partition = true
@@ -109,16 +119,16 @@ func main() {
 	if *configPath != "" {
 		f, err := os.Open(*configPath)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		doc, err := gconfig.Parse(f)
 		f.Close()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		gcfg, err = doc.GraphConfig()
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if w, err := doc.WorkloadConfig(); err == nil {
 			wcfg = w
@@ -128,19 +138,19 @@ func main() {
 		var err error
 		gcfg, err = usecases.ByName(*usecase, *nodes)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
 	for _, w := range gcfg.CheckConsistency(*checkTol) {
-		log.Printf("warning: %s", w)
+		lg.Printf("warning: %s", w)
 	}
 
 	if !haveWorkloadCfg {
 		var err error
 		wcfg, err = usecases.Workload(*kind, gcfg, *seed)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		wcfg.Count = *numQueries
 		wcfg.Classes = nil
@@ -148,7 +158,7 @@ func main() {
 			for _, name := range splitComma(*classes) {
 				c, err := query.ParseSelectivityClass(name)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				wcfg.Classes = append(wcfg.Classes, c)
 			}
@@ -156,7 +166,7 @@ func main() {
 	}
 
 	if err := os.MkdirAll(*outDir, 0o755); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// The run manifest accumulates artifact locations as they are
@@ -203,19 +213,19 @@ func main() {
 			}
 			n, err := graphgen.Emit(gcfg, genOpt, graphgen.MultiEdgeSink(sinks...))
 			if err == nil {
-				log.Printf("graph (streamed): %d nodes, %d edges", ws.Nodes(), n)
+				lg.Printf("graph (streamed): %d nodes, %d edges", ws.Nodes(), n)
 				man.Graph.Nodes, man.Graph.Edges = ws.Nodes(), n
 			}
 			return err
 		})
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *ntriples {
-			log.Printf("note: -ntriples requires the materialized path; skipped under -stream")
+			lg.Printf("note: -ntriples requires the materialized path; skipped under -stream")
 		}
 		if *verify {
-			log.Printf("note: -verify requires the materialized path; skipped under -stream")
+			lg.Printf("note: -verify requires the materialized path; skipped under -stream")
 		}
 	} else {
 		// One pipeline pass feeds the in-memory graph and every extra
@@ -223,34 +233,34 @@ func main() {
 		// the pass drains (exactly what graphgen.Generate does).
 		gs, err := graphgen.NewGraphSinkFor(gcfg)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sinks := []graphgen.EdgeSink{gs}
 		if partDir != "" {
 			ps, err := newPartSink(partDir, gcfg, *partBinary)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			sinks = append(sinks, ps)
 		}
 		if _, err := graphgen.Emit(gcfg, genOpt, graphgen.MultiEdgeSink(sinks...)); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		g := gs.Graph()
 		g.Freeze()
-		log.Printf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
+		lg.Printf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
 		man.Graph.Nodes, man.Graph.Edges = g.NumNodes(), g.NumEdges()
 		if partDir != "" {
-			log.Printf("partitioned: %d predicates in %s", g.NumPredicates(), partDir)
+			lg.Printf("partitioned: %d predicates in %s", g.NumPredicates(), partDir)
 		}
 		if csrDir != "" {
 			// The frozen graph already holds both CSR directions;
 			// spill those instead of buffering a second edge copy in a
 			// CSRSpillSink and rebuilding the adjacency.
 			if err := graphgen.WriteCSRSpillFromGraphWith(csrDir, g, 0, comp); err != nil {
-				log.Fatal(err)
+				return err
 			}
-			log.Printf("csr spill: %d predicates in %s", g.NumPredicates(), csrDir)
+			lg.Printf("csr spill: %d predicates in %s", g.NumPredicates(), csrDir)
 		}
 		if *verify {
 			reports := graphstat.Check(g, gcfg, *checkTol)
@@ -258,25 +268,25 @@ func main() {
 			for _, r := range reports {
 				if !r.OK {
 					bad++
-					log.Printf("verify: FAIL %s", r)
+					lg.Printf("verify: FAIL %s", r)
 				}
 			}
 			if bad > 0 {
-				log.Printf("verify: %d/%d distribution sides failed", bad, len(reports))
+				lg.Printf("verify: %d/%d distribution sides failed", bad, len(reports))
 			} else {
-				log.Printf("verify: all %d distribution sides consistent with the configuration", len(reports))
+				lg.Printf("verify: all %d distribution sides consistent with the configuration", len(reports))
 			}
 		}
 		if err := writeFile(graphPath, func(w *os.File) error {
 			return g.WriteEdgeList(w)
 		}); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if *ntriples {
 			if err := writeFile(filepath.Join(*outDir, "graph.nt"), func(w *os.File) error {
 				return g.WriteNTriples(w, "")
 			}); err != nil {
-				log.Fatal(err)
+				return err
 			}
 			man.Graph.NTriples = "graph.nt"
 		}
@@ -293,7 +303,7 @@ func main() {
 	// the streaming profile, and the multi-syntax directory.
 	gen, err := querygen.New(wcfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	slice := &querygen.SliceSink{}
 	sinks := []querygen.QuerySink{slice}
@@ -308,7 +318,7 @@ func main() {
 		for _, name := range splitComma(*syntax) {
 			s, err := translate.ParseSyntax(name)
 			if err != nil {
-				log.Fatal(err)
+				return err
 			}
 			syns = append(syns, s)
 		}
@@ -318,27 +328,27 @@ func main() {
 		}
 		dirSink, err = querygen.NewSyntaxDirSink(qdir, syns)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		sinks = append(sinks, dirSink)
 	}
 	n, err := gen.Emit(querygen.Options{Parallelism: *par}, querygen.MultiSink(sinks...))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	log.Printf("workload: %d queries", n)
+	lg.Printf("workload: %d queries", n)
 	if prof != nil {
 		prof.Profile().Render(os.Stderr)
 	}
 	if err := writeFile(filepath.Join(*outDir, "workload.xml"), func(w *os.File) error {
 		return gconfig.WriteQueries(w, slice.Queries)
 	}); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	man.Workload.Queries = n
 	man.Workload.XML = "workload.xml"
 	if dirSink != nil {
-		log.Printf("translations: %d queries x %d syntaxes in %s",
+		lg.Printf("translations: %d queries x %d syntaxes in %s",
 			dirSink.Count(), len(dirSink.Syntaxes()), dirSink.Dir())
 		man.Workload.TranslationsDir = manifest.Rel(*outDir, dirSink.Dir())
 		man.Workload.FilePattern = manifest.QueryFilePattern
@@ -352,11 +362,12 @@ func main() {
 			path = filepath.Join(*outDir, path)
 		}
 		if err := manifest.Write(path, man); err != nil {
-			log.Fatal(err)
+			return err
 		}
-		log.Printf("manifest: %s", path)
+		lg.Printf("manifest: %s", path)
 	}
-	log.Printf("wrote %s", *outDir)
+	lg.Printf("wrote %s", *outDir)
+	return nil
 }
 
 var errMissingEvalQuery = errors.New("-eval-spill requires -eval-query (a regular path expression)")
@@ -366,7 +377,7 @@ var errMissingEvalQuery = errors.New("-eval-spill requires -eval-query (a regula
 // regular path expression over it — with the reference evaluator or a
 // selected simulated engine — and reports the shard-cache behavior,
 // without ever materializing the instance.
-func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, useMmap bool) error {
+func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string, workers int, useMmap bool) error {
 	if expr == "" {
 		return errMissingEvalQuery
 	}
@@ -386,7 +397,7 @@ func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, us
 		return err
 	}
 	opt := eval.EvalOptions{Workers: workers}
-	log.Printf("spill: %d nodes, %d edges, %d predicates in %s",
+	lg.Printf("spill: %d nodes, %d edges, %d predicates in %s",
 		src.NumNodes(), src.NumEdges(), len(src.Manifest().Predicates), dir)
 
 	switch engine {
@@ -395,7 +406,7 @@ func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, us
 		if err != nil {
 			return err
 		}
-		log.Printf("count(%s) = %d", expr, n)
+		lg.Printf("count(%s) = %d", expr, n)
 	case "all":
 		failed := 0
 		for _, eng := range engines.All() {
@@ -406,10 +417,10 @@ func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, us
 			}
 			if err != nil {
 				failed++
-				log.Printf("engine %s: failed after %v: %v", eng.Name(), time.Since(start).Round(time.Millisecond), err)
+				lg.Printf("engine %s: failed after %v: %v", eng.Name(), time.Since(start).Round(time.Millisecond), err)
 				continue
 			}
-			log.Printf("engine %s: count(%s) = %d in %v", eng.Name(), expr, n, time.Since(start).Round(time.Millisecond))
+			lg.Printf("engine %s: count(%s) = %d in %v", eng.Name(), expr, n, time.Since(start).Round(time.Millisecond))
 		}
 		if failed > 0 {
 			return fmt.Errorf("%d of %d engines failed", failed, len(engines.All()))
@@ -426,10 +437,10 @@ func evalOverSpill(dir, expr string, cacheMB int, engine string, workers int, us
 		if err != nil {
 			return err
 		}
-		log.Printf("engine %s: count(%s) = %d", eng.Name(), expr, n)
+		lg.Printf("engine %s: count(%s) = %d", eng.Name(), expr, n)
 	}
 	st := src.CacheStats()
-	log.Printf("shard cache: %d loads (%d bytes from disk), %d hits (%d deduped in flight), %d evictions, %d domain-rebuild reads, %d bytes resident (%d mapped, peak %d)",
+	lg.Printf("shard cache: %d loads (%d bytes from disk), %d hits (%d deduped in flight), %d evictions, %d domain-rebuild reads, %d bytes resident (%d mapped, peak %d)",
 		st.Loads, st.DiskBytesLoaded, st.Hits, st.DedupHits, st.Evictions, st.DomainRebuilds, st.BytesUsed, st.MappedBytes, st.PeakBytes)
 	return nil
 }

@@ -20,15 +20,12 @@ import (
 
 var countLine = regexp.MustCompile(`count\(([^)]*)\) = (\d+)`)
 
-// runEval runs evalOverSpill with the package logger captured and
-// returns what it logged.
+// runEval runs evalOverSpill with its logger captured and returns what
+// it logged.
 func runEval(t *testing.T, dir, expr, engine string, useMmap bool) (string, error) {
 	t.Helper()
 	var buf bytes.Buffer
-	out := log.Writer()
-	log.SetOutput(&buf)
-	defer log.SetOutput(out)
-	err := evalOverSpill(dir, expr, 0, engine, 2, useMmap)
+	err := evalOverSpill(log.New(&buf, "", 0), dir, expr, 0, engine, 2, useMmap)
 	return buf.String(), err
 }
 
