@@ -4,7 +4,7 @@
 //	go run ./cmd/gmark-lint ./...
 //
 // It loads every buildable package once, runs the analyzer registry
-// (determinism, formats, concurrency, sinkflush, exporteddoc), and
+// (determinism, formats, concurrency, sinkflush, exporteddoc, ladder), and
 // prints one "file:line: analyzer: message" per unsuppressed finding,
 // exiting 1 if there are any. Suppress a finding only with
 // //lint:ignore <analyzer> <reason> on the flagged line or the line

@@ -53,7 +53,7 @@ func main() {
 		serveMain(os.Args[2:])
 		return
 	}
-	if err := run(os.Args[1:], os.Stderr); err != nil && !errors.Is(err, flag.ErrHelp) {
+	if err := run(os.Args[1:], os.Stderr); err != nil {
 		log.Fatal(err)
 	}
 }
@@ -62,7 +62,7 @@ func main() {
 // -eval-spill, evaluates) and logs its progress to stderr.
 func run(args []string, stderr io.Writer) error {
 	lg := log.New(stderr, "gmark: ", 0)
-	fs := flag.NewFlagSet("gmark", flag.ContinueOnError)
+	fs := flag.NewFlagSet("gmark", flag.ExitOnError)
 	fs.SetOutput(stderr)
 	var (
 		configPath  = fs.String("config", "", "gMark XML configuration file (overrides -usecase)")
@@ -402,7 +402,7 @@ func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string,
 
 	switch engine {
 	case "":
-		n, err := eval.CountOverSpillWith(src, q, eval.Budget{}, opt)
+		n, err := eval.CountWith(src, q, eval.Budget{}, opt)
 		if err != nil {
 			return err
 		}
@@ -412,9 +412,6 @@ func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string,
 		for _, eng := range engines.All() {
 			start := time.Now()
 			n, err := engines.EvaluateOpt(eng, src, q, eval.Budget{}, opt)
-			if err == nil {
-				err = src.Err()
-			}
 			if err != nil {
 				failed++
 				lg.Printf("engine %s: failed after %v: %v", eng.Name(), time.Since(start).Round(time.Millisecond), err)
@@ -431,9 +428,6 @@ func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string,
 			return err
 		}
 		n, err := engines.EvaluateOpt(eng, src, q, eval.Budget{}, opt)
-		if err == nil {
-			err = src.Err()
-		}
 		if err != nil {
 			return err
 		}

@@ -32,7 +32,7 @@ func runEval(t *testing.T, dir, expr, engine string, useMmap bool) (string, erro
 // TestEvalOverSpill pins the -eval-spill mode: over a bib@1000 spill
 // with several node ranges, in every tested encoding and through the
 // mmap path, each count line the reference evaluator, one engine and
-// the whole engine comparison log equals eval.Count on the in-memory
+// the whole engine comparison log equals eval.CountWith on the in-memory
 // graph.
 func TestEvalOverSpill(t *testing.T) {
 	_, g := testutil.Graph(t, "bib", 1000, 5)
@@ -41,7 +41,7 @@ func TestEvalOverSpill(t *testing.T) {
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(expr)}},
 	}}}
-	want, err := eval.Count(g, q, eval.Budget{})
+	want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

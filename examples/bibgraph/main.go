@@ -68,7 +68,7 @@ func main() {
 	// real-world shape claims.
 	for _, n := range []int{5000, 20000} {
 		cfg.Nodes = n
-		g, err := gmark.GenerateGraph(cfg, 7)
+		g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 7})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -108,7 +108,7 @@ func main() {
 				Body: []gmark.Conjunct{{Src: 0, Dst: 1, Expr: expr}},
 			}},
 		}
-		count, err := gmark.Count(g, q, gmark.Budget{MaxPairs: 100_000_000})
+		count, err := gmark.Count(g, q, gmark.Budget{MaxPairs: 100_000_000}, gmark.EvalOptions{Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -39,7 +39,7 @@ func main() {
 		},
 	}
 
-	g, err := gmark.GenerateGraph(cfg, 42)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 42})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		count, err := gmark.Count(g, q, gmark.Budget{})
+		count, err := gmark.Count(g, q, gmark.Budget{}, gmark.EvalOptions{})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -24,7 +24,7 @@ func main() {
 	graphs := make(map[int]*gmark.Graph, len(sizes))
 	for _, n := range sizes {
 		c := gmark.WD(n)
-		g, err := gmark.GenerateGraph(c, 3)
+		g, err := gmark.GenerateGraph(c, gmark.GenOptions{Seed: 3})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func main() {
 			var xs, ys []float64
 			failed := false
 			for _, n := range sizes {
-				count, err := gmark.Count(graphs[n], q, budget)
+				count, err := gmark.Count(graphs[n], q, budget, gmark.EvalOptions{Workers: 1})
 				if err != nil {
 					failed = true
 					break

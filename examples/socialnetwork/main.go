@@ -18,7 +18,7 @@ import (
 func main() {
 	const n = 3000
 	cfg := gmark.LSN(n)
-	g, err := gmark.GenerateGraph(cfg, 11)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 11})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,17 +80,14 @@ func main() {
 			label = label[:39] + "..."
 		}
 		fmt.Printf("%-44s", label)
-		for _, eng := range gmark.Engines() {
-			start := time.Now()
-			count, err := eng.Evaluate(g, q, budget)
-			elapsed := time.Since(start).Round(time.Microsecond)
+		for _, res := range gmark.CompareEngines(g, q, budget, gmark.EvalOptions{Workers: 1}) {
 			switch {
-			case errors.Is(err, gmark.ErrBudget):
+			case errors.Is(res.Err, gmark.ErrBudget):
 				fmt.Printf(" %14s", "budget!")
-			case err != nil:
+			case res.Err != nil:
 				fmt.Printf(" %14s", "error")
 			default:
-				fmt.Printf(" %8d/%s", count, compact(elapsed))
+				fmt.Printf(" %8d/%s", res.Count, compact(res.Elapsed.Round(time.Microsecond)))
 			}
 		}
 		fmt.Println()

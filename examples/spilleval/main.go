@@ -34,7 +34,7 @@ func main() {
 	// as an independent unit on GOMAXPROCS workers, admitting units only
 	// while the pairs in flight fit the same budget, so peak writer
 	// memory is bounded regardless of instance size.
-	sink, err := gmark.NewGraphCSRSpillSink(dir, cfg, 0)
+	sink, err := gmark.NewGraphCSRSpillSink(dir, cfg, 0, gmark.GraphSpillCompressVarint)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func main() {
 
 	// Open the spill as an evaluation source: a bounded LRU cache of
 	// shard files (64 MiB here) is the only resident state.
-	src, err := gmark.OpenGraphSpill(dir, 64<<20)
+	src, err := gmark.OpenGraphSpill(dir, gmark.GraphSpillSourceOptions{CacheBytes: 64 << 20})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,7 +67,7 @@ func main() {
 			Body: []gmark.Conjunct{{Src: 0, Dst: 1, Expr: expr}},
 		}}}
 
-		ref, err := gmark.CountOverSpill(src, q, gmark.Budget{})
+		ref, err := gmark.Count(src, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -75,7 +75,7 @@ func main() {
 
 		// Engine G's recursive counts follow its documented openCypher
 		// rewriting, so on the closure query it legitimately differs.
-		for _, res := range gmark.CompareEnginesOverSpill(src, q, gmark.Budget{}) {
+		for _, res := range gmark.CompareEngines(src, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1}) {
 			if res.Err != nil {
 				fmt.Printf("  engine %s: failed: %v\n", res.Engine, res.Err)
 				continue

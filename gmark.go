@@ -19,17 +19,19 @@
 //
 // # Quick start
 //
-//	cfg := gmark.Bib(10000)                          // Fig. 2's schema
-//	g, _ := gmark.GenerateGraph(cfg, 42)             // a 10K-node instance
-//	wl, _ := gmark.Workload("con", cfg, 42)          // workload config
+//	cfg := gmark.Bib(10000)                                        // Fig. 2's schema
+//	g, _ := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 42})   // a 10K-node instance
+//	wl, _ := gmark.Workload("con", cfg, 42)                        // workload config
 //	gen, _ := gmark.NewWorkloadGenerator(wl)
-//	q, _ := gen.GenerateWithClass(gmark.Linear)      // a linear query
-//	sparql, _ := gmark.Translate(gmark.SPARQL, q)    // concrete syntax
-//	n, _ := gmark.Count(g, q, gmark.Budget{})        // |Q(G)|
+//	q, _ := gen.GenerateWithClass(gmark.Linear)                    // a linear query
+//	sparql, _ := gmark.Translate(gmark.SPARQL, q)                  // concrete syntax
+//	n, _ := gmark.Count(g, q, gmark.Budget{}, gmark.EvalOptions{}) // |Q(G)|
+//
+// Each verb has one entry point taking an options struct whose zero
+// value selects the defaults.
 package gmark
 
 import (
-	"io"
 	"time"
 
 	"gmark/internal/dist"
@@ -148,7 +150,7 @@ const (
 	GraphSpillCompressZstd = graphgen.SpillCompressZstd
 	// GraphSpillCompressRaw writes 8-byte-aligned fixed-width shards
 	// behind a page-padded header, interpretable in place — the format
-	// OpenGraphSpillWith's Mmap option serves zero-copy.
+	// OpenGraphSpill's Mmap option serves zero-copy.
 	GraphSpillCompressRaw = graphgen.SpillCompressRaw
 )
 
@@ -162,11 +164,15 @@ var (
 	// of text lines.
 	NewGraphBinaryPartitionedSink = graphgen.NewBinaryPartitionedSink
 	// NewGraphCSRSpillSink opens a CSR spill directory for writing
-	// (shardNodes 0 = default node-range width).
-	NewGraphCSRSpillSink = graphgen.NewCSRSpillSink
-	// NewGraphCSRSpillSinkWith is NewGraphCSRSpillSink with an
-	// explicit shard encoding.
-	NewGraphCSRSpillSinkWith = graphgen.NewCSRSpillSinkWith
+	// shards in the given encoding (shardNodes 0 = default node-range
+	// width).
+	NewGraphCSRSpillSink = graphgen.NewCSRSpillSinkWith
+	// NewGraphWriterSink writes the configuration's edge-list header
+	// to w and returns a sink streaming every edge after it: passed to
+	// EmitGraph it generates an instance straight to w without
+	// materializing it, for very large configurations (see Table 3's
+	// 100M-node scale).
+	NewGraphWriterSink = graphgen.NewWriterSink
 	// ParseGraphSpillCompression parses a -spill-compress style name
 	// ("none", "raw", "varint", "deflate", "zstd") into a
 	// GraphSpillCompression.
@@ -177,29 +183,23 @@ var (
 	// OpenGraphCSRSpill reads the manifest of a CSR spill directory.
 	OpenGraphCSRSpill = graphgen.OpenCSRSpill
 	// WriteGraphCSRSpill spills an already-frozen graph's adjacency
-	// into a CSR spill directory without rebuilding it.
-	WriteGraphCSRSpill = graphgen.WriteCSRSpillFromGraph
-	// WriteGraphCSRSpillWith is WriteGraphCSRSpill with an explicit
-	// shard encoding.
-	WriteGraphCSRSpillWith = graphgen.WriteCSRSpillFromGraphWith
+	// into a CSR spill directory, in the given shard encoding, without
+	// rebuilding it.
+	WriteGraphCSRSpill = graphgen.WriteCSRSpillFromGraphWith
 	// MultiEdgeSink fans each edge out to several sinks, so one
 	// generation pass can feed several output formats.
 	MultiEdgeSink = graphgen.MultiEdgeSink
 )
 
 // GenerateGraph runs the linear-time generation algorithm of Fig. 5 on
-// the configuration with the given seed, using all available cores.
-func GenerateGraph(cfg *GraphConfig, seed int64) (*Graph, error) {
-	return graphgen.Generate(cfg, graphgen.Options{Seed: seed})
-}
-
-// GenerateGraphWith is GenerateGraph with explicit generation options.
-func GenerateGraphWith(cfg *GraphConfig, opt GenOptions) (*Graph, error) {
+// the configuration and returns the frozen in-memory instance.
+func GenerateGraph(cfg *GraphConfig, opt GenOptions) (*Graph, error) {
 	return graphgen.Generate(cfg, opt)
 }
 
 // EmitGraph runs the generation pipeline into an arbitrary edge sink
-// and returns the number of edges delivered.
+// and returns the number of edges delivered; with a NewGraphWriterSink
+// it streams the instance without materializing it.
 func EmitGraph(cfg *GraphConfig, opt GenOptions, sink EdgeSink) (int, error) {
 	return graphgen.Emit(cfg, opt, sink)
 }
@@ -285,14 +285,8 @@ var (
 )
 
 // GenerateWorkload generates the configured workload through the
-// plan/emit/sink pipeline using all cores.
-func GenerateWorkload(cfg WorkloadConfig) ([]*Query, error) {
-	return GenerateWorkloadWith(cfg, WorkloadOptions{})
-}
-
-// GenerateWorkloadWith is GenerateWorkload with explicit emission
-// options.
-func GenerateWorkloadWith(cfg WorkloadConfig, opt WorkloadOptions) ([]*Query, error) {
+// plan/emit/sink pipeline.
+func GenerateWorkload(cfg WorkloadConfig, opt WorkloadOptions) ([]*Query, error) {
 	gen, err := querygen.New(cfg)
 	if err != nil {
 		return nil, err
@@ -376,13 +370,10 @@ type (
 	// (0 = GOMAXPROCS, 1 = sequential; results are identical either
 	// way).
 	EvalOptions = eval.EvalOptions
-	// GraphSpillSourceOptions configures OpenGraphSpillWith: the shard
+	// GraphSpillSourceOptions configures OpenGraphSpill: the shard
 	// cache budget and whether raw shards are served from zero-copy
 	// memory mappings.
 	GraphSpillSourceOptions = eval.SpillSourceOptions
-	// WorkerEngine is a simulated engine whose evaluation can shard
-	// its top-level source scan (engines S and G).
-	WorkerEngine = engines.WorkerEngine
 )
 
 var (
@@ -391,58 +382,38 @@ var (
 	NewGraphShardCache = eval.NewShardCache
 	// NewGraphSpillSourceWith opens an evaluation source over an
 	// already-opened CSR spill backed by a caller-supplied shared
-	// cache; several sources may share one cache.
+	// cache; several sources may share one cache (the options'
+	// CacheBytes is ignored).
 	NewGraphSpillSourceWith = eval.NewSpillSourceWith
 )
 
 // DefaultSpillCacheBytes is the shard-cache budget used when
-// OpenGraphSpill is called with cacheBytes <= 0.
+// OpenGraphSpill is called with CacheBytes <= 0.
 const DefaultSpillCacheBytes = eval.DefaultSpillCacheBytes
 
 // ErrBudget is returned when an evaluation exceeds its budget.
 var ErrBudget = eval.ErrBudget
 
-// Count evaluates the query on the graph under set semantics and
-// returns |Q(G)|, using the reference evaluator.
-func Count(g *Graph, q *Query, b Budget) (int64, error) {
-	return eval.Count(g, q, b)
-}
-
-// CountWith is Count with explicit evaluation options; with
+// Count evaluates the query under set semantics over any evaluation
+// source — the frozen in-memory graph or an opened CSR spill, whose
+// evaluation touches only the shard files its frontier reaches — and
+// returns |Q(G)|, using the reference evaluator. With
 // EvalOptions.Workers != 1 the streaming scan is sharded by node range
-// and the count is pinned equal to the sequential one.
-func CountWith(g *Graph, q *Query, b Budget, opt EvalOptions) (int64, error) {
-	return eval.CountWith(g, q, b, opt)
+// (parallel workers share a spill's shard cache) and the count is
+// pinned equal to the sequential one. A spill shard that fails to load
+// fails the count.
+func Count(src EvalSource, q *Query, b Budget, opt EvalOptions) (int64, error) {
+	return eval.CountWith(src, q, b, opt)
 }
 
 // OpenGraphSpill opens a CSR spill directory (written by
 // GraphCSRSpillSink or WriteGraphCSRSpill) for out-of-core query
-// evaluation. cacheBytes bounds the resident shard bytes; <= 0 selects
-// DefaultSpillCacheBytes.
-func OpenGraphSpill(dir string, cacheBytes int64) (*GraphSpillSource, error) {
-	return eval.OpenSpillSource(dir, cacheBytes)
-}
-
-// OpenGraphSpillWith is OpenGraphSpill with explicit source options;
-// with Mmap set, raw (-spill-compress=raw) shards are served zero-copy
-// from memory mappings on platforms that support it and other
-// encodings fall back to the decoding loader transparently.
-func OpenGraphSpillWith(dir string, opt GraphSpillSourceOptions) (*GraphSpillSource, error) {
+// evaluation. opt.CacheBytes bounds the resident shard bytes (<= 0
+// selects DefaultSpillCacheBytes); with opt.Mmap, raw shards are
+// served zero-copy from memory mappings on platforms that support it
+// and other encodings fall back to the decoding loader transparently.
+func OpenGraphSpill(dir string, opt GraphSpillSourceOptions) (*GraphSpillSource, error) {
 	return eval.OpenSpillSourceWith(dir, opt)
-}
-
-// CountOverSpill evaluates the query over an opened spill and returns
-// |Q(G)|, touching only the shard files the evaluation frontier
-// reaches.
-func CountOverSpill(s *GraphSpillSource, q *Query, b Budget) (int64, error) {
-	return eval.CountOverSpill(s, q, b)
-}
-
-// CountOverSpillWith is CountOverSpill with explicit evaluation
-// options; parallel workers share the spill's shard cache, so the
-// residency budget holds across the whole evaluation.
-func CountOverSpillWith(s *GraphSpillSource, q *Query, b Budget, opt EvalOptions) (int64, error) {
-	return eval.CountOverSpillWith(s, q, b, opt)
 }
 
 // Engines returns the four simulated systems (P, G, S, D) of the
@@ -466,32 +437,20 @@ type EngineComparison struct {
 // CompareEngines evaluates the query on every simulated engine over
 // any evaluation source — the frozen in-memory graph or an opened CSR
 // spill — and returns one result per engine in the paper's P, G, S, D
-// order. Sources that accumulate sticky lookup failures (an Err()
-// method, like GraphSpillSource) are re-checked after every engine, so
-// a shard-load failure invalidates the affected engine's count and
-// every later one rather than passing as a silently small result.
-// Engine G's recursive counts follow its documented openCypher
-// rewriting, so they are comparable across sources but not across
-// engines.
-func CompareEngines(src EvalSource, q *Query, b Budget) []EngineComparison {
-	return CompareEnginesWith(src, q, b, EvalOptions{Workers: 1})
-}
-
-// CompareEnginesWith is CompareEngines with explicit evaluation
-// options: engines that support range-sharded evaluation (S and G) run
-// with EvalOptions.Workers, the rest run sequentially, and every count
-// equals its sequential counterpart.
-func CompareEnginesWith(src EvalSource, q *Query, b Budget, opt EvalOptions) []EngineComparison {
-	sticky, _ := src.(interface{ Err() error })
+// order. Engines that support range-sharded evaluation (S and G) run
+// with EvalOptions.Workers, the rest sequentially, and every count
+// equals its sequential counterpart. A spill shard that fails to load
+// fails the affected engine and every later one rather than passing as
+// a silently small result. Engine G's recursive counts follow its
+// documented openCypher rewriting, so they are comparable across
+// sources but not across engines.
+func CompareEngines(src EvalSource, q *Query, b Budget, opt EvalOptions) []EngineComparison {
 	all := engines.All()
 	out := make([]EngineComparison, 0, len(all))
 	for _, eng := range all {
 		//lint:ignore determinism EngineComparison.Elapsed is a reported measurement; the deterministic outputs are the counts
 		start := time.Now()
 		n, err := engines.EvaluateOpt(eng, src, q, b, opt)
-		if err == nil && sticky != nil {
-			err = sticky.Err()
-		}
 		out = append(out, EngineComparison{
 			Engine: eng.Name(),
 			Count:  n,
@@ -501,19 +460,6 @@ func CompareEnginesWith(src EvalSource, q *Query, b Budget, opt EvalOptions) []E
 		})
 	}
 	return out
-}
-
-// CompareEnginesOverSpill is CompareEngines over an opened spill,
-// kept as the spill-typed entry point mirroring CountOverSpill.
-func CompareEnginesOverSpill(s *GraphSpillSource, q *Query, b Budget) []EngineComparison {
-	return CompareEngines(s, q, b)
-}
-
-// CompareEnginesOverSpillWith is CompareEnginesOverSpill with explicit
-// evaluation options; concurrent workers of one engine share the
-// spill's shard cache.
-func CompareEnginesOverSpillWith(s *GraphSpillSource, q *Query, b Budget, opt EvalOptions) []EngineComparison {
-	return CompareEnginesWith(s, q, b, opt)
 }
 
 // Workload analysis.
@@ -584,18 +530,6 @@ var (
 	// unknown fields and unsupported format versions.
 	DecodeJobSpec = manifest.DecodeJobSpec
 )
-
-// StreamGraph generates an instance directly to w in edge-list form
-// without materializing it, for very large configurations (see
-// Table 3's 100M-node scale).
-func StreamGraph(cfg *GraphConfig, seed int64, w io.Writer) (graphgen.StreamStats, error) {
-	return graphgen.Stream(cfg, graphgen.Options{Seed: seed}, w)
-}
-
-// StreamGraphWith is StreamGraph with explicit generation options.
-func StreamGraphWith(cfg *GraphConfig, opt GenOptions, w io.Writer) (graphgen.StreamStats, error) {
-	return graphgen.Stream(cfg, opt, w)
-}
 
 // Use cases (Section 6.1).
 var (

@@ -38,7 +38,7 @@ func smallConfig(n int) *gmark.GraphConfig {
 
 func TestEndToEndPipeline(t *testing.T) {
 	cfg := smallConfig(2000)
-	g, err := gmark.GenerateGraph(cfg, 1)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestEndToEndPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(gmark.WorkloadOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatalf("generated %d queries", len(qs))
 	}
 	for _, q := range qs {
-		if _, err := gmark.Count(g, q, gmark.Budget{}); err != nil {
+		if _, err := gmark.Count(g, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1}); err != nil {
 			t.Errorf("count: %v for %s", err, q)
 		}
 		for _, s := range []gmark.Syntax{gmark.SPARQL, gmark.OpenCypher, gmark.PostgreSQL, gmark.Datalog} {
@@ -90,7 +90,7 @@ func TestSelectivityClassesHoldOnInstances(t *testing.T) {
 	graphs := map[int]*gmark.Graph{}
 	for _, n := range sizes {
 		c := smallConfig(n)
-		g, err := gmark.GenerateGraph(c, 3)
+		g, err := gmark.GenerateGraph(c, gmark.GenOptions{Seed: 3})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestSelectivityClassesHoldOnInstances(t *testing.T) {
 			t.Skip("generator fell back on this schema")
 		}
 		for _, n := range sizes {
-			c, err := gmark.Count(graphs[n], q, gmark.Budget{})
+			c, err := gmark.Count(graphs[n], q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -155,7 +155,7 @@ func TestUseCasesViaFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := gmark.GenerateGraph(cfg, 5); err != nil {
+		if _, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 5}); err != nil {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
@@ -163,7 +163,7 @@ func TestUseCasesViaFacade(t *testing.T) {
 
 func TestEnginesViaFacade(t *testing.T) {
 	cfg := smallConfig(600)
-	g, err := gmark.GenerateGraph(cfg, 6)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,28 +175,26 @@ func TestEnginesViaFacade(t *testing.T) {
 		Head: []gmark.Var{0, 1},
 		Body: []gmark.Conjunct{{Src: 0, Dst: 1, Expr: expr}},
 	}}}
-	want, err := gmark.Count(g, q, gmark.Budget{})
+	want, err := gmark.Count(g, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	engines := gmark.Engines()
-	if len(engines) != 4 {
-		t.Fatalf("engines = %d", len(engines))
+	if n := len(gmark.Engines()); n != 4 {
+		t.Fatalf("engines = %d", n)
 	}
-	for _, eng := range engines {
-		got, err := eng.Evaluate(g, q, gmark.Budget{})
-		if err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
+	for _, r := range gmark.CompareEngines(g, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1}) {
+		if r.Err != nil {
+			t.Fatalf("%s: %v", r.Engine, r.Err)
 		}
-		if got != want {
-			t.Errorf("%s = %d, want %d", eng.Name(), got, want)
+		if r.Count != want {
+			t.Errorf("%s = %d, want %d", r.Engine, r.Count, want)
 		}
 	}
 }
 
 func TestBudgetViaFacade(t *testing.T) {
 	cfg := smallConfig(2000)
-	g, err := gmark.GenerateGraph(cfg, 7)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +206,7 @@ func TestBudgetViaFacade(t *testing.T) {
 		Head: []gmark.Var{0, 1},
 		Body: []gmark.Conjunct{{Src: 0, Dst: 1, Expr: expr}},
 	}}}
-	_, err = gmark.Count(g, q, gmark.Budget{Timeout: time.Nanosecond})
+	_, err = gmark.Count(g, q, gmark.Budget{Timeout: time.Nanosecond}, gmark.EvalOptions{Workers: 1})
 	if !errors.Is(err, gmark.ErrBudget) {
 		t.Errorf("expected ErrBudget, got %v", err)
 	}
@@ -272,15 +270,15 @@ func TestTranslationsMentionPredicates(t *testing.T) {
 
 func TestSpillEvaluationViaFacade(t *testing.T) {
 	cfg := smallConfig(1500)
-	g, err := gmark.GenerateGraph(cfg, 9)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := gmark.WriteGraphCSRSpill(dir, g, 200); err != nil {
+	if err := gmark.WriteGraphCSRSpill(dir, g, 200, gmark.GraphSpillCompressVarint); err != nil {
 		t.Fatal(err)
 	}
-	src, err := gmark.OpenGraphSpill(dir, 1<<16)
+	src, err := gmark.OpenGraphSpill(dir, gmark.GraphSpillSourceOptions{CacheBytes: 1 << 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,11 +290,11 @@ func TestSpillEvaluationViaFacade(t *testing.T) {
 		Head: []gmark.Var{0, 1},
 		Body: []gmark.Conjunct{{Src: 0, Dst: 1, Expr: expr}},
 	}}}
-	want, err := gmark.Count(g, q, gmark.Budget{})
+	want, err := gmark.Count(g, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := gmark.CountOverSpill(src, q, gmark.Budget{})
+	got, err := gmark.Count(src, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,15 +308,15 @@ func TestSpillEvaluationViaFacade(t *testing.T) {
 
 func TestCompareEnginesOverSpillViaFacade(t *testing.T) {
 	cfg := smallConfig(1200)
-	g, err := gmark.GenerateGraph(cfg, 11)
+	g, err := gmark.GenerateGraph(cfg, gmark.GenOptions{Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	if err := gmark.WriteGraphCSRSpill(dir, g, 150); err != nil {
+	if err := gmark.WriteGraphCSRSpill(dir, g, 150, gmark.GraphSpillCompressVarint); err != nil {
 		t.Fatal(err)
 	}
-	src, err := gmark.OpenGraphSpill(dir, 0)
+	src, err := gmark.OpenGraphSpill(dir, gmark.GraphSpillSourceOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,11 +328,11 @@ func TestCompareEnginesOverSpillViaFacade(t *testing.T) {
 		Head: []gmark.Var{0, 1},
 		Body: []gmark.Conjunct{{Src: 0, Dst: 1, Expr: expr}},
 	}}}
-	want, err := gmark.Count(g, q, gmark.Budget{})
+	want, err := gmark.Count(g, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	results := gmark.CompareEnginesOverSpill(src, q, gmark.Budget{})
+	results := gmark.CompareEngines(src, q, gmark.Budget{}, gmark.EvalOptions{Workers: 1})
 	if len(results) != 4 {
 		t.Fatalf("results = %d, want 4", len(results))
 	}

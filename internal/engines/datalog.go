@@ -1,11 +1,8 @@
 package engines
 
 import (
-	"fmt"
-
 	"gmark/internal/bitset"
 	"gmark/internal/eval"
-	"gmark/internal/query"
 )
 
 // DatalogEngine models system D: a modern Datalog engine evaluating
@@ -25,28 +22,6 @@ func (*DatalogEngine) Name() string { return "D" }
 // Describe implements Engine.
 func (*DatalogEngine) Describe() string {
 	return "datalog engine: bottom-up semi-naive evaluation with delta relations"
-}
-
-// dlBudget tracks materialized facts against the budget; the deadline
-// is the shared amortized deadlineMeter (budget.go).
-type dlBudget struct {
-	pairs    int64
-	maxPairs int64
-	deadlineMeter
-}
-
-func newDlBudget(b eval.Budget) *dlBudget {
-	bt := &dlBudget{maxPairs: b.MaxPairs}
-	bt.arm(b.Timeout)
-	return bt
-}
-
-func (b *dlBudget) charge(n int64) error {
-	b.pairs += n
-	if b.maxPairs > 0 && b.pairs > b.maxPairs {
-		return fmt.Errorf("%w: materialized more than %d facts", eval.ErrBudget, b.maxPairs)
-	}
-	return b.checkTime()
 }
 
 // rowRel is a binary relation stored as per-source bitset rows: the
@@ -78,25 +53,20 @@ func (r *rowRel) pairs() []pair {
 	return out
 }
 
-// Evaluate implements Engine.
-func (e *DatalogEngine) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (int64, error) {
-	defer eval.AcquireSourceReader(g)()
-	c, err := compile(g, q)
-	if err != nil {
-		return 0, err
-	}
-	bt := newDlBudget(budget)
+// evaluate implements Engine.
+func (e *DatalogEngine) evaluate(g eval.Source, c *compiled, b eval.Budget, _ int) (int64, error) {
+	m := eval.NewMeter(b, "materialized more than %d facts")
 	out := newTupleSet(c.arity)
 	for ri := range c.rules {
 		rels := make([][]pair, len(c.rules[ri].body))
 		for i := range c.rules[ri].body {
-			rel, err := e.evalConjunct(g, &c.rules[ri].body[i], bt)
+			rel, err := e.evalConjunct(g, &c.rules[ri].body[i], m)
 			if err != nil {
 				return 0, err
 			}
 			rels[i] = rel.pairs()
 		}
-		if err := joinRelations(&c.rules[ri], rels, bt, out); err != nil {
+		if err := joinRelations(&c.rules[ri], rels, m, out); err != nil {
 			return 0, err
 		}
 	}
@@ -104,19 +74,19 @@ func (e *DatalogEngine) Evaluate(g eval.Source, q *query.Query, budget eval.Budg
 }
 
 // evalConjunct materializes one conjunct relation bottom-up.
-func (e *DatalogEngine) evalConjunct(g eval.Source, cj *compiledConjunct, bt *dlBudget) (*rowRel, error) {
-	base, err := e.alternation(g, cj.paths, bt)
+func (e *DatalogEngine) evalConjunct(g eval.Source, cj *compiledConjunct, m *eval.Meter) (*rowRel, error) {
+	base, err := e.alternation(g, cj.paths, m)
 	if err != nil {
 		return nil, err
 	}
 	if !cj.star {
 		return base, nil
 	}
-	return e.semiNaiveClosure(g, cj, base, bt)
+	return e.semiNaiveClosure(g, cj, base, m)
 }
 
 // alternation unions the per-path relations.
-func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget) (*rowRel, error) {
+func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, m *eval.Meter) (*rowRel, error) {
 	n := g.NumNodes()
 	out := newRowRel(n)
 	scratch := bitset.New(n)
@@ -127,7 +97,7 @@ func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget)
 			for v := int32(0); v < int32(n); v++ {
 				out.row(v).Add(v)
 			}
-			if err := bt.charge(int64(n)); err != nil {
+			if err := m.ChargeTick(int64(n)); err != nil {
 				return nil, err
 			}
 			continue
@@ -161,7 +131,7 @@ func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget)
 			row := out.row(v)
 			before := row.Count()
 			row.UnionWith(frontier)
-			if err := bt.charge(int64(row.Count() - before)); err != nil {
+			if err := m.ChargeTick(int64(row.Count() - before)); err != nil {
 				return nil, err
 			}
 		}
@@ -172,13 +142,13 @@ func (e *DatalogEngine) alternation(g eval.Source, paths [][]csym, bt *dlBudget)
 // semiNaiveClosure computes the reflexive-transitive closure with
 // delta rows: each iteration only extends the newly discovered
 // frontier of each source, the textbook semi-naive strategy.
-func (e *DatalogEngine) semiNaiveClosure(g eval.Source, cj *compiledConjunct, base *rowRel, bt *dlBudget) (*rowRel, error) {
+func (e *DatalogEngine) semiNaiveClosure(g eval.Source, cj *compiledConjunct, base *rowRel, m *eval.Meter) (*rowRel, error) {
 	n := g.NumNodes()
 	out := newRowRel(n)
 	scratch := bitset.New(n)
 	var loopErr error
 	starDomain(g, cj).Range(func(v int32) bool {
-		if err := bt.checkTime(); err != nil {
+		if err := m.Tick(); err != nil {
 			loopErr = err
 			return false
 		}
@@ -197,7 +167,7 @@ func (e *DatalogEngine) semiNaiveClosure(g eval.Source, cj *compiledConjunct, ba
 				break
 			}
 			added := scratch.Count()
-			if err := bt.charge(int64(added)); err != nil {
+			if err := m.ChargeTick(int64(added)); err != nil {
 				loopErr = err
 				return false
 			}

@@ -27,17 +27,17 @@
 //     (Table 4), at the price of blurring the constant/linear gap on
 //     non-recursive workloads.
 //
-// All engines implement the same Engine interface, run on any
-// eval.Source — the frozen in-memory graph.Graph or a spill-backed
-// eval.SpillSource, so the Section 7 comparison runs at beyond-memory
-// scale too — and honor an eval.Budget whose violation is reported as
-// eval.ErrBudget, the analogue of the paper's "manually terminated
-// after unexpectedly long running times".
+// All engines implement the same Engine interface and run through
+// EvaluateOpt on any eval.Source — the frozen in-memory graph.Graph or
+// a spill-backed eval.SpillSource, so the Section 7 comparison runs at
+// beyond-memory scale too. Each meters its eval.Budget with an
+// eval.Meter and reports a violation as eval.ErrBudget, the analogue
+// of the paper's "manually terminated after unexpectedly long running
+// times".
 package engines
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -47,53 +47,42 @@ import (
 	"gmark/internal/query"
 )
 
-// Engine is one simulated query processing system.
+// Engine is one simulated query processing system. EvaluateOpt runs
+// one.
 type Engine interface {
 	// Name returns the paper's one-letter system name (P, S, G, D).
 	Name() string
 	// Describe returns a one-line architectural description.
 	Describe() string
-	// Evaluate runs the query over any evaluation source — in-memory
-	// graph or CSR spill — and returns the number of distinct result
-	// tuples. Budget violations return eval.ErrBudget. It holds the
-	// source's reader bracket (eval.AcquireSourceReader) throughout, so
-	// adjacency slices into mapped shards stay valid under eviction.
-	Evaluate(g eval.Source, q *query.Query, b eval.Budget) (int64, error)
+	// evaluate counts the distinct result tuples of c over g. workers
+	// (EvalOptions.WorkerCount, at least 1) is the number of range
+	// workers S and G shard their top-level source scan over; P and D,
+	// whose cost lives in whole-relation materialization and
+	// fixpoints rather than a per-source outer loop, ignore it.
+	evaluate(g eval.Source, c *compiled, b eval.Budget, workers int) (int64, error)
 }
 
-// WorkerEngine is an Engine whose evaluation can shard its top-level
-// source scan across a worker pool over eval.SourceRanges, with the
-// same count as the sequential Evaluate. Engines S and G implement it;
-// P and D do not (their cost lives in whole-relation materialization
-// and fixpoints, not a per-source outer loop).
-type WorkerEngine interface {
-	Engine
-	// EvaluateWorkers is Evaluate with an explicit worker count,
-	// following the eval.EvalOptions convention: 0 means GOMAXPROCS,
-	// 1 or negative means sequential.
-	EvaluateWorkers(g eval.Source, q *query.Query, b eval.Budget, workers int) (int64, error)
-}
-
-// EvaluateOpt runs the engine under the given evaluation options: a
-// WorkerEngine (S, G) honors opt.Workers, any other engine (P, D)
-// evaluates sequentially, so callers can apply one worker setting
-// across the whole engine comparison.
+// EvaluateOpt runs the engine over any evaluation source — in-memory
+// graph or CSR spill — and returns the number of distinct result
+// tuples, equal at any opt.Workers. Budget violations return
+// eval.ErrBudget, and a source's sticky lookup failure (eval.SourceErr)
+// fails the evaluation. It holds the source's reader bracket
+// (eval.AcquireSourceReader) throughout, so adjacency slices into
+// mapped shards stay valid under eviction.
 func EvaluateOpt(eng Engine, g eval.Source, q *query.Query, b eval.Budget, opt eval.EvalOptions) (int64, error) {
-	if we, ok := eng.(WorkerEngine); ok {
-		return we.EvaluateWorkers(g, q, b, opt.Workers)
+	defer eval.AcquireSourceReader(g)()
+	c, err := compile(g, q)
+	if err != nil {
+		return 0, err
 	}
-	return eng.Evaluate(g, q, b)
-}
-
-// resolveWorkers applies the eval.EvalOptions.Workers convention.
-func resolveWorkers(w int) int {
-	if w == 0 {
-		return runtime.GOMAXPROCS(0)
+	n, err := eng.evaluate(g, c, b, opt.WorkerCount())
+	if err == nil {
+		err = eval.SourceErr(g)
 	}
-	if w < 1 {
-		return 1
+	if err != nil {
+		return 0, err
 	}
-	return w
+	return n, nil
 }
 
 // runRanges executes one rule's top-level source scan: sequentially

@@ -84,12 +84,12 @@ func TestEnginesMatchReferenceNonRecursive(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		g := randomGraph(r, 15+r.Intn(25), 2, 60+r.Intn(80))
 		for qi, q := range queries {
-			want, err := eval.Count(g, q, eval.Budget{})
+			want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, eng := range All() {
-				got, err := eng.Evaluate(g, q, eval.Budget{})
+				got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					t.Fatalf("engine %s query %d: %v", eng.Name(), qi, err)
 				}
@@ -117,7 +117,7 @@ func TestEnginesMatchReferenceRecursive(t *testing.T) {
 	for trial := 0; trial < 5; trial++ {
 		g := randomGraph(r, 12+r.Intn(15), 2, 40+r.Intn(40))
 		for qi, q := range queries {
-			want, err := eval.Count(g, q, eval.Budget{})
+			want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestEnginesMatchReferenceRecursive(t *testing.T) {
 				if eng.Name() == "G" {
 					continue
 				}
-				got, err := eng.Evaluate(g, q, eval.Budget{})
+				got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					t.Fatalf("engine %s query %d: %v", eng.Name(), qi, err)
 				}
@@ -165,11 +165,11 @@ func TestGraphDBSingleLabelStarMatches(t *testing.T) {
 	r := rand.New(rand.NewSource(9))
 	g := randomGraph(r, 20, 1, 30)
 	q := chainQuery(false, "(a)*")
-	want, err := eval.Count(g, q, eval.Budget{})
+	want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := NewGraphDB().Evaluate(g, q, eval.Budget{})
+	got, err := EvaluateOpt(NewGraphDB(), g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,12 +189,12 @@ func TestEnginesStarShapeQuery(t *testing.T) {
 			{Src: 0, Dst: 2, Expr: regpath.MustParse("b")},
 		},
 	}}}
-	want, err := eval.Count(g, q, eval.Budget{})
+	want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range All() {
-		got, err := eng.Evaluate(g, q, eval.Budget{})
+		got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -211,12 +211,12 @@ func TestEnginesSelfLoopConjunct(t *testing.T) {
 		Head: []query.Var{0},
 		Body: []query.Conjunct{{Src: 0, Dst: 0, Expr: regpath.MustParse("a.a")}},
 	}}}
-	want, err := eval.Count(g, q, eval.Budget{})
+	want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range All() {
-		got, err := eng.Evaluate(g, q, eval.Budget{})
+		got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -237,12 +237,12 @@ func TestEnginesBooleanAndUnary(t *testing.T) {
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a.b")}},
 	}}}
 	for _, q := range []*query.Query{boolean, unary} {
-		want, err := eval.Count(g, q, eval.Budget{})
+		want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, eng := range All() {
-			got, err := eng.Evaluate(g, q, eval.Budget{})
+			got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: %v", eng.Name(), err)
 			}
@@ -260,12 +260,12 @@ func TestEnginesUnionRules(t *testing.T) {
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}}},
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("b")}}},
 	}}
-	want, err := eval.Count(g, q, eval.Budget{})
+	want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, eng := range All() {
-		got, err := eng.Evaluate(g, q, eval.Budget{})
+		got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", eng.Name(), err)
 		}
@@ -284,12 +284,12 @@ func TestEnginesEpsilonDisjunct(t *testing.T) {
 		chainQuery(false, "(eps+a.b)"),
 	}
 	for qi, q := range queries {
-		want, err := eval.Count(g, q, eval.Budget{})
+		want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, eng := range All() {
-			got, err := eng.Evaluate(g, q, eval.Budget{})
+			got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s query %d: %v", eng.Name(), qi, err)
 			}
@@ -310,12 +310,12 @@ func TestPostgresBudgetOnClosure(t *testing.T) {
 	}
 	g.Freeze()
 	q := chainQuery(false, "(a)*")
-	_, err := NewPostgres().Evaluate(g, q, eval.Budget{MaxPairs: 1000})
+	_, err := EvaluateOpt(NewPostgres(), g, q, eval.Budget{MaxPairs: 1000}, eval.EvalOptions{Workers: 1})
 	if !errors.Is(err, eval.ErrBudget) {
 		t.Errorf("expected budget failure, got %v", err)
 	}
 	// With a sufficient budget it completes and agrees.
-	got, err := NewPostgres().Evaluate(g, q, eval.Budget{})
+	got, err := EvaluateOpt(NewPostgres(), g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestTripleStoreBudgetTimeout(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	g := randomGraph(r, 400, 1, 1600)
 	q := chainQuery(false, "(a)*")
-	_, err := NewTripleStore().Evaluate(g, q, eval.Budget{Timeout: time.Nanosecond, MaxPairs: 1 << 50})
+	_, err := EvaluateOpt(NewTripleStore(), g, q, eval.Budget{Timeout: time.Nanosecond, MaxPairs: 1 << 50}, eval.EvalOptions{Workers: 1})
 	if !errors.Is(err, eval.ErrBudget) {
 		t.Errorf("expected timeout, got %v", err)
 	}
@@ -339,7 +339,7 @@ func TestUnknownPredicateAllEngines(t *testing.T) {
 	g := randomGraph(r, 10, 1, 10)
 	q := chainQuery(false, "zzz")
 	for _, eng := range All() {
-		if _, err := eng.Evaluate(g, q, eval.Budget{}); err == nil {
+		if _, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1}); err == nil {
 			t.Errorf("%s should reject unknown predicates", eng.Name())
 		}
 	}
@@ -373,12 +373,12 @@ func TestEnginesRandomizedAgreement(t *testing.T) {
 			Head: []query.Var{0, query.Var(numConjuncts)},
 			Body: body,
 		}}}
-		want, err := eval.Count(g, q, eval.Budget{})
+		want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, eng := range All() {
-			got, err := eng.Evaluate(g, q, eval.Budget{})
+			got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s: %v on\n%s", eng.Name(), err, q)
 			}

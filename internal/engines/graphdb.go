@@ -1,7 +1,6 @@
 package engines
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"gmark/internal/bitset"
@@ -51,52 +50,18 @@ func (*GraphDB) RewritesRecursion(q *query.Query) bool {
 	return false
 }
 
-// gdbBudget meters G's traversal steps. The counters are atomic so one
-// budget is shared by every range worker of a parallel evaluation and
-// MaxPairs/Timeout remain hard global limits; the deadline is the
-// shared amortized deadlineMeter (budget.go).
-type gdbBudget struct {
-	steps    atomic.Int64
-	maxSteps int64
-	deadlineMeter
-}
-
-func newGdbBudget(b eval.Budget) *gdbBudget {
-	bt := &gdbBudget{maxSteps: b.MaxPairs}
-	bt.arm(b.Timeout)
-	return bt
-}
-
-func (b *gdbBudget) charge(n int64) error {
-	if steps := b.steps.Add(n); b.maxSteps > 0 && steps > b.maxSteps {
-		return fmt.Errorf("%w: more than %d traversal steps", eval.ErrBudget, b.maxSteps)
-	}
-	return b.checkTime()
-}
-
-// Evaluate implements Engine.
-func (e *GraphDB) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (int64, error) {
-	return e.EvaluateWorkers(g, q, budget, 1)
-}
-
-// EvaluateWorkers implements WorkerEngine: the unbound start-node scan
+// evaluate implements Engine: the unbound start-node scan
 // of each rule's first conjunct is sharded over eval.SourceRanges and
 // the per-worker tuple sets merge, so the count equals the sequential
 // one (traverseStar allocates its visited set per call, so concurrent
 // traversals never share mutable state).
-func (e *GraphDB) EvaluateWorkers(g eval.Source, q *query.Query, budget eval.Budget, workers int) (int64, error) {
-	defer eval.AcquireSourceReader(g)()
-	c, err := compile(g, q)
-	if err != nil {
-		return 0, err
-	}
-	bt := newGdbBudget(budget)
+func (e *GraphDB) evaluate(g eval.Source, c *compiled, b eval.Budget, workers int) (int64, error) {
+	m := eval.NewMeter(b, "more than %d traversal steps")
 	out := newTupleSet(c.arity)
-	w := resolveWorkers(workers)
 	for ri := range c.rules {
 		r := &c.rules[ri]
-		err := runRanges(g, w, c.arity, out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
-			return e.evalRuleRange(ws, r, bt, local, rg, stop)
+		err := runRanges(g, workers, c.arity, out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
+			return e.evalRuleRange(ws, r, m, local, rg, stop)
 		})
 		if err != nil {
 			return 0, err
@@ -109,7 +74,7 @@ func (e *GraphDB) EvaluateWorkers(g eval.Source, q *query.Query, budget eval.Bud
 // planned conjunct restricted to [rg.Lo, rg.Hi); unbound scans at
 // deeper steps (disconnected rule bodies) still cover every node, so
 // the union over ranges reproduces the unrestricted evaluation.
-func (e *GraphDB) evalRuleRange(g eval.Source, r *compiledRule, bt *gdbBudget, out *tupleSet, rg eval.NodeRange, stop *atomic.Bool) error {
+func (e *GraphDB) evalRuleRange(g eval.Source, r *compiledRule, m *eval.Meter, out *tupleSet, rg eval.NodeRange, stop *atomic.Bool) error {
 	binding := make(map[query.Var]int32)
 	tuple := make([]int32, len(r.head))
 	emit := func() {
@@ -147,11 +112,11 @@ func (e *GraphDB) evalRuleRange(g eval.Source, r *compiledRule, bt *gdbBudget, o
 
 		traverse := func(from int32, forward bool, boundVar query.Var, needEqual bool, equalTo int32) error {
 			if cj.star {
-				return e.traverseStar(g, cj, from, forward, bt, func(end int32) error {
+				return e.traverseStar(g, cj, from, forward, m, func(end int32) error {
 					return visit(end, boundVar, needEqual, equalTo)
 				})
 			}
-			return e.traversePaths(g, cj.paths, from, forward, bt, func(end int32) error {
+			return e.traversePaths(g, cj.paths, from, forward, m, func(end int32) error {
 				return visit(end, boundVar, needEqual, equalTo)
 			})
 		}
@@ -177,7 +142,7 @@ func (e *GraphDB) evalRuleRange(g eval.Source, r *compiledRule, bt *gdbBudget, o
 				if step == 0 && stop.Load() {
 					return nil
 				}
-				if err := bt.charge(1); err != nil {
+				if err := m.ChargeTick(1); err != nil {
 					return err
 				}
 				binding[cj.src] = v
@@ -202,7 +167,7 @@ func (e *GraphDB) evalRuleRange(g eval.Source, r *compiledRule, bt *gdbBudget, o
 // deduplication, every endpoint reachable from `from` along any
 // disjunct (duplicates trigger redundant downstream work — the
 // traversal engine's cost profile).
-func (e *GraphDB) traversePaths(g eval.Source, paths [][]csym, from int32, forward bool, bt *gdbBudget, visit func(int32) error) error {
+func (e *GraphDB) traversePaths(g eval.Source, paths [][]csym, from int32, forward bool, m *eval.Meter, visit func(int32) error) error {
 	for _, p := range paths {
 		syms := p
 		if !forward {
@@ -215,7 +180,7 @@ func (e *GraphDB) traversePaths(g eval.Source, paths [][]csym, from int32, forwa
 			}
 			s := syms[i]
 			for _, w := range g.Neighbors(v, s.pred, s.inv) {
-				if err := bt.charge(1); err != nil {
+				if err := m.ChargeTick(1); err != nil {
 					return err
 				}
 				if err := dfs(w, i+1); err != nil {
@@ -235,7 +200,7 @@ func (e *GraphDB) traversePaths(g eval.Source, paths [][]csym, from int32, forwa
 // openCypher restriction: only the first non-inverse symbol of the
 // first disjunct survives; the traversal is a BFS over that single
 // label (Cypher's *0.. semantics).
-func (e *GraphDB) traverseStar(g eval.Source, cj *compiledConjunct, from int32, forward bool, bt *gdbBudget, visit func(int32) error) error {
+func (e *GraphDB) traverseStar(g eval.Source, cj *compiledConjunct, from int32, forward bool, m *eval.Meter, visit func(int32) error) error {
 	label, ok := restrictedStarLabel(cj)
 	if !ok {
 		// Nothing usable under the star: Cypher matches only the
@@ -252,7 +217,7 @@ func (e *GraphDB) traverseStar(g eval.Source, cj *compiledConjunct, from int32, 
 		var next []int32
 		for _, v := range frontier {
 			for _, w := range g.Neighbors(v, label, !forward) {
-				if err := bt.charge(1); err != nil {
+				if err := m.ChargeTick(1); err != nil {
 					return err
 				}
 				if seen.TryAdd(w) {

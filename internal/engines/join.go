@@ -1,21 +1,15 @@
 package engines
 
 import (
+	"gmark/internal/eval"
 	"gmark/internal/query"
 )
-
-// budgeter abstracts the per-engine budget trackers for the shared
-// relational join machinery.
-type budgeter interface {
-	charge(n int64) error
-	checkTime() error
-}
 
 // joinRelations joins materialized conjunct relations into the output
 // tuple set, ordering joins by ascending input size among connected
 // conjuncts (a simple cost-based optimizer shared by the bottom-up
 // engines P and D).
-func joinRelations(r *compiledRule, rels [][]pair, bt budgeter, out *tupleSet) error {
+func joinRelations(r *compiledRule, rels [][]pair, m *eval.Meter, out *tupleSet) error {
 	used := make([]bool, len(rels))
 	type table struct {
 		schema []query.Var
@@ -54,13 +48,13 @@ func joinRelations(r *compiledRule, rels [][]pair, bt budgeter, out *tupleSet) e
 					t.rows = append(t.rows, []int32{p.src, p.dst})
 				}
 			}
-			if err := bt.charge(int64(len(t.rows))); err != nil {
+			if err := m.ChargeTick(int64(len(t.rows))); err != nil {
 				return err
 			}
 			cur = t
 			continue
 		}
-		j, err := hashJoinTables(cur.schema, cur.rows, cj, rels[best], bt)
+		j, err := hashJoinTables(cur.schema, cur.rows, cj, rels[best], m)
 		if err != nil {
 			return err
 		}
@@ -88,7 +82,7 @@ type joinedTable struct {
 
 // hashJoinTables joins the current tuple table with one conjunct
 // relation via a hash table on the shared variable(s).
-func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, rel []pair, bt budgeter) (joinedTable, error) {
+func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, rel []pair, m *eval.Meter) (joinedTable, error) {
 	si := varIndex(schema, cj.src)
 	di := varIndex(schema, cj.dst)
 	outSchema := append([]query.Var(nil), schema...)
@@ -104,7 +98,7 @@ func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, re
 		nr = append(nr, row...)
 		nr = append(nr, extra...)
 		out = append(out, nr)
-		return bt.charge(1)
+		return m.ChargeTick(1)
 	}
 
 	switch {
@@ -114,7 +108,7 @@ func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, re
 			set[pairKey(p.src, p.dst)] = struct{}{}
 		}
 		for _, row := range rows {
-			if err := bt.checkTime(); err != nil {
+			if err := m.Tick(); err != nil {
 				return joinedTable{}, err
 			}
 			if _, ok := set[pairKey(row[si], row[di])]; ok {
@@ -130,7 +124,7 @@ func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, re
 		}
 		same := cj.src == cj.dst
 		for _, row := range rows {
-			if err := bt.checkTime(); err != nil {
+			if err := m.Tick(); err != nil {
 				return joinedTable{}, err
 			}
 			for _, d := range h[row[si]] {
@@ -153,7 +147,7 @@ func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, re
 			h[p.dst] = append(h[p.dst], p.src)
 		}
 		for _, row := range rows {
-			if err := bt.checkTime(); err != nil {
+			if err := m.Tick(); err != nil {
 				return joinedTable{}, err
 			}
 			for _, s := range h[row[di]] {
@@ -164,7 +158,7 @@ func hashJoinTables(schema []query.Var, rows [][]int32, cj *compiledConjunct, re
 		}
 	default:
 		for _, row := range rows {
-			if err := bt.checkTime(); err != nil {
+			if err := m.Tick(); err != nil {
 				return joinedTable{}, err
 			}
 			for _, p := range rel {

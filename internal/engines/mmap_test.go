@@ -24,7 +24,7 @@ func TestEnginesOverMmapSpillMatchInMemory(t *testing.T) {
 	opt := eval.EvalOptions{Workers: 2}
 	for qi, q := range engineSpillQueries(preds) {
 		for _, eng := range All() {
-			want, err := eng.Evaluate(g, q, eval.Budget{})
+			want, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("q%d engine %s in-memory: %v", qi, eng.Name(), err)
 			}
@@ -46,11 +46,11 @@ func TestEnginesOverMmapSpillMatchInMemory(t *testing.T) {
 	}
 }
 
-// TestEngineMethodsBracketMappedReads: an engine's own methods, called
-// directly rather than through EvaluateOpt, hold the reader bracket
-// too. A one-byte cache evicts — munmaps — the previous shard on every
-// load, so without the bracket a traversal still iterating one shard's
-// adjacency reads an unmapped page as soon as it loads the next.
+// TestEngineMethodsBracketMappedReads: every engine evaluation holds
+// the reader bracket, sequential or range-sharded. A one-byte cache
+// evicts — munmaps — the previous shard on every load, so without the
+// bracket a traversal still iterating one shard's adjacency reads an
+// unmapped page as soon as it loads the next.
 func TestEngineMethodsBracketMappedReads(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 220)
 	g, dir := testutil.SpillComp(t, "bib", 220, 20, 11, graphgen.SpillCompressRaw)
@@ -60,23 +60,17 @@ func TestEngineMethodsBracketMappedReads(t *testing.T) {
 	}
 	for qi, q := range engineSpillQueries(testutil.Predicates(cfg)) {
 		for _, eng := range All() {
-			want, err := eng.Evaluate(g, q, eval.Budget{})
+			want, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("q%d engine %s in-memory: %v", qi, eng.Name(), err)
 			}
-			calls := map[string]func() (int64, error){
-				"Evaluate": func() (int64, error) { return eng.Evaluate(src, q, eval.Budget{}) },
-			}
-			if we, ok := eng.(WorkerEngine); ok {
-				calls["EvaluateWorkers(2)"] = func() (int64, error) { return we.EvaluateWorkers(src, q, eval.Budget{}, 2) }
-			}
-			for name, call := range calls {
-				got, err := call()
+			for _, workers := range []int{1, 2} {
+				got, err := EvaluateOpt(eng, src, q, eval.Budget{}, eval.EvalOptions{Workers: workers})
 				if err != nil {
-					t.Fatalf("q%d engine %s %s: %v", qi, eng.Name(), name, err)
+					t.Fatalf("q%d engine %s workers=%d: %v", qi, eng.Name(), workers, err)
 				}
 				if got != want {
-					t.Errorf("q%d engine %s %s: mmap spill=%d in-memory=%d", qi, eng.Name(), name, got, want)
+					t.Errorf("q%d engine %s workers=%d: mmap spill=%d in-memory=%d", qi, eng.Name(), workers, got, want)
 				}
 			}
 		}

@@ -10,11 +10,11 @@ import (
 )
 
 // TestWorkerEnginesMatchSequential pins the engine half of the
-// parallel-evaluation invariant: EvaluateWorkers at any worker count
-// returns exactly Evaluate's count, for engines S and G, over random
+// parallel-evaluation invariant: EvaluateOpt at any worker count
+// returns exactly the sequential count, for engines S and G, over random
 // in-memory graphs and over a spill, across the spill query battery.
 func TestWorkerEnginesMatchSequential(t *testing.T) {
-	workerEngines := []WorkerEngine{NewTripleStore(), NewGraphDB()}
+	workerEngines := []Engine{NewTripleStore(), NewGraphDB()}
 
 	r := rand.New(rand.NewSource(11))
 	g := randomGraph(r, 200, 3, 600)
@@ -26,12 +26,12 @@ func TestWorkerEnginesMatchSequential(t *testing.T) {
 	}
 	for _, eng := range workerEngines {
 		for qi, q := range queries {
-			want, err := eng.Evaluate(g, q, eval.Budget{})
+			want, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s q%d sequential: %v", eng.Name(), qi, err)
 			}
 			for _, workers := range []int{1, 2, 8} {
-				got, err := eng.EvaluateWorkers(g, q, eval.Budget{}, workers)
+				got, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: workers})
 				if err != nil {
 					t.Errorf("%s q%d workers=%d: %v", eng.Name(), qi, workers, err)
 				} else if got != want {
@@ -49,14 +49,14 @@ func TestWorkerEnginesOverSpill(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 200)
 	g, dir := testutil.Spill(t, "bib", 200, 16, 7)
 	preds := testutil.Predicates(cfg)
-	for _, eng := range []WorkerEngine{NewTripleStore(), NewGraphDB()} {
+	for _, eng := range []Engine{NewTripleStore(), NewGraphDB()} {
 		for qi, q := range engineSpillQueries(preds) {
-			want, err := eng.Evaluate(g, q, eval.Budget{})
+			want, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("%s q%d in-memory: %v", eng.Name(), qi, err)
 			}
 			src := eval.NewSpillSource(mustOpen(t, dir), 1<<13)
-			got, err := eng.EvaluateWorkers(src, q, eval.Budget{}, 4)
+			got, err := EvaluateOpt(eng, src, q, eval.Budget{}, eval.EvalOptions{Workers: 4})
 			if err == nil {
 				err = src.Err()
 			}
@@ -70,14 +70,14 @@ func TestWorkerEnginesOverSpill(t *testing.T) {
 }
 
 // TestEvaluateWithFallback: EvaluateOpt applies the worker count to
-// WorkerEngines and silently falls back to sequential Evaluate for the
-// others, with identical counts everywhere.
+// S and G and evaluates P and D sequentially, with identical counts
+// everywhere.
 func TestEvaluateWithFallback(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	g := randomGraph(r, 120, 2, 300)
 	q := chainQuery(false, "a", "b-")
 	for _, eng := range All() {
-		want, err := eng.Evaluate(g, q, eval.Budget{})
+		want, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s sequential: %v", eng.Name(), err)
 		}
@@ -86,9 +86,6 @@ func TestEvaluateWithFallback(t *testing.T) {
 			t.Errorf("%s EvaluateOpt: %v", eng.Name(), err)
 		} else if got != want {
 			t.Errorf("%s EvaluateOpt: %d != %d", eng.Name(), got, want)
-		}
-		if _, ok := eng.(WorkerEngine); ok != (eng.Name() == "S" || eng.Name() == "G") {
-			t.Errorf("%s: unexpected WorkerEngine support = %v", eng.Name(), ok)
 		}
 	}
 }

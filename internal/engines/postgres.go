@@ -1,10 +1,7 @@
 package engines
 
 import (
-	"fmt"
-
 	"gmark/internal/eval"
-	"gmark/internal/query"
 )
 
 // Postgres models system P: a relational engine that materializes
@@ -28,76 +25,49 @@ func (*Postgres) Describe() string {
 
 type pair struct{ src, dst int32 }
 
-// pgBudget tracks materialized tuples against the budget; the
-// deadline is the shared amortized deadlineMeter (budget.go).
-type pgBudget struct {
-	pairs    int64
-	maxPairs int64
-	deadlineMeter
-}
-
-func newPgBudget(b eval.Budget) *pgBudget {
-	bt := &pgBudget{maxPairs: b.MaxPairs}
-	bt.arm(b.Timeout)
-	return bt
-}
-
-func (b *pgBudget) charge(n int64) error {
-	b.pairs += n
-	if b.maxPairs > 0 && b.pairs > b.maxPairs {
-		return fmt.Errorf("%w: materialized more than %d tuples", eval.ErrBudget, b.maxPairs)
-	}
-	return b.checkTime()
-}
-
-// Evaluate implements Engine.
-func (e *Postgres) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (int64, error) {
-	defer eval.AcquireSourceReader(g)()
-	c, err := compile(g, q)
-	if err != nil {
-		return 0, err
-	}
-	bt := newPgBudget(budget)
+// evaluate implements Engine.
+func (e *Postgres) evaluate(g eval.Source, c *compiled, b eval.Budget, _ int) (int64, error) {
+	m := eval.NewMeter(b, "materialized more than %d tuples")
 	out := newTupleSet(c.arity)
 	for ri := range c.rules {
-		if err := e.evalRule(g, &c.rules[ri], bt, out); err != nil {
+		if err := e.evalRule(g, &c.rules[ri], m, out); err != nil {
 			return 0, err
 		}
 	}
 	return out.count(), nil
 }
 
-func (e *Postgres) evalRule(g eval.Source, r *compiledRule, bt *pgBudget, out *tupleSet) error {
+func (e *Postgres) evalRule(g eval.Source, r *compiledRule, m *eval.Meter, out *tupleSet) error {
 	rels := make([][]pair, len(r.body))
 	for i := range r.body {
-		rel, err := e.evalConjunct(g, &r.body[i], bt)
+		rel, err := e.evalConjunct(g, &r.body[i], m)
 		if err != nil {
 			return err
 		}
 		rels[i] = rel
 	}
-	return joinRelations(r, rels, bt, out)
+	return joinRelations(r, rels, m, out)
 }
 
 // evalConjunct materializes one conjunct relation: the union of its
 // disjunct path joins, closed under the star if present.
-func (e *Postgres) evalConjunct(g eval.Source, cj *compiledConjunct, bt *pgBudget) ([]pair, error) {
-	base, err := e.evalAlternation(g, cj.paths, bt)
+func (e *Postgres) evalConjunct(g eval.Source, cj *compiledConjunct, m *eval.Meter) ([]pair, error) {
+	base, err := e.evalAlternation(g, cj.paths, m)
 	if err != nil {
 		return nil, err
 	}
 	if !cj.star {
 		return base, nil
 	}
-	return e.closure(g, cj, base, bt)
+	return e.closure(g, cj, base, m)
 }
 
 // evalAlternation unions the materialized disjunct relations.
-func (e *Postgres) evalAlternation(g eval.Source, paths [][]csym, bt *pgBudget) ([]pair, error) {
+func (e *Postgres) evalAlternation(g eval.Source, paths [][]csym, m *eval.Meter) ([]pair, error) {
 	seen := make(map[uint64]struct{})
 	var out []pair
 	for _, path := range paths {
-		rel, err := e.evalPath(g, path, bt)
+		rel, err := e.evalPath(g, path, m)
 		if err != nil {
 			return nil, err
 		}
@@ -108,7 +78,7 @@ func (e *Postgres) evalAlternation(g eval.Source, paths [][]csym, bt *pgBudget) 
 			}
 			seen[k] = struct{}{}
 			out = append(out, p)
-			if err := bt.charge(1); err != nil {
+			if err := m.ChargeTick(1); err != nil {
 				return nil, err
 			}
 		}
@@ -117,20 +87,20 @@ func (e *Postgres) evalAlternation(g eval.Source, paths [][]csym, bt *pgBudget) 
 }
 
 // evalPath joins the symbol relations of a path left to right.
-func (e *Postgres) evalPath(g eval.Source, path []csym, bt *pgBudget) ([]pair, error) {
+func (e *Postgres) evalPath(g eval.Source, path []csym, m *eval.Meter) ([]pair, error) {
 	if len(path) == 0 {
 		out := make([]pair, g.NumNodes())
 		for v := int32(0); v < int32(g.NumNodes()); v++ {
 			out[v] = pair{v, v}
 		}
-		return out, bt.charge(int64(len(out)))
+		return out, m.ChargeTick(int64(len(out)))
 	}
-	cur, err := e.symbolScan(g, path[0], bt)
+	cur, err := e.symbolScan(g, path[0], m)
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range path[1:] {
-		next, err := e.symbolScan(g, s, bt)
+		next, err := e.symbolScan(g, s, m)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +112,7 @@ func (e *Postgres) evalPath(g eval.Source, path []csym, bt *pgBudget) ([]pair, e
 		seen := make(map[uint64]struct{})
 		var out []pair
 		for _, p := range cur {
-			if err := bt.checkTime(); err != nil {
+			if err := m.Tick(); err != nil {
 				return nil, err
 			}
 			for _, d := range h[p.dst] {
@@ -152,7 +122,7 @@ func (e *Postgres) evalPath(g eval.Source, path []csym, bt *pgBudget) ([]pair, e
 				}
 				seen[k] = struct{}{}
 				out = append(out, pair{p.src, d})
-				if err := bt.charge(1); err != nil {
+				if err := m.ChargeTick(1); err != nil {
 					return nil, err
 				}
 			}
@@ -163,7 +133,7 @@ func (e *Postgres) evalPath(g eval.Source, path []csym, bt *pgBudget) ([]pair, e
 }
 
 // symbolScan is a full scan of the edge table filtered on one label.
-func (e *Postgres) symbolScan(g eval.Source, s csym, bt *pgBudget) ([]pair, error) {
+func (e *Postgres) symbolScan(g eval.Source, s csym, m *eval.Meter) ([]pair, error) {
 	var n int
 	if pc, ok := g.(predEdgeCounter); ok {
 		n = pc.PredEdgeCount(s.pred)
@@ -176,14 +146,14 @@ func (e *Postgres) symbolScan(g eval.Source, s csym, bt *pgBudget) ([]pair, erro
 			out = append(out, pair{v, w})
 		}
 	}
-	return out, bt.charge(int64(len(out)))
+	return out, m.ChargeTick(int64(len(out)))
 }
 
 // closure computes the reflexive-transitive closure of a materialized
 // relation via the recursive-view working-table iteration: the entire
 // closure is materialized pair by pair, which is exactly what breaks
 // P on quadratic closures (Table 4).
-func (e *Postgres) closure(g eval.Source, cj *compiledConjunct, base []pair, bt *pgBudget) ([]pair, error) {
+func (e *Postgres) closure(g eval.Source, cj *compiledConjunct, base []pair, m *eval.Meter) ([]pair, error) {
 	adj := make(map[int32][]int32)
 	for _, p := range base {
 		adj[p.src] = append(adj[p.src], p.dst)
@@ -197,7 +167,7 @@ func (e *Postgres) closure(g eval.Source, cj *compiledConjunct, base []pair, bt 
 		}
 		seen[k] = struct{}{}
 		all = append(all, p)
-		return true, bt.charge(1)
+		return true, m.ChargeTick(1)
 	}
 	// Seed: identity over the star's active domain.
 	var delta []pair
@@ -215,7 +185,7 @@ func (e *Postgres) closure(g eval.Source, cj *compiledConjunct, base []pair, bt 
 		return nil, seedErr
 	}
 	for len(delta) > 0 {
-		if err := bt.checkTime(); err != nil {
+		if err := m.Tick(); err != nil {
 			return nil, err
 		}
 		var next []pair

@@ -1,6 +1,11 @@
 package engines
 
 import (
+	"errors"
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -75,12 +80,12 @@ func TestEnginesOverSpillMatchInMemory(t *testing.T) {
 					wg.Add(1)
 					go func(qi int, q *query.Query, eng Engine) {
 						defer wg.Done()
-						want, err := eng.Evaluate(g, q, eval.Budget{})
+						want, err := EvaluateOpt(eng, g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 						if err != nil {
 							t.Errorf("%s width=%d q%d engine %s in-memory: %v", name, shardNodes, qi, eng.Name(), err)
 							return
 						}
-						got, err := eng.Evaluate(src, q, eval.Budget{})
+						got, err := EvaluateOpt(eng, src, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 						if err != nil {
 							t.Errorf("%s width=%d q%d engine %s spill: %v", name, shardNodes, qi, eng.Name(), err)
 							return
@@ -136,7 +141,7 @@ func TestEnginesAgainstReferenceOverSpill(t *testing.T) {
 	}
 	preds := testutil.Predicates(cfg)
 	for qi, q := range engineSpillQueries(preds) {
-		want, err := eval.CountOverSpill(src, q, eval.Budget{})
+		want, err := eval.CountWith(src, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -148,13 +153,64 @@ func TestEnginesAgainstReferenceOverSpill(t *testing.T) {
 				// for G is pinned by the in-memory-vs-spill test above.
 				continue
 			}
-			got, err := eng.Evaluate(src, q, eval.Budget{})
+			got, err := EvaluateOpt(eng, src, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				t.Fatalf("q%d engine %s: %v", qi, eng.Name(), err)
 			}
 			if got != want {
 				t.Errorf("q%d engine %s over spill = %d, reference = %d", qi, eng.Name(), got, want)
 			}
+		}
+	}
+}
+
+// TestSpillLoadFailureSurfaces: over a spill whose first predicate's
+// forward shards are gone, every evaluation verb — the reference
+// evaluator at one and two workers and each engine — fails with the
+// source's shard-load error instead of returning a silently small
+// count. The in-memory count is 148; a verb that skips the source's
+// sticky error reads 0 with a nil error.
+func TestSpillLoadFailureSurfaces(t *testing.T) {
+	cfg := testutil.Config(t, "bib", 200)
+	g, dir := testutil.Spill(t, "bib", 200, 0, 1)
+	q := engineSpillQueries(testutil.Predicates(cfg))[0]
+	want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
+	if err != nil || want == 0 {
+		t.Fatalf("in-memory count = %d, %v: the query must have answers", want, err)
+	}
+	shards, err := filepath.Glob(filepath.Join(dir, "csr-f-000-*.bin"))
+	if err != nil || len(shards) == 0 {
+		t.Fatalf("no forward shards of predicate 0 in %s (%v)", dir, err)
+	}
+	for _, path := range shards {
+		if err := os.Remove(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	verbs := map[string]func(src eval.Source) (int64, error){}
+	for _, workers := range []int{1, 2} {
+		verbs[fmt.Sprintf("CountWith workers=%d", workers)] = func(src eval.Source) (int64, error) {
+			return eval.CountWith(src, q, eval.Budget{}, eval.EvalOptions{Workers: workers})
+		}
+	}
+	for _, eng := range All() {
+		verbs["engine "+eng.Name()] = func(src eval.Source) (int64, error) {
+			return EvaluateOpt(eng, src, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
+		}
+	}
+	for name, verb := range verbs {
+		src, err := eval.OpenSpillSource(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := verb(src)
+		if err == nil {
+			t.Errorf("%s: count %d with a nil error over missing shards (in memory: %d)", name, n, want)
+			continue
+		}
+		if !errors.Is(err, src.Err()) || !errors.Is(err, fs.ErrNotExist) {
+			t.Errorf("%s: err = %v, want the source's shard-load error", name, err)
 		}
 	}
 }

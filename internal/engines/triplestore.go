@@ -1,7 +1,6 @@
 package engines
 
 import (
-	"fmt"
 	"sync/atomic"
 
 	"gmark/internal/eval"
@@ -29,56 +28,22 @@ func (*TripleStore) Describe() string {
 	return "triple store: index nested-loop joins, per-binding property paths"
 }
 
-// tsBudget meters S's binding work. The counters are atomic so one
-// budget is shared by every range worker of a parallel evaluation and
-// MaxPairs/Timeout remain hard global limits; the deadline is the
-// shared amortized deadlineMeter (budget.go).
-type tsBudget struct {
-	work    atomic.Int64
-	maxWork int64
-	deadlineMeter
-}
-
-func newTsBudget(b eval.Budget) *tsBudget {
-	bt := &tsBudget{maxWork: b.MaxPairs}
-	bt.arm(b.Timeout)
-	return bt
-}
-
-func (b *tsBudget) charge(n int64) error {
-	if work := b.work.Add(n); b.maxWork > 0 && work > b.maxWork {
-		return fmt.Errorf("%w: more than %d bindings", eval.ErrBudget, b.maxWork)
-	}
-	return b.checkTime()
-}
-
-// Evaluate implements Engine.
-func (e *TripleStore) Evaluate(g eval.Source, q *query.Query, budget eval.Budget) (int64, error) {
-	return e.EvaluateWorkers(g, q, budget, 1)
-}
-
-// EvaluateWorkers implements WorkerEngine: the unbound subject scan of
+// evaluate implements Engine: the unbound subject scan of
 // each rule's first conjunct is sharded over eval.SourceRanges and the
 // per-worker tuple sets merge, so the count equals the sequential one.
 // Starred closures are materialized once per rule, before the workers
 // start, and shared read-only.
-func (e *TripleStore) EvaluateWorkers(g eval.Source, q *query.Query, budget eval.Budget, workers int) (int64, error) {
-	defer eval.AcquireSourceReader(g)()
-	c, err := compile(g, q)
-	if err != nil {
-		return 0, err
-	}
-	bt := newTsBudget(budget)
+func (e *TripleStore) evaluate(g eval.Source, c *compiled, b eval.Budget, workers int) (int64, error) {
+	m := eval.NewMeter(b, "more than %d bindings")
 	out := newTupleSet(c.arity)
-	w := resolveWorkers(workers)
 	for ri := range c.rules {
 		r := &c.rules[ri]
-		closures, err := e.ruleClosures(g, r, bt)
+		closures, err := e.ruleClosures(g, r, m)
 		if err != nil {
 			return 0, err
 		}
-		err = runRanges(g, w, c.arity, out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
-			return e.evalRuleRange(ws, r, closures, bt, local, rg, stop)
+		err = runRanges(g, workers, c.arity, out, func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error {
+			return e.evalRuleRange(ws, r, closures, m, local, rg, stop)
 		})
 		if err != nil {
 			return 0, err
@@ -91,11 +56,11 @@ func (e *TripleStore) EvaluateWorkers(g eval.Source, q *query.Query, budget eval
 // materialization: the architectural weakness of S on recursion). The
 // returned maps are read-only afterwards and safe to share across
 // range workers.
-func (e *TripleStore) ruleClosures(g eval.Source, r *compiledRule, bt *tsBudget) ([]map[int32][]int32, error) {
+func (e *TripleStore) ruleClosures(g eval.Source, r *compiledRule, m *eval.Meter) ([]map[int32][]int32, error) {
 	closures := make([]map[int32][]int32, len(r.body))
 	for i := range r.body {
 		if r.body[i].star {
-			cl, err := e.naiveClosure(g, &r.body[i], bt)
+			cl, err := e.naiveClosure(g, &r.body[i], m)
 			if err != nil {
 				return nil, err
 			}
@@ -109,7 +74,7 @@ func (e *TripleStore) ruleClosures(g eval.Source, r *compiledRule, bt *tsBudget)
 // planned conjunct restricted to [rg.Lo, rg.Hi); unbound scans at
 // deeper steps (disconnected rule bodies) still cover every node, so
 // the union over ranges reproduces the unrestricted evaluation.
-func (e *TripleStore) evalRuleRange(g eval.Source, r *compiledRule, closures []map[int32][]int32, bt *tsBudget, out *tupleSet, rg eval.NodeRange, stop *atomic.Bool) error {
+func (e *TripleStore) evalRuleRange(g eval.Source, r *compiledRule, closures []map[int32][]int32, m *eval.Meter, out *tupleSet, rg eval.NodeRange, stop *atomic.Bool) error {
 	binding := make(map[query.Var]int32)
 	tuple := make([]int32, len(r.head))
 	emit := func() {
@@ -138,7 +103,7 @@ func (e *TripleStore) evalRuleRange(g eval.Source, r *compiledRule, closures []m
 			if cj.star {
 				targets, err = closureImage(closures[ci], from, forward, g)
 			} else {
-				targets, err = e.pathImage(g, cj.paths, from, forward, bt)
+				targets, err = e.pathImage(g, cj.paths, from, forward, m)
 			}
 			if err != nil {
 				return err
@@ -170,7 +135,7 @@ func (e *TripleStore) evalRuleRange(g eval.Source, r *compiledRule, closures []m
 			if cj.star {
 				targets, err = closureImage(closures[ci], src, true, g)
 			} else {
-				targets, err = e.pathImage(g, cj.paths, src, true, bt)
+				targets, err = e.pathImage(g, cj.paths, src, true, m)
 			}
 			if err != nil {
 				return err
@@ -196,7 +161,7 @@ func (e *TripleStore) evalRuleRange(g eval.Source, r *compiledRule, closures []m
 				if step == 0 && stop.Load() {
 					return nil
 				}
-				if err := bt.charge(1); err != nil {
+				if err := m.ChargeTick(1); err != nil {
 					return err
 				}
 				binding[cj.src] = v
@@ -247,7 +212,7 @@ func planOrder(r *compiledRule) []int {
 // pathImage computes the duplicate-free image of one node under the
 // alternation of paths, forward or backward, with per-binding hash
 // sets (the triple-store overhead).
-func (e *TripleStore) pathImage(g eval.Source, paths [][]csym, from int32, forward bool, bt *tsBudget) (map[int32]struct{}, error) {
+func (e *TripleStore) pathImage(g eval.Source, paths [][]csym, from int32, forward bool, m *eval.Meter) (map[int32]struct{}, error) {
 	result := make(map[int32]struct{})
 	for _, p := range paths {
 		frontier := map[int32]struct{}{from: {}}
@@ -258,7 +223,7 @@ func (e *TripleStore) pathImage(g eval.Source, paths [][]csym, from int32, forwa
 		for _, s := range syms {
 			next := make(map[int32]struct{})
 			for v := range frontier {
-				if err := bt.charge(1); err != nil {
+				if err := m.ChargeTick(1); err != nil {
 					return nil, err
 				}
 				for _, w := range g.Neighbors(v, s.pred, s.inv) {
@@ -289,14 +254,14 @@ func reversePath(p []csym) []csym {
 // starred conjunct with naive iteration: each round rejoins the whole
 // accumulated relation against the one-step relation (no delta), the
 // behavior that makes S fail on recursion beyond small graphs.
-func (e *TripleStore) naiveClosure(g eval.Source, cj *compiledConjunct, bt *tsBudget) (map[int32][]int32, error) {
+func (e *TripleStore) naiveClosure(g eval.Source, cj *compiledConjunct, m *eval.Meter) (map[int32][]int32, error) {
 	n := int32(g.NumNodes())
 	// One-step adjacency via per-source path images.
 	step := make(map[int32][]int32)
 	ws, release := eval.WorkerSource(g)
 	defer release()
 	for v := int32(0); v < n; v++ {
-		img, err := e.pathImage(ws, cj.paths, v, true, bt)
+		img, err := e.pathImage(ws, cj.paths, v, true, m)
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +278,7 @@ func (e *TripleStore) naiveClosure(g eval.Source, cj *compiledConjunct, bt *tsBu
 	starDomain(g, cj).Range(func(v int32) bool {
 		closure[v] = []int32{v}
 		member[pairKey(v, v)] = struct{}{}
-		if err := bt.charge(1); err != nil {
+		if err := m.ChargeTick(1); err != nil {
 			seedErr = err
 			return false
 		}
@@ -325,14 +290,14 @@ func (e *TripleStore) naiveClosure(g eval.Source, cj *compiledConjunct, bt *tsBu
 	for changed := true; changed; {
 		changed = false
 		for src, row := range closure {
-			if err := bt.checkTime(); err != nil {
+			if err := m.Tick(); err != nil {
 				return nil, err
 			}
 			for _, mid := range row {
 				for _, dst := range step[mid] {
 					k := pairKey(src, dst)
 					if _, ok := member[k]; ok {
-						if err := bt.charge(1); err != nil {
+						if err := m.ChargeTick(1); err != nil {
 							return nil, err
 						}
 						continue
@@ -340,7 +305,7 @@ func (e *TripleStore) naiveClosure(g eval.Source, cj *compiledConjunct, bt *tsBu
 					member[k] = struct{}{}
 					closure[src] = append(closure[src], dst)
 					changed = true
-					if err := bt.charge(1); err != nil {
+					if err := m.ChargeTick(1); err != nil {
 						return nil, err
 					}
 				}

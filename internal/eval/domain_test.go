@@ -109,11 +109,11 @@ func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 
 	// The full recursive count still loads only the shards the closure
 	// walk itself reaches, never a whole-instance sweep for the mask.
-	wantCount, err := Count(g, starQuery(p0), Budget{})
+	wantCount, err := CountWith(g, starQuery(p0), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountOverSpill(src, starQuery(p0), Budget{})
+	got, err := CountWith(src, starQuery(p0), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +146,11 @@ func TestLegacySpillStillEvaluates(t *testing.T) {
 			Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(p0)}},
 		}}},
 	} {
-		want, err := Count(g, q, Budget{})
+		want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountOverSpill(src, q, Budget{})
+		got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("legacy spill evaluation: %v", err)
 		}
@@ -165,7 +165,7 @@ func TestLegacySpillStillEvaluates(t *testing.T) {
 
 	// The rebuild is cached: a second recursive count adds no reads.
 	before := st.DomainRebuilds
-	if _, err := CountOverSpill(src, starQuery(p0), Budget{}); err != nil {
+	if _, err := CountWith(src, starQuery(p0), Budget{}, EvalOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if after := src.CacheStats().DomainRebuilds; after != before {
@@ -231,11 +231,11 @@ func TestScanSkipsInactiveRanges(t *testing.T) {
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(p0)}},
 	}}}
-	want, err := Count(g, q, Budget{})
+	want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountOverSpill(src, q, Budget{})
+	got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,14 +271,14 @@ func TestReversedStarKeepsEpsilonMask(t *testing.T) {
 		Head: []query.Var{1, 0},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: star}},
 	}}}
-	want, err := Count(g, fwd, Budget{})
+	want, err := CountWith(g, fwd, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if want != 3 { // (0,0), (1,1), (0,1)
 		t.Fatalf("forward (a)* = %d, want 3", want)
 	}
-	got, err := Count(g, rev, Budget{})
+	got, err := CountWith(g, rev, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,11 +307,11 @@ func TestCorruptDomainFileFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	p0 := src.Manifest().Predicates[0].Name
-	want, err := Count(g, starQuery(p0), Budget{})
+	want, err := CountWith(g, starQuery(p0), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := CountOverSpill(src, starQuery(p0), Budget{})
+	got, err := CountWith(src, starQuery(p0), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatalf("corrupt bitmap failed the evaluation instead of degrading: %v", err)
 	}

@@ -30,8 +30,8 @@ type EvalOptions struct {
 	Workers int
 }
 
-// workerCount resolves the Workers convention against the machine.
-func (o EvalOptions) workerCount() int {
+// WorkerCount resolves the Workers convention against the machine.
+func (o EvalOptions) WorkerCount() int {
 	if o.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
@@ -41,19 +41,16 @@ func (o EvalOptions) workerCount() int {
 	return o.Workers
 }
 
-// Count evaluates the query under set semantics and returns the number
-// of distinct head tuples, |Q(G)| (the selectivity of Q on G, paper
-// Section 5.2.1). Chain-shaped rules with endpoint projections are
-// evaluated by a streaming scan that walks up to 512 sources per
-// traversal; everything else goes through the join evaluator.
-func Count(g Source, q *query.Query, b Budget) (int64, error) {
-	return CountWith(g, q, b, EvalOptions{Workers: 1})
-}
-
-// CountWith is Count with explicit evaluation options: Workers shards
-// the streaming scan into per-node-range work units evaluated by a
-// bounded worker pool, merging per-range accumulators so the parallel
-// count equals the sequential one exactly.
+// CountWith evaluates the query under set semantics and returns the
+// number of distinct head tuples, |Q(G)| (the selectivity of Q on G,
+// paper Section 5.2.1). Chain-shaped rules with endpoint projections
+// are evaluated by a streaming scan; everything else goes through the
+// join evaluator. Workers shards the streaming scan into per-node-range
+// work units evaluated by a bounded worker pool, merging per-range
+// accumulators so the parallel count equals the sequential one exactly.
+// A source that records lookup failures it could not return (an Err
+// method, like SpillSource's shard loads) fails the count with that
+// error instead of passing a silently small result.
 //
 // The scan walks windows of 64·L consecutive sources, L mask words per
 // node, chosen once per count: the largest L in {1, 2, 4, 8} whose
@@ -75,11 +72,21 @@ func CountWith(g Source, q *query.Query, b Budget, opt EvalOptions) (int64, erro
 		return 0, err
 	}
 	defer AcquireSourceReader(g)()
-	tr := newTracker(b)
+	meter := newMeter(b)
+	var n int64
+	var err error
 	if plans, ok := planStreaming(g, q); ok {
-		return countStreaming(g, q, plans, tr, opt.workerCount())
+		n, err = countStreaming(g, q, plans, meter, opt.WorkerCount())
+	} else {
+		n, err = countJoin(g, q, meter)
 	}
-	return countJoin(g, q, tr)
+	if err != nil {
+		return 0, err
+	}
+	if err := SourceErr(g); err != nil {
+		return 0, err
+	}
+	return n, nil
 }
 
 // Tuples evaluates the query with the join evaluator and returns the
@@ -90,8 +97,10 @@ func Tuples(g Source, q *query.Query, b Budget) ([][]int32, error) {
 		return nil, err
 	}
 	defer AcquireSourceReader(g)()
-	tr := newTracker(b)
-	set, err := joinTuples(g, q, tr)
+	set, err := joinTuples(g, q, newMeter(b))
+	if err == nil {
+		err = SourceErr(g)
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -213,7 +222,7 @@ func chainEndpoints(r query.Rule) (start, end query.Var, ok bool) {
 // merge deterministically afterwards, so the parallel count equals the
 // sequential one exactly. A Boolean witness flips a shared stop flag so
 // every worker quits early, mirroring the sequential early return.
-func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, workers int) (int64, error) {
+func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, workers int) (int64, error) {
 	n := g.NumNodes()
 	arity := q.Arity()
 
@@ -244,7 +253,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 		ws, release := WorkerSource(g)
 		defer release()
 		for _, rg := range ranges {
-			if err := scanRange(ws, plans, filters, rg, st, tr, &stop); err != nil {
+			if err := scanRange(ws, plans, filters, rg, st, meter, &stop); err != nil {
 				return 0, err
 			}
 			if st.witness {
@@ -272,7 +281,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 				if i >= len(ranges) || stop.Load() {
 					return
 				}
-				if err := scanRange(ws, plans, filters, ranges[i], st, tr, &stop); err != nil {
+				if err := scanRange(ws, plans, filters, ranges[i], st, meter, &stop); err != nil {
 					errs[w] = err
 					stop.Store(true)
 					return
@@ -310,13 +319,13 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, tr *tracker, w
 // Budget charges are what the result grows by, once per window: a
 // sequential evaluation charges exactly its count, whatever the window
 // schedule.
-func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange, st *scratch, tr *tracker, stop *atomic.Bool) error {
+func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange, st *scratch, meter *Meter, stop *atomic.Bool) error {
 	start := st.start
 	for v0, in := range windows(rg, st.in) {
 		if stop.Load() {
 			return nil
 		}
-		if err := tr.checkTime(); err != nil {
+		if err := meter.Check(); err != nil {
 			return err
 		}
 		var pairs int64
@@ -330,7 +339,7 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 			if p.proj == projSource && !dropCounted(start, st.nodeUnion, v0) {
 				continue
 			}
-			fin, err := st.runChain(g, p.exprs, v0, start, tr)
+			fin, err := st.runChain(g, p.exprs, v0, start, meter)
 			if err != nil {
 				return err
 			}
@@ -342,7 +351,7 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 			case projBoolean:
 				// The first witness decides a Boolean query; stop
 				// scanning the remaining windows.
-				if err := tr.charge(1); err != nil {
+				if err := meter.Charge(1); err != nil {
 					return err
 				}
 				st.witness = true
@@ -386,7 +395,7 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 			}
 			fin.clear()
 			if grown > 0 {
-				if err := tr.charge(grown); err != nil {
+				if err := meter.Charge(grown); err != nil {
 					return err
 				}
 			}
@@ -396,7 +405,7 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 				st.slot(slotAcc).clear()
 			}
 			st.total += pairs
-			if err := tr.charge(pairs); err != nil {
+			if err := meter.Charge(pairs); err != nil {
 				return err
 			}
 		}
@@ -535,8 +544,8 @@ func windowHasStart(filters []startFilter, v0 int32, in []uint64) bool {
 
 // countJoin evaluates via the join evaluator and counts distinct head
 // tuples.
-func countJoin(g Source, q *query.Query, tr *tracker) (int64, error) {
-	set, err := joinTuples(g, q, tr)
+func countJoin(g Source, q *query.Query, meter *Meter) (int64, error) {
+	set, err := joinTuples(g, q, meter)
 	if err != nil {
 		return 0, err
 	}
@@ -551,17 +560,17 @@ func countJoin(g Source, q *query.Query, tr *tracker) (int64, error) {
 
 // joinTuples materializes per-conjunct relations and enumerates rule
 // bindings by backtracking joins, collecting distinct head tuples.
-func joinTuples(g Source, q *query.Query, tr *tracker) (map[string][]int32, error) {
+func joinTuples(g Source, q *query.Query, meter *Meter) (map[string][]int32, error) {
 	out := make(map[string][]int32)
 	for ri := range q.Rules {
-		if err := joinRule(g, &q.Rules[ri], tr, out); err != nil {
+		if err := joinRule(g, &q.Rules[ri], meter, out); err != nil {
 			return nil, fmt.Errorf("rule %d: %w", ri, err)
 		}
 	}
 	return out, nil
 }
 
-func joinRule(g Source, r *query.Rule, tr *tracker, out map[string][]int32) error {
+func joinRule(g Source, r *query.Rule, meter *Meter, out map[string][]int32) error {
 	// Materialize each conjunct's relation, with a reverse index for
 	// bound-target lookups.
 	type crel struct {
@@ -576,11 +585,11 @@ func joinRule(g Source, r *query.Rule, tr *tracker, out map[string][]int32) erro
 		if err != nil {
 			return err
 		}
-		fwd, err := evalCompiled(g, ce, tr)
+		fwd, err := evalCompiled(g, ce, meter)
 		if err != nil {
 			return err
 		}
-		bwd, err := evalCompiled(g, ce.reverse(), tr)
+		bwd, err := evalCompiled(g, ce.reverse(), meter)
 		if err != nil {
 			return err
 		}
@@ -598,7 +607,7 @@ func joinRule(g Source, r *query.Rule, tr *tracker, out map[string][]int32) erro
 		key := packTuple(headKey)
 		if _, dup := out[key]; !dup {
 			out[key] = append([]int32(nil), headKey...)
-			if err := tr.charge(int64(len(headKey)) + 1); err != nil {
+			if err := meter.Charge(int64(len(headKey)) + 1); err != nil {
 				return err
 			}
 		}
@@ -612,7 +621,7 @@ func joinRule(g Source, r *query.Rule, tr *tracker, out map[string][]int32) erro
 	var solve func() error
 	solve = func() error {
 		if calls++; calls&1023 == 0 {
-			if err := tr.checkTime(); err != nil {
+			if err := meter.Check(); err != nil {
 				return err
 			}
 		}
@@ -680,7 +689,7 @@ func joinRule(g Source, r *query.Rule, tr *tracker, out map[string][]int32) erro
 			return nil
 		default:
 			for v, row := range pick.fwd.Rows {
-				if err := tr.checkTime(); err != nil {
+				if err := meter.Check(); err != nil {
 					return err
 				}
 				binding[pick.c.Src] = v

@@ -59,17 +59,17 @@ func binChain(exprs ...string) *query.Query {
 
 func TestCountSingleSymbol(t *testing.T) {
 	g := diamondGraph(t)
-	if got, _ := Count(g, binChain("a"), Budget{}); got != 4 {
+	if got, _ := CountWith(g, binChain("a"), Budget{}, EvalOptions{Workers: 1}); got != 4 {
 		t.Errorf("|a| = %d, want 4", got)
 	}
-	if got, _ := Count(g, binChain("b"), Budget{}); got != 1 {
+	if got, _ := CountWith(g, binChain("b"), Budget{}, EvalOptions{Workers: 1}); got != 1 {
 		t.Errorf("|b| = %d, want 1", got)
 	}
 }
 
 func TestCountInverse(t *testing.T) {
 	g := diamondGraph(t)
-	if got, _ := Count(g, binChain("a-"), Budget{}); got != 4 {
+	if got, _ := CountWith(g, binChain("a-"), Budget{}, EvalOptions{Workers: 1}); got != 4 {
 		t.Errorf("|a-| = %d, want 4", got)
 	}
 }
@@ -78,7 +78,7 @@ func TestCountConcatDedup(t *testing.T) {
 	g := diamondGraph(t)
 	// a.a: 0->3 via two paths, but distinct semantics count one pair;
 	// no other a.a pairs exist.
-	if got, _ := Count(g, binChain("a.a"), Budget{}); got != 1 {
+	if got, _ := CountWith(g, binChain("a.a"), Budget{}, EvalOptions{Workers: 1}); got != 1 {
 		t.Errorf("|a.a| = %d, want 1", got)
 	}
 }
@@ -86,7 +86,7 @@ func TestCountConcatDedup(t *testing.T) {
 func TestCountDisjunction(t *testing.T) {
 	g := diamondGraph(t)
 	// a+b: 4 a-pairs plus 1 b-pair, disjoint.
-	if got, _ := Count(g, binChain("(a+b)"), Budget{}); got != 5 {
+	if got, _ := CountWith(g, binChain("(a+b)"), Budget{}, EvalOptions{Workers: 1}); got != 5 {
 		t.Errorf("|a+b| = %d, want 5", got)
 	}
 }
@@ -94,7 +94,7 @@ func TestCountDisjunction(t *testing.T) {
 func TestCountChainJoin(t *testing.T) {
 	g := diamondGraph(t)
 	// (x,a,y),(y,b,z): only x in {1,2}, y=3, z=4: pairs (1,4),(2,4).
-	if got, _ := Count(g, binChain("a", "b"), Budget{}); got != 2 {
+	if got, _ := CountWith(g, binChain("a", "b"), Budget{}, EvalOptions{Workers: 1}); got != 2 {
 		t.Errorf("chain a,b = %d, want 2", got)
 	}
 }
@@ -102,7 +102,7 @@ func TestCountChainJoin(t *testing.T) {
 func TestCountStarOnCycle(t *testing.T) {
 	g := cycleGraph(t, 5)
 	// Every node reaches every node on a cycle: 25 pairs.
-	if got, _ := Count(g, binChain("(a)*"), Budget{}); got != 25 {
+	if got, _ := CountWith(g, binChain("(a)*"), Budget{}, EvalOptions{Workers: 1}); got != 25 {
 		t.Errorf("|(a)*| on 5-cycle = %d, want 25", got)
 	}
 }
@@ -111,7 +111,7 @@ func TestCountStarZeroLengthDomain(t *testing.T) {
 	g := diamondGraph(t)
 	// (b)*: b has one edge 3->4. The active domain is {3,4}:
 	// pairs (3,3),(4,4),(3,4) = 3. Nodes 0,1,2 do not participate.
-	if got, _ := Count(g, binChain("(b)*"), Budget{}); got != 3 {
+	if got, _ := CountWith(g, binChain("(b)*"), Budget{}, EvalOptions{Workers: 1}); got != 3 {
 		t.Errorf("|(b)*| = %d, want 3", got)
 	}
 }
@@ -122,7 +122,7 @@ func TestCountStarWithConcatDisjunct(t *testing.T) {
 	// based: nodes with an outgoing first-symbol (a) edge {0,1,2} or
 	// an incoming last-symbol (a) edge {1,2,3}. Pairs: 4 identities
 	// plus (0,3) = 5; node 4 does not participate.
-	if got, _ := Count(g, binChain("(a.a)*"), Budget{}); got != 5 {
+	if got, _ := CountWith(g, binChain("(a.a)*"), Budget{}, EvalOptions{Workers: 1}); got != 5 {
 		t.Errorf("|(a.a)*| = %d, want 5", got)
 	}
 }
@@ -131,7 +131,7 @@ func TestCountEpsilonConjunct(t *testing.T) {
 	g := diamondGraph(t)
 	// An eps disjunct makes the expression reflexive-or-step:
 	// (eps+b) from every node: 5 identity pairs + (3,4).
-	if got, _ := Count(g, binChain("(eps+b)"), Budget{}); got != 6 {
+	if got, _ := CountWith(g, binChain("(eps+b)"), Budget{}, EvalOptions{Workers: 1}); got != 6 {
 		t.Errorf("|eps+b| = %d, want 6", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestCountBooleanQuery(t *testing.T) {
 	q := &query.Query{Rules: []query.Rule{{
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("b")}},
 	}}}
-	if got, _ := Count(g, q, Budget{}); got != 1 {
+	if got, _ := CountWith(g, q, Budget{}, EvalOptions{Workers: 1}); got != 1 {
 		t.Errorf("boolean true = %d", got)
 	}
 	// No b- from source side... use a label with no matches by
@@ -149,7 +149,7 @@ func TestCountBooleanQuery(t *testing.T) {
 	q2 := &query.Query{Rules: []query.Rule{{
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("b.b")}},
 	}}}
-	if got, _ := Count(g, q2, Budget{}); got != 0 {
+	if got, _ := CountWith(g, q2, Budget{}, EvalOptions{Workers: 1}); got != 0 {
 		t.Errorf("boolean false = %d", got)
 	}
 }
@@ -161,14 +161,14 @@ func TestCountUnaryProjections(t *testing.T) {
 		Head: []query.Var{0},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a.a")}},
 	}}}
-	if got, _ := Count(g, qs, Budget{}); got != 1 {
+	if got, _ := CountWith(g, qs, Budget{}, EvalOptions{Workers: 1}); got != 1 {
 		t.Errorf("distinct sources = %d, want 1", got)
 	}
 	qt := &query.Query{Rules: []query.Rule{{
 		Head: []query.Var{1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}},
 	}}}
-	if got, _ := Count(g, qt, Budget{}); got != 3 {
+	if got, _ := CountWith(g, qt, Budget{}, EvalOptions{Workers: 1}); got != 3 {
 		t.Errorf("distinct targets = %d, want 3 (1,2,3)", got)
 	}
 }
@@ -180,8 +180,8 @@ func TestCountReversedHead(t *testing.T) {
 		Head: []query.Var{2, 0},
 		Body: q.Rules[0].Body,
 	}}}
-	want, _ := Count(g, q, Budget{})
-	got, err := Count(g, rev, Budget{})
+	want, _ := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
+	got, err := CountWith(g, rev, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestCountUnionOfRules(t *testing.T) {
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}}},
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("b")}}},
 	}}
-	if got, _ := Count(g, q, Budget{}); got != 5 {
+	if got, _ := CountWith(g, q, Budget{}, EvalOptions{Workers: 1}); got != 5 {
 		t.Errorf("union = %d, want 5", got)
 	}
 	// Overlapping rules do not double count.
@@ -205,7 +205,7 @@ func TestCountUnionOfRules(t *testing.T) {
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}}},
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("(a+b)")}}},
 	}}
-	if got, _ := Count(g, q2, Budget{}); got != 5 {
+	if got, _ := CountWith(g, q2, Budget{}, EvalOptions{Workers: 1}); got != 5 {
 		t.Errorf("overlapping union = %d, want 5", got)
 	}
 }
@@ -222,7 +222,7 @@ func TestCountStarShapeJoinFallback(t *testing.T) {
 		},
 	}}}
 	// From 0: {1,2}x{1,2}=4 pairs; from 1: (3,3); from 2: (3,3).
-	if got, _ := Count(g, q, Budget{}); got != 5 {
+	if got, _ := CountWith(g, q, Budget{}, EvalOptions{Workers: 1}); got != 5 {
 		t.Errorf("star count = %d, want 5", got)
 	}
 }
@@ -238,7 +238,7 @@ func TestCountCycleShape(t *testing.T) {
 			{Src: 0, Dst: 2, Expr: regpath.MustParse("a.a")},
 		},
 	}}}
-	if got, _ := Count(g, q, Budget{}); got != 1 {
+	if got, _ := CountWith(g, q, Budget{}, EvalOptions{Workers: 1}); got != 1 {
 		t.Errorf("cycle count = %d, want 1 (0,3)", got)
 	}
 }
@@ -250,7 +250,7 @@ func TestCountSelfLoopConjunct(t *testing.T) {
 		Head: []query.Var{0},
 		Body: []query.Conjunct{{Src: 0, Dst: 0, Expr: regpath.MustParse("a.a.a")}},
 	}}}
-	if got, _ := Count(g, q, Budget{}); got != 3 {
+	if got, _ := CountWith(g, q, Budget{}, EvalOptions{Workers: 1}); got != 3 {
 		t.Errorf("self-loop count = %d, want 3", got)
 	}
 }
@@ -275,7 +275,7 @@ func TestTuplesSorted(t *testing.T) {
 func TestBudgetTimeout(t *testing.T) {
 	g := cycleGraph(t, 2000)
 	q := binChain("(a)*")
-	_, err := Count(g, q, Budget{Timeout: time.Nanosecond})
+	_, err := CountWith(g, q, Budget{Timeout: time.Nanosecond}, EvalOptions{Workers: 1})
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("expected budget error, got %v", err)
 	}
@@ -301,7 +301,7 @@ func TestJoinHonorsTimeout(t *testing.T) {
 	}}}
 	done := make(chan error, 1)
 	go func() {
-		_, err := Count(g, q, Budget{Timeout: 20 * time.Millisecond})
+		_, err := CountWith(g, q, Budget{Timeout: 20 * time.Millisecond}, EvalOptions{Workers: 1})
 		done <- err
 	}()
 	select {
@@ -317,7 +317,7 @@ func TestJoinHonorsTimeout(t *testing.T) {
 func TestBudgetMaxPairs(t *testing.T) {
 	g := cycleGraph(t, 200)
 	q := binChain("(a)*") // 40000 pairs
-	_, err := Count(g, q, Budget{MaxPairs: 100})
+	_, err := CountWith(g, q, Budget{MaxPairs: 100}, EvalOptions{Workers: 1})
 	if !errors.Is(err, ErrBudget) {
 		t.Errorf("expected budget error, got %v", err)
 	}
@@ -325,14 +325,14 @@ func TestBudgetMaxPairs(t *testing.T) {
 
 func TestUnknownPredicate(t *testing.T) {
 	g := diamondGraph(t)
-	if _, err := Count(g, binChain("zzz"), Budget{}); err == nil {
+	if _, err := CountWith(g, binChain("zzz"), Budget{}, EvalOptions{Workers: 1}); err == nil {
 		t.Error("unknown predicate should fail")
 	}
 }
 
 func TestInvalidQuery(t *testing.T) {
 	g := diamondGraph(t)
-	if _, err := Count(g, &query.Query{}, Budget{}); err == nil {
+	if _, err := CountWith(g, &query.Query{}, Budget{}, EvalOptions{Workers: 1}); err == nil {
 		t.Error("invalid query should fail")
 	}
 }
@@ -400,11 +400,11 @@ func TestStreamingMatchesJoin(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		g := randomGraph(r, 12+r.Intn(20), 2, 40+r.Intn(60))
 		q := randomChainQuery(r, 2)
-		streaming, err := Count(g, q, Budget{})
+		streaming, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := newTracker(Budget{})
+		tr := newMeter(Budget{})
 		set, err := joinTuples(g, q, tr)
 		if err != nil {
 			t.Fatal(err)
@@ -435,7 +435,7 @@ func TestMixedProjectionUnionRegression(t *testing.T) {
 		{Head: []query.Var{0}, Body: body}, // sources {0,2}
 		{Head: []query.Var{1}, Body: body}, // targets {1,3}
 	}}
-	got, err := Count(g, q, Budget{})
+	got, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,7 +443,7 @@ func TestMixedProjectionUnionRegression(t *testing.T) {
 		t.Fatalf("mixed-projection union = %d, want 4", got)
 	}
 	// The join evaluator is the ground truth.
-	set, err := joinTuples(g, q, newTracker(Budget{}))
+	set, err := joinTuples(g, q, newMeter(Budget{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,11 +499,11 @@ func TestStreamingMixedUnaryMatchesJoin(t *testing.T) {
 		if _, ok := planStreaming(g, q); !ok {
 			t.Fatalf("trial %d: chain union did not plan as streaming:\n%s", trial, q)
 		}
-		streaming, err := Count(g, q, Budget{})
+		streaming, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		set, err := joinTuples(g, q, newTracker(Budget{}))
+		set, err := joinTuples(g, q, newMeter(Budget{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -530,10 +530,10 @@ func TestStreamingBudgetCharged(t *testing.T) {
 		if plans, ok := planStreaming(g, q); !ok || len(plans) != 1 {
 			t.Fatalf("%s: not a streaming plan", tc.name)
 		}
-		if _, err := Count(g, q, Budget{MaxPairs: 3}); !errors.Is(err, ErrBudget) {
+		if _, err := CountWith(g, q, Budget{MaxPairs: 3}, EvalOptions{Workers: 1}); !errors.Is(err, ErrBudget) {
 			t.Errorf("%s projection: tiny MaxPairs not enforced: %v", tc.name, err)
 		}
-		n, err := Count(g, q, Budget{MaxPairs: 1000})
+		n, err := CountWith(g, q, Budget{MaxPairs: 1000}, EvalOptions{Workers: 1})
 		if err != nil || n != 50 {
 			t.Errorf("%s projection: count = %d, %v", tc.name, n, err)
 		}
@@ -542,7 +542,7 @@ func TestStreamingBudgetCharged(t *testing.T) {
 	qb := &query.Query{Rules: []query.Rule{{
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}},
 	}}}
-	if n, err := Count(g, qb, Budget{MaxPairs: 1}); err != nil || n != 1 {
+	if n, err := CountWith(g, qb, Budget{MaxPairs: 1}, EvalOptions{Workers: 1}); err != nil || n != 1 {
 		t.Errorf("boolean under budget: %d, %v", n, err)
 	}
 }

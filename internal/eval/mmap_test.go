@@ -37,13 +37,13 @@ func TestRawMmapCountsIdentical(t *testing.T) {
 				pred := cfg.Schema.Predicates[0].Name
 				for _, expr := range []string{pred, pred + "-." + pred, "(" + pred + ")*"} {
 					q := chainQuery(t, expr)
-					want, err := Count(g, q, Budget{})
+					want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 					if err != nil {
 						t.Fatalf("in-memory %s: %v", expr, err)
 					}
 					for _, forceRead := range []bool{false, true} {
 						src := openRaw(t, dir, forceRead)
-						got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: 2})
+						got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 2})
 						if err != nil {
 							t.Fatalf("forceRead=%v %s: %v", forceRead, expr, err)
 						}
@@ -72,7 +72,7 @@ func TestSpillWorkerCountsIdentical(t *testing.T) {
 	for _, comp := range []graphgen.SpillCompression{graphgen.SpillCompressRaw, graphgen.SpillCompressVarint} {
 		g, dir := buildSpillComp(t, "bib", 300, 10, comp)
 		q := chainQuery(t, "authors-.authors")
-		want, err := Count(g, q, Budget{})
+		want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -81,7 +81,7 @@ func TestSpillWorkerCountsIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: workers})
+			got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -108,7 +108,7 @@ func TestMmapEvictionReleasesMappings(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := chainQuery(t, "authors-.authors")
-	if _, err := CountOverSpill(src, q, Budget{}); err != nil {
+	if _, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	st := src.CacheStats()
@@ -127,7 +127,7 @@ func TestMmapEvictionReleasesMappings(t *testing.T) {
 
 	// The spill must still be readable after a full purge: evicted
 	// mappings reload on demand.
-	if _, err := CountOverSpill(src, q, Budget{}); err != nil {
+	if _, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -144,7 +144,7 @@ func TestMmapEvictionRetiresUnderReader(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CountOverSpill(src, chainQuery(t, "authors"), Budget{}); err != nil {
+	if _, err := CountWith(src, chainQuery(t, "authors"), Budget{}, EvalOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -181,12 +181,12 @@ func TestMmapEvictionRetiresUnderReader(t *testing.T) {
 func TestMmapMixedSpillFallsBack(t *testing.T) {
 	g, dir := buildSpillComp(t, "bib", 200, 20, graphgen.SpillCompressVarint)
 	q := chainQuery(t, "authors-.authors")
-	want, err := Count(g, q, Budget{})
+	want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	src := openRaw(t, dir, false)
-	got, err := CountOverSpill(src, q, Budget{})
+	got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

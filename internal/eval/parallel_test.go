@@ -30,7 +30,7 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 			}
 			preds := testutil.Predicates(cfg)
 			for qi, q := range spillTestQueries(preds) {
-				want, err := Count(g, q, Budget{})
+				want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 				if err != nil {
 					t.Fatalf("%s width=%d q%d sequential: %v", name, shardNodes, qi, err)
 				}
@@ -43,7 +43,7 @@ func TestParallelCountMatchesSequential(t *testing.T) {
 						t.Errorf("%s width=%d q%d workers=%d: in-memory parallel=%d sequential=%d",
 							name, shardNodes, qi, workers, got, want)
 					}
-					got, err = CountOverSpillWith(src, q, Budget{}, opt)
+					got, err = CountWith(src, q, Budget{}, opt)
 					if err != nil {
 						t.Errorf("%s width=%d q%d workers=%d spill: %v", name, shardNodes, qi, workers, err)
 					} else if got != want {
@@ -80,7 +80,7 @@ func TestSharedResidencyFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := CountOverSpill(single, q, Budget{})
+	want, err := CountWith(single, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestSharedResidencyFleet(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := CountOverSpillWith(fleetSrc, q, Budget{}, EvalOptions{Workers: 2})
+			got, err := CountWith(fleetSrc, q, Budget{}, EvalOptions{Workers: 2})
 			if err != nil {
 				t.Error(err)
 			} else if got != want {
@@ -145,16 +145,16 @@ func TestSharedCacheAcrossSources(t *testing.T) {
 		t.Fatal(err)
 	}
 	cache := NewShardCache(0)
-	a := NewSpillSourceWith(spill, cache)
-	b := NewSpillSourceWith(spill, cache)
+	a := NewSpillSourceWith(spill, cache, SpillSourceOptions{})
+	b := NewSpillSourceWith(spill, cache, SpillSourceOptions{})
 	if a.Cache() != b.Cache() {
 		t.Fatal("sources do not share the cache")
 	}
-	na, err := CountOverSpill(a, q, Budget{})
+	na, err := CountWith(a, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	nb, err := CountOverSpill(b, q, Budget{})
+	nb, err := CountWith(b, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

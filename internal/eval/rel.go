@@ -13,75 +13,17 @@
 package eval
 
 import (
-	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
-	"time"
 
 	"gmark/internal/bitset"
 	"gmark/internal/graph"
 	"gmark/internal/regpath"
 )
 
-// ErrBudget is returned when an evaluation exceeds its budget; the
-// experiment harness records it as a failed run, mirroring the
-// timeouts/failures of the paper's Section 7.
-var ErrBudget = errors.New("eval: budget exceeded")
-
-// Budget bounds an evaluation. The zero value means unlimited.
-type Budget struct {
-	// MaxPairs bounds the number of materialized tuples (intermediate
-	// plus final).
-	MaxPairs int64
-	// Timeout bounds wall-clock time.
-	Timeout time.Duration
-}
-
-// tracker carries budget state through an evaluation. The pair
-// counter is atomic so one tracker can be shared by every worker of a
-// parallel evaluation: MaxPairs and Timeout bound the evaluation as a
-// whole, not each worker separately.
-type tracker struct {
-	pairs    atomic.Int64
-	maxPairs int64
-	deadline time.Time
-}
-
-func newTracker(b Budget) *tracker {
-	t := &tracker{maxPairs: b.MaxPairs}
-	if b.Timeout > 0 {
-		t.deadline = time.Now().Add(b.Timeout)
-	}
-	return t
-}
-
-// charge accounts n materialized tuples and checks both limits. The
-// deadline is consulted whenever the running total crosses a multiple
-// of 1024, whatever the size of the charges that take it there.
-func (t *tracker) charge(n int64) error {
-	if t == nil {
-		return nil
-	}
-	pairs := t.pairs.Add(n)
-	if t.maxPairs > 0 && pairs > t.maxPairs {
-		return fmt.Errorf("%w: more than %d tuples", ErrBudget, t.maxPairs)
-	}
-	if !t.deadline.IsZero() && pairs>>10 != (pairs-n)>>10 && time.Now().After(t.deadline) {
-		return fmt.Errorf("%w: timeout", ErrBudget)
-	}
-	return nil
-}
-
-func (t *tracker) checkTime() error {
-	if t == nil || t.deadline.IsZero() {
-		return nil
-	}
-	if time.Now().After(t.deadline) {
-		return fmt.Errorf("%w: timeout", ErrBudget)
-	}
-	return nil
-}
+// newMeter meters a reference evaluation: its units are materialized
+// tuples.
+func newMeter(b Budget) *Meter { return NewMeter(b, "more than %d tuples") }
 
 // symbolID packs a predicate id and direction.
 type symbolID struct {
@@ -329,7 +271,7 @@ func EvalExpr(g Source, e regpath.Expr, b Budget) (*Rel, error) {
 	if err != nil {
 		return nil, err
 	}
-	return evalCompiled(g, ce, newTracker(b))
+	return evalCompiled(g, ce, newMeter(b))
 }
 
 // evalCompiled materializes e source window by source window with the
@@ -337,7 +279,7 @@ func EvalExpr(g Source, e regpath.Expr, b Budget) (*Rel, error) {
 // -> sources reaching it) into rows (source -> nodes reached). Nodes
 // are visited in ascending order, so rows come out sorted. The window
 // width follows the same rule as a count's (windowWordsFor).
-func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
+func evalCompiled(g Source, ce compiledExpr, meter *Meter) (*Rel, error) {
 	n := g.NumNodes()
 	rel := &Rel{N: n, Rows: make(map[int32][]int32)}
 
@@ -357,7 +299,7 @@ func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 		if !filter.window(ws, ce, v0, in, st.start) {
 			continue
 		}
-		fin, err := st.runChain(ws, exprs, v0, st.start, tr)
+		fin, err := st.runChain(ws, exprs, v0, st.start, meter)
 		if err != nil {
 			return nil, err
 		}
@@ -381,7 +323,7 @@ func evalCompiled(g Source, ce compiledExpr, tr *tracker) (*Rel, error) {
 				rows[b] = nil
 			}
 		}
-		if err := tr.charge(pairs); err != nil {
+		if err := meter.Charge(pairs); err != nil {
 			return nil, err
 		}
 	}

@@ -26,7 +26,7 @@ func TestStarOnPath(t *testing.T) {
 	// On a 4-edge path, (a)* yields all ordered pairs i <= j over the
 	// five path nodes: 15.
 	g := pathGraph(t, 4)
-	got, err := Count(g, binChain("(a)*"), Budget{})
+	got, err := CountWith(g, binChain("(a)*"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestStarDomainExcludesIsolated(t *testing.T) {
 	}
 	g.AddEdge(0, 0, 1) // only nodes 0,1 participate
 	g.Freeze()
-	got, err := Count(g, binChain("(a)*"), Budget{})
+	got, err := CountWith(g, binChain("(a)*"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestMixedRuleOrientationUnion(t *testing.T) {
 			Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a-")}},
 		},
 	}}
-	got, err := Count(g, q, Budget{})
+	got, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,11 +83,11 @@ func TestEpsilonStarIsEpsilon(t *testing.T) {
 	// as a plain eps conjunct (the symbol-based star domain does not
 	// restrict an expression whose only disjunct is the empty word).
 	g := pathGraph(t, 2) // 3 nodes
-	star, err := Count(g, binChain("(eps)*"), Budget{})
+	star, err := CountWith(g, binChain("(eps)*"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	plain, err := Count(g, binChain("eps"), Budget{})
+	plain, err := CountWith(g, binChain("eps"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestEpsilonStarIsEpsilon(t *testing.T) {
 func TestLongPathExpression(t *testing.T) {
 	// a.a.a.a on the path graph: exactly one pair (0,4).
 	g := pathGraph(t, 4)
-	got, err := Count(g, binChain("a.a.a.a"), Budget{})
+	got, err := CountWith(g, binChain("a.a.a.a"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestLongPathExpression(t *testing.T) {
 		t.Errorf("|a^4| = %d, want 1", got)
 	}
 	// a^5 overshoots: empty.
-	got, err = Count(g, binChain("a.a.a.a.a"), Budget{})
+	got, err = CountWith(g, binChain("a.a.a.a.a"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLongPathExpression(t *testing.T) {
 func TestDisjunctionOfInverseDirections(t *testing.T) {
 	// (a+a-) on the path: all adjacent pairs both ways: 2n pairs.
 	g := pathGraph(t, 3)
-	got, err := Count(g, binChain("(a+a-)"), Budget{})
+	got, err := CountWith(g, binChain("(a+a-)"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestStarOfBidirectional(t *testing.T) {
 	// (a+a-)* on a path: every node reaches every node: 16 pairs on 4
 	// path nodes.
 	g := pathGraph(t, 3)
-	got, err := Count(g, binChain("(a+a-)*"), Budget{})
+	got, err := CountWith(g, binChain("(a+a-)*"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestChainThroughStar(t *testing.T) {
 	g.AddEdge(1, 0, 2)
 	g.AddEdge(2, 1, 5) // b-edge
 	g.Freeze()
-	got, err := Count(g, binChain("(a)*", "b"), Budget{})
+	got, err := CountWith(g, binChain("(a)*", "b"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestHigherArityProjection(t *testing.T) {
 	if len(tuples) != 1 || tuples[0][0] != 0 || tuples[0][1] != 1 || tuples[0][2] != 2 {
 		t.Errorf("ternary tuples = %v", tuples)
 	}
-	count, err := Count(g, q, Budget{})
+	count, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestDuplicateEdgesDoNotDuplicateResults(t *testing.T) {
 	g.AddEdge(0, 0, 1)
 	g.AddEdge(0, 0, 1)
 	g.Freeze()
-	got, err := Count(g, binChain("a"), Budget{})
+	got, err := CountWith(g, binChain("a"), Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -149,7 +149,7 @@ func TestShardViewUnderEviction(t *testing.T) {
 			want := make([]int64, len(queries))
 			for i, q := range queries {
 				var err error
-				if want[i], err = Count(g, q, Budget{}); err != nil {
+				if want[i], err = CountWith(g, q, Budget{}, EvalOptions{Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -158,7 +158,7 @@ func TestShardViewUnderEviction(t *testing.T) {
 			// pass over the recipe leaves resident.
 			full := vt.open(t, dir, 0)
 			for _, q := range queries {
-				if _, err := CountOverSpill(full, q, Budget{}); err != nil {
+				if _, err := CountWith(full, q, Budget{}, EvalOptions{Workers: 1}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -167,7 +167,7 @@ func TestShardViewUnderEviction(t *testing.T) {
 
 			src := vt.open(t, dir, budget)
 			for i, q := range queries {
-				got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: 4})
+				got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 4})
 				if err != nil {
 					t.Fatalf("query %d: %v", i, err)
 				}
@@ -230,7 +230,7 @@ func TestShardViewStatsConserved(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: 1})
+		got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +323,7 @@ search:
 				t.Fatal("bare source recorded no error")
 			}
 			src := open()
-			if n, err := CountOverSpillWith(src, q, Budget{}, EvalOptions{Workers: 2}); err == nil {
+			if n, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 2}); err == nil {
 				t.Fatalf("count over a corrupt shard returned %d", n)
 			}
 			if got := src.Err(); got == nil || got.Error() != want.Error() {

@@ -1,6 +1,8 @@
 package eval
 
 import (
+	"fmt"
+
 	"gmark/internal/bitset"
 	"gmark/internal/graph"
 )
@@ -8,7 +10,7 @@ import (
 // Source is the minimal read-only graph access the evaluator needs.
 // Two implementations exist: the in-memory *graph.Graph (frozen CSR
 // adjacency) and SpillSource (node-range CSR shards loaded on demand
-// from a graphgen CSR spill directory), so the same Count runs at
+// from a graphgen CSR spill directory), so the same CountWith runs at
 // in-memory and at beyond-memory scale.
 //
 // Implementations must be safe for use from a single evaluation
@@ -67,14 +69,28 @@ type MappedSource interface {
 
 // AcquireSourceReader pins g's storage mappings for the duration of a
 // read when g is a MappedSource and returns the release; for any other
-// source it is a no-op. Every evaluation entry point (Count, Tuples,
-// the engines) brackets itself with it, so Neighbors slices stay valid
+// source it is a no-op. Every evaluation entry point (CountWith,
+// Tuples, engines.EvaluateOpt) brackets itself with it, so Neighbors slices stay valid
 // across concurrent cache evictions.
 func AcquireSourceReader(g Source) func() {
 	if m, ok := g.(MappedSource); ok {
 		return m.AcquireReader()
 	}
 	return func() {}
+}
+
+// SourceErr returns the first lookup failure g recorded but could not
+// return through Neighbors — a SpillSource's sticky shard-load error —
+// or nil for a source that records none. Every evaluation entry point
+// checks it after evaluating, so a failed load never passes as a
+// silently small count.
+func SourceErr(g Source) error {
+	if s, ok := g.(interface{ Err() error }); ok {
+		if err := s.Err(); err != nil {
+			return fmt.Errorf("eval: spill shard load: %w", err)
+		}
+	}
+	return nil
 }
 
 // ViewSource is an optional Source refinement for sources whose

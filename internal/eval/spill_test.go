@@ -69,7 +69,7 @@ func spillTestQueries(preds []string) []*query.Query {
 
 // TestSpillSourceCountMatchesInMemory is the round-trip property of
 // the out-of-core loop: CSRSpillSink (incremental writer) ->
-// OpenSpillSource -> Count must equal the in-memory Count for every
+// OpenSpillSource -> CountWith must equal the in-memory count for every
 // built-in use case at shard widths 1, 7 and the default, under a
 // cache budget small enough to force evictions mid-query. Queries run
 // concurrently over one shared SpillSource so -race exercises the
@@ -88,7 +88,7 @@ func TestSpillSourceCountMatchesInMemory(t *testing.T) {
 				t.Fatal(err)
 			}
 			dir := filepath.Join(t.TempDir(), "csr")
-			sink, err := graphgen.NewCSRSpillSink(dir, cfg, shardNodes)
+			sink, err := graphgen.NewCSRSpillSinkWith(dir, cfg, shardNodes, graphgen.SpillCompressVarint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,12 +117,12 @@ func TestSpillSourceCountMatchesInMemory(t *testing.T) {
 				wg.Add(1)
 				go func(qi int, q *query.Query) {
 					defer wg.Done()
-					want, err := Count(g, q, Budget{})
+					want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 					if err != nil {
 						t.Errorf("%s width=%d q%d in-memory: %v", name, shardNodes, qi, err)
 						return
 					}
-					got, err := CountOverSpill(src, q, Budget{})
+					got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
 					if err != nil {
 						t.Errorf("%s width=%d q%d spill: %v", name, shardNodes, qi, err)
 						return
@@ -154,7 +154,7 @@ func TestSpillSourceCountMatchesInMemory(t *testing.T) {
 func TestSpillSourceUnknownPredicate(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 100)
 	dir := filepath.Join(t.TempDir(), "csr")
-	sink, err := graphgen.NewCSRSpillSink(dir, cfg, 0)
+	sink, err := graphgen.NewCSRSpillSinkWith(dir, cfg, 0, graphgen.SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,18 +169,18 @@ func TestSpillSourceUnknownPredicate(t *testing.T) {
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("nosuchpred")}},
 	}}}
-	if _, err := CountOverSpill(src, q, Budget{}); err == nil {
+	if _, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("unknown predicate over spill should fail")
 	}
 }
 
 // TestSpillSourceMissingShard: deleting a shard file out from under an
-// opened source must surface as an error from CountOverSpill, never a
+// opened source must surface as an error from CountWith, never a
 // silent short count.
 func TestSpillSourceMissingShard(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 200)
 	dir := filepath.Join(t.TempDir(), "csr")
-	sink, err := graphgen.NewCSRSpillSink(dir, cfg, 50)
+	sink, err := graphgen.NewCSRSpillSinkWith(dir, cfg, 50, graphgen.SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestSpillSourceMissingShard(t *testing.T) {
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(pname)}},
 	}}}
-	if _, err := CountOverSpill(src, q, Budget{}); err == nil {
+	if _, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("missing shard file should fail the evaluation")
 	}
 	if src.Err() == nil {
@@ -221,7 +221,7 @@ func TestSpillSourceMissingShard(t *testing.T) {
 func TestSpillSourceTruncatedManifest(t *testing.T) {
 	cfg := testutil.Config(t, "bib", 200)
 	dir := filepath.Join(t.TempDir(), "csr")
-	sink, err := graphgen.NewCSRSpillSink(dir, cfg, 50)
+	sink, err := graphgen.NewCSRSpillSinkWith(dir, cfg, 50, graphgen.SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestSpillSourceTruncatedManifest(t *testing.T) {
 		Head: []query.Var{0, 1},
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(pname)}},
 	}}}
-	if _, err := CountOverSpill(src, q, Budget{}); err == nil {
+	if _, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("truncated manifest returned a count instead of an error")
 	}
 }

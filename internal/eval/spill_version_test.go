@@ -28,7 +28,7 @@ func spillVersionFixtures(t *testing.T, uc string, n, shardNodes int) (want map[
 	want = make(map[string]int64)
 	for _, expr := range []string{pred, pred + "-." + pred, "(" + pred + ")*"} {
 		q := chainQuery(t, expr)
-		got, err := Count(g, q, Budget{})
+		got, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatalf("%s in-memory %s: %v", uc, expr, err)
 		}
@@ -66,7 +66,7 @@ func TestSpillVersionsCountIdentical(t *testing.T) {
 						t.Fatalf("%s: %v", ver, err)
 					}
 					for expr, wantN := range want {
-						got, err := CountOverSpillWith(src, chainQuery(t, expr), Budget{}, EvalOptions{Workers: 2})
+						got, err := CountWith(src, chainQuery(t, expr), Budget{}, EvalOptions{Workers: 2})
 						if err != nil {
 							t.Fatalf("%s %s: %v", ver, expr, err)
 						}
@@ -92,7 +92,7 @@ func TestSpillVersionsDiskBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := CountOverSpill(src, chainQuery(t, expr), Budget{})
+		got, err := CountWith(src, chainQuery(t, expr), Budget{}, EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -200,7 +200,7 @@ func (s *scratch) slot(i int) *frontier {
 // node, the sources that reach it — or nil when no source reaches
 // anything. The caller clears the returned frontier before the next
 // call.
-func (s *scratch) runChain(g Source, exprs []compiledExpr, v0 int32, start []uint64, tr *tracker) (*frontier, error) {
+func (s *scratch) runChain(g Source, exprs []compiledExpr, v0 int32, start []uint64, meter *Meter) (*frontier, error) {
 	cur, nxt := s.slot(slotCur), s.slot(slotNext)
 	for i, w := range start {
 		for ; w != 0; w &= w - 1 {
@@ -211,7 +211,7 @@ func (s *scratch) runChain(g Source, exprs []compiledExpr, v0 int32, start []uin
 		}
 	}
 	for _, e := range exprs {
-		if err := s.image(g, e, cur, nxt, tr); err != nil {
+		if err := s.image(g, e, cur, nxt, meter); err != nil {
 			return nil, err
 		}
 		cur.clear()
@@ -225,7 +225,7 @@ func (s *scratch) runChain(g Source, exprs []compiledExpr, v0 int32, start []uin
 
 // image computes the image of src under expression e into the empty
 // frontier dst.
-func (s *scratch) image(g Source, e compiledExpr, src, dst *frontier, tr *tracker) error {
+func (s *scratch) image(g Source, e compiledExpr, src, dst *frontier, meter *Meter) error {
 	if !e.star {
 		s.altImage(g, e.paths, src, dst)
 		return nil
@@ -242,7 +242,7 @@ func (s *scratch) image(g Source, e compiledExpr, src, dst *frontier, tr *tracke
 	front, next := s.slot(slotStarFront), s.slot(slotStarNext)
 	from := src
 	for {
-		if err := tr.checkTime(); err != nil {
+		if err := meter.Check(); err != nil {
 			return err
 		}
 		s.altImage(g, e.paths, from, next)

@@ -266,14 +266,14 @@ func TestBudgetIsAFunctionOfTheResult(t *testing.T) {
 			union(chainRule("e", "a", "(b)*")),
 			union(chainRule("s", "a"), chainRule("e", "b")),
 		} {
-			count, err := Count(src, q, Budget{})
+			count, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
 			if err != nil || count < 2 {
 				t.Fatalf("count %d (%v) of\n%s", count, err, q)
 			}
-			if got, err := Count(src, q, Budget{MaxPairs: count}); err != nil || got != count {
+			if got, err := CountWith(src, q, Budget{MaxPairs: count}, EvalOptions{Workers: 1}); err != nil || got != count {
 				t.Errorf("MaxPairs = count = %d: %d, %v\n%s", count, got, err, q)
 			}
-			if _, err := Count(src, q, Budget{MaxPairs: count - 1}); !errors.Is(err, ErrBudget) {
+			if _, err := CountWith(src, q, Budget{MaxPairs: count - 1}, EvalOptions{Workers: 1}); !errors.Is(err, ErrBudget) {
 				t.Errorf("MaxPairs = count-1 = %d: %v, want ErrBudget\n%s", count-1, err, q)
 			}
 		}
@@ -305,7 +305,7 @@ func TestEvalCompiledRowsMatchOracle(t *testing.T) {
 				ce   compiledExpr
 				want map[int32][]int32
 			}{{"forward", ce, want}, {"reversed", ce.reverse(), transposed}} {
-				rel, err := evalCompiled(g, dir.ce, newTracker(Budget{}))
+				rel, err := evalCompiled(g, dir.ce, newMeter(Budget{}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -328,11 +328,11 @@ func TestEvalCompiledRowsMatchOracle(t *testing.T) {
 // fail within ceil(1024/n) calls.
 func TestChargeDeadlineOnBoundaryCrossing(t *testing.T) {
 	for _, n := range []int64{1, 3, 1000, 4097} {
-		tr := &tracker{deadline: time.Now().Add(-time.Second)}
+		tr := &Meter{deadline: time.Now().Add(-time.Second)}
 		limit := (1024 + n - 1) / n
 		var err error
 		for calls := int64(0); calls < limit && err == nil; calls++ {
-			err = tr.charge(n)
+			err = tr.Charge(n)
 		}
 		if !errors.Is(err, ErrBudget) {
 			t.Errorf("charge(%d): expired deadline not noticed within %d calls: %v", n, limit, err)
@@ -342,7 +342,7 @@ func TestChargeDeadlineOnBoundaryCrossing(t *testing.T) {
 
 // TestCountAllocationsDoNotGrowWithSources pins the scratch recycling:
 // a warm sequential count allocates a small constant — compiled plans,
-// filters, the tracker — independent of how many sources and windows
+// filters, the meter — independent of how many sources and windows
 // the scan walks.
 func TestCountAllocationsDoNotGrowWithSources(t *testing.T) {
 	cfg, small := testutil.Graph(t, "bib", 200, evalFixtureSeed)

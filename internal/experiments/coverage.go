@@ -48,7 +48,7 @@ func Coverage(opt Options) ([]CoverageRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		qs, err := gen.Generate()
+		qs, err := gen.GenerateWith(querygen.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -76,7 +76,7 @@ func fig10Series(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Fig10
 			s := Fig10Series{Class: class, Origin: spec.origin, Query: spec.q.String(), Sizes: sizes}
 			for _, n := range sizes {
 				start := time.Now()
-				c, err := eval.Count(graphs[n], spec.q, opt.Budget)
+				c, err := eval.CountWith(graphs[n], spec.q, opt.Budget, eval.EvalOptions{Workers: 1})
 				elapsed := time.Since(start)
 				if err != nil {
 					if !errors.Is(err, eval.ErrBudget) {

@@ -64,7 +64,7 @@ func fig11Series(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Fig11
 				Sizes: sizes,
 			}
 			for _, n := range sizes {
-				c, err := eval.Count(graphs[n], q, opt.Budget)
+				c, err := eval.CountWith(graphs[n], q, opt.Budget, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					if !errors.Is(err, eval.ErrBudget) {
 						return nil, fmt.Errorf("Bib-%s %s at %d nodes: %s: %w", kind, s.Label, n, s.Query, err)

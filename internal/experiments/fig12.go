@@ -76,7 +76,7 @@ func fig12Results(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Fig1
 					for _, q := range byClass[class] {
 						g, q := graphs[n], q
 						elapsed, _, err := measureEngine(opt, func() (int64, error) {
-							return eng.Evaluate(g, q, opt.Budget)
+							return engines.EvaluateOpt(eng, g, q, opt.Budget, eval.EvalOptions{Workers: 1})
 						})
 						if err != nil {
 							if !errors.Is(err, eval.ErrBudget) {

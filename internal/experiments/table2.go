@@ -99,7 +99,7 @@ func table2Row(opt Options, scenario, kind string, sizes []int, graphs map[int]*
 			var counts []int64
 			failed := false
 			for _, n := range sizes {
-				c, err := eval.Count(graphs[n], q, opt.Budget)
+				c, err := eval.CountWith(graphs[n], q, opt.Budget, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					if !errors.Is(err, eval.ErrBudget) {
 						return row, fmt.Errorf("%s at %d nodes: %s: %w", row.Label(), n, q, err)

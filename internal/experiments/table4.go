@@ -71,7 +71,7 @@ func table4Rows(opt Options, sizes []int, graphs map[int]*graph.Graph) ([]Table4
 				}
 				g := graphs[n]
 				elapsed, c, err := measureEngine(opt, func() (int64, error) {
-					return eng.Evaluate(g, q, opt.Budget)
+					return engines.EvaluateOpt(eng, g, q, opt.Budget, eval.EvalOptions{Workers: 1})
 				})
 				cell.Elapsed = elapsed
 				switch {
@@ -107,7 +107,7 @@ func ReferenceCounts(opt Options) (map[int][2]int64, error) {
 	for _, n := range sizes {
 		var pair [2]int64
 		for qi, q := range queries {
-			c, err := eval.Count(graphs[n], q, opt.Budget)
+			c, err := eval.CountWith(graphs[n], q, opt.Budget, eval.EvalOptions{Workers: 1})
 			if err != nil {
 				return nil, err
 			}

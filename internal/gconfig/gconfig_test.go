@@ -98,7 +98,7 @@ func TestParseWorkloadConfig(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestQueriesXMLRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

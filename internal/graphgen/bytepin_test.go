@@ -45,7 +45,7 @@ func TestEmittedBytesPinned(t *testing.T) {
 		for _, seed := range []int64{1, 7} {
 			for _, shardEdges := range []int{0, 7} {
 				h := crc32.NewIEEE()
-				if _, err := Stream(cfg, Options{Seed: seed, ShardEdges: shardEdges, Parallelism: 2}, h); err != nil {
+				if _, err := stream(cfg, Options{Seed: seed, ShardEdges: shardEdges, Parallelism: 2}, h); err != nil {
 					t.Fatal(err)
 				}
 				rows.add(fmt.Sprintf("stream.%s.seed%d.shard%d", uc, seed, shardEdges), h.Sum32())

@@ -24,7 +24,7 @@
 //     generation problem is NP-complete, Theorem 3.6).
 //  3. Sinks (sink.go, partition.go, spill.go): edges flow into an
 //     EdgeSink. GraphSink builds an in-memory graph.Graph (Generate);
-//     WriterSink streams the textual edge-list format (Stream);
+//     WriterSink streams the textual edge-list format;
 //     PartitionedSink writes one edge-list file per predicate;
 //     CSRSpillSink spills node-range-sharded binary CSR files for
 //     out-of-core evaluation; callers can plug their own via Emit.
@@ -123,7 +123,7 @@ func Emit(cfg *schema.GraphConfig, opt Options, sink EdgeSink) (int, error) {
 }
 
 // emitInto is the one run/flush sequencing every entry point (Generate,
-// Emit, EmitPredicate, Stream) goes through: run the emission stage,
+// Emit, EmitPredicate) goes through: run the emission stage,
 // tell an abortable sink when it failed, Flush exactly once either way,
 // and report the emission error ahead of a flush error.
 func (p *plan) emitInto(sink EdgeSink) (int, error) {

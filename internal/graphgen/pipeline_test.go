@@ -27,7 +27,7 @@ func edgeListBytes(t *testing.T, g *graph.Graph) []byte {
 
 // TestGenerateStreamByteIdentical is the pipeline-equivalence
 // contract: for the same seed, the graph materialized by Generate and
-// the graph parsed back from Stream's output render byte-identical
+// the graph parsed back from the streamed output render byte-identical
 // WriteEdgeList files.
 func TestGenerateStreamByteIdentical(t *testing.T) {
 	cfg, err := usecases.ByName("bib", 4000)
@@ -41,7 +41,7 @@ func TestGenerateStreamByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		var streamed bytes.Buffer
-		if _, err := Stream(cfg, opt, &streamed); err != nil {
+		if _, err := stream(cfg, opt, &streamed); err != nil {
 			t.Fatal(err)
 		}
 		parsed, err := graph.ReadEdgeList(bytes.NewReader(streamed.Bytes()))
@@ -49,7 +49,7 @@ func TestGenerateStreamByteIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(edgeListBytes(t, g), edgeListBytes(t, parsed)) {
-			t.Fatalf("parallelism %d: Generate and Stream disagree", par)
+			t.Fatalf("parallelism %d: Generate and streaming disagree", par)
 		}
 	}
 }
@@ -72,7 +72,7 @@ func TestParallelismInvariance(t *testing.T) {
 		}
 		gl := edgeListBytes(t, g)
 		var sb bytes.Buffer
-		if _, err := Stream(cfg, opt, &sb); err != nil {
+		if _, err := stream(cfg, opt, &sb); err != nil {
 			t.Fatal(err)
 		}
 		if refGraph == nil {
@@ -163,7 +163,7 @@ func TestEmitPropagatesSinkErrors(t *testing.T) {
 
 func TestStreamToFailedWriter(t *testing.T) {
 	cfg := twoTypeConfig(500, dist.NewUniform(1, 1), dist.NewUniform(1, 1))
-	if _, err := Stream(cfg, Options{Seed: 1}, failingWriter{}); err == nil {
+	if _, err := stream(cfg, Options{Seed: 1}, failingWriter{}); err == nil {
 		t.Error("write failure not surfaced")
 	}
 }

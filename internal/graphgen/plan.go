@@ -326,7 +326,7 @@ func expectedEdgesOf(cfg *schema.GraphConfig, c schema.EdgeConstraint) float64 {
 	}
 }
 
-// ExpectedEdges estimates the number of edges Stream/Generate will
+// ExpectedEdges estimates the number of edges Emit/Generate will
 // produce for a configuration: the min-side expectation per constraint
 // (useful for pre-sizing and for the Table 3 reporting).
 func ExpectedEdges(cfg *schema.GraphConfig) int {
@@ -337,7 +337,7 @@ func ExpectedEdges(cfg *schema.GraphConfig) int {
 	return int(total)
 }
 
-// ExpectedPredicateEdges estimates the number of edges Stream/Generate
+// ExpectedPredicateEdges estimates the number of edges Emit/Generate
 // will produce for one predicate of a configuration: the summed
 // min-side expectation of the constraints labeled pred. The slice
 // server surfaces it alongside each served slice as a size estimate,

@@ -102,7 +102,7 @@ func TestRenderedShardsSpanChunks(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ref bytes.Buffer
-	refStats, err := Stream(cfg, Options{Seed: 5, Parallelism: 1}, &ref)
+	refStats, err := stream(cfg, Options{Seed: 5, Parallelism: 1}, &ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestRenderedShardsSpanChunks(t *testing.T) {
 		t.Fatalf("instance renders to %d bytes, too small to span chunks", ref.Len())
 	}
 	var got bytes.Buffer
-	stats, err := Stream(cfg, Options{Seed: 5, Parallelism: 3}, &got)
+	stats, err := stream(cfg, Options{Seed: 5, Parallelism: 3}, &got)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestWriteEdgeListMatchesFmt(t *testing.T) {
 	}
 
 	var streamed bytes.Buffer
-	if _, err := Stream(cfg, opt, &streamed); err != nil {
+	if _, err := stream(cfg, opt, &streamed); err != nil {
 		t.Fatal(err)
 	}
 	sortedBody := func(b []byte) []byte {
@@ -219,7 +219,7 @@ func TestMismatchedBatchRefused(t *testing.T) {
 			return s
 		},
 		"CSRSpillSink": func(t *testing.T) EdgeSink {
-			s, err := NewCSRSpillSink(t.TempDir(), cfg, 0)
+			s, err := NewCSRSpillSinkWith(t.TempDir(), cfg, 0, SpillCompressVarint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -309,7 +309,7 @@ func settleGoroutines(t *testing.T, base int) {
 }
 
 // TestFailingWriterStopsTheRun: a writer that fails on its k-th Write
-// makes Emit and Stream return exactly that error, at any parallelism;
+// makes Emit and streaming return exactly that error, at any parallelism;
 // nothing reaches the writer afterwards (no later slot's chunk, no
 // retried flush), what it accepted before is a prefix of the true
 // output, every worker is joined and every chunk comes home.
@@ -320,7 +320,7 @@ func TestFailingWriterStopsTheRun(t *testing.T) {
 	}
 	const shardEdges = 4000 // ~1.3 chunks a shard, some forty shards
 	var ref bytes.Buffer
-	refStats, err := Stream(cfg, Options{Seed: 9, Parallelism: 1, ShardEdges: shardEdges}, &ref)
+	refStats, err := stream(cfg, Options{Seed: 9, Parallelism: 1, ShardEdges: shardEdges}, &ref)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,14 +335,14 @@ func TestFailingWriterStopsTheRun(t *testing.T) {
 			base := runtime.NumGoroutine()
 
 			w := &failOnWrite{k: k}
-			if _, err := Stream(cfg, opt, w); !errors.Is(err, errInjected) {
-				t.Errorf("%s: Stream returned %v, want the writer's error", id, err)
+			if _, err := stream(cfg, opt, w); !errors.Is(err, errInjected) {
+				t.Errorf("%s: streaming returned %v, want the writer's error", id, err)
 			}
 			if w.after != 0 {
-				t.Errorf("%s: Stream wrote %d more times after the failure", id, w.after)
+				t.Errorf("%s: streaming wrote %d more times after the failure", id, w.after)
 			}
 			if !bytes.HasPrefix(ref.Bytes(), w.accepted.Bytes()) || w.accepted.Len() == 0 {
-				t.Errorf("%s: the %d bytes Stream delivered are not a prefix of the output", id, w.accepted.Len())
+				t.Errorf("%s: the %d bytes streaming delivered are not a prefix of the output", id, w.accepted.Len())
 			}
 
 			w = &failOnWrite{k: k}
@@ -350,7 +350,7 @@ func TestFailingWriterStopsTheRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sink, err := newWriterSink(w, p.typeNames, p.typeCounts, p.predNames)
+			sink, err := NewWriterSink(w, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -390,7 +390,7 @@ func TestFailingWriterStopsTheRun(t *testing.T) {
 }
 
 // TestEmissionErrorStillFlushes: when emission itself fails, the one
-// sequencing path behind Emit and Stream still flushes the sink — the
+// sequencing path behind Emit and streaming still flushes the sink — the
 // edges of the shards that did complete reach the writer.
 func TestEmissionErrorStillFlushes(t *testing.T) {
 	cfg, err := usecases.ByName("bib", 2000)
@@ -405,7 +405,7 @@ func TestEmissionErrorStillFlushes(t *testing.T) {
 		last := &p.constraints[len(p.constraints)-1]
 		last.out, last.in = degreeSide{}, degreeSide{} // no side to draw
 		var buf bytes.Buffer
-		sink, err := newWriterSink(&buf, p.typeNames, p.typeCounts, p.predNames)
+		sink, err := NewWriterSink(&buf, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +456,7 @@ func TestRenderChunksBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := newWriterSink(io.Discard, p.typeNames, p.typeCounts, p.predNames)
+	ws, err := NewWriterSink(io.Discard, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func TestShardBoundaryDeterminism(t *testing.T) {
 			for _, par := range []int{1, 2, 8} {
 				opt := Options{Seed: 11, Parallelism: par, ShardEdges: shardEdges}
 				var sb bytes.Buffer
-				if _, err := Stream(cfg, opt, &sb); err != nil {
+				if _, err := stream(cfg, opt, &sb); err != nil {
 					t.Fatalf("%s shard=%d par=%d: %v", name, shardEdges, par, err)
 				}
 				g, err := Generate(cfg, opt)
@@ -357,7 +357,7 @@ func TestCSRSpillRoundTrip(t *testing.T) {
 	}
 
 	dir := filepath.Join(t.TempDir(), "csr")
-	sink, err := NewCSRSpillSink(dir, cfg, 100) // tiny shards: many files
+	sink, err := NewCSRSpillSinkWith(dir, cfg, 100, SpillCompressVarint) // tiny shards: many files
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +433,7 @@ func TestAbortedRunWritesNoIndexes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := NewCSRSpillSink(csrDir, cfg, 0)
+	cs, err := NewCSRSpillSinkWith(csrDir, cfg, 0, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -471,7 +471,7 @@ func TestWriteCSRSpillFromGraph(t *testing.T) {
 
 	sinkDir := filepath.Join(t.TempDir(), "sink")
 	fromGraphDir := filepath.Join(t.TempDir(), "frozen")
-	sink, err := NewCSRSpillSink(sinkDir, cfg, 100)
+	sink, err := NewCSRSpillSinkWith(sinkDir, cfg, 100, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}

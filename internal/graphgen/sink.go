@@ -144,6 +144,14 @@ func (s *GraphSink) Edges() int { return s.edges }
 // on the per-edge and batch paths, and by the emit workers themselves
 // when a parallel run drives it (it is a renderingSink), in which case
 // the sink only writes finished chunks through.
+//
+// Emit into a WriterSink generates an instance without materializing
+// it: with Parallelism=1, peak memory is bounded by the largest single
+// shard's occurrence vectors; with N workers, by N in-flight shards,
+// each held as its rendered text — either way the paper's Table 3
+// sizes (up to 100M nodes) stay reachable on ordinary machines, and
+// the output is byte-identical for a given seed regardless of worker
+// count.
 type WriterSink struct {
 	w       io.Writer
 	buf     []byte // rendered and not yet written
@@ -173,13 +181,6 @@ const (
 // count up front; it describes the node layout only.
 func NewWriterSink(w io.Writer, cfg *schema.GraphConfig) (*WriterSink, error) {
 	typeNames, typeCounts, predNames := resolveLayout(cfg)
-	return newWriterSink(w, typeNames, typeCounts, predNames)
-}
-
-// newWriterSink writes the header from an already-resolved layout (the
-// planning stage hands its own layout here, so the header and the
-// emitted node ids cannot drift apart).
-func newWriterSink(w io.Writer, typeNames []string, typeCounts []int, predNames []string) (*WriterSink, error) {
 	total := 0
 	for _, c := range typeCounts {
 		total += c

@@ -72,7 +72,7 @@ const (
 
 // DefaultCSRShardNodes is the node-range width of one CSR spill shard
 // when the caller does not choose one (the shardNodes = 0 default of
-// NewCSRSpillSink). The slice server uses it to compute the same range
+// NewCSRSpillSinkWith). The slice server uses it to compute the same range
 // boundaries a batch spill run would.
 const DefaultCSRShardNodes = defaultCSRShardNodes
 
@@ -412,16 +412,10 @@ type csrRunBuf struct {
 	diskPairs int
 }
 
-// NewCSRSpillSink creates dir (and parents) and returns a spill sink
-// for the configuration, writing the default delta-varint
-// (format_version 3) shard layout. shardNodes is the node-range width
-// of one shard file; 0 selects the default (1M nodes).
-func NewCSRSpillSink(dir string, cfg *schema.GraphConfig, shardNodes int) (*CSRSpillSink, error) {
-	return NewCSRSpillSinkWith(dir, cfg, shardNodes, SpillCompressVarint)
-}
-
-// NewCSRSpillSinkWith is NewCSRSpillSink with an explicit shard
-// compression setting: SpillCompressNone reproduces the legacy raw
+// NewCSRSpillSinkWith creates dir (and parents) and returns a spill
+// sink for the configuration. shardNodes is the node-range width of
+// one shard file; 0 selects the default (1M nodes). comp selects the
+// shard layout: SpillCompressNone reproduces the legacy raw
 // format_version 2 layout byte for byte, SpillCompressVarint (the
 // default) and SpillCompressDeflate write format_version 3.
 func NewCSRSpillSinkWith(dir string, cfg *schema.GraphConfig, shardNodes int, comp SpillCompression) (*CSRSpillSink, error) {
@@ -746,6 +740,8 @@ func (s *CSRSpillSink) Dir() string { return s.dir }
 // cheap path when a materialized instance exists (cmd/gmark's
 // default). shardNodes 0 selects the default node-range width; the
 // shards use the default delta-varint (format_version 3) layout.
+//
+//lint:ignore ladder cmd/gmark-perf calls both rungs; fold into WriteCSRSpillFromGraphWith in the next benchmark change
 func WriteCSRSpillFromGraph(dir string, g *graph.Graph, shardNodes int) error {
 	return WriteCSRSpillFromGraphWith(dir, g, shardNodes, SpillCompressVarint)
 }

@@ -30,7 +30,7 @@ func TestCSRSpillSinkIncremental(t *testing.T) {
 	opt := Options{Seed: 19}
 
 	bigDir := filepath.Join(t.TempDir(), "big")
-	big, err := NewCSRSpillSink(bigDir, cfg, 128)
+	big, err := NewCSRSpillSinkWith(bigDir, cfg, 128, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestCSRSpillSinkIncremental(t *testing.T) {
 	csrSpillBufferEdges = budget
 
 	smallDir := filepath.Join(t.TempDir(), "small")
-	small, err := NewCSRSpillSink(smallDir, cfg, 128)
+	small, err := NewCSRSpillSinkWith(smallDir, cfg, 128, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestCSRSpillSinkAbortRemovesRuns(t *testing.T) {
 	csrSpillBufferEdges = 64
 
 	dir := filepath.Join(t.TempDir(), "csr")
-	sink, err := NewCSRSpillSink(dir, cfg, 128)
+	sink, err := NewCSRSpillSinkWith(dir, cfg, 128, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -282,7 +282,7 @@ func TestCSRSpillSinkSecondFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := filepath.Join(t.TempDir(), "csr")
-	sink, err := NewCSRSpillSink(dir, cfg, 128)
+	sink, err := NewCSRSpillSinkWith(dir, cfg, 128, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +310,7 @@ func TestCSRSpillSinkSecondFlush(t *testing.T) {
 		t.Fatal("AddEdgeBatch after Flush accepted")
 	}
 
-	aborted, err := NewCSRSpillSink(filepath.Join(t.TempDir(), "aborted"), cfg, 128)
+	aborted, err := NewCSRSpillSinkWith(filepath.Join(t.TempDir(), "aborted"), cfg, 128, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func TestCSRSpillSinkRejectsBadEdges(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe, err := NewCSRSpillSink(filepath.Join(t.TempDir(), "probe"), cfg, 128)
+	probe, err := NewCSRSpillSinkWith(filepath.Join(t.TempDir(), "probe"), cfg, 128, SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +356,7 @@ func TestCSRSpillSinkRejectsBadEdges(t *testing.T) {
 	} {
 		for _, batch := range []bool{false, true} {
 			dir := filepath.Join(t.TempDir(), "csr")
-			sink, err := NewCSRSpillSink(dir, cfg, 128)
+			sink, err := NewCSRSpillSinkWith(dir, cfg, 128, SpillCompressVarint)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -431,7 +431,7 @@ func TestCSRSpillFlushFailure(t *testing.T) {
 		runtime.GOMAXPROCS(procs)
 		goroutines := runtime.NumGoroutine()
 		dir := filepath.Join(t.TempDir(), "csr")
-		sink, err := NewCSRSpillSink(dir, cfg, 64)
+		sink, err := NewCSRSpillSinkWith(dir, cfg, 64, SpillCompressVarint)
 		if err != nil {
 			t.Fatal(err)
 		}

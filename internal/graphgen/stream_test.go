@@ -8,8 +8,24 @@ import (
 
 	"gmark/internal/dist"
 	"gmark/internal/graph"
+	"gmark/internal/schema"
 	"gmark/internal/usecases"
 )
+
+// streamStats is what a streamed run reports: the header's node count
+// and the number of edges written.
+type streamStats struct{ Nodes, Edges int }
+
+// stream generates cfg straight to w in edge-list form, without
+// materializing it: Emit into a WriterSink, as cmd/gmark -stream runs.
+func stream(cfg *schema.GraphConfig, opt Options, w io.Writer) (streamStats, error) {
+	ws, err := NewWriterSink(w, cfg)
+	if err != nil {
+		return streamStats{}, err
+	}
+	n, err := Emit(cfg, opt, ws)
+	return streamStats{Nodes: ws.Nodes(), Edges: n}, err
+}
 
 func TestStreamMatchesGenerate(t *testing.T) {
 	// The same configuration and seed must produce the identical edge
@@ -20,7 +36,7 @@ func TestStreamMatchesGenerate(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	stats, err := Stream(cfg, Options{Seed: 21}, &buf)
+	stats, err := stream(cfg, Options{Seed: 21}, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +70,7 @@ func TestStreamAllUseCases(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats, err := Stream(cfg, Options{Seed: 5}, io.Discard)
+		stats, err := stream(cfg, Options{Seed: 5}, io.Discard)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -66,7 +82,7 @@ func TestStreamAllUseCases(t *testing.T) {
 
 func TestStreamValidatesConfig(t *testing.T) {
 	cfg := twoTypeConfig(0, dist.NewUniform(1, 1), dist.NewUniform(1, 1))
-	if _, err := Stream(cfg, Options{}, io.Discard); err == nil {
+	if _, err := stream(cfg, Options{}, io.Discard); err == nil {
 		t.Fatal("zero-node config should fail")
 	}
 }
@@ -98,10 +114,10 @@ func TestExpectedEdges(t *testing.T) {
 func TestStreamDeterministic(t *testing.T) {
 	cfg := twoTypeConfig(800, dist.NewZipfian(1.5), dist.NewGaussian(2, 1))
 	var b1, b2 bytes.Buffer
-	if _, err := Stream(cfg, Options{Seed: 33}, &b1); err != nil {
+	if _, err := stream(cfg, Options{Seed: 33}, &b1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Stream(cfg, Options{Seed: 33}, &b2); err != nil {
+	if _, err := stream(cfg, Options{Seed: 33}, &b2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

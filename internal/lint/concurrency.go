@@ -11,7 +11,7 @@ import (
 // (atomic.Int64/atomic.Uint64) must form a prefix of their struct:
 // Go 1.19+ aligns these types everywhere, so the rule is
 // belt-and-braces, but keeping hot shared counters at offset zero is
-// also the layout every budget/tracker struct here already uses, and
+// also the layout the budget meter (eval.Meter) already uses, and
 // a drifted layout is the first symptom of an unplanned field. Second,
 // every `go` statement in library code must be visibly accounted for
 // before it starts — a WaitGroup.Add or a slot-ring/semaphore channel

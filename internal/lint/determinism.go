@@ -17,7 +17,7 @@ import (
 var DeterminismAnalyzer = &Analyzer{
 	Name: "determinism",
 	Doc: "no wall clock or global math/rand outside the allowlisted " +
-		"measurement/budget files; map iteration in emission packages " +
+		"measurement dirs and budget meter; map iteration in emission packages " +
 		"must not feed ordered output unsorted, and their RNGs come " +
 		"from prng.New, not math/rand.NewSource",
 	Run: runDeterminism,
@@ -27,16 +27,14 @@ var DeterminismAnalyzer = &Analyzer{
 // interactive reporting, never deterministic artifact bytes.
 var clockExemptDirs = []string{"cmd", "examples", "internal/experiments"}
 
-// clockExemptFiles are the two wall-clock budget implementations: the
-// engines' shared amortized deadline meter and the reference
-// evaluator's tracker. Timeouts are part of the simulated-engine
-// contract; counts, not timings, are the deterministic output.
-// Keeping every deadline check behind these two files is itself an
-// invariant — new time.Now call sites must either move here or carry
-// an ignore with a reason.
+// clockExemptFiles holds the one wall-clock budget implementation,
+// eval.Meter, shared by the reference evaluator and every simulated
+// engine. Timeouts are part of the Section 7 contract; counts, not
+// timings, are the deterministic output. Keeping every deadline check
+// behind this file is itself an invariant — new time.Now call sites
+// must either move here or carry an ignore with a reason.
 var clockExemptFiles = map[string]bool{
-	"internal/engines/budget.go": true,
-	"internal/eval/rel.go":       true,
+	"internal/eval/meter.go": true,
 }
 
 // emissionDirs are the packages whose output order is part of the
@@ -88,7 +86,7 @@ func reportClockAndRand(p *Pass, file *ast.File) {
 		case "time":
 			switch fn.Name() {
 			case "Now", "Since", "Until":
-				p.Reportf(call.Pos(), "time.%s in a deterministic path; move measurement under cmd/, examples/ or internal/experiments, or into the budget files, or justify with //lint:ignore determinism <reason>", fn.Name())
+				p.Reportf(call.Pos(), "time.%s in a deterministic path; move measurement under cmd/, examples/ or internal/experiments, or into the budget meter, or justify with //lint:ignore determinism <reason>", fn.Name())
 			}
 		case "math/rand", "math/rand/v2":
 			// Constructors (New, NewSource, NewZipf, ...) build the

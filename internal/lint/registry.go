@@ -10,6 +10,7 @@ var Analyzers = []*Analyzer{
 	ConcurrencyAnalyzer,
 	SinkFlushAnalyzer,
 	ExportedDocAnalyzer,
+	LadderAnalyzer,
 }
 
 // ByName returns the registered analyzer with the given name, or nil.

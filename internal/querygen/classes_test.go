@@ -94,7 +94,7 @@ func TestMeasuredAlphaOrdering(t *testing.T) {
 			var counts []int64
 			ok := true
 			for _, n := range sizes {
-				c, err := eval.Count(graphs[n], q, eval.Budget{MaxPairs: 30_000_000})
+				c, err := eval.CountWith(graphs[n], q, eval.Budget{MaxPairs: 30_000_000}, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					ok = false
 					break

@@ -8,14 +8,9 @@ import (
 	"gmark/internal/query"
 )
 
-// Generate produces the configured number of queries through the
-// plan/emit/sink pipeline using all cores. For a fixed seed the result
-// is identical at any worker count. Safe for concurrent use.
-func (g *Generator) Generate() ([]*query.Query, error) {
-	return g.GenerateWith(Options{})
-}
-
-// GenerateWith is Generate with explicit emission options.
+// GenerateWith produces the configured number of queries through the
+// plan/emit/sink pipeline. For a fixed seed the result is identical at
+// any worker count. Safe for concurrent use.
 func (g *Generator) GenerateWith(opt Options) ([]*query.Query, error) {
 	sink := &SliceSink{}
 	if _, err := g.Emit(opt, sink); err != nil {

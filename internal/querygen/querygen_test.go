@@ -62,7 +62,7 @@ func TestGenerateCountAndValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestGeneratedSizesWithinBounds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +154,12 @@ func TestGenerateDeterministic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		qs1, err := gen1.Generate()
+		qs1, err := gen1.GenerateWith(querygen.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		gen2, _ := querygen.New(cfg)
-		qs2, err := gen2.Generate()
+		qs2, err := gen2.GenerateWith(querygen.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestClassConfigGeneratesMix(t *testing.T) {
 	cfg.Classes = []query.SelectivityClass{query.Constant, query.Quadratic}
 	cfg.Count = 20
 	gen, _ := querygen.New(cfg)
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

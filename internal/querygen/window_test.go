@@ -17,7 +17,7 @@ func TestEmitWindowMatchesFullRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := gen.Generate()
+	full, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -169,7 +169,7 @@ func TestNaryEmpiricalTernary(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, err := eval.Count(g, q, eval.Budget{})
+		c, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -109,7 +109,7 @@ func batchArtifacts(t *testing.T, uc string) (textDir, binDir, spillDir, wlDir s
 	if err != nil {
 		t.Fatal(err)
 	}
-	spillSink, err := graphgen.NewCSRSpillSink(spillDir, gcfg, e2eShardNodes)
+	spillSink, err := graphgen.NewCSRSpillSinkWith(spillDir, gcfg, e2eShardNodes, graphgen.SpillCompressVarint)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -461,16 +461,16 @@ func TestServeReassembledCounts(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			queries, err := gen.Generate()
+			queries, err := gen.GenerateWith(querygen.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i, q := range queries {
-				wantN, err := eval.Count(want, q, eval.Budget{})
+				wantN, err := eval.CountWith(want, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}
-				gotN, err := eval.Count(got, q, eval.Budget{})
+				gotN, err := eval.CountWith(got, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

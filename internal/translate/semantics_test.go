@@ -95,7 +95,7 @@ func TestDatalogTranslationExecutes(t *testing.T) {
 		}}},
 	}
 	for qi, q := range queries {
-		want, err := eval.Count(g, q, eval.Budget{})
+		want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,12 +127,12 @@ func TestDatalogTranslationOnGeneratedWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for qi, q := range qs {
-		want, err := eval.Count(g, q, eval.Budget{})
+		want, err := eval.CountWith(g, q, eval.Budget{}, eval.EvalOptions{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -162,7 +162,7 @@ func TestSelfLoopEquatesEndpoints(t *testing.T) {
 	}
 
 	g := randomGraphT(t, rand.New(rand.NewSource(53)), 12, 1, 60)
-	want, err := eval.Count(g, loop, eval.Budget{})
+	want, err := eval.CountWith(g, loop, eval.Budget{}, eval.EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -118,7 +118,7 @@ func TestDiversityOfGeneratedWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	qs, err := gen.Generate()
+	qs, err := gen.GenerateWith(querygen.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
