@@ -434,8 +434,8 @@ func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string,
 		lg.Printf("engine %s: count(%s) = %d", eng.Name(), expr, n)
 	}
 	st := src.CacheStats()
-	lg.Printf("shard cache: %d loads (%d bytes from disk), %d hits (%d deduped in flight), %d evictions, %d domain-rebuild reads, %d bytes resident (%d mapped, peak %d)",
-		st.Loads, st.DiskBytesLoaded, st.Hits, st.DedupHits, st.Evictions, st.DomainRebuilds, st.BytesUsed, st.MappedBytes, st.PeakBytes)
+	lg.Printf("shard cache: %d loads (%d bytes from disk), %d hits (%d deduped in flight), %d evictions, %d bytes resident (%d mapped, peak %d)",
+		st.Loads, st.DiskBytesLoaded, st.Hits, st.DedupHits, st.Evictions, st.BytesUsed, st.MappedBytes, st.PeakBytes)
 	return nil
 }
 

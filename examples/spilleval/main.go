@@ -85,6 +85,6 @@ func main() {
 	}
 
 	st := src.CacheStats()
-	fmt.Printf("\nshard cache: %d loads, %d hits, %d evictions, %d domain-rebuild reads, %d bytes resident\n",
-		st.Loads, st.Hits, st.Evictions, st.DomainRebuilds, st.BytesUsed)
+	fmt.Printf("\nshard cache: %d loads, %d hits, %d evictions, %d bytes resident\n",
+		st.Loads, st.Hits, st.Evictions, st.BytesUsed)
 }

@@ -33,10 +33,9 @@ func buildSpillComp(t *testing.T, uc string, n, shardNodes int, comp graphgen.Sp
 	return testutil.SpillComp(t, uc, n, shardNodes, evalFixtureSeed, comp)
 }
 
-// stripDomains rewrites a spill directory into the legacy
-// (pre-format_version-2) layout: domain files deleted, manifest fields
-// cleared — the fixture every backward-compatibility test runs
-// against.
+// stripDomains rewrites a spill directory into the retired
+// pre-format_version-2 layout: domain files deleted, manifest fields
+// cleared — the fixture the legacy-rejection test runs against.
 func stripDomains(t *testing.T, dir string) {
 	t.Helper()
 	path := filepath.Join(dir, "csr-index.json")
@@ -78,10 +77,9 @@ func starQuery(pred string) *query.Query {
 	}}}
 }
 
-// TestStarDomainOverSpillZeroSweeps is the PR's acceptance property: a
-// recursive query over a spill with persisted active-domain bitmaps
-// builds its epsilon mask from the bitmaps alone — zero shard loads,
-// zero rebuild sweeps — and the mask equals the in-memory scan's.
+// TestStarDomainOverSpillZeroSweeps: a recursive query over a spill
+// builds its epsilon mask from the persisted active-domain bitmaps
+// alone — zero shard loads — and the mask equals the in-memory scan's.
 func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 	g, dir := buildSpill(t, "bib", 300, 7)
 	src, err := OpenSpillSource(dir, 0)
@@ -94,8 +92,8 @@ func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 
 	mask := StarDomain(src, syms, syms)
 	st := src.CacheStats()
-	if st.Loads != 0 || st.DomainRebuilds != 0 {
-		t.Fatalf("StarDomain over bitmap spill did %d loads, %d rebuild reads; want 0, 0", st.Loads, st.DomainRebuilds)
+	if st.Loads != 0 {
+		t.Fatalf("StarDomain over bitmap spill did %d shard loads; want 0", st.Loads)
 	}
 	want := StarDomain(g, syms, syms)
 	if mask.Count() != want.Count() {
@@ -120,56 +118,26 @@ func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 	if got != wantCount {
 		t.Fatalf("(%s)* over spill = %d, in-memory = %d", p0, got, wantCount)
 	}
-	if st := src.CacheStats(); st.DomainRebuilds != 0 {
-		t.Fatalf("recursive count rebuilt domains (%d shard reads) despite persisted bitmaps", st.DomainRebuilds)
-	}
 }
 
-// TestLegacySpillStillEvaluates pins backward compatibility: a spill
-// written without active-domain bitmaps (the pre-format_version-2
-// layout) opens and evaluates to the same counts, rebuilding the
-// bitmaps lazily by a one-time shard sweep.
+// TestLegacySpillStillEvaluates pins the end of backward
+// compatibility: a spill written without active-domain bitmaps (the
+// pre-format_version-2 layout, which no writer produces any more) is
+// refused at open with an error that says to spill it again, instead
+// of evaluating through a shard-sweep fallback.
 func TestLegacySpillStillEvaluates(t *testing.T) {
 	// Raw shards + stripped manifest = a byte-faithful v1 spill.
-	g, dir := buildSpillComp(t, "bib", 300, 7, graphgen.SpillCompressNone)
+	_, dir := buildSpillComp(t, "bib", 300, 7, graphgen.SpillCompressNone)
 	stripDomains(t, dir)
 
 	src, err := OpenSpillSource(dir, 0)
-	if err != nil {
-		t.Fatalf("legacy spill failed to open: %v", err)
+	if err == nil {
+		t.Fatalf("legacy spill opened (%d nodes); want a rejection", src.NumNodes())
 	}
-	p0 := src.Manifest().Predicates[0].Name
-	for _, q := range []*query.Query{
-		starQuery(p0),
-		{Rules: []query.Rule{{
-			Head: []query.Var{0, 1},
-			Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse(p0)}},
-		}}},
-	} {
-		want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
-		if err != nil {
-			t.Fatal(err)
+	for _, want := range []string{"format_version", "predates active-domain bitmaps", "spill the instance again"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("legacy rejection %q does not say %q", err, want)
 		}
-		got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
-		if err != nil {
-			t.Fatalf("legacy spill evaluation: %v", err)
-		}
-		if got != want {
-			t.Fatalf("legacy spill count %d != in-memory %d for\n%s", got, want, q)
-		}
-	}
-	st := src.CacheStats()
-	if st.DomainRebuilds == 0 {
-		t.Fatal("legacy spill evaluated without rebuilding any domain bitmap")
-	}
-
-	// The rebuild is cached: a second recursive count adds no reads.
-	before := st.DomainRebuilds
-	if _, err := CountWith(src, starQuery(p0), Budget{}, EvalOptions{Workers: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if after := src.CacheStats().DomainRebuilds; after != before {
-		t.Fatalf("domain rebuild not cached: %d reads grew to %d", before, after)
 	}
 }
 
@@ -288,37 +256,73 @@ func TestReversedStarKeepsEpsilonMask(t *testing.T) {
 }
 
 // TestCorruptDomainFileFallsBack: an unreadable active-domain bitmap
-// must degrade to the shard-sweep rebuild (like a legacy spill), never
-// fail an otherwise intact spill.
+// no longer falls back to a shard sweep: it fails the evaluation, and
+// the error is sticky like a shard-load failure, so a later count over
+// the same source fails too.
 func TestCorruptDomainFileFallsBack(t *testing.T) {
-	g, dir := buildSpill(t, "bib", 300, 7)
+	_, dir := buildSpill(t, "bib", 300, 7)
 	// Corrupt every domain file, not just the first predicate's.
-	matches, err := filepath.Glob(filepath.Join(dir, "dom-*.bin"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no domain files found (%v)", err)
-	}
-	for _, m := range matches {
-		if err := os.WriteFile(m, []byte("junk"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	rewriteDomainFiles(t, dir, []byte("junk"))
 	src, err := OpenSpillSource(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p0 := src.Manifest().Predicates[0].Name
-	want, err := CountWith(g, starQuery(p0), Budget{}, EvalOptions{Workers: 1})
-	if err != nil {
-		t.Fatal(err)
+	if n, err := CountWith(src, starQuery(p0), Budget{}, EvalOptions{Workers: 1}); err == nil {
+		t.Fatalf("count over corrupt-bitmap spill = %d with a nil error", n)
+	} else if !strings.Contains(err.Error(), "active-domain bitmap") {
+		t.Fatalf("unhelpful bitmap error: %v", err)
 	}
-	got, err := CountWith(src, starQuery(p0), Budget{}, EvalOptions{Workers: 1})
-	if err != nil {
-		t.Fatalf("corrupt bitmap failed the evaluation instead of degrading: %v", err)
+	if src.Err() == nil {
+		t.Fatal("bitmap failure not recorded as the sticky error")
 	}
-	if got != want {
-		t.Fatalf("count over corrupt-bitmap spill = %d, in-memory = %d", got, want)
+	if st := src.CacheStats(); st.Loads != 0 {
+		t.Fatalf("bitmap failure swept %d shards", st.Loads)
 	}
-	if st := src.CacheStats(); st.DomainRebuilds == 0 {
-		t.Fatal("corrupt bitmap did not trigger a rebuild sweep")
+	if _, err := CountWith(src, chainQuery(t, p0), Budget{}, EvalOptions{Workers: 1}); err == nil {
+		t.Fatal("a later count over the failed source returned a nil error")
+	}
+}
+
+// TestShortDomainFileRejected is the regression test for bitmaps that
+// hold fewer words than the node count needs: their header agreed with
+// their length, so they loaded as a smaller domain and pruned real
+// sources out of every count (authors 84 instead of 252 on this
+// fixture) with a nil error. Each count must now fail instead.
+func TestShortDomainFileRejected(t *testing.T) {
+	g, dir := buildSpill(t, "bib", 300, 7)
+	oneWord := []byte("GMKDOM1\n\x01\x00\x00\x00\xff\xff\xff\xff\xff\xff\xff\xff")
+	rewriteDomainFiles(t, dir, oneWord)
+	for _, expr := range []string{"authors", "(authors)*", "authors-.authors"} {
+		q := chainQuery(t, expr)
+		want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, err := OpenSpillSource(dir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1})
+		if err == nil {
+			t.Errorf("count(%s) over one-word bitmaps = %d (in-memory %d) with a nil error", expr, got, want)
+		} else if !strings.Contains(err.Error(), "words") {
+			t.Errorf("count(%s): error %q does not name the word count", expr, err)
+		}
+	}
+}
+
+// rewriteDomainFiles overwrites every active-domain bitmap file of a
+// spill directory with data.
+func rewriteDomainFiles(t *testing.T, dir string, data []byte) {
+	t.Helper()
+	matches, err := filepath.Glob(filepath.Join(dir, "dom-*.bin"))
+	if err != nil || len(matches) == 0 {
+		t.Fatalf("no domain files found (%v)", err)
+	}
+	for _, m := range matches {
+		if err := os.WriteFile(m, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

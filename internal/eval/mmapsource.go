@@ -24,8 +24,9 @@ import (
 // varint/deflate spills under -spill-mmap simply fall back to the
 // decoding loader — or when the image is unusable for viewing
 // (misaligned buffer); a raw image that fails validation is corrupt
-// and returns an error. The structural check covers the header and
-// the offset array only: adjacency bytes are trusted, because
+// and returns an error, as does one whose counts disagree with its
+// manifest entry. The structural check covers the header and the
+// offset array only: adjacency bytes are trusted, because
 // validating them would fault in every page and defeat the mapping.
 func (s *SpillSource) loadRawShard(meta graphgen.CSRShard) (sh *cachedShard, handled bool, err error) {
 	path := s.spill.ShardPath(meta)
@@ -52,6 +53,11 @@ func (s *SpillSource) loadRawShard(meta graphgen.CSRShard) (sh *cachedShard, han
 	if !isRaw {
 		drop()
 		return nil, false, nil
+	}
+	if lay.NLocal != meta.Hi-meta.Lo || lay.Edges != meta.Edges {
+		drop()
+		return nil, true, fmt.Errorf("eval: %s: holds %d nodes and %d edges, the manifest says %d and %d",
+			meta.File, lay.NLocal, lay.Edges, meta.Hi-meta.Lo, meta.Edges)
 	}
 	off, okOff := viewInt32(data[lay.OffStart:], lay.NLocal+1)
 	adj, okAdj := viewInt32(data[lay.AdjStart:], lay.Edges)

@@ -98,16 +98,16 @@ type BoundarySym struct {
 // estimator, and all evaluators and engines share it so recursive
 // query counts agree.
 //
-// When the source knows its per-predicate active domains (a spill with
+// When the source knows its per-predicate active domains (a spill's
 // persisted bitmaps), the mask is a pure bitmap union — no adjacency
-// is touched, so a recursive query over a spill no longer pays a
-// whole-instance shard sweep just to build its epsilon mask. Otherwise
-// it falls back to the full per-node scan.
+// is touched, so a recursive query over a spill does not pay a
+// whole-instance shard sweep just to build its epsilon mask; a bitmap
+// that fails to load leaves the mask partial, and the source's sticky
+// error fails the evaluation. Other sources take the full per-node
+// scan.
 func StarDomain(g Source, firsts, lasts []BoundarySym) *bitset.Set {
 	if ds, ok := g.(DomainSource); ok {
-		if mask, err := starDomainFromDomains(ds, firsts, lasts); err == nil {
-			return mask
-		}
+		return starDomainFromDomains(ds, firsts, lasts)
 	}
 	mask := bitset.New(g.NumNodes())
 	ws, release := WorkerSource(g)
@@ -137,24 +137,25 @@ func StarDomain(g Source, firsts, lasts []BoundarySym) *bitset.Set {
 // starDomainFromDomains assembles the star domain from per-predicate
 // active-domain bitmaps: a node can start a disjunct iff it is in some
 // first symbol's domain, and end one iff it is in some last symbol's
-// inverse domain.
-func starDomainFromDomains(ds DomainSource, firsts, lasts []BoundarySym) (*bitset.Set, error) {
+// inverse domain. It stops at the first bitmap that fails to load,
+// which the source has recorded for SourceErr.
+func starDomainFromDomains(ds DomainSource, firsts, lasts []BoundarySym) *bitset.Set {
 	mask := bitset.New(ds.NumNodes())
 	for _, s := range firsts {
 		dom, err := ds.ActiveDomain(s.Pred, s.Inv)
 		if err != nil {
-			return nil, err
+			return mask
 		}
 		mask.UnionWith(dom)
 	}
 	for _, s := range lasts {
 		dom, err := ds.ActiveDomain(s.Pred, !s.Inv)
 		if err != nil {
-			return nil, err
+			return mask
 		}
 		mask.UnionWith(dom)
 	}
-	return mask, nil
+	return mask
 }
 
 // startFilter restricts the sources an evaluation must walk from,
@@ -213,18 +214,14 @@ func startFilterFor(g Source, e compiledExpr) startFilter {
 	}
 	if ds, ok := g.(DomainSource); ok {
 		mask := bitset.New(g.NumNodes())
-		complete := true
 		for _, p := range e.paths {
 			dom, err := ds.ActiveDomain(p[0].pred, p[0].inv)
 			if err != nil {
-				complete = false
-				break
+				break // recorded for SourceErr, which fails the evaluation
 			}
 			mask.UnionWith(dom)
 		}
-		if complete {
-			return startFilter{mask: mask}
-		}
+		return startFilter{mask: mask}
 	}
 	return startFilter{probe: true}
 }

@@ -80,14 +80,15 @@ func AcquireSourceReader(g Source) func() {
 }
 
 // SourceErr returns the first lookup failure g recorded but could not
-// return through Neighbors — a SpillSource's sticky shard-load error —
+// return through Neighbors — a SpillSource's sticky shard- or
+// bitmap-load error —
 // or nil for a source that records none. Every evaluation entry point
 // checks it after evaluating, so a failed load never passes as a
 // silently small count.
 func SourceErr(g Source) error {
 	if s, ok := g.(interface{ Err() error }); ok {
 		if err := s.Err(); err != nil {
-			return fmt.Errorf("eval: spill shard load: %w", err)
+			return fmt.Errorf("eval: spill load: %w", err)
 		}
 	}
 	return nil
@@ -124,14 +125,15 @@ func WorkerSource(g Source) (Source, func()) {
 // DomainSource is an optional Source refinement for sources that know
 // each predicate's active domain — the nodes carrying at least one
 // edge of the predicate in a direction — without scanning adjacency.
-// SpillSource implements it from the manifest's persisted bitmaps
-// (format_version >= 2), so StarDomain and the streaming scan's
-// start-pruning cost zero shard loads; for legacy spills the bitmaps
-// are rebuilt lazily by a one-time shard sweep.
+// SpillSource implements it from the spill's persisted bitmaps, so
+// StarDomain and the streaming scan's start-pruning cost zero shard
+// loads.
 type DomainSource interface {
 	Source
 	// ActiveDomain returns the set of nodes with at least one outgoing
 	// (inverse false) or incoming (inverse true) edge labeled p. The
-	// set is shared with the source and must not be modified.
+	// set is shared with the source and must not be modified. A
+	// failure must also be recorded for SourceErr: evaluators treat it
+	// as fatal and do not fall back to scanning adjacency.
 	ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, error)
 }

@@ -11,17 +11,15 @@ import (
 	"gmark/internal/usecases"
 )
 
-// spillVersionFixtures builds one spill per on-disk generation of the
-// same instance: v1 (raw shards, versionless manifest, no domain
-// bitmaps), v2 (raw shards + bitmaps), v3 in both codecs.
+// spillVersionFixtures builds one spill per on-disk generation readers
+// accept, of the same instance: v2 (raw shards + bitmaps) and v3 in
+// both codecs.
 func spillVersionFixtures(t *testing.T, uc string, n, shardNodes int) (want map[string]int64, dirs map[string]string) {
 	t.Helper()
-	g, v1 := buildSpillComp(t, uc, n, shardNodes, graphgen.SpillCompressNone)
-	stripDomains(t, v1)
-	_, v2 := buildSpillComp(t, uc, n, shardNodes, graphgen.SpillCompressNone)
+	g, v2 := buildSpillComp(t, uc, n, shardNodes, graphgen.SpillCompressNone)
 	_, v3 := buildSpillComp(t, uc, n, shardNodes, graphgen.SpillCompressVarint)
 	_, v3z := buildSpillComp(t, uc, n, shardNodes, graphgen.SpillCompressDeflate)
-	dirs = map[string]string{"v1": v1, "v2": v2, "v3-varint": v3, "v3-deflate": v3z}
+	dirs = map[string]string{"v2": v2, "v3-varint": v3, "v3-deflate": v3z}
 
 	cfg := testutil.Config(t, uc, n)
 	pred := cfg.Schema.Predicates[0].Name
@@ -49,9 +47,9 @@ func chainQuery(t *testing.T, expr string) *query.Query {
 	}}}
 }
 
-// TestSpillVersionsCountIdentical is the PR's acceptance property: the
-// same (seed, shard width) instance spilled as v1, v2, and v3 (both
-// codecs) evaluates to pinned-identical counts for every built-in use
+// TestSpillVersionsCountIdentical: the same (seed, shard width)
+// instance spilled as v2 and v3 (both codecs) evaluates to
+// pinned-identical counts for every built-in use
 // case, at shard widths 1, 7, and the default. Run with -race in CI.
 func TestSpillVersionsCountIdentical(t *testing.T) {
 	for _, uc := range usecases.Names {

@@ -52,13 +52,12 @@ type SpillSource struct {
 	useMmap   bool
 	forceRead bool
 
-	mu             sync.Mutex
-	domainRebuilds int64
-	loadErr        error // sticky: first shard-load failure
+	mu      sync.Mutex
+	loadErr error // sticky: first shard- or bitmap-load failure
 
 	// domMu guards the active-domain bitmap cache separately from the
-	// shard cache, so a legacy-spill rebuild (shard file reads) never
-	// blocks concurrent Neighbors lookups.
+	// shard cache, so a bitmap file read never blocks concurrent
+	// Neighbors lookups.
 	domMu   sync.Mutex
 	domains map[domainKey]*bitset.Set
 }
@@ -103,13 +102,11 @@ type cachedShard struct {
 // budget no matter how the shards are encoded on disk; DiskBytesLoaded
 // is the cumulative on-disk bytes fresh loads actually read, which on
 // compressed (format_version 3) spills is severalfold smaller.
-// DomainRebuilds counts shard files read to reconstruct an
-// active-domain bitmap missing from a legacy spill; it stays zero on
-// spills with persisted bitmaps, which is how tests assert that
-// StarDomain performs no full-shard sweep. MappedBytes is the subset
-// of BytesUsed served from file mappings (raw shards under mmap) —
-// those entries charge their mapped file size, and eviction returns
-// the bytes by munmap.
+// Active-domain bitmaps are read from their own files and never count
+// as loads, which is how tests assert that StarDomain performs no
+// shard sweep. MappedBytes is the subset of BytesUsed served from file
+// mappings (raw shards under mmap) — those entries charge their mapped
+// file size, and eviction returns the bytes by munmap.
 type SpillCacheStats struct {
 	Hits            int64
 	Loads           int64
@@ -118,7 +115,6 @@ type SpillCacheStats struct {
 	BytesUsed       int64
 	PeakBytes       int64
 	DiskBytesLoaded int64
-	DomainRebuilds  int64
 	MappedBytes     int64
 }
 
@@ -184,11 +180,10 @@ func NewSpillSourceWith(spill *graphgen.CSRSpill, cache *ShardCache, opt SpillSo
 	for i, p := range spill.Manifest.Predicates {
 		s.predIndex[p.Name] = graph.PredID(i)
 	}
-	if w, n := spill.Manifest.ShardNodes, spill.Manifest.Nodes; w > 0 && n > 0 {
-		s.ranges = make([]NodeRange, 0, (n+w-1)/w)
-		for lo := 0; lo < n; lo += w {
-			s.ranges = append(s.ranges, NodeRange{Lo: int32(lo), Hi: int32(min(lo+w, n))})
-		}
+	w, n := spill.Manifest.ShardNodes, spill.Manifest.Nodes
+	s.ranges = make([]NodeRange, 0, (n+w-1)/w)
+	for lo := 0; lo < n; lo += w {
+		s.ranges = append(s.ranges, NodeRange{Lo: int32(lo), Hi: int32(min(lo+w, n))})
 	}
 	return s
 }
@@ -226,16 +221,11 @@ func (s *SpillSource) PredEdgeCount(p graph.PredID) int {
 // read-only.
 func (s *SpillSource) NodeRanges() []NodeRange { return s.ranges }
 
-// ActiveDomain implements DomainSource: the bitmap comes from the
-// spill's persisted domain file when the manifest names one
-// (format_version >= 2), and is otherwise rebuilt — legacy spill, or
-// a bitmap file that fails to read — from each of the predicate's
-// shard files once, counted in SpillCacheStats.DomainRebuilds and
-// bypassing the shard cache, since only the degree spans are needed
-// and the adjacency bytes are discarded immediately. Either way the
-// result is cached for the source's lifetime (bitmaps are n/8 bytes,
-// far below any shard budget). Rebuild failures — real shard
-// corruption — are sticky like shard-load failures.
+// ActiveDomain implements DomainSource: the bitmap is the spill's
+// persisted domain file, read once and cached for the source's
+// lifetime (bitmaps are n/8 bytes, far below any shard budget). A
+// bitmap that fails to load fails the evaluation: the error is sticky,
+// like a shard-load failure.
 func (s *SpillSource) ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, error) {
 	key := domainKey{pred: p, inv: inverse}
 	s.domMu.Lock()
@@ -243,43 +233,12 @@ func (s *SpillSource) ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, e
 	if dom, ok := s.domains[key]; ok {
 		return dom, nil
 	}
-	dom, ok, err := s.spill.LoadDomain(int(p), inverse)
-	if err != nil || !ok {
-		// A missing (legacy spill) or unreadable bitmap file degrades
-		// to the shard sweep, which reconstructs the same set from the
-		// adjacency itself — visible as DomainRebuilds. Only a failure
-		// of the sweep (real shard corruption) is fatal and sticky.
-		dom, err = s.rebuildDomain(p, inverse)
-		if err != nil {
-			s.fail(err)
-			return nil, err
-		}
+	dom, err := s.spill.LoadDomain(int(p), inverse)
+	if err != nil {
+		s.fail(err)
+		return nil, err
 	}
 	s.domains[key] = dom
-	return dom, nil
-}
-
-// rebuildDomain sweeps one (predicate, direction)'s shard files to
-// reconstruct the active-domain bitmap of a legacy spill.
-func (s *SpillSource) rebuildDomain(p graph.PredID, inverse bool) (*bitset.Set, error) {
-	if int(p) < 0 || int(p) >= len(s.spill.Manifest.Predicates) {
-		return nil, fmt.Errorf("eval: spill has no predicate %d", p)
-	}
-	shards := s.spill.Manifest.Predicates[p].Fwd
-	if inverse {
-		shards = s.spill.Manifest.Predicates[p].Bwd
-	}
-	dom := bitset.New(s.NumNodes())
-	for _, meta := range shards {
-		off, _, err := s.spill.LoadShard(meta)
-		if err != nil {
-			return nil, err
-		}
-		graphgen.DomainFromOffsets(dom, meta.Lo, off)
-		s.mu.Lock()
-		s.domainRebuilds++
-		s.mu.Unlock()
-	}
 	return dom, nil
 }
 
@@ -292,17 +251,13 @@ func (s *SpillSource) PredIndex(name string) graph.PredID {
 }
 
 // Neighbors implements Source. Lookup failures — a shard file that
-// fails to load, or a manifest structurally inconsistent with the
-// instance — cannot surface through the Source interface; they stick
-// and every evaluation verb checks Err afterwards (SourceErr), so a
-// broken spill is never mistaken for a sparse one.
+// fails to load, or one inconsistent with its manifest entry — cannot
+// surface through the Source interface; they stick and every
+// evaluation verb checks Err afterwards (SourceErr), so a broken spill
+// is never mistaken for a sparse one. OpenCSRSpill has validated the
+// manifest, so shard_nodes is positive.
 func (s *SpillSource) Neighbors(v graph.NodeID, p graph.PredID, inverse bool) []int32 {
-	shardNodes := s.spill.Manifest.ShardNodes
-	if shardNodes <= 0 {
-		s.fail(fmt.Errorf("eval: spill manifest has shard_nodes %d", shardNodes))
-		return nil
-	}
-	idx := int(v) / shardNodes
+	idx := int(v) / s.spill.Manifest.ShardNodes
 	sh, err := s.shard(shardKey{pred: p, inv: inverse, idx: idx})
 	if err != nil {
 		return nil
@@ -349,16 +304,11 @@ func (s *SpillSource) Err() error {
 	return s.loadErr
 }
 
-// CacheStats returns a snapshot of the shard cache's counters plus
-// this source's DomainRebuilds. When the cache is shared between
-// sources the shard counters are cache-wide; LocalCacheStats has this
-// source's own attribution.
+// CacheStats returns a snapshot of the shard cache's counters. When
+// the cache is shared between sources they are cache-wide;
+// LocalCacheStats has this source's own attribution.
 func (s *SpillSource) CacheStats() SpillCacheStats {
-	st := s.cache.Stats()
-	s.mu.Lock()
-	st.DomainRebuilds = s.domainRebuilds
-	s.mu.Unlock()
-	return st
+	return s.cache.Stats()
 }
 
 // LocalCacheStats attributes shard-cache traffic to this source alone:
@@ -367,15 +317,11 @@ func (s *SpillSource) CacheStats() SpillCacheStats {
 // evaluator's in-flight load. Eviction and residency are cache-wide
 // properties and stay zero here; read them from CacheStats.
 func (s *SpillSource) LocalCacheStats() SpillCacheStats {
-	st := SpillCacheStats{
+	return SpillCacheStats{
 		Hits:      s.localHits.Load(),
 		Loads:     s.localLoads.Load(),
 		DedupHits: s.localDedups.Load(),
 	}
-	s.mu.Lock()
-	st.DomainRebuilds = s.domainRebuilds
-	s.mu.Unlock()
-	return st
 }
 
 // AcquireReader implements MappedSource by delegating to the shard
@@ -399,26 +345,11 @@ func (s *SpillSource) shard(key shardKey) (*cachedShard, error) {
 		sharedShardKey{spill: s.spill, pred: key.pred, inv: key.inv, idx: key.idx},
 		func() (*cachedShard, error) {
 			if s.useMmap {
-				sh, handled, err := s.loadRawShard(meta)
-				if err != nil {
-					return nil, err
-				}
-				if handled {
-					if len(sh.off) != meta.Hi-meta.Lo+1 {
-						if sh.release != nil {
-							sh.release()
-						}
-						return nil, fmt.Errorf("eval: shard %s covers %d nodes, manifest says %d",
-							meta.File, len(sh.off)-1, meta.Hi-meta.Lo)
-					}
-					return sh, nil
+				if sh, handled, err := s.loadRawShard(meta); handled || err != nil {
+					return sh, err
 				}
 			}
 			off, adj, diskBytes, err := s.spill.LoadShardSized(meta)
-			if err == nil && len(off) != meta.Hi-meta.Lo+1 {
-				err = fmt.Errorf("eval: shard %s covers %d nodes, manifest says %d",
-					meta.File, len(off)-1, meta.Hi-meta.Lo)
-			}
 			if err != nil {
 				return nil, err
 			}

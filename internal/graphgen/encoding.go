@@ -329,8 +329,8 @@ const csrShardV3Header = len(csrMagicV3) + 13
 // encoded in place behind the header, whose codec and length fields are
 // patched once it is known. Under SpillCompressDeflate the frame is
 // applied per shard only when it actually shrinks the payload, and the
-// flag byte records the choice; SpillCompressNone callers must use the
-// v1 writer instead.
+// flag byte records the choice; the fixed-width settings
+// (SpillCompressNone, SpillCompressRaw) go through appendFixedShard.
 func appendCSRShardV3(dst []byte, off, adj []int32, comp SpillCompression) ([]byte, error) {
 	switch comp {
 	case SpillCompressVarint, SpillCompressDeflate:
@@ -359,32 +359,6 @@ func appendCSRShardV3(dst []byte, off, adj []int32, comp SpillCompression) ([]by
 	}
 	binary.LittleEndian.PutUint32(dst[body-4:], uint32(len(dst)-body))
 	return dst, nil
-}
-
-// appendCSRShardV1 appends one complete legacy ("GMKCSR1\n") shard
-// file image: magic, node and edge counts, the rebased offsets, then
-// the adjacency — all little-endian uint32s. off follows the same
-// convention as the other shard encoders: the global offset slice of
-// the shard's range, rebased here so the stored off[0] is 0.
-func appendCSRShardV1(dst []byte, off, adj []int32) []byte {
-	nLocal := len(off) - 1
-	base := off[0]
-	local := adj[base:off[nLocal]]
-	size := len(csrMagic) + 8 + 4*(nLocal+1) + 4*len(local)
-	dst = growBytes(dst, size)
-	out := dst[len(dst) : len(dst)+size]
-	copy(out, csrMagic)
-	binary.LittleEndian.PutUint32(out[len(csrMagic):], uint32(nLocal))
-	binary.LittleEndian.PutUint32(out[len(csrMagic)+4:], uint32(len(local)))
-	p := len(csrMagic) + 8
-	for i, v := range off {
-		binary.LittleEndian.PutUint32(out[p+4*i:], uint32(v-base))
-	}
-	p += 4 * (nLocal + 1)
-	for i, v := range local {
-		binary.LittleEndian.PutUint32(out[p+4*i:], uint32(v))
-	}
-	return dst[:len(dst)+size]
 }
 
 // EncodeCSRShard renders one complete shard file image — the exact
@@ -422,10 +396,8 @@ func appendCSRShard(dst []byte, off, adj []int32, comp SpillCompression) ([]byte
 		return nil, fmt.Errorf("graphgen: shard has no offset array")
 	}
 	switch comp {
-	case SpillCompressNone:
-		return appendCSRShardV1(dst, off, adj), nil
-	case SpillCompressRaw:
-		return appendCSRShardRaw(dst, off, adj), nil
+	case SpillCompressNone, SpillCompressRaw:
+		return appendFixedShard(dst, off, adj, comp == SpillCompressRaw), nil
 	default:
 		return appendCSRShardV3(dst, off, adj, comp)
 	}
@@ -473,61 +445,25 @@ func inflateBytes(b []byte, limit int64) ([]byte, error) {
 // reader accepts, and the unit of the inflate guard.
 const maxUvarintLen32 = 5
 
-// decodeCSRShard parses a whole shard file image of either generation
-// — "GMKCSR1\n" raw uint32s or "GMKCSR2\n" varint — returning the
-// rebased offsets (off[0] == 0) and the global sorted adjacency. It is
-// the single decode entry point LoadShard and the fuzz harness share.
+// decodeCSRShard parses a whole shard file image of any layout — the
+// fixed-width "GMKCSR1\n" and "GMKCSR3\n" or the varint "GMKCSR2\n" —
+// returning the rebased offsets (off[0] == 0) and the global sorted
+// adjacency. It is the single decode entry point LoadShardSized and the
+// fuzz harness share.
 func decodeCSRShard(data []byte) (off, adj []int32, err error) {
 	switch {
-	case len(data) >= len(csrMagic) && string(data[:len(csrMagic)]) == csrMagic:
-		return decodeCSRShardV1(data[len(csrMagic):])
-	case len(data) >= len(csrMagicV3) && string(data[:len(csrMagicV3)]) == csrMagicV3:
+	case hasMagic(data, csrMagic), hasMagic(data, csrMagicRaw):
+		return decodeFixedShard(data)
+	case hasMagic(data, csrMagicV3):
 		return decodeCSRShardV3(data[len(csrMagicV3):])
-	case len(data) >= len(csrMagicRaw) && string(data[:len(csrMagicRaw)]) == csrMagicRaw:
-		return decodeCSRShardRaw(data)
 	default:
 		return nil, nil, fmt.Errorf("not a CSR shard file")
 	}
 }
 
-// decodeCSRShardV1 parses the legacy raw-uint32 body.
-func decodeCSRShardV1(body []byte) (off, adj []int32, err error) {
-	if len(body) < 8 {
-		return nil, nil, fmt.Errorf("truncated shard header (%d bytes)", len(body))
-	}
-	nLocal := int(binary.LittleEndian.Uint32(body[0:4]))
-	edges := int(binary.LittleEndian.Uint32(body[4:8]))
-	body = body[8:]
-	want := 4 * (int64(nLocal) + 1 + int64(edges))
-	if int64(len(body)) != want {
-		return nil, nil, fmt.Errorf("truncated shard (%d bytes, want %d)", len(body), want)
-	}
-	off = make([]int32, nLocal+1)
-	for i := range off {
-		off[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
-	}
-	// The writer rebases offsets; anything else is corruption that
-	// would otherwise surface as silent wrong adjacency slices.
-	if off[0] != 0 {
-		return nil, nil, fmt.Errorf("shard offsets start at %d, not 0", off[0])
-	}
-	for i := 1; i <= nLocal; i++ {
-		if off[i] < off[i-1] {
-			return nil, nil, fmt.Errorf("shard offsets not monotone at node %d", i)
-		}
-	}
-	if int(off[nLocal]) != edges {
-		return nil, nil, fmt.Errorf("shard offsets end at %d, header declares %d edges", off[nLocal], edges)
-	}
-	body = body[4*(nLocal+1):]
-	adj = make([]int32, edges)
-	for i := range adj {
-		adj[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
-		if adj[i] < 0 {
-			return nil, nil, fmt.Errorf("adjacency entry %d out of node-id range", i)
-		}
-	}
-	return off, adj, nil
+// hasMagic reports whether data starts with magic.
+func hasMagic(data []byte, magic string) bool {
+	return len(data) >= len(magic) && string(data[:len(magic)]) == magic
 }
 
 // decodeCSRShardV3 parses the varint body: codec byte, counts, payload
@@ -580,12 +516,19 @@ func decodeCSRShardV3(body []byte) (off, adj []int32, err error) {
 	return off, adj, nil
 }
 
-// The mappable raw shard layout ("GMKCSR3\n"): a page-padded header
-// followed by the fixed-width v1 arrays, placed so the file can be
-// interpreted — or memory-mapped — in place. All alignment guarantees
-// below hold relative to the file start, which mmap places on a page
-// boundary. docs/FORMATS.md has the external specification.
+// The two fixed-width shard layouts store the same arrays — the
+// rebased offsets, then the adjacency, little-endian uint32s — behind
+// different headers. "GMKCSR1\n" (SpillCompressNone) puts them right
+// after its 16-byte header. The mappable "GMKCSR3\n" (SpillCompressRaw)
+// puts them behind a page-padded header whose length it records, with
+// the adjacency 8-byte aligned, so the file can be interpreted — or
+// memory-mapped — in place. All alignment guarantees hold relative to
+// the file start, which mmap places on a page boundary.
+// docs/FORMATS.md has the external specification.
 const (
+	// fixedShardHeaderV1 is the byte offset of a "GMKCSR1\n" shard's
+	// offset array: the magic and the two counts.
+	fixedShardHeaderV1 = len(csrMagic) + 8
 	// rawShardHeaderLen is the byte offset of the offset array: one
 	// page, so the arrays start page-aligned in a mapping and header
 	// growth never moves them within a format_version.
@@ -596,11 +539,11 @@ const (
 	rawShardHeaderMin = 24
 )
 
-// RawShardLayout locates the fixed-width arrays inside a raw
-// ("GMKCSR3\n") shard image: the offset array is NLocal+1 uint32s at
-// OffStart, the adjacency array Edges uint32s at AdjStart. Both starts
-// are multiples of 8 from the image head, so a page-aligned mapping
-// can reinterpret them as []int32 in place.
+// RawShardLayout locates the fixed-width arrays inside a shard image:
+// the offset array is NLocal+1 uint32s at OffStart, the adjacency
+// array Edges uint32s at AdjStart. In a raw ("GMKCSR3\n") image both
+// starts are multiples of 8 from the image head, so a page-aligned
+// mapping can reinterpret them as []int32 in place.
 type RawShardLayout struct {
 	NLocal   int // nodes covered by the shard
 	Edges    int // adjacency entries
@@ -616,22 +559,35 @@ type RawShardLayout struct {
 // that is the point of the mappable layout; CheckShardOffsets
 // validates the offset array once it is viewed.
 func ParseRawShardImage(data []byte) (lay RawShardLayout, ok bool, err error) {
-	if len(data) < len(csrMagicRaw) || string(data[:len(csrMagicRaw)]) != csrMagicRaw {
+	if !hasMagic(data, csrMagicRaw) {
 		return RawShardLayout{}, false, nil
 	}
-	if len(data) < rawShardHeaderMin {
-		return RawShardLayout{}, true, fmt.Errorf("truncated raw shard header (%d bytes)", len(data))
+	lay, err = parseFixedShard(data)
+	return lay, true, err
+}
+
+// parseFixedShard is the one layout parse of both fixed-width shard
+// layouts: it validates the header and the exact file size of an image
+// carrying either magic and returns where its arrays live.
+func parseFixedShard(data []byte) (RawShardLayout, error) {
+	if len(data) < fixedShardHeaderV1 {
+		return RawShardLayout{}, fmt.Errorf("truncated shard header (%d bytes)", len(data))
 	}
 	nLocal := int64(binary.LittleEndian.Uint32(data[8:12]))
 	edges := int64(binary.LittleEndian.Uint32(data[12:16]))
-	headerLen := int64(binary.LittleEndian.Uint32(data[16:20]))
-	if headerLen < rawShardHeaderMin || headerLen%8 != 0 || headerLen > int64(len(data)) {
-		return RawShardLayout{}, true, fmt.Errorf("raw shard header length %d invalid", headerLen)
+	headerLen, align := int64(fixedShardHeaderV1), int64(4)
+	if hasMagic(data, csrMagicRaw) {
+		if len(data) < rawShardHeaderMin {
+			return RawShardLayout{}, fmt.Errorf("truncated raw shard header (%d bytes)", len(data))
+		}
+		headerLen, align = int64(binary.LittleEndian.Uint32(data[16:20])), 8
+		if headerLen < rawShardHeaderMin || headerLen%8 != 0 || headerLen > int64(len(data)) {
+			return RawShardLayout{}, fmt.Errorf("raw shard header length %d invalid", headerLen)
+		}
 	}
-	offBytes := 4 * (nLocal + 1)
-	adjStart := (headerLen + offBytes + 7) &^ 7
+	adjStart := (headerLen + 4*(nLocal+1) + align - 1) &^ (align - 1)
 	if want := adjStart + 4*edges; int64(len(data)) != want {
-		return RawShardLayout{}, true, fmt.Errorf("raw shard is %d bytes, layout wants %d (%d nodes, %d edges)",
+		return RawShardLayout{}, fmt.Errorf("shard is %d bytes, layout wants %d (%d nodes, %d edges)",
 			len(data), want, nLocal, edges)
 	}
 	return RawShardLayout{
@@ -639,7 +595,7 @@ func ParseRawShardImage(data []byte) (lay RawShardLayout, ok bool, err error) {
 		Edges:    int(edges),
 		OffStart: int(headerLen),
 		AdjStart: int(adjStart),
-	}, true, nil
+	}, nil
 }
 
 // CheckShardOffsets validates a shard's rebased offset array against
@@ -665,30 +621,36 @@ func CheckShardOffsets(off []int32, edges int) error {
 	return nil
 }
 
-// appendCSRShardRaw appends one complete raw (mappable) shard image:
-// the page-padded header, the rebased offset array, zero padding to
-// the next 8-byte boundary, then the adjacency array. off is the
-// global offset slice of the shard's range (not necessarily rebased);
-// adj is the full adjacency the offsets index into.
-func appendCSRShardRaw(dst []byte, off, adj []int32) []byte {
+// appendFixedShard appends one complete fixed-width shard image — the
+// mappable "GMKCSR3\n" layout when raw is set, "GMKCSR1\n" otherwise:
+// the header, the rebased offset array, zero padding up to the
+// adjacency's alignment, then the adjacency array. off is the global
+// offset slice of the shard's range (not necessarily rebased); adj is
+// the full adjacency the offsets index into.
+func appendFixedShard(dst []byte, off, adj []int32, raw bool) []byte {
 	nLocal := len(off) - 1
 	base := off[0]
 	local := adj[base:off[nLocal]]
-	offBytes := 4 * (nLocal + 1)
-	adjStart := (rawShardHeaderLen + offBytes + 7) &^ 7
+	magic, headerLen, adjStart := csrMagic, fixedShardHeaderV1, fixedShardHeaderV1+4*(nLocal+1)
+	if raw {
+		magic, headerLen = csrMagicRaw, rawShardHeaderLen
+		adjStart = (rawShardHeaderLen + 4*(nLocal+1) + 7) &^ 7
+	}
 	size := adjStart + 4*len(local)
 	dst = growBytes(dst, size)
 	out := dst[len(dst) : len(dst)+size]
 	// A reused buffer holds the previous shard: the header's padding and
 	// the gap before the adjacency must be written as zeros.
-	clear(out[:rawShardHeaderLen])
-	clear(out[rawShardHeaderLen+offBytes : adjStart])
-	copy(out, csrMagicRaw)
+	clear(out[:headerLen])
+	clear(out[headerLen+4*(nLocal+1) : adjStart])
+	copy(out, magic)
 	binary.LittleEndian.PutUint32(out[8:12], uint32(nLocal))
 	binary.LittleEndian.PutUint32(out[12:16], uint32(len(local)))
-	binary.LittleEndian.PutUint32(out[16:20], rawShardHeaderLen)
+	if raw {
+		binary.LittleEndian.PutUint32(out[16:20], rawShardHeaderLen)
+	}
 	for i, v := range off {
-		binary.LittleEndian.PutUint32(out[rawShardHeaderLen+4*i:], uint32(v-base))
+		binary.LittleEndian.PutUint32(out[headerLen+4*i:], uint32(v-base))
 	}
 	for i, v := range local {
 		binary.LittleEndian.PutUint32(out[adjStart+4*i:], uint32(v))
@@ -696,11 +658,11 @@ func appendCSRShardRaw(dst []byte, off, adj []int32) []byte {
 	return dst[:len(dst)+size]
 }
 
-// decodeCSRShardRaw is the copying reader of the raw layout — the path
-// non-mmap loaders and the fuzz harness take. Unlike the in-place
-// reader it can afford to range-check every adjacency entry.
-func decodeCSRShardRaw(data []byte) (off, adj []int32, err error) {
-	lay, _, err := ParseRawShardImage(data)
+// decodeFixedShard is the copying reader of both fixed-width layouts —
+// the path non-mmap loaders and the fuzz harness take. Unlike the
+// in-place reader it can afford to range-check every adjacency entry.
+func decodeFixedShard(data []byte) (off, adj []int32, err error) {
+	lay, err := parseFixedShard(data)
 	if err != nil {
 		return nil, nil, err
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/binary"
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -476,7 +477,7 @@ func FuzzCSRShardDecode(f *testing.F) {
 	}
 	f.Add(v1.Bytes())
 	f.Add([]byte(csrMagicV3))
-	f.Add(appendCSRShardRaw(nil, off, adj))
+	f.Add(appendFixedShard(nil, off, adj, true))
 	f.Add([]byte(csrMagicRaw))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off, adj, err := decodeCSRShard(data)
@@ -618,4 +619,82 @@ func TestPooledDeflateMatchesFreshWriter(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// writePartition emits bib@200 at seed 1 as a partition directory,
+// text or binary, and returns the directory and its index.
+func writePartition(t *testing.T, binaryMode bool) (string, *PartitionIndex) {
+	t.Helper()
+	cfg := mustUsecase(t, "bib", 200)
+	dir := filepath.Join(t.TempDir(), "parts")
+	newSink := NewPartitionedSink
+	if binaryMode {
+		newSink = NewBinaryPartitionedSink
+	}
+	sink, err := newSink(dir, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Emit(cfg, Options{Seed: 1}, sink); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := ReadPartitionIndex(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir, idx
+}
+
+// TestHostilePartitionCountsRejected is the regression test for
+// partition indexes whose edge counts no writer records: a negative
+// count panicked a loader goroutine (makeslice: cap out of range), and
+// a huge one preallocated by the count. Both must be errors, for text
+// and binary files alike; a negative count is refused by name, a huge
+// one when the file runs out of edges.
+func TestHostilePartitionCountsRejected(t *testing.T) {
+	for _, binaryMode := range []bool{false, true} {
+		for name, edit := range map[string]func(idx *PartitionIndex){
+			"predicate edges -1":    func(idx *PartitionIndex) { idx.Predicates[0].Edges = -1 },
+			"index edges -1":        func(idx *PartitionIndex) { idx.Edges = -1 },
+			"predicate edges 1<<40": func(idx *PartitionIndex) { idx.Predicates[0].Edges = 1 << 40 },
+		} {
+			t.Run(fmt.Sprintf("binary=%v/%s", binaryMode, name), func(t *testing.T) {
+				dir, idx := writePartition(t, binaryMode)
+				edit(idx)
+				if err := writeJSONFile(filepath.Join(dir, partitionIndexFile), idx); err != nil {
+					t.Fatal(err)
+				}
+				if g, err := LoadPartitioned(dir); err == nil {
+					t.Fatalf("loaded %d edges from a hostile index", g.NumEdges())
+				} else if strings.Contains(name, "-1") && !strings.Contains(err.Error(), "edges -1 is negative") {
+					t.Fatalf("error %q does not name the negative count", err)
+				}
+			})
+		}
+	}
+}
+
+// TestTruncatedTextPartitionRejected is the regression test for text
+// edge files that were never checked against the index's count: cut
+// in half, a file loaded part of its edges with a nil error.
+func TestTruncatedTextPartitionRejected(t *testing.T) {
+	dir, idx := writePartition(t, false)
+	victim := filepath.Join(dir, idx.Predicates[0].File)
+	orig, err := os.ReadFile(victim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, data := range map[string][]byte{
+		"cut in half":    orig[:bytes.LastIndexByte(orig[:len(orig)/2], '\n')+1],
+		"one extra line": append(slices.Clone(orig), "0 0\n"...),
+	} {
+		if err := os.WriteFile(victim, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := LoadPartitioned(dir); err == nil {
+			t.Errorf("%s: loaded %d of %d edges with a nil error", name, g.NumEdges(), idx.Edges)
+		} else if !strings.Contains(err.Error(), "the index says") {
+			t.Errorf("%s: unhelpful error %v", name, err)
+		}
+	}
 }

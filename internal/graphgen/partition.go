@@ -375,7 +375,7 @@ func writeJSONFile(path string, v any) error {
 
 // ReadPartitionIndex reads a partition directory's JSON index,
 // rejecting indexes newer than this reader rather than guessing at
-// their layout.
+// their layout, and negative edge counts, which no writer records.
 func ReadPartitionIndex(dir string) (*PartitionIndex, error) {
 	data, err := os.ReadFile(filepath.Join(dir, partitionIndexFile))
 	if err != nil {
@@ -388,6 +388,14 @@ func ReadPartitionIndex(dir string) (*PartitionIndex, error) {
 	if idx.FormatVersion > partitionFormatVersion {
 		return nil, fmt.Errorf("graphgen: partition index format_version %d is newer than this reader (max %d)",
 			idx.FormatVersion, partitionFormatVersion)
+	}
+	if idx.Edges < 0 {
+		return nil, fmt.Errorf("graphgen: partition index edges %d is negative", idx.Edges)
+	}
+	for _, p := range idx.Predicates {
+		if p.Edges < 0 {
+			return nil, fmt.Errorf("graphgen: partition index: predicate %q edges %d is negative", p.Name, p.Edges)
+		}
 	}
 	return &idx, nil
 }
@@ -451,15 +459,25 @@ func LoadPartitioned(dir string) (*graph.Graph, error) {
 	return g, nil
 }
 
-// readEdgePairs parses one "src dst"-per-line partition file.
+// readEdgePairs parses one "src dst"-per-line partition file holding
+// exactly expect edges, the index's count: a file that runs short or
+// long is rejected rather than silently loaded in part, as the binary
+// reader does.
 func readEdgePairs(path string, expect, numNodes int) (srcs, dsts []int32, err error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, nil, err
 	}
 	defer f.Close()
-	srcs = make([]int32, 0, expect)
-	dsts = make([]int32, 0, expect)
+	info, err := f.Stat()
+	if err != nil {
+		return nil, nil, err
+	}
+	// A line takes at least 4 bytes ("0 0\n"), so the file's size caps
+	// what a hostile count can make the reader preallocate.
+	capacity := min(int64(expect), info.Size()/4)
+	srcs = make([]int32, 0, capacity)
+	dsts = make([]int32, 0, capacity)
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<16), 1<<16)
 	line := 0
@@ -487,7 +505,13 @@ func readEdgePairs(path string, expect, numNodes int) (srcs, dsts []int32, err e
 		srcs = append(srcs, int32(s))
 		dsts = append(dsts, int32(d))
 	}
-	return srcs, dsts, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, nil, err
+	}
+	if len(srcs) != expect {
+		return nil, nil, fmt.Errorf("holds %d edges, the index says %d", len(srcs), expect)
+	}
+	return srcs, dsts, nil
 }
 
 // readEdgePairsBinary parses one binary delta-varint partition file:
@@ -504,8 +528,11 @@ func readEdgePairsBinary(path string, expect, numNodes int) (srcs, dsts []int32,
 		return nil, nil, fmt.Errorf("bad magic (want %q)", partitionEdgeMagic)
 	}
 	r := &byteReader{buf: data[len(partitionEdgeMagic):]}
-	srcs = make([]int32, 0, expect)
-	dsts = make([]int32, 0, expect)
+	// A pair takes at least two bytes, so the file's size caps what a
+	// hostile count can make the reader preallocate.
+	capacity := min(expect, r.rest()/2)
+	srcs = make([]int32, 0, capacity)
+	dsts = make([]int32, 0, capacity)
 	var ps, pd int64
 	for i := 0; i < expect; i++ {
 		ds, err := r.svarint()

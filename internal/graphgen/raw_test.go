@@ -17,7 +17,7 @@ func TestRawShardRoundTrip(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		nLocal := rng.Intn(40)
 		off, adj := randomCSR(rng, nLocal, 12, 1<<20)
-		img := appendCSRShardRaw(nil, off, adj)
+		img := appendFixedShard(nil, off, adj, true)
 
 		lay, isRaw, err := ParseRawShardImage(img)
 		if err != nil || !isRaw {
@@ -55,7 +55,7 @@ func TestRawShardRoundTrip(t *testing.T) {
 func TestRawShardRebasing(t *testing.T) {
 	off := []int32{100, 102, 102, 105}
 	adj := []int32{7, 9, 1, 4, 8}
-	img := appendCSRShardRaw(nil, off, append(make([]int32, 100), adj...))
+	img := appendFixedShard(nil, off, append(make([]int32, 100), adj...), true)
 	gotOff, gotAdj, err := decodeCSRShard(img)
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +71,7 @@ func TestRawShardRebasing(t *testing.T) {
 func TestRawShardRejectsCorrupt(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	off, adj := randomCSR(rng, 20, 6, 1000)
-	img := appendCSRShardRaw(nil, off, adj)
+	img := appendFixedShard(nil, off, adj, true)
 
 	cases := map[string][]byte{
 		"truncated header":    img[:12],
@@ -133,7 +133,7 @@ func TestRawSpillEndToEnd(t *testing.T) {
 	for p, entry := range spill.Manifest.Predicates {
 		for _, shards := range [][]CSRShard{entry.Fwd, entry.Bwd} {
 			for _, sh := range shards {
-				off, adj, err := spill.LoadShard(sh)
+				off, adj, _, err := spill.LoadShardSized(sh)
 				if err != nil {
 					t.Fatalf("pred %d %s: %v", p, sh.File, err)
 				}

@@ -379,7 +379,7 @@ func TestCSRSpillRoundTrip(t *testing.T) {
 	for p, entry := range spill.Manifest.Predicates {
 		for dirIdx, shards := range [][]CSRShard{entry.Fwd, entry.Bwd} {
 			for _, sh := range shards {
-				off, adj, err := spill.LoadShard(sh)
+				off, adj, _, err := spill.LoadShardSized(sh)
 				if err != nil {
 					t.Fatalf("pred %d dir %d: %v", p, dirIdx, err)
 				}
@@ -397,12 +397,6 @@ func TestCSRSpillRoundTrip(t *testing.T) {
 				}
 			}
 		}
-	}
-
-	// ShardFor must address the right file for interior nodes.
-	sh, err := spill.ShardFor(spill.Manifest.Predicates[0].Fwd, 250)
-	if err != nil || sh.Lo > 250 || sh.Hi <= 250 {
-		t.Fatalf("ShardFor(250) = %+v, %v", sh, err)
 	}
 }
 

@@ -4,9 +4,11 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 
 	"gmark/internal/bitset"
@@ -28,15 +30,17 @@ import (
 // Out(v)/In(v) by touching only the one shard file whose node range
 // contains v.
 //
-// Since format_version 2 the manifest also names one active-domain
-// bitmap file per (predicate, direction) —
+// The manifest also names one active-domain bitmap file per
+// (predicate, direction) —
 //
 //	magic  "GMKDOM1\n"                    (8 bytes)
-//	words  uint32                         number of 64-bit words
+//	words  uint32                         ceil(nodes/64) 64-bit words
 //	bits   words x uint64                 bit v set iff node v has an edge
 //
 // — so schema-level pruning (which nodes carry a predicate at all) is
-// answered without touching any shard file.
+// answered without touching any shard file. Shards, bitmaps and
+// manifest together are format_version 2, the oldest generation
+// readers accept.
 //
 // Since format_version 3 shard files may instead carry the compressed
 // layout ("GMKCSR2\n" magic): a codec flag byte, the same counts, and
@@ -46,9 +50,11 @@ import (
 // ("GMKCSR3\n", -spill-compress=raw) keeps the fixed-width arrays
 // behind a page-padded header, 8-byte aligned, so a reader can serve
 // adjacency straight out of a memory-mapped shard file with no decode
-// at all. Readers dispatch on the shard magic, so v1/v2 spills keep
-// decoding unchanged. docs/FORMATS.md specifies every layout for
-// external readers.
+// at all. Readers accept format_version 2 and 3 and dispatch on each
+// shard's magic. OpenCSRSpill validates the whole manifest against the
+// grid the writers emit, so a spill that opens is one a writer could
+// have produced. docs/FORMATS.md specifies every layout for external
+// readers.
 const (
 	csrMagic        = "GMKCSR1\n"
 	csrMagicV3      = "GMKCSR2\n"
@@ -57,13 +63,14 @@ const (
 	csrManifestFile = "csr-index.json"
 
 	// csrFormatVersion is the newest manifest version this package
-	// reads and writes. Version 1 (or the field absent) is the
-	// original layout without active-domain bitmaps; version 2 adds
-	// them; version 3 adds compressed ("GMKCSR2\n") shard files.
-	// Writers record 2 when configured for the raw legacy layout and 3
-	// otherwise; readers accept every version up to this one and
-	// reject newer manifests.
-	csrFormatVersion = 3
+	// reads and writes, csrMinFormatVersion the oldest. Version 2 is
+	// raw ("GMKCSR1\n") shards with active-domain bitmaps; version 3
+	// adds the varint ("GMKCSR2\n") and mappable ("GMKCSR3\n") shard
+	// files. Writers record 2 when configured for the raw legacy layout
+	// and 3 otherwise; readers accept exactly these two. Version 1 (or
+	// the field absent) predates the bitmaps and is rejected.
+	csrFormatVersion    = 3
+	csrMinFormatVersion = 2
 
 	// defaultCSRShardNodes is the node-range width of one spill shard
 	// when the sink is created with shardNodes = 0.
@@ -97,7 +104,7 @@ type CSRManifest struct {
 // is 3.
 func manifestVersionFor(comp SpillCompression) int {
 	if comp == SpillCompressNone {
-		return 2
+		return csrMinFormatVersion
 	}
 	return csrFormatVersion
 }
@@ -112,10 +119,10 @@ func manifestEncodingFor(comp SpillCompression) string {
 }
 
 // CSRSpillPredicate lists one predicate's shard files per direction,
-// plus (format_version >= 2) its active-domain bitmap files: FwdDomain
-// marks nodes with at least one outgoing edge of the predicate,
-// BwdDomain nodes with at least one incoming edge. Empty fields mean a
-// legacy spill; readers must fall back to scanning the shards.
+// plus its active-domain bitmap files: FwdDomain marks nodes with at
+// least one outgoing edge of the predicate, BwdDomain nodes with at
+// least one incoming edge. OpenCSRSpill refuses a manifest that leaves
+// either empty.
 type CSRSpillPredicate struct {
 	Name      string     `json:"name"`
 	Fwd       []CSRShard `json:"fwd"`
@@ -334,7 +341,7 @@ func (l *spillLayout) writeUnit(u int, img []byte, sh *CSRShard, g *domainGroup,
 	if g.dom == nil {
 		g.dom = bitset.New(l.numNodes)
 	}
-	DomainFromOffsets(g.dom, lo, off)
+	domainFromOffsets(g.dom, lo, off)
 	g.left--
 	last := g.left == 0
 	g.mu.Unlock()
@@ -672,13 +679,11 @@ func (s *CSRSpillSink) buildUnit(u int) (off, adj []int32, err error) {
 	return off, adj, nil
 }
 
-// DomainFromOffsets marks, in dom, every node of the range starting at
+// domainFromOffsets marks, in dom, every node of the range starting at
 // lo whose offset span is non-empty (the node has at least one edge in
-// the direction off describes). It is the single definition of the
-// active-domain predicate, shared by the spill writers here and by the
-// evaluator's legacy-spill rebuild, so the bitmap semantics cannot
-// drift between writer and reader.
-func DomainFromOffsets(dom *bitset.Set, lo int, off []int32) {
+// the direction off describes): the active-domain predicate the
+// bitmap files record.
+func domainFromOffsets(dom *bitset.Set, lo int, off []int32) {
 	for i := 0; i+1 < len(off); i++ {
 		if off[i+1] > off[i] {
 			dom.Add(int32(lo + i))
@@ -706,18 +711,23 @@ func writeDomainFile(dir, tag string, p int, dom *bitset.Set) error {
 }
 
 // readDomainFile loads an active-domain bitmap file back as a set of
-// capacity nodes.
+// capacity nodes. The file must hold exactly the ceil(nodes/64) words
+// the writers emit: a shorter bitmap would read as a smaller domain and
+// silently drop nodes from every count it prunes.
 func readDomainFile(path string, nodes int) (*bitset.Set, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if len(data) < len(domMagic)+4 || string(data[:len(domMagic)]) != domMagic {
+	if !hasMagic(data, domMagic) || len(data) < len(domMagic)+4 {
 		return nil, fmt.Errorf("graphgen: %s: not an active-domain bitmap file", path)
 	}
 	body := data[len(domMagic):]
 	words := int(binary.LittleEndian.Uint32(body[0:4]))
 	body = body[4:]
+	if want := (nodes + 63) / 64; words != want {
+		return nil, fmt.Errorf("graphgen: %s: bitmap holds %d words, %d nodes need %d", path, words, nodes, want)
+	}
 	if len(body) != 8*words {
 		return nil, fmt.Errorf("graphgen: %s: truncated bitmap (%d bytes, want %d)", path, len(body), 8*words)
 	}
@@ -787,12 +797,14 @@ type CSRSpill struct {
 	Manifest CSRManifest
 }
 
-// OpenCSRSpill reads the manifest of a CSR spill directory. Legacy
-// manifests (format_version absent or 1, written before active-domain
-// bitmaps existed) open normally — readers needing a domain see the
-// absence through LoadDomain and rebuild it from the shards. Manifests
-// newer than this package's writer are rejected rather than
-// misinterpreted.
+// OpenCSRSpill reads and validates the manifest of a CSR spill
+// directory. It is the one place that knows what a valid spill looks
+// like: a manifest opens only if some writer of this package could
+// have produced it (see checkCSRManifest), so every later lookup can
+// trust the manifest's counts and ranges. format_version 1 (or absent)
+// predates active-domain bitmaps and is rejected with a request to
+// spill the instance again; manifests newer than this package's writer
+// are rejected rather than misinterpreted.
 func OpenCSRSpill(dir string) (*CSRSpill, error) {
 	data, err := os.ReadFile(filepath.Join(dir, csrManifestFile))
 	if err != nil {
@@ -802,56 +814,115 @@ func OpenCSRSpill(dir string) (*CSRSpill, error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("graphgen: csr manifest: %w", err)
 	}
-	if m.FormatVersion > csrFormatVersion {
-		return nil, fmt.Errorf("graphgen: csr manifest format_version %d is newer than this reader (max %d)",
-			m.FormatVersion, csrFormatVersion)
+	if err := checkCSRManifest(&m); err != nil {
+		return nil, fmt.Errorf("graphgen: csr manifest: %w", err)
 	}
 	return &CSRSpill{dir: dir, Manifest: m}, nil
 }
 
+// checkCSRManifest checks, in one pass, everything a reader relies on:
+// a version some writer records, node and edge counts in range, type
+// counts summing to the node count, and per (predicate, direction)
+// exactly the shard grid newSpillLayout gives the writers, with edge
+// totals matching the manifest's and every file a plain name inside
+// the spill directory. Each error names the offending field.
+func checkCSRManifest(m *CSRManifest) error {
+	switch {
+	case m.FormatVersion > csrFormatVersion:
+		return fmt.Errorf("format_version %d is newer than this reader (max %d)", m.FormatVersion, csrFormatVersion)
+	case m.FormatVersion < csrMinFormatVersion:
+		return fmt.Errorf("format_version %d predates active-domain bitmaps (readers accept %d to %d); spill the instance again",
+			m.FormatVersion, csrMinFormatVersion, csrFormatVersion)
+	case m.Nodes < 0 || m.Nodes > math.MaxInt32:
+		return fmt.Errorf("nodes %d outside [0, %d]", m.Nodes, math.MaxInt32)
+	case m.ShardNodes <= 0:
+		return fmt.Errorf("shard_nodes %d is not positive", m.ShardNodes)
+	case m.Edges < 0:
+		return fmt.Errorf("edges %d is negative", m.Edges)
+	}
+	typed := 0
+	for _, t := range m.Types {
+		if t.Count < 0 || t.Count > m.Nodes-typed {
+			return fmt.Errorf("types: %q count %d does not fit the %d nodes", t.Name, t.Count, m.Nodes)
+		}
+		typed += t.Count
+	}
+	if typed != m.Nodes {
+		return fmt.Errorf("types: counts sum to %d, nodes is %d", typed, m.Nodes)
+	}
+	l := newSpillLayout("", 0, m.Nodes, m.ShardNodes, make([]string, len(m.Predicates)))
+	var sums [2]int // edges listed per direction, across predicates
+	for p := range m.Predicates {
+		pr := &m.Predicates[p]
+		for d, shards := range [2][]CSRShard{pr.Fwd, pr.Bwd} {
+			field := [2]string{"fwd", "bwd"}[d]
+			if len(shards) != l.nRanges {
+				return fmt.Errorf("predicate %q: %s lists %d shards, the grid has %d", pr.Name, field, len(shards), l.nRanges)
+			}
+			for r, sh := range shards {
+				_, _, _, lo, hi := l.unit((2*p+d)*l.nRanges + r)
+				switch {
+				case sh.Lo != lo || sh.Hi != hi:
+					return fmt.Errorf("predicate %q: %s shard %d has lo %d, hi %d; the grid has [%d, %d)",
+						pr.Name, field, r, sh.Lo, sh.Hi, lo, hi)
+				case sh.Edges < 0 || sh.Edges > m.Edges-sums[d]:
+					return fmt.Errorf("predicate %q: %s shard %d edges %d exceed the manifest's %d",
+						pr.Name, field, r, sh.Edges, m.Edges)
+				case !plainFileName(sh.File):
+					return fmt.Errorf("predicate %q: %s shard %d file %q is not a plain name", pr.Name, field, r, sh.File)
+				}
+				sums[d] += sh.Edges
+			}
+		}
+		for _, name := range []string{pr.FwdDomain, pr.BwdDomain} {
+			if !plainFileName(name) {
+				return fmt.Errorf("predicate %q: domain file %q is missing or not a plain name", pr.Name, name)
+			}
+		}
+	}
+	if sums[0] != m.Edges || sums[1] != m.Edges {
+		return fmt.Errorf("edges %d, but the fwd shards list %d and the bwd shards %d", m.Edges, sums[0], sums[1])
+	}
+	return nil
+}
+
+// plainFileName reports whether name names a file directly inside the
+// spill directory: non-empty, no separator, not "." or "..".
+func plainFileName(name string) bool {
+	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
+}
+
 // LoadDomain reads one (predicate, direction) active-domain bitmap:
 // the set of nodes with at least one outgoing (inverse false) or
-// incoming (inverse true) edge of the predicate. ok is false when the
-// spill predates the bitmaps (legacy format_version) — the caller must
-// then derive the domain from the shards itself.
-func (c *CSRSpill) LoadDomain(pred int, inverse bool) (dom *bitset.Set, ok bool, err error) {
+// incoming (inverse true) edge of the predicate.
+func (c *CSRSpill) LoadDomain(pred int, inverse bool) (*bitset.Set, error) {
 	if pred < 0 || pred >= len(c.Manifest.Predicates) {
-		return nil, false, fmt.Errorf("graphgen: spill has no predicate %d", pred)
+		return nil, fmt.Errorf("graphgen: spill has no predicate %d", pred)
 	}
 	name := c.Manifest.Predicates[pred].FwdDomain
 	if inverse {
 		name = c.Manifest.Predicates[pred].BwdDomain
 	}
-	if name == "" {
-		return nil, false, nil
-	}
-	dom, err = readDomainFile(filepath.Join(c.dir, name), c.Manifest.Nodes)
-	if err != nil {
-		return nil, false, err
-	}
-	return dom, true, nil
+	return readDomainFile(filepath.Join(c.dir, name), c.Manifest.Nodes)
 }
 
-// LoadShard reads one shard file back: off is shard-local (off[0] ==
+// LoadShardSized reads one shard file back, with its on-disk byte
+// size, so callers can account compressed disk traffic separately from
+// the decoded bytes they hold resident. off is shard-local (off[0] ==
 // 0, one entry per covered node plus one), adj holds global neighbor
-// ids sorted ascending per node. Both shard generations decode
-// transparently — the raw "GMKCSR1\n" layout and the varint
-// "GMKCSR2\n" layout (with or without a compression frame) return the
-// same slices.
-func (c *CSRSpill) LoadShard(sh CSRShard) (off, adj []int32, err error) {
-	off, adj, _, err = c.LoadShardSized(sh)
-	return off, adj, err
-}
-
-// LoadShardSized is LoadShard plus the shard's on-disk byte size, so
-// callers can account compressed disk traffic separately from the
-// decoded bytes they hold resident.
+// ids sorted ascending per node; every shard layout decodes to the
+// same slices. A shard whose node or edge count disagrees with its
+// manifest entry is corrupt and returns an error.
 func (c *CSRSpill) LoadShardSized(sh CSRShard) (off, adj []int32, diskBytes int64, err error) {
 	data, err := os.ReadFile(filepath.Join(c.dir, sh.File))
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	off, adj, err = decodeCSRShard(data)
+	if err == nil && (len(off) != sh.Hi-sh.Lo+1 || len(adj) != sh.Edges) {
+		err = fmt.Errorf("holds %d nodes and %d edges, the manifest says %d and %d",
+			len(off)-1, len(adj), sh.Hi-sh.Lo, sh.Edges)
+	}
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("graphgen: %s: %w", sh.File, err)
 	}
@@ -864,16 +935,4 @@ func (c *CSRSpill) LoadShardSized(sh CSRShard) (off, adj []int32, diskBytes int6
 // LoadShardSized's read-and-decode.
 func (c *CSRSpill) ShardPath(sh CSRShard) string {
 	return filepath.Join(c.dir, sh.File)
-}
-
-// ShardFor returns the shard of a direction's shard list covering
-// node v, or an error when v is out of range.
-func (c *CSRSpill) ShardFor(shards []CSRShard, v graph.NodeID) (CSRShard, error) {
-	if c.Manifest.ShardNodes > 0 {
-		i := int(v) / c.Manifest.ShardNodes
-		if i >= 0 && i < len(shards) && int(v) >= shards[i].Lo && int(v) < shards[i].Hi {
-			return shards[i], nil
-		}
-	}
-	return CSRShard{}, fmt.Errorf("graphgen: node %d outside spill range", v)
 }

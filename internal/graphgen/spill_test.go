@@ -150,7 +150,7 @@ func decodedSpillEdges(t *testing.T, dir string) (manifest, decoded int) {
 	}
 	for _, p := range sp.Manifest.Predicates {
 		for _, sh := range p.Fwd {
-			_, adj, err := sp.LoadShard(sh)
+			_, adj, _, err := sp.LoadShardSized(sh)
 			if err != nil {
 				t.Fatal(err)
 			}
