@@ -4,11 +4,11 @@
 //	go run ./cmd/gmark-lint ./...
 //
 // It loads every buildable package once, runs the analyzer registry
-// (determinism, formats, concurrency, sinkflush, exporteddoc, ladder), and
-// prints one "file:line: analyzer: message" per unsuppressed finding,
-// exiting 1 if there are any. Suppress a finding only with
-// //lint:ignore <analyzer> <reason> on the flagged line or the line
-// above; the reason is mandatory. The internal/lint tier-1 test runs
+// (determinism, formats, concurrency, sinkflush, exporteddoc, ladder,
+// unused), and prints one "file:line: analyzer: message" per
+// unsuppressed finding, exiting 1 if there are any. Suppress a
+// finding only with //lint:ignore <analyzer> <reason> on the flagged
+// line or the line above; the reason is mandatory. The internal/lint tier-1 test runs
 // the exact same registry, so CI and local runs agree by construction.
 package main
 

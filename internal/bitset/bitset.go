@@ -4,28 +4,21 @@ package bitset
 
 import "math/bits"
 
-// Set is a fixed-capacity bitset over [0, Cap).
+// Set is a fixed-capacity bitset over [0, n), n fixed by New.
 type Set struct {
 	words []uint64
-	n     int
 }
 
 // New returns an empty set with capacity n.
 func New(n int) *Set {
-	return &Set{words: make([]uint64, (n+63)/64), n: n}
+	return &Set{words: make([]uint64, (n+63)/64)}
 }
-
-// Cap returns the capacity.
-func (s *Set) Cap() int { return s.n }
 
 // Add inserts i.
 func (s *Set) Add(i int32) { s.words[i>>6] |= 1 << (uint(i) & 63) }
 
 // Has reports membership of i.
 func (s *Set) Has(i int32) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
-
-// Remove deletes i.
-func (s *Set) Remove(i int32) { s.words[i>>6] &^= 1 << (uint(i) & 63) }
 
 // TryAdd inserts i and reports whether it was newly added.
 func (s *Set) TryAdd(i int32) bool {
@@ -86,28 +79,11 @@ func (s *Set) UnionWithCount(t *Set) int {
 	return added
 }
 
-// IntersectWith keeps only elements also in t.
-func (s *Set) IntersectWith(t *Set) {
-	for i, w := range t.words {
-		s.words[i] &= w
-	}
-}
-
 // DiffWith removes all elements of t.
 func (s *Set) DiffWith(t *Set) {
 	for i, w := range t.words {
 		s.words[i] &^= w
 	}
-}
-
-// CopyFrom replaces the contents of s with t.
-func (s *Set) CopyFrom(t *Set) { copy(s.words, t.words) }
-
-// Clone returns a copy of s.
-func (s *Set) Clone() *Set {
-	c := &Set{words: make([]uint64, len(s.words)), n: s.n}
-	copy(c.words, s.words)
-	return c
 }
 
 // Range calls fn for each element in ascending order; fn returning

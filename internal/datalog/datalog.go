@@ -46,7 +46,7 @@ type Program struct {
 	Rules []Rule
 }
 
-// Parse reads a program in the syntax emitted by translate.ToDatalog:
+// Parse reads a program in the syntax translate.To(Datalog, ...) emits:
 // one rule per line, '%' comments, atoms separated by commas, "X = Y"
 // equality constraints, and a final period.
 func Parse(src string) (*Program, error) {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -87,37 +86,6 @@ func CountWith(g Source, q *query.Query, b Budget, opt EvalOptions) (int64, erro
 		return 0, err
 	}
 	return n, nil
-}
-
-// Tuples evaluates the query with the join evaluator and returns the
-// distinct head tuples, sorted lexicographically. Intended for tests
-// and small graphs.
-func Tuples(g Source, q *query.Query, b Budget) ([][]int32, error) {
-	if err := q.Validate(); err != nil {
-		return nil, err
-	}
-	defer AcquireSourceReader(g)()
-	set, err := joinTuples(g, q, newMeter(b))
-	if err == nil {
-		err = SourceErr(g)
-	}
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]int32, 0, len(set))
-	for _, t := range set {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := range a {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return false
-	})
-	return out, nil
 }
 
 // streamPlan describes one rule normalized for streaming evaluation:

@@ -133,8 +133,7 @@ func TestSharedResidencyFleet(t *testing.T) {
 
 // TestSharedCacheAcrossSources: two sources over one spill sharing one
 // ShardCache pool their residency — the second evaluator's accesses
-// are all hits — while LocalCacheStats attributes the traffic per
-// evaluator.
+// are all hits.
 func TestSharedCacheAcrossSources(t *testing.T) {
 	_, dir := buildSpill(t, "bib", 400, 25)
 	cfg := testutil.Config(t, "bib", 400)
@@ -154,6 +153,10 @@ func TestSharedCacheAcrossSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	first := cache.Stats()
+	if first.Loads == 0 {
+		t.Errorf("first evaluator stats = %+v, want loads > 0", first)
+	}
 	nb, err := CountWith(b, q, Budget{}, EvalOptions{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -161,14 +164,7 @@ func TestSharedCacheAcrossSources(t *testing.T) {
 	if na != nb {
 		t.Fatalf("counts diverge across shared-cache sources: %d vs %d", na, nb)
 	}
-	la, lb := a.LocalCacheStats(), b.LocalCacheStats()
-	if la.Loads == 0 {
-		t.Errorf("first evaluator attribution = %+v, want loads > 0", la)
-	}
-	if lb.Loads != 0 || lb.DedupHits != 0 || lb.Hits == 0 {
-		t.Errorf("second evaluator attribution = %+v, want only hits (residency pooled)", lb)
-	}
-	if st := cache.Stats(); st.Loads != la.Loads || st.Hits != la.Hits+lb.Hits {
-		t.Errorf("cache-wide stats %+v inconsistent with attributions %+v / %+v", st, la, lb)
+	if st := cache.Stats(); st.Loads != first.Loads || st.DedupHits != first.DedupHits || st.Hits <= first.Hits {
+		t.Errorf("second evaluator moved stats %+v -> %+v, want only hits (residency pooled)", first, st)
 	}
 }

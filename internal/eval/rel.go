@@ -251,15 +251,6 @@ type Rel struct {
 	Rows map[int32][]int32
 }
 
-// Pairs returns the number of tuples.
-func (r *Rel) Pairs() int64 {
-	var n int64
-	for _, row := range r.Rows {
-		n += int64(len(row))
-	}
-	return n
-}
-
 // EvalExpr materializes the relation denoted by expression e on g.
 // For starred expressions the relation includes the identity on all
 // nodes (zero-length paths).

@@ -81,17 +81,6 @@ type cacheEntry struct {
 	elem *list.Element
 }
 
-// loadOutcome classifies one cache access for per-evaluator
-// attribution: a hit on a resident shard, a dedup hit (waited on
-// another goroutine's in-flight load), or a fresh load from disk.
-type loadOutcome int
-
-const (
-	loadHit loadOutcome = iota
-	loadDedup
-	loadFresh
-)
-
 // NewShardCache returns an empty cache bounded by budgetBytes of
 // resident shard data (<= 0 selects DefaultSpillCacheBytes). Share one
 // cache between SpillSources — or just share one SpillSource — to give
@@ -217,7 +206,7 @@ func (c *ShardCache) creditView(v *shardView) {
 // loaded by another goroutine. A failed load is not cached: the next
 // access retries, and every waiter of the failed flight receives the
 // same error.
-func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) (*cachedShard, loadOutcome, error) {
+func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) (*cachedShard, error) {
 	c.mu.Lock()
 	if e, ok := c.entries[key]; ok {
 		if e.elem != nil {
@@ -225,7 +214,7 @@ func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) 
 			c.hits++
 			sh := e.sh
 			c.mu.Unlock()
-			return sh, loadHit, nil
+			return sh, nil
 		}
 		// Another goroutine is loading this shard right now; wait for
 		// its flight instead of reading the file a second time.
@@ -233,9 +222,9 @@ func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) 
 		c.mu.Unlock()
 		<-e.done
 		if e.err != nil {
-			return nil, loadDedup, e.err
+			return nil, e.err
 		}
-		return e.sh, loadDedup, nil
+		return e.sh, nil
 	}
 	e := &cacheEntry{key: key, done: make(chan struct{})}
 	c.entries[key] = e
@@ -249,7 +238,7 @@ func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) 
 		delete(c.entries, key)
 		close(e.done)
 		c.mu.Unlock()
-		return nil, loadFresh, err
+		return nil, err
 	}
 	e.sh = sh
 	c.loads++
@@ -278,5 +267,5 @@ func (c *ShardCache) get(key sharedShardKey, load func() (*cachedShard, error)) 
 	for _, rel := range drain {
 		rel()
 	}
-	return sh, loadFresh, nil
+	return sh, nil
 }

@@ -39,7 +39,7 @@ func TestShardCacheConcurrentMissesOverlap(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := c.get(key, loader); err != nil {
+			if _, err := c.get(key, loader); err != nil {
 				t.Error(err)
 			}
 		}()
@@ -70,7 +70,7 @@ func TestShardCacheSingleflightDedup(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sh, _, err := c.get(key, loader)
+			sh, err := c.get(key, loader)
 			if err != nil {
 				t.Error(err)
 			}
@@ -108,12 +108,12 @@ func TestShardCacheFailedLoadNotCached(t *testing.T) {
 	c := NewShardCache(1 << 20)
 	key := sharedShardKey{idx: 7}
 	boom := errors.New("boom")
-	if _, _, err := c.get(key, func() (*cachedShard, error) { return nil, boom }); !errors.Is(err, boom) {
+	if _, err := c.get(key, func() (*cachedShard, error) { return nil, boom }); !errors.Is(err, boom) {
 		t.Fatalf("error not surfaced: %v", err)
 	}
-	sh, outcome, err := c.get(key, func() (*cachedShard, error) { return &cachedShard{bytes: 4}, nil })
-	if err != nil || sh == nil || outcome != loadFresh {
-		t.Fatalf("retry after failure: sh=%v outcome=%v err=%v", sh, outcome, err)
+	sh, err := c.get(key, func() (*cachedShard, error) { return &cachedShard{bytes: 4}, nil })
+	if err != nil || sh == nil {
+		t.Fatalf("retry after failure: sh=%v err=%v", sh, err)
 	}
 	if st := c.Stats(); st.Loads != 1 || st.BytesUsed != 4 {
 		t.Errorf("stats after retry = %+v, want 1 load, 4 bytes", st)
@@ -128,10 +128,10 @@ func TestShardCacheEvictionAccounting(t *testing.T) {
 	load := func(bytes int64) func() (*cachedShard, error) {
 		return func() (*cachedShard, error) { return &cachedShard{bytes: bytes}, nil }
 	}
-	if _, _, err := c.get(sharedShardKey{idx: 0}, load(8)); err != nil {
+	if _, err := c.get(sharedShardKey{idx: 0}, load(8)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.get(sharedShardKey{idx: 1}, load(8)); err != nil {
+	if _, err := c.get(sharedShardKey{idx: 1}, load(8)); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -143,7 +143,7 @@ func TestShardCacheEvictionAccounting(t *testing.T) {
 	}
 	// A shard larger than the whole budget still evaluates: it is
 	// admitted alone after evicting everything else.
-	if _, _, err := c.get(sharedShardKey{idx: 2}, load(100)); err != nil {
+	if _, err := c.get(sharedShardKey{idx: 2}, load(100)); err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
@@ -151,7 +151,10 @@ func TestShardCacheEvictionAccounting(t *testing.T) {
 		t.Errorf("oversized shard: %+v, want it resident alone", st)
 	}
 	// Hitting the resident shard is a hit, not a load.
-	if _, outcome, err := c.get(sharedShardKey{idx: 2}, load(100)); err != nil || outcome != loadHit {
-		t.Errorf("resident access: outcome=%v err=%v, want hit", outcome, err)
+	if _, err := c.get(sharedShardKey{idx: 2}, load(100)); err != nil {
+		t.Fatal(err)
+	}
+	if after := c.Stats(); after.Hits != st.Hits+1 || after.Loads != st.Loads {
+		t.Errorf("resident access: stats %+v after %+v, want one more hit and no load", after, st)
 	}
 }

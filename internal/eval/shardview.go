@@ -71,7 +71,6 @@ func (s *SpillSource) WorkerView() (Source, func()) {
 // cleared first so a pooled view pins no shard the cache may evict.
 func (v *shardView) release() {
 	v.src.cache.creditView(v)
-	v.src.localHits.Add(v.hits)
 	v.hits = 0
 	v.forget()
 	v.src.views.Put(v)

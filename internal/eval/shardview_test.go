@@ -237,10 +237,8 @@ func TestShardViewStatsConserved(t *testing.T) {
 		if got != want {
 			t.Fatalf("query %d: spill count %d, in-memory %d", i, got, want)
 		}
-		for name, st := range map[string]SpillCacheStats{"cache-wide": src.CacheStats(), "per-source": src.LocalCacheStats()} {
-			if sum := st.Hits + st.Loads + st.DedupHits; sum != counting.calls {
-				t.Fatalf("after query %d: %s hits+loads+dedups = %d, Neighbors calls = %d (%+v)", i, name, sum, counting.calls, st)
-			}
+		if st := src.CacheStats(); st.Hits+st.Loads+st.DedupHits != counting.calls {
+			t.Fatalf("after query %d: hits+loads+dedups = %d, Neighbors calls = %d (%+v)", i, st.Hits+st.Loads+st.DedupHits, counting.calls, st)
 		}
 	}
 	if counting.calls == 0 {

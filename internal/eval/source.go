@@ -70,8 +70,8 @@ type MappedSource interface {
 // AcquireSourceReader pins g's storage mappings for the duration of a
 // read when g is a MappedSource and returns the release; for any other
 // source it is a no-op. Every evaluation entry point (CountWith,
-// Tuples, engines.EvaluateOpt) brackets itself with it, so Neighbors slices stay valid
-// across concurrent cache evictions.
+// engines.EvaluateOpt) brackets itself with it, so Neighbors slices
+// stay valid across concurrent cache evictions.
 func AcquireSourceReader(g Source) func() {
 	if m, ok := g.(MappedSource); ok {
 		return m.AcquireReader()

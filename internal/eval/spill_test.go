@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
@@ -244,5 +245,27 @@ func TestSpillSourceTruncatedManifest(t *testing.T) {
 	}}}
 	if _, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 1}); err == nil {
 		t.Fatal("truncated manifest returned a count instead of an error")
+	}
+}
+
+// TestSpillSourceNoPredicatesOneRange is the regression test for a
+// manifest with no predicates: it passes validation with any grid, and
+// the source built one NodeRange per shard_nodes-wide span, 16 777 216
+// of them for nodes 1<<24 and shard_nodes 1. With no shard grid there
+// is one range over all nodes.
+func TestSpillSourceNoPredicatesOneRange(t *testing.T) {
+	const nodes = 1 << 20
+	dir := t.TempDir()
+	manifest := fmt.Sprintf(`{"format_version": 3, "nodes": %d, "shard_nodes": 1, "edges": 0,
+		"types": [{"name": "t", "count": %d}], "predicates": []}`, nodes, nodes)
+	if err := os.WriteFile(filepath.Join(dir, "csr-index.json"), []byte(manifest), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	src, err := OpenSpillSourceWith(dir, SpillSourceOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := src.NodeRanges(); len(got) != 1 || got[0] != (NodeRange{Lo: 0, Hi: nodes}) {
+		t.Fatalf("NodeRanges() has %d ranges, want the single [0, %d)", len(got), nodes)
 	}
 }

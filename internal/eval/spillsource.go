@@ -3,7 +3,6 @@ package eval
 import (
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"gmark/internal/bitset"
 	"gmark/internal/graph"
@@ -30,11 +29,6 @@ const DefaultSpillCacheBytes = 256 << 20
 // the cache lock on every call; loops that make many read through a
 // per-goroutine WorkerView (eval.WorkerSource), which does not.
 type SpillSource struct {
-	// Per-evaluator attribution: accesses this source initiated,
-	// regardless of how many sources share the cache. First in the
-	// struct per the concurrency lint's atomics-prefix layout rule.
-	localHits, localLoads, localDedups atomic.Int64
-
 	spill     *graphgen.CSRSpill
 	predIndex map[string]graph.PredID
 	cache     *ShardCache
@@ -180,10 +174,16 @@ func NewSpillSourceWith(spill *graphgen.CSRSpill, cache *ShardCache, opt SpillSo
 	for i, p := range spill.Manifest.Predicates {
 		s.predIndex[p.Name] = graph.PredID(i)
 	}
-	w, n := spill.Manifest.ShardNodes, spill.Manifest.Nodes
-	s.ranges = make([]NodeRange, 0, (n+w-1)/w)
-	for lo := 0; lo < n; lo += w {
-		s.ranges = append(s.ranges, NodeRange{Lo: int32(lo), Hi: int32(min(lo+w, n))})
+	// The ranges are the shard grid OpenCSRSpill validated, so their
+	// number is bounded by the manifest's own size; a spill without
+	// predicates lists no grid, and one range covers its nodes.
+	if preds := spill.Manifest.Predicates; len(preds) > 0 {
+		s.ranges = make([]NodeRange, len(preds[0].Fwd))
+		for i, sh := range preds[0].Fwd {
+			s.ranges[i] = NodeRange{Lo: int32(sh.Lo), Hi: int32(sh.Hi)}
+		}
+	} else {
+		s.ranges = []NodeRange{{Lo: 0, Hi: int32(spill.Manifest.Nodes)}}
 	}
 	return s
 }
@@ -305,23 +305,9 @@ func (s *SpillSource) Err() error {
 }
 
 // CacheStats returns a snapshot of the shard cache's counters. When
-// the cache is shared between sources they are cache-wide;
-// LocalCacheStats has this source's own attribution.
+// the cache is shared between sources they are cache-wide.
 func (s *SpillSource) CacheStats() SpillCacheStats {
 	return s.cache.Stats()
-}
-
-// LocalCacheStats attributes shard-cache traffic to this source alone:
-// hits on shards somebody already paid for, loads this source itself
-// read from disk, and dedup hits where it waited on another
-// evaluator's in-flight load. Eviction and residency are cache-wide
-// properties and stay zero here; read them from CacheStats.
-func (s *SpillSource) LocalCacheStats() SpillCacheStats {
-	return SpillCacheStats{
-		Hits:      s.localHits.Load(),
-		Loads:     s.localLoads.Load(),
-		DedupHits: s.localDedups.Load(),
-	}
 }
 
 // AcquireReader implements MappedSource by delegating to the shard
@@ -341,7 +327,7 @@ func (s *SpillSource) shard(key shardKey) (*cachedShard, error) {
 		s.fail(err)
 		return nil, err
 	}
-	sh, outcome, err := s.cache.get(
+	sh, err := s.cache.get(
 		sharedShardKey{spill: s.spill, pred: key.pred, inv: key.inv, idx: key.idx},
 		func() (*cachedShard, error) {
 			if s.useMmap {
@@ -364,14 +350,6 @@ func (s *SpillSource) shard(key shardKey) (*cachedShard, error) {
 	if err != nil {
 		s.fail(err)
 		return nil, err
-	}
-	switch outcome {
-	case loadHit:
-		s.localHits.Add(1)
-	case loadDedup:
-		s.localDedups.Add(1)
-	case loadFresh:
-		s.localLoads.Add(1)
 	}
 	return sh, nil
 }

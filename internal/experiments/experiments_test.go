@@ -267,6 +267,31 @@ func TestTable4QueriesClasses(t *testing.T) {
 	}
 }
 
+// ReferenceCounts evaluates the Table 4 queries with the reference
+// evaluator, for validating engine agreement.
+func ReferenceCounts(opt Options) (map[int][2]int64, error) {
+	opt = opt.withDefaults()
+	sizes := opt.engineSizes()
+	graphs, err := buildGraphs(opt, "bib", sizes)
+	if err != nil {
+		return nil, err
+	}
+	queries := Table4Queries()
+	out := make(map[int][2]int64, len(sizes))
+	for _, n := range sizes {
+		var pair [2]int64
+		for qi, q := range queries {
+			c, err := eval.CountWith(graphs[n], q, opt.Budget, eval.EvalOptions{Workers: 1})
+			if err != nil {
+				return nil, err
+			}
+			pair[qi] = c
+		}
+		out[n] = pair
+	}
+	return out, nil
+}
+
 func TestTable4EnginesAgreeWithReference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")

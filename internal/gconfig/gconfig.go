@@ -13,7 +13,6 @@ import (
 	"gmark/internal/dist"
 	"gmark/internal/query"
 	"gmark/internal/querygen"
-	"gmark/internal/regpath"
 	"gmark/internal/schema"
 )
 
@@ -356,52 +355,4 @@ func WriteQueries(w io.Writer, queries []*query.Query) error {
 	}
 	_, err := io.WriteString(w, "\n")
 	return err
-}
-
-// ReadQueries parses a workload produced by WriteQueries.
-func ReadQueries(r io.Reader) ([]*query.Query, error) {
-	var doc QueriesXML
-	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
-		return nil, fmt.Errorf("gconfig: %w", err)
-	}
-	var out []*query.Query
-	for qi, x := range doc.Queries {
-		q := &query.Query{Relaxed: x.Relaxed}
-		if x.Shape != "" {
-			shape, err := query.ParseShape(x.Shape)
-			if err != nil {
-				return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
-			}
-			q.Shape = shape
-		}
-		if x.Class != "" {
-			class, err := query.ParseSelectivityClass(x.Class)
-			if err != nil {
-				return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
-			}
-			q.Class = class
-			q.HasClass = true
-		}
-		for _, rx := range x.Rules {
-			r := query.Rule{}
-			for _, v := range rx.Head {
-				r.Head = append(r.Head, query.Var(v))
-			}
-			for _, cx := range rx.Body {
-				e, err := regpath.Parse(cx.Expr)
-				if err != nil {
-					return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
-				}
-				r.Body = append(r.Body, query.Conjunct{
-					Src: query.Var(cx.Src), Dst: query.Var(cx.Dst), Expr: e,
-				})
-			}
-			q.Rules = append(q.Rules, r)
-		}
-		if err := q.Validate(); err != nil {
-			return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
-		}
-		out = append(out, q)
-	}
-	return out, nil
 }

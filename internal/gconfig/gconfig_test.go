@@ -2,12 +2,16 @@ package gconfig
 
 import (
 	"bytes"
+	"encoding/xml"
+	"fmt"
+	"io"
 	"strings"
 	"testing"
 
 	"gmark/internal/dist"
 	"gmark/internal/query"
 	"gmark/internal/querygen"
+	"gmark/internal/regpath"
 	"gmark/internal/usecases"
 )
 
@@ -236,6 +240,55 @@ func TestOversizedDistributionRejected(t *testing.T) {
 			t.Errorf("%s: GraphConfig() accepted it", in)
 		}
 	}
+}
+
+// ReadQueries parses a workload produced by WriteQueries: the
+// reference reader its round trip is checked against.
+func ReadQueries(r io.Reader) ([]*query.Query, error) {
+	var doc QueriesXML
+	if err := xml.NewDecoder(r).Decode(&doc); err != nil {
+		return nil, fmt.Errorf("gconfig: %w", err)
+	}
+	var out []*query.Query
+	for qi, x := range doc.Queries {
+		q := &query.Query{Relaxed: x.Relaxed}
+		if x.Shape != "" {
+			shape, err := query.ParseShape(x.Shape)
+			if err != nil {
+				return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
+			}
+			q.Shape = shape
+		}
+		if x.Class != "" {
+			class, err := query.ParseSelectivityClass(x.Class)
+			if err != nil {
+				return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
+			}
+			q.Class = class
+			q.HasClass = true
+		}
+		for _, rx := range x.Rules {
+			r := query.Rule{}
+			for _, v := range rx.Head {
+				r.Head = append(r.Head, query.Var(v))
+			}
+			for _, cx := range rx.Body {
+				e, err := regpath.Parse(cx.Expr)
+				if err != nil {
+					return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
+				}
+				r.Body = append(r.Body, query.Conjunct{
+					Src: query.Var(cx.Src), Dst: query.Var(cx.Dst), Expr: e,
+				})
+			}
+			q.Rules = append(q.Rules, r)
+		}
+		if err := q.Validate(); err != nil {
+			return nil, fmt.Errorf("gconfig: query %d: %w", qi, err)
+		}
+		out = append(out, q)
+	}
+	return out, nil
 }
 
 func TestQueriesXMLRoundTrip(t *testing.T) {

@@ -9,6 +9,7 @@ package graph
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -76,6 +77,9 @@ func New(typeNames []string, typeCounts []int, predNames []string) (*Graph, erro
 		if c < 0 {
 			return nil, fmt.Errorf("graph: negative count for type %q", typeNames[i])
 		}
+		if c > math.MaxInt32-int(off) {
+			return nil, fmt.Errorf("graph: type %q count %d overflows the int32 node ids after %d nodes", typeNames[i], c, off)
+		}
 		g.typeOffset[i] = off
 		off += int32(c)
 	}
@@ -129,12 +133,6 @@ func (g *Graph) TypeCount(t int) int {
 // TypeRange returns the node id interval [lo, hi) of type t.
 func (g *Graph) TypeRange(t int) (lo, hi NodeID) {
 	return g.typeOffset[t], g.typeOffset[t+1]
-}
-
-// NodeOfType returns the j-th node (0-based) of type t; this is the
-// function id_T(j) of the generation algorithm (paper, Fig. 5).
-func (g *Graph) NodeOfType(t, j int) NodeID {
-	return g.typeOffset[t] + int32(j)
 }
 
 // TypeOf returns the type of node v by binary search over the offsets.

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -35,6 +36,16 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]string{"a"}, []int{-1}, nil); err == nil {
 		t.Error("negative count should fail")
 	}
+	// Node ids are int32: the counts must sum to at most MaxInt32.
+	if _, err := New([]string{"a", "b"}, []int{math.MaxInt32, math.MaxInt32}, nil); err == nil {
+		t.Error("counts summing past MaxInt32 should fail")
+	}
+	if _, err := New([]string{"a"}, []int{1<<32 + 5}, nil); err == nil {
+		t.Error("a count past MaxInt32 should fail, not wrap")
+	}
+	if g, err := New([]string{"a", "b"}, []int{math.MaxInt32 - 1, 1}, nil); err != nil || g.NumNodes() != math.MaxInt32 {
+		t.Errorf("MaxInt32 nodes in all: %v", err)
+	}
 }
 
 func TestCounts(t *testing.T) {
@@ -61,12 +72,6 @@ func TestTypeLayout(t *testing.T) {
 	lo, hi := g.TypeRange(1)
 	if lo != 2 || hi != 5 {
 		t.Errorf("TypeRange(1) = [%d,%d)", lo, hi)
-	}
-	if got := g.NodeOfType(1, 0); got != 2 {
-		t.Errorf("NodeOfType(1,0) = %d", got)
-	}
-	if got := g.NodeOfType(0, 1); got != 1 {
-		t.Errorf("NodeOfType(0,1) = %d", got)
 	}
 	for v, want := range map[NodeID]int{0: 0, 1: 0, 2: 1, 4: 1} {
 		if got := g.TypeOf(v); got != want {
@@ -231,6 +236,8 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"# types u:2\n# predicates a\n0 a 9\n", // node out of range
 		"# types u:2\n# predicates a\nx a 1\n", // bad source
 		"# types u:2\n# predicates a\n0 a x\n", // bad target
+		"# types a:2147483647 b:2147483647\n# predicates p\n", // node ids overflow int32
+		"# types a:4294967301\n# predicates p\n",              // count wraps to 5 as int32
 	}
 	for _, in := range cases {
 		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {

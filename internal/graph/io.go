@@ -75,6 +75,8 @@ func (g *Graph) WriteEdgeList(w io.Writer) error {
 }
 
 // ReadEdgeList parses the format produced by WriteEdgeList.
+//
+//lint:ignore unused test oracle shared by the graph and graphgen tests, which parse WriterSink and WriteEdgeList output with it
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -386,8 +386,8 @@ func EncodeCSRShard(off, adj []int32, comp SpillCompression) ([]byte, error) {
 // appendCSRShard is EncodeCSRShard into a caller-owned buffer: the
 // image is appended to dst, which a spill worker reuses from one shard
 // to the next. It is the single byte-layout definition shared by
-// WriteCSRSpillFromGraph, CSRSpillSink and the slice server, so a shard
-// served on demand cannot drift from its batch twin.
+// WriteCSRSpillFromGraphWith, CSRSpillSink and the slice server, so a
+// shard served on demand cannot drift from its batch twin.
 func appendCSRShard(dst []byte, off, adj []int32, comp SpillCompression) ([]byte, error) {
 	if err := checkSpillCompression(comp); err != nil {
 		return nil, err

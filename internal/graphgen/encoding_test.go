@@ -650,13 +650,19 @@ func writePartition(t *testing.T, binaryMode bool) (string, *PartitionIndex) {
 // count panicked a loader goroutine (makeslice: cap out of range), and
 // a huge one preallocated by the count. Both must be errors, for text
 // and binary files alike; a negative count is refused by name, a huge
-// one when the file runs out of edges.
+// one when the file runs out of edges. Type counts that overflow the
+// int32 node ids panicked Freeze (makeslice: len out of range).
 func TestHostilePartitionCountsRejected(t *testing.T) {
 	for _, binaryMode := range []bool{false, true} {
 		for name, edit := range map[string]func(idx *PartitionIndex){
 			"predicate edges -1":    func(idx *PartitionIndex) { idx.Predicates[0].Edges = -1 },
 			"index edges -1":        func(idx *PartitionIndex) { idx.Edges = -1 },
 			"predicate edges 1<<40": func(idx *PartitionIndex) { idx.Predicates[0].Edges = 1 << 40 },
+			"types past MaxInt32": func(idx *PartitionIndex) {
+				// No edges, so no file read rejects an id first.
+				idx.Types = []PartitionType{{Name: "a", Count: math.MaxInt32}, {Name: "b", Count: math.MaxInt32}}
+				idx.Predicates, idx.Edges = nil, 0
+			},
 		} {
 			t.Run(fmt.Sprintf("binary=%v/%s", binaryMode, name), func(t *testing.T) {
 				dir, idx := writePartition(t, binaryMode)
@@ -671,6 +677,34 @@ func TestHostilePartitionCountsRejected(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPartitionFileOutsideDirRejected is the regression test for an
+// index whose predicate file named a path outside the partition
+// directory: "../<sibling>/<file>" loaded the sibling's edges with a
+// nil error. Edge files are plain names, as in a CSR manifest.
+func TestPartitionFileOutsideDirRejected(t *testing.T) {
+	dir, idx := writePartition(t, false)
+	sibling := filepath.Join(filepath.Dir(dir), "sibling")
+	if err := os.Mkdir(sibling, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, idx.Predicates[0].File))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(sibling, "e.txt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	idx.Predicates[0].File = "../sibling/e.txt"
+	if err := writeJSONFile(filepath.Join(dir, partitionIndexFile), idx); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := LoadPartitioned(dir); err == nil {
+		t.Fatalf("loaded %d edges through a file outside the partition directory", g.NumEdges())
+	} else if !strings.Contains(err.Error(), "not a plain file name") {
+		t.Fatalf("error %q does not name the file rule", err)
 	}
 }
 

@@ -190,7 +190,7 @@ func TestNodeCountsHonored(t *testing.T) {
 
 func TestExactlyOneOutDegree(t *testing.T) {
 	// The "1" macro: every source node has exactly one outgoing edge.
-	in, out := schema.ExactlyOne()
+	in, out := dist.Unspecified(), dist.NewUniform(1, 1)
 	cfg := twoTypeConfig(1000, in, out)
 	g, err := Generate(cfg, Options{Seed: 2})
 	if err != nil {
@@ -208,7 +208,8 @@ func TestExactlyOneOutDegree(t *testing.T) {
 }
 
 func TestForbiddenProducesNoEdges(t *testing.T) {
-	in, out := schema.Forbidden()
+	// The "0" macro.
+	in, out := dist.Unspecified(), dist.NewUniform(0, 0)
 	cfg := twoTypeConfig(500, in, out)
 	g, err := Generate(cfg, Options{Seed: 3})
 	if err != nil {
@@ -220,7 +221,8 @@ func TestForbiddenProducesNoEdges(t *testing.T) {
 }
 
 func TestOptionalOutDegree(t *testing.T) {
-	in, out := schema.Optional()
+	// The "?" macro.
+	in, out := dist.Unspecified(), dist.NewUniform(0, 1)
 	cfg := twoTypeConfig(2000, in, out)
 	g, err := Generate(cfg, Options{Seed: 4})
 	if err != nil {

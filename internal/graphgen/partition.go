@@ -344,12 +344,6 @@ func (ps *PartitionedSink) Flush() error {
 	return ps.flushErr
 }
 
-// Edges returns the number of edges written so far.
-func (ps *PartitionedSink) Edges() int { return ps.edges }
-
-// Dir returns the partition directory.
-func (ps *PartitionedSink) Dir() string { return ps.dir }
-
 func (ps *PartitionedSink) closeAll() {
 	for _, f := range ps.files {
 		if f != nil {
@@ -375,7 +369,8 @@ func writeJSONFile(path string, v any) error {
 
 // ReadPartitionIndex reads a partition directory's JSON index,
 // rejecting indexes newer than this reader rather than guessing at
-// their layout, and negative edge counts, which no writer records.
+// their layout, negative edge counts, which no writer records, and
+// edge files that are not plain names inside dir.
 func ReadPartitionIndex(dir string) (*PartitionIndex, error) {
 	data, err := os.ReadFile(filepath.Join(dir, partitionIndexFile))
 	if err != nil {
@@ -395,6 +390,9 @@ func ReadPartitionIndex(dir string) (*PartitionIndex, error) {
 	for _, p := range idx.Predicates {
 		if p.Edges < 0 {
 			return nil, fmt.Errorf("graphgen: partition index: predicate %q edges %d is negative", p.Name, p.Edges)
+		}
+		if !plainFileName(p.File) {
+			return nil, fmt.Errorf("graphgen: partition index: predicate %q file %q is not a plain file name", p.Name, p.File)
 		}
 	}
 	return &idx, nil

@@ -5,8 +5,8 @@ import (
 
 	"gmark/internal/dist"
 	"gmark/internal/graph"
+	"gmark/internal/prng"
 	"gmark/internal/schema"
-	"gmark/internal/splitmix"
 )
 
 // plan is the output of the planning stage: the resolved node layout,
@@ -151,7 +151,7 @@ func newPlan(cfg *schema.GraphConfig, opt Options) (*plan, error) {
 			trgOff: typeOffset[c.Target],
 			nSrc:   typeCount[c.Source],
 			nTrg:   typeCount[c.Target],
-			seed:   splitmix.SubSeed(opt.Seed, i),
+			seed:   prng.SubSeed(opt.Seed, i),
 		}
 		// cfg.Validate has checked both distributions already.
 		var err error
@@ -203,7 +203,7 @@ func (p *plan) appendShards(cp *constraintPlan) {
 			cp: cp, index: i,
 			srcLo: 0, srcHi: cp.nSrc,
 			trgLo: 0, trgHi: cp.nTrg,
-			seed: splitmix.SubSeed(cp.seed, i),
+			seed: prng.SubSeed(cp.seed, i),
 		}
 		// The specified side(s) are range-partitioned; a non-specified
 		// side keeps its full range (uniform random pairing spans the
@@ -227,7 +227,7 @@ func shardRotation(seed int64, n int) int {
 	if n <= 1 {
 		return 0
 	}
-	r := 1 + int(uint64(splitmix.SubSeed(seed, n))%uint64(n-1)) // in [1, n)
+	r := 1 + int(uint64(prng.SubSeed(seed, n))%uint64(n-1)) // in [1, n)
 	for gcd(r, n) != 1 {
 		r++
 		if r == n {
@@ -324,17 +324,6 @@ func expectedEdgesOf(cfg *schema.GraphConfig, c schema.EdgeConstraint) float64 {
 	default:
 		return in
 	}
-}
-
-// ExpectedEdges estimates the number of edges Emit/Generate will
-// produce for a configuration: the min-side expectation per constraint
-// (useful for pre-sizing and for the Table 3 reporting).
-func ExpectedEdges(cfg *schema.GraphConfig) int {
-	total := 0.0
-	for _, c := range cfg.Schema.Constraints {
-		total += expectedEdgesOf(cfg, c)
-	}
-	return int(total)
 }
 
 // ExpectedPredicateEdges estimates the number of edges Emit/Generate

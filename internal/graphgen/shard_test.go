@@ -245,7 +245,7 @@ func TestShardRotationMixesStripes(t *testing.T) {
 // one edge per source, in side unspecified) must survive any shard
 // granularity exactly.
 func TestShardingPreservesSpecifiedSide(t *testing.T) {
-	in, out := schema.ExactlyOne()
+	in, out := dist.Unspecified(), dist.NewUniform(1, 1)
 	cfg := twoTypeConfig(1000, in, out)
 	for _, shardEdges := range []int{1, 7, 0, -1} {
 		g, err := Generate(cfg, Options{Seed: 2, ShardEdges: shardEdges})
@@ -472,7 +472,7 @@ func TestWriteCSRSpillFromGraph(t *testing.T) {
 	if _, err := Emit(cfg, opt, sink); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteCSRSpillFromGraph(fromGraphDir, g, 100); err != nil {
+	if err := WriteCSRSpillFromGraphWith(fromGraphDir, g, 100, SpillCompressVarint); err != nil {
 		t.Fatal(err)
 	}
 

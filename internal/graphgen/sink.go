@@ -89,8 +89,7 @@ func resolveLayout(cfg *schema.GraphConfig) (typeNames []string, typeCounts []in
 // directly into the graph's per-predicate edge shards; the CSR
 // adjacency is built once by graph.Freeze after the pipeline drains.
 type GraphSink struct {
-	g     *graph.Graph
-	edges int
+	g *graph.Graph
 }
 
 // NewGraphSink wraps an unfrozen graph.
@@ -117,25 +116,17 @@ func (s *GraphSink) Graph() *graph.Graph { return s.g }
 // AddEdge implements EdgeSink.
 func (s *GraphSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
 	s.g.AddEdge(src, pred, dst)
-	s.edges++
 	return nil
 }
 
 // AddEdgeBatch implements BatchEdgeSink.
 func (s *GraphSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
-	if err := s.g.AddEdgeBatch(pred, srcs, dsts); err != nil {
-		return err
-	}
-	s.edges += len(srcs)
-	return nil
+	return s.g.AddEdgeBatch(pred, srcs, dsts)
 }
 
 // Flush implements EdgeSink. Freezing is left to the caller so the
 // sink can be reused across multiple emission passes if desired.
 func (s *GraphSink) Flush() error { return nil }
-
-// Edges returns the number of edges consumed.
-func (s *GraphSink) Edges() int { return s.edges }
 
 // WriterSink streams edges as the textual edge-list format of
 // graph.WriteEdgeList ("src pred dst" over global node ids), preceded
@@ -159,7 +150,6 @@ type WriterSink struct {
 	lines   []graph.EdgeLine
 	maxLine int // longest line over the header's node ids, any predicate
 	nodes   int
-	edges   int
 }
 
 const (
@@ -246,7 +236,6 @@ func (s *WriterSink) appendLine(line graph.EdgeLine, src, dst graph.NodeID) erro
 
 // AddEdge implements EdgeSink.
 func (s *WriterSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	s.edges++
 	return s.appendLine(s.lines[pred], src, dst)
 }
 
@@ -256,7 +245,6 @@ func (s *WriterSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) 
 	if err := checkBatch(srcs, dsts); err != nil {
 		return err
 	}
-	s.edges += len(srcs)
 	line := s.lines[pred]
 	for i, src := range srcs {
 		if err := s.appendLine(line, src, dsts[i]); err != nil {
@@ -272,7 +260,7 @@ func (s *WriterSink) edgeLines() []graph.EdgeLine { return s.lines }
 // addRendered implements renderingSink: whatever the sink rendered
 // itself goes out first, then the shard's chunks, written through as
 // they are — the flusher's share of a parallel run is concatenation.
-func (s *WriterSink) addRendered(_ graph.PredID, edges int, chunks [][]byte) error {
+func (s *WriterSink) addRendered(_ graph.PredID, _ int, chunks [][]byte) error {
 	for _, c := range chunks {
 		if len(c) < writerSinkCoalesce && len(c) <= cap(s.buf)-len(s.buf) {
 			s.buf = append(s.buf, c...)
@@ -285,7 +273,6 @@ func (s *WriterSink) addRendered(_ graph.PredID, edges int, chunks [][]byte) err
 			return err
 		}
 	}
-	s.edges += edges
 	return nil
 }
 
@@ -294,9 +281,6 @@ func (s *WriterSink) Flush() error { return s.drain() }
 
 // Nodes returns the total node count described by the header.
 func (s *WriterSink) Nodes() int { return s.nodes }
-
-// Edges returns the number of edges written so far.
-func (s *WriterSink) Edges() int { return s.edges }
 
 // AbortableEdgeSink is an optional extension for sinks whose Flush
 // finalizes a durable artifact (an index file, a manifest): when the

@@ -391,7 +391,7 @@ func (l *spillLayout) manifest(edges int, types []PartitionType, shards []CSRSha
 // units that budget admits, never by the whole instance: producing a
 // spill does not need Generate-sized memory. The shard, bitmap and
 // manifest bytes are the same at any GOMAXPROCS and identical to
-// WriteCSRSpillFromGraph's (test-pinned).
+// WriteCSRSpillFromGraphWith's (test-pinned).
 type CSRSpillSink struct {
 	spillLayout
 	types []PartitionType
@@ -738,27 +738,13 @@ func readDomainFile(path string, nodes int) (*bitset.Set, error) {
 	return bitset.FromWords(nodes, w), nil
 }
 
-// Edges returns the number of edges consumed so far.
-func (s *CSRSpillSink) Edges() int { return s.edges }
-
-// Dir returns the spill directory.
-func (s *CSRSpillSink) Dir() string { return s.dir }
-
-// WriteCSRSpillFromGraph spills an already-frozen graph into dir in
-// the exact layout OpenCSRSpill reads, reusing the adjacency Freeze
+// WriteCSRSpillFromGraphWith spills an already-frozen graph into dir
+// in the exact layout OpenCSRSpill reads, reusing the adjacency Freeze
 // already built instead of buffering edges and rebuilding it — the
 // cheap path when a materialized instance exists (cmd/gmark's
-// default). shardNodes 0 selects the default node-range width; the
-// shards use the default delta-varint (format_version 3) layout.
-//
-//lint:ignore ladder cmd/gmark-perf calls both rungs; fold into WriteCSRSpillFromGraphWith in the next benchmark change
-func WriteCSRSpillFromGraph(dir string, g *graph.Graph, shardNodes int) error {
-	return WriteCSRSpillFromGraphWith(dir, g, shardNodes, SpillCompressVarint)
-}
-
-// WriteCSRSpillFromGraphWith is WriteCSRSpillFromGraph with an
-// explicit shard compression setting; the shard bytes stay identical
-// to a CSRSpillSink configured the same way (test-pinned). It runs the
+// default). shardNodes 0 selects the default node-range width; comp
+// selects the shard layout, and the shard bytes stay identical to a
+// CSRSpillSink configured the same way (test-pinned). It runs the
 // same units on the same pool as the sink's Flush — its units are
 // slices of the frozen adjacency, so they have no build step and hold
 // no pairs.
@@ -886,8 +872,9 @@ func checkCSRManifest(m *CSRManifest) error {
 	return nil
 }
 
-// plainFileName reports whether name names a file directly inside the
-// spill directory: non-empty, no separator, not "." or "..".
+// plainFileName reports whether name names a file directly inside a
+// spill or partition directory: non-empty, no separator, not "." or
+// "..".
 func plainFileName(name string) bool {
 	return name != "" && name != "." && name != ".." && !strings.ContainsAny(name, `/\`)
 }

@@ -92,21 +92,21 @@ func TestExpectedEdges(t *testing.T) {
 	// min side = 1000.
 	cfg := twoTypeConfig(1000, dist.NewGaussian(2, 0.5), dist.NewGaussian(2, 0.5))
 	want := 1000.0
-	if got := ExpectedEdges(cfg); math.Abs(float64(got)-want) > 1 {
-		t.Errorf("ExpectedEdges = %d, want ~%g", got, want)
+	if got := ExpectedPredicateEdges(cfg, "p"); math.Abs(float64(got)-want) > 1 {
+		t.Errorf("ExpectedPredicateEdges = %d, want ~%g", got, want)
 	}
 	// Against a real run: within 10%.
 	g, err := Generate(cfg, Options{Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	est := float64(ExpectedEdges(cfg))
+	est := float64(ExpectedPredicateEdges(cfg, "p"))
 	if math.Abs(est-float64(g.NumEdges()))/est > 0.10 {
 		t.Errorf("estimate %g vs actual %d", est, g.NumEdges())
 	}
 	// Half-specified constraints use the specified side.
 	cfg2 := twoTypeConfig(1000, dist.Unspecified(), dist.NewUniform(3, 3))
-	if got := ExpectedEdges(cfg2); got != 1500 {
+	if got := ExpectedPredicateEdges(cfg2, "p"); got != 1500 {
 		t.Errorf("half-specified estimate = %d, want 1500", got)
 	}
 }

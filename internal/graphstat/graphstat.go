@@ -9,7 +9,6 @@ package graphstat
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"gmark/internal/dist"
 	"gmark/internal/graph"
@@ -152,38 +151,4 @@ func FitZipfExponent(degrees []int) float64 {
 		return 0
 	}
 	return 1 + float64(n)/sum
-}
-
-// DegreeHistogram returns degree -> count over the given degrees,
-// sorted by degree, for diagnostics and plots.
-func DegreeHistogram(degrees []int) [][2]int {
-	m := map[int]int{}
-	for _, d := range degrees {
-		m[d]++
-	}
-	out := make([][2]int, 0, len(m))
-	for d, c := range m {
-		out = append(out, [2]int{d, c})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i][0] < out[j][0] })
-	return out
-}
-
-// Summary aggregates a Check run.
-type Summary struct {
-	Total, Passed int
-	Failures      []Report
-}
-
-// Summarize folds reports into a Summary.
-func Summarize(reports []Report) Summary {
-	s := Summary{Total: len(reports)}
-	for _, r := range reports {
-		if r.OK {
-			s.Passed++
-		} else {
-			s.Failures = append(s.Failures, r)
-		}
-	}
-	return s
 }

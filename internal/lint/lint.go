@@ -1,10 +1,10 @@
 // Package lint implements gmarklint, the repo's invariant-enforcing
 // static-analysis suite. A registry of repo-specific analyzers
-// (determinism, formats, concurrency, sinkflush, exporteddoc, ladder — see
-// docs/LINTS.md) runs over every buildable package of the module,
-// loaded once with go/parser and typechecked with go/types through the
-// stdlib source importer, so the suite needs no external linter
-// binaries or module downloads. Findings print as
+// (determinism, formats, concurrency, sinkflush, exporteddoc, ladder,
+// unused — see docs/LINTS.md) runs over every buildable package of the
+// module, loaded once with go/parser and typechecked with go/types
+// through the stdlib source importer, so the suite needs no external
+// linter binaries or module downloads. Findings print as
 //
 //	file:line: analyzer: message
 //

@@ -11,14 +11,5 @@ var Analyzers = []*Analyzer{
 	SinkFlushAnalyzer,
 	ExportedDocAnalyzer,
 	LadderAnalyzer,
-}
-
-// ByName returns the registered analyzer with the given name, or nil.
-func ByName(name string) *Analyzer {
-	for _, a := range Analyzers {
-		if a.Name == name {
-			return a
-		}
-	}
-	return nil
+	UnusedAnalyzer,
 }

@@ -12,6 +12,12 @@
 // keeps every generated graph and workload byte where it was.
 // Source.Intn, the graph shards' pairing draw, returns rand.Rand.Intn's
 // values from the same draws with one division in the common case.
+//
+// SubSeed derives the per-unit seeds both pipelines feed to New: one
+// per eta constraint and shard for graph generation, one per query
+// (plus the planning stream) for workload generation. The determinism
+// contract — same seed, same output, any worker count — rests on that
+// one function.
 package prng
 
 import "math/rand"
@@ -183,4 +189,14 @@ func (r *Source) Uint64() uint64 {
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return uint64(x)
+}
+
+// SubSeed derives the deterministic RNG seed of unit index from a run
+// seed, using the splitmix64 finalizer so adjacent indices land in
+// statistically independent stream positions.
+func SubSeed(seed int64, index int) int64 {
+	z := uint64(seed) + 0x9e3779b97f4a7c15*(uint64(index)+1)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }

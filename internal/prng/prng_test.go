@@ -199,3 +199,18 @@ func BenchmarkDraw(b *testing.B) {
 		})
 	}
 }
+
+// TestSubSeedSpread is a smoke test that adjacent unit indices (and
+// nearby run seeds) receive well-separated RNG streams.
+func TestSubSeedSpread(t *testing.T) {
+	seen := map[int64]bool{}
+	for seed := int64(0); seed < 4; seed++ {
+		for i := 0; i < 64; i++ {
+			s := SubSeed(seed, i)
+			if seen[s] {
+				t.Fatalf("sub-seed collision at seed=%d index=%d", seed, i)
+			}
+			seen[s] = true
+		}
+	}
+}

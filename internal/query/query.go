@@ -106,9 +106,6 @@ type Interval struct {
 	Min, Max int
 }
 
-// Contains reports whether v lies in the interval.
-func (iv Interval) Contains(v int) bool { return iv.Min <= v && v <= iv.Max }
-
 // Validate checks 0 <= Min <= Max.
 func (iv Interval) Validate() error {
 	if iv.Min < 0 || iv.Max < iv.Min {
@@ -250,22 +247,6 @@ func (q *Query) Arity() int {
 		return 0
 	}
 	return len(q.Rules[0].Head)
-}
-
-// NumVariables returns the number of distinct variables across all
-// rules' bodies and heads.
-func (q *Query) NumVariables() int {
-	seen := make(map[Var]bool)
-	for _, r := range q.Rules {
-		for _, v := range r.Head {
-			seen[v] = true
-		}
-		for _, c := range r.Body {
-			seen[c.Src] = true
-			seen[c.Dst] = true
-		}
-	}
-	return len(seen)
 }
 
 // HasRecursion reports whether any conjunct carries a Kleene star.

@@ -6,7 +6,6 @@ import (
 
 	"gmark/internal/prng"
 	"gmark/internal/query"
-	"gmark/internal/splitmix"
 )
 
 // Options controls workload emission.
@@ -52,12 +51,12 @@ type queryUnit struct {
 // unit's own sub-seed. Planning is cheap (no schema walks) and its
 // result depends only on (Config, Seed).
 func (g *Generator) planWorkload() []queryUnit {
-	rng := prng.New(splitmix.SubSeed(g.cfg.Seed, 0))
+	rng := prng.New(prng.SubSeed(g.cfg.Seed, 0))
 	units := make([]queryUnit, g.cfg.Count)
 	for i := range units {
 		u := &units[i]
 		u.index = i
-		u.seed = splitmix.SubSeed(g.cfg.Seed, i+1)
+		u.seed = prng.SubSeed(g.cfg.Seed, i+1)
 		u.shape = pickShapeFrom(rng, g.cfg.Shapes)
 		u.numRules = drawInterval(rng, g.cfg.Size.Rules)
 		if len(g.cfg.Classes) > 0 && u.shape == query.Chain {

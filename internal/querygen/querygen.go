@@ -192,12 +192,6 @@ func New(cfg Config) (*Generator, error) {
 	return g, nil
 }
 
-// Estimator exposes the selectivity estimator built for the schema.
-func (g *Generator) Estimator() *selectivity.Estimator { return g.est }
-
-// SchemaGraph exposes the schema graph G_S.
-func (g *Generator) SchemaGraph() *selectivity.SchemaGraph { return g.sg }
-
 // classWalks returns the walk-count table of a ladder window and a
 // class. Configured classes hit the frozen cache; an unconfigured one
 // (GenerateWithClass) gets a table built on the fly without touching

@@ -30,7 +30,7 @@ func TestParseNeverPanics(t *testing.T) {
 		if err != nil {
 			t.Fatalf("reprint of Parse(%q) = %q does not parse: %v", input, e.String(), err)
 		}
-		if !back.Equal(e) {
+		if !equalExpr(back, e) {
 			t.Fatalf("round trip of %q changed: %q vs %q", input, e.String(), back.String())
 		}
 	}

@@ -74,16 +74,6 @@ func (p Path) Equal(q Path) bool {
 	return true
 }
 
-// Reverse returns the path read backwards with every symbol inverted;
-// it denotes the inverse relation.
-func (p Path) Reverse() Path {
-	r := make(Path, len(p))
-	for i, s := range p {
-		r[len(p)-1-i] = s.Inv()
-	}
-	return r
-}
-
 // Expr is a regular path expression in gMark normal form.
 type Expr struct {
 	// Paths are the disjuncts P1 ... Pk. A valid expression has k >= 1.
@@ -91,12 +81,6 @@ type Expr struct {
 	// Star marks the outermost Kleene star.
 	Star bool
 }
-
-// Single returns the expression consisting of one symbol.
-func Single(s Symbol) Expr { return Expr{Paths: []Path{{s}}} }
-
-// FromPath returns the expression with one disjunct.
-func FromPath(p Path) Expr { return Expr{Paths: []Path{p}} }
 
 // Validate checks the k >= 1 invariant.
 func (e Expr) Validate() error {
@@ -131,59 +115,8 @@ func (e Expr) Append(dst []byte) []byte {
 	return dst
 }
 
-// Equal reports structural equality.
-func (e Expr) Equal(f Expr) bool {
-	if e.Star != f.Star || len(e.Paths) != len(f.Paths) {
-		return false
-	}
-	for i := range e.Paths {
-		if !e.Paths[i].Equal(f.Paths[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // NumDisjuncts returns k, the number of disjuncts.
 func (e Expr) NumDisjuncts() int { return len(e.Paths) }
-
-// MinPathLen and MaxPathLen return the extremes of the disjunct
-// lengths; both return 0 for an expression without disjuncts.
-func (e Expr) MinPathLen() int {
-	if len(e.Paths) == 0 {
-		return 0
-	}
-	min := len(e.Paths[0])
-	for _, p := range e.Paths[1:] {
-		if len(p) < min {
-			min = len(p)
-		}
-	}
-	return min
-}
-
-// MaxPathLen returns the length of the longest disjunct.
-func (e Expr) MaxPathLen() int {
-	max := 0
-	for _, p := range e.Paths {
-		if len(p) > max {
-			max = len(p)
-		}
-	}
-	return max
-}
-
-// HasInverse reports whether any symbol is inverted.
-func (e Expr) HasInverse() bool {
-	for _, p := range e.Paths {
-		for _, s := range p {
-			if s.Inverse {
-				return true
-			}
-		}
-	}
-	return false
-}
 
 // Predicates returns the distinct predicate names used, in first-use
 // order.

@@ -90,27 +90,6 @@ type EdgeConstraint struct {
 	Out dist.Distribution // out-degree distribution at Source
 }
 
-// The standard macros of Section 3.4 for encoding common in/out pairs.
-
-// ExactlyOne is the "1" macro: non-specified in-distribution, uniform
-// out-distribution with min=max=1 (every source node has exactly one
-// outgoing edge).
-func ExactlyOne() (in, out dist.Distribution) {
-	return dist.Unspecified(), dist.NewUniform(1, 1)
-}
-
-// Optional is the "?" macro: non-specified in-distribution, uniform
-// out-distribution on [0,1].
-func Optional() (in, out dist.Distribution) {
-	return dist.Unspecified(), dist.NewUniform(0, 1)
-}
-
-// Forbidden is the "0" macro: non-specified in-distribution, uniform
-// out-distribution with min=max=0 (no edges).
-func Forbidden() (in, out dist.Distribution) {
-	return dist.Unspecified(), dist.NewUniform(0, 0)
-}
-
 // Schema is Definition 3.1's tuple S = (Sigma, Theta, T, eta). The
 // occurrence constraints T are attached to the predicate and type
 // entries.
@@ -138,17 +117,6 @@ func (s *Schema) PredicateIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-// TypeGrows reports whether Type(T) = N in the selectivity sense: the
-// number of nodes of this type grows with the graph size, i.e. its
-// occurrence constraint is proportional (paper, Section 5.2.2).
-func (s *Schema) TypeGrows(name string) bool {
-	i := s.TypeIndex(name)
-	if i < 0 {
-		return false
-	}
-	return s.Types[i].Occurrence.Proportional
 }
 
 // Validate checks referential integrity of the schema: every constraint

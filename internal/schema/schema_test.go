@@ -74,19 +74,6 @@ func TestSchemaIndexLookups(t *testing.T) {
 	}
 }
 
-func TestTypeGrows(t *testing.T) {
-	s := bibSchema()
-	if !s.TypeGrows("researcher") {
-		t.Error("researcher should grow")
-	}
-	if s.TypeGrows("city") {
-		t.Error("city should not grow")
-	}
-	if s.TypeGrows("unknown") {
-		t.Error("unknown type should not grow")
-	}
-}
-
 func TestSchemaValidateOK(t *testing.T) {
 	s := bibSchema()
 	if err := s.Validate(); err != nil {
@@ -167,24 +154,6 @@ func TestTypeCount(t *testing.T) {
 	}
 	if got := cfg.TypeCount("missing"); got != 0 {
 		t.Errorf("missing type count = %d", got)
-	}
-}
-
-func TestMacros(t *testing.T) {
-	in, out := ExactlyOne()
-	if in.Specified() {
-		t.Error("ExactlyOne in-dist should be non-specified")
-	}
-	if out.Kind != dist.Uniform || out.Min != 1 || out.Max != 1 {
-		t.Errorf("ExactlyOne out = %v", out)
-	}
-	_, out = Optional()
-	if out.Min != 0 || out.Max != 1 {
-		t.Errorf("Optional out = %v", out)
-	}
-	_, out = Forbidden()
-	if out.Min != 0 || out.Max != 0 {
-		t.Errorf("Forbidden out = %v", out)
 	}
 }
 

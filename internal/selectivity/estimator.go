@@ -25,7 +25,6 @@ type TypeEdge struct {
 // Estimator may be shared by any number of goroutines without locking
 // (the query-generation pipeline relies on this).
 type Estimator struct {
-	s     *schema.Schema
 	kinds []NodeKind
 	// out[t] lists type edges leaving type t (both label directions).
 	out [][]TypeEdge
@@ -38,7 +37,6 @@ func NewEstimator(s *schema.Schema) (*Estimator, error) {
 		return nil, err
 	}
 	e := &Estimator{
-		s:     s,
 		kinds: make([]NodeKind, len(s.Types)),
 		out:   make([][]TypeEdge, len(s.Types)),
 	}
@@ -114,9 +112,6 @@ func (e *Estimator) Kind(t int) NodeKind { return e.kinds[t] }
 // TypeEdges returns the label edges leaving type t. Callers must not
 // modify the returned slice.
 func (e *Estimator) TypeEdges(t int) []TypeEdge { return e.out[t] }
-
-// Schema returns the analyzed schema.
-func (e *Estimator) Schema() *schema.Schema { return e.s }
 
 // Matrix maps type pairs (A, B) to an optional selectivity triple; an
 // undefined cell means the expression cannot connect A to B under the
@@ -391,6 +386,3 @@ func (e *Estimator) EstimateClass(q *query.Query) (query.SelectivityClass, bool,
 		return query.Linear, true, nil
 	}
 }
-
-// AlphaOfTriple is exported for tests: the alpha of a clamped triple.
-func AlphaOfTriple(t Triple) int { return t.Alpha() }

@@ -101,7 +101,7 @@ func TestSymbolMatrixUndefinedCells(t *testing.T) {
 
 func TestForbiddenConstraintYieldsNoEdges(t *testing.T) {
 	s := example33()
-	in, out := schema.Forbidden()
+	in, out := dist.Unspecified(), dist.NewUniform(0, 0) // the "0" macro
 	s.Constraints = append(s.Constraints, schema.EdgeConstraint{
 		Source: "T3", Target: "T1", Predicate: "a", In: in, Out: out,
 	})

@@ -129,14 +129,6 @@ func allPairsBFS(out [][]SelEdge, n int) [][]int {
 // type t: the start of every selectivity walk.
 func (sg *SchemaGraph) IdentityNode(t int) int { return sg.identity[t] }
 
-// NodeIndex returns the index of a node, or -1.
-func (sg *SchemaGraph) NodeIndex(n SelNode) int {
-	if i, ok := sg.index[n]; ok {
-		return i
-	}
-	return -1
-}
-
 // Alpha returns the selectivity value of the accumulated triple at
 // node i.
 func (sg *SchemaGraph) Alpha(i int) int { return sg.Nodes[i].Triple.Alpha() }

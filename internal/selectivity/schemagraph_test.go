@@ -15,6 +15,16 @@ func newSG(t *testing.T) *SchemaGraph {
 	return NewSchemaGraph(newEst(t))
 }
 
+// nodeIndex returns the index of an enumerated G_S node.
+func nodeIndex(t *testing.T, sg *SchemaGraph, n SelNode) int {
+	t.Helper()
+	i, ok := sg.index[n]
+	if !ok {
+		t.Fatalf("G_S has no node %+v", n)
+	}
+	return i
+}
+
 func TestSchemaGraphNodeEnumeration(t *testing.T) {
 	sg := newSG(t)
 	// T1, T2 grow: 1 + 5 = 6 nodes each; T3 fixed: 2 nodes.
@@ -47,11 +57,8 @@ func TestIdentityNodes(t *testing.T) {
 // (N,=,N) . (N,<,N) = (N,<,N).
 func TestExample52Edge(t *testing.T) {
 	sg := newSG(t)
-	from := sg.NodeIndex(SelNode{Type: 0, Triple: Triple{Many, OpEq, Many}})
-	to := sg.NodeIndex(SelNode{Type: 0, Triple: Triple{Many, OpLess, Many}})
-	if from < 0 || to < 0 {
-		t.Fatal("expected nodes missing")
-	}
+	from := nodeIndex(t, sg, SelNode{Type: 0, Triple: Triple{Many, OpEq, Many}})
+	to := nodeIndex(t, sg, SelNode{Type: 0, Triple: Triple{Many, OpLess, Many}})
 	found := false
 	for _, e := range sg.Out[from] {
 		if e.To == to && e.Sym.Pred == "a" && !e.Sym.Inverse {
@@ -60,13 +67,6 @@ func TestExample52Edge(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("missing edge (T1,(N,=,N)) -a-> (T1,(N,<,N))")
-	}
-}
-
-func TestNodeIndexMissing(t *testing.T) {
-	sg := newSG(t)
-	if got := sg.NodeIndex(SelNode{Type: 99, Triple: Identity(Many)}); got != -1 {
-		t.Errorf("missing node index = %d", got)
 	}
 }
 
@@ -227,8 +227,8 @@ func TestCountPathsAndSample(t *testing.T) {
 func TestSamplePathBetween(t *testing.T) {
 	sg := newSG(t)
 	rng := rand.New(rand.NewSource(9))
-	from := sg.NodeIndex(SelNode{Type: 0, Triple: Identity(Many)})
-	to := sg.NodeIndex(SelNode{Type: 0, Triple: Triple{Many, OpCross, Many}})
+	from := nodeIndex(t, sg, SelNode{Type: 0, Triple: Identity(Many)})
+	to := nodeIndex(t, sg, SelNode{Type: 0, Triple: Triple{Many, OpCross, Many}})
 	pc := sg.PathCounts(2)
 	p, ok := pc.SampleToNode(rng, from, to, 1, 2)
 	if !ok {

@@ -24,7 +24,7 @@ func TestSQLCycleDeterministic(t *testing.T) {
 			{Src: 0, Dst: 1, Expr: regpath.MustParse("a")},
 		},
 	}}}
-	first, err := translate.ToPostgreSQL(cycle, translate.Options{})
+	first, err := translate.To(translate.PostgreSQL, cycle, translate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestSQLCycleDeterministic(t *testing.T) {
 		t.Errorf("cycle join conditions not in source-then-target order:\n%s", first)
 	}
 	for i := 0; i < 100; i++ {
-		again, err := translate.ToPostgreSQL(cycle, translate.Options{})
+		again, err := translate.To(translate.PostgreSQL, cycle, translate.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

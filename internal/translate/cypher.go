@@ -11,17 +11,13 @@ import (
 // disjunctions into UNION branches.
 const maxCypherExpansions = 16
 
-// ToOpenCypher renders the query in openCypher. Since openCypher has
+// appendOpenCypher renders the query in openCypher. Since openCypher has
 // no general regular path expressions, disjunctions of multi-symbol
 // paths are expanded into UNION branches (capped; beyond the cap only
 // the first disjunct is kept), and starred sub-expressions keep only
 // the first non-inverse symbol of their first disjunct — the
 // restriction discussed in Section 7.1, which makes recursive Cypher
 // queries incomparable to the other syntaxes.
-func ToOpenCypher(q *query.Query, opt Options) (string, error) {
-	return To(OpenCypher, q, opt)
-}
-
 func appendOpenCypher(dst []byte, q *query.Query, opt Options) ([]byte, error) {
 	start := len(dst)
 	first := true

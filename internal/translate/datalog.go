@@ -5,14 +5,10 @@ import (
 	"gmark/internal/regpath"
 )
 
-// ToDatalog renders the query as a Datalog program over one EDB
+// appendDatalog renders the query as a Datalog program over one EDB
 // predicate per edge label (a(X,Y) holds for each a-labeled edge
 // X -> Y) plus node(X) for the active domain. Starred conjuncts use
 // the classical linear-recursive encoding.
-func ToDatalog(q *query.Query, opt Options) (string, error) {
-	return To(Datalog, q, opt)
-}
-
 func appendDatalog(dst []byte, q *query.Query, opt Options) []byte {
 	dst = append(dst, "% UCRPQ translated to Datalog by gmark\n"...)
 	// Conjunct relations are numbered p0, p1, ... and inner path

@@ -20,7 +20,7 @@ import (
 // executes it against g with the mini Datalog engine.
 func execDatalog(t *testing.T, g *graph.Graph, q *query.Query) int64 {
 	t.Helper()
-	src, err := translate.ToDatalog(q, translate.Options{})
+	src, err := translate.To(translate.Datalog, q, translate.Options{})
 	if err != nil {
 		t.Fatalf("translate: %v", err)
 	}
@@ -153,7 +153,7 @@ func TestSelfLoopEquatesEndpoints(t *testing.T) {
 		Head: []query.Var{0},
 		Body: []query.Conjunct{{Src: 0, Dst: 0, Expr: regpath.MustParse("a")}},
 	}}}
-	sql, err := translate.ToPostgreSQL(loop, translate.Options{})
+	sql, err := translate.To(translate.PostgreSQL, loop, translate.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,13 +7,9 @@ import (
 
 const sparqlPrefix = "PREFIX : <http://gmark.example.org/pred/>\n"
 
-// ToSPARQL renders the query in SPARQL 1.1, with regular path
+// appendSPARQL renders the query in SPARQL 1.1, with regular path
 // expressions as property paths. Rules become UNION blocks; Boolean
 // queries become ASK.
-func ToSPARQL(q *query.Query, opt Options) (string, error) {
-	return To(SPARQL, q, opt)
-}
-
 func appendSPARQL(dst []byte, q *query.Query, opt Options) []byte {
 	dst = append(dst, sparqlPrefix...)
 	switch {

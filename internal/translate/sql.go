@@ -5,7 +5,7 @@ import (
 	"gmark/internal/regpath"
 )
 
-// ToPostgreSQL renders the query as PostgreSQL SQL over the relations
+// appendPostgreSQL renders the query as PostgreSQL SQL over the relations
 //
 //	edge(src INTEGER, label TEXT, trg INTEGER)
 //	node(id INTEGER)
@@ -15,10 +15,6 @@ import (
 // becomes a CTE whose body is the union of its disjunct path joins;
 // starred conjuncts become WITH RECURSIVE CTEs seeded with the
 // identity relation.
-func ToPostgreSQL(q *query.Query, opt Options) (string, error) {
-	return To(PostgreSQL, q, opt)
-}
-
 func appendPostgreSQL(dst []byte, q *query.Query, opt Options) []byte {
 	// The CTEs of all rules, numbered c0, c1, ... in body order.
 	if q.HasRecursion() {

@@ -45,7 +45,7 @@ func TestToDispatch(t *testing.T) {
 // --- SPARQL ---
 
 func TestSPARQLBasic(t *testing.T) {
-	out, err := ToSPARQL(simpleQuery("a.b-", "c"), Options{})
+	out, err := To(SPARQL, simpleQuery("a.b-", "c"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestSPARQLBasic(t *testing.T) {
 }
 
 func TestSPARQLDisjunctionAndStar(t *testing.T) {
-	out, err := ToSPARQL(simpleQuery("(a.b+c)*"), Options{})
+	out, err := To(SPARQL, simpleQuery("(a.b+c)*"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestSPARQLUnionRules(t *testing.T) {
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}}},
 		{Head: []query.Var{0, 1}, Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("b")}}},
 	}}
-	out, err := ToSPARQL(q, Options{})
+	out, err := To(SPARQL, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestSPARQLAsk(t *testing.T) {
 	q := &query.Query{Rules: []query.Rule{{
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}},
 	}}}
-	out, err := ToSPARQL(q, Options{})
+	out, err := To(SPARQL, q, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestSPARQLAsk(t *testing.T) {
 }
 
 func TestSPARQLCount(t *testing.T) {
-	out, err := ToSPARQL(simpleQuery("a"), Options{Count: true})
+	out, err := To(SPARQL, simpleQuery("a"), Options{Count: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestSPARQLCount(t *testing.T) {
 }
 
 func TestSPARQLEpsilonOnly(t *testing.T) {
-	out, err := ToSPARQL(simpleQuery("eps"), Options{})
+	out, err := To(SPARQL, simpleQuery("eps"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestSPARQLEpsilonOnly(t *testing.T) {
 }
 
 func TestSPARQLEpsilonDisjunct(t *testing.T) {
-	out, err := ToSPARQL(simpleQuery("(eps+a)"), Options{})
+	out, err := To(SPARQL, simpleQuery("(eps+a)"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestSPARQLEpsilonDisjunct(t *testing.T) {
 // --- openCypher ---
 
 func TestCypherBasic(t *testing.T) {
-	out, err := ToOpenCypher(simpleQuery("a"), Options{})
+	out, err := To(OpenCypher, simpleQuery("a"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestCypherBasic(t *testing.T) {
 }
 
 func TestCypherInverseAndPath(t *testing.T) {
-	out, err := ToOpenCypher(simpleQuery("a-.b"), Options{})
+	out, err := To(OpenCypher, simpleQuery("a-.b"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +153,7 @@ func TestCypherInverseAndPath(t *testing.T) {
 }
 
 func TestCypherSingleSymbolDisjunction(t *testing.T) {
-	out, err := ToOpenCypher(simpleQuery("(a+b)"), Options{})
+	out, err := To(OpenCypher, simpleQuery("(a+b)"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestCypherSingleSymbolDisjunction(t *testing.T) {
 }
 
 func TestCypherMultiSymbolDisjunctionExpands(t *testing.T) {
-	out, err := ToOpenCypher(simpleQuery("(a.b+c)"), Options{})
+	out, err := To(OpenCypher, simpleQuery("(a.b+c)"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,14 +175,14 @@ func TestCypherMultiSymbolDisjunctionExpands(t *testing.T) {
 func TestCypherStarRestriction(t *testing.T) {
 	// Section 7.1: under a star only the first non-inverse symbol of a
 	// concatenation survives.
-	out, err := ToOpenCypher(simpleQuery("(a-.b)*"), Options{})
+	out, err := To(OpenCypher, simpleQuery("(a-.b)*"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out, "[:b*0..]") {
 		t.Errorf("restricted star should keep b:\n%s", out)
 	}
-	out2, err := ToOpenCypher(simpleQuery("(a.b+c)*"), Options{})
+	out2, err := To(OpenCypher, simpleQuery("(a.b+c)*"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +192,7 @@ func TestCypherStarRestriction(t *testing.T) {
 }
 
 func TestCypherCount(t *testing.T) {
-	out, err := ToOpenCypher(simpleQuery("a"), Options{Count: true})
+	out, err := To(OpenCypher, simpleQuery("a"), Options{Count: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestCypherCount(t *testing.T) {
 // --- PostgreSQL ---
 
 func TestSQLBasic(t *testing.T) {
-	out, err := ToPostgreSQL(simpleQuery("a.b-"), Options{})
+	out, err := To(PostgreSQL, simpleQuery("a.b-"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +222,7 @@ func TestSQLBasic(t *testing.T) {
 }
 
 func TestSQLRecursive(t *testing.T) {
-	out, err := ToPostgreSQL(simpleQuery("(a)*"), Options{})
+	out, err := To(PostgreSQL, simpleQuery("(a)*"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestSQLRecursive(t *testing.T) {
 }
 
 func TestSQLJoinConditions(t *testing.T) {
-	out, err := ToPostgreSQL(simpleQuery("a", "b"), Options{})
+	out, err := To(PostgreSQL, simpleQuery("a", "b"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestSQLJoinConditions(t *testing.T) {
 }
 
 func TestSQLCountAndBoolean(t *testing.T) {
-	out, err := ToPostgreSQL(simpleQuery("a"), Options{Count: true})
+	out, err := To(PostgreSQL, simpleQuery("a"), Options{Count: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +262,7 @@ func TestSQLCountAndBoolean(t *testing.T) {
 	boolean := &query.Query{Rules: []query.Rule{{
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}},
 	}}}
-	out2, err := ToPostgreSQL(boolean, Options{})
+	out2, err := To(PostgreSQL, boolean, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +272,7 @@ func TestSQLCountAndBoolean(t *testing.T) {
 }
 
 func TestSQLEpsilonPath(t *testing.T) {
-	out, err := ToPostgreSQL(simpleQuery("(eps+a)"), Options{})
+	out, err := To(PostgreSQL, simpleQuery("(eps+a)"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestSQLEpsilonPath(t *testing.T) {
 // --- Datalog ---
 
 func TestDatalogBasic(t *testing.T) {
-	out, err := ToDatalog(simpleQuery("a.b-", "c"), Options{})
+	out, err := To(Datalog, simpleQuery("a.b-", "c"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestDatalogBasic(t *testing.T) {
 }
 
 func TestDatalogRecursive(t *testing.T) {
-	out, err := ToDatalog(simpleQuery("(a)*"), Options{})
+	out, err := To(Datalog, simpleQuery("(a)*"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestDatalogRecursive(t *testing.T) {
 }
 
 func TestDatalogDisjuncts(t *testing.T) {
-	out, err := ToDatalog(simpleQuery("(a+b.c)"), Options{})
+	out, err := To(Datalog, simpleQuery("(a+b.c)"), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +331,7 @@ func TestDatalogBoolean(t *testing.T) {
 	boolean := &query.Query{Rules: []query.Rule{{
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: regpath.MustParse("a")}},
 	}}}
-	out, err := ToDatalog(boolean, Options{})
+	out, err := To(Datalog, boolean, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

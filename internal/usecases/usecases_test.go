@@ -46,7 +46,7 @@ func TestBibMatchesFig2(t *testing.T) {
 	if got := cfg.TypeCount("city"); got != 100 {
 		t.Errorf("cities = %d", got)
 	}
-	if s.TypeGrows("city") {
+	if s.Types[s.TypeIndex("city")].Occurrence.Proportional {
 		t.Error("city must be fixed")
 	}
 	// Fig. 2(c): 4 constraints with the stated distribution families.
