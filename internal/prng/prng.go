@@ -13,11 +13,18 @@
 // Source.Intn, the graph shards' pairing draw, returns rand.Rand.Intn's
 // values from the same draws with one division in the common case.
 //
-// SubSeed derives the per-unit seeds both pipelines feed to New: one
-// per eta constraint and shard for graph generation, one per query
-// (plus the planning stream) for workload generation. The determinism
-// contract — same seed, same output, any worker count — rests on that
-// one function.
+// NewLazy draws the same stream from a register it fills as the draws
+// reach it, lazyBlock draws at a time: its Seed only stores the seed,
+// and a stream of a few dozen draws, a generated query's, seeds a few
+// dozen words instead of 607. The price is a check on every draw, so
+// it is for short streams; graph shards, whose streams run long, keep
+// Source and its branch-free draw.
+//
+// SubSeed derives the per-unit seeds both pipelines feed to New and
+// NewLazy: one per eta constraint and shard for graph generation, one
+// per query (plus the planning stream) for workload generation. The
+// determinism contract — same seed, same output, any worker count —
+// rests on that one function.
 package prng
 
 import "math/rand"
@@ -113,7 +120,12 @@ func New(seed int64) *rand.Rand {
 func (r *Source) Seed(seed int64) {
 	r.tap = 0
 	r.feed = rngLen - rngTap
+	seedWords(&r.vec, reduceSeed(seed), 0, rngLen)
+}
 
+// reduceSeed maps a seed to the LCG state math/rand starts its chain
+// from, in [1, 2³¹−1).
+func reduceSeed(seed int64) uint64 {
 	seed %= lcgMod
 	if seed < 0 {
 		seed += lcgMod
@@ -121,11 +133,18 @@ func (r *Source) Seed(seed int64) {
 	if seed == 0 {
 		seed = zeroSeed
 	}
-	s := uint64(seed)
-	for i := range r.vec {
-		p := &jump[i]
+	return uint64(seed)
+}
+
+// seedWords sets words [lo, hi) of vec to the register seeded from the
+// reduced seed s: three LCG values packed into each word, XORed with
+// the cooked table.
+func seedWords(vec *[rngLen]int64, s uint64, lo, hi int) {
+	v, jmp, ck := vec[lo:hi], jump[lo:hi], cooked[lo:hi]
+	for i := range v {
+		p := &jmp[i]
 		u := int64(mulMod(s, p[0]))<<40 ^ int64(mulMod(s, p[1]))<<20 ^ int64(mulMod(s, p[2]))
-		r.vec[i] = u ^ cooked[i]
+		v[i] = u ^ ck[i]
 	}
 }
 
@@ -189,6 +208,75 @@ func (r *Source) Uint64() uint64 {
 	x := r.vec[r.feed] + r.vec[r.tap]
 	r.vec[r.feed] = x
 	return uint64(x)
+}
+
+// lazyBlock is the number of draws whose register words a lazy source
+// fills at once, while its register is not yet whole.
+const lazyBlock = 16
+
+// lazy is a rand.Source64 with Source's stream whose Seed does no work
+// on the register. Draw k (from 1) adds word rngLen-k into word
+// rngLen-rngTap-k, so the first rngLen-rngTap draws each meet at most
+// two words no draw has touched yet; the other words are read only
+// after an earlier draw has written them. fill seeds those words ahead
+// of the draws that meet them, lazyBlock draws at a time, and after
+// draw rngLen-rngTap every word is filled: from then on lazy draws
+// exactly like Source, plus a check of the fill mark.
+type lazy struct {
+	reg Source
+	s   uint64 // the reduced seed
+	// low is the lowest filled word of the feed run
+	// [0, rngLen-rngTap); draws until feed reaches it need no fill.
+	// It is -1 once the register is whole.
+	low int
+}
+
+// NewLazy returns a *rand.Rand drawing exactly
+// rand.New(rand.NewSource(seed))'s stream, whose re-seeding costs
+// nothing up front and allocates nothing: it suits streams of a few
+// hundred draws or fewer.
+func NewLazy(seed int64) *rand.Rand {
+	src := new(lazy)
+	src.Seed(seed)
+	return rand.New(src)
+}
+
+// Seed reduces and stores seed; the register is filled as it is drawn.
+func (r *lazy) Seed(seed int64) {
+	r.reg.tap = 0
+	r.reg.feed = rngLen - rngTap
+	r.s = reduceSeed(seed)
+	r.low = rngLen - rngTap
+}
+
+// Int63 returns a non-negative pseudo-random 63-bit integer.
+func (r *lazy) Int63() int64 {
+	return int64(r.Uint64() & rngMask)
+}
+
+// Uint64 returns a pseudo-random 64-bit value.
+func (r *lazy) Uint64() uint64 {
+	if r.reg.feed <= r.low {
+		r.fill()
+	}
+	return r.reg.Uint64()
+}
+
+// fill seeds the words the next lazyBlock draws meet first: draws
+// k0..k1 write feed words rngLen-rngTap-k1 .. low-1 and, up to draw
+// rngTap, read tap words rngLen-min(k1, rngTap) .. rngLen-k0. A later
+// tap word is a feed word an earlier draw wrote.
+func (r *lazy) fill() {
+	k0 := rngLen - rngTap + 1 - r.low
+	k1 := min(k0+lazyBlock-1, rngLen-rngTap)
+	seedWords(&r.reg.vec, r.s, rngLen-rngTap-k1, r.low)
+	if k0 <= rngTap {
+		seedWords(&r.reg.vec, r.s, rngLen-min(k1, rngTap), rngLen+1-k0)
+	}
+	r.low = rngLen - rngTap - k1
+	if r.low == 0 {
+		r.low = -1
+	}
 }
 
 // SubSeed derives the deterministic RNG seed of unit index from a run

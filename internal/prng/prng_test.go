@@ -14,13 +14,23 @@ var edgeSeeds = []int64{
 	-(1 << 31), zeroSeed, math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
 }
 
-// compareStreams draws n values from New(seed) and from
+// sources are the package's two constructors, each of which must draw
+// rand.NewSource's stream.
+var sources = []struct {
+	name string
+	new  func(int64) *rand.Rand
+}{
+	{"Source", New},
+	{"lazy", NewLazy},
+}
+
+// compareStreams draws n values from newRand(seed) and from
 // rand.New(rand.NewSource(seed)) through every rand.Rand method the
 // generators use, re-seeds both through (*rand.Rand).Seed mid-stream,
 // and draws n more; the first difference fails the test.
-func compareStreams(t *testing.T, seed int64, n int) {
+func compareStreams(t *testing.T, newRand func(int64) *rand.Rand, seed int64, n int) {
 	t.Helper()
-	got, want := New(seed), rand.New(rand.NewSource(seed))
+	got, want := newRand(seed), rand.New(rand.NewSource(seed))
 	for half, s := range [2]int64{seed, ^seed} {
 		if half == 1 {
 			got.Seed(s)
@@ -68,7 +78,7 @@ func digits(p []int) int {
 	return n
 }
 
-// TestSourceMatchesMathRand pins the stream to math/rand's at every
+// TestSourceMatchesMathRand pins both streams to math/rand's at every
 // seed branch and 2 000 random seeds; 1 500 draws per seed wrap the
 // 607-word register twice.
 func TestSourceMatchesMathRand(t *testing.T) {
@@ -77,22 +87,81 @@ func TestSourceMatchesMathRand(t *testing.T) {
 	for len(seeds) < 2000+len(edgeSeeds) {
 		seeds = append(seeds, int64(pick.Uint64()))
 	}
-	for _, seed := range seeds {
-		compareStreams(t, seed, 1500)
+	for _, src := range sources {
+		t.Run(src.name, func(t *testing.T) {
+			for _, seed := range seeds {
+				compareStreams(t, src.new, seed, 1500)
+			}
+		})
+	}
+}
+
+// firstDiff returns the index of the first of n draws where got and
+// want differ, or -1.
+func firstDiff(got, want rand.Source64, n int) int {
+	for j := range n {
+		if got.Uint64() != want.Uint64() {
+			return j
+		}
+	}
+	return -1
+}
+
+// TestLazyAtEveryDrawCount seeds one lazy source, draws n values, and
+// re-seeds it, for every n from 0 to 1 500; 700 draws after each
+// re-seed must still be math/rand's. The counts cover every fill
+// boundary: the first draw, a lazyBlock edge (16/17), the last draw
+// that meets an unseeded tap word (273/274), the last one that meets an
+// unseeded feed word (334/335) and the register's wrap (607/608).
+func TestLazyAtEveryDrawCount(t *testing.T) {
+	var src lazy
+	for n := 0; n <= 1500; n++ {
+		a, b := edgeSeeds[n%len(edgeSeeds)], SubSeed(int64(n), 0)
+		src.Seed(a)
+		if j := firstDiff(&src, rand.NewSource(a).(rand.Source64), n); j >= 0 {
+			t.Fatalf("seed %d: draw %d differs from math/rand's", a, j)
+		}
+		src.Seed(b)
+		if j := firstDiff(&src, rand.NewSource(b).(rand.Source64), 700); j >= 0 {
+			t.Fatalf("seed %d, re-seeded after %d draws: draw %d differs from math/rand's", b, n, j)
+		}
+	}
+}
+
+// TestLazyReseedMidFill re-seeds a lazy source part way through a fill
+// block, at the block of the last unseeded tap word and past it, then
+// draws through every rand.Rand method the generators use.
+func TestLazyReseedMidFill(t *testing.T) {
+	r := NewLazy(1)
+	for _, after := range []int{5, 273, 300} {
+		reseed := func(seed int64) *rand.Rand {
+			r.Seed(^seed)
+			for range after {
+				r.Uint64()
+			}
+			r.Seed(seed)
+			return r
+		}
+		for _, seed := range edgeSeeds {
+			compareStreams(t, reseed, seed, 700)
+		}
 	}
 }
 
 // TestReseedAllocatesNothing pins the reason the generators keep one
 // rand.Rand per worker: re-seeding reuses the source's state.
 func TestReseedAllocatesNothing(t *testing.T) {
-	r := New(1)
-	seed := int64(0)
-	allocs := testing.AllocsPerRun(100, func() {
-		seed++
-		r.Seed(seed)
-	})
-	if allocs != 0 {
-		t.Errorf("re-seeding allocates %v times, want 0", allocs)
+	for _, src := range sources {
+		r := src.new(1)
+		seed := int64(0)
+		allocs := testing.AllocsPerRun(100, func() {
+			seed++
+			r.Seed(seed)
+			r.Int63()
+		})
+		if allocs != 0 {
+			t.Errorf("%s: re-seeding allocates %v times, want 0", src.name, allocs)
+		}
 	}
 }
 
@@ -119,15 +188,17 @@ var intnBounds = []int64{
 	1 << 31, 1<<31 + 1, 1<<40 + 1, 1 << 62, math.MaxInt64,
 }
 
-// FuzzSourceMatchesMathRand compares the streams at any seed and
-// length the fuzzer finds, and Source.Intn against math/rand's Intn at
-// any bound.
+// FuzzSourceMatchesMathRand compares both sources' streams with
+// math/rand's at any seed and length the fuzzer finds, and Source.Intn
+// against math/rand's Intn at any bound.
 func FuzzSourceMatchesMathRand(f *testing.F) {
 	for i, seed := range edgeSeeds {
 		f.Add(seed, uint16(700), intnBounds[i%len(intnBounds)])
 	}
 	f.Fuzz(func(t *testing.T, seed int64, draws uint16, bound int64) {
-		compareStreams(t, seed, int(draws))
+		for _, src := range sources {
+			compareStreams(t, src.new, seed, int(draws))
+		}
 		if bound < 0 {
 			bound = ^bound
 		}
@@ -160,13 +231,16 @@ func TestIntnMatchesMathRand(t *testing.T) {
 var sink uint64
 
 // BenchmarkSeed compares one re-seed of the 607-word register by
-// jump-ahead against math/rand's serial LCG walk.
+// jump-ahead against math/rand's serial LCG walk and, per source, a
+// re-seed followed by 25 Int63 draws, about what one generated query
+// draws: the cost a query pays for its stream.
 func BenchmarkSeed(b *testing.B) {
 	for _, bc := range []struct {
 		name string
 		src  rand.Source64
 	}{
 		{"prng", new(Source)},
+		{"lazy", new(lazy)},
 		{"math-rand", rand.NewSource(1).(rand.Source64)},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
@@ -176,6 +250,18 @@ func BenchmarkSeed(b *testing.B) {
 				bc.src.Seed(seed)
 			}
 			sink += bc.src.Uint64()
+		})
+		b.Run(bc.name+"+25", func(b *testing.B) {
+			seed := int64(0)
+			var acc int64
+			for b.Loop() {
+				seed++
+				bc.src.Seed(seed)
+				for range 25 {
+					acc += bc.src.Int63()
+				}
+			}
+			sink += uint64(acc)
 		})
 	}
 }

@@ -31,21 +31,21 @@ func (g *Generator) Emit(opt Options, sink QuerySink) (int, error) {
 }
 
 // EmitWindow is Emit restricted to the query-index window [from, to):
-// the workload is planned exactly as in a full run — every unit keeps
-// the sub-seed and workload-level assignment its index has in the
-// complete workload — and only the window's units are emitted, in
-// ascending index order. A window of one query therefore produces the
-// identical query a full run delivers at that index, which is what
-// lets a server answer any workload window on demand without
-// generating the rest. Flush is ALWAYS called, exactly as in Emit; an
+// the workload's prefix [0, to) is planned exactly as in a full run —
+// every unit keeps the sub-seed and workload-level assignment its
+// index has in the complete workload — and only the window's units are
+// kept and emitted, in ascending index order. A window of one query
+// therefore produces the identical query a full run delivers at that
+// index, which is what lets a server answer any workload window on
+// demand without generating the rest. Flush is ALWAYS called, exactly as in Emit; an
 // out-of-bounds window is an error (after flushing).
 func (g *Generator) EmitWindow(opt Options, from, to int, sink QuerySink) (int, error) {
-	units := g.planWorkload()
+	var units []queryUnit
 	var err error
-	if from < 0 || to > len(units) || from > to {
-		err = fmt.Errorf("querygen: window [%d, %d) outside workload of %d queries", from, to, len(units))
+	if from < 0 || to > g.cfg.Count || from > to {
+		err = fmt.Errorf("querygen: window [%d, %d) outside workload of %d queries", from, to, g.cfg.Count)
 	} else {
-		units = units[from:to]
+		units = g.planWorkload(from, to)
 		if opt.workers() == 1 || len(units) <= emitBlock {
 			err = g.emitSequential(units, sink)
 		} else {

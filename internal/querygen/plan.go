@@ -43,20 +43,21 @@ type queryUnit struct {
 	numRules int
 }
 
-// planWorkload resolves the configuration into per-query units. All
-// workload-level randomness — the (shape, class, arity, rule count)
-// assignment of every query — is drawn here from a single RNG on a
-// dedicated sub-stream of the seed, so emission workers never contend
-// for a shared stream; everything below the assignment draws from the
-// unit's own sub-seed. Planning is cheap (no schema walks) and its
-// result depends only on (Config, Seed).
-func (g *Generator) planWorkload() []queryUnit {
+// planWorkload resolves the configuration into the per-query units of
+// the window [from, to). All workload-level randomness — the (shape,
+// class, arity, rule count) assignment of every query — is drawn here
+// from a single RNG on a dedicated sub-stream of the seed, so emission
+// workers never contend for a shared stream; everything below the
+// assignment draws from the unit's own sub-seed. A unit's assignment
+// depends on the draws of every unit before it, so the whole prefix
+// [0, to) is drawn, but only the window's units are kept. Planning is
+// cheap (no schema walks) and its result depends only on (Config,
+// Seed).
+func (g *Generator) planWorkload(from, to int) []queryUnit {
 	rng := prng.New(prng.SubSeed(g.cfg.Seed, 0))
-	units := make([]queryUnit, g.cfg.Count)
-	for i := range units {
-		u := &units[i]
-		u.index = i
-		u.seed = prng.SubSeed(g.cfg.Seed, i+1)
+	units := make([]queryUnit, 0, to-from)
+	for i := range to {
+		u := queryUnit{index: i}
 		u.shape = pickShapeFrom(rng, g.cfg.Shapes)
 		u.numRules = drawInterval(rng, g.cfg.Size.Rules)
 		if len(g.cfg.Classes) > 0 && u.shape == query.Chain {
@@ -65,6 +66,10 @@ func (g *Generator) planWorkload() []queryUnit {
 		} else {
 			u.arity = drawInterval(rng, g.cfg.Arity)
 		}
+		if i >= from {
+			u.seed = prng.SubSeed(g.cfg.Seed, i+1)
+			units = append(units, u)
+		}
 	}
 	return units
 }
@@ -72,9 +77,10 @@ func (g *Generator) planWorkload() []queryUnit {
 // newWorker returns an emission worker whose RNG emitUnit re-seeds per
 // unit. Re-seeding yields the identical stream to a fresh
 // rand.New(rand.NewSource(seed)) without allocating a new 4.9 KB source
-// per query, and prng seeds it by jump-ahead in a sixth of the time.
+// per query. The source is prng's lazy one: a query draws a few dozen
+// values, and pays to seed only the register words those draws meet.
 func (g *Generator) newWorker() *worker {
-	return &worker{g: g, rng: prng.New(0)}
+	return &worker{g: g, rng: prng.NewLazy(0)}
 }
 
 // emitUnit generates one planned query from the unit's sub-seed. It
