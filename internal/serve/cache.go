@@ -30,20 +30,24 @@ type columnsKey struct {
 
 // sliceColumnsShare is the divisor of Options.CacheBytes that the
 // columns cache gets; slices keep the rest. Measured on gmark-perf's
-// serve-hot (2 MiB budget, 400-800 KB intermediates): one LRU shared
-// by both halved the slice hit ratio, while a 1/8, 1/4 or 1/2 share
-// all read alike.
+// serve-hot (2 MiB budget) when columns cost 8 B/edge, 400-800 KB a
+// predicate: one LRU shared by both halved the slice hit ratio, while
+// a 1/8, 1/4 or 1/2 share all read alike. Bit-packed (columns.go) at
+// 0.9-2.2 B/edge the same 18 predicates take 3-110 KB, 420 KB in all,
+// and the quarter holds every one of them.
 const sliceColumnsShare = 4
 
 // errLoadPanicked is what coalesced waiters get when the goroutine
 // computing their key panicked instead of returning.
 var errLoadPanicked = errors.New("serve: the computation this request was waiting on panicked")
 
-// cacheEntry is one resident cache entry.
+// cacheEntry is one resident cache entry. size includes grown, the
+// bytes grow added on top of the value's own price.
 type cacheEntry[K comparable, V any] struct {
-	key  K
-	val  V
-	size int64
+	key   K
+	val   V
+	size  int64
+	grown int64
 }
 
 // flight coalesces concurrent loads of one key: the first requester
@@ -76,6 +80,8 @@ type lruCache[K comparable, V any] struct {
 	mu        sync.Mutex
 	budget    int64
 	sizeOf    func(V) int64
+	keep      func(V) V // what an entry retains of a loaded value; nil keeps it whole
+	shed      func(V)   // drops what grow attached to a value; nil: grown bytes leave only with their entry
 	bytes     int64
 	hits      int64
 	misses    int64
@@ -86,11 +92,17 @@ type lruCache[K comparable, V any] struct {
 }
 
 // newLRUCache returns an empty cache with the given byte budget;
-// sizeOf prices a value against it.
-func newLRUCache[K comparable, V any](budget int64, sizeOf func(V) int64) *lruCache[K, V] {
+// sizeOf prices a value against it. keep, unless nil, strips a loaded
+// value to what its entry retains — the loader and the waiters on its
+// flight still get the whole value. shed, unless nil, drops what grow
+// attached to a value: an insert that needs room sheds grown bytes,
+// coldest first, before it evicts any entry.
+func newLRUCache[K comparable, V any](budget int64, sizeOf func(V) int64, keep func(V) V, shed func(V)) *lruCache[K, V] {
 	return &lruCache[K, V]{
 		budget:   budget,
 		sizeOf:   sizeOf,
+		keep:     keep,
+		shed:     shed,
 		ll:       list.New(),
 		entries:  make(map[K]*list.Element),
 		inflight: make(map[K]*flight[V]),
@@ -139,9 +151,9 @@ func (c *lruCache[K, V]) get(key K, load func() (V, error)) (V, bool, error) {
 	return val, false, err
 }
 
-// insert adds an entry and evicts from the cold end until the budget
-// holds. A value larger than the whole budget is served but never
-// cached. Caller holds the lock.
+// insert adds an entry and, until the budget holds, sheds grown bytes
+// and then evicts entries, each from the cold end. A value larger than
+// the whole budget is served but never cached. Caller holds the lock.
 func (c *lruCache[K, V]) insert(key K, val V) {
 	size := c.sizeOf(val)
 	if size > c.budget {
@@ -150,8 +162,19 @@ func (c *lruCache[K, V]) insert(key K, val V) {
 	if _, ok := c.entries[key]; ok {
 		return // a racing flight already populated it
 	}
+	if c.keep != nil {
+		val = c.keep(val)
+	}
 	c.entries[key] = c.ll.PushFront(&cacheEntry[K, V]{key: key, val: val, size: size})
 	c.bytes += size
+	for el := c.ll.Back(); c.shed != nil && el != nil && c.bytes > c.budget; el = el.Prev() {
+		if ent := el.Value.(*cacheEntry[K, V]); ent.grown > 0 {
+			c.shed(ent.val)
+			c.bytes -= ent.grown
+			ent.size -= ent.grown
+			ent.grown = 0
+		}
+	}
 	for c.bytes > c.budget {
 		el := c.ll.Back()
 		if el == nil {
@@ -166,10 +189,12 @@ func (c *lruCache[K, V]) insert(key K, val V) {
 }
 
 // grow charges delta more bytes to key's entry, if key is resident,
-// same accepts its value, and the budget has delta bytes free. It
-// never evicts to make room; a false return changes nothing. Eviction
-// releases the grown size with the entry.
-func (c *lruCache[K, V]) grow(key K, delta int64, same func(V) bool) bool {
+// the budget has delta bytes free, and attach accepts its value; attach
+// runs under the cache's lock, so what it attaches and the charge come
+// and go together. It never evicts to make room; a false return
+// changes nothing. Shedding or evicting the entry releases the grown
+// bytes.
+func (c *lruCache[K, V]) grow(key K, delta int64, attach func(V) bool) bool {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -177,12 +202,20 @@ func (c *lruCache[K, V]) grow(key K, delta int64, same func(V) bool) bool {
 		return false
 	}
 	ent := el.Value.(*cacheEntry[K, V])
-	if !same(ent.val) {
+	if !attach(ent.val) {
 		return false
 	}
 	ent.size += delta
+	ent.grown += delta
 	c.bytes += delta
 	return true
+}
+
+// free reports whether the budget has delta bytes free.
+func (c *lruCache[K, V]) free(delta int64) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.bytes+delta <= c.budget
 }
 
 // stats returns a snapshot of the cache counters.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -18,7 +19,7 @@ import (
 
 // intCache is an lruCache of ints that each cost their own value.
 func intCache(budget int64) *lruCache[string, int] {
-	return newLRUCache[string](budget, func(v int) int64 { return int64(v) })
+	return newLRUCache[string](budget, func(v int) int64 { return int64(v) }, nil, nil)
 }
 
 // waitForHits blocks until n lookups have joined a resident entry or a
@@ -177,18 +178,18 @@ func policyServer(t *testing.T, cacheBytes int64) (*Server, *job) {
 	return srv, j
 }
 
-// columnCosts is what each predicate's columns cost the budget, in
-// the job's predicate order.
+// columnCosts is what each predicate's packed columns cost the
+// budget, in the job's predicate order.
 func columnCosts(t *testing.T, j *job) []int64 {
 	t.Helper()
 	probe := New(Options{CacheBytes: 1}) // retains nothing
 	var cost []int64
 	for i := range j.predNames {
-		col, err := probe.predicateEdges(j, i)
+		e, err := probe.predicateEdges(j, i)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cost = append(cost, columnsBytes(col))
+		cost = append(cost, e.bytes())
 	}
 	return cost
 }
@@ -310,5 +311,135 @@ func TestConcurrentRangesShareOneEmission(t *testing.T) {
 	if st.Emissions != 1 || st.ColumnHits != K-1 || st.Cache.Misses != K || st.Cache.Hits != 0 {
 		t.Errorf("%d concurrent ranges of one predicate: %d emissions, %d column hits, %d slice misses, %d slice hits",
 			K, st.Emissions, st.ColumnHits, st.Cache.Misses, st.Cache.Hits)
+	}
+}
+
+// TestPackedColumnsStayResident is what packing buys: a columns share
+// between one job's packed and plain footprint holds every predicate
+// packed, so two rounds of slices of every predicate run one emission
+// each and evict no columns. Charged at their plain size, the columns
+// would not fit and every round would re-emit.
+func TestPackedColumnsStayResident(t *testing.T) {
+	_, j := policyServer(t, 0)
+	probe := New(Options{CacheBytes: 1}) // retains nothing
+	var packed, plain int64
+	for i := range j.predNames {
+		e, err := probe.predicateEdges(j, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed += e.bytes()
+		plain += 4 * int64(cap(e.plain.srcs)+cap(e.plain.dsts))
+	}
+	if packed >= plain {
+		t.Fatalf("fixture: the packed columns cost %d bytes, the plain ones %d", packed, plain)
+	}
+	share := (packed + plain) / 2
+	srv, j := policyServer(t, sliceColumnsShare*share)
+	for round := 0; round < 2; round++ {
+		for _, pred := range j.predNames {
+			fetchSlice(t, srv, j.id, pred, round, "enc=text")
+		}
+	}
+	if st := srv.Stats(); st.Emissions != int64(len(j.predNames)) || st.ColumnEvictions != 0 {
+		t.Errorf("two rounds over %d predicates in a share of %d bytes (packed %d, plain %d): %d emissions, %d column evictions; want %d and 0",
+			len(j.predNames), share, packed, plain, st.Emissions, st.ColumnEvictions, len(j.predNames))
+	}
+}
+
+// TestColumnChargeIsTheFootprint sweeps every slice of a job, then
+// checks the columns' charge against what their resident entries
+// hold — the packed words and heads at capacity, plus each index
+// still attached — and that no entry still holds an emission's plain
+// columns. At the default budget every predicate keeps its index; in
+// a share one byte short of the packed columns plus the first
+// predicate's index, later predicates' columns shed indexes and evict
+// nothing.
+func TestColumnChargeIsTheFootprint(t *testing.T) {
+	_, j := policyServer(t, 0)
+	probe := New(Options{CacheBytes: 1}) // retains nothing
+	var packed, firstIndex int64
+	for i := range j.predNames {
+		e, err := probe.predicateEdges(j, i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		packed += e.bytes()
+		if i == 0 {
+			firstIndex = indexBytes(e.columns)
+		}
+	}
+	// The first predicate swept is indexed while the share has room;
+	// the last one's columns need part of that room back.
+	for _, share := range []int64{0, packed + firstIndex - 1} {
+		srv, j := policyServer(t, sliceColumnsShare*share)
+		for _, pred := range j.predNames {
+			for _, query := range []string{"dir=f", "dir=b", "enc=text"} {
+				for rng := 0; rng < j.nRanges; rng++ {
+					fetchSlice(t, srv, j.id, pred, rng, query)
+				}
+			}
+		}
+		var sum int64
+		indexes := 0
+		srv.columns.mu.Lock()
+		for key, el := range srv.columns.entries {
+			ent := el.Value.(*cacheEntry[columnsKey, predEdges])
+			if ent.val.plain != nil {
+				t.Errorf("share %d, predicate %d: the resident entry holds the plain columns", share, key.pred)
+			}
+			footprint := ent.val.bytes()
+			if idx := ent.val.idx.Load(); idx != nil {
+				footprint += idx.bytes()
+				indexes++
+			}
+			if ent.size != footprint {
+				t.Errorf("share %d, predicate %d: charged %d bytes, holds %d", share, key.pred, ent.size, footprint)
+			}
+			sum += footprint
+		}
+		srv.columns.mu.Unlock()
+		st := srv.Stats()
+		if st.ColumnBytes != sum {
+			t.Errorf("share %d: column_bytes %d, the resident entries hold %d", share, st.ColumnBytes, sum)
+		}
+		n := len(j.predNames)
+		if st.Emissions != int64(n) || st.ColumnEvictions != 0 {
+			t.Errorf("share %d: %d emissions and %d column evictions for %d predicates", share, st.Emissions, st.ColumnEvictions, n)
+		}
+		switch {
+		case share == 0 && (indexes != n || st.ColumnIndexes != int64(n)):
+			t.Errorf("%d predicates swept: %d resident indexes, %d built", n, indexes, st.ColumnIndexes)
+		case share > 0 && (indexes == 0 || indexes >= int(st.ColumnIndexes)):
+			t.Errorf("fixture: in a share of %d bytes, %d of %d indexes built stayed resident", share, indexes, st.ColumnIndexes)
+		}
+	}
+}
+
+// TestCacheShedsGrowthFirst pins the order an insert makes room in:
+// grown bytes, coldest entry first, and only then whole entries.
+func TestCacheShedsGrowthFirst(t *testing.T) {
+	var shed []string
+	c := newLRUCache[string](10, func(v string) int64 { return int64(len(v)) }, nil,
+		func(v string) { shed = append(shed, v) })
+	get := func(key string) {
+		t.Helper()
+		if _, _, err := c.get(key, func() (string, error) { return key, nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	yes := func(string) bool { return true }
+	get("aaa")
+	get("bbb")
+	if !c.grow("aaa", 2, yes) || !c.grow("bbb", 2, yes) {
+		t.Fatal("refused grows that fit")
+	}
+	get("ccc") // 13 bytes: both growths go, coldest first, and no entry
+	if st := c.stats(); st.Bytes != 9 || st.Entries != 3 || st.Evictions != 0 || !slices.Equal(shed, []string{"aaa", "bbb"}) {
+		t.Fatalf("after an insert over the budget: %+v, shed %v; want 9 bytes in 3 entries, aaa and bbb shed", st, shed)
+	}
+	get("ddd") // 12 bytes, nothing grown: aaa, the coldest, goes
+	if st := c.stats(); st.Bytes != 9 || st.Evictions != 1 || len(shed) != 2 {
+		t.Errorf("after a second insert: %+v, shed %v; want aaa evicted", st, shed)
 	}
 }

@@ -48,30 +48,49 @@ func (g *graphSliceSpec) name() string {
 func TestIndexedCutsMatchFilterRange(t *testing.T) {
 	srv := New(Options{Parallelism: 2})
 	rng := rand.New(rand.NewSource(3))
-	for trial, shape := range []struct{ sLo, sSpan, dLo, dSpan, edges int }{
-		{40, 50, 10, 50, 400}, // sources from range 2 to 5 of 8, targets from 0 to 3
-		{37, 1, 90, 3, 25},    // one source, three targets: a single busy row
-		{0, 128, 0, 128, 900}, // both sides span every range
-		{64, 16, 64, 16, 0},   // no edges
+	for trial, shape := range []struct {
+		sLo, sSpan, dLo, dSpan, edges int
+		sorted                        bool
+	}{
+		{40, 50, 10, 50, 400, false}, // sources from range 2 to 5 of 8, targets from 0 to 3
+		{37, 1, 90, 3, 25, false},    // one source, three targets: a single busy row
+		{0, 128, 0, 128, 900, false}, // both sides span every range
+		{0, 128, 0, 128, 900, true},  // sources in node order, as most emissions leave them
+		{64, 16, 64, 16, 0, false},   // no edges
 	} {
 		j := &job{id: "synthetic", numNodes: 128, shardNodes: 16, nRanges: 8}
-		col := &columns{}
+		plain := &edgeList{}
 		for i := 0; i < shape.edges; i++ {
-			col.srcs = append(col.srcs, graph.NodeID(shape.sLo+rng.Intn(shape.sSpan)))
-			col.dsts = append(col.dsts, graph.NodeID(shape.dLo+rng.Intn(shape.dSpan)))
+			plain.srcs = append(plain.srcs, graph.NodeID(shape.sLo+rng.Intn(shape.sSpan)))
+			plain.dsts = append(plain.dsts, graph.NodeID(shape.dLo+rng.Intn(shape.dSpan)))
 		}
-		idx := buildCutIndex(col, j.shardNodes)
+		if shape.sorted {
+			slices.Sort(plain.srcs)
+		}
+		held := packEdges(plain)    // as the emitting request holds them
+		resident := held.resident() // as a cache hit finds them
 		for _, g := range sliceSpecs(0, j.nRanges) {
-			want, err := srv.cutGraphSlice(j, g, col, nil)
+			want, err := srv.cutGraphSlice(j, g, held, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := srv.cutGraphSlice(j, g, col, idx)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Errorf("shape %d %s: indexed cut is %d bytes, filtering cut %d", trial, g.name(), len(got), len(want))
+			for _, cut := range []struct {
+				name string
+				e    predEdges
+				idx  *cutIndex
+			}{
+				{"packed filtering", resident, nil},
+				{"indexed from plain", held, buildCutIndex(held, j.shardNodes)},
+				{"indexed from packed", resident, buildCutIndex(resident, j.shardNodes)},
+			} {
+				got, err := srv.cutGraphSlice(j, g, cut.e, cut.idx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("shape %d %s: %s cut is %d bytes, plain filtering cut %d",
+						trial, g.name(), cut.name, len(got), len(want))
+				}
 			}
 		}
 	}
@@ -84,14 +103,14 @@ func TestIndexedCutsMatchFilterRange(t *testing.T) {
 func TestConcurrentCutsWhileIndexing(t *testing.T) {
 	const K = 8
 	srv, j := policyServer(t, 0)
-	col, err := srv.predicateEdges(j, 0)
+	e, err := srv.predicateEdges(j, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	specs := sliceSpecs(0, j.nRanges)
 	want := make([][]byte, len(specs))
 	for i, g := range specs {
-		if want[i], err = srv.cutGraphSlice(j, g, col, nil); err != nil {
+		if want[i], err = srv.cutGraphSlice(j, g, e, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

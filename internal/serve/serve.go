@@ -18,15 +18,16 @@
 // Two bounded LRU caches, both behind Options.CacheBytes, keep that
 // from costing a generation per request. A graph-slice request looks
 // up the slice cache, then the columns cache — a predicate's emitted
-// (source, target) columns in emission order, which every range,
-// direction and encoding of that predicate is cut from — and only
-// then emits the predicate. Resident columns cut a second time also
-// get a cut index (both directions' CSR and a per-range bucket), which
-// is charged to the columns' share if it has the room free and makes
-// every later cut O(slice). Neither cache nor index can change a byte:
-// the indexed and the filtering cut are pinned equal, and a slice is
-// cut by the same code whether its columns were resident or emitted
-// for this request.
+// (source, target) columns in emission order, bit-packed a block at a
+// time (columns.go), which every range, direction and encoding of
+// that predicate is cut from — and only then emits the predicate.
+// Resident columns cut a second time also get a cut index (both
+// directions' CSR and the pairs bucketed by source range), which is
+// charged to the columns' share if it has the room free, is given back
+// first when columns need the room, and makes every later cut
+// O(slice). Neither cache nor index can change a byte:
+// the indexed cut and the filtering cuts of the plain and the packed
+// columns are pinned equal.
 package serve
 
 import (
@@ -90,7 +91,7 @@ type Server struct {
 	opt     Options
 	mux     *http.ServeMux
 	slices  *lruCache[sliceKey, []byte]
-	columns *lruCache[columnsKey, *columns]
+	columns *lruCache[columnsKey, predEdges]
 
 	mu      sync.Mutex
 	jobs    map[string]*job
@@ -106,8 +107,8 @@ func New(opt Options) *Server {
 		opt:     opt,
 		mux:     http.NewServeMux(),
 		jobs:    make(map[string]*job),
-		slices:  newLRUCache[sliceKey](opt.CacheBytes-columnsBudget, func(b []byte) int64 { return int64(len(b)) }),
-		columns: newLRUCache[columnsKey](columnsBudget, columnsBytes),
+		slices:  newLRUCache[sliceKey](opt.CacheBytes-columnsBudget, func(b []byte) int64 { return int64(len(b)) }, nil, nil),
+		columns: newLRUCache[columnsKey](columnsBudget, predEdges.bytes, predEdges.resident, predEdges.dropIndex),
 	}
 	s.mux.HandleFunc("POST /v1/jobs", s.handleRegister)
 	s.mux.HandleFunc("GET /v1/jobs/{id}/manifest", s.handleManifest)
@@ -144,8 +145,8 @@ type Stats struct {
 	// ColumnHits counts slice computations cut from resident columns
 	// or from an emission another request had in flight.
 	ColumnHits int64 `json:"column_hits"`
-	// ColumnBytes is the current size of the resident columns,
-	// including their cut indexes.
+	// ColumnBytes is the current size of the resident columns: their
+	// packed words and block heads at capacity, and their cut indexes.
 	ColumnBytes int64 `json:"column_bytes"`
 	// ColumnEvictions counts predicates' columns dropped to stay under
 	// their share of the budget.

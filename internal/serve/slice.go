@@ -2,8 +2,10 @@ package serve
 
 import (
 	"fmt"
+	"iter"
 	"net/http"
 	"sync"
+	"sync/atomic"
 
 	"gmark/internal/graph"
 	"gmark/internal/graphgen"
@@ -12,89 +14,169 @@ import (
 	"gmark/internal/translate"
 )
 
-// columns holds one predicate's edges in emission order: the sink an
-// emission fills, then the columns cache's entry every slice of the
-// predicate is cut from. The pipeline delivers the same sequence for a
-// given (config, seed) at any parallelism, so the collected pairs are
-// deterministic. srcs and dsts are immutable once the emission
-// returns; the fields behind mu track the cut index.
-type columns struct {
+// edgeList is the sink an emission fills: one predicate's edges in
+// emission order, as plain columns. The pipeline delivers the same
+// sequence for a given (config, seed) at any parallelism, so the
+// collected pairs are deterministic. Immutable once the emission
+// returns.
+type edgeList struct {
 	srcs []graph.NodeID
 	dsts []graph.NodeID
-
-	mu       sync.Mutex
-	cuts     int       // slices cut so far
-	idxBytes int64     // the index's price, once computed
-	idx      *cutIndex // nil until built
 }
 
 // AddEdge implements graphgen.EdgeSink.
-func (c *columns) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
+func (c *edgeList) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
 	c.srcs = append(c.srcs, src)
 	c.dsts = append(c.dsts, dst)
 	return nil
 }
 
 // AddEdgeBatch implements graphgen.BatchEdgeSink.
-func (c *columns) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
+func (c *edgeList) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	c.srcs = append(c.srcs, srcs...)
 	c.dsts = append(c.dsts, dsts...)
 	return nil
 }
 
 // Flush implements graphgen.EdgeSink.
-func (c *columns) Flush() error { return nil }
+func (c *edgeList) Flush() error { return nil }
 
-// cutIndex rearranges one predicate's columns so that a slice is cut
-// in O(slice) instead of O(predicate): both directions' sorted CSR,
-// and perm, the edge indices stably bucketed by source range. A
-// range's bucket is perm[fwd(lo):fwd(hi)], where fwd(v) is the forward
-// offset of node v — the number of edges whose source is below v — so
-// the buckets need no offsets of their own.
+// columns is the columns cache's entry for one predicate: its edges
+// bit-packed, which every slice of the predicate is cut from. src and
+// dst are immutable once packed. idx is set and cleared under the
+// columns cache's lock, with its charge; mu serializes the cuts'
+// bookkeeping and the index build.
+type columns struct {
+	src, dst packedColumn
+	idx      atomic.Pointer[cutIndex] // nil until built, and once shed
+
+	mu       sync.Mutex
+	cuts     int   // slices cut so far
+	idxBytes int64 // the index's price, once computed
+}
+
+// predEdges is what a columns lookup returns: the packed columns, and
+// the emission's plain ones when this lookup ran the emission or waited
+// on it. The cache keeps only the packed half (resident), so a cut
+// from a hit decodes and a cut from an emission does not.
+type predEdges struct {
+	*columns
+	plain *edgeList // nil on a resident hit
+}
+
+// resident is what the cache keeps of e.
+func (e predEdges) resident() predEdges { return predEdges{columns: e.columns} }
+
+// dropIndex sheds e's cut index: the columns cache's room goes to
+// columns before indexes, which a later cut can rebuild for far less
+// than an emission.
+func (e predEdges) dropIndex() { e.idx.Store(nil) }
+
+// bytes is what e holds of the columns' budget when it is inserted:
+// the packed columns' capacity. A cut index is charged on top when
+// built.
+func (e predEdges) bytes() int64 { return e.src.bytes() + e.dst.bytes() }
+
+// edges returns every edge in emission order: the plain columns if e
+// holds them, else a decoding of the packed ones. Callers must not
+// mutate the result.
+func (e predEdges) edges() (srcs, dsts []graph.NodeID) {
+	if e.plain != nil {
+		return e.plain.srcs, e.plain.dsts
+	}
+	return e.src.decode(), e.dst.decode()
+}
+
+// cut returns the edges whose source — target when byDst — lies in
+// [lo, hi), in emission order, that side first. It always copies, so
+// callers may mutate the result.
+func (e predEdges) cut(byDst bool, lo, hi graph.NodeID) (keys, others []graph.NodeID) {
+	if e.plain != nil {
+		key, other := e.plain.srcs, e.plain.dsts
+		if byDst {
+			key, other = other, key
+		}
+		return filterRange(key, other, lo, hi)
+	}
+	key, other := &e.src, &e.dst
+	if byDst {
+		key, other = other, key
+	}
+	return filterPacked(key, other, lo, hi)
+}
+
+// pairBlocks yields e's edges in emission order, a run at a time.
+func (e predEdges) pairBlocks() iter.Seq2[[]graph.NodeID, []graph.NodeID] {
+	if e.plain != nil {
+		return func(yield func(srcs, dsts []graph.NodeID) bool) { yield(e.plain.srcs, e.plain.dsts) }
+	}
+	return pairBlocks(&e.src, &e.dst)
+}
+
+// cutIndex rearranges one predicate's edges so that a slice is cut in
+// O(slice) instead of O(predicate): both directions' sorted CSR, and
+// the (source, target) pairs stably bucketed by source range. A
+// range's bucket is srcs[fwd(lo):fwd(hi)] and the same run of dsts,
+// where fwd(v) is the forward offset of node v — the number of edges
+// whose source is below v — so the buckets need no offsets of their
+// own and a text range is a subslice.
 type cutIndex struct {
-	adj  graph.AdjacencyPair
-	perm []int32
+	adj        graph.AdjacencyPair
+	srcs, dsts []graph.NodeID
 }
 
 // indexBytes is what col's cut index costs the columns' share: two
 // offset arrays over the id intervals of each side, two adjacency
-// arrays and perm, 4 bytes an entry.
+// arrays and the bucketed pairs, 4 bytes an entry.
 func indexBytes(col *columns) int64 {
-	if len(col.srcs) == 0 {
+	if col.src.n == 0 {
 		return 8
 	}
-	span := func(ids []graph.NodeID) int64 {
-		lo, hi := ids[0], ids[0]
-		for _, v := range ids {
-			lo, hi = min(lo, v), max(hi, v)
-		}
-		return int64(hi) - int64(lo) + 2
-	}
-	return 4 * (span(col.srcs) + span(col.dsts) + 3*int64(len(col.srcs)))
+	span := func(c *packedColumn) int64 { return int64(c.hi) - int64(c.lo) + 2 }
+	return 4 * (span(&col.src) + span(&col.dst) + 4*int64(col.src.n))
 }
 
-// buildCutIndex builds col's index for ranges shardNodes wide.
-func buildCutIndex(col *columns, shardNodes int) *cutIndex {
-	x := &cutIndex{adj: graph.BuildAdjacencyPair(col.srcs, col.dsts)}
-	x.perm = make([]int32, len(col.srcs))
-	if len(col.srcs) == 0 {
-		return x
+// bytes is what x holds: the capacity of its arrays.
+func (x *cutIndex) bytes() int64 {
+	a := x.adj
+	return 4 * int64(cap(a.FwdOff)+cap(a.FwdAdj)+cap(a.BwdOff)+cap(a.BwdAdj)+cap(x.srcs)+cap(x.dsts))
+}
+
+// buildCutIndex builds e's index for ranges shardNodes wide: it counts
+// the sources per range, scatters the pairs into their buckets, and
+// builds both directions' CSR from the buckets, whose order the sorted
+// lists do not depend on.
+func buildCutIndex(e predEdges, shardNodes int) *cutIndex {
+	n := e.src.n
+	x := &cutIndex{srcs: make([]graph.NodeID, n), dsts: make([]graph.NodeID, n)}
+	if n > 0 {
+		// One cursor per range the sources touch, starting at its bucket.
+		hi := int(e.src.hi)
+		first := int(e.src.lo) / shardNodes
+		cursor := make([]int32, hi/shardNodes-first+1)
+		// A width past the highest source puts every source in range 0,
+		// so the divisor can be narrowed to 32 bits, the cheaper division.
+		width := uint32(min(shardNodes, hi+1))
+		if e.plain != nil {
+			for _, s := range e.plain.srcs {
+				cursor[uint32(s)/width-uint32(first)]++
+			}
+		} else {
+			e.src.countRanges(cursor, width, uint32(first))
+		}
+		at := int32(0)
+		for r, c := range cursor {
+			cursor[r], at = at, at+c
+		}
+		for srcs, dsts := range e.pairBlocks() {
+			for i, s := range srcs {
+				r := uint32(s)/width - uint32(first)
+				x.srcs[cursor[r]], x.dsts[cursor[r]] = s, dsts[i]
+				cursor[r]++
+			}
+		}
 	}
-	// One cursor per range the sources touch, starting at its bucket.
-	hi := int(x.adj.FwdLo) + len(x.adj.FwdOff) - 2
-	first := int(x.adj.FwdLo) / shardNodes
-	cursor := make([]int32, hi/shardNodes-first+1)
-	for r := range cursor {
-		cursor[r] = offsetAt(x.adj.FwdOff, x.adj.FwdLo, (first+r)*shardNodes)
-	}
-	// A width past the highest source puts every source in range 0,
-	// so the divisor can be narrowed to 32 bits, the cheaper division.
-	width := uint32(min(shardNodes, hi+1))
-	for i, s := range col.srcs {
-		r := uint32(s)/width - uint32(first)
-		x.perm[cursor[r]] = int32(i)
-		cursor[r]++
-	}
+	x.adj = graph.BuildAdjacencyPair(x.srcs, x.dsts)
 	return x
 }
 
@@ -131,29 +213,29 @@ func (x *cutIndex) csr(backward bool, lo, hi int) (off, adj []int32) {
 	return off, adj
 }
 
-// textRange gathers the edges whose source lies in [lo, hi), a whole
-// range, in emission order.
-func (x *cutIndex) textRange(col *columns, lo, hi int) (srcs, dsts []graph.NodeID) {
-	bucket := x.perm[offsetAt(x.adj.FwdOff, x.adj.FwdLo, lo):offsetAt(x.adj.FwdOff, x.adj.FwdLo, hi)]
-	srcs = make([]graph.NodeID, len(bucket))
-	dsts = make([]graph.NodeID, len(bucket))
-	for k, i := range bucket {
-		srcs[k], dsts[k] = col.srcs[i], col.dsts[i]
-	}
-	return srcs, dsts
+// textRange returns the edges whose source lies in [lo, hi), a whole
+// range, in emission order: its bucket. Callers must not mutate it.
+func (x *cutIndex) textRange(lo, hi int) (srcs, dsts []graph.NodeID) {
+	a, b := offsetAt(x.adj.FwdOff, x.adj.FwdLo, lo), offsetAt(x.adj.FwdOff, x.adj.FwdLo, hi)
+	return x.srcs[a:b], x.dsts[a:b]
 }
 
-// cutIndexOf counts a cut of col and returns its index, building it on
-// the second cut if col is still the resident entry for key and the
-// columns' share has the index's bytes free; it evicts nothing to make
-// room. nil means this cut goes through filterRange. Indexing waits for
-// reuse because an index only pays back while its columns stay
+// cutIndexOf counts a cut of e and returns its index, building it on
+// the second or a later cut if e's columns are still the resident
+// entry for key and the columns' share has the index's bytes free; it
+// evicts nothing to make room, and an insert that needs the room sheds
+// the index again. nil means this cut goes through cut. Indexing waits
+// for reuse because an index only pays back while its columns stay
 // resident: built on every emission it cost serve-hot 10 to 30 %.
-func (s *Server) cutIndexOf(key columnsKey, shardNodes int, col *columns) *cutIndex {
+func (s *Server) cutIndexOf(key columnsKey, shardNodes int, e predEdges) *cutIndex {
+	col := e.columns
+	if x := col.idx.Load(); x != nil {
+		return x
+	}
 	col.mu.Lock()
 	defer col.mu.Unlock()
-	if col.idx != nil {
-		return col.idx
+	if x := col.idx.Load(); x != nil {
+		return x // built while this cut waited
 	}
 	col.cuts++
 	if col.cuts < 2 {
@@ -162,12 +244,22 @@ func (s *Server) cutIndexOf(key columnsKey, shardNodes int, col *columns) *cutIn
 	if col.idxBytes == 0 {
 		col.idxBytes = indexBytes(col)
 	}
-	if !s.columns.grow(key, col.idxBytes, func(v *columns) bool { return v == col }) {
+	if !s.columns.free(col.idxBytes) {
 		return nil
 	}
-	col.idx = buildCutIndex(col, shardNodes)
+	x := buildCutIndex(e, shardNodes)
+	attach := func(v predEdges) bool {
+		if v.columns != col {
+			return false
+		}
+		col.idx.Store(x)
+		return true
+	}
+	if !s.columns.grow(key, col.idxBytes, attach) {
+		return nil // the room went while the index was built
+	}
 	s.columnIndexes.Add(1)
-	return col.idx
+	return x
 }
 
 // genOptions is the graphgen option set a job's slices are computed
@@ -185,26 +277,26 @@ func (s *Server) genOptions(j *job) graphgen.Options {
 // predicateEdges returns one predicate's edges in emission order: from
 // the columns cache when resident, else by generating exactly that
 // predicate — every other constraint is planned (so shard boundaries
-// and sub-seeds match a full run) but not emitted. Concurrent callers
-// share one emission; columns over the cache's budget serve the calls
-// in flight and are dropped. Callers must not mutate the columns.
-func (s *Server) predicateEdges(j *job, pred int) (*columns, error) {
-	col, _, err := s.columns.get(columnsKey{j.id, pred}, func() (*columns, error) {
+// and sub-seeds match a full run) but not emitted — and packing it.
+// Concurrent callers share one emission and its plain columns; columns
+// over the cache's budget serve the calls in flight and are dropped.
+// Callers must not mutate the edges.
+func (s *Server) predicateEdges(j *job, pred int) (predEdges, error) {
+	e, _, err := s.columns.get(columnsKey{j.id, pred}, func() (predEdges, error) {
 		n := j.expectedEdges[pred]
 		n += n / 16 // at 20K+ nodes the built-in use cases emit 0.90-1.06x their expectation
-		col := &columns{srcs: make([]graph.NodeID, 0, n), dsts: make([]graph.NodeID, 0, n)}
-		if _, err := graphgen.EmitPredicate(j.gcfg, s.genOptions(j), j.predNames[pred], col); err != nil {
-			return nil, err
+		plain := &edgeList{srcs: make([]graph.NodeID, 0, n), dsts: make([]graph.NodeID, 0, n)}
+		if _, err := graphgen.EmitPredicate(j.gcfg, s.genOptions(j), j.predNames[pred], plain); err != nil {
+			return predEdges{}, err
 		}
-		return col, nil
+		return packEdges(plain), nil
 	})
-	return col, err
+	return e, err
 }
 
-// columnsBytes is what a predicate's columns hold of the cache budget
-// when they are inserted; a cut index is charged on top when built.
-func columnsBytes(c *columns) int64 {
-	return 4 * int64(cap(c.srcs)+cap(c.dsts))
+// packEdges packs an emission's plain columns and holds on to both.
+func packEdges(plain *edgeList) predEdges {
+	return predEdges{columns: &columns{src: packColumn(plain.srcs), dst: packColumn(plain.dsts)}, plain: plain}
 }
 
 // graphSliceSpec is a parsed graph-slice request.
@@ -282,27 +374,31 @@ func parseGraphSlice(j *job, pred, rangeStr string, q map[string][]string) (*gra
 // range keeps the lines whose source node falls in the range.
 //
 // Resident columns cut a second time are cut through their index
-// (cutIndexOf); otherwise a cut filters the whole predicate and builds
-// the range's adjacency. Both paths give the same bytes.
+// (cutIndexOf); otherwise a cut filters the whole predicate — the
+// plain columns when this request emitted them or waited on that,
+// else the packed ones — and builds the range's adjacency. All paths
+// give the same bytes.
 func (s *Server) computeGraphSlice(j *job, g *graphSliceSpec) ([]byte, error) {
-	col, err := s.predicateEdges(j, g.pred)
+	e, err := s.predicateEdges(j, g.pred)
 	if err != nil {
 		return nil, err
 	}
-	return s.cutGraphSlice(j, g, col, s.cutIndexOf(columnsKey{j.id, g.pred}, j.shardNodes, col))
+	return s.cutGraphSlice(j, g, e, s.cutIndexOf(columnsKey{j.id, g.pred}, j.shardNodes, e))
 }
 
-// cutGraphSlice renders one slice of col, through idx unless it is nil.
-func (s *Server) cutGraphSlice(j *job, g *graphSliceSpec, col *columns, idx *cutIndex) ([]byte, error) {
+// cutGraphSlice renders one slice of e, through idx unless it is nil.
+func (s *Server) cutGraphSlice(j *job, g *graphSliceSpec, e predEdges, idx *cutIndex) ([]byte, error) {
 	switch g.enc {
 	case "text", "binary":
-		srcs, dsts := col.srcs, col.dsts
-		if g.rng >= 0 { // text only; binary+range is rejected at parse
+		var srcs, dsts []graph.NodeID
+		if g.rng < 0 {
+			srcs, dsts = e.edges()
+		} else { // text only; binary+range is rejected at parse
 			lo, hi := j.rangeBounds(g.rng)
 			if idx != nil {
-				srcs, dsts = idx.textRange(col, lo, hi)
+				srcs, dsts = idx.textRange(lo, hi)
 			} else {
-				srcs, dsts = filterRange(srcs, dsts, srcs, graph.NodeID(lo), graph.NodeID(hi))
+				srcs, dsts = e.cut(false, graph.NodeID(lo), graph.NodeID(hi))
 			}
 		}
 		return graphgen.EncodePartitionedEdges(srcs, dsts, g.enc == "binary"), nil
@@ -312,39 +408,34 @@ func (s *Server) cutGraphSlice(j *job, g *graphSliceSpec, col *columns, idx *cut
 			off, adj := idx.csr(g.dir == 'b', lo, hi)
 			return graphgen.EncodeCSRShard(off, adj, g.comp)
 		}
-		owner := col.srcs
-		other := col.dsts
-		if g.dir == 'b' {
-			owner, other = other, owner
+		owners, others := e.cut(g.dir == 'b', graph.NodeID(lo), graph.NodeID(hi))
+		for i := range owners {
+			owners[i] -= graph.NodeID(lo)
 		}
-		fsrc, fdst := filterRange(owner, other, owner, graph.NodeID(lo), graph.NodeID(hi))
-		for i := range fsrc {
-			fsrc[i] -= graph.NodeID(lo)
-		}
-		off, adj := graph.BuildAdjacency(hi-lo, fsrc, fdst, s.opt.Parallelism)
+		off, adj := graph.BuildAdjacency(hi-lo, owners, others, s.opt.Parallelism)
 		return graphgen.EncodeCSRShard(off, adj, g.comp)
 	}
 }
 
-// filterRange keeps the (srcs[i], dsts[i]) pairs whose key[i] lies in
+// filterRange keeps the (key[i], other[i]) pairs whose key lies in
 // [lo, hi), preserving order. It always copies, so callers may mutate
 // the result without touching the collected edge list.
-func filterRange(srcs, dsts, key []graph.NodeID, lo, hi graph.NodeID) (fs, fd []graph.NodeID) {
+func filterRange(key, other []graph.NodeID, lo, hi graph.NodeID) (fk, fo []graph.NodeID) {
 	n := 0
 	for _, k := range key {
 		if k >= lo && k < hi {
 			n++
 		}
 	}
-	fs = make([]graph.NodeID, 0, n)
-	fd = make([]graph.NodeID, 0, n)
+	fk = make([]graph.NodeID, 0, n)
+	fo = make([]graph.NodeID, 0, n)
 	for i, k := range key {
 		if k >= lo && k < hi {
-			fs = append(fs, srcs[i])
-			fd = append(fd, dsts[i])
+			fk = append(fk, k)
+			fo = append(fo, other[i])
 		}
 	}
-	return fs, fd
+	return fk, fo
 }
 
 // windowSink renders each emitted query into the exact bytes the
