@@ -67,6 +67,9 @@ func main() {
 		fmt.Fprintf(flag.CommandLine.Output(), "\nExperiments:\n%s", experimentList())
 	}
 	flag.Parse()
+	if *par < 0 {
+		log.Fatalf("-parallelism %d: a worker count is 0 (all cores) or positive", *par)
+	}
 
 	// Resolved before anything runs or prints, so a mistyped id fails
 	// up front with the valid ones.

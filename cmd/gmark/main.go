@@ -58,6 +58,15 @@ func main() {
 	}
 }
 
+// checkWorkers rejects a negative worker-count flag: 0 already means
+// all cores, and a negative count is not a second spelling of it.
+func checkWorkers(flag string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("-%s %d: a worker count is 0 (all cores) or positive", flag, n)
+	}
+	return nil
+}
+
 // run is the batch CLI: it parses args, generates (or, with
 // -eval-spill, evaluates) and logs its progress to stderr.
 func run(args []string, stderr io.Writer) error {
@@ -95,6 +104,12 @@ func run(args []string, stderr io.Writer) error {
 		evalMmap    = fs.Bool("spill-mmap", false, "serve raw (-spill-compress=raw) shards of -eval-spill zero-copy from memory mappings; other encodings fall back to decoding")
 	)
 	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if err := checkWorkers("parallelism", *par); err != nil {
+		return err
+	}
+	if err := checkWorkers("eval-workers", *evalWorkers); err != nil {
 		return err
 	}
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strconv"
@@ -97,5 +98,22 @@ func TestEvalOverSpillErrors(t *testing.T) {
 	}
 	if countLine.MatchString(logged) {
 		t.Errorf("unknown engine logged a count:\n%s", logged)
+	}
+}
+
+// TestNegativeWorkerCountsRejected: -parallelism and -eval-workers
+// take 0 (all cores) or a positive count; a negative one fails before
+// anything is generated, instead of being accepted as some other count.
+func TestNegativeWorkerCountsRejected(t *testing.T) {
+	for _, flag := range []string{"-parallelism", "-eval-workers"} {
+		out := t.TempDir()
+		var stderr bytes.Buffer
+		err := run([]string{flag, "-1", "-nodes", "200", "-queries", "1", "-syntax", "", "-out", out}, &stderr)
+		if err == nil || !strings.Contains(err.Error(), flag+" -1") {
+			t.Errorf("%s -1: err = %v, want an error naming the flag", flag, err)
+		}
+		if entries, _ := os.ReadDir(out); len(entries) != 0 {
+			t.Errorf("%s -1 wrote %d files", flag, len(entries))
+		}
 	}
 }

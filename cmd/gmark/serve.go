@@ -49,6 +49,9 @@ func serveMain(args []string) {
 	if fs.NArg() > 0 {
 		log.Fatalf("serve: unexpected arguments %q", fs.Args())
 	}
+	if err := checkWorkers("parallelism", *par); err != nil {
+		log.Fatalf("serve: %v", err)
+	}
 	srv := serve.New(serve.Options{
 		CacheBytes:  int64(*cacheMB) << 20,
 		MaxJobs:     *maxJobs,

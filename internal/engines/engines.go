@@ -38,11 +38,11 @@ package engines
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"gmark/internal/bitset"
 	"gmark/internal/eval"
+	"gmark/internal/fanout"
 	"gmark/internal/graph"
 	"gmark/internal/query"
 )
@@ -55,9 +55,9 @@ type Engine interface {
 	// Describe returns a one-line architectural description.
 	Describe() string
 	// evaluate counts the distinct result tuples of c over g. workers
-	// (EvalOptions.WorkerCount, at least 1) is the number of range
-	// workers S and G shard their top-level source scan over; P and D,
-	// whose cost lives in whole-relation materialization and
+	// (EvalOptions.Workers resolved by fanout.Workers) is the number
+	// of range workers S and G shard their top-level source scan over;
+	// P and D, whose cost lives in whole-relation materialization and
 	// fixpoints rather than a per-source outer loop, ignore it.
 	evaluate(g eval.Source, c *compiled, b eval.Budget, workers int) (int64, error)
 }
@@ -75,7 +75,7 @@ func EvaluateOpt(eng Engine, g eval.Source, q *query.Query, b eval.Budget, opt e
 	if err != nil {
 		return 0, err
 	}
-	n, err := eng.evaluate(g, c, b, opt.WorkerCount())
+	n, err := eng.evaluate(g, c, b, fanout.Workers(opt.Workers))
 	if err == nil {
 		err = eval.SourceErr(g)
 	}
@@ -85,64 +85,39 @@ func EvaluateOpt(eng Engine, g eval.Source, q *query.Query, b eval.Budget, opt e
 	return n, nil
 }
 
-// runRanges executes one rule's top-level source scan: sequentially
-// over the full node space when workers <= 1, otherwise sharded over
-// eval.SourceRanges by a bounded pool, each worker collecting into a
-// private tupleSet that merges into out afterwards. scan must treat
-// [rg.Lo, rg.Hi) as the candidate sources of the rule's first conjunct
-// only; a raised stop flag means another worker failed and remaining
-// work is discarded. scan reads adjacency through the ws it is handed —
-// the calling goroutine's own eval.WorkerSource of g — never through g.
+// runRanges executes one rule's top-level source scan: over the full
+// node space when workers <= 1, otherwise sharded over
+// eval.SourceRanges and claimed in order by up to workers goroutines
+// (fanout.Each), each collecting into a private tupleSet that merges
+// into out afterwards (the first worker's is out itself). scan must
+// treat [rg.Lo, rg.Hi) as the candidate sources of the rule's first
+// conjunct only; a raised stop flag means another worker failed and
+// remaining work is discarded. scan reads adjacency through the ws it
+// is handed — the calling goroutine's own eval.WorkerSource of g —
+// never through g.
 func runRanges(g eval.Source, workers, arity int, out *tupleSet, scan func(ws eval.Source, rg eval.NodeRange, local *tupleSet, stop *atomic.Bool) error) error {
-	full := eval.NodeRange{Lo: 0, Hi: int32(g.NumNodes())}
-	seq := func() error {
-		ws, release := eval.WorkerSource(g)
-		defer release()
-		var stop atomic.Bool
-		return scan(ws, full, out, &stop)
+	ranges := []eval.NodeRange{{Lo: 0, Hi: int32(g.NumNodes())}}
+	if workers > 1 {
+		ranges = eval.SourceRanges(g, workers)
 	}
-	if workers <= 1 {
-		return seq()
-	}
-	ranges := eval.SourceRanges(g, workers)
-	if workers > len(ranges) {
-		workers = len(ranges)
-	}
-	if workers <= 1 {
-		return seq()
-	}
-	locals := make([]*tupleSet, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		locals[w] = newTupleSet(arity)
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			ws, release := eval.WorkerSource(g)
-			defer release()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranges) || stop.Load() {
-					return
-				}
-				if err := scan(ws, ranges[i], locals[w], &stop); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
+	locals := make([]*tupleSet, max(1, min(workers, len(ranges))))
+	views := make([]eval.Source, len(locals))
+	for w := range locals {
+		locals[w] = out
+		if w > 0 {
+			locals[w] = newTupleSet(arity)
 		}
+		var release func()
+		views[w], release = eval.WorkerSource(g)
+		defer release()
 	}
-	for _, l := range locals {
+	err := fanout.Each(len(ranges), len(locals), func(w, i int, stop *atomic.Bool) error {
+		return scan(views[w], ranges[i], locals[w], stop)
+	})
+	if err != nil {
+		return err
+	}
+	for _, l := range locals[1:] {
 		out.merge(l)
 	}
 	return nil

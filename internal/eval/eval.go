@@ -3,11 +3,10 @@ package eval
 import (
 	"fmt"
 	"math/bits"
-	"runtime"
-	"sync"
 	"sync/atomic"
 
 	"gmark/internal/bitset"
+	"gmark/internal/fanout"
 	"gmark/internal/query"
 )
 
@@ -17,8 +16,9 @@ import (
 // ones.
 type EvalOptions struct {
 	// Workers is the number of goroutines the streaming evaluator
-	// shards its range-ordered scan across (0 = GOMAXPROCS, 1 =
-	// sequential, matching the generators' Parallelism convention).
+	// shards its range-ordered scan across (zero or less = GOMAXPROCS,
+	// 1 = sequential: the generators' Parallelism convention,
+	// fanout.Workers).
 	// Queries that fall back to the join evaluator run sequentially
 	// regardless. Workers > 1 requires a concurrency-safe Source —
 	// the frozen *graph.Graph and SpillSource both are. With Workers >
@@ -27,17 +27,6 @@ type EvalOptions struct {
 	// workers may charge twice; the budget is still a hard bound and
 	// never undercharges relative to the result size.
 	Workers int
-}
-
-// WorkerCount resolves the Workers convention against the machine.
-func (o EvalOptions) WorkerCount() int {
-	if o.Workers == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	if o.Workers < 1 {
-		return 1
-	}
-	return o.Workers
 }
 
 // CountWith evaluates the query under set semantics and returns the
@@ -75,7 +64,7 @@ func CountWith(g Source, q *query.Query, b Budget, opt EvalOptions) (int64, erro
 	var n int64
 	var err error
 	if plans, ok := planStreaming(g, q); ok {
-		n, err = countStreaming(g, q, plans, meter, opt.WorkerCount())
+		n, err = countStreaming(g, q, plans, meter, fanout.Workers(opt.Workers))
 	} else {
 		n, err = countJoin(g, q, meter)
 	}
@@ -185,11 +174,12 @@ func chainEndpoints(r query.Rule) (start, end query.Var, ok bool) {
 // active-domain bitmaps, shards holding no candidate sources are never
 // read at all.
 //
-// With workers > 1 the surviving ranges become a work queue drained by
-// a bounded pool; each worker owns a scratch and the partial results
-// merge deterministically afterwards, so the parallel count equals the
-// sequential one exactly. A Boolean witness flips a shared stop flag so
-// every worker quits early, mirroring the sequential early return.
+// The surviving ranges are claimed in order by up to workers goroutines
+// (fanout.Each; one worker scans on the caller's goroutine); each worker
+// owns a scratch and the partial results merge deterministically
+// afterwards, so the parallel count equals the sequential one exactly.
+// A Boolean witness raises the stop flag so no further range is
+// claimed and every worker quits early.
 func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, workers int) (int64, error) {
 	n := g.NumNodes()
 	arity := q.Arity()
@@ -214,53 +204,18 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, 
 	// on each scanning goroutine walks Neighbors through its own
 	// WorkerSource, released before the count returns so the source's
 	// statistics are complete when the caller reads them.
-	var stop atomic.Bool
-	if workers <= 1 {
-		st := acquireScratch(n, words)
-		defer st.release()
-		ws, release := WorkerSource(g)
-		defer release()
-		for _, rg := range ranges {
-			if err := scanRange(ws, plans, filters, rg, st, meter, &stop); err != nil {
-				return 0, err
-			}
-			if st.witness {
-				return 1, nil
-			}
-		}
-		return finishStreaming(arity, []*scratch{st}), nil
-	}
-
-	states := make([]*scratch, workers)
-	errs := make([]error, workers)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	states := make([]*scratch, max(workers, 1))
+	views := make([]Source, len(states))
+	for w := range states {
 		states[w] = acquireScratch(n, words)
 		defer states[w].release()
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			st := states[w]
-			ws, release := WorkerSource(g)
-			defer release()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(ranges) || stop.Load() {
-					return
-				}
-				if err := scanRange(ws, plans, filters, ranges[i], st, meter, &stop); err != nil {
-					errs[w] = err
-					stop.Store(true)
-					return
-				}
-				if st.witness {
-					return
-				}
-			}
-		}(w)
+		var release func()
+		views[w], release = WorkerSource(g)
+		defer release()
 	}
-	wg.Wait()
+	err := fanout.Each(len(ranges), workers, func(w, i int, stop *atomic.Bool) error {
+		return scanRange(views[w], plans, filters, ranges[i], states[w], meter, stop)
+	})
 	// A witness outranks worker errors: sequentially the witness would
 	// have ended the scan before the other ranges ran at all.
 	for _, st := range states {
@@ -268,10 +223,8 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, 
 			return 1, nil
 		}
 	}
-	for _, err := range errs {
-		if err != nil {
-			return 0, err
-		}
+	if err != nil {
+		return 0, err
 	}
 	return finishStreaming(arity, states), nil
 }

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"gmark/internal/fanout"
 )
 
 // NodeID identifies a node. IDs are dense in [0, NumNodes).
@@ -208,7 +210,16 @@ func (g *Graph) Freeze() {
 	for p := range pending {
 		pending[p] = 2
 	}
-	build := func(t task, inner int) {
+	// Plenty of builds: one sequential build per worker. Few
+	// predicates: the builds one after another, each internally sharded
+	// by node range across all workers, so a single-predicate graph
+	// still freezes with every core.
+	inner := 1
+	if len(tasks) < workers {
+		inner, workers = workers, 1
+	}
+	fanout.Each(len(tasks), workers, func(_, i int, _ *atomic.Bool) error {
+		t := tasks[i]
 		if t.fwd {
 			g.fwd[t.p] = buildCSR(n, g.srcs[t.p], g.dsts[t.p], inner)
 		} else {
@@ -217,39 +228,8 @@ func (g *Graph) Freeze() {
 		if atomic.AddInt32(&pending[t.p], -1) == 0 {
 			g.srcs[t.p], g.dsts[t.p] = nil, nil
 		}
-	}
-	switch {
-	case workers <= 1 || len(tasks) == 0:
-		for _, t := range tasks {
-			build(t, 1)
-		}
-	case len(tasks) >= workers:
-		// Plenty of builds: a simple pool, one sequential build per
-		// worker.
-		var wg sync.WaitGroup
-		next := make(chan task)
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for t := range next {
-					build(t, 1)
-				}
-			}()
-		}
-		for _, t := range tasks {
-			next <- t
-		}
-		close(next)
-		wg.Wait()
-	default:
-		// Few predicates: run the builds one after another, each
-		// internally sharded by node range across all workers, so a
-		// single-predicate graph still freezes with every core.
-		for _, t := range tasks {
-			build(t, workers)
-		}
-	}
+		return nil
+	})
 	g.frozen = true
 }
 
@@ -271,21 +251,14 @@ func buildCSR(n int, from, to []int32, workers int) csr {
 		return buildCSRSequential(n, from, to)
 	}
 	off := make([]int32, n+1)
-	var wg sync.WaitGroup
-
 	// Parallel count over edge-array ranges: off[v+1] accumulates
 	// deg(v) via atomic adds (counts commute, so the result is exact).
-	for w := 0; w < workers; w++ {
+	forkJoin(workers, func(w int) {
 		lo, hi := w*len(from)/workers, (w+1)*len(from)/workers
-		wg.Add(1)
-		go func(part []int32) {
-			defer wg.Done()
-			for _, v := range part {
-				atomic.AddInt32(&off[v+1], 1)
-			}
-		}(from[lo:hi])
-	}
-	wg.Wait()
+		for _, v := range from[lo:hi] {
+			atomic.AddInt32(&off[v+1], 1)
+		}
+	})
 
 	prefixSumParallel(off, workers)
 
@@ -295,33 +268,31 @@ func buildCSR(n int, from, to []int32, workers int) csr {
 	// across runs; the sort below erases that.
 	adj := make([]int32, len(from))
 	cursor := make([]int32, n)
-	for w := 0; w < workers; w++ {
+	forkJoin(workers, func(w int) {
 		lo, hi := w*len(from)/workers, (w+1)*len(from)/workers
-		wg.Add(1)
-		go func(f, t []int32) {
-			defer wg.Done()
-			for i, v := range f {
-				slot := atomic.AddInt32(&cursor[v], 1) - 1
-				adj[off[v]+slot] = t[i]
-			}
-		}(from[lo:hi], to[lo:hi])
-	}
-	wg.Wait()
+		for i, v := range from[lo:hi] {
+			slot := atomic.AddInt32(&cursor[v], 1) - 1
+			adj[off[v]+slot] = to[lo+i]
+		}
+	})
 
 	// Range-parallel sort of the neighbor lists, for deterministic
 	// iteration and binary search lookups.
-	for w := 0; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for v := lo; v < hi; v++ {
-				slices.Sort(adj[off[v]:off[v+1]])
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	forkJoin(workers, func(w int) {
+		for v := w * n / workers; v < (w+1)*n/workers; v++ {
+			slices.Sort(adj[off[v]:off[v+1]])
+		}
+	})
 	return csr{off: off, adj: adj}
+}
+
+// forkJoin runs part(w) for every w in [0, parts) on parts goroutines
+// (fanout.Each) and returns once all have finished.
+func forkJoin(parts int, part func(w int)) {
+	fanout.Each(parts, parts, func(_, w int, _ *atomic.Bool) error {
+		part(w)
+		return nil
+	})
 }
 
 // buildCSRSequential builds one compressed adjacency on the calling
@@ -449,39 +420,25 @@ func prefixSumParallel(off []int32, workers int) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
 	totals := make([]int32, workers)
-	for w := 0; w < workers; w++ {
-		// Block w covers off indices [lo+1, hi+1) — counts of nodes
-		// [lo, hi).
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			var sum int32
-			for i := lo + 1; i <= hi; i++ {
-				sum += off[i]
-				off[i] = sum
-			}
-			totals[w] = sum
-		}(w, lo, hi)
-	}
-	wg.Wait()
+	// Block w covers off indices [lo+1, hi+1) — counts of nodes [lo, hi).
+	forkJoin(workers, func(w int) {
+		var sum int32
+		for i := w*n/workers + 1; i <= (w+1)*n/workers; i++ {
+			sum += off[i]
+			off[i] = sum
+		}
+		totals[w] = sum
+	})
 	var base int32
 	for w := 0; w < workers; w++ {
 		totals[w], base = base, base+totals[w]
 	}
-	for w := 1; w < workers; w++ {
-		lo, hi := w*n/workers, (w+1)*n/workers
-		wg.Add(1)
-		go func(base int32, lo, hi int) {
-			defer wg.Done()
-			for i := lo + 1; i <= hi; i++ {
-				off[i] += base
-			}
-		}(totals[w], lo, hi)
-	}
-	wg.Wait()
+	forkJoin(workers, func(w int) {
+		for i := w*n/workers + 1; i <= (w+1)*n/workers; i++ {
+			off[i] += totals[w]
+		}
+	})
 }
 
 // BuildAdjacency builds one direction's CSR arrays for an edge list

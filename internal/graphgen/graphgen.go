@@ -12,7 +12,8 @@
 //     constraint index, shard index). No randomness is consumed
 //     during planning.
 //  2. Emission (this file): shard workers run across
-//     Options.Parallelism goroutines (default GOMAXPROCS). For each
+//     Options.Parallelism goroutines (default GOMAXPROCS), admitted
+//     and flushed in shard order by fanout.Ordered. For each
 //     edge constraint eta(T1, T2, a) = (Din, Dout) a shard draws a
 //     source-occurrence vector from Dout over its source sub-range
 //     and a target-occurrence vector from Din over its target
@@ -46,11 +47,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
 
+	"gmark/internal/fanout"
 	"gmark/internal/graph"
 	"gmark/internal/prng"
 	"gmark/internal/schema"
@@ -63,10 +64,10 @@ type Options struct {
 	// Parallelism.
 	Seed int64
 
-	// Parallelism is the number of shard-emission workers. Zero
-	// selects runtime.GOMAXPROCS(0); one forces the sequential path,
-	// which emits straight into the sink without batch buffers (lowest
-	// memory for streaming).
+	// Parallelism is the number of shard-emission workers. Zero or
+	// less selects runtime.GOMAXPROCS(0) (fanout.Workers); one forces
+	// the sequential path, which emits straight into the sink without
+	// batch buffers (lowest memory for streaming).
 	Parallelism int
 
 	// ShardEdges is the target number of edges per emission shard.
@@ -80,14 +81,6 @@ type Options struct {
 	// different ShardEdges values select different (equally valid)
 	// instances of the same configuration.
 	ShardEdges int
-}
-
-// workers resolves the effective worker count.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // Generate produces a graph instance satisfying (heuristically) the
@@ -174,10 +167,11 @@ func EmitPredicate(cfg *schema.GraphConfig, opt Options, pred string, sink EdgeS
 // across workers.
 func (p *plan) run(sink EdgeSink) error {
 	p.emitted = 0
-	if p.opt.workers() == 1 || len(p.shards) <= 1 {
+	k := fanout.Workers(p.opt.Parallelism)
+	if k == 1 || len(p.shards) <= 1 {
 		return p.runSequential(sink)
 	}
-	return p.runParallel(sink)
+	return p.runParallel(sink, k)
 }
 
 // runSequential emits every shard in order, straight into the sink.
@@ -209,23 +203,17 @@ type shardResult struct {
 	err        error
 }
 
-// runParallel fans shards out across workers. Each worker buffers its
-// shard's edges privately — as a (srcs, dsts) batch, or, for a rendering
-// sink, as the final text in pooled chunks — and a single flusher
-// goroutine (the caller) consumes the results strictly in (constraint,
-// shard) order, so the sink observes the same sequence as the
-// sequential path. Admission slots are released only after a result has
-// been flushed, so in-flight memory — emitting plus emitted-but-unflushed
-// shards — is bounded by the worker count times the largest shard, not
-// by the whole graph, even when an early shard is the slowest.
-func (p *plan) runParallel(sink EdgeSink) error {
-	n := len(p.shards)
-	results := make([]shardResult, n)
-	done := make([]chan struct{}, n)
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-
+// runParallel fans shards out across k workers with fanout.Ordered. Each
+// worker buffers its shard's edges privately — as a (srcs, dsts) batch,
+// or, for a rendering sink, as the final text in pooled chunks — and
+// the caller consumes the results strictly in (constraint, shard)
+// order, so the sink observes the same sequence as the sequential path.
+// At most k shards are admitted and not yet flushed, so in-flight
+// memory is bounded by the worker count times the largest shard, not
+// by the whole graph, even when an early shard is the slowest. Once a
+// shard fails, workers bail out at their next edge or chunk and every
+// unflushed shard's chunks go back to the pool.
+func (p *plan) runParallel(sink EdgeSink, k int) error {
 	// A rendering sink gets its bytes from the workers. A sink laid out
 	// for fewer predicates than the plan emits falls back to the batch
 	// path, where the mismatch surfaces on the caller's goroutine.
@@ -238,66 +226,34 @@ func (p *plan) runParallel(sink EdgeSink) error {
 	if lines == nil || len(lines) < len(p.predNames) {
 		rs = nil
 	} else {
-		p.chunks = newChunkPool(renderChunksPerWorker * p.opt.workers())
+		p.chunks = newChunkPool(renderChunksPerWorker * k)
 	}
-
-	// aborted tells workers to stop generating once the flusher has
-	// recorded an error; checked once per collected edge or rendered
-	// chunk (one atomic load, negligible against the RNG draws around
-	// it).
-	var aborted atomic.Bool
-
-	// Dispatcher: at most workers() shards admitted at once. Workers
-	// publish into their private results slot; the close of done[i]
-	// orders the slot write before the flusher's read.
-	sem := make(chan struct{}, p.opt.workers())
-	//lint:ignore concurrency dispatcher exits after admitting n shards; the flusher below joins every worker by receiving all n done signals before returning
-	go func() {
-		for i := 0; i < n; i++ {
-			sem <- struct{}{}
-			go func(i int) {
-				defer close(done[i])
-				sp := &p.shards[i]
-				if rs != nil {
-					results[i] = sp.render(p.opt, lines[sp.cp.pred], p.totalNodes, p.chunks, &aborted)
-				} else {
-					results[i] = sp.collect(p.opt, &aborted)
-				}
-			}(i)
-		}
-	}()
-
-	// Ordered flush. On error, keep draining (and keep releasing
-	// admission slots) so no goroutine leaks, but stop touching the
-	// sink and tell in-flight workers to bail out.
-	var firstErr error
-	for i := 0; i < n; i++ {
-		<-done[i]
-		r := &results[i]
-		sp := &p.shards[i]
-		if firstErr == nil && r.err != nil {
-			firstErr = sp.wrap(r.err)
-			aborted.Store(true)
-		}
-		if firstErr == nil {
+	return fanout.Ordered(len(p.shards), k, k,
+		func(_, i int, aborted *atomic.Bool) shardResult {
+			sp := &p.shards[i]
+			if rs != nil {
+				return sp.render(p.opt, lines[sp.cp.pred], p.totalNodes, p.chunks, aborted)
+			}
+			return sp.collect(p.opt, aborted)
+		},
+		func(i int, r shardResult) error {
+			defer p.chunks.put(r.chunks)
+			sp := &p.shards[i]
+			if r.err != nil {
+				return sp.wrap(r.err)
+			}
 			var err error
 			if rs != nil {
 				err = rs.addRendered(sp.cp.pred, r.edges, r.chunks)
 			} else {
 				err = addBatch(sink, sp.cp.pred, r.srcs, r.dsts)
 			}
-			if err != nil {
-				firstErr = err
-				aborted.Store(true)
-			} else {
+			if err == nil {
 				p.emitted += r.edges
 			}
-		}
-		p.chunks.put(r.chunks)
-		results[i] = shardResult{} // release the batch eagerly
-		<-sem                      // admit the next shard only now
-	}
-	return firstErr
+			return err
+		},
+		func(r shardResult) { p.chunks.put(r.chunks) })
 }
 
 // collect emits one shard into a private (srcs, dsts) batch.

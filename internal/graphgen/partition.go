@@ -7,10 +7,12 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
-	"sync"
+	"sync/atomic"
 
+	"gmark/internal/fanout"
 	"gmark/internal/graph"
 	"gmark/internal/schema"
 )
@@ -399,8 +401,10 @@ func ReadPartitionIndex(dir string) (*PartitionIndex, error) {
 }
 
 // LoadPartitioned reads a PartitionedSink directory back into a frozen
-// in-memory graph, parsing the per-predicate files in parallel — the
-// loading pattern the partitioned layout exists for.
+// in-memory graph, parsing the per-predicate files on GOMAXPROCS
+// workers — the loading pattern the partitioned layout exists for.
+// A failure reports the lowest-index failing predicate, whatever the
+// interleaving.
 func LoadPartitioned(dir string) (*graph.Graph, error) {
 	idx, err := ReadPartitionIndex(dir)
 	if err != nil {
@@ -421,35 +425,29 @@ func LoadPartitioned(dir string) (*graph.Graph, error) {
 		return nil, err
 	}
 
-	type part struct {
-		srcs, dsts []int32
-		err        error
-	}
-	parts := make([]part, len(idx.Predicates))
-	var wg sync.WaitGroup
-	for i, p := range idx.Predicates {
-		wg.Add(1)
-		go func(i int, p PartitionPredicate) {
-			defer wg.Done()
-			var srcs, dsts []int32
-			var err error
-			switch p.Encoding {
-			case "":
-				srcs, dsts, err = readEdgePairs(filepath.Join(dir, p.File), p.Edges, g.NumNodes())
-			case partitionVarintEncoding:
-				srcs, dsts, err = readEdgePairsBinary(filepath.Join(dir, p.File), p.Edges, g.NumNodes())
-			default:
-				err = fmt.Errorf("unknown edge-file encoding %q", p.Encoding)
-			}
-			parts[i] = part{srcs: srcs, dsts: dsts, err: err}
-		}(i, p)
-	}
-	wg.Wait()
-	for i := range parts {
-		if parts[i].err != nil {
-			return nil, fmt.Errorf("graphgen: partition %q: %w", idx.Predicates[i].Name, parts[i].err)
+	srcs := make([][]int32, len(idx.Predicates))
+	dsts := make([][]int32, len(idx.Predicates))
+	err = fanout.Each(len(idx.Predicates), runtime.GOMAXPROCS(0), func(_, i int, _ *atomic.Bool) error {
+		p := idx.Predicates[i]
+		var err error
+		switch p.Encoding {
+		case "":
+			srcs[i], dsts[i], err = readEdgePairs(filepath.Join(dir, p.File), p.Edges, g.NumNodes())
+		case partitionVarintEncoding:
+			srcs[i], dsts[i], err = readEdgePairsBinary(filepath.Join(dir, p.File), p.Edges, g.NumNodes())
+		default:
+			err = fmt.Errorf("unknown edge-file encoding %q", p.Encoding)
 		}
-		if err := g.AddEdgeBatch(graph.PredID(i), parts[i].srcs, parts[i].dsts); err != nil {
+		if err != nil {
+			return fmt.Errorf("graphgen: partition %q: %w", p.Name, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for i := range srcs {
+		if err := g.AddEdgeBatch(graph.PredID(i), srcs[i], dsts[i]); err != nil {
 			return nil, err
 		}
 	}

@@ -10,8 +10,10 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"gmark/internal/bitset"
+	"gmark/internal/fanout"
 	"gmark/internal/graph"
 	"gmark/internal/schema"
 )
@@ -205,19 +207,18 @@ func (l *spillLayout) unit(u int) (p int, tag string, r, lo, hi int) {
 	return p, tag, r, lo, min(lo+l.shardNodes, l.numNodes)
 }
 
-// unitPool hands the units of a grid to a bounded set of workers in
-// index order, admitting a unit only while the pairs of the admitted,
-// unfinished units stay within limit — the memory bound of a parallel
-// flush. limit is at least the largest unit, so a unit can always run
-// alone. Claiming and admission are one step under one lock: a worker
-// waiting for room holds the cursor, so units are admitted strictly in
-// index order and a large unit cannot be starved by small ones behind
-// it.
+// unitPool admits the units of a grid, which fanout.Each claims in
+// index order, only while the pairs of the admitted, unfinished units
+// stay within limit — the memory bound of a parallel flush. limit is
+// at least the largest unit, so a unit can always run alone. Units are
+// admitted strictly in index order: the claimant of the next unit
+// waits for room while the units behind it wait for their turn, so a
+// large unit cannot be starved by small ones.
 type unitPool struct {
 	mu       sync.Mutex
-	room     sync.Cond // signalled when in-flight pairs fall
+	room     sync.Cond // signalled when a unit is admitted or finishes
 	weights  []int     // pairs held by each unit while it is in flight
-	next     int       // the cursor: first unclaimed unit
+	next     int       // the next unit to admit
 	limit    int
 	inflight int // pairs of admitted, unfinished units
 	peak     int // high-water mark of inflight
@@ -233,29 +234,26 @@ func newUnitPool(budget int, weights []int) *unitPool {
 	return q
 }
 
-// claim returns the next unit and its weight once it is admitted; ok is
-// false when the units are exhausted or one has failed.
-func (q *unitPool) claim() (u, w int, ok bool) {
+// admit waits until unit u is the next in index order and its pairs
+// fit; it is false once a unit has failed.
+func (q *unitPool) admit(u int) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	for {
-		if q.stopped || q.next == len(q.weights) {
-			return 0, 0, false
-		}
-		if w = q.weights[q.next]; q.inflight+w <= q.limit {
-			break
-		}
+	for !q.stopped && (q.next != u || q.inflight+q.weights[u] > q.limit) {
 		q.room.Wait()
 	}
-	u = q.next
+	if q.stopped {
+		return false
+	}
 	q.next++
-	q.inflight += w
+	q.inflight += q.weights[u]
 	q.peak = max(q.peak, q.inflight)
-	return u, w, true
+	q.room.Broadcast()
+	return true
 }
 
 // release returns a finished unit's pairs; a failed unit stops every
-// further claim (units already admitted run to completion).
+// further admission (units already admitted run to completion).
 func (q *unitPool) release(w int, failed bool) {
 	q.mu.Lock()
 	q.inflight -= w
@@ -277,45 +275,34 @@ type domainGroup struct {
 // writeUnits runs every unit of the grid — build(u) yields the CSR of
 // the unit's node range (len(off) == hi-lo+1, not necessarily rebased;
 // adj the array off indexes into), which is encoded, written as the
-// unit's shard file and ORed into its group's domain bitmap — on a pool
-// of GOMAXPROCS workers drained through one cursor (unitPool: weights[u]
+// unit's shard file and ORed into its group's domain bitmap — on
+// GOMAXPROCS workers (fanout.Each) admitted through unitPool (weights[u]
 // is the pairs unit u holds while it runs, budget caps the pairs in
 // flight). Results are stored by unit index, so the returned shard
 // entries, every shard file and every domain file are the same at any
-// worker count. When units fail, no further unit is claimed and the
-// error returned is the lowest-index one's: that unit is claimed before
-// any higher one, whatever the interleaving. No goroutine outlives the
+// worker count. When units fail, no further unit is admitted and the
+// error returned is the lowest-index one's. No goroutine outlives the
 // call. peak is the pool's in-flight high-water mark.
 func (l *spillLayout) writeUnits(budget int, weights []int, build func(u int) (off, adj []int32, err error)) (shards []CSRShard, peak int, err error) {
 	n := len(weights)
 	shards = make([]CSRShard, n)
-	errs := make([]error, n)
 	groups := make([]domainGroup, n/l.nRanges)
 	for i := range groups {
 		groups[i].left = l.nRanges
 	}
 	pool := newUnitPool(budget, weights)
-	var wg sync.WaitGroup
-	for i := min(runtime.GOMAXPROCS(0), n); i > 0; i-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var img []byte // the worker's encode buffer, reused across units
-			for {
-				u, w, ok := pool.claim()
-				if !ok {
-					return
-				}
-				img, errs[u] = l.writeUnit(u, img[:0], &shards[u], &groups[u/l.nRanges], build)
-				pool.release(w, errs[u] != nil)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, pool.peak, err
+	imgs := make([][]byte, min(runtime.GOMAXPROCS(0), n)) // each worker's encode buffer, reused across units
+	err = fanout.Each(n, len(imgs), func(w, u int, _ *atomic.Bool) error {
+		if !pool.admit(u) {
+			return nil
 		}
+		var err error
+		imgs[w], err = l.writeUnit(u, imgs[w][:0], &shards[u], &groups[u/l.nRanges], build)
+		pool.release(weights[u], err != nil)
+		return err
+	})
+	if err != nil {
+		return nil, pool.peak, err
 	}
 	return shards, pool.peak, nil
 }

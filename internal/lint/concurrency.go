@@ -16,14 +16,18 @@ import (
 // every `go` statement in library code must be visibly accounted for
 // before it starts — a WaitGroup.Add or a slot-ring/semaphore channel
 // send earlier in the same function — so no goroutine can outlive its
-// pipeline unobserved (the leak class PR 3 fixed). Lock copying, the
-// third classic hazard, is delegated to `go vet -copylocks`, which the
-// CI lint job runs alongside this suite.
+// pipeline unobserved (the goroutine-leak class). Third, library code
+// (internal/ and the root package) starts goroutines only inside
+// internal/fanout: every worker pool is fanout.Each or fanout.Ordered,
+// so bounds, stop and error rules live in one place, and any other go
+// statement needs a //lint:ignore concurrency <reason>. Lock copying,
+// the fourth classic hazard, is delegated to `go vet -copylocks`,
+// which the CI lint job runs alongside this suite.
 var ConcurrencyAnalyzer = &Analyzer{
 	Name: "concurrency",
 	Doc: "64-bit atomic fields first in their struct; go statements " +
 		"preceded by WaitGroup.Add or a slot acquisition in the same " +
-		"function",
+		"function; no go statement in library code outside internal/fanout",
 	Run: runConcurrency,
 }
 
@@ -31,7 +35,22 @@ func runConcurrency(p *Pass) {
 	for _, file := range p.Files {
 		checkAtomicLayout(p, file)
 		checkGoAccounting(p, file)
+		checkGoInFanout(p, file)
 	}
+}
+
+// checkGoInFanout flags every go statement of a library package other
+// than internal/fanout.
+func checkGoInFanout(p *Pass, file *ast.File) {
+	if !(p.Dir == "" || inDir(p.Dir, "internal")) || inDir(p.Dir, "internal/fanout") {
+		return
+	}
+	ast.Inspect(file, func(n ast.Node) bool {
+		if gs, ok := n.(*ast.GoStmt); ok {
+			p.Reportf(gs.Pos(), "go statement in library code outside internal/fanout; run the loop through fanout.Each or fanout.Ordered, or justify with //lint:ignore concurrency <reason>")
+		}
+		return true
+	})
 }
 
 // is64BitAtomic reports whether t is sync/atomic.Int64 or Uint64.
@@ -75,8 +94,7 @@ func checkAtomicLayout(p *Pass, file *ast.File) {
 
 // checkGoAccounting flags go statements with no preceding
 // WaitGroup.Add call or channel send in the innermost enclosing
-// function. A send models slot-ring/semaphore admission (the
-// dispatcher pattern of graphgen/querygen); receives inside the
+// function. A send models semaphore admission; receives inside the
 // spawned goroutine do not count because they happen after the spawn.
 func checkGoAccounting(p *Pass, file *ast.File) {
 	funcs := funcBodies(file)

@@ -2,9 +2,9 @@ package querygen
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
+	"gmark/internal/fanout"
 	"gmark/internal/query"
 )
 
@@ -46,10 +46,10 @@ func (g *Generator) EmitWindow(opt Options, from, to int, sink QuerySink) (int, 
 		err = fmt.Errorf("querygen: window [%d, %d) outside workload of %d queries", from, to, g.cfg.Count)
 	} else {
 		units = g.planWorkload(from, to)
-		if opt.workers() == 1 || len(units) <= emitBlock {
+		if k := fanout.Workers(opt.Parallelism); k == 1 || len(units) <= emitBlock {
 			err = g.emitSequential(units, sink)
 		} else {
-			err = g.emitParallel(units, opt, sink)
+			err = g.emitParallel(units, k, sink)
 		}
 	}
 	flushErr := sink.Flush()
@@ -84,97 +84,55 @@ func (g *Generator) emitSequential(units []queryUnit, sink QuerySink) error {
 // served window of a few dozen queries still spreads over the workers.
 const emitBlock = 16
 
-// ringDepth is the number of slots per worker in emitParallel's ring.
-// With one slot a worker idles while the flusher drains its last block;
-// with several it runs ahead into its next slot. Measured on gmark-perf
-// qgen (2 vCPU, 2 workers): 91-96 K queries/s at depth 1, 102-112 K at
-// 2, 111-114 K at 4, 117-120 K at 8, and 104-117 K with +1 MB RSS at
-// 16. At 8 a worker has at most 8 x emitBlock = 128 queries in flight.
+// ringDepth is the number of blocks per worker that emitParallel
+// admits ahead of the flusher. With one a worker idles while the
+// flusher drains its last block; with several it runs ahead. Measured
+// on gmark-perf qgen (2 vCPU, 2 workers): 91-96 K queries/s at depth 1,
+// 102-112 K at 2, 111-114 K at 4, 117-120 K at 8, and 104-117 K with
+// +1 MB RSS at 16. At 8 a worker has at most 8 x emitBlock = 128
+// queries in flight.
 const ringDepth = 8
 
 // emitParallel splits the units into blocks of emitBlock and fans the
-// blocks out across k long-lived workers, each with one RNG re-seeded
-// per unit. Worker w fills the blocks b ≡ w (mod k); block b goes into slot
-// b mod r of a ring of r = k*ringDepth slots (fewer when there are
-// fewer blocks, so no slot is shared at all). Because r is a multiple
-// of k, the blocks sharing a slot share a worker, which fills them in
-// order. The flusher (the caller) consumes the slots strictly in block
-// order, so the sink observes the same call sequence as the sequential
-// path. A worker is admitted to block b only after block b-r has been
-// flushed, so slot reuse never overlaps, and total in-flight memory is
+// blocks out with fanout.Ordered across k workers, each with one RNG
+// re-seeded per unit. The flusher (the caller) receives the blocks
+// strictly in block order, so the sink observes the same call sequence
+// as the sequential path. Block b is admitted only after block
+// b-k*ringDepth has been flushed, so total in-flight memory is
 // O(k x ringDepth x emitBlock) queries — not O(workload) — preserving
 // the streaming sinks' constant-memory property for huge workloads.
-func (g *Generator) emitParallel(units []queryUnit, opt Options, sink QuerySink) error {
-	// slot is one block in flight: the queries generated so far and the
-	// error that stopped the block short, if any.
-	type slot struct {
+func (g *Generator) emitParallel(units []queryUnit, k int, sink QuerySink) error {
+	// block is one block's queries and the error that stopped it
+	// short, if any.
+	type block struct {
 		qs  [emitBlock]*query.Query
 		n   int
 		err error
-		// filled and free hand the slot back and forth; each send
-		// orders the slot accesses before it ahead of those after the
-		// matching receive.
-		filled, free chan struct{}
 	}
 	blocks := (len(units) + emitBlock - 1) / emitBlock
-	k := min(opt.workers(), blocks)
-	slots := make([]slot, min(k*ringDepth, blocks))
-	for s := range slots {
-		slots[s].filled = make(chan struct{}, 1)
-		slots[s].free = make(chan struct{}, 1)
-		slots[s].free <- struct{}{}
+	workers := make([]*worker, min(k, blocks))
+	for w := range workers {
+		workers[w] = g.newWorker()
 	}
-
-	// aborted tells workers to skip generating once the flusher has
-	// recorded an error.
-	var aborted atomic.Bool
-
-	var wg sync.WaitGroup
-	for first := 0; first < k; first++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			w := g.newWorker()
-			for b := first; b < blocks; b += k {
-				sl := &slots[b%len(slots)]
-				<-sl.free
-				sl.n, sl.err = 0, nil
-				block := units[b*emitBlock : min((b+1)*emitBlock, len(units))]
-				for i := 0; i < len(block) && !aborted.Load(); i++ {
-					q, err := w.emitUnit(block[i])
-					if err != nil {
-						sl.err = err
-						break
-					}
-					sl.qs[sl.n] = q
-					sl.n++
+	return fanout.Ordered(blocks, len(workers), len(workers)*ringDepth,
+		func(w, b int, aborted *atomic.Bool) (r block) {
+			for _, u := range units[b*emitBlock : min((b+1)*emitBlock, len(units))] {
+				if aborted.Load() {
+					break
 				}
-				sl.filled <- struct{}{}
+				if r.qs[r.n], r.err = workers[w].emitUnit(u); r.err != nil {
+					break
+				}
+				r.n++
 			}
-		}()
-	}
-
-	// Ordered flush. On error, keep draining (and keep releasing the
-	// slots) so every worker runs to its end, but stop touching the
-	// sink.
-	var firstErr error
-	for b := 0; b < blocks; b++ {
-		sl := &slots[b%len(slots)]
-		<-sl.filled
-		for i := 0; i < sl.n; i++ {
-			if firstErr == nil {
-				firstErr = sink.AddQuery(units[b*emitBlock+i].index, sl.qs[i])
+			return r
+		},
+		func(b int, r block) error {
+			for i, q := range r.qs[:r.n] {
+				if err := sink.AddQuery(units[b*emitBlock+i].index, q); err != nil {
+					return err
+				}
 			}
-			sl.qs[i] = nil // release the query eagerly
-		}
-		if firstErr == nil {
-			firstErr = sl.err
-		}
-		if firstErr != nil {
-			aborted.Store(true)
-		}
-		sl.free <- struct{}{}
-	}
-	wg.Wait()
-	return firstErr
+			return r.err
+		}, nil)
 }

@@ -2,7 +2,6 @@ package querygen
 
 import (
 	"fmt"
-	"runtime"
 
 	"gmark/internal/prng"
 	"gmark/internal/query"
@@ -10,19 +9,11 @@ import (
 
 // Options controls workload emission.
 type Options struct {
-	// Parallelism is the number of query-emission workers. Zero selects
-	// runtime.GOMAXPROCS(0); one forces the sequential path. For a
-	// fixed Config.Seed the emitted workload is identical for any
-	// value.
+	// Parallelism is the number of query-emission workers. Zero or less
+	// selects runtime.GOMAXPROCS(0) (fanout.Workers); one forces the
+	// sequential path. For a fixed Config.Seed the emitted workload is
+	// identical for any value.
 	Parallelism int
-}
-
-// workers resolves the effective worker count.
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // queryUnit is one independently emittable unit of work: a single

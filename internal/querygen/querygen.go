@@ -7,13 +7,14 @@
 //     assignment — shape, selectivity class, arity, rule count — and a
 //     deterministic RNG sub-seed derived from (Config.Seed, index)
 //     with a splitmix64 mix.
-//  2. Emission (pipeline.go): Options.Parallelism workers each take
-//     contiguous blocks of units. Each worker owns one RNG, re-seeded
-//     per unit, and a read-only view of the shared schema analysis
-//     (the selectivity estimator, the schema graph G_S, the per-window
-//     selectivity graphs G_sel with their per-class walk-count tables,
-//     and the nb_path tables, all frozen at New). Finished blocks wait
-//     in a slot ring of ringDepth slots per worker.
+//  2. Emission (pipeline.go): Options.Parallelism workers claim
+//     contiguous blocks of units in ascending order (fanout.Ordered).
+//     Each worker owns one RNG, re-seeded per unit, and a read-only
+//     view of the shared schema analysis (the selectivity estimator,
+//     the schema graph G_S, the per-window selectivity graphs G_sel
+//     with their per-class walk-count tables, and the nb_path tables,
+//     all frozen at New). At most ringDepth blocks per worker are
+//     admitted ahead of the flusher.
 //  3. Sinks (sink.go): queries flow into a QuerySink in index order.
 //     SliceSink materializes the workload (Generate); ProfileSink
 //     streams a workload.Profile without materializing; SyntaxDirSink

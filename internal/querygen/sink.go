@@ -158,6 +158,7 @@ func newSyntaxDirSink(dir string, syntaxes []translate.Syntax, create func(strin
 	s.jobs = make(chan dirWriteJob, 4*workers)
 	for w := 0; w < workers; w++ {
 		s.wg.Add(1)
+		//lint:ignore concurrency a writer queue that lives from the sink's creation to its Flush, not an index loop; Flush closes jobs and waits on wg
 		go s.writeLoop()
 	}
 	return s, nil

@@ -33,9 +33,10 @@ package serve
 import (
 	"encoding/json"
 	"net/http"
-	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"gmark/internal/fanout"
 )
 
 // Options configures a Server. The zero value selects sensible
@@ -53,7 +54,8 @@ type Options struct {
 	// MaxQueries bounds a job's workload size (default 1,000,000).
 	MaxQueries int
 	// Parallelism is the worker count used when computing a slice;
-	// 0 means GOMAXPROCS. It never affects the served bytes.
+	// zero or less means GOMAXPROCS (fanout.Workers). It never affects
+	// the served bytes.
 	Parallelism int
 }
 
@@ -71,9 +73,7 @@ func (o Options) defaults() Options {
 	if o.MaxQueries <= 0 {
 		o.MaxQueries = 1_000_000
 	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
-	}
+	o.Parallelism = fanout.Workers(o.Parallelism)
 	return o
 }
 
