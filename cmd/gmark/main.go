@@ -25,6 +25,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 	"time"
@@ -65,6 +66,25 @@ func checkWorkers(flag string, n int) error {
 		return fmt.Errorf("-%s %d: a worker count is 0 (all cores) or positive", flag, n)
 	}
 	return nil
+}
+
+// checkLimit rejects a negative limit flag: 0 already selects the
+// default, and a negative limit is not a second spelling of it.
+func checkLimit(flag string, n int) error {
+	if n < 0 {
+		return fmt.Errorf("-%s %d: a limit is 0 (default) or positive", flag, n)
+	}
+	return nil
+}
+
+// mibBytes returns a MiB budget flag in bytes. It rejects a negative
+// budget (0 already selects the default) and one of 2^43 MiB or more,
+// whose byte count would wrap int64.
+func mibBytes(flag string, n int) (int64, error) {
+	if n < 0 || int64(n) > math.MaxInt64>>20 {
+		return 0, fmt.Errorf("-%s %d: a MiB budget is 0 (default) or positive, below 2^43", flag, n)
+	}
+	return int64(n) << 20, nil
 }
 
 // run is the batch CLI: it parses args, generates (or, with
@@ -112,9 +132,13 @@ func run(args []string, stderr io.Writer) error {
 	if err := checkWorkers("eval-workers", *evalWorkers); err != nil {
 		return err
 	}
+	evalCacheBytes, err := mibBytes("eval-cache-mb", *evalCacheMB)
+	if err != nil {
+		return err
+	}
 
 	if *evalSpill != "" {
-		return evalOverSpill(lg, *evalSpill, *evalQuery, *evalCacheMB, *evalEngine, *evalWorkers, *evalMmap)
+		return evalOverSpill(lg, *evalSpill, *evalQuery, evalCacheBytes, *evalEngine, *evalWorkers, *evalMmap)
 	}
 	if *evalEngine != "" {
 		return errors.New("-eval-engine requires -eval-spill")
@@ -392,7 +416,7 @@ var errMissingEvalQuery = errors.New("-eval-spill requires -eval-query (a regula
 // regular path expression over it — with the reference evaluator or a
 // selected simulated engine — and reports the shard-cache behavior,
 // without ever materializing the instance.
-func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string, workers int, useMmap bool) error {
+func evalOverSpill(lg *log.Logger, dir, expr string, cacheBytes int64, engine string, workers int, useMmap bool) error {
 	if expr == "" {
 		return errMissingEvalQuery
 	}
@@ -405,7 +429,7 @@ func evalOverSpill(lg *log.Logger, dir, expr string, cacheMB int, engine string,
 		Body: []query.Conjunct{{Src: 0, Dst: 1, Expr: e}},
 	}}}
 	src, err := eval.OpenSpillSourceWith(dir, eval.SpillSourceOptions{
-		CacheBytes: int64(cacheMB) << 20,
+		CacheBytes: cacheBytes,
 		Mmap:       useMmap,
 	})
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"gmark/internal/graphgen"
 	"gmark/internal/query"
 	"gmark/internal/regpath"
+	"gmark/internal/serve"
 	"gmark/internal/testutil"
 )
 
@@ -115,5 +116,49 @@ func TestNegativeWorkerCountsRejected(t *testing.T) {
 		if entries, _ := os.ReadDir(out); len(entries) != 0 {
 			t.Errorf("%s -1 wrote %d files", flag, len(entries))
 		}
+	}
+}
+
+// TestBadBudgetsRejected: -eval-cache-mb takes 0 (the default) or a
+// positive MiB count below 2^43; a negative one, or one whose byte
+// count wraps int64, fails before anything is generated instead of
+// silently selecting the default.
+func TestBadBudgetsRejected(t *testing.T) {
+	for _, mb := range []string{"-1", strconv.FormatInt(1<<43, 10)} {
+		out := t.TempDir()
+		var stderr bytes.Buffer
+		err := run([]string{"-eval-cache-mb", mb, "-nodes", "200", "-queries", "1", "-syntax", "", "-out", out}, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "-eval-cache-mb "+mb) {
+			t.Errorf("-eval-cache-mb %s: err = %v, want an error naming the flag", mb, err)
+		}
+		if entries, _ := os.ReadDir(out); len(entries) != 0 {
+			t.Errorf("-eval-cache-mb %s wrote %d files", mb, len(entries))
+		}
+	}
+}
+
+// TestServeFlagsRejectBadLimits: serve's budget and limits take 0 (the
+// default) or a positive value; a negative one, or a MiB budget whose
+// byte count wraps int64, is an error naming the flag. Good values pass
+// through to the server options unchanged.
+func TestServeFlagsRejectBadLimits(t *testing.T) {
+	for _, args := range [][]string{
+		{"-cache-mb", "-1"},
+		{"-cache-mb", strconv.FormatInt(1<<43, 10)},
+		{"-max-jobs", "-1"},
+		{"-max-nodes", "-1"},
+		{"-max-queries", "-1"},
+		{"-parallelism", "-1"},
+	} {
+		if _, _, err := parseServeFlags(args); err == nil || !strings.Contains(err.Error(), strings.Join(args, " ")) {
+			t.Errorf("%v: err = %v, want an error naming the flag", args, err)
+		}
+	}
+	addr, opt, err := parseServeFlags([]string{"-addr", "127.0.0.1:0", "-cache-mb", "3", "-max-jobs", "4", "-max-nodes", "5", "-max-queries", "6", "-parallelism", "2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := (serve.Options{CacheBytes: 3 << 20, MaxJobs: 4, MaxNodes: 5, MaxQueries: 6, Parallelism: 2}); addr != "127.0.0.1:0" || opt != want {
+		t.Errorf("parsed %q %+v, want 127.0.0.1:0 %+v", addr, opt, want)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os/signal"
@@ -36,31 +37,13 @@ const (
 // sinks write for the same coordinates (see docs/SERVING.md). SIGINT
 // and SIGTERM stop the listener and let requests in flight finish.
 func serveMain(args []string) {
-	fs := flag.NewFlagSet("gmark serve", flag.ExitOnError)
-	var (
-		addr       = fs.String("addr", ":8080", "listen address")
-		cacheMB    = fs.Int("cache-mb", 0, "cache budget in MiB: a quarter for predicates' emitted columns, the rest for rendered slices (0 = default 256 MiB)")
-		maxJobs    = fs.Int("max-jobs", 0, "registered-job ceiling (0 = default 1024)")
-		maxNodes   = fs.Int("max-nodes", 0, "largest graph a job may configure, in nodes (0 = default 10M)")
-		maxQueries = fs.Int("max-queries", 0, "largest workload a job may configure, in queries (0 = default 1M)")
-		par        = fs.Int("parallelism", 0, "generation workers per slice (0 = all cores; slice bytes are identical for any value)")
-	)
-	fs.Parse(args)
-	if fs.NArg() > 0 {
-		log.Fatalf("serve: unexpected arguments %q", fs.Args())
-	}
-	if err := checkWorkers("parallelism", *par); err != nil {
+	addr, opt, err := parseServeFlags(args)
+	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
-	srv := serve.New(serve.Options{
-		CacheBytes:  int64(*cacheMB) << 20,
-		MaxJobs:     *maxJobs,
-		MaxNodes:    *maxNodes,
-		MaxQueries:  *maxQueries,
-		Parallelism: *par,
-	})
+	srv := serve.New(opt)
 	hs := &http.Server{
-		Addr:              *addr,
+		Addr:              addr,
 		Handler:           srv,
 		ReadHeaderTimeout: serveReadHeaderTimeout,
 		ReadTimeout:       serveReadTimeout,
@@ -78,11 +61,47 @@ func serveMain(args []string) {
 		defer cancel()
 		drained <- hs.Shutdown(drainCtx)
 	}()
-	log.Printf("slice server listening on %s", *addr)
+	log.Printf("slice server listening on %s", addr)
 	if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("serve: %v", err)
 	}
 	if err := <-drained; err != nil {
 		log.Fatalf("serve: draining: %v", err)
 	}
+}
+
+// parseServeFlags reads serve's flags into the listen address and the
+// server options. A negative budget or limit is rejected rather than
+// read as its default.
+func parseServeFlags(args []string) (string, serve.Options, error) {
+	fs := flag.NewFlagSet("gmark serve", flag.ExitOnError)
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		cacheMB    = fs.Int("cache-mb", 0, "cache budget in MiB: a quarter for predicates' emitted columns, the rest for rendered slices (0 = default 256 MiB)")
+		maxJobs    = fs.Int("max-jobs", 0, "registered-job ceiling (0 = default 1024)")
+		maxNodes   = fs.Int("max-nodes", 0, "largest graph a job may configure, in nodes (0 = default 10M)")
+		maxQueries = fs.Int("max-queries", 0, "largest workload a job may configure, in queries (0 = default 1M)")
+		par        = fs.Int("parallelism", 0, "generation workers per slice (0 = all cores; slice bytes are identical for any value)")
+	)
+	if err := fs.Parse(args); err != nil {
+		return "", serve.Options{}, err
+	}
+	if fs.NArg() > 0 {
+		return "", serve.Options{}, fmt.Errorf("unexpected arguments %q", fs.Args())
+	}
+	cacheBytes, err := mibBytes("cache-mb", *cacheMB)
+	if err = errors.Join(err,
+		checkLimit("max-jobs", *maxJobs),
+		checkLimit("max-nodes", *maxNodes),
+		checkLimit("max-queries", *maxQueries),
+		checkWorkers("parallelism", *par)); err != nil {
+		return "", serve.Options{}, err
+	}
+	return *addr, serve.Options{
+		CacheBytes:  cacheBytes,
+		MaxJobs:     *maxJobs,
+		MaxNodes:    *maxNodes,
+		MaxQueries:  *maxQueries,
+		Parallelism: *par,
+	}, nil
 }

@@ -352,8 +352,10 @@ type (
 	Budget = eval.Budget
 	// Engine is one of the simulated systems of Section 7.
 	Engine = engines.Engine
-	// EvalSource is the minimal graph access the evaluator needs; both
-	// *Graph and *GraphSpillSource implement it.
+	// EvalSource is the minimal graph access the evaluator needs:
+	// node count, predicate lookup, adjacency, per-predicate active
+	// domains and edge counts. Both *Graph and *GraphSpillSource
+	// implement it.
 	EvalSource = eval.Source
 	// GraphSpillSource evaluates queries directly over a CSR spill
 	// directory, loading node-range shards on demand into a bounded

@@ -123,14 +123,6 @@ func runRanges(g eval.Source, workers, arity int, out *tupleSet, scan func(ws ev
 	return nil
 }
 
-// predEdgeCounter is implemented by sources that know per-predicate
-// edge counts without scanning adjacency (both *graph.Graph and
-// eval.SpillSource do). Engines use it purely as an allocation hint;
-// a source without it still evaluates correctly.
-type predEdgeCounter interface {
-	PredEdgeCount(p graph.PredID) int
-}
-
 // All returns the four engines in the paper's P, G, S, D order.
 func All() []Engine {
 	return []Engine{NewPostgres(), NewGraphDB(), NewTripleStore(), NewDatalog()}

@@ -134,11 +134,7 @@ func (e *Postgres) evalPath(g eval.Source, path []csym, m *eval.Meter) ([]pair, 
 
 // symbolScan is a full scan of the edge table filtered on one label.
 func (e *Postgres) symbolScan(g eval.Source, s csym, m *eval.Meter) ([]pair, error) {
-	var n int
-	if pc, ok := g.(predEdgeCounter); ok {
-		n = pc.PredEdgeCount(s.pred)
-	}
-	out := make([]pair, 0, n)
+	out := make([]pair, 0, g.PredEdgeCount(s.pred))
 	ws, release := eval.WorkerSource(g)
 	defer release()
 	for v := int32(0); v < int32(g.NumNodes()); v++ {

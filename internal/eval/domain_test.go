@@ -4,14 +4,17 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
+	"gmark/internal/bitset"
 	"gmark/internal/graph"
 	"gmark/internal/graphgen"
 	"gmark/internal/query"
 	"gmark/internal/regpath"
 	"gmark/internal/testutil"
+	"gmark/internal/usecases"
 )
 
 // evalFixtureSeed is the generation seed shared by this package's
@@ -79,7 +82,7 @@ func starQuery(pred string) *query.Query {
 
 // TestStarDomainOverSpillZeroSweeps: a recursive query over a spill
 // builds its epsilon mask from the persisted active-domain bitmaps
-// alone — zero shard loads — and the mask equals the in-memory scan's.
+// alone — zero shard loads — and the mask equals the in-memory graph's.
 func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 	g, dir := buildSpill(t, "bib", 300, 7)
 	src, err := OpenSpillSource(dir, 0)
@@ -97,11 +100,11 @@ func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 	}
 	want := StarDomain(g, syms, syms)
 	if mask.Count() != want.Count() {
-		t.Fatalf("bitmap mask has %d nodes, scan mask %d", mask.Count(), want.Count())
+		t.Fatalf("spill mask has %d nodes, in-memory mask %d", mask.Count(), want.Count())
 	}
 	for v := int32(0); v < int32(g.NumNodes()); v++ {
 		if mask.Has(v) != want.Has(v) {
-			t.Fatalf("mask disagrees at node %d: bitmap=%v scan=%v", v, mask.Has(v), want.Has(v))
+			t.Fatalf("mask disagrees at node %d: spill=%v in-memory=%v", v, mask.Has(v), want.Has(v))
 		}
 	}
 
@@ -117,6 +120,76 @@ func TestStarDomainOverSpillZeroSweeps(t *testing.T) {
 	}
 	if got != wantCount {
 		t.Fatalf("(%s)* over spill = %d, in-memory = %d", p0, got, wantCount)
+	}
+}
+
+// TestActiveDomainAgreesAcrossSources: every tier answers ActiveDomain
+// with the naive set {v : len(Neighbors(v, p, inv)) > 0} — the
+// in-memory graph from its CSR offsets, a varint and a raw+mmap spill
+// from their persisted bitmaps, and a spill's worker view by
+// forwarding — for every built-in use case, predicate and direction.
+func TestActiveDomainAgreesAcrossSources(t *testing.T) {
+	for _, uc := range usecases.Names {
+		g, varintDir := buildSpill(t, uc, 300, 64)
+		_, rawDir := buildSpillComp(t, uc, 300, 64, graphgen.SpillCompressNone)
+		varint, err := OpenSpillSource(varintDir, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := OpenSpillSourceWith(rawDir, SpillSourceOptions{Mmap: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		view, release := WorkerSource(varint)
+		sources := []struct {
+			name string
+			src  Source
+		}{{"graph", g}, {"varint spill", varint}, {"raw+mmap spill", raw}, {"worker view", view}}
+		for p := range graph.PredID(g.NumPredicates()) {
+			for _, inv := range []bool{false, true} {
+				want := bitset.New(g.NumNodes())
+				for v := range int32(g.NumNodes()) {
+					if len(g.Neighbors(v, p, inv)) > 0 {
+						want.Add(v)
+					}
+				}
+				for _, s := range sources {
+					dom, err := s.src.ActiveDomain(s.src.PredIndex(g.PredName(p)), inv)
+					if err != nil {
+						t.Fatalf("%s %s: %v", uc, s.name, err)
+					}
+					if !slices.Equal(dom.Words(), want.Words()) {
+						t.Errorf("%s %s: ActiveDomain(%s, inverse=%v) has %d nodes, oracle %d",
+							uc, s.name, g.PredName(p), inv, dom.Count(), want.Count())
+					}
+				}
+			}
+		}
+		release()
+	}
+}
+
+// TestInMemoryStartPruningProbesNothing: over an in-memory graph, the
+// epsilon mask of (b)* and the start sources of a chain beginning with
+// b are read off active domains, so when b has no edges neither makes
+// a single Neighbors call — no per-node probe of b's adjacency.
+func TestInMemoryStartPruningProbesNothing(t *testing.T) {
+	c := &countingSource{Graph: handGraph(t, 300, 2, [3]int32{1, 0, 2}, [3]int32{2, 0, 299})}
+	if _, err := compileExpr(c, regpath.MustParse("(b)*")); err != nil {
+		t.Fatal(err)
+	}
+	if c.calls != 0 {
+		t.Errorf("compiling (b)* made %d Neighbors calls; want 0", c.calls)
+	}
+	for _, workers := range []int{1, 2} {
+		c.calls = 0
+		got, err := CountWith(c, union(chainRule("se", "b", "a")), Budget{}, EvalOptions{Workers: workers})
+		if err != nil || got != 0 {
+			t.Fatalf("workers=%d: count %d (%v), want 0", workers, got, err)
+		}
+		if c.calls != 0 {
+			t.Errorf("workers=%d: counting b/a made %d Neighbors calls; want 0", workers, c.calls)
+		}
 	}
 }
 

@@ -169,10 +169,9 @@ func chainEndpoints(r query.Rule) (start, end query.Var, ok bool) {
 //
 // The source scan is ordered by the source's storage ranges (one spill
 // shard's sources are exhausted before the next shard loads), and each
-// plan carries a startFilter so a range no plan can start in is
-// skipped with pure bitmap work — over a spill with persisted
-// active-domain bitmaps, shards holding no candidate sources are never
-// read at all.
+// plan carries a start mask built from the source's active domains, so
+// a range no plan can start in is skipped with pure bitmap work — over
+// a spill, shards holding no candidate sources are never read at all.
 //
 // The surviving ranges are claimed in order by up to workers goroutines
 // (fanout.Each; one worker scans on the caller's goroutine); each worker
@@ -184,21 +183,21 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, 
 	n := g.NumNodes()
 	arity := q.Arity()
 
-	filters := make([]startFilter, len(plans))
+	masks := make([]*bitset.Set, len(plans))
 	for i := range plans {
-		filters[i] = startFilterFor(g, plans[i].exprs[0])
+		masks[i] = startMask(g, plans[i].exprs[0])
 	}
 
 	words := windowWordsFor(g)
 	ranges := make([]NodeRange, 0, 8)
 	for _, rg := range scanRanges(g, workers, words) {
-		if rangeHasStart(filters, rg) {
+		if rangeHasStart(masks, rg) {
 			ranges = append(ranges, rg)
 		}
 	}
 	// A worker beyond the number of ranges, or of windows any plan can
 	// start in, would find nothing to do.
-	workers = min(workers, len(ranges), startWindows(filters, ranges, words, workers))
+	workers = min(workers, len(ranges), startWindows(masks, ranges, words, workers))
 
 	// Every optional interface of g has been consulted above; from here
 	// on each scanning goroutine walks Neighbors through its own
@@ -214,7 +213,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, 
 		defer release()
 	}
 	err := fanout.Each(len(ranges), workers, func(w, i int, stop *atomic.Bool) error {
-		return scanRange(views[w], plans, filters, ranges[i], states[w], meter, stop)
+		return scanRange(views[w], plans, masks, ranges[i], states[w], meter, stop)
 	})
 	// A witness outranks worker errors: sequentially the witness would
 	// have ended the scan before the other ranges ran at all.
@@ -240,7 +239,7 @@ func countStreaming(g Source, q *query.Query, plans []streamPlan, meter *Meter, 
 // Budget charges are what the result grows by, once per window: a
 // sequential evaluation charges exactly its count, whatever the window
 // schedule.
-func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange, st *scratch, meter *Meter, stop *atomic.Bool) error {
+func scanRange(g Source, plans []streamPlan, masks []*bitset.Set, rg NodeRange, st *scratch, meter *Meter, stop *atomic.Bool) error {
 	start := st.start
 	for v0, in := range windows(rg, st.in) {
 		if stop.Load() {
@@ -254,7 +253,7 @@ func scanRange(g Source, plans []streamPlan, filters []startFilter, rg NodeRange
 			// A source that cannot begin a match of the first expression
 			// contributes nothing (the same restriction evalCompiled
 			// applies).
-			if !filters[pi].window(g, p.exprs[0], v0, in, start) {
+			if !windowStarts(masks[pi], v0, in, start) {
 				continue
 			}
 			if p.proj == projSource && !dropCounted(start, st.nodeUnion, v0) {
@@ -415,14 +414,10 @@ func SourceRanges(g Source, workers int) []NodeRange {
 }
 
 // rangeHasStart reports whether any plan may have a source inside the
-// range. Only fully masked filter sets can rule a range out; a probing
-// or unrestricted filter means the range must be visited.
-func rangeHasStart(filters []startFilter, rg NodeRange) bool {
-	for _, f := range filters {
-		if f.mask == nil {
-			return true
-		}
-		if f.mask.AnyInRange(rg.Lo, rg.Hi) {
+// range; a nil mask (an epsilon disjunct) starts everywhere.
+func rangeHasStart(masks []*bitset.Set, rg NodeRange) bool {
+	for _, m := range masks {
+		if m == nil || m.AnyInRange(rg.Lo, rg.Hi) {
 			return true
 		}
 	}
@@ -431,7 +426,7 @@ func rangeHasStart(filters []startFilter, rg NodeRange) bool {
 
 // startWindows counts the windows of words words of ranges some plan
 // may have a source in, up to limit.
-func startWindows(filters []startFilter, ranges []NodeRange, words, limit int) int {
+func startWindows(masks []*bitset.Set, ranges []NodeRange, words, limit int) int {
 	count := 0
 	in := make([]uint64, words)
 	for _, rg := range ranges {
@@ -439,7 +434,7 @@ func startWindows(filters []startFilter, ranges []NodeRange, words, limit int) i
 			if count == limit {
 				return count
 			}
-			if windowHasStart(filters, v0, in) {
+			if windowHasStart(masks, v0, in) {
 				count++
 			}
 		}
@@ -449,13 +444,13 @@ func startWindows(filters []startFilter, ranges []NodeRange, words, limit int) i
 
 // windowHasStart reports whether any plan may have a source among in,
 // the ids of the window at v0.
-func windowHasStart(filters []startFilter, v0 int32, in []uint64) bool {
-	for _, f := range filters {
-		if f.mask == nil {
+func windowHasStart(masks []*bitset.Set, v0 int32, in []uint64) bool {
+	for _, m := range masks {
+		if m == nil {
 			return true
 		}
 		for i, w := range in {
-			if w != 0 && w&f.mask.Words()[int(v0>>6)+i] != 0 {
+			if w != 0 && w&m.Words()[int(v0>>6)+i] != 0 {
 				return true
 			}
 		}

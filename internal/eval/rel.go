@@ -98,58 +98,24 @@ type BoundarySym struct {
 // estimator, and all evaluators and engines share it so recursive
 // query counts agree.
 //
-// When the source knows its per-predicate active domains (a spill's
-// persisted bitmaps), the mask is a pure bitmap union — no adjacency
-// is touched, so a recursive query over a spill does not pay a
-// whole-instance shard sweep just to build its epsilon mask; a bitmap
-// that fails to load leaves the mask partial, and the source's sticky
-// error fails the evaluation. Other sources take the full per-node
-// scan.
+// The mask is a union of the source's active domains, so no adjacency
+// is touched — a recursive query over a spill does not pay a
+// whole-instance shard sweep just to build its epsilon mask. It stops
+// at the first domain that fails to load, leaving the mask partial;
+// the source has recorded the failure for SourceErr, which fails the
+// evaluation.
 func StarDomain(g Source, firsts, lasts []BoundarySym) *bitset.Set {
-	if ds, ok := g.(DomainSource); ok {
-		return starDomainFromDomains(ds, firsts, lasts)
-	}
 	mask := bitset.New(g.NumNodes())
-	ws, release := WorkerSource(g)
-	defer release()
-	for v := int32(0); v < int32(g.NumNodes()); v++ {
-		for _, s := range firsts {
-			if len(ws.Neighbors(v, s.Pred, s.Inv)) > 0 {
-				mask.Add(v)
-				break
-			}
-		}
-		if mask.Has(v) {
-			continue
-		}
-		for _, s := range lasts {
-			// An incoming s-edge at v is an outgoing edge of the
-			// inverted symbol.
-			if len(ws.Neighbors(v, s.Pred, !s.Inv)) > 0 {
-				mask.Add(v)
-				break
-			}
-		}
-	}
-	return mask
-}
-
-// starDomainFromDomains assembles the star domain from per-predicate
-// active-domain bitmaps: a node can start a disjunct iff it is in some
-// first symbol's domain, and end one iff it is in some last symbol's
-// inverse domain. It stops at the first bitmap that fails to load,
-// which the source has recorded for SourceErr.
-func starDomainFromDomains(ds DomainSource, firsts, lasts []BoundarySym) *bitset.Set {
-	mask := bitset.New(ds.NumNodes())
 	for _, s := range firsts {
-		dom, err := ds.ActiveDomain(s.Pred, s.Inv)
+		dom, err := g.ActiveDomain(s.Pred, s.Inv)
 		if err != nil {
 			return mask
 		}
 		mask.UnionWith(dom)
 	}
 	for _, s := range lasts {
-		dom, err := ds.ActiveDomain(s.Pred, !s.Inv)
+		// An incoming s-edge is an outgoing edge of the inverted symbol.
+		dom, err := g.ActiveDomain(s.Pred, !s.Inv)
 		if err != nil {
 			return mask
 		}
@@ -158,72 +124,40 @@ func starDomainFromDomains(ds DomainSource, firsts, lasts []BoundarySym) *bitset
 	return mask
 }
 
-// startFilter restricts the sources an evaluation must walk from,
-// replacing the per-node canStart probe when the restriction is known
-// up front. Exactly one interpretation applies: a nil mask with probe
-// false means every node is a source (an epsilon disjunct matches
-// anywhere); a non-nil mask means exactly its members are candidate
-// sources; probe true means nothing is precomputed and the caller must
-// test canStart per node.
-type startFilter struct {
-	mask  *bitset.Set
-	probe bool
+// startMask returns the sources an evaluation of e must walk from, or
+// nil when every node is one (an epsilon disjunct matches anywhere).
+// Starred expressions without an epsilon disjunct are restricted to
+// their epsilon mask (outside it the zero-length match is excluded and
+// no first step exists, so the image from v is empty); non-starred
+// expressions to the union of their first symbols' active domains —
+// StarDomain with no last symbols.
+func startMask(g Source, e compiledExpr) *bitset.Set {
+	for _, p := range e.paths {
+		if len(p) == 0 {
+			return nil
+		}
+	}
+	if e.star {
+		return e.epsMask
+	}
+	firsts, _ := boundarySymbols(e.paths)
+	return StarDomain(g, firsts, nil)
 }
 
-// window writes to start which of the sources in (the words of the
-// window at v0) may begin a match under the filter — the mask's words
-// at v0, or, in the probe case only, one canStart per source — and
-// reports whether any may.
-func (f startFilter) window(g Source, e compiledExpr, v0 int32, in, start []uint64) bool {
+// windowStarts writes to start which of the sources in (the words of
+// the window at v0) are in mask — all of them when mask is nil — and
+// reports whether any are.
+func windowStarts(mask *bitset.Set, v0 int32, in, start []uint64) bool {
 	start = start[:len(in)]
 	var some uint64
 	for i, w := range in {
-		if w != 0 {
-			if f.mask != nil {
-				w &= f.mask.Words()[int(v0>>6)+i]
-			} else if f.probe {
-				for rest := w; rest != 0; rest &= rest - 1 {
-					b := bits.TrailingZeros64(rest)
-					if !canStart(g, e, v0+int32(i<<6+b)) {
-						w &^= 1 << b
-					}
-				}
-			}
+		if w != 0 && mask != nil {
+			w &= mask.Words()[int(v0>>6)+i]
 		}
 		start[i] = w
 		some |= w
 	}
 	return some != 0
-}
-
-// startFilterFor derives the tightest cheap source restriction for a
-// compiled expression. Starred expressions without an epsilon disjunct
-// are restricted to their epsilon mask (outside it the zero-length
-// match is excluded and no first step exists, so the image from v is
-// empty); non-starred expressions use the union of their first
-// symbols' active domains when the source can supply them without
-// scanning, and otherwise fall back to per-node probing.
-func startFilterFor(g Source, e compiledExpr) startFilter {
-	for _, p := range e.paths {
-		if len(p) == 0 {
-			return startFilter{} // epsilon: every node matches itself
-		}
-	}
-	if e.star {
-		return startFilter{mask: e.epsMask}
-	}
-	if ds, ok := g.(DomainSource); ok {
-		mask := bitset.New(g.NumNodes())
-		for _, p := range e.paths {
-			dom, err := ds.ActiveDomain(p[0].pred, p[0].inv)
-			if err != nil {
-				break // recorded for SourceErr, which fails the evaluation
-			}
-			mask.UnionWith(dom)
-		}
-		return startFilter{mask: mask}
-	}
-	return startFilter{probe: true}
 }
 
 // reverse returns the compiled expression of the inverse relation.
@@ -271,11 +205,8 @@ func evalCompiled(g Source, ce compiledExpr, meter *Meter) (*Rel, error) {
 	n := g.NumNodes()
 	rel := &Rel{N: n, Rows: make(map[int32][]int32)}
 
-	// Restrict sources to nodes that can possibly start a path — via
-	// the precomputed filter (active-domain bitmaps or, for stars
-	// without epsilon, the epsilon mask) when available, else by
-	// probing each node's first-symbol adjacency.
-	filter := startFilterFor(g, ce)
+	// Restrict sources to nodes that can possibly start a path.
+	mask := startMask(g, ce)
 	ws, release := WorkerSource(g)
 	defer release()
 	st := acquireScratch(n, windowWordsFor(g))
@@ -284,7 +215,7 @@ func evalCompiled(g Source, ce compiledExpr, meter *Meter) (*Rel, error) {
 	exprs := []compiledExpr{ce}
 	rows := make([][]int32, 64*st.words)
 	for v0, in := range windows(NodeRange{Lo: 0, Hi: int32(n)}, st.in) {
-		if !filter.window(ws, ce, v0, in, st.start) {
+		if !windowStarts(mask, v0, in, st.start) {
 			continue
 		}
 		fin, err := st.runChain(ws, exprs, v0, st.start, meter)
@@ -316,18 +247,4 @@ func evalCompiled(g Source, ce compiledExpr, meter *Meter) (*Rel, error) {
 		}
 	}
 	return rel, nil
-}
-
-// canStart reports whether node v has at least one edge matching the
-// first symbol of some disjunct (epsilon disjuncts always match).
-func canStart(g Source, ce compiledExpr, v int32) bool {
-	for _, p := range ce.paths {
-		if len(p) == 0 {
-			return true
-		}
-		if len(g.Neighbors(v, p[0].pred, p[0].inv)) > 0 {
-			return true
-		}
-	}
-	return false
 }

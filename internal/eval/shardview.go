@@ -1,6 +1,9 @@
 package eval
 
-import "gmark/internal/graph"
+import (
+	"gmark/internal/bitset"
+	"gmark/internal/graph"
+)
 
 // maxViewSlots caps a shardView's slot table (8 bytes a slot, so 32 MiB
 // per worker). A spill cut finer than that — millions of shard files —
@@ -98,6 +101,14 @@ func (v *shardView) NumNodes() int { return v.src.NumNodes() }
 
 // PredIndex implements Source.
 func (v *shardView) PredIndex(name string) graph.PredID { return v.src.PredIndex(name) }
+
+// ActiveDomain implements Source with the source's bitmaps.
+func (v *shardView) ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, error) {
+	return v.src.ActiveDomain(p, inverse)
+}
+
+// PredEdgeCount implements Source.
+func (v *shardView) PredEdgeCount(p graph.PredID) int { return v.src.PredEdgeCount(p) }
 
 // Neighbors implements Source with SpillSource.Neighbors' results and
 // failure behavior; a predicate or node outside the spill is handed to

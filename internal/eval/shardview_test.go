@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"gmark/internal/bitset"
 	"gmark/internal/graph"
 	"gmark/internal/graphgen"
 	"gmark/internal/query"
@@ -194,12 +193,12 @@ func TestShardViewUnderEviction(t *testing.T) {
 }
 
 // countingSource is the in-memory graph counting its Neighbors calls,
-// with the spill's node ranges and active domains so that the
-// evaluator plans the same scan over it as over the spill.
+// claiming the given node ranges (a spill's, so that the evaluator
+// plans the same scan over it as over the spill) or none.
 type countingSource struct {
 	*graph.Graph
-	spill *SpillSource
-	calls int64
+	ranges []NodeRange
+	calls  int64
 }
 
 func (c *countingSource) Neighbors(v graph.NodeID, p graph.PredID, inverse bool) []int32 {
@@ -207,11 +206,7 @@ func (c *countingSource) Neighbors(v graph.NodeID, p graph.PredID, inverse bool)
 	return c.Graph.Neighbors(v, p, inverse)
 }
 
-func (c *countingSource) NodeRanges() []NodeRange { return c.spill.NodeRanges() }
-
-func (c *countingSource) ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, error) {
-	return c.spill.ActiveDomain(p, inverse)
-}
+func (c *countingSource) NodeRanges() []NodeRange { return c.ranges }
 
 // TestShardViewStatsConserved: batching the hits loses none. After a
 // sequential pass over the recipe, hits + loads + dedup hits equal the
@@ -224,7 +219,7 @@ func TestShardViewStatsConserved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counting := &countingSource{Graph: g, spill: src}
+	counting := &countingSource{Graph: g, ranges: src.NodeRanges()}
 	for i, q := range recipeQueries(t, testutil.Config(t, "sp", 400), 2, 2) {
 		want, err := CountWith(counting, q, Budget{}, EvalOptions{Workers: 1})
 		if err != nil {

@@ -11,7 +11,10 @@ import (
 // Two implementations exist: the in-memory *graph.Graph (frozen CSR
 // adjacency) and SpillSource (node-range CSR shards loaded on demand
 // from a graphgen CSR spill directory), so the same CountWith runs at
-// in-memory and at beyond-memory scale.
+// in-memory and at beyond-memory scale. Both answer ActiveDomain
+// without touching adjacency — the graph from its CSR offsets, the
+// spill from its persisted bitmaps — so start pruning and star domains
+// take one path on every tier.
 //
 // Implementations must be safe for use from a single evaluation
 // goroutine; SpillSource additionally synchronizes internally so one
@@ -30,6 +33,14 @@ type Source interface {
 	// pressure, so callers should consume it before the next call
 	// rather than retaining it.
 	Neighbors(v graph.NodeID, p graph.PredID, inverse bool) []int32
+	// ActiveDomain returns the set of nodes with at least one outgoing
+	// (inverse false) or incoming (inverse true) edge labeled p. The
+	// set may be shared with the source and must not be modified. A
+	// failure must also be recorded for SourceErr: evaluators treat it
+	// as fatal and do not fall back to scanning adjacency.
+	ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, error)
+	// PredEdgeCount returns the number of edges labeled p.
+	PredEdgeCount(p graph.PredID) int
 }
 
 // The in-memory graph is the reference Source.
@@ -102,8 +113,8 @@ func SourceErr(g Source) error {
 // resident shard.
 type ViewSource interface {
 	Source
-	// WorkerView returns a Source with the receiver's Neighbors results
-	// for the exclusive use of one goroutine, and the release that goroutine
+	// WorkerView returns a Source answering as the receiver does, for
+	// the exclusive use of one goroutine, and the release that goroutine
 	// must call exactly once when done with it. The view implements
 	// none of the receiver's other refinements.
 	WorkerView() (view Source, release func())
@@ -113,27 +124,11 @@ type ViewSource interface {
 // Neighbors through — g's WorkerView when g is a ViewSource, g itself
 // otherwise (the in-memory graph) — and the release to call when the
 // goroutine is done. Assert g's optional interfaces (RangedSource,
-// DomainSource, MappedSource) on g, before or after; the returned
-// Source answers only the Source methods.
+// MappedSource) on g, before or after; the returned Source answers
+// only the Source methods.
 func WorkerSource(g Source) (Source, func()) {
 	if vs, ok := g.(ViewSource); ok {
 		return vs.WorkerView()
 	}
 	return g, func() {}
-}
-
-// DomainSource is an optional Source refinement for sources that know
-// each predicate's active domain — the nodes carrying at least one
-// edge of the predicate in a direction — without scanning adjacency.
-// SpillSource implements it from the spill's persisted bitmaps, so
-// StarDomain and the streaming scan's start-pruning cost zero shard
-// loads.
-type DomainSource interface {
-	Source
-	// ActiveDomain returns the set of nodes with at least one outgoing
-	// (inverse false) or incoming (inverse true) edge labeled p. The
-	// set is shared with the source and must not be modified. A
-	// failure must also be recorded for SourceErr: evaluators treat it
-	// as fatal and do not fall back to scanning adjacency.
-	ActiveDomain(p graph.PredID, inverse bool) (*bitset.Set, error)
 }

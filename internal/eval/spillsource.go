@@ -201,8 +201,8 @@ func (s *SpillSource) NumEdges() int { return s.spill.Manifest.Edges }
 // sources return the same cache.
 func (s *SpillSource) Cache() *ShardCache { return s.cache }
 
-// PredEdgeCount returns the number of edges labeled p, summed from the
-// manifest without touching any shard file.
+// PredEdgeCount implements Source: the number of edges labeled p,
+// summed from the manifest without touching any shard file.
 func (s *SpillSource) PredEdgeCount(p graph.PredID) int {
 	if int(p) < 0 || int(p) >= len(s.spill.Manifest.Predicates) {
 		return 0
@@ -221,7 +221,7 @@ func (s *SpillSource) PredEdgeCount(p graph.PredID) int {
 // read-only.
 func (s *SpillSource) NodeRanges() []NodeRange { return s.ranges }
 
-// ActiveDomain implements DomainSource: the bitmap is the spill's
+// ActiveDomain implements Source: the bitmap is the spill's
 // persisted domain file, read once and cached for the source's
 // lifetime (bitmaps are n/8 bytes, far below any shard budget). A
 // bitmap that fails to load fails the evaluation: the error is sticky,

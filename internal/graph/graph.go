@@ -16,6 +16,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gmark/internal/bitset"
 	"gmark/internal/fanout"
 )
 
@@ -548,6 +549,21 @@ func (g *Graph) Neighbors(v NodeID, p PredID, inverse bool) []int32 {
 		return g.In(v, p)
 	}
 	return g.Out(v, p)
+}
+
+// ActiveDomain returns the nodes with at least one outgoing (inverse
+// false) or incoming (inverse true) edge labeled p, read off the frozen
+// CSR offsets: v is a member iff off[v+1] > off[v]. Each call builds a
+// fresh set; the error is always nil.
+func (g *Graph) ActiveDomain(p PredID, inverse bool) (*bitset.Set, error) {
+	off, _ := g.Adjacency(p, inverse)
+	dom := bitset.New(g.NumNodes())
+	for v := range int32(g.NumNodes()) {
+		if off[v+1] > off[v] {
+			dom.Add(v)
+		}
+	}
+	return dom, nil
 }
 
 // OutDegree returns |Out(v, p)|.
