@@ -55,8 +55,30 @@ func main() {
 		return
 	}
 	if err := run(os.Args[1:], os.Stderr); err != nil {
+		exitIfFlagError(err)
 		log.Fatal(err)
 	}
+}
+
+// flagError is a failure of flag parsing, which the flag set has
+// already reported on its output together with the usage.
+type flagError struct{ err error }
+
+func (e flagError) Error() string { return e.err.Error() }
+func (e flagError) Unwrap() error { return e.err }
+
+// exitIfFlagError ends the process the way flag.ExitOnError would when
+// err is a flagError: status 0 after -h, 2 after a malformed flag.
+// Any other error is left to the caller.
+func exitIfFlagError(err error) {
+	var fe flagError
+	if !errors.As(err, &fe) {
+		return
+	}
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	os.Exit(2)
 }
 
 // checkWorkers rejects a negative worker-count flag: 0 already means
@@ -91,7 +113,7 @@ func mibBytes(flag string, n int) (int64, error) {
 // -eval-spill, evaluates) and logs its progress to stderr.
 func run(args []string, stderr io.Writer) error {
 	lg := log.New(stderr, "gmark: ", 0)
-	fs := flag.NewFlagSet("gmark", flag.ExitOnError)
+	fs := flag.NewFlagSet("gmark", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		configPath  = fs.String("config", "", "gMark XML configuration file (overrides -usecase)")
@@ -124,7 +146,7 @@ func run(args []string, stderr io.Writer) error {
 		evalMmap    = fs.Bool("spill-mmap", false, "serve raw (-spill-compress=raw) shards of -eval-spill zero-copy from memory mappings; other encodings fall back to decoding")
 	)
 	if err := fs.Parse(args); err != nil {
-		return err
+		return flagError{err}
 	}
 	if err := checkWorkers("parallelism", *par); err != nil {
 		return err

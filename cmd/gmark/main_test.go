@@ -122,17 +122,23 @@ func TestNegativeWorkerCountsRejected(t *testing.T) {
 // TestBadBudgetsRejected: -eval-cache-mb takes 0 (the default) or a
 // positive MiB count below 2^43; a negative one, or one whose byte
 // count wraps int64, fails before anything is generated instead of
-// silently selecting the default.
+// silently selecting the default. A malformed flag value is an error
+// returned from run, not an exit of the process.
 func TestBadBudgetsRejected(t *testing.T) {
-	for _, mb := range []string{"-1", strconv.FormatInt(1<<43, 10)} {
+	for _, c := range []struct{ flag, value, want string }{
+		{"-eval-cache-mb", "-1", "-eval-cache-mb -1"},
+		{"-eval-cache-mb", strconv.FormatInt(1<<43, 10), "-eval-cache-mb " + strconv.FormatInt(1<<43, 10)},
+		{"-nodes", "abc", "-nodes"},
+	} {
 		out := t.TempDir()
 		var stderr bytes.Buffer
-		err := run([]string{"-eval-cache-mb", mb, "-nodes", "200", "-queries", "1", "-syntax", "", "-out", out}, &stderr)
-		if err == nil || !strings.Contains(err.Error(), "-eval-cache-mb "+mb) {
-			t.Errorf("-eval-cache-mb %s: err = %v, want an error naming the flag", mb, err)
+		args := []string{"-nodes", "200", "-queries", "1", "-syntax", "", "-out", out, c.flag, c.value}
+		err := run(args, &stderr)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s %s: err = %v, want an error naming the flag", c.flag, c.value, err)
 		}
 		if entries, _ := os.ReadDir(out); len(entries) != 0 {
-			t.Errorf("-eval-cache-mb %s wrote %d files", mb, len(entries))
+			t.Errorf("%s %s wrote %d files", c.flag, c.value, len(entries))
 		}
 	}
 }
@@ -153,6 +159,10 @@ func TestServeFlagsRejectBadLimits(t *testing.T) {
 		if _, _, err := parseServeFlags(args); err == nil || !strings.Contains(err.Error(), strings.Join(args, " ")) {
 			t.Errorf("%v: err = %v, want an error naming the flag", args, err)
 		}
+	}
+	// A malformed value is returned as an error, not an exit.
+	if _, _, err := parseServeFlags([]string{"-cache-mb", "abc"}); err == nil || !strings.Contains(err.Error(), "-cache-mb") {
+		t.Errorf("-cache-mb abc: err = %v, want an error naming the flag", err)
 	}
 	addr, opt, err := parseServeFlags([]string{"-addr", "127.0.0.1:0", "-cache-mb", "3", "-max-jobs", "4", "-max-nodes", "5", "-max-queries", "6", "-parallelism", "2"})
 	if err != nil {

@@ -39,6 +39,7 @@ const (
 func serveMain(args []string) {
 	addr, opt, err := parseServeFlags(args)
 	if err != nil {
+		exitIfFlagError(err)
 		log.Fatalf("serve: %v", err)
 	}
 	srv := serve.New(opt)
@@ -74,7 +75,7 @@ func serveMain(args []string) {
 // server options. A negative budget or limit is rejected rather than
 // read as its default.
 func parseServeFlags(args []string) (string, serve.Options, error) {
-	fs := flag.NewFlagSet("gmark serve", flag.ExitOnError)
+	fs := flag.NewFlagSet("gmark serve", flag.ContinueOnError)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheMB    = fs.Int("cache-mb", 0, "cache budget in MiB: a quarter for predicates' emitted columns, the rest for rendered slices (0 = default 256 MiB)")
@@ -84,7 +85,7 @@ func parseServeFlags(args []string) (string, serve.Options, error) {
 		par        = fs.Int("parallelism", 0, "generation workers per slice (0 = all cores; slice bytes are identical for any value)")
 	)
 	if err := fs.Parse(args); err != nil {
-		return "", serve.Options{}, err
+		return "", serve.Options{}, flagError{err}
 	}
 	if fs.NArg() > 0 {
 		return "", serve.Options{}, fmt.Errorf("unexpected arguments %q", fs.Args())

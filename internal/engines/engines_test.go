@@ -138,6 +138,52 @@ func TestEnginesMatchReferenceRecursive(t *testing.T) {
 	}
 }
 
+// TestEnginesWalkBoundConjunctBackwards: in ?0 -a-> ?1, ?2 -e-> ?1 the
+// first conjunct binds ?1, so every engine evaluates e from its target
+// — S and G walk a multi-symbol path reversed (reversePath), S reads a
+// starred e's closure by column (closureImage backwards). Every count
+// must equal the reference. G runs a starred e under the openCypher
+// restriction, as (a)*, so its count is compared with the reference's
+// on that rewritten query: ?1 is an a-target, hence in (a)*'s domain,
+// and Cypher's zero-length match at ?1 adds nothing.
+func TestEnginesWalkBoundConjunctBackwards(t *testing.T) {
+	r := rand.New(rand.NewSource(13))
+	sharedTarget := func(e string) *query.Query {
+		return &query.Query{Rules: []query.Rule{{
+			Head: []query.Var{0, 2},
+			Body: []query.Conjunct{
+				{Src: 0, Dst: 1, Expr: regpath.MustParse("a")},
+				{Src: 2, Dst: 1, Expr: regpath.MustParse(e)},
+			},
+		}}}
+	}
+	for trial := 0; trial < 5; trial++ {
+		g := randomGraph(r, 12+r.Intn(15), 2, 40+r.Intn(40))
+		for _, c := range []struct{ expr, cypher string }{
+			{"a.b-", "a.b-"},
+			{"(a.b)*", "(a)*"},
+		} {
+			for _, eng := range All() {
+				expr := c.expr
+				if eng.Name() == "G" {
+					expr = c.cypher
+				}
+				want, err := eval.CountWith(g, sharedTarget(expr), eval.Budget{}, eval.EvalOptions{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := EvaluateOpt(eng, g, sharedTarget(c.expr), eval.Budget{}, eval.EvalOptions{Workers: 1})
+				if err != nil {
+					t.Fatalf("engine %s %s: %v", eng.Name(), c.expr, err)
+				}
+				if got != want {
+					t.Fatalf("trial %d engine %s %s: got %d, want %d", trial, eng.Name(), c.expr, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestGraphDBRewritesRecursion(t *testing.T) {
 	gdb := NewGraphDB()
 	if gdb.RewritesRecursion(chainQuery(false, "a")) {

@@ -197,3 +197,30 @@ func TestMmapMixedSpillFallsBack(t *testing.T) {
 		t.Errorf("varint spill mapped %d bytes", st.MappedBytes)
 	}
 }
+
+// TestRawViewFallsBackOnBigEndian: on a big-endian host a raw shard's
+// little-endian bytes cannot be viewed in place, so the Mmap option
+// decodes them instead — same counts, nothing left mapped.
+func TestRawViewFallsBackOnBigEndian(t *testing.T) {
+	defer func(le bool) { hostLittleEndian = le }(hostLittleEndian)
+	hostLittleEndian = false
+	g, dir := buildSpillComp(t, "bib", 200, 20, graphgen.SpillCompressRaw)
+	q := chainQuery(t, "authors-.authors")
+	want, err := CountWith(g, q, Budget{}, EvalOptions{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, forceRead := range []bool{false, true} {
+		src := openRaw(t, dir, forceRead)
+		got, err := CountWith(src, q, Budget{}, EvalOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want {
+			t.Errorf("forceRead=%v: count = %d, in-memory = %d", forceRead, got, want)
+		}
+		if st := src.CacheStats(); st.MappedBytes != 0 {
+			t.Errorf("forceRead=%v: %d bytes left mapped", forceRead, st.MappedBytes)
+		}
+	}
+}

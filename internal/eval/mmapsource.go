@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"encoding/binary"
 	"fmt"
 	"os"
 	"unsafe"
@@ -23,11 +24,12 @@ import (
 // handled is false when the file is not the raw layout — mixed or
 // varint/deflate spills under -spill-mmap simply fall back to the
 // decoding loader — or when the image is unusable for viewing
-// (misaligned buffer); a raw image that fails validation is corrupt
-// and returns an error, as does one whose counts disagree with its
-// manifest entry. The structural check covers the header and the
-// offset array only: adjacency bytes are trusted, because
-// validating them would fault in every page and defeat the mapping.
+// (misaligned buffer, big-endian host); a raw image that fails
+// validation is corrupt and returns an error, as does one whose counts
+// disagree with its manifest entry. The structural check covers the
+// header and the offset array only: adjacency bytes are trusted,
+// because validating them would fault in every page and defeat the
+// mapping.
 func (s *SpillSource) loadRawShard(meta graphgen.CSRShard) (sh *cachedShard, handled bool, err error) {
 	path := s.spill.ShardPath(meta)
 	var data []byte
@@ -62,9 +64,11 @@ func (s *SpillSource) loadRawShard(meta graphgen.CSRShard) (sh *cachedShard, han
 	off, okOff := viewInt32(data[lay.OffStart:], lay.NLocal+1)
 	adj, okAdj := viewInt32(data[lay.AdjStart:], lay.Edges)
 	if !okOff || !okAdj {
-		// A misaligned buffer cannot back an []int32 view; decode
-		// instead. Mappings are page-aligned and ReadFile buffers are
-		// allocator-aligned, so this is a defensive path, not a real one.
+		// A misaligned buffer cannot back an []int32 view, nor can
+		// little-endian bytes on a big-endian host; decode instead.
+		// Mappings are page-aligned and ReadFile buffers are
+		// allocator-aligned, so on little-endian hosts this is a
+		// defensive path, not a real one.
 		drop()
 		return nil, false, nil
 	}
@@ -82,14 +86,19 @@ func (s *SpillSource) loadRawShard(meta graphgen.CSRShard) (sh *cachedShard, han
 	}, true, nil
 }
 
+// hostLittleEndian reports whether this host stores an int32 in
+// GMKCSR3's byte order, so a shard's bytes can be read in place.
+var hostLittleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
 // viewInt32 reinterprets the first 4*n bytes of b as an int32 slice
 // without copying; ok is false when b is too short or not 4-byte
-// aligned.
+// aligned, or when the host is big-endian and the little-endian bytes
+// would read as other numbers.
 func viewInt32(b []byte, n int) ([]int32, bool) {
 	if n == 0 {
 		return nil, true
 	}
-	if len(b) < 4*n || uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
+	if !hostLittleEndian || len(b) < 4*n || uintptr(unsafe.Pointer(&b[0]))%4 != 0 {
 		return nil, false
 	}
 	return unsafe.Slice((*int32)(unsafe.Pointer(&b[0])), n), true

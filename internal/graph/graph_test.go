@@ -360,12 +360,31 @@ func TestCountingBuildMatchesSortingBuild(t *testing.T) {
 	}
 }
 
-// TestFreezeFewPredicatesParallel forces the few-predicate Freeze path
-// (intra-build node-range sharding) on a single-predicate graph and
-// checks the frozen adjacency against a sequentially frozen copy.
+// TestFreezeFewPredicatesParallel forces the parallel CSR build on
+// small edge lists: BuildAdjacency over 2, 3 and 8 workers must equal
+// the sequential build, including a node range smaller than the
+// worker count (prefixSumParallel's clamp) and one with no edges. A
+// single-predicate Freeze, the few-predicate path that hands its
+// build the whole worker budget, must stay deterministic across runs.
 func TestFreezeFewPredicatesParallel(t *testing.T) {
 	defer func(old int) { csrParallelMinEdges = old }(csrParallelMinEdges)
 	csrParallelMinEdges = 1 // force the parallel path on a tiny graph
+
+	rng := rand.New(rand.NewSource(7))
+	for _, c := range []struct{ n, m int }{{100, 2000}, {97, 13}, {5, 40}, {2, 3}, {1, 4}, {6, 0}} {
+		from, to := make([]int32, c.m), make([]int32, c.m)
+		for i := range from {
+			from[i], to[i] = int32(rng.Intn(c.n)), int32(rng.Intn(c.n))
+		}
+		wantOff, wantAdj := BuildAdjacency(c.n, from, to, 1)
+		for _, w := range []int{2, 3, 8} {
+			off, adj := BuildAdjacency(c.n, from, to, w)
+			if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
+				t.Fatalf("n=%d m=%d: %d workers built off=%v adj=%v, sequential off=%v adj=%v",
+					c.n, c.m, w, off, adj, wantOff, wantAdj)
+			}
+		}
+	}
 
 	build := func() *Graph {
 		g, err := New([]string{"u"}, []int{100}, []string{"p"})

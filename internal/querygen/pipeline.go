@@ -23,7 +23,7 @@ func (g *Generator) GenerateWith(opt Options) ([]*query.Query, error) {
 // the number of queries delivered. Queries reach the sink in ascending
 // index order from a single goroutine, regardless of worker count.
 // Flush is ALWAYS called, even when emission fails, so sinks that own
-// resources (file handles, writer goroutines — see SyntaxDirSink) can
+// resources (file handles, pending batches — see SyntaxDirSink) can
 // release them; the emission error takes precedence over a flush
 // error.
 func (g *Generator) Emit(opt Options, sink QuerySink) (int, error) {

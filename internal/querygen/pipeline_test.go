@@ -332,9 +332,9 @@ func TestSequentialAPIUnaffectedByPipeline(t *testing.T) {
 	}
 }
 
-// TestSyntaxDirSinkWriteErrorSurfaces: the asynchronous writer pool
-// must report file-system failures at Flush (or earlier, via the
-// sticky error) instead of swallowing them.
+// TestSyntaxDirSinkWriteErrorSurfaces: the batched writes must report
+// file-system failures at Flush (or earlier, from the AddQuery that
+// fills a batch) instead of swallowing them.
 func TestSyntaxDirSinkWriteErrorSurfaces(t *testing.T) {
 	wcfg := pipelineConfig(t, "bib", 12)
 	wcfg.Count = 4
@@ -347,7 +347,7 @@ func TestSyntaxDirSinkWriteErrorSurfaces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Yank the directory out from under the pool: every create fails.
+	// Yank the directory out from under the sink: every create fails.
 	if err := os.RemoveAll(dir); err != nil {
 		t.Fatal(err)
 	}

@@ -1,17 +1,15 @@
 package querygen
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
-	"sync"
 	"sync/atomic"
 
+	"gmark/internal/fanout"
 	"gmark/internal/query"
 	"gmark/internal/translate"
 	"gmark/internal/workload"
@@ -22,7 +20,9 @@ import (
 // goroutine, for any worker count — so a sink observes the identical
 // call sequence for a given seed and needs no internal locking.
 type QuerySink interface {
-	// AddQuery consumes the index-th query of the workload.
+	// AddQuery consumes the index-th query of the workload. The sink
+	// may keep q after it returns: the pipeline never mutates a query
+	// it has delivered.
 	AddQuery(index int, q *query.Query) error
 	// Flush finalizes the sink after the last query.
 	Flush() error
@@ -74,41 +74,36 @@ func (s *ProfileSink) Profile() workload.Profile { return s.acc.Profile() }
 // syntax, each file one self-contained query preceded by a comment
 // header in that language's comment style.
 //
-// Writes are batched through a small pool of writer goroutines, each
-// owning one reused bufio.Writer: the flusher goroutine only
-// translates and enqueues, while file creation — the syscall storm at
-// 100K+-query workloads — overlaps with generation and with other
-// writes. File contents depend only on (index, query), so the
-// asynchronous write order never shows in the output.
+// AddQuery collects queries; every syntaxDirBatch of them, and at
+// Flush, the batch's files are rendered and written on fanout.Each,
+// each worker rendering into one reused buffer, so file creation — the
+// syscall storm at 100K+-query workloads — overlaps with other files'
+// writes. File contents depend only on (index, query), so the write
+// order never shows in the output.
 type SyntaxDirSink struct {
 	dir      string
 	syntaxes []translate.Syntax
 	count    int
 	create   func(string) (io.WriteCloser, error)
 
-	jobs    chan dirWriteJob
-	wg      sync.WaitGroup
-	close   sync.Once
-	flushed atomic.Bool
-
-	mu  sync.Mutex
-	err error
+	pending []indexedQuery // added since the last batch was written
+	bufs    [][]byte       // one render buffer per batch worker
+	flushed bool
+	err     error // the first failure, replayed by AddQuery and Flush
 }
 
-// errSinkFlushed is AddQuery's answer once Flush has closed the pool.
+// indexedQuery is one query waiting for its batch.
+type indexedQuery struct {
+	index int
+	q     *query.Query
+}
+
+// errSinkFlushed is AddQuery's answer once Flush has run.
 var errSinkFlushed = errors.New("querygen: AddQuery on a flushed SyntaxDirSink")
 
-// dirWriteJob is one file for the writer pool.
-type dirWriteJob struct {
-	path    string
-	content []byte
-}
-
-// syntaxDirWriters is the size of the writer pool. File writes are
-// short and I/O bound; a handful of them in flight hides most of the
-// per-file open/write/close latency without stressing the file
-// system.
-var syntaxDirWriters = min(8, runtime.GOMAXPROCS(0))
+// syntaxDirBatch is the number of queries AddQuery collects before
+// their files are written.
+const syntaxDirBatch = 64
 
 // NewSyntaxDirSink creates dir (and parents) and returns a sink
 // writing the given syntaxes; nil or empty means all four. Leftover
@@ -150,61 +145,38 @@ func newSyntaxDirSink(dir string, syntaxes []translate.Syntax, create func(strin
 	if create == nil {
 		create = func(path string) (io.WriteCloser, error) { return os.Create(path) }
 	}
-	s := &SyntaxDirSink{dir: dir, syntaxes: syntaxes, create: create}
-	workers := syntaxDirWriters
-	if workers < 1 {
-		workers = 1
-	}
-	s.jobs = make(chan dirWriteJob, 4*workers)
-	for w := 0; w < workers; w++ {
-		s.wg.Add(1)
-		//lint:ignore concurrency a writer queue that lives from the sink's creation to its Flush, not an index loop; Flush closes jobs and waits on wg
-		go s.writeLoop()
-	}
-	return s, nil
+	// File writes are short and I/O bound; a handful in flight hides
+	// most of the per-file open/write/close latency without stressing
+	// the file system.
+	return &SyntaxDirSink{dir: dir, syntaxes: syntaxes, create: create,
+		bufs: make([][]byte, min(8, fanout.Workers(0)))}, nil
 }
 
-// writeLoop is one pool worker: it owns a single bufio.Writer, reset
-// onto each file it creates, so steady-state writing allocates
-// nothing.
-func (s *SyntaxDirSink) writeLoop() {
-	defer s.wg.Done()
-	bw := bufio.NewWriterSize(io.Discard, 1<<15)
-	for job := range s.jobs {
-		if s.sticky() != nil {
-			continue // an earlier write failed; drain cheaply
-		}
-		f, err := s.create(job.path)
+// writePending renders and writes every pending query's files on
+// fanout.Each — file i is query i/k in syntax i%k, for k syntaxes —
+// and returns the error of the lowest-index file that failed.
+func (s *SyntaxDirSink) writePending() error {
+	k := len(s.syntaxes)
+	err := fanout.Each(len(s.pending)*k, len(s.bufs), func(w, i int, _ *atomic.Bool) error {
+		p, syn := s.pending[i/k], s.syntaxes[i%k]
+		buf, err := AppendQueryFile(s.bufs[w][:0], p.index, p.q, syn)
+		s.bufs[w] = buf
 		if err != nil {
-			s.fail(err)
-			continue
+			return err
 		}
-		bw.Reset(f)
-		_, err = bw.Write(job.content)
-		if err == nil {
-			err = bw.Flush()
+		f, err := s.create(filepath.Join(s.dir, fmt.Sprintf("query-%d.%s", p.index, syn)))
+		if err != nil {
+			return err
 		}
+		_, err = f.Write(buf)
 		if cerr := f.Close(); err == nil {
 			err = cerr
 		}
-		if err != nil {
-			s.fail(err)
-		}
-	}
-}
-
-func (s *SyntaxDirSink) sticky() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.err
-}
-
-func (s *SyntaxDirSink) fail(err error) {
-	s.mu.Lock()
-	if s.err == nil {
-		s.err = err
-	}
-	s.mu.Unlock()
+		return err
+	})
+	clear(s.pending) // the written queries can go
+	s.pending = s.pending[:0]
+	return err
 }
 
 // AppendQueryFile appends the exact bytes SyntaxDirSink writes into
@@ -252,43 +224,41 @@ func QueryFileContent(index int, q *query.Query, syn translate.Syntax) ([]byte, 
 	return append(make([]byte, 0, len(b)), b...), nil
 }
 
-// AddQuery implements QuerySink: it translates the query into every
-// requested syntax and hands the files to the writer pool. After Flush
-// it returns an error.
+// AddQuery implements QuerySink: it keeps the query for its batch
+// and writes the batch once it is full. After a failure it replays
+// the first error; after Flush it returns an error.
 func (s *SyntaxDirSink) AddQuery(index int, q *query.Query) error {
-	if s.flushed.Load() {
+	if s.flushed {
 		return errSinkFlushed
 	}
-	if err := s.sticky(); err != nil {
-		return err // fail fast instead of translating into a dead pool
+	if s.err != nil {
+		return s.err
 	}
-	for _, syn := range s.syntaxes {
-		content, err := QueryFileContent(index, q, syn)
-		if err != nil {
-			return err
-		}
-		name := fmt.Sprintf("query-%d.%s", index, syn)
-		s.jobs <- dirWriteJob{path: filepath.Join(s.dir, name), content: content}
-	}
+	s.pending = append(s.pending, indexedQuery{index, q})
 	s.count++
-	return nil
+	if len(s.pending) == syntaxDirBatch {
+		s.err = s.writePending()
+	}
+	return s.err
 }
 
-// Flush implements QuerySink: it drains the writer pool and reports
-// the first write error. The pipeline calls Flush even when emission
-// fails, which is what tears the pool down; Flush is idempotent so
-// combined sinks cannot double-close it. The sink must not be reused
-// afterwards: a later AddQuery returns an error.
+// Flush implements QuerySink: it writes the last batch and reports
+// the first error. The pipeline calls Flush even when emission fails;
+// Flush is idempotent so combined sinks can flush twice. The sink
+// must not be reused afterwards: a later AddQuery returns an error.
 func (s *SyntaxDirSink) Flush() error {
-	s.close.Do(func() {
-		s.flushed.Store(true)
-		close(s.jobs)
-		s.wg.Wait()
-	})
-	return s.sticky()
+	if !s.flushed {
+		s.flushed = true
+		if s.err == nil {
+			s.err = s.writePending()
+		}
+		s.pending = nil
+	}
+	return s.err
 }
 
-// Count returns the number of queries written.
+// Count returns the number of queries added; once Flush has returned
+// nil, every one of them is written.
 func (s *SyntaxDirSink) Count() int { return s.count }
 
 // Dir returns the output directory.

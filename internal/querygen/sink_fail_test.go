@@ -4,7 +4,9 @@ import (
 	"errors"
 	"io"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"gmark/internal/dist"
 	"gmark/internal/query"
@@ -76,8 +78,9 @@ func (f *failingFile) Close() error { return f.closeErr }
 
 // TestSyntaxDirSinkFullDisk pins the full-disk contract: when a query
 // file write fails mid-run, the pipeline reports the first write
-// error from Flush (emission itself may finish first — the writer
-// pool is asynchronous) and a repeated Flush replays the same error.
+// error (from Flush here: the workload is shorter than one batch, so
+// every file is written there) and a repeated Flush replays the same
+// error.
 func TestSyntaxDirSinkFullDisk(t *testing.T) {
 	gen, err := New(failSinkConfig(t))
 	if err != nil {
@@ -165,5 +168,89 @@ func TestSyntaxDirSinkAddAfterFlush(t *testing.T) {
 	}
 	if files, _ := filepath.Glob(filepath.Join(dir, "query-*")); len(files) != 0 || sink.Count() != 0 {
 		t.Errorf("flushed sink wrote %d files, counts %d queries", len(files), sink.Count())
+	}
+}
+
+// TestSyntaxDirSinkReportsLowestFailedFile: when two files fail, the
+// error reported is the lower-index file's, whichever failure happens
+// first — the lower one is made slow, so with several writers the
+// higher one fails first in time. Every later AddQuery and Flush
+// replays it.
+func TestSyntaxDirSinkReportsLowestFailedFile(t *testing.T) {
+	gen, err := New(failSinkConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	errLow := errors.New("injected: query-1.sparql failed")
+	errHigh := errors.New("injected: query-4.datalog failed")
+	dir := t.TempDir()
+	create := func(path string) (io.WriteCloser, error) {
+		switch filepath.Base(path) {
+		case "query-1.sparql":
+			time.Sleep(5 * time.Millisecond)
+			return nil, errLow
+		case "query-4.datalog":
+			return nil, errHigh
+		}
+		return &failingFile{limit: 1 << 30}, nil
+	}
+	sink, err := newSyntaxDirSink(dir, nil, create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.Emit(Options{}, sink); !errors.Is(err, errLow) {
+		t.Fatalf("Emit returned %v, want the lower file's error", err)
+	}
+	if err := sink.Flush(); !errors.Is(err, errLow) {
+		t.Fatalf("second Flush returned %v, want the lower file's error", err)
+	}
+
+	// A full batch fails inside AddQuery; the next AddQuery and Flush
+	// replay its error.
+	q, err := gen.GenerateOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sink, err = newSyntaxDirSink(dir, nil, create)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < syntaxDirBatch-1; i++ {
+		if err := sink.AddQuery(i, q); err != nil {
+			t.Fatalf("AddQuery %d before the batch is full: %v", i, err)
+		}
+	}
+	for i := syntaxDirBatch - 1; i <= syntaxDirBatch; i++ {
+		if err := sink.AddQuery(i, q); !errors.Is(err, errLow) {
+			t.Fatalf("AddQuery %d returned %v, want the lower file's error", i, err)
+		}
+	}
+	if err := sink.Flush(); !errors.Is(err, errLow) {
+		t.Fatalf("Flush returned %v, want the lower file's error", err)
+	}
+}
+
+// TestSyntaxDirSinkHoldsNoGoroutine: a sink starts goroutines only
+// while it writes a batch, so one that is never flushed — a caller
+// that returns early on an error — leaves none behind.
+func TestSyntaxDirSinkHoldsNoGoroutine(t *testing.T) {
+	gen, err := New(failSinkConfig(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := gen.GenerateOne()
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	sink, err := NewSyntaxDirSink(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.AddQuery(0, q); err != nil {
+		t.Fatal(err)
+	}
+	if n := runtime.NumGoroutine(); n > base {
+		t.Fatalf("an unflushed sink holds %d goroutines", n-base)
 	}
 }
