@@ -90,6 +90,16 @@ func checkWorkers(flag string, n int) error {
 	return nil
 }
 
+// checkSize rejects a size flag below least before any use of it: a
+// graph of -5 nodes or a workload of -1 queries is not an instance to
+// warn about and then fail to generate.
+func checkSize(flag string, n, least int) error {
+	if n < least {
+		return fmt.Errorf("-%s %d: a size is %d or more", flag, n, least)
+	}
+	return nil
+}
+
 // checkLimit rejects a negative limit flag: 0 already selects the
 // default, and a negative limit is not a second spelling of it.
 func checkLimit(flag string, n int) error {
@@ -152,6 +162,12 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 	if err := checkWorkers("eval-workers", *evalWorkers); err != nil {
+		return err
+	}
+	if err := checkSize("nodes", *nodes, 1); err != nil {
+		return err
+	}
+	if err := checkSize("queries", *numQueries, 0); err != nil {
 		return err
 	}
 	evalCacheBytes, err := mibBytes("eval-cache-mb", *evalCacheMB)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -119,6 +120,31 @@ func TestNegativeWorkerCountsRejected(t *testing.T) {
 	}
 }
 
+// TestBadSizesRejected: -nodes takes a positive graph size and
+// -queries a count of 0 or more; anything else fails before any
+// consistency warning is computed from it or any file is written.
+func TestBadSizesRejected(t *testing.T) {
+	for _, c := range []struct{ flag, value string }{
+		{"-nodes", "-5"},
+		{"-nodes", "0"},
+		{"-queries", "-1"},
+	} {
+		out := t.TempDir()
+		var stderr bytes.Buffer
+		args := []string{"-nodes", "200", "-queries", "1", "-syntax", "", "-out", out, c.flag, c.value}
+		err := run(args, &stderr)
+		if want := c.flag + " " + c.value; err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want an error naming the flag", want, err)
+		}
+		if stderr.Len() != 0 {
+			t.Errorf("%s %s: logged before failing:\n%s", c.flag, c.value, stderr.String())
+		}
+		if entries, _ := os.ReadDir(out); len(entries) != 0 {
+			t.Errorf("%s %s wrote %d files", c.flag, c.value, len(entries))
+		}
+	}
+}
+
 // TestBadBudgetsRejected: -eval-cache-mb takes 0 (the default) or a
 // positive MiB count below 2^43; a negative one, or one whose byte
 // count wraps int64, fails before anything is generated instead of
@@ -156,15 +182,20 @@ func TestServeFlagsRejectBadLimits(t *testing.T) {
 		{"-max-queries", "-1"},
 		{"-parallelism", "-1"},
 	} {
-		if _, _, err := parseServeFlags(args); err == nil || !strings.Contains(err.Error(), strings.Join(args, " ")) {
+		if _, _, err := parseServeFlags(args, io.Discard); err == nil || !strings.Contains(err.Error(), strings.Join(args, " ")) {
 			t.Errorf("%v: err = %v, want an error naming the flag", args, err)
 		}
 	}
-	// A malformed value is returned as an error, not an exit.
-	if _, _, err := parseServeFlags([]string{"-cache-mb", "abc"}); err == nil || !strings.Contains(err.Error(), "-cache-mb") {
+	// A malformed value is returned as an error, not an exit, and the
+	// flag set reports it, with the usage, on the writer it was given.
+	var out bytes.Buffer
+	if _, _, err := parseServeFlags([]string{"-cache-mb", "abc"}, &out); err == nil || !strings.Contains(err.Error(), "-cache-mb") {
 		t.Errorf("-cache-mb abc: err = %v, want an error naming the flag", err)
 	}
-	addr, opt, err := parseServeFlags([]string{"-addr", "127.0.0.1:0", "-cache-mb", "3", "-max-jobs", "4", "-max-nodes", "5", "-max-queries", "6", "-parallelism", "2"})
+	if !strings.Contains(out.String(), `invalid value "abc" for flag -cache-mb`) || !strings.Contains(out.String(), "-max-queries") {
+		t.Errorf("-cache-mb abc: the error and usage did not reach the given writer:\n%s", out.String())
+	}
+	addr, opt, err := parseServeFlags([]string{"-addr", "127.0.0.1:0", "-cache-mb", "3", "-max-jobs", "4", "-max-nodes", "5", "-max-queries", "6", "-parallelism", "2"}, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}

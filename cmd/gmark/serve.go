@@ -5,8 +5,10 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
+	"os"
 	"os/signal"
 	"syscall"
 	"time"
@@ -37,7 +39,7 @@ const (
 // sinks write for the same coordinates (see docs/SERVING.md). SIGINT
 // and SIGTERM stop the listener and let requests in flight finish.
 func serveMain(args []string) {
-	addr, opt, err := parseServeFlags(args)
+	addr, opt, err := parseServeFlags(args, os.Stderr)
 	if err != nil {
 		exitIfFlagError(err)
 		log.Fatalf("serve: %v", err)
@@ -72,10 +74,11 @@ func serveMain(args []string) {
 }
 
 // parseServeFlags reads serve's flags into the listen address and the
-// server options. A negative budget or limit is rejected rather than
-// read as its default.
-func parseServeFlags(args []string) (string, serve.Options, error) {
+// server options; flag errors and the usage go to out. A negative
+// budget or limit is rejected rather than read as its default.
+func parseServeFlags(args []string, out io.Writer) (string, serve.Options, error) {
 	fs := flag.NewFlagSet("gmark serve", flag.ContinueOnError)
+	fs.SetOutput(out)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheMB    = fs.Int("cache-mb", 0, "cache budget in MiB: a quarter for predicates' emitted columns, the rest for rendered slices (0 = default 256 MiB)")

@@ -92,16 +92,29 @@ func Each(n, workers int, do func(w, i int, stop *atomic.Bool) error) error {
 // has exited; every result produced but not delivered is then handed
 // to drop exactly once (drop may be nil), so pooled buffers go home.
 // A result given to deliver is deliver's, error or not.
+//
+// With one worker (or n <= 1) it runs on the caller's goroutine and
+// starts none: each unit is produced and at once delivered, the first
+// delivery error returns before the next unit is produced, and so no
+// result is ever left for drop.
 func Ordered[T any](n, workers, ahead int, produce func(w, i int, stop *atomic.Bool) T, deliver func(i int, r T) error, drop func(T)) error {
 	ahead = max(1, min(ahead, n))
 	workers = max(1, min(workers, ahead))
+	var stop atomic.Bool
+	if workers == 1 {
+		for i := range n {
+			if err := deliver(i, produce(0, i, &stop)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	slots := make([]chan T, ahead)
 	tokens := make(chan struct{}, ahead)
 	for s := range slots {
 		slots[s] = make(chan T, 1)
 		tokens <- struct{}{}
 	}
-	var stop atomic.Bool
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := range workers {

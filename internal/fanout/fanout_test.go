@@ -170,6 +170,57 @@ func TestOrderedStopIsObserved(t *testing.T) {
 	}
 }
 
+// TestOrderedOneWorkerInline: with one worker every unit is produced
+// and delivered on the caller's goroutine, alternately, with no
+// goroutine started; a failed delivery returns before the next unit is
+// produced, so drop never runs.
+func TestOrderedOneWorkerInline(t *testing.T) {
+	const n, k = 40, 13
+	boom := errors.New("sink failed")
+	for _, ahead := range []int{1, 4, 64} {
+		for _, fail := range []bool{false, true} {
+			id := fmt.Sprintf("ahead=%d fail=%v", ahead, fail)
+			caller, base := goid(), runtime.NumGoroutine()
+			var trace []string
+			err := Ordered(n, 1, ahead,
+				func(w, i int, stop *atomic.Bool) int {
+					if w != 0 || goid() != caller || runtime.NumGoroutine() > base || stop.Load() {
+						t.Errorf("%s: unit %d produced by worker %d off the caller's goroutine, or with stop up", id, i, w)
+					}
+					trace = append(trace, fmt.Sprint("p", i))
+					return i
+				},
+				func(i, r int) error {
+					if goid() != caller {
+						t.Errorf("%s: unit %d delivered off the caller's goroutine", id, i)
+					}
+					trace = append(trace, fmt.Sprint("d", r))
+					if fail && i == k {
+						return boom
+					}
+					return nil
+				},
+				func(int) { t.Errorf("%s: drop called", id) })
+			last := n - 1
+			if fail {
+				last = k
+				if !errors.Is(err, boom) {
+					t.Fatalf("%s: err = %v, want %v", id, err, boom)
+				}
+			} else if err != nil {
+				t.Fatalf("%s: %v", id, err)
+			}
+			var want []string
+			for i := 0; i <= last; i++ {
+				want = append(want, fmt.Sprint("p", i), fmt.Sprint("d", i))
+			}
+			if fmt.Sprint(trace) != fmt.Sprint(want) {
+				t.Fatalf("%s: calls %v, want %v", id, trace, want)
+			}
+		}
+	}
+}
+
 func TestOrderedEdges(t *testing.T) {
 	base := runtime.NumGoroutine()
 	calls := 0

@@ -260,9 +260,12 @@ func TestReadEdgeListEmptyGraph(t *testing.T) {
 // contract: the range-sharded parallel CSR build (atomic count, block
 // prefix-sum, atomic scatter, range-parallel sort) must produce
 // exactly the structure of the sequential build, including duplicate
-// edges and empty lists, for any worker count.
+// edges and empty lists, for any worker count. The threshold is lowered
+// to m so that every worker count takes the parallel branch.
 func TestParallelCSRMatchesSequential(t *testing.T) {
 	const n, m = 257, 5000
+	defer func(old int) { csrParallelMinEdges = old }(csrParallelMinEdges)
+	csrParallelMinEdges = m
 	rng := rand.New(rand.NewSource(99))
 	from := make([]int32, m)
 	to := make([]int32, m)

@@ -228,11 +228,23 @@ func growBytes(dst []byte, n int) []byte {
 // row's remaining neighbor gaps as uvarints. Rows are sorted, so both
 // gap kinds are small by construction and the payload shrinks several
 // fold against raw uint32s.
+//
+// Most offset gaps are degrees below 128, one varint byte each, so
+// eight such gaps in a row go out as one 64-bit word: the eight bytes
+// appendUvarint would write, in one store instead of eight.
 func appendCSRPayload(buf []byte, off, adj []int32) []byte {
 	// Degrees are usually 1-2 varint bytes; neighbor gaps 1-3.
 	buf = growBytes(buf, len(off)+2*len(adj)+16)
-	for i := 0; i+1 < len(off); i++ {
+	for i := 0; i+1 < len(off); {
+		if i+9 <= len(off) {
+			if w, ok := oneByteGaps(off[i : i+9]); ok {
+				buf = binary.LittleEndian.AppendUint64(buf, w)
+				i += 8
+				continue
+			}
+		}
 		buf = appendUvarint(buf, uint64(off[i+1]-off[i]))
+		i++
 	}
 	base := off[0]
 	prevFirst := int64(0)
@@ -251,6 +263,44 @@ func appendCSRPayload(buf []byte, off, adj []int32) []byte {
 	return buf
 }
 
+// oneByteGaps packs the eight gaps of nine consecutive offsets as
+// eight one-byte uvarints, little-endian, and reports false when a gap
+// is negative or needs a longer varint. It is unrolled: as a loop it
+// was no faster than eight appendUvarint calls.
+func oneByteGaps(o []int32) (uint64, bool) {
+	o = o[:9]
+	g0, g1, g2, g3 := uint32(o[1]-o[0]), uint32(o[2]-o[1]), uint32(o[3]-o[2]), uint32(o[4]-o[3])
+	g4, g5, g6, g7 := uint32(o[5]-o[4]), uint32(o[6]-o[5]), uint32(o[7]-o[6]), uint32(o[8]-o[7])
+	if g0|g1|g2|g3|g4|g5|g6|g7 >= 1<<7 {
+		return 0, false
+	}
+	return uint64(g0) | uint64(g1)<<8 | uint64(g2)<<16 | uint64(g3)<<24 |
+		uint64(g4)<<32 | uint64(g5)<<40 | uint64(g6)<<48 | uint64(g7)<<56, true
+}
+
+// oneByteMask has the continuation bit of every byte of a word set; a
+// word of eight one-byte uvarints has none of them.
+const oneByteMask = 0x8080808080808080
+
+// addOneByteGaps writes the running totals of the eight one-byte gaps
+// in w (little-endian, as oneByteGaps packs them) to o and returns the
+// last, or reports false when that passes limit; o then holds garbage.
+// Unrolled, like oneByteGaps.
+func addOneByteGaps(o []int32, total, w, limit uint64) (uint64, bool) {
+	o = o[:8]
+	t0 := total + w&0xff
+	t1 := t0 + w>>8&0xff
+	t2 := t1 + w>>16&0xff
+	t3 := t2 + w>>24&0xff
+	t4 := t3 + w>>32&0xff
+	t5 := t4 + w>>40&0xff
+	t6 := t5 + w>>48&0xff
+	t7 := t6 + w>>56
+	o[0], o[1], o[2], o[3] = int32(t0), int32(t1), int32(t2), int32(t3)
+	o[4], o[5], o[6], o[7] = int32(t4), int32(t5), int32(t6), int32(t7)
+	return t7, t7 <= limit
+}
+
 // decodeCSRPayload inverts appendCSRPayload: it rebuilds the rebased
 // offset slice (off[0] == 0) and the adjacency entries of a shard
 // covering nLocal nodes with edges entries. Every accumulated value is
@@ -267,7 +317,19 @@ func decodeCSRPayload(payload []byte, nLocal, edges int) (off, adj []int32, err 
 	r := &byteReader{buf: payload}
 	off = make([]int32, nLocal+1)
 	total := uint64(0)
-	for i := 0; i < nLocal; i++ {
+	for i := 0; i < nLocal; {
+		// Eight one-byte gaps in one load, unless they would pass the
+		// declared edges: the byte path then names the exact node.
+		if i+8 <= nLocal && r.rest() >= 8 {
+			if w := binary.LittleEndian.Uint64(r.buf[r.pos:]); w&oneByteMask == 0 {
+				if t, ok := addOneByteGaps(off[i+1:i+9], total, w, uint64(edges)); ok {
+					total = t
+					r.pos += 8
+					i += 8
+					continue
+				}
+			}
+		}
 		gap, ok := r.byte1()
 		if !ok {
 			if gap, err = r.uvarint(); err != nil {
@@ -279,6 +341,7 @@ func decodeCSRPayload(payload []byte, nLocal, edges int) (off, adj []int32, err 
 			return nil, nil, fmt.Errorf("offset gaps exceed declared %d edges at node %d", edges, i)
 		}
 		off[i+1] = int32(total)
+		i++
 	}
 	if total != uint64(edges) {
 		return nil, nil, fmt.Errorf("offset gaps sum to %d, header declares %d edges", total, edges)

@@ -548,6 +548,168 @@ func FuzzVarint32(f *testing.F) {
 	})
 }
 
+// refAppendCSRPayload is appendCSRPayload one varint at a time, every
+// one through encoding/binary: the oracle of its word path.
+func refAppendCSRPayload(buf []byte, off, adj []int32) []byte {
+	for i := 0; i+1 < len(off); i++ {
+		buf = binary.AppendUvarint(buf, uint64(off[i+1]-off[i]))
+	}
+	prevFirst := int64(0)
+	for i := 0; i+1 < len(off); i++ {
+		row := adj[off[i]-off[0] : off[i+1]-off[0]]
+		if len(row) == 0 {
+			continue
+		}
+		buf = binary.AppendUvarint(buf, zigzag(int64(row[0])-prevFirst))
+		prevFirst = int64(row[0])
+		for j := 1; j < len(row); j++ {
+			buf = binary.AppendUvarint(buf, uint64(row[j]-row[j-1]))
+		}
+	}
+	return buf
+}
+
+// refDecodeCSRPayload is decodeCSRPayload one varint at a time, with
+// the same checks in the same order: the oracle of its word path, down
+// to the error text.
+func refDecodeCSRPayload(payload []byte, nLocal, edges int) (off, adj []int32, err error) {
+	if len(payload) < nLocal+edges {
+		return nil, nil, fmt.Errorf("payload of %d bytes too short for %d nodes, %d edges", len(payload), nLocal, edges)
+	}
+	r := &byteReader{buf: payload}
+	off = make([]int32, nLocal+1)
+	total := uint64(0)
+	for i := 0; i < nLocal; i++ {
+		gap, err := r.uvarint()
+		if err != nil {
+			return nil, nil, fmt.Errorf("offset gap %d: %w", i, err)
+		}
+		total += gap
+		if total > uint64(edges) {
+			return nil, nil, fmt.Errorf("offset gaps exceed declared %d edges at node %d", edges, i)
+		}
+		off[i+1] = int32(total)
+	}
+	if total != uint64(edges) {
+		return nil, nil, fmt.Errorf("offset gaps sum to %d, header declares %d edges", total, edges)
+	}
+	adj = make([]int32, edges)
+	prevFirst := int64(0)
+	for i := 0; i < nLocal; i++ {
+		d := int(off[i+1] - off[i])
+		if d == 0 {
+			continue
+		}
+		delta, err := r.svarint()
+		if err != nil {
+			return nil, nil, fmt.Errorf("row %d first neighbor: %w", i, err)
+		}
+		v := prevFirst + delta
+		if v < 0 || v > math.MaxInt32 {
+			return nil, nil, fmt.Errorf("row %d first neighbor %d out of node-id range", i, v)
+		}
+		prevFirst = v
+		adj[off[i]] = int32(v)
+		for j := 1; j < d; j++ {
+			gap, err := r.uvarint()
+			if err != nil {
+				return nil, nil, fmt.Errorf("row %d neighbor gap %d: %w", i, j, err)
+			}
+			v += int64(gap)
+			if v > math.MaxInt32 {
+				return nil, nil, fmt.Errorf("row %d neighbor %d out of node-id range", i, v)
+			}
+			adj[off[i]+int32(j)] = int32(v)
+		}
+	}
+	if r.rest() != 0 {
+		return nil, nil, fmt.Errorf("%d trailing bytes after adjacency", r.rest())
+	}
+	return off, adj, nil
+}
+
+// sameDecode fails t unless two decodes of one payload agree: the same
+// error text, or the same offsets and adjacency.
+func sameDecode(t *testing.T, what string, payload []byte, nLocal, edges int) {
+	t.Helper()
+	off, adj, err := decodeCSRPayload(payload, nLocal, edges)
+	wantOff, wantAdj, wantErr := refDecodeCSRPayload(payload, nLocal, edges)
+	if fmt.Sprint(err) != fmt.Sprint(wantErr) || !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
+		t.Fatalf("%s (%d nodes, %d edges, %x): decoded %v %v (%v), one varint at a time %v %v (%v)",
+			what, nLocal, edges, payload, off, adj, err, wantOff, wantAdj, wantErr)
+	}
+}
+
+// FuzzCSRPayloadRoundTrip holds the varint payload codec's word path —
+// eight one-byte offset gaps per 64-bit store and load — to a
+// byte-at-a-time encoder and decoder. Each byte of degrees is one
+// node's degree, so gaps of 128 and more take the varint path in any
+// lane; cut offsets the stored offsets (appendCSRPayload stores gaps
+// only), truncates the payload by up to eight bytes, and picks the node
+// count under which degrees itself is decoded as a payload.
+func FuzzCSRPayloadRoundTrip(f *testing.F) {
+	ones := func(n int) []byte { return bytes.Repeat([]byte{1}, n) }
+	for lane := range 8 {
+		for _, g := range []byte{127, 128} {
+			d := ones(24)
+			d[lane], d[8+(lane+3)%8] = g, g
+			f.Add(d, uint8(lane))
+		}
+	}
+	for n := range 18 {
+		d := make([]byte, n)
+		for i := range d {
+			d[i] = byte(i % 5)
+		}
+		f.Add(d, uint8(n))
+	}
+	for _, k := range []int{1, 4, 64} {
+		d := make([]byte, 8*k+7)
+		for i := range d {
+			d[i] = byte(i % 3)
+		}
+		f.Add(d, uint8(k))
+	}
+	for cut := range uint8(8) {
+		f.Add(make([]byte, 23), cut) // gaps only: a cut ends inside a word
+		f.Add(ones(16), cut)
+	}
+	f.Fuzz(func(t *testing.T, degrees []byte, cut uint8) {
+		degrees = degrees[:min(len(degrees), 600)]
+		base := 3 * int32(cut)
+		off := []int32{base}
+		var adj []int32
+		for i, d := range degrees {
+			v := int32(i*131) % 977
+			for j := range int(d) {
+				adj = append(adj, v)
+				v += int32(1 + j%5)
+			}
+			off = append(off, base+int32(len(adj)))
+		}
+		n, edges := len(degrees), len(adj)
+		got := appendCSRPayload(nil, off, adj)
+		if want := refAppendCSRPayload(nil, off, adj); !bytes.Equal(got, want) {
+			t.Fatalf("degrees %v: payload %x, one varint at a time %x", degrees, got, want)
+		}
+		dOff, dAdj, err := decodeCSRPayload(got, n, edges)
+		if err != nil {
+			t.Fatalf("degrees %v: %v", degrees, err)
+		}
+		for i := range dOff {
+			if dOff[i] != off[i]-base {
+				t.Fatalf("degrees %v: offsets %v, want %v rebased", degrees, dOff, off)
+			}
+		}
+		if !slices.Equal(dAdj, adj) {
+			t.Fatalf("degrees %v: adjacency %v, want %v", degrees, dAdj, adj)
+		}
+		sameDecode(t, "truncated payload", got[:max(0, len(got)-int(cut%9))], n, edges)
+		nLocal := min(int(cut), len(degrees))
+		sameDecode(t, "raw bytes", degrees, nLocal, len(degrees)-nLocal)
+	})
+}
+
 // FuzzPairBlocksDecode hardens the run-file/partition pair codec the
 // same way.
 func FuzzPairBlocksDecode(f *testing.F) {

@@ -29,8 +29,8 @@
 //     PartitionedSink writes one edge-list file per predicate;
 //     CSRSpillSink spills node-range-sharded binary CSR files for
 //     out-of-core evaluation; callers can plug their own via Emit.
-//     The text sinks are rendering sinks (render.go): in a parallel run
-//     the emit workers render their own shard's lines with
+//     The text sinks are rendering sinks (render.go): at any worker
+//     count the emit workers render their own shard's lines with
 //     graph.EdgeLine and the flusher only concatenates them.
 //
 // Determinism is a hard invariant: a given (configuration, seed,
@@ -65,9 +65,9 @@ type Options struct {
 	Seed int64
 
 	// Parallelism is the number of shard-emission workers. Zero or
-	// less selects runtime.GOMAXPROCS(0) (fanout.Workers); one forces
-	// the sequential path, which emits straight into the sink without
-	// batch buffers (lowest memory for streaming).
+	// less selects runtime.GOMAXPROCS(0) (fanout.Workers); one emits
+	// every shard on the caller's goroutine, one shard in memory at a
+	// time (lowest memory for streaming).
 	Parallelism int
 
 	// ShardEdges is the target number of edges per emission shard.
@@ -163,36 +163,6 @@ func EmitPredicate(cfg *schema.GraphConfig, opt Options, pred string, sink EdgeS
 	return p.emitInto(sink)
 }
 
-// run executes the emission stage against the sink, sequentially or
-// across workers.
-func (p *plan) run(sink EdgeSink) error {
-	p.emitted = 0
-	k := fanout.Workers(p.opt.Parallelism)
-	if k == 1 || len(p.shards) <= 1 {
-		return p.runSequential(sink)
-	}
-	return p.runParallel(sink, k)
-}
-
-// runSequential emits every shard in order, straight into the sink.
-// Peak memory is bounded by the largest single shard's occurrence
-// vectors.
-func (p *plan) runSequential(sink EdgeSink) error {
-	for i := range p.shards {
-		sp := &p.shards[i]
-		n := 0
-		err := sp.emit(p.opt, func(src, dst graph.NodeID) error {
-			n++
-			return sink.AddEdge(src, sp.cp.pred, dst)
-		})
-		if err != nil {
-			return sp.wrap(err)
-		}
-		p.emitted += n
-	}
-	return nil
-}
-
 // shardResult is what one emit worker hands the flusher: the shard's
 // edges as id columns (batch path) or as rendered lines (rendering
 // path), never both.
@@ -203,17 +173,21 @@ type shardResult struct {
 	err        error
 }
 
-// runParallel fans shards out across k workers with fanout.Ordered. Each
-// worker buffers its shard's edges privately — as a (srcs, dsts) batch,
-// or, for a rendering sink, as the final text in pooled chunks — and
-// the caller consumes the results strictly in (constraint, shard)
-// order, so the sink observes the same sequence as the sequential path.
-// At most k shards are admitted and not yet flushed, so in-flight
-// memory is bounded by the worker count times the largest shard, not
-// by the whole graph, even when an early shard is the slowest. Once a
-// shard fails, workers bail out at their next edge or chunk and every
-// unflushed shard's chunks go back to the pool.
-func (p *plan) runParallel(sink EdgeSink, k int) error {
+// run executes the emission stage: shards fan out across the workers
+// with fanout.Ordered, which runs them on the caller's goroutine when
+// there is one. Each shard is buffered privately — as a (srcs, dsts)
+// batch, or, for a rendering sink, as the final text in pooled chunks
+// — and the caller consumes the results strictly in (constraint, shard)
+// order, so the sink observes one call per non-empty shard, the same
+// sequence at any worker count. At most k shards are admitted and not
+// yet flushed, so in-flight memory is bounded by the worker count
+// times the largest shard, not by the whole graph, even when an early
+// shard is the slowest. Once a shard fails, workers bail out at their
+// next edge or chunk and every unflushed shard's chunks go back to the
+// pool.
+func (p *plan) run(sink EdgeSink) error {
+	p.emitted = 0
+	k := fanout.Workers(p.opt.Parallelism)
 	// A rendering sink gets its bytes from the workers. A sink laid out
 	// for fewer predicates than the plan emits falls back to the batch
 	// path, where the mismatch surfaces on the caller's goroutine.
@@ -241,6 +215,9 @@ func (p *plan) runParallel(sink EdgeSink, k int) error {
 			sp := &p.shards[i]
 			if r.err != nil {
 				return sp.wrap(r.err)
+			}
+			if r.edges == 0 {
+				return nil
 			}
 			var err error
 			if rs != nil {

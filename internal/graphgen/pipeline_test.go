@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"runtime"
+	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"gmark/internal/dist"
@@ -146,10 +149,84 @@ func (s *errorSink) AddEdge(graph.NodeID, graph.PredID, graph.NodeID) error {
 
 func (s *errorSink) Flush() error { return nil }
 
+// goid returns the calling goroutine's id, parsed from its stack
+// header ("goroutine 7 [running]:").
+func goid() int {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b = bytes.TrimPrefix(b, []byte("goroutine "))
+	id, _ := strconv.Atoi(string(b[:bytes.IndexByte(b, ' ')]))
+	return id
+}
+
+// batchRecorder is a BatchEdgeSink that records the size of every
+// batch and where each call ran.
+type batchRecorder struct {
+	caller, goroutines int // the caller's goroutine id, the count before the run
+	batches            []int
+	edgeCalls          int
+	elsewhere          int // calls off the caller's goroutine or beside another
+}
+
+func (s *batchRecorder) AddEdge(graph.NodeID, graph.PredID, graph.NodeID) error {
+	s.edgeCalls++
+	return nil
+}
+
+func (s *batchRecorder) AddEdgeBatch(_ graph.PredID, srcs, dsts []graph.NodeID) error {
+	if goid() != s.caller || runtime.NumGoroutine() > s.goroutines {
+		s.elsewhere++
+	}
+	s.batches = append(s.batches, len(srcs))
+	return checkBatch(srcs, dsts)
+}
+
+func (s *batchRecorder) Flush() error { return nil }
+
+// TestSequentialRunDeliversShards: at Parallelism 1 a batch sink gets
+// each non-empty shard as one AddEdgeBatch, in shard order, and never
+// an AddEdge — on the caller's goroutine, with no goroutine started.
+func TestSequentialRunDeliversShards(t *testing.T) {
+	cfg := twoTypeConfig(3000, dist.NewZipfian(2.5), dist.NewUniform(0, 2))
+	for _, shardEdges := range []int{1, 300, 0} {
+		opt := Options{Seed: 3, Parallelism: 1, ShardEdges: shardEdges}
+		p, err := newPlan(cfg, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []int
+		total := 0
+		for i := range p.shards {
+			r := p.shards[i].collect(opt, new(atomic.Bool))
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			if r.edges > 0 {
+				want = append(want, r.edges)
+				total += r.edges
+			}
+		}
+		sink := &batchRecorder{caller: goid(), goroutines: runtime.NumGoroutine()}
+		n, err := Emit(cfg, opt, sink)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id := fmt.Sprintf("shard=%d (%d shards, %d non-empty)", shardEdges, len(p.shards), len(want))
+		if fmt.Sprint(sink.batches) != fmt.Sprint(want) {
+			t.Errorf("%s: batches of %v edges, want %v", id, sink.batches, want)
+		}
+		if sink.edgeCalls != 0 || sink.elsewhere != 0 {
+			t.Errorf("%s: %d AddEdge calls, %d batches off the caller's goroutine or beside another", id, sink.edgeCalls, sink.elsewhere)
+		}
+		if n == 0 || n != total {
+			t.Errorf("%s: Emit reports %d edges, the shards hold %d", id, n, total)
+		}
+	}
+}
+
 func TestEmitPropagatesSinkErrors(t *testing.T) {
 	// bib has four constraints, so Parallelism > 1 exercises the
-	// ordered parallel flusher (a single-constraint config would fall
-	// back to the sequential path).
+	// ordered flusher with several workers.
 	cfg, err := usecases.ByName("bib", 2000)
 	if err != nil {
 		t.Fatal(err)

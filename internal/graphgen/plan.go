@@ -35,8 +35,8 @@ type plan struct {
 	// touched from the single flusher goroutine.
 	emitted int
 
-	// chunks is the last parallel run's render-chunk free list; nil when
-	// the sink took batches.
+	// chunks is the last run's render-chunk free list; nil when the
+	// sink took batches.
 	chunks *chunkPool
 }
 

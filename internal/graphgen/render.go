@@ -8,7 +8,7 @@ import (
 
 // renderingSink is the seam that takes text rendering off the flusher.
 // A sink whose bytes for an edge are a pure function of (pred, src, dst)
-// — WriterSink, PartitionedSink in text mode — hands runParallel its
+// — WriterSink, PartitionedSink in text mode — hands plan.run its
 // per-predicate line encoders; the emit workers then render their own
 // shard (shardPlan.render) and the flusher only concatenates, delivering
 // each shard's chunks through addRendered in the same (constraint, shard)

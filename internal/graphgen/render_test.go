@@ -38,11 +38,16 @@ func dirBytes(t *testing.T, dir string) []byte {
 	return out
 }
 
+// edgeOnly hides every method of a sink but EdgeSink's, so the
+// pipeline can only hand it edges one AddEdge at a time.
+type edgeOnly struct{ EdgeSink }
+
 // TestRenderingSinksByteIdentical is the contract of the rendering seam:
 // WriterSink and the text PartitionedSink produce the same bytes whether
-// the sink renders per edge (Parallelism 1), the emit workers render
-// (direct, Parallelism > 1) or the sink renders whole batches (behind a
-// MultiEdgeSink), at every shard granularity, for every use case.
+// the emit workers render (direct, at any parallelism), the sink renders
+// whole batches (behind a MultiEdgeSink) or the sink renders one AddEdge
+// at a time (behind a wrapper that hides the rest), at every shard
+// granularity, for every use case.
 func TestRenderingSinksByteIdentical(t *testing.T) {
 	for _, name := range usecases.Names {
 		cfg, err := usecases.ByName(name, 200)
@@ -52,8 +57,8 @@ func TestRenderingSinksByteIdentical(t *testing.T) {
 		for _, shardEdges := range []int{1, 7, 0} {
 			var refStream, refParts []byte
 			for _, par := range []int{1, 2, 8} {
-				for _, wrapped := range []bool{false, true} {
-					id := fmt.Sprintf("%s shard=%d par=%d wrapped=%v", name, shardEdges, par, wrapped)
+				for _, via := range []string{"direct", "batch", "edge"} {
+					id := fmt.Sprintf("%s shard=%d par=%d via=%s", name, shardEdges, par, via)
 					opt := Options{Seed: 11, Parallelism: par, ShardEdges: shardEdges}
 					var sb bytes.Buffer
 					ws, err := NewWriterSink(&sb, cfg)
@@ -66,8 +71,11 @@ func TestRenderingSinksByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, sink := range []EdgeSink{ws, ps} {
-						if wrapped {
+						switch via {
+						case "batch":
 							sink = MultiEdgeSink(sink, &countingSink{})
+						case "edge":
+							sink = edgeOnly{sink}
 						}
 						if _, err := Emit(cfg, opt, sink); err != nil {
 							t.Fatalf("%s: %v", id, err)
@@ -83,10 +91,10 @@ func TestRenderingSinksByteIdentical(t *testing.T) {
 						continue
 					}
 					if !bytes.Equal(refStream, sb.Bytes()) {
-						t.Errorf("%s: edge list differs from the per-edge reference", id)
+						t.Errorf("%s: edge list differs from the sequential one", id)
 					}
 					if !bytes.Equal(refParts, parts) {
-						t.Errorf("%s: partition directory differs from the per-edge reference", id)
+						t.Errorf("%s: partition directory differs from the sequential one", id)
 					}
 				}
 			}
@@ -341,11 +349,7 @@ func TestFailingWriterStopsTheRun(t *testing.T) {
 	}
 	for _, par := range []int{1, 2, 8} {
 		opt := Options{Seed: 9, Parallelism: par, ShardEdges: shardEdges}
-		ks := []int{2, 3, 7}
-		if par == 1 {
-			ks = ks[:1] // the sink's own buffer makes few, large writes
-		}
-		for _, k := range ks {
+		for _, k := range []int{2, 3, 7} {
 			id := fmt.Sprintf("par=%d k=%d", par, k)
 			base := runtime.NumGoroutine()
 
@@ -381,7 +385,7 @@ func TestFailingWriterStopsTheRun(t *testing.T) {
 			if p.chunks != nil && p.chunks.outstanding.Load() != 0 {
 				t.Errorf("%s: %d chunks never returned to the pool", id, p.chunks.outstanding.Load())
 			}
-			if par > 1 && p.emitted >= refStats.Edges {
+			if p.emitted >= refStats.Edges {
 				t.Errorf("%s: all %d edges were delivered despite the failure", id, p.emitted)
 			}
 

@@ -132,17 +132,17 @@ func (s *GraphSink) Flush() error { return nil }
 // graph.WriteEdgeList ("src pred dst" over global node ids), preceded
 // by the node-layout header that graph.ReadEdgeList accepts. Lines are
 // rendered by graph.EdgeLine, in place: by the sink into its own buffer
-// on the per-edge and batch paths, and by the emit workers themselves
-// when a parallel run drives it (it is a renderingSink), in which case
-// the sink only writes finished chunks through.
+// when it is fed batches or single edges (behind a wrapper), and by the
+// emit workers themselves when Emit drives it directly (it is a
+// renderingSink), in which case the sink only writes finished chunks
+// through.
 //
 // Emit into a WriterSink generates an instance without materializing
-// it: with Parallelism=1, peak memory is bounded by the largest single
-// shard's occurrence vectors; with N workers, by N in-flight shards,
-// each held as its rendered text — either way the paper's Table 3
-// sizes (up to 100M nodes) stay reachable on ordinary machines, and
-// the output is byte-identical for a given seed regardless of worker
-// count.
+// it: peak memory is bounded by N in-flight shards for N workers, each
+// held as its occurrence vectors and then its rendered text — so the
+// paper's Table 3 sizes (up to 100M nodes) stay reachable on ordinary
+// machines, and the output is byte-identical for a given seed
+// regardless of worker count.
 type WriterSink struct {
 	w       io.Writer
 	buf     []byte // rendered and not yet written
@@ -155,7 +155,7 @@ type WriterSink struct {
 const (
 	// writerSinkBuffer is the capacity of WriterSink's own buffer: one
 	// render chunk, so the writer sees the same write size whichever
-	// side rendered, and a parallel run — which only passes the header
+	// side rendered, and a direct run — which only passes the header
 	// and the odd small chunk through it — does not carry a large idle
 	// buffer as live heap.
 	writerSinkBuffer = renderChunkSize
@@ -259,7 +259,7 @@ func (s *WriterSink) edgeLines() []graph.EdgeLine { return s.lines }
 
 // addRendered implements renderingSink: whatever the sink rendered
 // itself goes out first, then the shard's chunks, written through as
-// they are — the flusher's share of a parallel run is concatenation.
+// they are — the flusher's share of a run is concatenation.
 func (s *WriterSink) addRendered(_ graph.PredID, _ int, chunks [][]byte) error {
 	for _, c := range chunks {
 		if len(c) < writerSinkCoalesce && len(c) <= cap(s.buf)-len(s.buf) {

@@ -46,11 +46,7 @@ func (g *Generator) EmitWindow(opt Options, from, to int, sink QuerySink) (int, 
 		err = fmt.Errorf("querygen: window [%d, %d) outside workload of %d queries", from, to, g.cfg.Count)
 	} else {
 		units = g.planWorkload(from, to)
-		if k := fanout.Workers(opt.Parallelism); k == 1 || len(units) <= emitBlock {
-			err = g.emitSequential(units, sink)
-		} else {
-			err = g.emitParallel(units, k, sink)
-		}
+		err = g.emitUnits(units, fanout.Workers(opt.Parallelism), sink)
 	}
 	flushErr := sink.Flush()
 	if err != nil {
@@ -62,29 +58,13 @@ func (g *Generator) EmitWindow(opt Options, from, to int, sink QuerySink) (int, 
 	return len(units), nil
 }
 
-// emitSequential generates every unit in order, straight into the
-// sink.
-func (g *Generator) emitSequential(units []queryUnit, sink QuerySink) error {
-	w := g.newWorker()
-	for i := range units {
-		q, err := w.emitUnit(units[i])
-		if err != nil {
-			return err
-		}
-		if err := sink.AddQuery(units[i].index, q); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // emitBlock is the number of consecutive units a worker generates per
 // hand-off to the flusher: large enough that the two channel operations
 // per block vanish next to the generation work, small enough that a
 // served window of a few dozen queries still spreads over the workers.
 const emitBlock = 16
 
-// ringDepth is the number of blocks per worker that emitParallel
+// ringDepth is the number of blocks per worker that emitUnits
 // admits ahead of the flusher. With one a worker idles while the
 // flusher drains its last block; with several it runs ahead. Measured
 // on gmark-perf qgen (2 vCPU, 2 workers): 91-96 K queries/s at depth 1,
@@ -93,15 +73,17 @@ const emitBlock = 16
 // queries in flight.
 const ringDepth = 8
 
-// emitParallel splits the units into blocks of emitBlock and fans the
+// emitUnits splits the units into blocks of emitBlock and fans the
 // blocks out with fanout.Ordered across k workers, each with one RNG
-// re-seeded per unit. The flusher (the caller) receives the blocks
-// strictly in block order, so the sink observes the same call sequence
-// as the sequential path. Block b is admitted only after block
-// b-k*ringDepth has been flushed, so total in-flight memory is
-// O(k x ringDepth x emitBlock) queries — not O(workload) — preserving
-// the streaming sinks' constant-memory property for huge workloads.
-func (g *Generator) emitParallel(units []queryUnit, k int, sink QuerySink) error {
+// re-seeded per unit; with one worker (or one block) fanout.Ordered
+// runs them on the caller's goroutine. The flusher (the caller)
+// receives the blocks strictly in block order, so the sink observes
+// the same call sequence at any worker count. Block b is admitted only
+// after block b-k*ringDepth has been flushed, so total in-flight
+// memory is O(k x ringDepth x emitBlock) queries — not O(workload) —
+// preserving the streaming sinks' constant-memory property for huge
+// workloads.
+func (g *Generator) emitUnits(units []queryUnit, k int, sink QuerySink) error {
 	// block is one block's queries and the error that stopped it
 	// short, if any.
 	type block struct {

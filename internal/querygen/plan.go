@@ -10,9 +10,9 @@ import (
 // Options controls workload emission.
 type Options struct {
 	// Parallelism is the number of query-emission workers. Zero or less
-	// selects runtime.GOMAXPROCS(0) (fanout.Workers); one forces the
-	// sequential path. For a fixed Config.Seed the emitted workload is
-	// identical for any value.
+	// selects runtime.GOMAXPROCS(0) (fanout.Workers); one generates
+	// every block on the caller's goroutine. For a fixed Config.Seed
+	// the emitted workload is identical for any value.
 	Parallelism int
 }
 
