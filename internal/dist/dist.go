@@ -234,7 +234,7 @@ func (d Distribution) NewSampler() (Sampler, error) {
 	}
 	switch d.Kind {
 	case Uniform:
-		return newUniformSampler(d.Min, d.Max-d.Min+1), nil
+		return newUniformSampler(d.Min, int64(d.Max)-int64(d.Min)+1), nil
 	case Gaussian:
 		return gaussianSampler{mu: d.Mu, sigma: d.Sigma}, nil
 	case Zipfian:
@@ -246,13 +246,17 @@ func (d Distribution) NewSampler() (Sampler, error) {
 
 // uniformSampler draws min + rng.Intn(span) with the same draws, but
 // with Int31n's rejection bound computed once, so a draw costs one
-// division instead of two.
+// division instead of two. The span is int64: uniform[0, MaxInt32]
+// spans 2^31 values, which a 32-bit int cannot hold, and past MaxInt32
+// a draw is rng.Int63n(span) — what rand.Intn draws there on a 64-bit
+// platform — so every platform draws the same stream.
 type uniformSampler struct {
-	min, span int
-	bound     int32 // Int31n(span) redraws any Int31 above it
+	min   int
+	span  int64
+	bound int32 // Int31n(span) redraws any Int31 above it
 }
 
-func newUniformSampler(min, span int) uniformSampler {
+func newUniformSampler(min int, span int64) uniformSampler {
 	s := uniformSampler{min: min, span: span}
 	if span <= math.MaxInt32 {
 		s.bound = math.MaxInt32 - int32(uint32(1<<31)%uint32(span))
@@ -262,7 +266,7 @@ func newUniformSampler(min, span int) uniformSampler {
 
 func (s uniformSampler) Sample(rng *rand.Rand) int {
 	if s.span > math.MaxInt32 {
-		return s.min + rng.Intn(s.span) // [0, MaxInt32]: Int63n's path
+		return s.min + int(rng.Int63n(s.span)) // [0, MaxInt32]: Int63n's path
 	}
 	v := rng.Int31()
 	for v > s.bound {

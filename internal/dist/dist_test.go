@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -270,14 +271,16 @@ func TestValidate(t *testing.T) {
 // table, a Gaussian mu of 1e12 grew an occurrence vector until the
 // process was killed. Every bound sits at MaxInt32, which is accepted.
 func TestValidateRejectsOversizedParameters(t *testing.T) {
-	for _, d := range []Distribution{
-		NewUniform(0, math.MaxInt),
-		NewUniform(5, math.MaxInt32+1),
-		NewGaussian(1e12, 1),
-		NewGaussian(3, 1e12),
-		{Kind: Zipfian, S: 2, N: 1 << 40},
-		{Kind: Zipfian, S: 2, N: math.MaxInt32 + 1},
-	} {
+	oversized := []Distribution{NewGaussian(1e12, 1), NewGaussian(3, 1e12)}
+	if strconv.IntSize == 64 { // a 32-bit int cannot hold these
+		past := int64(math.MaxInt32) + 1
+		oversized = append(oversized,
+			NewUniform(0, math.MaxInt),
+			NewUniform(5, int(past)),
+			Distribution{Kind: Zipfian, S: 2, N: int(past << 9)},
+			Distribution{Kind: Zipfian, S: 2, N: int(past)})
+	}
+	for _, d := range oversized {
 		if err := d.Validate(); err == nil {
 			t.Errorf("Validate(%+v) accepted", d)
 		}
@@ -295,21 +298,46 @@ func TestValidateRejectsOversizedParameters(t *testing.T) {
 
 // TestUniformSamplerMatchesIntn pins the precomputed rejection bound to
 // math/rand: a uniform sampler's draws are min + rng.Intn(span) at
-// every span where Int31n branches, and at 2^31, Int63n's.
+// every span where Int31n branches, and at 2^31 the draw rng.Intn makes
+// on a 64-bit platform, Int63n's — on every platform.
 func TestUniformSamplerMatchesIntn(t *testing.T) {
-	for _, span := range []int{1, 2, 3, 7, 1 << 30, 1<<30 + 1, math.MaxInt32, 1 << 31} {
+	for _, span := range []int64{1, 2, 3, 7, 1 << 30, 1<<30 + 1, math.MaxInt32, 1 << 31} {
 		lo := min(4, math.MaxInt32+1-span) // keep Max within the bound
-		s, err := NewUniform(lo, lo+span-1).NewSampler()
+		s, err := NewUniform(int(lo), int(lo+span-1)).NewSampler()
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, seed := range []int64{1, 2, 3} {
 			got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
 			for i := range 5000 {
-				if a, b := s.Sample(got), lo+want.Intn(span); a != b {
+				var b int64
+				if span <= math.MaxInt32 {
+					b = lo + int64(want.Intn(int(span)))
+				} else {
+					b = lo + want.Int63n(span)
+				}
+				if a := s.Sample(got); int64(a) != b {
 					t.Fatalf("span %d seed %d draw %d: sampler %d, Intn %d", span, seed, i, a, b)
 				}
 			}
+		}
+	}
+}
+
+// TestWidestUniformDrawsPinned pins the first draws of uniform[0,
+// MaxInt32] at seed 42 to what rand.Intn(1<<31) draws on amd64. The
+// span, 2^31, overflows a 32-bit int: computed in int it wrapped to
+// MinInt32 and the sampler took the Int31n path, drawing another
+// stream on 386.
+func TestWidestUniformDrawsPinned(t *testing.T) {
+	s, err := NewUniform(0, math.MaxInt32).NewSampler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(42))
+	for i, want := range []int{377457747, 532387611, 341549032, 886688009, 1386077449, 457340493} {
+		if got := s.Sample(rng); got != want {
+			t.Fatalf("draw %d: %d, amd64 draws %d", i, got, want)
 		}
 	}
 }

@@ -249,7 +249,7 @@ var csrParallelMinEdges = 1 << 15
 // and identical to the sequential build.
 func buildCSR(n int, from, to []int32, workers int) csr {
 	if workers <= 1 || len(from) < csrParallelMinEdges {
-		return buildCSRSequential(n, from, to)
+		return buildCSRSequential(n, 0, []Part{{Keys: from, Vals: to}})
 	}
 	off := make([]int32, n+1)
 	// Parallel count over edge-array ranges: off[v+1] accumulates
@@ -296,42 +296,62 @@ func forkJoin(parts int, part func(w int)) {
 	})
 }
 
+// Part is one piece of an edge list, as two columns: edge i of the
+// part is (Keys[i], Vals[i]), Keys[i] the node whose list Vals[i]
+// joins. An edge list split into parts builds, through
+// BuildAdjacencyParts, exactly the CSR of the concatenation, without
+// the concatenation ever existing.
+type Part struct {
+	Keys, Vals []int32
+}
+
 // buildCSRSequential builds one compressed adjacency on the calling
-// goroutine. Whenever the neighbour ids span no more than n + E values
-// — the sizes of the offset and adjacency arrays the build returns
-// anyway, so the scratch never outgrows the result — it sorts without
-// comparisons: a counting scatter of the owners by neighbour, then one
-// transposition that visits neighbours in ascending order, so every
-// list comes out sorted (see sortedLists). Freeze's builds always
-// qualify (neighbours are ids below n); a spill unit whose few edges
-// reach a wide id range does not, and sorts each list instead.
-func buildCSRSequential(n int, from, to []int32) csr {
+// goroutine over the lists of nodes lo..lo+n-1, from the edges of
+// every part (keys in [lo, lo+n)). Whenever the neighbour ids span no
+// more than n + E values — the sizes of the offset and adjacency
+// arrays the build returns anyway, so the scratch never outgrows the
+// result — it sorts without comparisons: a counting scatter of the
+// owners by neighbour, then one transposition that visits neighbours
+// in ascending order, so every list comes out sorted (see
+// sortedLists). Freeze's builds always qualify (neighbours are ids
+// below n); a spill unit whose few edges reach a wide id range does
+// not, and sorts each list instead.
+func buildCSRSequential(n int, lo NodeID, parts []Part) csr {
 	off := make([]int32, n+1)
-	adj := make([]int32, len(from))
-	if len(from) == 0 {
+	edges := 0
+	vLo, vHi := int32(math.MaxInt32), int32(math.MinInt32)
+	for _, p := range parts {
+		vals := p.Vals[:len(p.Keys)]
+		for i, k := range p.Keys {
+			off[k-lo+1]++
+			vLo, vHi = min(vLo, vals[i]), max(vHi, vals[i])
+		}
+		edges += len(p.Keys)
+	}
+	adj := make([]int32, edges)
+	if edges == 0 {
 		return csr{off: off, adj: adj}
 	}
-	lo, hi := to[0], to[0]
-	for i, v := range from {
-		off[v+1]++
-		lo, hi = min(lo, to[i]), max(hi, to[i])
-	}
 	shiftStarts(off)
-	if span := int(hi) - int(lo) + 1; span <= n+len(from) {
+	if span := int(vHi) - int(vLo) + 1; span <= n+edges {
 		sc := csrScratchPool.Get().(*csrScratch)
 		starts := resize(sc.starts, span+1)
 		clear(starts)
-		for _, v := range to {
-			starts[v-lo+1]++
+		for _, p := range parts {
+			for _, v := range p.Vals {
+				starts[v-vLo+1]++
+			}
 		}
 		shiftStarts(starts)
-		sc.bucket = resize(sc.bucket, len(from))
-		sortedLists(from, to, 0, lo, off, starts, sc.bucket, adj)
+		sc.bucket = resize(sc.bucket, edges)
+		sortedLists(parts, lo, vLo, off, starts, sc.bucket, adj)
 		sc.starts = starts
 		csrScratchPool.Put(sc)
 		return csr{off: off, adj: adj}
 	}
-	scatter(from, to, 0, off, adj)
+	for _, p := range parts {
+		scatter(p.Keys, p.Vals, lo, off, adj)
+	}
 	for v := 0; v < n; v++ {
 		slices.Sort(adj[off[v]:off[v+1]])
 	}
@@ -395,15 +415,17 @@ func transpose(off, lists []int32, lo int32, outStarts, out []int32, outLo int32
 }
 
 // sortedLists is the comparison-free core of both sequential builders:
-// a counting scatter of the owners from[i] into byTo by neighbour
-// to[i], then one transposition of those buckets into adj, which
-// leaves every owner's neighbour list sorted. fromStarts and toStarts
-// are each side's shifted list starts over ids from fromLo and toLo;
-// both end as final offsets, toStarts indexing byTo (the owners of
-// each neighbour in input order) and fromStarts indexing adj.
-func sortedLists(from, to []int32, fromLo, toLo int32, fromStarts, toStarts, byTo, adj []int32) {
-	scatter(to, from, toLo, toStarts, byTo)
-	transpose(toStarts, byTo, toLo, fromStarts, adj, fromLo)
+// a counting scatter of every part's owners Keys[i] into byVal by
+// neighbour Vals[i], then one transposition of those buckets into adj,
+// which leaves every owner's neighbour list sorted. keyStarts and
+// valStarts are each side's shifted list starts over ids from keyLo and
+// valLo; both end as final offsets, valStarts indexing byVal (the
+// owners of each neighbour in part order) and keyStarts indexing adj.
+func sortedLists(parts []Part, keyLo, valLo int32, keyStarts, valStarts, byVal, adj []int32) {
+	for _, p := range parts {
+		scatter(p.Vals, p.Keys, valLo, valStarts, byVal)
+	}
+	transpose(valStarts, byVal, valLo, keyStarts, adj, keyLo)
 }
 
 // prefixSumParallel turns per-node counts (off[1..n] holding deg(v-1),
@@ -445,11 +467,23 @@ func prefixSumParallel(off []int32, workers int) {
 // BuildAdjacency builds one direction's CSR arrays for an edge list
 // outside a Graph: neighbors of node v under the returned layout are
 // adj[off[v]:off[v+1]], sorted ascending. workers <= 1 builds
-// sequentially; more shard the build by range exactly like Freeze.
-// The CSR spill sink uses this to lay out its on-disk shards with the
-// same code path the in-memory graph uses.
+// sequentially — the one-part case of BuildAdjacencyParts; more shard
+// the build by range exactly like Freeze.
 func BuildAdjacency(n int, from, to []int32, workers int) (off, adj []int32) {
 	c := buildCSR(n, from, to, workers)
+	return c.off, c.adj
+}
+
+// BuildAdjacencyParts builds, on the calling goroutine, the CSR of the
+// nodes lo..lo+n-1 from an edge list given in parts, every key in
+// [lo, lo+n): node lo+k's neighbours are adj[off[k]:off[k+1]], sorted
+// ascending with duplicates kept, so off[0] == 0 whatever lo is. The
+// result equals BuildAdjacency's over the concatenated parts with lo
+// subtracted from every key; no part is copied or modified. The CSR
+// spill sink builds each shard this way from a unit's decoded run and
+// its buffered cells.
+func BuildAdjacencyParts(n int, lo NodeID, parts []Part) (off, adj []int32) {
+	c := buildCSRSequential(n, lo, parts)
 	return c.off, c.adj
 }
 
@@ -498,7 +532,7 @@ func BuildAdjacencyPair(srcs, dsts []NodeID) AdjacencyPair {
 	shiftStarts(p.BwdOff)
 	byDst := make([]int32, len(srcs))
 	p.FwdAdj = make([]int32, len(srcs))
-	sortedLists(srcs, dsts, sLo, dLo, p.FwdOff, p.BwdOff, byDst, p.FwdAdj)
+	sortedLists([]Part{{Keys: srcs, Vals: dsts}}, sLo, dLo, p.FwdOff, p.BwdOff, byDst, p.FwdAdj)
 	// Backward lists, sorted: sources arrive in ascending order. The
 	// emission-order lists are no longer needed, so their array is
 	// reused, and the backward offsets shift back into starts.

@@ -278,7 +278,7 @@ func TestParallelCSRMatchesSequential(t *testing.T) {
 			from[i], to[i] = from[i-1], to[i-1]
 		}
 	}
-	want := buildCSRSequential(n, from, to)
+	want := buildCSRSequential(n, 0, []Part{{Keys: from, Vals: to}})
 	for _, workers := range []int{2, 3, 8} {
 		got := buildCSR(n, from, to, workers)
 		if !slices.Equal(got.off, want.off) {
@@ -321,7 +321,7 @@ func sortingCSR(n int, from, to []int32) csr {
 func TestCountingBuildMatchesSortingBuild(t *testing.T) {
 	check := func(name string, n int, from, to []int32) {
 		t.Helper()
-		got, want := buildCSRSequential(n, from, to), sortingCSR(n, from, to)
+		got, want := buildCSRSequential(n, 0, []Part{{Keys: from, Vals: to}}), sortingCSR(n, from, to)
 		if !slices.Equal(got.off, want.off) || !slices.Equal(got.adj, want.adj) {
 			t.Fatalf("%s: got off=%v adj=%v, want off=%v adj=%v", name, got.off, got.adj, want.off, want.adj)
 		}
@@ -426,6 +426,61 @@ func TestBuildAdjacency(t *testing.T) {
 	if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
 		t.Fatalf("got off=%v adj=%v, want off=%v adj=%v", off, adj, wantOff, wantAdj)
 	}
+}
+
+// FuzzBuildAdjacencyParts: any split of an edge list into parts
+// (empty parts included), over the node range [lo, lo+n), builds what
+// BuildAdjacency builds from the concatenation with lo subtracted from
+// every key, and what the sorting oracle builds, and leaves the parts
+// as they were. Each three input bytes are one edge — key, neighbour,
+// and whether a part ends (bit 0) or an empty part follows (bit 1)
+// after it. wide spreads the neighbours past n + E values, so the
+// build takes its sorting path; narrow inputs mostly take the counting
+// path.
+func FuzzBuildAdjacencyParts(f *testing.F) {
+	f.Add([]byte{0, 1, 0, 2, 3, 1, 1, 1, 2, 2, 0, 0}, uint8(3), uint16(0), false)
+	f.Add([]byte{0, 1, 1, 2, 3, 0, 1, 1, 3, 1, 0, 0, 0, 2, 1}, uint8(4), uint16(70), false)
+	f.Add([]byte{0, 9, 1, 1, 200, 0, 1, 3, 2, 0, 255, 1}, uint8(2), uint16(5), true)
+	f.Add([]byte{}, uint8(6), uint16(9), false)
+	f.Fuzz(func(t *testing.T, data []byte, nodes uint8, lo uint16, wide bool) {
+		n, base := 1+int(nodes%64), int32(lo)
+		var parts []Part
+		var keys, vals []int32 // the concatenation, keys rebased to 0
+		var cur Part
+		for i := 0; i+2 < len(data); i += 3 {
+			k, v := int32(data[i])%int32(n), int32(data[i+1])
+			if wide {
+				v *= 1 << 16
+			}
+			keys, vals = append(keys, k), append(vals, v)
+			cur.Keys, cur.Vals = append(cur.Keys, base+k), append(cur.Vals, v)
+			if data[i+2]&1 == 1 {
+				parts, cur = append(parts, cur), Part{}
+			}
+			if data[i+2]&2 == 2 {
+				parts = append(parts, Part{})
+			}
+		}
+		parts = append(parts, cur)
+		var before []Part
+		for _, p := range parts {
+			before = append(before, Part{slices.Clone(p.Keys), slices.Clone(p.Vals)})
+		}
+
+		off, adj := BuildAdjacencyParts(n, base, parts)
+		wantOff, wantAdj := BuildAdjacency(n, keys, vals, 1)
+		if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
+			t.Fatalf("%d parts at lo %d: off=%v adj=%v, BuildAdjacency off=%v adj=%v", len(parts), lo, off, adj, wantOff, wantAdj)
+		}
+		if oracle := sortingCSR(n, keys, vals); !slices.Equal(off, oracle.off) || !slices.Equal(adj, oracle.adj) {
+			t.Fatalf("%d parts at lo %d: off=%v adj=%v, sorting oracle off=%v adj=%v", len(parts), lo, off, adj, oracle.off, oracle.adj)
+		}
+		for i, p := range parts {
+			if !slices.Equal(p.Keys, before[i].Keys) || !slices.Equal(p.Vals, before[i].Vals) {
+				t.Fatalf("part %d modified by the build", i)
+			}
+		}
+	})
 }
 
 // TestBuildAdjacencyPairMatchesBuildAdjacency is the property test of

@@ -141,13 +141,12 @@ type CSRShard struct {
 	Edges int    `json:"edges"`
 }
 
-// csrSpillBufferEdges is the total number of (from, to) pairs the
-// spill sink buffers in memory before spilling every buffered run to
-// its per-(predicate, direction, node-range) temp file. Each routed
-// edge occupies two pairs (one per direction), 8 bytes each, so the
-// default bounds the buffers near 16 MiB. The same number caps the
-// pairs Flush's units hold in flight. A variable so tests can force
-// spilling on small inputs.
+// csrSpillBufferEdges is the number of edges the spill sink buffers
+// in memory before draining every buffered cell to the run files. Each
+// buffered edge is one (src, dst) pair, 8 bytes, that both of its
+// directions read, so the default bounds the buffers near 16 MiB. The
+// same number caps the pairs Flush's units hold in flight. A variable
+// so tests can force drains on small inputs.
 var csrSpillBufferEdges = 1 << 21
 
 // csrRunDir is the temp subdirectory holding raw per-range edge runs
@@ -364,34 +363,41 @@ func (l *spillLayout) manifest(edges int, types []PartitionType, shards []CSRSha
 
 // CSRSpillSink writes the generated edges as node-range-sharded binary
 // CSR files (both directions) for out-of-core query evaluation. The
-// writer is incremental: during emission each batch is routed, run by
-// run, to its forward (by source) and backward (by destination) node
-// ranges and buffered; when the buffers reach a fixed budget of pairs
-// they are appended to raw per-(predicate, direction, range) run files
-// on disk. Flush then treats every (predicate, direction, range) as an
-// independent unit — read its run into exactly-sized columns, build the
-// range's CSR through the same graph.BuildAdjacency code path Freeze
-// uses, encode, write the shard — and drains the units on a pool of
-// GOMAXPROCS workers that admits a unit only while the pairs in flight
-// stay within the same budget (or one unit, when one alone is larger).
-// Peak writer memory is therefore bounded by the buffer budget plus the
-// units that budget admits, never by the whole instance: producing a
-// spill does not need Generate-sized memory. The shard, bitmap and
-// manifest bytes are the same at any GOMAXPROCS and identical to
-// WriteCSRSpillFromGraphWith's (test-pinned).
+// writer is incremental: during emission each edge is buffered once,
+// as one (src, dst) pair, in the cell of its (predicate, source range,
+// target range) — the forward unit of the source range reads the
+// cell's row, the backward unit of the target range its column — and
+// when the cells reach a fixed budget of edges they are drained,
+// encoded once each, to raw per-(predicate, direction, range) run
+// files on disk. Flush then treats every (predicate, direction, range)
+// as an independent unit — build the range's CSR from the unit's
+// decoded run and its cells, through the same counting build Freeze
+// uses, with no concatenated copy (graph.BuildAdjacencyParts), encode,
+// write the shard — and drains the units on a pool of GOMAXPROCS
+// workers that admits a unit only while the pairs in flight stay within
+// the same budget (or one unit, when one alone is larger). A cell is
+// freed as soon as both of its units are built. Peak writer memory is
+// therefore bounded by the buffer budget plus the units that budget
+// admits, never by the whole instance: producing a spill does not need
+// Generate-sized memory. The shard, bitmap and manifest bytes are the
+// same at any GOMAXPROCS and identical to WriteCSRSpillFromGraphWith's
+// (test-pinned).
 type CSRSpillSink struct {
 	spillLayout
 	types []PartitionType
 
-	// bufs[u] buffers the pairs of unit u (see spillLayout): predicate
-	// p, direction d (0 forward, keyed by source; 1 backward, keyed by
-	// destination), node range r. from is the range-owning endpoint.
-	bufs     []csrRunBuf
-	buffered int // pairs currently buffered across all bufs
+	// rows[p*nRanges+f] is the cell row of predicate p and source range
+	// f — cell t holds the buffered edges from range f into range t —
+	// or nil before the row's first edge since the last drain.
+	rows     [][]spillCell
+	cells    int   // cells of the allocated rows
+	buffered int   // edges currently buffered across all cells
+	disk     []int // disk[u]: pairs of unit u in its run file
 
-	maxBuffered int  // high-water mark of buffered (memory-bound tests)
-	maxInflight int  // high-water mark of Flush's in-flight pairs (same)
-	spilledRuns bool // whether any run file was written
+	maxBuffered int // high-water mark of buffered (memory-bound tests)
+	maxCells    int // high-water mark of cells (same)
+	maxInflight int // high-water mark of Flush's in-flight pairs (same)
+	drains      int // drains so far: run files exist iff drains > 0
 
 	edges    int
 	aborted  bool
@@ -399,11 +405,13 @@ type CSRSpillSink struct {
 	flushErr error // the first Flush's outcome, replayed by later calls
 }
 
-// csrRunBuf is one unit's buffer plus the number of its pairs that
-// already live in its run file on disk.
-type csrRunBuf struct {
-	from, to  []int32
-	diskPairs int
+// spillCell buffers the edges of one (predicate, source range, target
+// range). built counts the cell's two units — the forward unit of its
+// source range, the backward unit of its target range — whose shards
+// Flush has built; the second frees the columns.
+type spillCell struct {
+	src, dst []int32
+	built    atomic.Int32
 }
 
 // NewCSRSpillSinkWith creates dir (and parents) and returns a spill
@@ -427,7 +435,8 @@ func NewCSRSpillSinkWith(dir string, cfg *schema.GraphConfig, shardNodes int, co
 		numNodes += typeCounts[i]
 	}
 	sink.spillLayout = newSpillLayout(dir, comp, numNodes, shardNodes, predNames)
-	sink.bufs = make([]csrRunBuf, sink.units())
+	sink.rows = make([][]spillCell, len(predNames)*sink.nRanges)
+	sink.disk = make([]int, sink.units())
 	return sink, nil
 }
 
@@ -437,12 +446,13 @@ func (s *CSRSpillSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.No
 	return s.AddEdgeBatch(pred, srcs[:], dsts[:])
 }
 
-// AddEdgeBatch implements BatchEdgeSink: the batch is routed as two
-// columns of pairs, forward (keyed by source) and backward (keyed by
-// destination). An edge with a node id or predicate outside the
-// configuration's layout is refused and aborts the sink — it has no
-// range to be routed to, and a spill missing edges its manifest counts
-// must not be finalized.
+// AddEdgeBatch implements BatchEdgeSink: every edge of the batch is
+// buffered once, in its cell (see route). The batch is cut where the
+// buffered edges reach the budget and the cells are drained there, so
+// buffered never exceeds csrSpillBufferEdges. An edge with a node id
+// or predicate outside the configuration's layout is refused and
+// aborts the sink — it has no range to be routed to, and a spill
+// missing edges its manifest counts must not be finalized.
 func (s *CSRSpillSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	if err := checkBatch(srcs, dsts); err != nil {
 		return err
@@ -454,49 +464,17 @@ func (s *CSRSpillSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID
 		s.Abort()
 		return fmt.Errorf("graphgen: CSRSpillSink: predicate %d outside the schema's %d predicates", pred, len(s.predNames))
 	}
-	if err := s.routeColumn(pred, 0, srcs, dsts); err != nil {
-		return err
-	}
-	if err := s.routeColumn(pred, 1, dsts, srcs); err != nil {
-		return err
-	}
-	s.edges += len(srcs)
-	return nil
-}
-
-// routeColumn buffers one direction of a batch: pair i is (keys[i],
-// vals[i]) and belongs to the node range holding keys[i]. Consecutive
-// pairs of one range — emission walks sources in ascending order, so
-// forward runs are long — are appended with one append per column. The
-// batch is cut where the buffers reach the budget and the runs are
-// drained there, so buffered never exceeds csrSpillBufferEdges.
-func (s *CSRSpillSink) routeColumn(pred graph.PredID, d int, keys, vals []int32) error {
-	row := s.bufs[(int(pred)*2+d)*s.nRanges:][:s.nRanges]
-	for len(keys) > 0 {
-		n := min(len(keys), max(1, csrSpillBufferEdges-s.buffered))
-		for i := 0; i < n; {
-			r := int(keys[i]) / s.shardNodes
-			if r < 0 || r >= s.nRanges {
-				return s.reject(pred, d, keys[i], vals[i])
-			}
-			lo := int32(r * s.shardNodes)
-			width := uint32(min(s.shardNodes, s.numNodes-int(lo)))
-			j := i
-			for j < n && uint32(keys[j]-lo) < width {
-				j++
-			}
-			if j == i { // keys[i] is negative, or past the last node
-				return s.reject(pred, d, keys[i], vals[i])
-			}
-			b := &row[r]
-			b.from = append(b.from, keys[i:j]...)
-			b.to = append(b.to, vals[i:j]...)
-			i = j
+	for len(srcs) > 0 {
+		n := min(len(srcs), max(1, csrSpillBufferEdges-s.buffered))
+		m, err := s.route(pred, srcs[:n], dsts[:n])
+		if err != nil {
+			return err
 		}
-		keys, vals = keys[n:], vals[n:]
-		s.buffered += n
+		srcs, dsts = srcs[m:], dsts[m:]
+		s.buffered += m
+		s.edges += m
 		s.maxBuffered = max(s.maxBuffered, s.buffered)
-		if s.buffered >= csrSpillBufferEdges {
+		if s.buffered >= csrSpillBufferEdges || m < n {
 			if err := s.drainRuns(); err != nil {
 				return err
 			}
@@ -505,15 +483,68 @@ func (s *CSRSpillSink) routeColumn(pred graph.PredID, d int, keys, vals []int32)
 	return nil
 }
 
-// reject aborts the sink over a pair whose key has no node range and
-// returns the error naming the edge it came from.
-func (s *CSRSpillSink) reject(pred graph.PredID, d int, key, val int32) error {
-	s.Abort()
-	src, dst := key, val
-	if d == 1 {
-		src, dst = val, key
+// csrCellEdges is the buffer room one cell takes, in edges: the
+// allocated rows may hold at most csrSpillBufferEdges/csrCellEdges
+// cells (or one row, when a row alone is more) before a drain is due.
+// A cell's header — two slice headers and a counter — is the size of
+// seven buffered pairs, so a grid of many narrow ranges, whose rows are
+// nRanges cells each, stays within the buffer's memory too.
+const csrCellEdges = 8
+
+// route buffers edges in their cells and returns how many it took: all
+// of them, unless the next one needs a row the grid has no room for
+// (see csrCellEdges). Consecutive edges of one cell — emission walks
+// sources in ascending order, and a unit's targets often stay in one
+// range — are appended with one append per column.
+func (s *CSRSpillSink) route(pred graph.PredID, srcs, dsts []int32) (int, error) {
+	rows := s.rows[int(pred)*s.nRanges:][:s.nRanges]
+	for i := 0; i < len(srcs); {
+		f, sLo, sWidth, okS := s.rangeOf(srcs[i])
+		t, dLo, dWidth, okD := s.rangeOf(dsts[i])
+		if !okS || !okD {
+			return i, s.reject(pred, srcs[i], dsts[i], okS)
+		}
+		j := i + 1
+		for j < len(srcs) && uint32(srcs[j]-sLo) < sWidth && uint32(dsts[j]-dLo) < dWidth {
+			j++
+		}
+		if rows[f] == nil {
+			if s.cells > 0 && s.cells+s.nRanges > csrSpillBufferEdges/csrCellEdges {
+				return i, nil
+			}
+			rows[f] = make([]spillCell, s.nRanges)
+			s.cells += s.nRanges
+			s.maxCells = max(s.maxCells, s.cells)
+		}
+		c := &rows[f][t]
+		c.src = append(c.src, srcs[i:j]...)
+		c.dst = append(c.dst, dsts[i:j]...)
+		i = j
 	}
-	return fmt.Errorf("graphgen: CSRSpillSink: edge (%d %s %d): node id %d outside [0, %d)", src, s.predNames[pred], dst, key, s.numNodes)
+	return len(srcs), nil
+}
+
+// rangeOf returns the node range holding v — its index, first node and
+// width — and false when v is negative or past the last node.
+func (l *spillLayout) rangeOf(v int32) (r int, lo int32, width uint32, ok bool) {
+	if v < 0 || int(v) >= l.numNodes {
+		return 0, 0, 0, false
+	}
+	r = int(v) / l.shardNodes
+	lo = int32(r * l.shardNodes)
+	return r, lo, uint32(min(l.shardNodes, l.numNodes-int(lo))), true
+}
+
+// reject aborts the sink over an edge with an endpoint that has no
+// node range (the source unless srcOK) and returns the error naming
+// the edge.
+func (s *CSRSpillSink) reject(pred graph.PredID, src, dst int32, srcOK bool) error {
+	s.Abort()
+	bad := src
+	if srcOK {
+		bad = dst
+	}
+	return fmt.Errorf("graphgen: CSRSpillSink: edge (%d %s %d): node id %d outside [0, %d)", src, s.predNames[pred], dst, bad, s.numNodes)
 }
 
 // runPath names the run file of a unit.
@@ -522,42 +553,91 @@ func (s *CSRSpillSink) runPath(u int) string {
 	return filepath.Join(s.dir, csrRunDir, fmt.Sprintf("run-%s-%03d-%06d.bin", tag, p, r))
 }
 
-// drainRuns appends every non-empty buffer to its run file — one
-// self-delimiting delta-varint block per buffer (see appendPairBlock),
-// all encoded into one block buffer sized for the largest — and
-// releases the buffer storage. Capacities are dropped, not kept,
-// because retained high-water capacity would otherwise accumulate
-// across all (predicate, direction, range) buffers and grow with the
-// range count, exactly the unbounded footprint the incremental writer
-// exists to avoid. Runs are temporary spill state, but they set the
-// disk high-water mark of a constant-memory streaming run —
-// delta-varint keeps them severalfold below the raw 8-bytes-per-pair
-// layout, since emission walks sources in ascending order and the
-// deltas stay small. Run files are opened, appended and closed per
-// drain so the sink never holds more than one descriptor.
+// drainRuns appends every buffered cell to the run files of both of
+// its units and drops the cells. Each non-empty cell is encoded once,
+// as one self-delimiting delta-varint block of its (src, dst) pairs
+// (see appendPairBlock). A predicate's cells are encoded row by row
+// into one buffer, so a row's blocks lie contiguous there and go to
+// its forward unit's file in one append, while a column's blocks are
+// gathered into a second buffer for its backward unit's file: one
+// append per unit run file per drain. Capacities are dropped, not
+// kept, because retained high-water capacity would otherwise
+// accumulate across all cells and grow with the range count, exactly
+// the unbounded footprint the incremental writer exists to avoid. Runs
+// are temporary spill state, but they set the disk high-water mark of
+// a constant-memory streaming run — delta-varint keeps them severalfold
+// below the raw 8-bytes-per-pair layout, since emission walks sources
+// in ascending order and the deltas stay small. Run files are opened,
+// appended and closed per drain so the sink never holds more than one
+// descriptor.
 func (s *CSRSpillSink) drainRuns() error {
 	if err := os.MkdirAll(filepath.Join(s.dir, csrRunDir), 0o755); err != nil {
 		return err
 	}
-	largest := 0
-	for u := range s.bufs {
-		largest = max(largest, len(s.bufs[u].from))
-	}
-	block := make([]byte, 0, 3*largest+8)
-	for u := range s.bufs {
-		b := &s.bufs[u]
-		if len(b.from) == 0 {
-			continue
+	var enc, col []byte
+	var live, ends []int // a predicate's allocated rows; where each of their cells' blocks ends in enc
+	for p := range s.predNames {
+		rows := s.rows[p*s.nRanges:][:s.nRanges]
+		live, ends, enc = live[:0], ends[:0], enc[:0]
+		for f, row := range rows {
+			if row == nil {
+				continue
+			}
+			live = append(live, f)
+			for t := range row {
+				if c := &row[t]; len(c.src) > 0 {
+					enc = appendPairBlock(enc, c.src, c.dst)
+				}
+				ends = append(ends, len(enc))
+			}
 		}
-		block = appendPairBlock(block[:0], b.from, b.to)
-		if err := appendFile(s.runPath(u), block); err != nil {
-			return err
+		// cellBytes returns the blocks of cells i..j-1 of the live rows,
+		// cell t of the k-th live row being cell k*nRanges+t.
+		cellBytes := func(i, j int) []byte {
+			start := 0
+			if i > 0 {
+				start = ends[i-1]
+			}
+			return enc[start:ends[j-1]]
 		}
-		b.diskPairs += len(b.from)
-		b.from, b.to = nil, nil
+		for k, f := range live {
+			pairs := 0
+			for t := range rows[f] {
+				pairs += len(rows[f][t].src)
+			}
+			if err := s.appendRun(2*p*s.nRanges+f, cellBytes(k*s.nRanges, (k+1)*s.nRanges), pairs); err != nil {
+				return err
+			}
+		}
+		for t := 0; t < s.nRanges; t++ {
+			col = col[:0]
+			pairs := 0
+			for k, f := range live {
+				col = append(col, cellBytes(k*s.nRanges+t, k*s.nRanges+t+1)...)
+				pairs += len(rows[f][t].src)
+			}
+			if err := s.appendRun((2*p+1)*s.nRanges+t, col, pairs); err != nil {
+				return err
+			}
+		}
+		clear(rows)
 	}
+	s.cells = 0
 	s.buffered = 0
-	s.spilledRuns = true
+	s.drains++
+	return nil
+}
+
+// appendRun appends the blocks of pairs pairs to unit u's run file;
+// nothing when pairs is 0.
+func (s *CSRSpillSink) appendRun(u int, blocks []byte, pairs int) error {
+	if pairs == 0 {
+		return nil
+	}
+	if err := appendFile(s.runPath(u), blocks); err != nil {
+		return err
+	}
+	s.disk[u] += pairs
 	return nil
 }
 
@@ -575,25 +655,25 @@ func appendFile(path string, data []byte) error {
 }
 
 // readRunPairs loads a run file — a concatenation of delta-varint
-// blocks, one per drain — back into (from, to) columns allocated once,
-// at pairs (what the sink drained into the file) plus room for tail
-// more. It is only called for buffers that spilled, so a missing file,
-// or one holding another number of pairs, means the run data was lost
-// (temp dir deleted externally) — that must fail the Flush, never
+// blocks of (src, dst) pairs, one per cell per drain — back into src
+// and dst columns allocated once, at pairs (what the sink drained into
+// the file). It is only called for units that spilled, so a missing
+// file, or one holding another number of pairs, means the run data was
+// lost (temp dir deleted externally) — that must fail the Flush, never
 // silently write a spill with fewer edges than its manifest claims.
-func readRunPairs(path string, pairs, tail int) (from, to []int32, err error) {
+func readRunPairs(path string, pairs int) (src, dst []int32, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	from, to, err = decodePairBlocks(data, pairs+tail)
-	if err == nil && len(from) != pairs {
-		err = fmt.Errorf("holds %d pairs, the sink drained %d", len(from), pairs)
+	src, dst, err = decodePairBlocks(data, pairs)
+	if err == nil && len(src) != pairs {
+		err = fmt.Errorf("holds %d pairs, the sink drained %d", len(src), pairs)
 	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("graphgen: %s: corrupt run file: %w", path, err)
 	}
-	return from, to, nil
+	return src, dst, nil
 }
 
 // Abort implements AbortableEdgeSink: a failed run drops the buffers
@@ -601,13 +681,13 @@ func readRunPairs(path string, pairs, tail int) (from, to []int32, err error) {
 // a downstream OpenCSRSpill cannot mistake partial output for a spill.
 func (s *CSRSpillSink) Abort() {
 	s.aborted = true
-	s.bufs = nil
+	s.rows = nil
 	s.buffered = 0
 	os.RemoveAll(filepath.Join(s.dir, csrRunDir))
 }
 
-// Flush implements EdgeSink: merges each unit's run — disk run plus
-// the still-buffered tail — into its final CSR shard file on the unit
+// Flush implements EdgeSink: builds each unit — disk run plus the
+// still-buffered cells — into its final CSR shard file on the unit
 // pool (see CSRSpillSink), removes the temp runs, and writes the
 // manifest last, so a Flush that fails leaves no manifest behind. The
 // sink is finished afterwards: a second Flush does nothing and returns
@@ -622,13 +702,16 @@ func (s *CSRSpillSink) Flush() error {
 }
 
 func (s *CSRSpillSink) flush() error {
-	weights := make([]int, len(s.bufs))
-	for u := range s.bufs {
-		weights[u] = s.bufs[u].diskPairs + len(s.bufs[u].from)
+	weights := make([]int, s.units())
+	for u := range weights {
+		weights[u] = s.disk[u]
+		for _, c := range s.unitCells(u) {
+			weights[u] += len(c.src)
+		}
 	}
 	shards, peak, err := s.writeUnits(csrSpillBufferEdges, weights, s.buildUnit)
 	s.maxInflight = peak
-	s.bufs = nil
+	s.rows = nil
 	if rmErr := os.RemoveAll(filepath.Join(s.dir, csrRunDir)); err == nil {
 		err = rmErr
 	}
@@ -638,31 +721,62 @@ func (s *CSRSpillSink) flush() error {
 	return writeJSONFile(filepath.Join(s.dir, csrManifestFile), s.manifest(s.edges, s.types, shards))
 }
 
-// buildUnit is the sink's unit producer: the unit's pairs — disk run
-// first, then the buffered tail: emission order is preserved, though
-// BuildAdjacency's sorted lists make the shard bytes order-independent
-// anyway — become the CSR of its range. The build is
-// sequential: the parallelism is the pool's, and nesting both would
-// oversubscribe the cores and double the build's scratch.
+// unitCells returns the cells unit u reads: its row when it is a
+// forward unit, its column when it is a backward one.
+func (s *CSRSpillSink) unitCells(u int) []*spillCell {
+	p, tag, r, _, _ := s.unit(u)
+	rows := s.rows[p*s.nRanges:][:s.nRanges]
+	var cells []*spillCell
+	if tag == "f" {
+		for t := range rows[r] {
+			cells = append(cells, &rows[r][t])
+		}
+		return cells
+	}
+	for _, row := range rows {
+		if row != nil {
+			cells = append(cells, &row[r])
+		}
+	}
+	return cells
+}
+
+// buildUnit is the sink's unit producer: the unit's pairs — its
+// decoded run and its cells, keyed by source (forward) or target
+// (backward) — become the CSR of its range, built from those parts
+// without concatenating them; the part order never shows, since the
+// built lists are sorted. A cell is freed once both of its units are
+// built. The build is sequential: the parallelism is the pool's, and
+// nesting both would oversubscribe the cores and double the build's
+// scratch.
 func (s *CSRSpillSink) buildUnit(u int) (off, adj []int32, err error) {
-	_, _, _, lo, hi := s.unit(u)
-	b := &s.bufs[u]
-	from, to := b.from, b.to
-	if b.diskPairs > 0 {
-		from, to, err = readRunPairs(s.runPath(u), b.diskPairs, len(b.from))
+	_, tag, _, lo, hi := s.unit(u)
+	part := func(src, dst []int32) graph.Part {
+		if tag == "b" {
+			return graph.Part{Keys: dst, Vals: src}
+		}
+		return graph.Part{Keys: src, Vals: dst}
+	}
+	cells := s.unitCells(u)
+	parts := make([]graph.Part, 0, len(cells)+1)
+	if s.disk[u] > 0 {
+		src, dst, err := readRunPairs(s.runPath(u), s.disk[u])
 		if err != nil {
 			return nil, nil, err
 		}
-		from = append(from, b.from...)
-		to = append(to, b.to...)
+		parts = append(parts, part(src, dst))
 	}
-	b.from, b.to = nil, nil
-	// Rebase the owning endpoint to the range-local id space; the built
-	// offsets then match the shard format (off[0] == 0).
-	for i := range from {
-		from[i] -= int32(lo)
+	for _, c := range cells {
+		if len(c.src) > 0 {
+			parts = append(parts, part(c.src, c.dst))
+		}
 	}
-	off, adj = graph.BuildAdjacency(hi-lo, from, to, 1)
+	off, adj = graph.BuildAdjacencyParts(hi-lo, int32(lo), parts)
+	for _, c := range cells {
+		if c.built.Add(1) == 2 {
+			c.src, c.dst = nil, nil
+		}
+	}
 	return off, adj, nil
 }
 

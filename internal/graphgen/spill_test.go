@@ -37,11 +37,11 @@ func TestCSRSpillSinkIncremental(t *testing.T) {
 	if _, err := Emit(cfg, opt, big); err != nil {
 		t.Fatal(err)
 	}
-	if big.spilledRuns {
+	if big.drains > 0 {
 		t.Fatal("default budget spilled runs on a tiny instance")
 	}
 
-	const budget = 512 // pairs; the instance has thousands of edges
+	const budget = 512 // edges; the instance has thousands
 	defer func(old int) { csrSpillBufferEdges = old }(csrSpillBufferEdges)
 	csrSpillBufferEdges = budget
 
@@ -54,10 +54,10 @@ func TestCSRSpillSinkIncremental(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if 2*edges <= budget {
+	if edges <= budget {
 		t.Fatalf("instance too small to exercise spilling: %d edges", edges)
 	}
-	if !small.spilledRuns {
+	if small.drains == 0 {
 		t.Fatal("tiny budget never spilled a run file")
 	}
 	if small.maxBuffered > budget {
@@ -163,12 +163,14 @@ func decodedSpillEdges(t *testing.T, dir string) (manifest, decoded int) {
 // TestCSRSpillBytesAcrossWorkers pins the unit model's central
 // promise: the set of files a sink-written spill consists of, and every
 // byte of every shard, domain bitmap and manifest, is the same at any
-// GOMAXPROCS, whether the runs went through disk or stayed buffered,
-// and identical to WriteCSRSpillFromGraphWith's — for every shard
-// layout, from one-node ranges (a thousand units, domain words shared
-// between units) to a single range. Alongside, the two memory
-// invariants: emission never buffers more than the budget, and Flush
-// never holds more pairs in flight than max(budget, largest unit).
+// GOMAXPROCS, whether the runs went through disk — once, or over
+// several drains — or stayed buffered, and identical to
+// WriteCSRSpillFromGraphWith's — for every shard layout, from one-node
+// ranges (a thousand units, domain words shared between units) through
+// grids of 7 and 3 ranges to a single range. Alongside, the two memory
+// invariants: emission never buffers more edges than the budget, and
+// Flush never holds more pairs in flight than max(budget, largest
+// unit).
 //
 // A spill of narrow ranges is thousands of files, and a file costs up
 // to half a millisecond on a slow temp disk: the two widest layouts run
@@ -179,13 +181,22 @@ func TestCSRSpillBytesAcrossWorkers(t *testing.T) {
 	defer func(old int) { csrSpillBufferEdges = old }(csrSpillBufferEdges)
 	defaultBudget := csrSpillBufferEdges
 
+	// The budgets: the default, which never drains here; a sixth of
+	// the edges, which drains at least once; a fortieth, which drains
+	// several times and leaves the grid room for a few rows at most
+	// (less than one where ranges are narrow).
+	const (
+		noDrain = iota
+		drain
+		drains
+	)
 	type run struct {
-		spill bool // a budget small enough to put runs on disk
-		procs int
+		budget int
+		procs  int
 	}
 	allComps := []SpillCompression{SpillCompressVarint, SpillCompressRaw, SpillCompressDeflate, SpillCompressNone}
-	allRuns := []run{{true, 1}, {true, 2}, {true, 8}, {false, 1}, {false, 2}, {false, 8}}
-	diagonal := []run{{true, 1}, {true, 8}, {false, 2}}
+	allRuns := []run{{drain, 1}, {drain, 2}, {drain, 8}, {drains, 1}, {drains, 2}, {drains, 8}, {noDrain, 1}, {noDrain, 2}, {noDrain, 8}}
+	diagonal := []run{{drain, 1}, {drains, 8}, {noDrain, 2}}
 	for _, c := range []struct {
 		usecase           string
 		shardNodes, nodes int
@@ -195,6 +206,8 @@ func TestCSRSpillBytesAcrossWorkers(t *testing.T) {
 		{"bib", 1, 5, allComps[:1], diagonal[:2]},
 		{"lsn", 7, 20, allComps[:1], diagonal},
 		{"bib", 7, 20, allComps[1:2], diagonal},
+		{"lsn", 43, 300, allComps[:1], allRuns},
+		{"bib", 43, 300, allComps[:1], allRuns},
 		{"lsn", 128, 300, allComps, allRuns},
 		{"bib", 128, 300, allComps, allRuns},
 		{"lsn", 0, 600, allComps, allRuns},
@@ -209,7 +222,7 @@ func TestCSRSpillBytesAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		smallBudget := max(8, g.NumEdges()/6)
+		budgets := [...]int{noDrain: defaultBudget, drain: max(8, g.NumEdges()/6), drains: max(8, g.NumEdges()/40)}
 		for _, comp := range c.comps {
 			name := fmt.Sprintf("%s/width%d/%v", c.usecase, c.shardNodes, comp)
 			refDir := filepath.Join(t.TempDir(), "ref")
@@ -233,10 +246,7 @@ func TestCSRSpillBytesAcrossWorkers(t *testing.T) {
 			}
 
 			for _, r := range c.runs {
-				budget := defaultBudget
-				if r.spill {
-					budget = smallBudget
-				}
+				budget := budgets[r.budget]
 				at := fmt.Sprintf("%s budget %d procs %d", name, budget, r.procs)
 				csrSpillBufferEdges = budget
 				runtime.GOMAXPROCS(r.procs)
@@ -248,14 +258,20 @@ func TestCSRSpillBytesAcrossWorkers(t *testing.T) {
 				if _, err := Emit(cfg, opt, sink); err != nil {
 					t.Fatalf("%s: %v", at, err)
 				}
-				if sink.spilledRuns != r.spill {
-					t.Fatalf("%s: spilledRuns = %v", at, sink.spilledRuns)
+				if least := [...]int{noDrain: 0, drain: 1, drains: 3}[r.budget]; sink.drains < least || r.budget == noDrain && sink.drains > 0 {
+					t.Fatalf("%s: %d drains, want %d or more (none at the default budget)", at, sink.drains, least)
 				}
 				if sink.maxBuffered > budget {
-					t.Fatalf("%s: buffered high-water mark %d exceeds the budget", at, sink.maxBuffered)
+					t.Fatalf("%s: buffered high-water mark %d edges exceeds the budget", at, sink.maxBuffered)
+				}
+				if limit := max(budget/csrCellEdges, sink.nRanges); sink.maxCells > limit {
+					t.Fatalf("%s: the grid held %d cells, more than %d", at, sink.maxCells, limit)
 				}
 				if limit := max(budget, largest); sink.maxInflight > limit || sink.maxInflight < largest {
 					t.Fatalf("%s: in-flight high-water mark %d, want in [%d, %d]", at, sink.maxInflight, largest, limit)
+				}
+				if _, err := os.Stat(filepath.Join(dir, csrRunDir)); !os.IsNotExist(err) {
+					t.Fatalf("%s: Flush left the temp run directory behind (err=%v)", at, err)
 				}
 				got := spillDirHashes(t, dir)
 				if len(got) != len(want) {
@@ -397,8 +413,8 @@ type runLosingSink struct {
 
 func (s *runLosingSink) Flush() error {
 	var spilled []int
-	for u := range s.bufs {
-		if s.bufs[u].diskPairs > 0 {
+	for u, pairs := range s.disk {
+		if pairs > 0 {
 			spilled = append(spilled, u)
 		}
 	}
