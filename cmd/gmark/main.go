@@ -112,11 +112,11 @@ func checkLimit(flag string, n int) error {
 // mibBytes returns a MiB budget flag in bytes. It rejects a negative
 // budget (0 already selects the default) and one of 2^43 MiB or more,
 // whose byte count would wrap int64.
-func mibBytes(flag string, n int) (int64, error) {
-	if n < 0 || int64(n) > math.MaxInt64>>20 {
+func mibBytes(flag string, n int64) (int64, error) {
+	if n < 0 || n > math.MaxInt64>>20 {
 		return 0, fmt.Errorf("-%s %d: a MiB budget is 0 (default) or positive, below 2^43", flag, n)
 	}
-	return int64(n) << 20, nil
+	return n << 20, nil
 }
 
 // run is the batch CLI: it parses args, generates (or, with
@@ -150,7 +150,7 @@ func run(args []string, stderr io.Writer) error {
 		manifestOut = fs.String("manifest", manifest.DefaultName, "filename (relative to -out) of the JSON run manifest indexing all artifacts; empty disables")
 		evalSpill   = fs.String("eval-spill", "", "evaluate -eval-query over this CSR spill directory (written by -csr-spill) and exit; generation is skipped")
 		evalQuery   = fs.String("eval-query", "", "regular path expression to count over the spill, e.g. \"authors-.authors\"")
-		evalCacheMB = fs.Int("eval-cache-mb", 0, "shard-cache budget in MiB for -eval-spill (0 = default 256 MiB)")
+		evalCacheMB = fs.Int64("eval-cache-mb", 0, "shard-cache budget in MiB for -eval-spill (0 = default 256 MiB)")
 		evalEngine  = fs.String("eval-engine", "", "evaluate -eval-query with a simulated engine instead of the reference evaluator: P, G, S, D, or \"all\" to compare every engine")
 		evalWorkers = fs.Int("eval-workers", 0, "evaluation workers for -eval-spill (0 = all cores, 1 = sequential; counts are identical for any value)")
 		evalMmap    = fs.Bool("spill-mmap", false, "serve raw (-spill-compress=raw) shards of -eval-spill zero-copy from memory mappings; other encodings fall back to decoding")

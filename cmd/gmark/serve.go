@@ -81,7 +81,7 @@ func parseServeFlags(args []string, out io.Writer) (string, serve.Options, error
 	fs.SetOutput(out)
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
-		cacheMB    = fs.Int("cache-mb", 0, "cache budget in MiB: a quarter for predicates' emitted columns, the rest for rendered slices (0 = default 256 MiB)")
+		cacheMB    = fs.Int64("cache-mb", 0, "cache budget in MiB: a quarter for predicates' emitted columns, the rest for rendered slices (0 = default 256 MiB)")
 		maxJobs    = fs.Int("max-jobs", 0, "registered-job ceiling (0 = default 1024)")
 		maxNodes   = fs.Int("max-nodes", 0, "largest graph a job may configure, in nodes (0 = default 10M)")
 		maxQueries = fs.Int("max-queries", 0, "largest workload a job may configure, in queries (0 = default 1M)")

@@ -69,3 +69,43 @@ func ExampleEmitWorkload() {
 	// lengths: map[1:10 2:12 3:29]
 	// predicates used: 4
 }
+
+// edgeCounter is a caller's own EdgeSink: it takes one batch per
+// non-empty shard and counts the edges of each predicate.
+type edgeCounter struct{ perPred map[gmark.PredID]int }
+
+func (c *edgeCounter) AddEdgeBatch(pred gmark.PredID, srcs, dsts []gmark.NodeID) error {
+	if len(srcs) != len(dsts) {
+		return fmt.Errorf("batch of %d sources and %d targets", len(srcs), len(dsts))
+	}
+	c.perPred[pred] += len(srcs)
+	return nil
+}
+
+func (c *edgeCounter) Flush() error { return nil }
+
+// ExampleEmitGraph streams the bibliographical instance into a
+// caller-defined sink instead of materializing it. The counts are the
+// same at any Parallelism, and they add up to the edges EmitGraph
+// reports.
+func ExampleEmitGraph() {
+	cfg, err := gmark.UseCase("bib", 2000)
+	if err != nil {
+		log.Fatal(err)
+	}
+	sink := &edgeCounter{perPred: map[gmark.PredID]int{}}
+	n, err := gmark.EmitGraph(cfg, gmark.GenOptions{Seed: 42, Parallelism: 2}, sink)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i, p := range cfg.Schema.Predicates {
+		fmt.Printf("%s: %d\n", p.Name, sink.perPred[gmark.PredID(i)])
+	}
+	fmt.Println("edges:", n)
+	// Output:
+	// authors: 1811
+	// publishedIn: 600
+	// heldIn: 200
+	// extendedTo: 297
+	// edges: 2908
+}

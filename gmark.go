@@ -111,9 +111,12 @@ type GenOptions = graphgen.Options
 // Graph-side sinks: edges stream out of the generation pipeline in a
 // deterministic order into an EdgeSink.
 type (
-	// EdgeSink receives generated edges; plug a custom one into
-	// EmitGraph to route generation output anywhere (a database
-	// loader, a network writer, ...).
+	// EdgeSink receives generated edges as whole batches: one
+	// AddEdgeBatch(pred, srcs, dsts) per non-empty shard, edge i being
+	// (srcs[i], pred, dsts[i]), in the same sequence at any
+	// Parallelism, then one Flush. Plug a custom one into EmitGraph to
+	// route generation output anywhere (a database loader, a network
+	// writer, ...).
 	EdgeSink = graphgen.EdgeSink
 	// GraphPartitionedSink writes one edge-list file per predicate
 	// plus a JSON index, for parallel downstream loading.
@@ -186,7 +189,7 @@ var (
 	// into a CSR spill directory, in the given shard encoding, without
 	// rebuilding it.
 	WriteGraphCSRSpill = graphgen.WriteCSRSpillFromGraphWith
-	// MultiEdgeSink fans each edge out to several sinks, so one
+	// MultiEdgeSink fans each batch out to several sinks, so one
 	// generation pass can feed several output formats.
 	MultiEdgeSink = graphgen.MultiEdgeSink
 )

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"gmark"
+	"gmark/internal/translate"
 )
 
 // smallConfig is a compact schema exercising all constraint styles.
@@ -264,6 +265,41 @@ func TestTranslationsMentionPredicates(t *testing.T) {
 			if !strings.Contains(out, p) {
 				t.Errorf("%s translation omits predicate %q:\n%s", s, p, out)
 			}
+		}
+	}
+}
+
+// TestTranslateCountMatchesTranslator: the facade's count rendering is
+// the translator's count(distinct) text, one query per syntax, and it
+// differs from the plain rendering of the same query.
+func TestTranslateCountMatchesTranslator(t *testing.T) {
+	wl, err := gmark.Workload("con", smallConfig(400), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen, err := gmark.NewWorkloadGenerator(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range []gmark.Syntax{gmark.SPARQL, gmark.OpenCypher, gmark.PostgreSQL, gmark.Datalog} {
+		q, err := gen.GenerateWithClass(gmark.Linear)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := gmark.TranslateCount(s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := translate.To(s, q, translate.Options{Count: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := gmark.Translate(s, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != want || got == plain {
+			t.Errorf("%s: TranslateCount gives\n%s\nthe translator's count text is\n%s\nand the plain text\n%s", s, got, want, plain)
 		}
 	}
 }

@@ -76,11 +76,11 @@ func (vt viewTier) open(t *testing.T, dir string, cacheBytes int64) *SpillSource
 }
 
 // TestShardViewMatchesSourceAndGraph is the differential pin of the
-// view: 10^5 seeded probes return the same adjacency through a view,
-// through the bare SpillSource and from the in-memory graph, for every
-// encoding and residency tier — with the cache fitting, and with one
-// so small that the probes evict under the view and its epoch check
-// has to drop the memo.
+// view: every predicate's edge count and the adjacency of 10^5 seeded
+// probes are the same through a view, through the bare SpillSource and
+// from the in-memory graph, for every encoding and residency tier —
+// with the cache fitting, and with one so small that the probes evict
+// under the view and its epoch check has to drop the memo.
 func TestShardViewMatchesSourceAndGraph(t *testing.T) {
 	const probes = 100_000
 	for _, vt := range viewTiers {
@@ -95,6 +95,11 @@ func TestShardViewMatchesSourceAndGraph(t *testing.T) {
 				}
 				rng := rand.New(rand.NewSource(16))
 				nodes, preds := int32(g.NumNodes()), int32(g.NumPredicates())
+				for p := range preds {
+					if got, want := view.PredEdgeCount(p), src.PredEdgeCount(p); got != want || want != g.PredEdgeCount(p) {
+						t.Fatalf("pred %d: view counts %d edges, spill %d, graph %d", p, got, want, g.PredEdgeCount(p))
+					}
+				}
 				unpin := func() {}
 				defer func() { unpin() }()
 				for i := 0; i < probes; i++ {

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -40,8 +41,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New([]string{"a", "b"}, []int{math.MaxInt32, math.MaxInt32}, nil); err == nil {
 		t.Error("counts summing past MaxInt32 should fail")
 	}
-	if _, err := New([]string{"a"}, []int{1<<32 + 5}, nil); err == nil {
-		t.Error("a count past MaxInt32 should fail, not wrap")
+	if strconv.IntSize == 64 { // a 32-bit int cannot hold such a count
+		past := int64(1)<<32 + 5
+		if _, err := New([]string{"a"}, []int{int(past)}, nil); err == nil {
+			t.Error("a count past MaxInt32 should fail, not wrap")
+		}
 	}
 	if g, err := New([]string{"a", "b"}, []int{math.MaxInt32 - 1, 1}, nil); err != nil || g.NumNodes() != math.MaxInt32 {
 		t.Errorf("MaxInt32 nodes in all: %v", err)

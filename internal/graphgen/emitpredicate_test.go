@@ -17,10 +17,15 @@ type edgeListSink struct {
 	dsts  []graph.NodeID
 }
 
-func (s *edgeListSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	s.srcs = append(s.srcs, src)
-	s.preds = append(s.preds, pred)
-	s.dsts = append(s.dsts, dst)
+func (s *edgeListSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
+	}
+	s.srcs = append(s.srcs, srcs...)
+	for range srcs {
+		s.preds = append(s.preds, pred)
+	}
+	s.dsts = append(s.dsts, dsts...)
 	return nil
 }
 

@@ -819,7 +819,7 @@ func TestHostilePartitionCountsRejected(t *testing.T) {
 		for name, edit := range map[string]func(idx *PartitionIndex){
 			"predicate edges -1":    func(idx *PartitionIndex) { idx.Predicates[0].Edges = -1 },
 			"index edges -1":        func(idx *PartitionIndex) { idx.Edges = -1 },
-			"predicate edges 1<<40": func(idx *PartitionIndex) { idx.Predicates[0].Edges = 1 << 40 },
+			"predicate edges 1<<40": func(idx *PartitionIndex) { idx.Predicates[0].Edges = int(min(1<<40, int64(math.MaxInt))) }, // MaxInt on 386
 			"types past MaxInt32": func(idx *PartitionIndex) {
 				// No edges, so no file read rejects an id first.
 				idx.Types = []PartitionType{{Name: "a", Count: math.MaxInt32}, {Name: "b", Count: math.MaxInt32}}

@@ -223,7 +223,7 @@ func (p *plan) run(sink EdgeSink) error {
 			if rs != nil {
 				err = rs.addRendered(sp.cp.pred, r.edges, r.chunks)
 			} else {
-				err = addBatch(sink, sp.cp.pred, r.srcs, r.dsts)
+				err = sink.AddEdgeBatch(sp.cp.pred, r.srcs, r.dsts)
 			}
 			if err == nil {
 				p.emitted += r.edges

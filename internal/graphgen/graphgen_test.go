@@ -3,6 +3,7 @@ package graphgen
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"gmark/internal/dist"
@@ -61,11 +62,14 @@ func TestNonFiniteDistributionFailsGenerate(t *testing.T) {
 // ranks died allocating its table, a Gaussian of mean 1e12 grew an
 // occurrence vector until the process was killed.
 func TestOversizedDistributionFailsGenerate(t *testing.T) {
-	for _, d := range []dist.Distribution{
-		dist.NewUniform(0, math.MaxInt),
-		{Kind: dist.Zipfian, S: 2, N: 1 << 40},
-		dist.NewGaussian(1e12, 1),
-	} {
+	oversized := []dist.Distribution{dist.NewGaussian(1e12, 1)}
+	if strconv.IntSize == 64 { // a 32-bit int cannot hold these
+		past := int64(1) << 40
+		oversized = append(oversized,
+			dist.NewUniform(0, math.MaxInt),
+			dist.Distribution{Kind: dist.Zipfian, S: 2, N: int(past)})
+	}
+	for _, d := range oversized {
 		for _, par := range []int{1, 2} {
 			cfg := twoTypeConfig(50, d, dist.NewUniform(1, 3))
 			if _, err := Generate(cfg, Options{Seed: 1, Parallelism: par}); err == nil {
@@ -135,19 +139,24 @@ func TestWarmShardEmitAllocatesNothing(t *testing.T) {
 // expected total only when it is finite and fits in int32; a mean of
 // 1e18 used to overflow into a negative capacity and panic.
 func TestOccurrenceCap(t *testing.T) {
-	for _, c := range []struct {
+	type row struct {
 		mean float64
 		n    int
 		want int
-	}{
+	}
+	rows := []row{
 		{2, 100, 200 + 100/8 + 16},
 		{0, 0, 16},
-		{math.MaxInt32, 1, math.MaxInt32 + 16},
 		{1e18, 1, 16},
 		{1e9, 1000, 1000/8 + 16},
 		{math.Inf(1), 100, 100/8 + 16},
 		{math.NaN(), 100, 100/8 + 16},
-	} {
+	}
+	if strconv.IntSize == 64 { // a 32-bit int cannot hold the capacity
+		full := int64(math.MaxInt32) + 16
+		rows = append(rows, row{math.MaxInt32, 1, int(full)})
+	}
+	for _, c := range rows {
 		if got := occurrenceCap(c.mean, c.n); got != c.want {
 			t.Errorf("occurrenceCap(%g, %d) = %d, want %d", c.mean, c.n, got, c.want)
 		}

@@ -89,7 +89,6 @@ type PartitionedSink struct {
 	ws       []*bufio.Writer
 	per      []int
 	edges    int
-	line     []byte
 	prevs    []int64 // binary mode: previous src per predicate
 	prevd    []int64 // binary mode: previous dst per predicate
 	aborted  bool
@@ -131,7 +130,6 @@ func newPartitionedSink(dir string, typeNames []string, typeCounts []int, predNa
 		files:      make([]io.WriteCloser, len(predNames)),
 		ws:         make([]*bufio.Writer, len(predNames)),
 		per:        make([]int, len(predNames)),
-		line:       make([]byte, 0, 32),
 	}
 	if binaryMode {
 		ps.prevs = make([]int64, len(predNames))
@@ -213,50 +211,25 @@ func EncodePartitionedEdges(srcs, dsts []graph.NodeID, binaryMode bool) []byte {
 	return out
 }
 
-// AddEdge implements EdgeSink.
-func (ps *PartitionedSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	ps.per[pred]++
-	ps.edges++
-	if ps.binary {
-		return ps.writePair(pred, src, dst)
-	}
-	return writeTextEdge(ps.ws[pred], src, dst)
-}
-
-// writeTextEdge renders one text line straight into w's free space;
-// Write then finds the bytes already in place.
-func writeTextEdge(w *bufio.Writer, src, dst graph.NodeID) error {
-	_, err := w.Write(textEdge.Append(w.AvailableBuffer(), src, dst))
-	return err
-}
-
-// writePair appends one binary delta-varint pair: the zigzag deltas of
-// src and dst against the predicate's previous pair.
-func (ps *PartitionedSink) writePair(pred graph.PredID, src, dst graph.NodeID) error {
-	b := appendVarintEdge(ps.line[:0], &ps.prevs[pred], &ps.prevd[pred], src, dst)
-	ps.line = b
-	_, err := ps.ws[pred].Write(b)
-	return err
-}
-
-// AddEdgeBatch implements BatchEdgeSink.
+// AddEdgeBatch implements EdgeSink. Each edge is rendered straight
+// into the predicate writer's free space, where Write finds it in
+// place: a text line, or a binary pair — the zigzag deltas of src and
+// dst against the predicate's previous pair.
 func (ps *PartitionedSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	if err := checkBatch(srcs, dsts); err != nil {
 		return err
 	}
 	ps.per[pred] += len(srcs)
 	ps.edges += len(srcs)
-	if ps.binary {
-		for i := range srcs {
-			if err := ps.writePair(pred, srcs[i], dsts[i]); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	w := ps.ws[pred]
 	for i := range srcs {
-		if err := writeTextEdge(w, srcs[i], dsts[i]); err != nil {
+		var b []byte
+		if ps.binary {
+			b = appendVarintEdge(w.AvailableBuffer(), &ps.prevs[pred], &ps.prevd[pred], srcs[i], dsts[i])
+		} else {
+			b = textEdge.Append(w.AvailableBuffer(), srcs[i], dsts[i])
+		}
+		if _, err := w.Write(b); err != nil {
 			return err
 		}
 	}

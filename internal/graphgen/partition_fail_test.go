@@ -44,7 +44,7 @@ func fillSink(ps *PartitionedSink, edges int) {
 	for i := 0; i < edges; i++ {
 		// Errors may surface here or at Flush depending on buffering;
 		// either way Flush must report the failure and write no index.
-		_ = ps.AddEdge(graph.NodeID(i%97), 0, graph.NodeID((i*31)%97))
+		_ = ps.AddEdgeBatch(0, []graph.NodeID{graph.NodeID(i % 97)}, []graph.NodeID{graph.NodeID((i * 31) % 97)})
 	}
 }
 

@@ -132,15 +132,25 @@ func TestEmitCustomSink(t *testing.T) {
 	}
 }
 
-// errorSink fails on the k-th edge, to exercise error propagation
-// through the ordered flusher.
+// countingSink discards edges and counts them.
+type countingSink struct{ edges int }
+
+func (s *countingSink) AddEdgeBatch(_ graph.PredID, srcs, _ []graph.NodeID) error {
+	s.edges += len(srcs)
+	return nil
+}
+
+func (s *countingSink) Flush() error { return nil }
+
+// errorSink fails on the batch that holds edge after+1, to exercise
+// error propagation through the ordered flusher.
 type errorSink struct {
 	after int
 	seen  int
 }
 
-func (s *errorSink) AddEdge(graph.NodeID, graph.PredID, graph.NodeID) error {
-	s.seen++
+func (s *errorSink) AddEdgeBatch(_ graph.PredID, srcs, _ []graph.NodeID) error {
+	s.seen += len(srcs)
 	if s.seen > s.after {
 		return fmt.Errorf("sink full after %d edges", s.after)
 	}
@@ -159,18 +169,12 @@ func goid() int {
 	return id
 }
 
-// batchRecorder is a BatchEdgeSink that records the size of every
-// batch and where each call ran.
+// batchRecorder is a sink that records the size of every batch and
+// where each call ran.
 type batchRecorder struct {
 	caller, goroutines int // the caller's goroutine id, the count before the run
 	batches            []int
-	edgeCalls          int
 	elsewhere          int // calls off the caller's goroutine or beside another
-}
-
-func (s *batchRecorder) AddEdge(graph.NodeID, graph.PredID, graph.NodeID) error {
-	s.edgeCalls++
-	return nil
 }
 
 func (s *batchRecorder) AddEdgeBatch(_ graph.PredID, srcs, dsts []graph.NodeID) error {
@@ -183,9 +187,9 @@ func (s *batchRecorder) AddEdgeBatch(_ graph.PredID, srcs, dsts []graph.NodeID) 
 
 func (s *batchRecorder) Flush() error { return nil }
 
-// TestSequentialRunDeliversShards: at Parallelism 1 a batch sink gets
-// each non-empty shard as one AddEdgeBatch, in shard order, and never
-// an AddEdge — on the caller's goroutine, with no goroutine started.
+// TestSequentialRunDeliversShards: at Parallelism 1 a sink gets each
+// non-empty shard as one AddEdgeBatch, in shard order, on the caller's
+// goroutine, with no goroutine started.
 func TestSequentialRunDeliversShards(t *testing.T) {
 	cfg := twoTypeConfig(3000, dist.NewZipfian(2.5), dist.NewUniform(0, 2))
 	for _, shardEdges := range []int{1, 300, 0} {
@@ -215,8 +219,8 @@ func TestSequentialRunDeliversShards(t *testing.T) {
 		if fmt.Sprint(sink.batches) != fmt.Sprint(want) {
 			t.Errorf("%s: batches of %v edges, want %v", id, sink.batches, want)
 		}
-		if sink.edgeCalls != 0 || sink.elsewhere != 0 {
-			t.Errorf("%s: %d AddEdge calls, %d batches off the caller's goroutine or beside another", id, sink.edgeCalls, sink.elsewhere)
+		if sink.elsewhere != 0 {
+			t.Errorf("%s: %d batches off the caller's goroutine or beside another", id, sink.elsewhere)
 		}
 		if n == 0 || n != total {
 			t.Errorf("%s: Emit reports %d edges, the shards hold %d", id, n, total)

@@ -23,8 +23,8 @@ type renderingSink interface {
 	// PredID, or nil when this instance does not render text.
 	edgeLines() []graph.EdgeLine
 	// addRendered consumes one shard's edges of pred, already rendered:
-	// the concatenation of chunks is what AddEdge would have written for
-	// them. The chunks belong to the caller again once it returns.
+	// the concatenation of chunks is what AddEdgeBatch would have
+	// written for them. The chunks belong to the caller again once it returns.
 	addRendered(pred graph.PredID, edges int, chunks [][]byte) error
 }
 

@@ -38,15 +38,10 @@ func dirBytes(t *testing.T, dir string) []byte {
 	return out
 }
 
-// edgeOnly hides every method of a sink but EdgeSink's, so the
-// pipeline can only hand it edges one AddEdge at a time.
-type edgeOnly struct{ EdgeSink }
-
 // TestRenderingSinksByteIdentical is the contract of the rendering seam:
 // WriterSink and the text PartitionedSink produce the same bytes whether
-// the emit workers render (direct, at any parallelism), the sink renders
-// whole batches (behind a MultiEdgeSink) or the sink renders one AddEdge
-// at a time (behind a wrapper that hides the rest), at every shard
+// the emit workers render (direct, at any parallelism) or the sink
+// renders whole batches (behind a MultiEdgeSink), at every shard
 // granularity, for every use case.
 func TestRenderingSinksByteIdentical(t *testing.T) {
 	for _, name := range usecases.Names {
@@ -57,7 +52,7 @@ func TestRenderingSinksByteIdentical(t *testing.T) {
 		for _, shardEdges := range []int{1, 7, 0} {
 			var refStream, refParts []byte
 			for _, par := range []int{1, 2, 8} {
-				for _, via := range []string{"direct", "batch", "edge"} {
+				for _, via := range []string{"direct", "batch"} {
 					id := fmt.Sprintf("%s shard=%d par=%d via=%s", name, shardEdges, par, via)
 					opt := Options{Seed: 11, Parallelism: par, ShardEdges: shardEdges}
 					var sb bytes.Buffer
@@ -71,11 +66,8 @@ func TestRenderingSinksByteIdentical(t *testing.T) {
 						t.Fatal(err)
 					}
 					for _, sink := range []EdgeSink{ws, ps} {
-						switch via {
-						case "batch":
+						if via == "batch" {
 							sink = MultiEdgeSink(sink, &countingSink{})
-						case "edge":
-							sink = edgeOnly{sink}
 						}
 						if _, err := Emit(cfg, opt, sink); err != nil {
 							t.Fatalf("%s: %v", id, err)
@@ -190,7 +182,8 @@ func TestWriteEdgeListMatchesFmt(t *testing.T) {
 }
 
 // edgesCounted returns the number of edges a sink has taken in: the
-// count a graph, partition index or spill manifest would publish.
+// count a graph, partition index or spill manifest would publish, or
+// the sum over a MultiEdgeSink's members.
 func edgesCounted(s EdgeSink) int {
 	switch s := s.(type) {
 	case *GraphSink:
@@ -199,13 +192,22 @@ func edgesCounted(s EdgeSink) int {
 		return s.edges
 	case *CSRSpillSink:
 		return s.edges
+	case *countingSink:
+		return s.edges
+	case multiEdgeSink:
+		n := 0
+		for _, m := range s {
+			n += edgesCounted(m)
+		}
+		return n
 	}
 	return 0
 }
 
-// TestMismatchedBatchRefused: every batch sink, reached through the
-// pipeline's addBatch or called directly, answers a batch whose columns
+// TestMismatchedBatchRefused: every sink answers a batch whose columns
 // do not pair up with an error — never a panic, never a partial write.
+// A MultiEdgeSink must refuse it before its first member, a
+// countingSink that does not check its columns, counts a single edge.
 func TestMismatchedBatchRefused(t *testing.T) {
 	cfg, err := usecases.ByName("bib", 300)
 	if err != nil {
@@ -255,7 +257,6 @@ func TestMismatchedBatchRefused(t *testing.T) {
 			}
 			return MultiEdgeSink(&countingSink{}, s)
 		},
-		"per-edge sink": func(t *testing.T) EdgeSink { return &countingSink{} },
 	}
 	for name, mk := range sinks {
 		t.Run(name, func(t *testing.T) {
@@ -265,13 +266,8 @@ func TestMismatchedBatchRefused(t *testing.T) {
 					a, b = dsts, srcs
 				}
 				sink := mk(t)
-				if err := addBatch(sink, 0, a, b); err == nil {
-					t.Errorf("addBatch accepted %d sources with %d targets", len(a), len(b))
-				}
-				if bs, ok := sink.(BatchEdgeSink); ok {
-					if err := bs.AddEdgeBatch(0, a, b); err == nil {
-						t.Errorf("AddEdgeBatch accepted %d sources with %d targets", len(a), len(b))
-					}
+				if err := sink.AddEdgeBatch(0, a, b); err == nil {
+					t.Errorf("AddEdgeBatch accepted %d sources with %d targets", len(a), len(b))
 				}
 				abortSink(sink)
 				if err := sink.Flush(); err != nil {

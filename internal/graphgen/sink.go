@@ -8,52 +8,33 @@ import (
 	"gmark/internal/schema"
 )
 
-// EdgeSink consumes the edges produced by the emission stage. The
-// pipeline delivers edges grouped by constraint, in ascending
-// constraint index, with a deterministic order inside each group — so a
-// sink observes the identical call sequence for a given seed regardless
-// of how many workers emitted the edges.
+// EdgeSink consumes the edges produced by the emission stage, one
+// batch per non-empty shard: edge i of a batch is (srcs[i], pred,
+// dsts[i]). The pipeline delivers the batches of each constraint
+// together, in ascending constraint index and shard order, so a sink
+// observes the identical call sequence for a given seed regardless of
+// how many workers emitted the edges. Every sink of this package
+// refuses a batch whose columns do not pair up, with an error.
 //
 // Sinks are driven from a single goroutine; implementations need no
 // internal locking.
 type EdgeSink interface {
-	// AddEdge consumes one labeled edge over global node ids.
-	AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error
-	// Flush finalizes the sink after the last edge.
+	// AddEdgeBatch consumes one batch of labeled edges over global
+	// node ids.
+	AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error
+	// Flush finalizes the sink after the last batch.
 	Flush() error
 }
 
-// BatchEdgeSink is an optional fast path: sinks that can consume a
-// whole per-constraint batch at once (same src/dst index pairing)
-// avoid the per-edge call overhead.
-type BatchEdgeSink interface {
-	EdgeSink
-	AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error
-}
+// BatchEdgeSink is EdgeSink under its earlier name, kept for callers
+// that still name it.
+type BatchEdgeSink = EdgeSink
 
 // checkBatch is the one definition of a well-formed batch: edge i is
 // (srcs[i], dsts[i]), so the columns must pair up.
 func checkBatch(srcs, dsts []graph.NodeID) error {
 	if len(srcs) != len(dsts) {
 		return fmt.Errorf("graphgen: batch length mismatch: %d sources, %d targets", len(srcs), len(dsts))
-	}
-	return nil
-}
-
-// addBatch delivers one batch to the sink, using the batch fast path
-// when available. A mismatched batch is refused here, before any sink
-// (the pipeline's own or a caller's) can index past the shorter column.
-func addBatch(sink EdgeSink, pred graph.PredID, srcs, dsts []graph.NodeID) error {
-	if err := checkBatch(srcs, dsts); err != nil {
-		return err
-	}
-	if bs, ok := sink.(BatchEdgeSink); ok {
-		return bs.AddEdgeBatch(pred, srcs, dsts)
-	}
-	for i := range srcs {
-		if err := sink.AddEdge(srcs[i], pred, dsts[i]); err != nil {
-			return err
-		}
 	}
 	return nil
 }
@@ -113,13 +94,7 @@ func NewGraphSinkFor(cfg *schema.GraphConfig) (*GraphSink, error) {
 // caller freezes it).
 func (s *GraphSink) Graph() *graph.Graph { return s.g }
 
-// AddEdge implements EdgeSink.
-func (s *GraphSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	s.g.AddEdge(src, pred, dst)
-	return nil
-}
-
-// AddEdgeBatch implements BatchEdgeSink.
+// AddEdgeBatch implements EdgeSink.
 func (s *GraphSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	return s.g.AddEdgeBatch(pred, srcs, dsts)
 }
@@ -132,8 +107,8 @@ func (s *GraphSink) Flush() error { return nil }
 // graph.WriteEdgeList ("src pred dst" over global node ids), preceded
 // by the node-layout header that graph.ReadEdgeList accepts. Lines are
 // rendered by graph.EdgeLine, in place: by the sink into its own buffer
-// when it is fed batches or single edges (behind a wrapper), and by the
-// emit workers themselves when Emit drives it directly (it is a
+// when it is fed batches (behind a MultiEdgeSink), and by the emit
+// workers themselves when Emit drives it directly (it is a
 // renderingSink), in which case the sink only writes finished chunks
 // through.
 //
@@ -222,34 +197,22 @@ func (s *WriterSink) drain() error {
 	return err
 }
 
-// appendLine renders one line in place at the end of the buffer, which
-// is drained first whenever the longest possible line might not fit.
-func (s *WriterSink) appendLine(line graph.EdgeLine, src, dst graph.NodeID) error {
-	if cap(s.buf)-len(s.buf) < s.maxLine {
-		if err := s.drain(); err != nil {
-			return err
-		}
-	}
-	s.buf = line.Append(s.buf, src, dst)
-	return nil
-}
-
-// AddEdge implements EdgeSink.
-func (s *WriterSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	return s.appendLine(s.lines[pred], src, dst)
-}
-
-// AddEdgeBatch implements BatchEdgeSink; it is the path a WriterSink
-// behind a MultiEdgeSink is fed through.
+// AddEdgeBatch implements EdgeSink; it is the path a WriterSink behind
+// a MultiEdgeSink is fed through. Each line is rendered in place at the
+// end of the buffer, which is drained first whenever the longest
+// possible line might not fit.
 func (s *WriterSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	if err := checkBatch(srcs, dsts); err != nil {
 		return err
 	}
 	line := s.lines[pred]
 	for i, src := range srcs {
-		if err := s.appendLine(line, src, dsts[i]); err != nil {
-			return err
+		if cap(s.buf)-len(s.buf) < s.maxLine {
+			if err := s.drain(); err != nil {
+				return err
+			}
 		}
+		s.buf = line.Append(s.buf, src, dsts[i])
 	}
 	return nil
 }
@@ -299,35 +262,29 @@ func abortSink(s EdgeSink) {
 	}
 }
 
-// multiEdgeSink fans every edge out to several sinks in order.
+// multiEdgeSink fans every batch out to several sinks in order.
 type multiEdgeSink []EdgeSink
 
-// MultiEdgeSink combines sinks: each edge (and the final Flush) is
+// MultiEdgeSink combines sinks: each batch (and the final Flush) is
 // delivered to every sink in argument order, stopping on the first
 // error. It lets one generation pass feed, say, the streaming edge
 // list, a partitioned directory and a CSR spill at once.
 func MultiEdgeSink(sinks ...EdgeSink) EdgeSink {
 	if len(sinks) == 1 {
-		return sinks[0] // nothing to fan out: keep the sink's own fast paths
+		return sinks[0] // nothing to fan out: keep the sink's rendering path
 	}
 	return multiEdgeSink(sinks)
 }
 
-// AddEdge implements EdgeSink.
-func (m multiEdgeSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	for _, s := range m {
-		if err := s.AddEdge(src, pred, dst); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// AddEdgeBatch implements BatchEdgeSink, delegating the batch fast
-// path to members that support it.
+// AddEdgeBatch implements EdgeSink. The batch is checked once, before
+// any member sees it, so a member that does not check its columns
+// itself is never handed a mismatched pair.
 func (m multiEdgeSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
+	}
 	for _, s := range m {
-		if err := addBatch(s, pred, srcs, dsts); err != nil {
+		if err := s.AddEdgeBatch(pred, srcs, dsts); err != nil {
 			return err
 		}
 	}
@@ -353,14 +310,3 @@ func (m multiEdgeSink) Flush() error {
 	}
 	return firstErr
 }
-
-// countingSink discards edges; used by tests and ablation benchmarks
-// to measure emission cost without sink cost.
-type countingSink struct{ edges int }
-
-func (s *countingSink) AddEdge(graph.NodeID, graph.PredID, graph.NodeID) error {
-	s.edges++
-	return nil
-}
-
-func (s *countingSink) Flush() error { return nil }

@@ -440,13 +440,7 @@ func NewCSRSpillSinkWith(dir string, cfg *schema.GraphConfig, shardNodes int, co
 	return sink, nil
 }
 
-// AddEdge implements EdgeSink: the one-pair case of AddEdgeBatch.
-func (s *CSRSpillSink) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	srcs, dsts := [1]graph.NodeID{src}, [1]graph.NodeID{dst}
-	return s.AddEdgeBatch(pred, srcs[:], dsts[:])
-}
-
-// AddEdgeBatch implements BatchEdgeSink: every edge of the batch is
+// AddEdgeBatch implements EdgeSink: every edge of the batch is
 // buffered once, in its cell (see route). The batch is cut where the
 // buffered edges reach the budget and the cells are drained there, so
 // buffered never exceeds csrSpillBufferEdges. An edge with a node id

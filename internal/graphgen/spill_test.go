@@ -319,9 +319,6 @@ func TestCSRSpillSinkSecondFlush(t *testing.T) {
 	if manifest, decoded := decodedSpillEdges(t, dir); manifest != edges || decoded != edges {
 		t.Fatalf("after a second Flush the manifest says %d edges, the shards decode to %d, emitted %d", manifest, decoded, edges)
 	}
-	if err := sink.AddEdge(0, 0, 1); err == nil {
-		t.Fatal("AddEdge after Flush accepted")
-	}
 	if err := sink.AddEdgeBatch(0, []int32{0}, []int32{1}); err == nil {
 		t.Fatal("AddEdgeBatch after Flush accepted")
 	}
@@ -331,8 +328,8 @@ func TestCSRSpillSinkSecondFlush(t *testing.T) {
 		t.Fatal(err)
 	}
 	aborted.Abort()
-	if err := aborted.AddEdge(0, 0, 1); err == nil {
-		t.Fatal("AddEdge after Abort accepted")
+	if err := aborted.AddEdgeBatch(0, []int32{0}, []int32{1}); err == nil {
+		t.Fatal("AddEdgeBatch after Abort accepted")
 	}
 	if err := aborted.Flush(); err != nil {
 		t.Fatalf("Flush after Abort: %v", err)
@@ -342,8 +339,9 @@ func TestCSRSpillSinkSecondFlush(t *testing.T) {
 // TestCSRSpillSinkRejectsBadEdges: an id outside the layout used to be
 // buffered under the next (predicate, direction) and blow up in Flush;
 // a negative id or an unknown predicate panicked at once. All are
-// refused with an error naming the edge, on both the per-edge and the
-// batch path and on either endpoint, and the sink aborts: no manifest.
+// refused with an error naming the edge, alone in a one-pair batch or
+// amid a longer one and on either endpoint, and the sink aborts: no
+// manifest.
 func TestCSRSpillSinkRejectsBadEdges(t *testing.T) {
 	cfg, err := usecases.ByName("bib", 300)
 	if err != nil {
@@ -376,13 +374,13 @@ func TestCSRSpillSinkRejectsBadEdges(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sink.AddEdge(0, 0, 1); err != nil {
+			if err := sink.AddEdgeBatch(0, []int32{0}, []int32{1}); err != nil {
 				t.Fatal(err)
 			}
 			if batch {
 				err = sink.AddEdgeBatch(e.pred, []int32{2, e.src, 3}, []int32{3, e.dst, 2})
 			} else {
-				err = sink.AddEdge(e.src, e.pred, e.dst)
+				err = sink.AddEdgeBatch(e.pred, []int32{e.src}, []int32{e.dst})
 			}
 			if err == nil {
 				t.Fatalf("%s (batch %v): accepted", e.name, batch)

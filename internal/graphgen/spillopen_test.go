@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -21,7 +22,6 @@ var hostileManifests = []struct {
 	edit  func(m *CSRManifest)
 }{
 	{"nodes negative", "manifest: nodes", func(m *CSRManifest) { m.Nodes = -5 }},
-	{"nodes huge", "manifest: nodes", func(m *CSRManifest) { m.Nodes = 1 << 40 }},
 	{"shard_nodes zero", "shard_nodes", func(m *CSRManifest) { m.ShardNodes = 0 }},
 	{"shard_nodes negative", "shard_nodes", func(m *CSRManifest) { m.ShardNodes = -3 }},
 	{"edges negative", "edges", func(m *CSRManifest) { m.Edges = -1 }},
@@ -42,6 +42,17 @@ var hostileManifests = []struct {
 	{"v1", "format_version", func(m *CSRManifest) { m.FormatVersion = 1 }},
 	{"version absent", "format_version", func(m *CSRManifest) { m.FormatVersion = 0 }},
 	{"version from the future", "format_version", func(m *CSRManifest) { m.FormatVersion = csrFormatVersion + 1 }},
+}
+
+func init() {
+	if strconv.IntSize == 64 { // a 32-bit int cannot hold such a count
+		huge := int64(1) << 40
+		hostileManifests = append(hostileManifests, struct {
+			name  string
+			field string
+			edit  func(m *CSRManifest)
+		}{"nodes huge", "manifest: nodes", func(m *CSRManifest) { m.Nodes = int(huge) }})
+	}
 }
 
 // smallSpill writes a bib instance of 60 nodes as a varint spill of

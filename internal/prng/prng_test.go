@@ -14,6 +14,10 @@ var edgeSeeds = []int64{
 	-(1 << 31), zeroSeed, math.MinInt64, math.MaxInt64, math.MinInt64 + 1,
 }
 
+// bigBound is an Intn bound past MaxInt32 where int can hold one, so
+// the draw takes Int63n's path, and 2^30 on a 32-bit platform.
+const bigBound = int(min(1<<40, int64(math.MaxInt)/2+1))
+
 // sources are the package's two constructors, each of which must draw
 // rand.NewSource's stream.
 var sources = []struct {
@@ -46,7 +50,7 @@ func compareStreams(t *testing.T, newRand func(int64) *rand.Rand, seed int64, n 
 			case 2:
 				a, b = got.Intn(j+1), want.Intn(j+1)
 			case 3:
-				a, b = got.Intn(1<<40+j), want.Intn(1<<40+j)
+				a, b = got.Intn(bigBound+j), want.Intn(bigBound+j)
 			case 4:
 				a, b = got.Int31n(int32(j%1000+1)), want.Int31n(int32(j%1000+1))
 			case 5:

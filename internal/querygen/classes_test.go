@@ -3,11 +3,13 @@ package querygen_test
 import (
 	"testing"
 
+	"gmark/internal/dist"
 	"gmark/internal/eval"
 	"gmark/internal/graph"
 	"gmark/internal/graphgen"
 	"gmark/internal/query"
 	"gmark/internal/querygen"
+	"gmark/internal/schema"
 	"gmark/internal/stats"
 	"gmark/internal/usecases"
 )
@@ -122,5 +124,65 @@ func TestMeasuredAlphaOrdering(t *testing.T) {
 	}
 	if quadratic < 1.4 {
 		t.Errorf("quadratic alpha = %.2f, want near 2", quadratic)
+	}
+}
+
+// TestQuadraticOnFixedSchemaFallsBack: when every type has a fixed
+// count, every path's selectivity is constant, so no class walk reaches
+// Quadratic. Each rule then falls back to an unconstrained chain
+// projected on its endpoints, and the query says so: relaxed, with no
+// class.
+func TestQuadraticOnFixedSchemaFallsBack(t *testing.T) {
+	gcfg := &schema.GraphConfig{
+		Nodes: 100,
+		Schema: schema.Schema{
+			Types: []schema.NodeType{
+				{Name: "a", Occurrence: schema.Fixed(40)},
+				{Name: "b", Occurrence: schema.Fixed(60)},
+			},
+			Predicates: []schema.Predicate{
+				{Name: "p", Occurrence: schema.Proportion(0.5)},
+				{Name: "q", Occurrence: schema.Proportion(0.5)},
+			},
+			Constraints: []schema.EdgeConstraint{
+				{Source: "a", Target: "b", Predicate: "p", In: dist.NewUniform(1, 3), Out: dist.NewUniform(1, 3)},
+				{Source: "b", Target: "a", Predicate: "q", In: dist.NewUniform(1, 2), Out: dist.NewUniform(1, 2)},
+			},
+		},
+	}
+	cfg := querygen.Config{
+		Graph:   gcfg,
+		Count:   1,
+		Arity:   query.Interval{Min: 2, Max: 2},
+		Classes: []query.SelectivityClass{query.Quadratic},
+		Size: query.Size{
+			Rules:     query.Interval{Min: 2, Max: 2},
+			Conjuncts: query.Interval{Min: 1, Max: 3},
+			Disjuncts: query.Interval{Min: 1, Max: 1},
+			Length:    query.Interval{Min: 1, Max: 3},
+		},
+		Seed: 9,
+	}
+	gen, err := querygen.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		q, err := gen.GenerateWithClass(query.Quadratic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !q.Relaxed || q.HasClass {
+			t.Fatalf("query %d: Relaxed=%v HasClass=%v, want a relaxed query with no class\n%s", i, q.Relaxed, q.HasClass, q)
+		}
+		if len(q.Rules) != 2 {
+			t.Fatalf("query %d: %d rules, want 2", i, len(q.Rules))
+		}
+		for _, r := range q.Rules {
+			body := r.Body
+			if len(r.Head) != 2 || r.Head[0] != body[0].Src || r.Head[1] != body[len(body)-1].Dst {
+				t.Fatalf("query %d: head %v is not the chain's endpoints\n%s", i, r.Head, q)
+			}
+		}
 	}
 }

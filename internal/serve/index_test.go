@@ -197,7 +197,11 @@ func TestHugeShardNodesTextRange(t *testing.T) {
 			wantText = append(wantText, fmt.Sprintf("%d %d\n", e.Src, e.Dst)...)
 		}
 	})
-	for _, width := range []int{1 << 31, 1 << 32, 1<<62 + 5, math.MaxInt} {
+	for _, width64 := range []int64{1 << 31, 1 << 32, 1<<62 + 5, math.MaxInt} {
+		if width64 > math.MaxInt {
+			continue // past a 32-bit int; math.MaxInt is the widest there
+		}
+		width := int(width64)
 		for _, budget := range cacheBudgets { // indexed after the first cut, and never
 			srv := New(Options{Parallelism: 2, CacheBytes: budget})
 			spec := &manifest.JobSpec{

@@ -24,14 +24,7 @@ type edgeList struct {
 	dsts []graph.NodeID
 }
 
-// AddEdge implements graphgen.EdgeSink.
-func (c *edgeList) AddEdge(src graph.NodeID, pred graph.PredID, dst graph.NodeID) error {
-	c.srcs = append(c.srcs, src)
-	c.dsts = append(c.dsts, dst)
-	return nil
-}
-
-// AddEdgeBatch implements graphgen.BatchEdgeSink.
+// AddEdgeBatch implements graphgen.EdgeSink.
 func (c *edgeList) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
 	c.srcs = append(c.srcs, srcs...)
 	c.dsts = append(c.dsts, dsts...)

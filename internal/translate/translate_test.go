@@ -374,7 +374,8 @@ func TestAllSyntaxesOnShapes(t *testing.T) {
 // value below 1000 (so the 9/10 and 99/100 boundaries), then large and
 // negative values, appended behind a prefix.
 func TestAppendIntMatchesStrconv(t *testing.T) {
-	ns := []int{65535, 1 << 31, math.MaxInt64, -1, -9, -10, -99, -100, math.MinInt64}
+	// 1<<31 is the largest int instead on a 32-bit platform.
+	ns := []int{65535, int(min(1<<31, int64(math.MaxInt))), math.MaxInt, -1, -9, -10, -99, -100, math.MinInt}
 	for n := 0; n < 1000; n++ {
 		ns = append(ns, n)
 	}
