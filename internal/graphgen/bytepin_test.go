@@ -13,6 +13,7 @@ import (
 
 	"gmark/internal/dist"
 	"gmark/internal/prng"
+	"gmark/internal/schema"
 	"gmark/internal/usecases"
 )
 
@@ -28,11 +29,29 @@ type pinRows struct{ b bytes.Buffer }
 
 func (p *pinRows) add(name string, crc uint32) { fmt.Fprintf(&p.b, "%s %08x\n", name, crc) }
 
+// sparsePins are the pin's instances whose long sides are long enough
+// for the sparse pairing path, which the use cases at pinNodes never
+// reach: a hub side of 5·10⁷ occurrences over 1 000 nodes, and a
+// Zipfian in-degree against uniform out-degrees of 10–30, where the
+// replay meets about 2 400 positions drawn more than once.
+func sparsePins() []struct {
+	name string
+	cfg  *schema.GraphConfig
+} {
+	return []struct {
+		name string
+		cfg  *schema.GraphConfig
+	}{
+		{"hub", twoTypeConfig(2000, dist.NewUniform(1, 1), dist.NewGaussian(50_000, 1))},
+		{"zipf", twoTypeConfig(60_000, dist.NewZipfian(2.5), dist.NewUniform(10, 30))},
+	}
+}
+
 // TestEmittedBytesPinned pins every byte the graph half emits: the
 // edge list of each built-in use case at seeds {1, 7} x ShardEdges
 // {0, 7}, each predicate's EmitPredicate output, one varint CSR spill
-// image, and 10 000 draws of each distribution kind from the
-// generators' RNG. Any change to the RNG stream, a sampler, the
+// image, 10 000 draws of each distribution kind from the generators'
+// RNG, and the edge lists of sparsePins. Any change to the RNG stream, a sampler, the
 // occurrence vectors or the pairing moves a named row. Re-record with
 // -update-pins.
 func TestEmittedBytesPinned(t *testing.T) {
@@ -100,6 +119,14 @@ func TestEmittedBytesPinned(t *testing.T) {
 			buf = binary.LittleEndian.AppendUint64(buf, uint64(s.Sample(rng)))
 		}
 		rows.add("sample."+strings.ReplaceAll(d.String(), " ", ""), crc32.ChecksumIEEE(buf))
+	}
+
+	for _, c := range sparsePins() {
+		h := crc32.NewIEEE()
+		if _, err := stream(c.cfg, Options{Seed: 7, Parallelism: 2}, h); err != nil {
+			t.Fatal(err)
+		}
+		rows.add("pairing."+c.name, h.Sum32())
 	}
 
 	golden := filepath.Join("testdata", "emitted.crc")

@@ -14,11 +14,12 @@
 //  2. Emission (this file): shard workers run across
 //     Options.Parallelism goroutines (default GOMAXPROCS), admitted
 //     and flushed in shard order by fanout.Ordered. For each
-//     edge constraint eta(T1, T2, a) = (Din, Dout) a shard draws a
-//     source-occurrence vector from Dout over its source sub-range
-//     and a target-occurrence vector from Din over its target
-//     sub-range, shuffles both, and pairs them to produce
-//     min(|vsrc|, |vtrg|) a-labeled edges. The heuristic never
+//     edge constraint eta(T1, T2, a) = (Din, Dout) a shard draws the
+//     degree of every node of its source sub-range from Dout and of
+//     its target sub-range from Din, and pairs the two occurrence
+//     vectors as Fig. 5 does — shuffle both, pair the prefixes — to
+//     produce min(|vsrc|, |vtrg|) a-labeled edges, writing out only
+//     the occurrences it pairs. The heuristic never
 //     backtracks: when the two vectors disagree in length the surplus
 //     occurrences are dropped, which preserves the distribution
 //     *types* even if the exact parameters cannot all be honored (the
@@ -202,13 +203,26 @@ func (p *plan) run(sink EdgeSink) error {
 	} else {
 		p.chunks = newChunkPool(renderChunksPerWorker * k)
 	}
+	// Each worker keeps one scratch for the whole run, taken at its
+	// first shard; w names the worker, so no two goroutines share one.
+	scratch := make([]*shardScratch, k)
+	defer func() {
+		for _, s := range scratch {
+			if s != nil {
+				s.release()
+			}
+		}
+	}()
 	return fanout.Ordered(len(p.shards), k, k,
-		func(_, i int, aborted *atomic.Bool) shardResult {
+		func(w, i int, aborted *atomic.Bool) shardResult {
+			if scratch[w] == nil {
+				scratch[w] = scratchPool.Get().(*shardScratch)
+			}
 			sp := &p.shards[i]
 			if rs != nil {
-				return sp.render(p.opt, lines[sp.cp.pred], p.totalNodes, p.chunks, aborted)
+				return sp.render(scratch[w], lines[sp.cp.pred], p.totalNodes, p.chunks, aborted)
 			}
-			return sp.collect(p.opt, aborted)
+			return sp.collect(scratch[w], aborted)
 		},
 		func(i int, r shardResult) error {
 			defer p.chunks.put(r.chunks)
@@ -233,12 +247,18 @@ func (p *plan) run(sink EdgeSink) error {
 		func(r shardResult) { p.chunks.put(r.chunks) })
 }
 
-// collect emits one shard into a private (srcs, dsts) batch.
-func (sp *shardPlan) collect(opt Options, aborted *atomic.Bool) (r shardResult) {
-	expect := sp.expectedEdges()
-	r.srcs = make([]graph.NodeID, 0, expect)
-	r.dsts = make([]graph.NodeID, 0, expect)
-	r.err = sp.emit(opt, func(src, dst graph.NodeID) error {
+// collect emits one shard into a private (srcs, dsts) batch, sized to
+// the shard's edge count once its degrees are drawn, so it never
+// regrows.
+func (sp *shardPlan) collect(s *shardScratch, aborted *atomic.Bool) (r shardResult) {
+	m, err := sp.draw(s)
+	if err != nil {
+		r.err = err
+		return r
+	}
+	r.srcs = make([]graph.NodeID, 0, m)
+	r.dsts = make([]graph.NodeID, 0, m)
+	r.err = sp.pair(s, m, func(src, dst graph.NodeID) error {
 		if aborted.Load() {
 			return errAborted
 		}
@@ -254,10 +274,10 @@ func (sp *shardPlan) collect(opt Options, aborted *atomic.Bool) (r shardResult) 
 // appended in place to the current chunk, and a fresh chunk is drawn
 // whenever the worst-case line of this plan's node ids might not fit,
 // so no chunk ever grows and the id columns never exist.
-func (sp *shardPlan) render(opt Options, line graph.EdgeLine, numNodes int, pool *chunkPool, aborted *atomic.Bool) (r shardResult) {
+func (sp *shardPlan) render(s *shardScratch, line graph.EdgeLine, numNodes int, pool *chunkPool, aborted *atomic.Bool) (r shardResult) {
 	maxLine := line.MaxLen(numNodes)
 	var cur []byte
-	r.err = sp.emit(opt, func(src, dst graph.NodeID) error {
+	r.err = sp.emit(s, func(src, dst graph.NodeID) error {
 		if cap(cur)-len(cur) < maxLine {
 			if aborted.Load() {
 				return errAborted
@@ -285,179 +305,287 @@ var errAborted = fmt.Errorf("generation aborted")
 
 // emit generates the edges of one shard, invoking emitEdge once per
 // edge in a deterministic order governed only by the shard's sub-seed.
+// It draws the degrees (draw), then pairs them (pair).
 //
 // A shard covering its constraint's full ranges reproduces the
-// unsharded algorithm exactly. A sub-range shard draws occurrence
-// vectors over its own node ranges; with both sides specified the two
-// sub-range vectors are paired against each other (range-stratified
-// pairing), which preserves every node's degree distribution exactly —
-// each node draws from the same Din/Dout as before — while the
-// min-truncation of Fig. 5 is applied per shard instead of globally
-// (the expected surplus lost this way is O(sqrt(edges per shard)) per
-// shard, negligible at the default granularity). The target stripe is
+// unsharded algorithm exactly. A sub-range shard draws degrees over
+// its own node ranges; with both sides specified the two sub-range
+// sides are paired against each other (range-stratified pairing),
+// which preserves every node's degree distribution exactly — each node
+// draws from the same Din/Dout as before — while the min-truncation of
+// Fig. 5 is applied per shard instead of globally (the expected
+// surplus lost this way is O(sqrt(edges per shard)) per shard,
+// negligible at the default granularity). The target stripe is
 // rotated against the source stripe (see appendShards), so the
 // stratification never produces block-diagonal or disconnected
 // instances. A non-specified side keeps uniform random pairing over
 // the full partner type, exactly as unsharded.
 //
-// The RNG and both vectors come from a pooled shardScratch, so a warm
-// shard allocates nothing.
-func (sp *shardPlan) emit(opt Options, emitEdge func(src, dst graph.NodeID) error) error {
+// The RNG and every buffer come from s, the emit worker's scratch, so
+// a shard on a warm worker allocates nothing.
+func (sp *shardPlan) emit(s *shardScratch, emitEdge func(src, dst graph.NodeID) error) error {
+	m, err := sp.draw(s)
+	if err != nil {
+		return err
+	}
+	return sp.pair(s, m, emitEdge)
+}
+
+// draw seeds s's RNG with the shard's sub-seed, draws the degree of
+// every node of each specified side into s, the out side first, and
+// returns the number of edges the shard will emit: the one specified
+// side's occurrences, or the smaller of the two sides' (Fig. 5's m).
+func (sp *shardPlan) draw(s *shardScratch) (int, error) {
 	cp := sp.cp
 	nSrc, nTrg := sp.srcHi-sp.srcLo, sp.trgHi-sp.trgLo
 	if nSrc == 0 || nTrg == 0 {
-		return nil
+		return 0, nil
 	}
-	s := scratchPool.Get().(*shardScratch)
-	defer s.release(opt.scratchKeep())
+	if cp.out.sampler == nil && cp.in.sampler == nil {
+		// Validate() rejects this, but guard anyway.
+		return 0, fmt.Errorf("both distributions non-specified")
+	}
 	s.src.Seed(sp.seed)
-
 	var err error
 	if cp.out.sampler != nil {
-		if s.out, err = occurrenceVector(s.out, cp.out, nSrc, s.rng); err != nil {
-			return fmt.Errorf("out-distribution: %w", err)
+		if s.out, s.outTotal, err = drawDegrees(s.out, cp.out, nSrc, s.rng); err != nil {
+			return 0, fmt.Errorf("out-distribution: %w", err)
 		}
 	}
 	if cp.in.sampler != nil {
-		if s.in, err = occurrenceVector(s.in, cp.in, nTrg, s.rng); err != nil {
-			return fmt.Errorf("in-distribution: %w", err)
+		if s.in, s.inTotal, err = drawDegrees(s.in, cp.in, nTrg, s.rng); err != nil {
+			return 0, fmt.Errorf("in-distribution: %w", err)
 		}
 	}
-	vsrc, vtrg := s.out, s.in
+	switch {
+	case cp.out.sampler == nil:
+		return s.inTotal, nil
+	case cp.in.sampler == nil:
+		return s.outTotal, nil
+	}
+	return min(s.outTotal, s.inTotal), nil
+}
 
+// pair emits the m edges of the degrees draw left in s.
+//
+// A non-specified side pairs each occurrence of the other side, in
+// node order, with a uniformly random node over its whole type.
+//
+// With both sides specified, Fig. 5 shuffles both occurrence vectors
+// and pairs the prefix of the shorter length. That is
+// distribution-equivalent to keeping the shorter vector in place and
+// drawing a random m-subset of the longer one in random order
+// (Section 4: partial Fisher-Yates, m swaps instead of
+// |vsrc|+|vtrg|); the longer vector is written whole only while it is
+// small (shuffleLong). The source side is the longer one unless the
+// target side has strictly more occurrences.
+func (sp *shardPlan) pair(s *shardScratch, m int, emitEdge func(src, dst graph.NodeID) error) error {
+	if m == 0 {
+		return nil
+	}
+	cp := sp.cp
 	srcOff := cp.srcOff + int32(sp.srcLo)
 	trgOff := cp.trgOff + int32(sp.trgLo)
 	switch {
-	case cp.out.sampler == nil && cp.in.sampler == nil:
-		// Validate() rejects this, but guard anyway.
-		return fmt.Errorf("both distributions non-specified")
 	case cp.out.sampler == nil:
-		// Out-distribution non-specified: each incoming occurrence is
-		// paired with a uniformly random source node over the whole
-		// source type.
-		for _, j := range vtrg {
-			if err := emitEdge(cp.srcOff+int32(s.src.Intn(cp.nSrc)), trgOff+j); err != nil {
-				return err
+		for j, k := range s.in {
+			for range k {
+				if err := emitEdge(cp.srcOff+int32(s.src.Intn(cp.nSrc)), trgOff+int32(j)); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	case cp.in.sampler == nil:
-		// In-distribution non-specified: uniform random targets over
-		// the whole target type.
-		for _, j := range vsrc {
-			if err := emitEdge(srcOff+j, cp.trgOff+int32(s.src.Intn(cp.nTrg))); err != nil {
-				return err
+		for j, k := range s.out {
+			for range k {
+				if err := emitEdge(srcOff+int32(j), cp.trgOff+int32(s.src.Intn(cp.nTrg))); err != nil {
+					return err
+				}
 			}
 		}
 		return nil
 	}
 
-	// Fig. 5 shuffles both vectors and pairs the prefix of the shorter
-	// length. Pairing shuffle(vsrc) with shuffle(vtrg) truncated to m is
-	// distribution-equivalent to keeping the shorter vector in place and
-	// drawing a random m-subset of the longer one in random order
-	// (Section 4: partial Fisher-Yates, m swaps instead of
-	// |vsrc|+|vtrg|).
-	m := min(len(vsrc), len(vtrg))
-	longer := vsrc
-	if len(vtrg) > len(vsrc) {
-		longer = vtrg
-	}
-	partialShuffle(longer, m, &s.src)
-	for i := 0; i < m; i++ {
-		if err := emitEdge(srcOff+vsrc[i], trgOff+vtrg[i]); err != nil {
-			return err
+	// The short side is paired whole and in node order, so it is walked
+	// from its degrees and never written out.
+	if s.inTotal > s.outTotal {
+		long := s.shuffleLong(s.in, s.inTotal, m)
+		for j, k := range s.out {
+			for _, x := range long[:k] {
+				if err := emitEdge(srcOff+int32(j), trgOff+x); err != nil {
+					return err
+				}
+			}
+			long = long[k:]
 		}
+		return nil
+	}
+	long := s.shuffleLong(s.out, s.outTotal, m)
+	for j, k := range s.in {
+		for _, x := range long[:k] {
+			if err := emitEdge(srcOff+x, trgOff+int32(j)); err != nil {
+				return err
+			}
+		}
+		long = long[k:]
 	}
 	return nil
 }
 
-// shardScratch is one emission shard's working memory: the RNG and the
-// two occurrence vectors. A shard takes one from scratchPool, re-seeds
-// src (which allocates nothing) and fills the vectors in place.
-type shardScratch struct {
-	src     prng.Source
-	rng     *rand.Rand // over src, for the samplers
-	out, in []int32
+// pairDense is how many times longer than the paired prefix m the long
+// side may be and still be written out whole and shuffled in place.
+// The replay that replaces the write past it holds 4m entries, so at
+// this bound the two paths hold the same.
+const pairDense = 4
+
+// shuffleLong returns what partialShuffle leaves in the first m
+// entries of the long side's full occurrence vector — node j deg[j]
+// times, L entries in all — drawing the same positions from s.src.
+// While the long side is small (sparsePairing) it writes that vector
+// into s.long and shuffles it; past that it writes the first m
+// occurrences and replays the draws over them (sparseShuffle), holding
+// nothing sized by L.
+func (s *shardScratch) shuffleLong(deg []int32, L, m int) []int32 {
+	if !sparsePairing(L, m) {
+		s.long = expand(s.long, deg, L)
+		partialShuffle(s.long, m, &s.src)
+		return s.long[:m]
+	}
+	// The prefix, the draws and a set of twice the draws: 4m entries.
+	if cap(s.long) < 4*m {
+		s.long = make([]int32, 4*m)
+	}
+	v := expand(s.long, deg, m)
+	s.sparseShuffle(v, v[m:cap(v)], deg, L)
+	return v
 }
 
-var scratchPool = sync.Pool{New: func() any {
+// sparsePairing reports whether a long side of L occurrences paired
+// over m edges is replayed rather than written: when the whole vector
+// would be both longer than pairDense·m and longer than scratchKeep,
+// what a worker's scratch may keep between runs anyway. Within either
+// bound the write is the faster path — the replay's set, guide table
+// and branches took 1.2x the write's time per edge on a 2 000-edge
+// shard and 1.4–1.9x from 20 000 edges up (one core of an AMD EPYC) —
+// and holds no more than the worker already does.
+func sparsePairing(L, m int) bool {
+	return L > scratchKeep && int64(L) > pairDense*int64(m)
+}
+
+// shardScratch is one emit worker's working memory for a run: the RNG
+// and every buffer a shard fills. The worker takes it from scratchPool
+// at its first shard and keeps it to the end of the run, re-seeding
+// src per shard (which allocates nothing) and refilling the buffers in
+// place.
+type shardScratch struct {
+	src prng.Source
+	rng *rand.Rand // over src, for the samplers
+
+	// out and in are each specified side's drawn degrees, one per node
+	// of the shard's sub-range, and outTotal and inTotal their sums.
+	out, in           []int32
+	outTotal, inTotal int
+
+	// long holds the long side's occurrences: all of them on the dense
+	// path; on the sparse one the first m, then the replay's draws and
+	// its set, which the guide table takes over once the draws are done.
+	long []int32
+
+	// repeats is the sparse path's table of what the positions drawn
+	// more than once hold.
+	repeats []repeatSlot
+}
+
+// repeatSlot is one position of the long side drawn more than once and
+// the node it holds now. pos is the position plus one: 0 marks an
+// empty slot.
+type repeatSlot struct{ pos, val int32 }
+
+func newShardScratch() *shardScratch {
 	s := new(shardScratch)
 	s.rng = rand.New(&s.src)
 	return s
-}}
+}
 
-// release returns s to the pool, first dropping any vector that holds
-// more than keep entries, so the pool retains O(workers x shard) and
-// one outsized shard's vectors are garbage as soon as it is done.
-func (s *shardScratch) release(keep int) {
-	if cap(s.out) > keep {
-		s.out = nil
-	}
-	if cap(s.in) > keep {
-		s.in = nil
-	}
+var scratchPool = sync.Pool{New: func() any { return newShardScratch() }}
+
+// scratchKeep is the most entries a buffer of a released scratch may
+// hold, 256K (1 MiB of int32): twice the default shard edge target.
+const scratchKeep = 2 * defaultShardEdges
+
+// release returns s to scratchPool at the end of a run, first dropping
+// every buffer larger than scratchKeep, so the pool retains O(workers ×
+// shard) and one outsized shard's buffers are garbage once its run is
+// done.
+func (s *shardScratch) release() {
+	s.out, s.in = bounded(s.out), bounded(s.in)
+	s.long, s.repeats = bounded(s.long), bounded(s.repeats)
 	scratchPool.Put(s)
 }
 
-// scratchKeep is the largest occurrence vector a released shard
-// scratch keeps: twice the shard edge target, 256K entries (1 MiB) at
-// the default granularity.
-func (o Options) scratchKeep() int {
-	target := o.ShardEdges
-	if target <= 0 {
-		target = defaultShardEdges
+func bounded[T any](v []T) []T {
+	if cap(v) > scratchKeep {
+		return nil
 	}
-	return 2 * target
+	return v
 }
 
-// occurrenceVector draws the per-node degree occurrences of one side
-// into v's storage: node j (0-based within the shard's sub-range)
-// appears draw(D) times. It fails rather than grow a side past
-// math.MaxInt32 occurrences, the most an int32 CSR offset can count.
-//
-// Each node's run is written after one capacity check. Most degrees
-// are small, so the first four copies are stored unconditionally —
-// slots past the run lie beyond len and the next run overwrites them —
-// and only a longer run loops: a loop whose trip count is the random
-// degree mispredicts its exit on nearly every node, which cost more
-// than drawing the degree.
-func occurrenceVector(v []int32, d degreeSide, n int, rng *rand.Rand) ([]int32, error) {
-	v = v[:0]
-	if c := occurrenceCap(d.mean, n); cap(v) < c {
-		v = make([]int32, 0, c)
-	}
-	for j := 0; j < n; j++ {
-		k := d.sampler.Sample(rng)
-		if k > math.MaxInt32-len(v) {
-			return nil, fmt.Errorf("more than %d occurrences over %d nodes", math.MaxInt32, n)
+// resize returns v's storage resized to n entries, allocating only when
+// it is too small; the entries' values are unspecified.
+func resize[T any](v []T, n int) []T {
+	return slices.Grow(v[:0], n)[:n]
+}
+
+// drawDegrees draws one side's degree for each of its n nodes, in node
+// order, into d's storage, and returns them with their sum. It fails
+// before the sum passes math.MaxInt32, the most an int32 CSR offset
+// can count, so no occurrence buffer is ever sized past it.
+func drawDegrees(d []int32, side degreeSide, n int, rng *rand.Rand) ([]int32, int, error) {
+	d = resize(d, n)
+	total := 0
+	for j := range d {
+		k := side.sampler.Sample(rng)
+		if k > math.MaxInt32-total {
+			return d, 0, fmt.Errorf("more than %d occurrences over %d nodes", math.MaxInt32, n)
 		}
-		l, x := len(v), int32(j)
-		v = slices.Grow(v, max(k, 4))
+		d[j] = int32(k)
+		total += k
+	}
+	return d, total, nil
+}
+
+// expand writes the first n occurrences of deg — node j's index deg[j]
+// times, in node order — into v's storage and returns them.
+//
+// Most degrees are small, so a run's first four copies are stored
+// unconditionally — slots past the run are overwritten by the next
+// run or lie in the three spare entries kept past n — and only a
+// longer run loops: a loop whose trip count is the random degree
+// mispredicts its exit on nearly every node.
+func expand(v, deg []int32, n int) []int32 {
+	if cap(v) < n+3 {
+		v = make([]int32, n+3)
+	}
+	v = v[:cap(v)]
+	l := 0
+	for j, k := range deg {
+		if l >= n {
+			break
+		}
+		x := int32(j)
 		head := v[l : l+4]
 		head[0], head[1], head[2], head[3] = x, x, x, x
-		if k > 4 {
-			tail := v[l+4 : l+k]
+		r := min(int(k), n-l)
+		if r > 4 {
+			tail := v[l+4 : l+r]
 			for i := range tail {
 				tail[i] = x
 			}
 		}
-		v = v[:l+k]
+		l += r
 	}
-	return v, nil
-}
-
-// occurrenceCap pre-sizes an occurrence vector of n nodes drawing with
-// the given mean, to avoid repeated growth. The expected total counts
-// only when it is finite and fits in int32: a huge finite mean would
-// overflow the int conversion into a negative capacity, so the vector
-// then starts small and grows with what is actually drawn.
-func occurrenceCap(mean float64, n int) int {
-	c := n/8 + 16
-	if e := mean * float64(n); e >= 0 && e <= math.MaxInt32 {
-		c += int(e)
-	}
-	return c
+	return v[:n]
 }
 
 // partialShuffle performs the first m steps of a Fisher-Yates shuffle,
@@ -469,4 +597,138 @@ func partialShuffle(v []int32, m int, src *prng.Source) {
 		j := i + src.Intn(n-i)
 		v[i], v[j] = v[j], v[i]
 	}
+}
+
+// sparseShuffle leaves in v what partialShuffle leaves in w[:m],
+// m = len(v), where w is the long side's full occurrence vector — node
+// j deg[j] times, L > m entries — of which v holds the first m. It
+// writes nothing of w past m. spare, at least 3m entries, holds the
+// draws and after them the set markRepeat fills, twice as long; once
+// the draws are done the guide table (positions) takes the set's place.
+//
+// It draws every position j_i = i + Intn(L-i) first, exactly
+// partialShuffle's draws, marking the positions past m drawn more than
+// once as it goes. Step i then swaps within the prefix when j_i < m; a
+// position past m that is drawn once still holds its original node,
+// which the guide table finds from the prefix sums of deg; a position
+// drawn more than once holds its current node in s.repeats, a table
+// sized by the repeats. deg becomes its prefix sums.
+func (s *shardScratch) sparseShuffle(v, spare, deg []int32, L int) {
+	m := len(v)
+	draws := spare[:min(m, L-1)]
+	set := spare[len(draws) : 3*len(draws)]
+	clear(set)
+	repeats := 0
+	for i := range draws {
+		draws[i] = int32(i + s.src.Intn(L-i))
+		if int(draws[i]) >= m && markRepeat(draws, set, i) {
+			repeats++
+		}
+	}
+	s.repeats = resize(s.repeats, 2*repeats)
+	clear(s.repeats)
+	at := newPositions(deg, L, spare[len(draws):])
+	for i, j := range draws {
+		switch {
+		case j < 0:
+			e := s.repeat(^j)
+			if e.pos == 0 {
+				*e = repeatSlot{pos: ^j + 1, val: v[i]}
+				v[i] = at.node(^j)
+			} else {
+				e.val, v[i] = v[i], e.val
+			}
+		case int(j) < m:
+			v[i], v[j] = v[j], v[i]
+		default:
+			v[i] = at.node(j)
+		}
+	}
+}
+
+// home is position p's first slot in an open-addressing table of n
+// slots: a Fibonacci hash of p scaled to [0, n) by a multiply and a
+// shift, so a table can be exactly twice its key count.
+func home(p int32, n int) int {
+	return int(uint64(uint32(p)*0x9e3779b1) * uint64(n) >> 32)
+}
+
+// markRepeat enters draw i, a position past the prefix, into set, an
+// open-addressing table at most half full whose slots hold the index
+// + 1 of a position's first draw (0 when empty). When the position was
+// drawn before, it flips that first draw and draw i to ^position and
+// reports whether the position is newly found repeated.
+func markRepeat(draws, set []int32, i int) bool {
+	j := draws[i]
+	for h := home(j, len(set)); ; {
+		first := set[h] - 1
+		if first < 0 {
+			set[h] = int32(i) + 1
+			return false
+		}
+		if q := draws[first]; q == j || q == ^j {
+			draws[first], draws[i] = ^j, ^j
+			return q == j
+		}
+		if h++; h == len(set) {
+			h = 0
+		}
+	}
+}
+
+// repeat returns position p's slot in s.repeats, or the empty slot
+// where it goes.
+func (s *shardScratch) repeat(p int32) *repeatSlot {
+	for h := home(p, len(s.repeats)); ; {
+		if e := &s.repeats[h]; e.pos == 0 || e.pos == p+1 {
+			return e
+		}
+		if h++; h == len(s.repeats) {
+			h = 0
+		}
+	}
+}
+
+// positions finds the node at a position of an occurrence vector —
+// node k at positions ends[k-1] to ends[k]-1 — through a guide table:
+// bucket g covers the 2^shift positions from g<<shift, and guide[g] is
+// the node at the bucket's first position, a lower bound for every
+// position of the bucket.
+type positions struct {
+	ends, guide []int32
+	shift       uint
+}
+
+// newPositions turns deg into its prefix sums and lays the guide over
+// them in space: one bucket per node while space has room, so a lookup
+// scans forward past about one node where a binary search would take
+// log2(nodes) dependent steps.
+func newPositions(deg []int32, L int, space []int32) positions {
+	var end int32
+	for k, d := range deg {
+		end += d
+		deg[k] = end
+	}
+	at := positions{ends: deg}
+	for (L-1)>>at.shift >= max(1, min(len(deg), len(space))) {
+		at.shift++
+	}
+	at.guide = space[:(L-1)>>at.shift+1]
+	k := int32(0)
+	for g := range at.guide {
+		for p := int32(g << at.shift); deg[k] <= p; {
+			k++
+		}
+		at.guide[g] = k
+	}
+	return at
+}
+
+// node returns the node at position p.
+func (at positions) node(p int32) int32 {
+	k := at.guide[p>>at.shift]
+	for at.ends[k] <= p {
+		k++
+	}
+	return k
 }

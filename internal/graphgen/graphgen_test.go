@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 
 	"gmark/internal/dist"
@@ -91,26 +92,37 @@ func (s *degreeScript) Sample(*rand.Rand) int {
 	return k
 }
 
-// TestOccurrenceVectorStopsAtInt32 checks that a side whose draws add
-// up past math.MaxInt32 occurrences fails before it grows: one node of
-// degree 1, then one of degree MaxInt32.
-func TestOccurrenceVectorStopsAtInt32(t *testing.T) {
-	side := degreeSide{sampler: &degreeScript{k: []int{1, math.MaxInt32}}, mean: 1}
-	if v, err := occurrenceVector(nil, side, 2, prng.New(1)); err == nil {
-		t.Fatalf("occurrenceVector returned %d occurrences, want an error", len(v))
+// TestDegreeDrawStopsAtInt32 checks that a side whose degrees add up
+// past math.MaxInt32 occurrences fails in the degree draw, before any
+// occurrence buffer exists: one node of degree 1, then one of degree
+// MaxInt32.
+func TestDegreeDrawStopsAtInt32(t *testing.T) {
+	cfg := twoTypeConfig(4, dist.NewUniform(1, 1), dist.NewUniform(1, 1))
+	p, err := newPlan(cfg, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &p.shards[0]
+	sp.cp.out = degreeSide{sampler: &degreeScript{k: []int{1, math.MaxInt32}}, mean: 1}
+	s := newShardScratch()
+	if m, err := sp.draw(s); err == nil || !strings.Contains(err.Error(), "more than 2147483647 occurrences") {
+		t.Fatalf("draw returned %d edges and error %v, want the MaxInt32 error", m, err)
+	}
+	if s.long != nil {
+		t.Errorf("an occurrence buffer of %d entries exists after the error", cap(s.long))
 	}
 }
 
-// TestWarmShardEmitAllocatesNothing pins the pooled shard scratch and
-// the plan-time samplers: once the pool holds a scratch whose vectors
-// fit, emitting a 20 000-node shard allocates nothing — no RNG, no
-// sampler, no occurrence vector — on either pairing path.
+// TestWarmShardEmitAllocatesNothing pins the worker scratch and the
+// plan-time samplers: once a worker's scratch has emitted a shard,
+// emitting it again allocates nothing — no RNG, no sampler, no
+// occurrence buffer — on every pairing path: both sides specified with
+// the long side written whole (dense) or replayed over its paired
+// prefix (sparse), and either side non-specified.
 func TestWarmShardEmitAllocatesNothing(t *testing.T) {
-	if raceEnabled {
-		t.Skip("sync.Pool drops a random share of Puts under the race detector")
-	}
 	for _, c := range []struct{ in, out dist.Distribution }{
 		{dist.NewZipfian(2.5), dist.NewGaussian(3, 1)},
+		{dist.NewUniform(1, 1), dist.NewUniform(20, 20)},
 		{dist.NewUniform(1, 3), dist.Unspecified()},
 		{dist.Unspecified(), dist.NewUniform(0, 4)},
 	} {
@@ -119,9 +131,10 @@ func TestWarmShardEmitAllocatesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := &p.shards[0]
+		s := newShardScratch()
 		edges := 0
 		emit := func() {
-			if err := sp.emit(p.opt, func(_, _ graph.NodeID) error { edges++; return nil }); err != nil {
+			if err := sp.emit(s, func(_, _ graph.NodeID) error { edges++; return nil }); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -131,34 +144,6 @@ func TestWarmShardEmitAllocatesNothing(t *testing.T) {
 		}
 		if edges == 0 {
 			t.Errorf("in %v, out %v: no edges", c.in, c.out)
-		}
-	}
-}
-
-// TestOccurrenceCap checks that the occurrence-vector pre-size uses the
-// expected total only when it is finite and fits in int32; a mean of
-// 1e18 used to overflow into a negative capacity and panic.
-func TestOccurrenceCap(t *testing.T) {
-	type row struct {
-		mean float64
-		n    int
-		want int
-	}
-	rows := []row{
-		{2, 100, 200 + 100/8 + 16},
-		{0, 0, 16},
-		{1e18, 1, 16},
-		{1e9, 1000, 1000/8 + 16},
-		{math.Inf(1), 100, 100/8 + 16},
-		{math.NaN(), 100, 100/8 + 16},
-	}
-	if strconv.IntSize == 64 { // a 32-bit int cannot hold the capacity
-		full := int64(math.MaxInt32) + 16
-		rows = append(rows, row{math.MaxInt32, 1, int(full)})
-	}
-	for _, c := range rows {
-		if got := occurrenceCap(c.mean, c.n); got != c.want {
-			t.Errorf("occurrenceCap(%g, %d) = %d, want %d", c.mean, c.n, got, c.want)
 		}
 	}
 }
@@ -370,14 +355,15 @@ func naiveShuffleGraph(t *testing.T, cfg *schema.GraphConfig, seed int64) *graph
 		sp := &p.shards[i]
 		cp := sp.cp
 		rng := prng.New(sp.seed)
-		vsrc, err := occurrenceVector(nil, cp.out, sp.srcHi-sp.srcLo, rng)
+		dsrc, nsrc, err := drawDegrees(nil, cp.out, sp.srcHi-sp.srcLo, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vtrg, err := occurrenceVector(nil, cp.in, sp.trgHi-sp.trgLo, rng)
+		dtrg, ntrg, err := drawDegrees(nil, cp.in, sp.trgHi-sp.trgLo, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
+		vsrc, vtrg := expand(nil, dsrc, nsrc), expand(nil, dtrg, ntrg)
 		rng.Shuffle(len(vsrc), func(i, j int) { vsrc[i], vsrc[j] = vsrc[j], vsrc[i] })
 		rng.Shuffle(len(vtrg), func(i, j int) { vtrg[i], vtrg[j] = vtrg[j], vtrg[i] })
 		for k := range min(len(vsrc), len(vtrg)) {

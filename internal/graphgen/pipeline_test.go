@@ -201,7 +201,7 @@ func TestSequentialRunDeliversShards(t *testing.T) {
 		var want []int
 		total := 0
 		for i := range p.shards {
-			r := p.shards[i].collect(opt, new(atomic.Bool))
+			r := p.shards[i].collect(newShardScratch(), new(atomic.Bool))
 			if r.err != nil {
 				t.Fatal(r.err)
 			}

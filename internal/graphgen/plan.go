@@ -60,7 +60,7 @@ type constraintPlan struct {
 
 // degreeSide is one side of a constraint ready to draw from: its
 // sampler, nil when the side is non-specified, and its mean, which
-// pre-sizes the occurrence vectors.
+// estimates the constraint's edges for its shard count.
 type degreeSide struct {
 	sampler dist.Sampler
 	mean    float64
@@ -281,9 +281,9 @@ func (cp *constraintPlan) shardCount(opt Options) int {
 	return n
 }
 
-// expectedConstraintEdges estimates the number of edges one constraint
-// will emit (the min-side expectation of Fig. 5), used to pre-size
-// emission buffers and to derive the shard count.
+// expectedEdges estimates the number of edges one constraint will
+// emit (the min-side expectation of Fig. 5), from which its shard
+// count is derived.
 func (cp *constraintPlan) expectedEdges() int {
 	out := float64(cp.nSrc) * cp.out.mean
 	in := float64(cp.nTrg) * cp.in.mean
@@ -295,14 +295,6 @@ func (cp *constraintPlan) expectedEdges() int {
 	default:
 		return int(in)
 	}
-}
-
-// expectedEdges estimates one shard's edge count for buffer pre-sizing.
-func (sp *shardPlan) expectedEdges() int {
-	if sp.cp.shards <= 1 {
-		return sp.cp.expectedEdges()
-	}
-	return sp.cp.expectedEdges()/sp.cp.shards + 16
 }
 
 // expectedEdgesOf estimates one constraint's emitted edge count (the

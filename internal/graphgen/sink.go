@@ -114,10 +114,10 @@ func (s *GraphSink) Flush() error { return nil }
 //
 // Emit into a WriterSink generates an instance without materializing
 // it: peak memory is bounded by N in-flight shards for N workers, each
-// held as its occurrence vectors and then its rendered text — so the
-// paper's Table 3 sizes (up to 100M nodes) stay reachable on ordinary
-// machines, and the output is byte-identical for a given seed
-// regardless of worker count.
+// held as its degrees and paired occurrences and then its rendered
+// text — so the paper's Table 3 sizes (up to 100M nodes) stay
+// reachable on ordinary machines, and the output is byte-identical for
+// a given seed regardless of worker count.
 type WriterSink struct {
 	w       io.Writer
 	buf     []byte // rendered and not yet written
