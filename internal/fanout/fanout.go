@@ -1,7 +1,8 @@
 // Package fanout is the library's one worker pool. Every index-parallel
-// loop — graph and workload emission, the evaluators' range scans, the
-// CSR builds, partition loading — runs through Each or Ordered, so
-// their bounds, their stop flag and their error rules are stated once.
+// loop — graph and workload emission, the evaluators' range scans,
+// Freeze's (predicate, direction) CSR builds and the CSR spill's units,
+// partition loading — runs through Each or Ordered, so their bounds,
+// their stop flag and their error rules are stated once.
 package fanout
 
 import (

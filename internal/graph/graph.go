@@ -173,15 +173,11 @@ func (g *Graph) AddEdgeBatch(pred PredID, srcs, dsts []NodeID) error {
 }
 
 // Freeze builds the CSR adjacency structures in parallel across the
-// available cores (the edge lists are never mutated after the
-// generation pipeline drains, so the builds are independent). With
-// enough predicates, one (predicate, direction) build runs per
-// worker, each the sort-free counting build of buildCSRSequential;
-// with few predicates — where per-predicate parallelism used
-// to serialize — each build is itself sharded by node range (parallel
-// counting, block prefix-sum, parallel scatter, range-parallel sort).
-// The frozen structure is identical either way: adjacency lists are
-// sorted, so the scatter order never shows. After Freeze the graph is
+// available cores, one task per (predicate, direction) on fanout.Each
+// (the edge lists are never mutated after the generation pipeline
+// drains, so the builds are independent). Each task is the sort-free
+// counting build of buildCSRSequential, so every adjacency list comes
+// out sorted whatever the worker count. After Freeze the graph is
 // immutable and safe for concurrent reads.
 func (g *Graph) Freeze() {
 	if g.frozen {
@@ -191,10 +187,7 @@ func (g *Graph) Freeze() {
 	nPred := len(g.predNames)
 	g.fwd = make([]csr, nPred)
 	g.bwd = make([]csr, nPred)
-	workers := runtime.GOMAXPROCS(0)
 
-	// One task per (predicate, direction): twice the fan-out of the
-	// old per-predicate split before intra-build sharding even starts.
 	type task struct {
 		p   int
 		fwd bool
@@ -211,20 +204,12 @@ func (g *Graph) Freeze() {
 	for p := range pending {
 		pending[p] = 2
 	}
-	// Plenty of builds: one sequential build per worker. Few
-	// predicates: the builds one after another, each internally sharded
-	// by node range across all workers, so a single-predicate graph
-	// still freezes with every core.
-	inner := 1
-	if len(tasks) < workers {
-		inner, workers = workers, 1
-	}
-	fanout.Each(len(tasks), workers, func(_, i int, _ *atomic.Bool) error {
+	fanout.Each(len(tasks), runtime.GOMAXPROCS(0), func(_, i int, _ *atomic.Bool) error {
 		t := tasks[i]
 		if t.fwd {
-			g.fwd[t.p] = buildCSR(n, g.srcs[t.p], g.dsts[t.p], inner)
+			g.fwd[t.p] = buildCSRSequential(n, 0, []Part{{Keys: g.srcs[t.p], Vals: g.dsts[t.p]}})
 		} else {
-			g.bwd[t.p] = buildCSR(n, g.dsts[t.p], g.srcs[t.p], inner)
+			g.bwd[t.p] = buildCSRSequential(n, 0, []Part{{Keys: g.dsts[t.p], Vals: g.srcs[t.p]}})
 		}
 		if atomic.AddInt32(&pending[t.p], -1) == 0 {
 			g.srcs[t.p], g.dsts[t.p] = nil, nil
@@ -232,68 +217,6 @@ func (g *Graph) Freeze() {
 		return nil
 	})
 	g.frozen = true
-}
-
-// csrParallelMinEdges is the edge count below which buildCSR ignores
-// its worker budget and runs sequentially — goroutine fan-out costs
-// more than it saves on small lists. A variable so tests can force the
-// parallel path on small graphs.
-var csrParallelMinEdges = 1 << 15
-
-// buildCSR builds one compressed adjacency over workers goroutines
-// (1, or a small input, selects the sequential path). The parallel
-// path shards by range: counting and scatter partition the edge array,
-// the prefix sum and the per-list sorts partition the node range. The
-// scatter claims slots with per-node atomic cursors, so the in-list
-// order is racy — the final sort pass makes the result deterministic
-// and identical to the sequential build.
-func buildCSR(n int, from, to []int32, workers int) csr {
-	if workers <= 1 || len(from) < csrParallelMinEdges {
-		return buildCSRSequential(n, 0, []Part{{Keys: from, Vals: to}})
-	}
-	off := make([]int32, n+1)
-	// Parallel count over edge-array ranges: off[v+1] accumulates
-	// deg(v) via atomic adds (counts commute, so the result is exact).
-	forkJoin(workers, func(w int) {
-		lo, hi := w*len(from)/workers, (w+1)*len(from)/workers
-		for _, v := range from[lo:hi] {
-			atomic.AddInt32(&off[v+1], 1)
-		}
-	})
-
-	prefixSumParallel(off, workers)
-
-	// Parallel scatter: each worker walks its edge-array range and
-	// claims the next free slot of the destination node's list with an
-	// atomic cursor increment. Slot assignment is nondeterministic
-	// across runs; the sort below erases that.
-	adj := make([]int32, len(from))
-	cursor := make([]int32, n)
-	forkJoin(workers, func(w int) {
-		lo, hi := w*len(from)/workers, (w+1)*len(from)/workers
-		for i, v := range from[lo:hi] {
-			slot := atomic.AddInt32(&cursor[v], 1) - 1
-			adj[off[v]+slot] = to[lo+i]
-		}
-	})
-
-	// Range-parallel sort of the neighbor lists, for deterministic
-	// iteration and binary search lookups.
-	forkJoin(workers, func(w int) {
-		for v := w * n / workers; v < (w+1)*n/workers; v++ {
-			slices.Sort(adj[off[v]:off[v+1]])
-		}
-	})
-	return csr{off: off, adj: adj}
-}
-
-// forkJoin runs part(w) for every w in [0, parts) on parts goroutines
-// (fanout.Each) and returns once all have finished.
-func forkJoin(parts int, part func(w int)) {
-	fanout.Each(parts, parts, func(_, w int, _ *atomic.Bool) error {
-		part(w)
-		return nil
-	})
 }
 
 // Part is one piece of an edge list, as two columns: edge i of the
@@ -428,50 +351,14 @@ func sortedLists(parts []Part, keyLo, valLo int32, keyStarts, valStarts, byVal, 
 	transpose(valStarts, byVal, valLo, keyStarts, adj, keyLo)
 }
 
-// prefixSumParallel turns per-node counts (off[1..n] holding deg(v-1),
-// off[0] == 0) into inclusive offsets in place, using a two-pass block
-// scan: each worker prefix-sums its block, a serial pass scans the
-// per-block totals, and a second parallel pass adds each block's base.
-func prefixSumParallel(off []int32, workers int) {
-	n := len(off) - 1
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			off[i+1] += off[i]
-		}
-		return
-	}
-	totals := make([]int32, workers)
-	// Block w covers off indices [lo+1, hi+1) — counts of nodes [lo, hi).
-	forkJoin(workers, func(w int) {
-		var sum int32
-		for i := w*n/workers + 1; i <= (w+1)*n/workers; i++ {
-			sum += off[i]
-			off[i] = sum
-		}
-		totals[w] = sum
-	})
-	var base int32
-	for w := 0; w < workers; w++ {
-		totals[w], base = base, base+totals[w]
-	}
-	forkJoin(workers, func(w int) {
-		for i := w*n/workers + 1; i <= (w+1)*n/workers; i++ {
-			off[i] += totals[w]
-		}
-	})
-}
-
 // BuildAdjacency builds one direction's CSR arrays for an edge list
 // outside a Graph: neighbors of node v under the returned layout are
-// adj[off[v]:off[v+1]], sorted ascending. workers <= 1 builds
-// sequentially — the one-part case of BuildAdjacencyParts; more shard
-// the build by range exactly like Freeze.
+// adj[off[v]:off[v+1]], sorted ascending. It is the one-part case of
+// BuildAdjacencyParts, on the calling goroutine. workers is unused:
+// cmd/gmark-perf still passes it, until the next benchmark change
+// drops it.
 func BuildAdjacency(n int, from, to []int32, workers int) (off, adj []int32) {
-	c := buildCSR(n, from, to, workers)
-	return c.off, c.adj
+	return BuildAdjacencyParts(n, 0, []Part{{Keys: from, Vals: to}})
 }
 
 // BuildAdjacencyParts builds, on the calling goroutine, the CSR of the

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -260,40 +261,6 @@ func TestReadEdgeListEmptyGraph(t *testing.T) {
 	}
 }
 
-// TestParallelCSRMatchesSequential pins the Freeze determinism
-// contract: the range-sharded parallel CSR build (atomic count, block
-// prefix-sum, atomic scatter, range-parallel sort) must produce
-// exactly the structure of the sequential build, including duplicate
-// edges and empty lists, for any worker count. The threshold is lowered
-// to m so that every worker count takes the parallel branch.
-func TestParallelCSRMatchesSequential(t *testing.T) {
-	const n, m = 257, 5000
-	defer func(old int) { csrParallelMinEdges = old }(csrParallelMinEdges)
-	csrParallelMinEdges = m
-	rng := rand.New(rand.NewSource(99))
-	from := make([]int32, m)
-	to := make([]int32, m)
-	for i := range from {
-		// Skewed sources so some nodes are hot (contended cursors) and
-		// some lists stay empty; a few exact duplicates.
-		from[i] = int32(rng.Intn(n) * rng.Intn(2))
-		to[i] = int32(rng.Intn(n))
-		if i > 0 && rng.Intn(20) == 0 {
-			from[i], to[i] = from[i-1], to[i-1]
-		}
-	}
-	want := buildCSRSequential(n, 0, []Part{{Keys: from, Vals: to}})
-	for _, workers := range []int{2, 3, 8} {
-		got := buildCSR(n, from, to, workers)
-		if !slices.Equal(got.off, want.off) {
-			t.Fatalf("workers=%d: offsets differ", workers)
-		}
-		if !slices.Equal(got.adj, want.adj) {
-			t.Fatalf("workers=%d: adjacency differs", workers)
-		}
-	}
-}
-
 // sortingCSR is the comparison-sort CSR build the counting build
 // replaced, kept as its oracle: a counting scatter of the neighbours
 // by owner in input order, then a sort of every list.
@@ -367,54 +334,36 @@ func TestCountingBuildMatchesSortingBuild(t *testing.T) {
 	}
 }
 
-// TestFreezeFewPredicatesParallel forces the parallel CSR build on
-// small edge lists: BuildAdjacency over 2, 3 and 8 workers must equal
-// the sequential build, including a node range smaller than the
-// worker count (prefixSumParallel's clamp) and one with no edges. A
-// single-predicate Freeze, the few-predicate path that hands its
-// build the whole worker budget, must stay deterministic across runs.
+// TestFreezeFewPredicatesParallel freezes a single-predicate graph,
+// whose two (predicate, direction) builds leave most workers idle, at
+// GOMAXPROCS 1, 2 and 8: every freeze must give the same sorted lists.
 func TestFreezeFewPredicatesParallel(t *testing.T) {
-	defer func(old int) { csrParallelMinEdges = old }(csrParallelMinEdges)
-	csrParallelMinEdges = 1 // force the parallel path on a tiny graph
-
-	rng := rand.New(rand.NewSource(7))
-	for _, c := range []struct{ n, m int }{{100, 2000}, {97, 13}, {5, 40}, {2, 3}, {1, 4}, {6, 0}} {
-		from, to := make([]int32, c.m), make([]int32, c.m)
-		for i := range from {
-			from[i], to[i] = int32(rng.Intn(c.n)), int32(rng.Intn(c.n))
-		}
-		wantOff, wantAdj := BuildAdjacency(c.n, from, to, 1)
-		for _, w := range []int{2, 3, 8} {
-			off, adj := BuildAdjacency(c.n, from, to, w)
-			if !slices.Equal(off, wantOff) || !slices.Equal(adj, wantAdj) {
-				t.Fatalf("n=%d m=%d: %d workers built off=%v adj=%v, sequential off=%v adj=%v",
-					c.n, c.m, w, off, adj, wantOff, wantAdj)
-			}
-		}
-	}
-
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	const n = 100
 	build := func() *Graph {
-		g, err := New([]string{"u"}, []int{100}, []string{"p"})
+		g, err := New([]string{"u"}, []int{n}, []string{"p"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(7))
 		for i := 0; i < 2000; i++ {
-			g.AddEdge(int32(rng.Intn(100)), 0, int32(rng.Intn(100)))
+			g.AddEdge(int32(rng.Intn(n)), 0, int32(rng.Intn(n)))
 		}
 		g.Freeze()
 		return g
 	}
-	a, b := build(), build()
-	for v := int32(0); v < 100; v++ {
-		if !slices.Equal(a.Out(v, 0), b.Out(v, 0)) {
-			t.Fatalf("node %d: out lists differ across freezes", v)
-		}
-		if !slices.Equal(a.In(v, 0), b.In(v, 0)) {
-			t.Fatalf("node %d: in lists differ across freezes", v)
-		}
-		if !slices.IsSorted(a.Out(v, 0)) {
-			t.Fatalf("node %d: out list not sorted", v)
+	runtime.GOMAXPROCS(1)
+	want := build()
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		g := build()
+		for v := int32(0); v < n; v++ {
+			if !slices.Equal(g.Out(v, 0), want.Out(v, 0)) || !slices.Equal(g.In(v, 0), want.In(v, 0)) {
+				t.Fatalf("GOMAXPROCS %d: node %d's lists differ across freezes", procs, v)
+			}
+			if !slices.IsSorted(g.Out(v, 0)) || !slices.IsSorted(g.In(v, 0)) {
+				t.Fatalf("GOMAXPROCS %d: node %d's lists are not sorted", procs, v)
+			}
 		}
 	}
 }

@@ -14,13 +14,16 @@ import (
 // This file is the self-contained byte codec of the compressed
 // (format_version 3) on-disk generation: uvarint/zigzag primitives
 // over []int32, the delta-varint CSR shard payload, the optional
-// per-shard compression frame, and the delta-varint (from, to) pair
-// stream shared by the spill sink's temp run files and the binary
-// partitioned edge files. docs/FORMATS.md specifies every layout for
-// external readers; the decoders here are hardened to reject
-// truncated, corrupt, or overflowing input with errors — never a
-// panic, never silent wrong adjacency — and are fuzzed
-// (FuzzCSRShardDecode, FuzzVarint32).
+// per-shard compression frame, and the count-prefixed pair blocks of
+// the spill sink's temp run files. A pair is the zigzag deltas of
+// (from, to) against the previous pair, as appendVarintEdge writes
+// it; the binary partitioned edge files (partition.go) are the same
+// pairs in one stream behind a magic header, with no count.
+// docs/FORMATS.md specifies every layout for external readers; the
+// decoders here are hardened to reject truncated, corrupt, or
+// overflowing input with errors — never a panic, never silent wrong
+// adjacency — and are fuzzed (FuzzCSRShardDecode, FuzzVarint32,
+// FuzzPairBlocksDecode).
 
 // SpillCompression selects the on-disk generation a CSR spill (or any
 // other compressible sink) writes. The zero value is the legacy raw
@@ -747,18 +750,15 @@ func decodeFixedShard(data []byte) (off, adj []int32, err error) {
 }
 
 // appendPairBlock appends one self-delimiting delta-varint block of
-// (from, to) pairs to dst: a uvarint pair count, then per pair the
-// zigzag deltas of from and to against the previous pair (both
-// starting from 0 at the block head). The spill sink's temp run files
-// are a concatenation of these blocks, one per drain.
+// (from, to) pairs to dst: a uvarint pair count, then the pairs as
+// appendVarintEdge writes them, deltas against the previous pair
+// starting from 0 at the block head. The spill sink's temp run files
+// are a concatenation of these blocks, one per cell per drain.
 func appendPairBlock(dst []byte, from, to []int32) []byte {
 	dst = appendUvarint(dst, uint64(len(from)))
-	prevF, prevT := int64(0), int64(0)
+	var prevF, prevT int64
 	for i := range from {
-		f, t := int64(from[i]), int64(to[i])
-		dst = appendUvarint(dst, zigzag(f-prevF))
-		dst = appendUvarint(dst, zigzag(t-prevT))
-		prevF, prevT = f, t
+		dst = appendVarintEdge(dst, &prevF, &prevT, from[i], to[i])
 	}
 	return dst
 }
@@ -784,24 +784,34 @@ func decodePairBlocks(data []byte, hint int) (from, to []int32, err error) {
 		if n > uint64(r.rest()) {
 			return nil, nil, fmt.Errorf("block declares %d pairs with %d bytes left", n, r.rest())
 		}
-		prevF, prevT := int64(0), int64(0)
-		for i := uint64(0); i < n; i++ {
-			df, err := r.svarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("pair %d from: %w", i, err)
-			}
-			dt, err := r.svarint()
-			if err != nil {
-				return nil, nil, fmt.Errorf("pair %d to: %w", i, err)
-			}
-			prevF += df
-			prevT += dt
-			if prevF < 0 || prevF > math.MaxInt32 || prevT < 0 || prevT > math.MaxInt32 {
-				return nil, nil, fmt.Errorf("pair %d (%d, %d) out of node-id range", i, prevF, prevT)
-			}
-			from = append(from, int32(prevF))
-			to = append(to, int32(prevT))
+		if from, to, err = r.pairs(from, to, int(n), math.MaxInt32+1); err != nil {
+			return nil, nil, err
 		}
+	}
+	return from, to, nil
+}
+
+// pairs decodes n pairs as appendVarintEdge writes them, the previous
+// pair starting at (0, 0), and appends them to from and to. A pair
+// with an id outside [0, bound) is an error.
+func (r *byteReader) pairs(from, to []int32, n int, bound int64) ([]int32, []int32, error) {
+	var prevF, prevT int64
+	for i := 0; i < n; i++ {
+		df, err := r.svarint()
+		if err != nil {
+			return nil, nil, fmt.Errorf("pair %d from: %w", i, err)
+		}
+		dt, err := r.svarint()
+		if err != nil {
+			return nil, nil, fmt.Errorf("pair %d to: %w", i, err)
+		}
+		prevF += df
+		prevT += dt
+		if prevF < 0 || prevF >= bound || prevT < 0 || prevT >= bound {
+			return nil, nil, fmt.Errorf("pair %d (%d, %d) out of node-id range", i, prevF, prevT)
+		}
+		from = append(from, int32(prevF))
+		to = append(to, int32(prevT))
 	}
 	return from, to, nil
 }

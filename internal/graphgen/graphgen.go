@@ -52,6 +52,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gmark/internal/dist"
 	"gmark/internal/fanout"
 	"gmark/internal/graph"
 	"gmark/internal/prng"
@@ -341,26 +342,26 @@ func (sp *shardPlan) draw(s *shardScratch) (int, error) {
 	if nSrc == 0 || nTrg == 0 {
 		return 0, nil
 	}
-	if cp.out.sampler == nil && cp.in.sampler == nil {
+	if cp.out == nil && cp.in == nil {
 		// Validate() rejects this, but guard anyway.
 		return 0, fmt.Errorf("both distributions non-specified")
 	}
 	s.src.Seed(sp.seed)
 	var err error
-	if cp.out.sampler != nil {
+	if cp.out != nil {
 		if s.out, s.outTotal, err = drawDegrees(s.out, cp.out, nSrc, s.rng); err != nil {
 			return 0, fmt.Errorf("out-distribution: %w", err)
 		}
 	}
-	if cp.in.sampler != nil {
+	if cp.in != nil {
 		if s.in, s.inTotal, err = drawDegrees(s.in, cp.in, nTrg, s.rng); err != nil {
 			return 0, fmt.Errorf("in-distribution: %w", err)
 		}
 	}
 	switch {
-	case cp.out.sampler == nil:
+	case cp.out == nil:
 		return s.inTotal, nil
-	case cp.in.sampler == nil:
+	case cp.in == nil:
 		return s.outTotal, nil
 	}
 	return min(s.outTotal, s.inTotal), nil
@@ -387,7 +388,7 @@ func (sp *shardPlan) pair(s *shardScratch, m int, emitEdge func(src, dst graph.N
 	srcOff := cp.srcOff + int32(sp.srcLo)
 	trgOff := cp.trgOff + int32(sp.trgLo)
 	switch {
-	case cp.out.sampler == nil:
+	case cp.out == nil:
 		for j, k := range s.in {
 			for range k {
 				if err := emitEdge(cp.srcOff+int32(s.src.Intn(cp.nSrc)), trgOff+int32(j)); err != nil {
@@ -396,7 +397,7 @@ func (sp *shardPlan) pair(s *shardScratch, m int, emitEdge func(src, dst graph.N
 			}
 		}
 		return nil
-	case cp.in.sampler == nil:
+	case cp.in == nil:
 		for j, k := range s.out {
 			for range k {
 				if err := emitEdge(srcOff+int32(j), cp.trgOff+int32(s.src.Intn(cp.nTrg))); err != nil {
@@ -541,11 +542,11 @@ func resize[T any](v []T, n int) []T {
 // order, into d's storage, and returns them with their sum. It fails
 // before the sum passes math.MaxInt32, the most an int32 CSR offset
 // can count, so no occurrence buffer is ever sized past it.
-func drawDegrees(d []int32, side degreeSide, n int, rng *rand.Rand) ([]int32, int, error) {
+func drawDegrees(d []int32, side dist.Sampler, n int, rng *rand.Rand) ([]int32, int, error) {
 	d = resize(d, n)
 	total := 0
 	for j := range d {
-		k := side.sampler.Sample(rng)
+		k := side.Sample(rng)
 		if k > math.MaxInt32-total {
 			return d, 0, fmt.Errorf("more than %d occurrences over %d nodes", math.MaxInt32, n)
 		}

@@ -103,7 +103,7 @@ func TestDegreeDrawStopsAtInt32(t *testing.T) {
 		t.Fatal(err)
 	}
 	sp := &p.shards[0]
-	sp.cp.out = degreeSide{sampler: &degreeScript{k: []int{1, math.MaxInt32}}, mean: 1}
+	sp.cp.out = &degreeScript{k: []int{1, math.MaxInt32}}
 	s := newShardScratch()
 	if m, err := sp.draw(s); err == nil || !strings.Contains(err.Error(), "more than 2147483647 occurrences") {
 		t.Fatalf("draw returned %d edges and error %v, want the MaxInt32 error", m, err)

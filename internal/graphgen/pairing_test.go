@@ -73,7 +73,7 @@ func TestPinnedRowsTakeBothPairings(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if m == 0 || sp.cp.out.sampler == nil || sp.cp.in.sampler == nil {
+			if m == 0 || sp.cp.out == nil || sp.cp.in == nil {
 				continue
 			}
 			if sparsePairing(max(s.outTotal, s.inTotal), m) {

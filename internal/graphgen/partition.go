@@ -502,23 +502,8 @@ func readEdgePairsBinary(path string, expect, numNodes int) (srcs, dsts []int32,
 	capacity := min(expect, r.rest()/2)
 	srcs = make([]int32, 0, capacity)
 	dsts = make([]int32, 0, capacity)
-	var ps, pd int64
-	for i := 0; i < expect; i++ {
-		ds, err := r.svarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("pair %d: %w", i, err)
-		}
-		dd, err := r.svarint()
-		if err != nil {
-			return nil, nil, fmt.Errorf("pair %d: %w", i, err)
-		}
-		ps += ds
-		pd += dd
-		if ps < 0 || ps >= int64(numNodes) || pd < 0 || pd >= int64(numNodes) {
-			return nil, nil, fmt.Errorf("pair %d: node id out of range", i)
-		}
-		srcs = append(srcs, int32(ps))
-		dsts = append(dsts, int32(pd))
+	if srcs, dsts, err = r.pairs(srcs, dsts, expect, int64(numNodes)); err != nil {
+		return nil, nil, err
 	}
 	if r.rest() != 0 {
 		return nil, nil, fmt.Errorf("%d trailing bytes after %d pairs", r.rest(), expect)

@@ -51,31 +51,21 @@ type constraintPlan struct {
 	nSrc, nTrg     int   // node counts of the source/target type
 
 	// out and in are the constraint's distributions compiled once at
-	// plan time; samplers are immutable, so every shard shares them.
-	out, in degreeSide
+	// plan time, nil for a non-specified side; samplers are immutable,
+	// so every shard shares them.
+	out, in dist.Sampler
 
 	seed   int64
 	shards int // number of emission shards this constraint was split into
 }
 
-// degreeSide is one side of a constraint ready to draw from: its
-// sampler, nil when the side is non-specified, and its mean, which
-// estimates the constraint's edges for its shard count.
-type degreeSide struct {
-	sampler dist.Sampler
-	mean    float64
-}
-
-// compileSide builds the degreeSide of one distribution.
-func compileSide(d dist.Distribution) (degreeSide, error) {
+// compileSide builds the sampler of one side's distribution, nil when
+// it is non-specified.
+func compileSide(d dist.Distribution) (dist.Sampler, error) {
 	if !d.Specified() {
-		return degreeSide{}, nil
+		return nil, nil
 	}
-	s, err := d.NewSampler()
-	if err != nil {
-		return degreeSide{}, err
-	}
-	return degreeSide{sampler: s, mean: d.Mean()}, nil
+	return d.NewSampler()
 }
 
 // shardPlan is one independently emittable unit of work: a contiguous
@@ -256,7 +246,7 @@ func (cp *constraintPlan) shardCount(opt Options) int {
 	if target == 0 {
 		target = defaultShardEdges
 	}
-	expect := cp.expectedEdges()
+	expect := int(expectedEdges(cp.c, cp.nSrc, cp.nTrg))
 	if expect <= target || cp.nSrc == 0 || cp.nTrg == 0 {
 		return 1
 	}
@@ -281,37 +271,18 @@ func (cp *constraintPlan) shardCount(opt Options) int {
 	return n
 }
 
-// expectedEdges estimates the number of edges one constraint will
-// emit (the min-side expectation of Fig. 5), from which its shard
-// count is derived.
-func (cp *constraintPlan) expectedEdges() int {
-	out := float64(cp.nSrc) * cp.out.mean
-	in := float64(cp.nTrg) * cp.in.mean
+// expectedEdges estimates the number of edges one constraint emits
+// over nSrc source and nTrg target nodes: the min-side expectation of
+// Fig. 5, the smaller of nSrc·E[out] and nTrg·E[in] when both sides
+// are specified, else the specified side's. It sizes a constraint's
+// shard count and the slice server's per-predicate estimate.
+func expectedEdges(c schema.EdgeConstraint, nSrc, nTrg int) float64 {
+	out := float64(nSrc) * c.Out.Mean()
+	in := float64(nTrg) * c.In.Mean()
 	switch {
-	case cp.out.sampler != nil && cp.in.sampler != nil:
-		return int(min(out, in))
-	case cp.out.sampler != nil:
-		return int(out)
-	default:
-		return int(in)
-	}
-}
-
-// expectedEdgesOf estimates one constraint's emitted edge count (the
-// min-side expectation of Fig. 5) against a resolved configuration.
-func expectedEdgesOf(cfg *schema.GraphConfig, c schema.EdgeConstraint) float64 {
-	var out, in float64
-	hasOut, hasIn := c.Out.Specified(), c.In.Specified()
-	if hasOut {
-		out = float64(cfg.TypeCount(c.Source)) * c.Out.Mean()
-	}
-	if hasIn {
-		in = float64(cfg.TypeCount(c.Target)) * c.In.Mean()
-	}
-	switch {
-	case hasOut && hasIn:
+	case c.Out.Specified() && c.In.Specified():
 		return min(out, in)
-	case hasOut:
+	case c.Out.Specified():
 		return out
 	default:
 		return in
@@ -327,7 +298,7 @@ func ExpectedPredicateEdges(cfg *schema.GraphConfig, pred string) int {
 	total := 0.0
 	for _, c := range cfg.Schema.Constraints {
 		if c.Predicate == pred {
-			total += expectedEdgesOf(cfg, c)
+			total += expectedEdges(c, cfg.TypeCount(c.Source), cfg.TypeCount(c.Target))
 		}
 	}
 	return int(total)

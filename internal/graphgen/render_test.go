@@ -418,7 +418,7 @@ func TestEmissionErrorStillFlushes(t *testing.T) {
 			t.Fatal(err)
 		}
 		last := &p.constraints[len(p.constraints)-1]
-		last.out, last.in = degreeSide{}, degreeSide{} // no side to draw
+		last.out, last.in = nil, nil // no side to draw
 		var buf bytes.Buffer
 		sink, err := NewWriterSink(&buf, cfg)
 		if err != nil {

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -99,23 +101,30 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	q := r.URL.Query()
-	from, to := 0, j.spec.Workload.Count
-	var err error
-	if v := first(q, "from"); v != "" {
-		if from, err = parseUint(v); err != nil {
-			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("bad from: %v", err)})
-			return
+	count := j.spec.Workload.Count
+	bound := func(key string, unset int) (int, *httpError) {
+		v := first(q, key)
+		if v == "" {
+			return unset, nil
 		}
-	}
-	if v := first(q, "to"); v != "" {
-		if to, err = parseUint(v); err != nil {
-			writeError(w, &httpError{http.StatusBadRequest, fmt.Sprintf("bad to: %v", err)})
-			return
+		n, err := parseUint(v)
+		if errors.Is(err, errTooLarge) {
+			return 0, &httpError{http.StatusNotFound, fmt.Sprintf("%s=%s outside the job's %d queries", key, v, count)}
 		}
+		if err != nil {
+			return 0, &httpError{http.StatusBadRequest, fmt.Sprintf("bad %s: %v", key, err)}
+		}
+		return n, nil
 	}
-	if from > to || to > j.spec.Workload.Count {
+	from, fromErr := bound("from", 0)
+	to, toErr := bound("to", count)
+	if herr := cmp.Or(fromErr, toErr); herr != nil {
+		writeError(w, herr)
+		return
+	}
+	if from > to || to > count {
 		writeError(w, &httpError{http.StatusNotFound,
-			fmt.Sprintf("window [%d, %d) outside the job's %d queries", from, to, j.spec.Workload.Count)})
+			fmt.Sprintf("window [%d, %d) outside the job's %d queries", from, to, count)})
 		return
 	}
 	syn := translate.SPARQL
@@ -123,6 +132,7 @@ func (s *Server) handleWorkload(w http.ResponseWriter, r *http.Request) {
 		syn = j.syntaxes[0]
 	}
 	if v := first(q, "syntax"); v != "" {
+		var err error
 		if syn, err = translate.ParseSyntax(v); err != nil {
 			writeError(w, &httpError{http.StatusBadRequest, err.Error()})
 			return

@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"net/http"
 	"sync"
 	"sync/atomic"
@@ -342,6 +344,10 @@ func parseGraphSlice(j *job, pred, rangeStr string, q map[string][]string) (*gra
 		}
 	} else {
 		n, err := parseUint(rangeStr)
+		if errors.Is(err, errTooLarge) {
+			return nil, &httpError{http.StatusNotFound,
+				fmt.Sprintf("range %s outside the job's %d ranges", rangeStr, j.nRanges)}
+		}
 		if err != nil {
 			return nil, &httpError{http.StatusBadRequest,
 				fmt.Sprintf("bad range %q (want a range index or \"all\")", rangeStr)}
@@ -402,10 +408,7 @@ func (s *Server) cutGraphSlice(j *job, g *graphSliceSpec, e predEdges, idx *cutI
 			return graphgen.EncodeCSRShard(off, adj, g.comp)
 		}
 		owners, others := e.cut(g.dir == 'b', graph.NodeID(lo), graph.NodeID(hi))
-		for i := range owners {
-			owners[i] -= graph.NodeID(lo)
-		}
-		off, adj := graph.BuildAdjacency(hi-lo, owners, others, s.opt.Parallelism)
+		off, adj := graph.BuildAdjacencyParts(hi-lo, graph.NodeID(lo), []graph.Part{{Keys: owners, Vals: others}})
 		return graphgen.EncodeCSRShard(off, adj, g.comp)
 	}
 }
@@ -470,22 +473,31 @@ func first(q map[string][]string, key string) string {
 	return ""
 }
 
+// errTooLarge is parseUint's error for a well-formed number past
+// math.MaxInt32. No range or query index reaches it, so the handlers
+// answer it as out of range (404) on every word size.
+var errTooLarge = errors.New("number too large")
+
 // parseUint parses a non-negative decimal integer strictly (no signs,
-// no spaces, no empty string).
+// no spaces, no empty string) that fits an int32.
 func parseUint(s string) (int, error) {
 	if s == "" {
 		return 0, fmt.Errorf("empty number")
 	}
-	n := 0
+	n, tooLarge := 0, false
 	for i := 0; i < len(s); i++ {
-		d := s[i]
-		if d < '0' || d > '9' {
-			return 0, fmt.Errorf("bad digit %q", d)
+		if s[i] < '0' || s[i] > '9' {
+			return 0, fmt.Errorf("bad digit %q", s[i])
 		}
-		if n > (1<<31)/10 {
-			return 0, fmt.Errorf("number too large")
+		d := int(s[i] - '0')
+		if tooLarge || n > (math.MaxInt32-d)/10 {
+			tooLarge = true
+			continue
 		}
-		n = n*10 + int(d-'0')
+		n = n*10 + d
+	}
+	if tooLarge {
+		return 0, errTooLarge
 	}
 	return n, nil
 }
