@@ -11,6 +11,8 @@ import (
 // partition's "src dst\n" (graphgen.PartitionedSink, the slice server's
 // enc=text). Every writer of either layout appends through it, so the
 // lines ReadEdgeList parses have one definition in the module.
+// AppendFrom and AppendTo render a run of edges that share one end,
+// byte for byte what Append renders edge by edge.
 //
 // The zero value is the predicate-less partition layout. An EdgeLine is
 // immutable and safe for concurrent use.
@@ -37,7 +39,8 @@ const (
 	// wordSpare is the spare capacity the word path needs: an 8-byte
 	// store for the source, the padded separator after at most 8 digits,
 	// an 8-byte store for the target after at most sepPad bytes of it,
-	// and the newline after at most 8 digits of the target.
+	// and the newline after at most 8 digits of the target. AppendTo's
+	// tail store, after at most 8 digits, stays within it too.
 	wordSpare = 8 + sepPad + 8 + 1
 )
 
@@ -116,6 +119,77 @@ func (l EdgeLine) Append(b []byte, src, dst NodeID) []byte {
 	copy(b[at+ns:], sep)
 	putDecimal(b[end-1-nd:end-1], ud, dst < 0)
 	b[end-1] = '\n'
+	return b
+}
+
+// AppendFrom appends the lines of the run of edges (src, off+dsts[i]),
+// in order: exactly what one Append per edge would append. src's digits
+// are rendered once per run, so a common line costs one digits8: src's
+// word, the padded separator, the target's word and the newline are
+// stored as Append stores them. (A head of src and separator built once
+// per run and copied per line measured slower on runs of a few lines:
+// its first copy waits on the stores that built it.) A line the word
+// path cannot take (a target or src outside [0, 10⁸), a long predicate
+// name, fewer than wordSpare bytes free) goes through Append.
+func (l EdgeLine) AppendFrom(b []byte, src NodeID, dsts []NodeID, off NodeID) []byte {
+	if uint32(src) >= wordMax || l.padLen == 0 {
+		for _, d := range dsts {
+			b = l.Append(b, src, off+d)
+		}
+		return b
+	}
+	vs, ns := trimZeros(digits8(uint32(src)))
+	k := ns + int(l.padLen)
+	for _, d := range dsts {
+		dst := off + d
+		at := len(b)
+		if uint32(dst) >= wordMax || cap(b)-at < wordSpare {
+			b = l.Append(b, src, dst)
+			continue
+		}
+		w := b[at:cap(b)]
+		binary.LittleEndian.PutUint64(w, vs)
+		*(*[sepPad]byte)(w[ns:]) = l.pad
+		vd, nd := trimZeros(digits8(uint32(dst)))
+		binary.LittleEndian.PutUint64(w[k:], vd)
+		w[k+nd] = '\n'
+		b = b[:at+k+nd+1]
+	}
+	return b
+}
+
+// AppendTo appends the lines of the run of edges (off+srcs[i], dst), in
+// order: exactly what one Append per edge would append. The run's tail
+// — the padded separator, dst's digits and the newline — is rendered
+// once, so a common line is one digits8 and two stores: the source's
+// word and the tail. Every other line goes through Append, as in
+// AppendFrom.
+func (l EdgeLine) AppendTo(b []byte, dst NodeID, srcs []NodeID, off NodeID) []byte {
+	if uint32(dst) >= wordMax || l.padLen == 0 {
+		for _, s := range srcs {
+			b = l.Append(b, off+s, dst)
+		}
+		return b
+	}
+	var tail [sepPad + 9]byte
+	*(*[sepPad]byte)(tail[:]) = l.pad
+	vd, nd := trimZeros(digits8(uint32(dst)))
+	binary.LittleEndian.PutUint64(tail[l.padLen:], vd)
+	tail[int(l.padLen)+nd] = '\n'
+	k := int(l.padLen) + nd + 1
+	for _, s := range srcs {
+		src := off + s
+		at := len(b)
+		if uint32(src) >= wordMax || cap(b)-at < wordSpare {
+			b = l.Append(b, src, dst)
+			continue
+		}
+		w := b[at:cap(b)]
+		vs, ns := trimZeros(digits8(uint32(src)))
+		binary.LittleEndian.PutUint64(w, vs)
+		*(*[sepPad + 9]byte)(w[ns:]) = tail
+		b = b[:at+ns+k]
+	}
 	return b
 }
 

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strconv"
@@ -176,6 +177,73 @@ func FuzzAppendNodeID(f *testing.F) {
 		want = append(strconv.AppendInt(want, int64(dst), 10), '\n')
 		got = NewEdgeLine(pred).Append(withSpare(prefix, int(spare)), src, dst)
 		checkAppended(t, fmt.Sprintf("line(%d, %q, %d)", src, pred, dst), prefix, int(spare), got, want)
+	})
+}
+
+// FuzzEdgeLineRun checks the run encoders against Append: in both
+// orientations, AppendFrom and AppendTo must leave exactly what one
+// Append per edge leaves in the same buffer — bytes and capacity — for
+// fuzzed ids on both sides of every path boundary (sign, 10⁸, int32
+// wrap-around of off+partner), separators on both sides of the padded
+// array, and spare capacity from none to past wordSpare, so a run mixes
+// word-path lines with Append's.
+func FuzzEdgeLineRun(f *testing.F) {
+	ids := []int32{-1, 0, wordMax - 1, wordMax, math.MaxInt32}
+	encode := func(ids ...int32) []byte {
+		var b []byte
+		for _, id := range ids {
+			b = binary.LittleEndian.AppendUint32(b, uint32(id))
+		}
+		return b
+	}
+	// The boundary ids, once with the widest word-path partner first, so
+	// that the first line meets each spare capacity at its farthest store.
+	runs := [][]byte{encode(ids...), encode(wordMax-1, 0, -1, wordMax, math.MaxInt32)}
+	// Separators of 1, 30, 31, 32 (the widest padded one), 33 and 40
+	// bytes: " ", then " pred " around names of 28 to 31 and 38 bytes.
+	for _, predLen := range []uint8{0, 28, 29, 30, 31, 38} {
+		for _, fixed := range ids {
+			for spare := 0; spare <= wordSpare; spare++ {
+				for _, run := range runs {
+					f.Add(fixed, int32(0), run, predLen, uint8(spare%5), uint16(spare))
+				}
+			}
+		}
+		// Partners that cross 10⁸ and the int32 wrap once off is added.
+		f.Add(int32(7), int32(wordMax-2), []byte{0, 0, 0, 0, 1, 0, 0, 0, 2, 0, 0, 0, 3, 0, 0, 0}, predLen, uint8(1), uint16(4<<10))
+		f.Add(int32(wordMax-1), int32(math.MaxInt32), []byte{0, 0, 0, 0, 1, 0, 0, 0, 9, 0, 0, 0}, predLen, uint8(0), uint16(wordSpare+1))
+	}
+	f.Fuzz(func(t *testing.T, fixed, off int32, raw []byte, predLen, prefixLen uint8, spare uint16) {
+		pred := strings.Repeat("q", int(predLen)%48)
+		line := NewEdgeLine(pred)
+		partners := make([]NodeID, len(raw)/4)
+		for i := range partners {
+			partners[i] = NodeID(binary.LittleEndian.Uint32(raw[4*i:]))
+		}
+		prefix := make([]byte, 1+int(prefixLen)%16)
+		for i := range prefix {
+			prefix[i] = byte('A' + i)
+		}
+		for _, from := range []bool{true, false} {
+			want := withSpare(prefix, int(spare))
+			for _, x := range partners {
+				if from {
+					want = line.Append(want, fixed, off+x)
+				} else {
+					want = line.Append(want, off+x, fixed)
+				}
+			}
+			var got []byte
+			if from {
+				got = line.AppendFrom(withSpare(prefix, int(spare)), fixed, partners, off)
+			} else {
+				got = line.AppendTo(withSpare(prefix, int(spare)), fixed, partners, off)
+			}
+			if !bytes.Equal(got, want) || cap(got) != cap(want) {
+				t.Fatalf("run from=%v fixed %d off %d partners %v pred %q spare %d:\n got %q (cap %d)\nwant %q (cap %d)",
+					from, fixed, off, partners, pred, spare, got, cap(got), want, cap(want))
+			}
+		}
 	})
 }
 

@@ -166,6 +166,9 @@ func (g *Graph) AddEdgeBatch(pred PredID, srcs, dsts []NodeID) error {
 	if len(srcs) != len(dsts) {
 		return fmt.Errorf("graph: batch length mismatch: %d sources, %d targets", len(srcs), len(dsts))
 	}
+	if pred < 0 || int(pred) >= len(g.predNames) {
+		return fmt.Errorf("graph: predicate %d outside the graph's %d predicates", pred, len(g.predNames))
+	}
 	g.srcs[pred] = append(g.srcs[pred], srcs...)
 	g.dsts[pred] = append(g.dsts[pred], dsts...)
 	g.numEdges += len(srcs)

@@ -19,7 +19,11 @@
 //     its target sub-range from Din, and pairs the two occurrence
 //     vectors as Fig. 5 does — shuffle both, pair the prefixes — to
 //     produce min(|vsrc|, |vtrg|) a-labeled edges, writing out only
-//     the occurrences it pairs. The heuristic never
+//     the occurrences it pairs. It hands them over in runs, one per
+//     node of the side it walks: the node and its partners, which the
+//     shard's consumer stores as id columns or renders as text with
+//     that node's id rendered once; no per-edge call is left in
+//     emission. The heuristic never
 //     backtracks: when the two vectors disagree in length the surplus
 //     occurrences are dropped, which preserves the distribution
 //     *types* even if the exact parameters cannot all be honored (the
@@ -31,8 +35,10 @@
 //     CSRSpillSink spills node-range-sharded binary CSR files for
 //     out-of-core evaluation; callers can plug their own via Emit.
 //     The text sinks are rendering sinks (render.go): at any worker
-//     count the emit workers render their own shard's lines with
-//     graph.EdgeLine and the flusher only concatenates them.
+//     count the emit workers render their own shard's lines, a run at
+//     a time, with graph.EdgeLine and the flusher only concatenates
+//     them. Every sink refuses a batch outside its layout — a
+//     predicate or node id it has no place for — with an error.
 //
 // Determinism is a hard invariant: a given (configuration, seed,
 // ShardEdges) triple produces identical output regardless of worker
@@ -191,15 +197,16 @@ func (p *plan) run(sink EdgeSink) error {
 	p.emitted = 0
 	k := fanout.Workers(p.opt.Parallelism)
 	// A rendering sink gets its bytes from the workers. A sink laid out
-	// for fewer predicates than the plan emits falls back to the batch
-	// path, where the mismatch surfaces on the caller's goroutine.
+	// for fewer predicates or nodes than the plan emits falls back to
+	// the batch path, where it refuses the first batch outside its
+	// layout with an error, which ends the run.
 	var lines []graph.EdgeLine
 	p.chunks = nil
 	rs, _ := sink.(renderingSink)
 	if rs != nil {
-		lines = rs.edgeLines()
+		lines = rs.edgeLines(len(p.predNames), p.totalNodes)
 	}
-	if lines == nil || len(lines) < len(p.predNames) {
+	if lines == nil {
 		rs = nil
 	} else {
 		p.chunks = newChunkPool(renderChunksPerWorker * k)
@@ -250,46 +257,73 @@ func (p *plan) run(sink EdgeSink) error {
 
 // collect emits one shard into a private (srcs, dsts) batch, sized to
 // the shard's edge count once its degrees are drawn, so it never
-// regrows.
+// regrows: each run fills the fixed column with its node and the other
+// with its partners.
 func (sp *shardPlan) collect(s *shardScratch, aborted *atomic.Bool) (r shardResult) {
 	m, err := sp.draw(s)
 	if err != nil {
 		r.err = err
 		return r
 	}
-	r.srcs = make([]graph.NodeID, 0, m)
-	r.dsts = make([]graph.NodeID, 0, m)
-	r.err = sp.pair(s, m, func(src, dst graph.NodeID) error {
+	r.srcs = make([]graph.NodeID, m)
+	r.dsts = make([]graph.NodeID, m)
+	fixedCol, otherCol := r.srcs, r.dsts
+	if !sp.fixesSource(s) {
+		fixedCol, otherCol = r.dsts, r.srcs
+	}
+	r.err = sp.pair(s, m, func(fixed graph.NodeID, partners []int32, off int32) error {
 		if aborted.Load() {
 			return errAborted
 		}
-		r.srcs = append(r.srcs, src)
-		r.dsts = append(r.dsts, dst)
+		at := r.edges
+		same, other := fixedCol[at:at+len(partners)], otherCol[at:at+len(partners)]
+		for i, x := range partners {
+			same[i] = fixed
+			other[i] = off + x
+		}
+		r.edges += len(partners)
 		return nil
 	})
-	r.edges = len(r.srcs)
+	r.srcs, r.dsts = r.srcs[:r.edges], r.dsts[:r.edges]
 	return r
 }
 
-// render emits one shard straight into its final text: every edge is
-// appended in place to the current chunk, and a fresh chunk is drawn
-// whenever the worst-case line of this plan's node ids might not fit,
-// so no chunk ever grows and the id columns never exist.
+// render emits one shard straight into its final text: each run is
+// rendered in place into the current chunk, as many whole lines at a
+// time as the worst-case line of this plan's node ids guarantees fit,
+// and a fresh chunk is drawn when not even one does, so no chunk ever
+// grows and the id columns never exist.
 func (sp *shardPlan) render(s *shardScratch, line graph.EdgeLine, numNodes int, pool *chunkPool, aborted *atomic.Bool) (r shardResult) {
+	m, err := sp.draw(s)
+	if err != nil {
+		r.err = err
+		return r
+	}
 	maxLine := line.MaxLen(numNodes)
+	fromSrc := sp.fixesSource(s)
 	var cur []byte
-	r.err = sp.emit(s, func(src, dst graph.NodeID) error {
-		if cap(cur)-len(cur) < maxLine {
-			if aborted.Load() {
-				return errAborted
+	r.err = sp.pair(s, m, func(fixed graph.NodeID, partners []int32, off int32) error {
+		r.edges += len(partners)
+		for len(partners) > 0 {
+			n := (cap(cur) - len(cur)) / maxLine
+			if n == 0 {
+				if aborted.Load() {
+					return errAborted
+				}
+				if cur != nil {
+					r.chunks = append(r.chunks, cur)
+				}
+				cur = pool.get()
+				continue
 			}
-			if cur != nil {
-				r.chunks = append(r.chunks, cur)
+			n = min(n, len(partners))
+			if fromSrc {
+				cur = line.AppendFrom(cur, fixed, partners[:n], off)
+			} else {
+				cur = line.AppendTo(cur, fixed, partners[:n], off)
 			}
-			cur = pool.get()
+			partners = partners[n:]
 		}
-		cur = line.Append(cur, src, dst)
-		r.edges++
 		return nil
 	})
 	if cur != nil {
@@ -304,9 +338,11 @@ func (sp *shardPlan) render(s *shardScratch, line graph.EdgeLine, numNodes int, 
 // the sink first.
 var errAborted = fmt.Errorf("generation aborted")
 
-// emit generates the edges of one shard, invoking emitEdge once per
-// edge in a deterministic order governed only by the shard's sub-seed.
-// It draws the degrees (draw), then pairs them (pair).
+// draw seeds s's RNG with the shard's sub-seed, draws the degree of
+// every node of each specified side into s, the out side first, and
+// returns the number of edges the shard will emit: the one specified
+// side's occurrences, or the smaller of the two sides' (Fig. 5's m).
+// pair then emits them.
 //
 // A shard covering its constraint's full ranges reproduces the
 // unsharded algorithm exactly. A sub-range shard draws degrees over
@@ -324,18 +360,6 @@ var errAborted = fmt.Errorf("generation aborted")
 //
 // The RNG and every buffer come from s, the emit worker's scratch, so
 // a shard on a warm worker allocates nothing.
-func (sp *shardPlan) emit(s *shardScratch, emitEdge func(src, dst graph.NodeID) error) error {
-	m, err := sp.draw(s)
-	if err != nil {
-		return err
-	}
-	return sp.pair(s, m, emitEdge)
-}
-
-// draw seeds s's RNG with the shard's sub-seed, draws the degree of
-// every node of each specified side into s, the out side first, and
-// returns the number of edges the shard will emit: the one specified
-// side's occurrences, or the smaller of the two sides' (Fig. 5's m).
 func (sp *shardPlan) draw(s *shardScratch) (int, error) {
 	cp := sp.cp
 	nSrc, nTrg := sp.srcHi-sp.srcLo, sp.trgHi-sp.trgLo
@@ -367,7 +391,26 @@ func (sp *shardPlan) draw(s *shardScratch) (int, error) {
 	return min(s.outTotal, s.inTotal), nil
 }
 
-// pair emits the m edges of the degrees draw left in s.
+// pairRun receives one run of a shard's edges: the edges between fixed,
+// a global node id, and off+partners[i], in order. partners belongs to
+// the shard and is only valid during the call.
+type pairRun func(fixed graph.NodeID, partners []int32, off int32) error
+
+// fixesSource reports which end pair holds fixed through each run of the
+// draw left in s: the source when the walked side is the out side — the
+// in side is non-specified, or has strictly more occurrences — and the
+// target otherwise.
+func (sp *shardPlan) fixesSource(s *shardScratch) bool {
+	cp := sp.cp
+	return cp.in == nil || cp.out != nil && s.inTotal > s.outTotal
+}
+
+// pair emits the m edges of the degrees draw left in s as runs: it walks
+// the fixed side (fixesSource) in node order and calls run once per node
+// with that node's partners, in the order Fig. 5 pairs them. A node's
+// degree never sizes a buffer of its own: a run from the long side is a
+// slice of it, and a run of random partners is split into blocks of at
+// most partnerBlock.
 //
 // A non-specified side pairs each occurrence of the other side, in
 // node order, with a uniformly random node over its whole type.
@@ -380,7 +423,7 @@ func (sp *shardPlan) draw(s *shardScratch) (int, error) {
 // |vsrc|+|vtrg|); the longer vector is written whole only while it is
 // small (shuffleLong). The source side is the longer one unless the
 // target side has strictly more occurrences.
-func (sp *shardPlan) pair(s *shardScratch, m int, emitEdge func(src, dst graph.NodeID) error) error {
+func (sp *shardPlan) pair(s *shardScratch, m int, run pairRun) error {
 	if m == 0 {
 		return nil
 	}
@@ -389,47 +432,55 @@ func (sp *shardPlan) pair(s *shardScratch, m int, emitEdge func(src, dst graph.N
 	trgOff := cp.trgOff + int32(sp.trgLo)
 	switch {
 	case cp.out == nil:
-		for j, k := range s.in {
-			for range k {
-				if err := emitEdge(cp.srcOff+int32(s.src.Intn(cp.nSrc)), trgOff+int32(j)); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return s.pairUniform(s.in, trgOff, cp.nSrc, cp.srcOff, run)
 	case cp.in == nil:
-		for j, k := range s.out {
-			for range k {
-				if err := emitEdge(srcOff+int32(j), cp.trgOff+int32(s.src.Intn(cp.nTrg))); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
+		return s.pairUniform(s.out, srcOff, cp.nTrg, cp.trgOff, run)
 	}
 
 	// The short side is paired whole and in node order, so it is walked
 	// from its degrees and never written out.
-	if s.inTotal > s.outTotal {
-		long := s.shuffleLong(s.in, s.inTotal, m)
-		for j, k := range s.out {
-			for _, x := range long[:k] {
-				if err := emitEdge(srcOff+int32(j), trgOff+x); err != nil {
-					return err
-				}
-			}
-			long = long[k:]
-		}
-		return nil
+	short, long, longTotal := s.in, s.out, s.outTotal
+	fixedOff, off := trgOff, srcOff
+	if sp.fixesSource(s) {
+		short, long, longTotal = s.out, s.in, s.inTotal
+		fixedOff, off = srcOff, trgOff
 	}
-	long := s.shuffleLong(s.out, s.outTotal, m)
-	for j, k := range s.in {
-		for _, x := range long[:k] {
-			if err := emitEdge(srcOff+x, trgOff+int32(j)); err != nil {
+	partners := s.shuffleLong(long, longTotal, m)
+	for j, k := range short {
+		if k == 0 {
+			continue
+		}
+		if err := run(fixedOff+int32(j), partners[:k], off); err != nil {
+			return err
+		}
+		partners = partners[k:]
+	}
+	return nil
+}
+
+// partnerBlock is the most partners pairUniform draws before handing
+// them over: a node of larger degree takes several runs.
+const partnerBlock = 4096
+
+// pairUniform walks deg, the specified side's degrees over the nodes
+// from fixedOff, and pairs each occurrence with a uniformly random one
+// of the n partner nodes from off, drawn into s.partners in the order
+// the edges are emitted.
+func (s *shardScratch) pairUniform(deg []int32, fixedOff int32, n int, off int32, run pairRun) error {
+	if s.partners == nil {
+		s.partners = make([]int32, partnerBlock)
+	}
+	for j, k := range deg {
+		for k > 0 {
+			block := s.partners[:min(int(k), partnerBlock)]
+			for i := range block {
+				block[i] = int32(s.src.Intn(n))
+			}
+			if err := run(fixedOff+int32(j), block, off); err != nil {
 				return err
 			}
+			k -= int32(len(block))
 		}
-		long = long[k:]
 	}
 	return nil
 }
@@ -496,6 +547,10 @@ type shardScratch struct {
 	// repeats is the sparse path's table of what the positions drawn
 	// more than once hold.
 	repeats []repeatSlot
+
+	// partners is pairUniform's block of random partners, partnerBlock
+	// entries once the worker has paired a non-specified side.
+	partners []int32
 }
 
 // repeatSlot is one position of the long side drawn more than once and
@@ -522,6 +577,7 @@ const scratchKeep = 2 * defaultShardEdges
 func (s *shardScratch) release() {
 	s.out, s.in = bounded(s.out), bounded(s.in)
 	s.long, s.repeats = bounded(s.long), bounded(s.repeats)
+	s.partners = bounded(s.partners)
 	scratchPool.Put(s)
 }
 

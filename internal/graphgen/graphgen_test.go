@@ -114,11 +114,12 @@ func TestDegreeDrawStopsAtInt32(t *testing.T) {
 }
 
 // TestWarmShardEmitAllocatesNothing pins the worker scratch and the
-// plan-time samplers: once a worker's scratch has emitted a shard,
-// emitting it again allocates nothing — no RNG, no sampler, no
-// occurrence buffer — on every pairing path: both sides specified with
-// the long side written whole (dense) or replayed over its paired
-// prefix (sparse), and either side non-specified.
+// plan-time samplers: once a worker's scratch has emitted a shard (its
+// edges counted through pair's run callback), emitting it again
+// allocates nothing — no RNG, no sampler, no occurrence or partner
+// buffer — on every pairing path: both sides specified with the long
+// side written whole (dense) or replayed over its paired prefix
+// (sparse), and either side non-specified.
 func TestWarmShardEmitAllocatesNothing(t *testing.T) {
 	for _, c := range []struct{ in, out dist.Distribution }{
 		{dist.NewZipfian(2.5), dist.NewGaussian(3, 1)},
@@ -133,8 +134,16 @@ func TestWarmShardEmitAllocatesNothing(t *testing.T) {
 		sp := &p.shards[0]
 		s := newShardScratch()
 		edges := 0
+		count := func(_ graph.NodeID, partners []int32, _ int32) error {
+			edges += len(partners)
+			return nil
+		}
 		emit := func() {
-			if err := sp.emit(s, func(_, _ graph.NodeID) error { edges++; return nil }); err != nil {
+			m, err := sp.draw(s)
+			if err == nil {
+				err = sp.pair(s, m, count)
+			}
+			if err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gmark/internal/dist"
+	"gmark/internal/graph"
 	"gmark/internal/schema"
 	"gmark/internal/usecases"
 )
@@ -126,5 +127,46 @@ func TestSparsePairingHoldsNothingSizedByTheLongSide(t *testing.T) {
 	}
 	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
 		t.Errorf("the shard allocated %s, want under 8 MB", fmt.Sprintf("%.1f MB", float64(alloc)/(1<<20)))
+	}
+}
+
+// TestUniformPairingHoldsNothingSizedByTheDegree pairs 1 000 sources of
+// Gaussian(50 000, 1) out-degree with random targets (in-degree
+// non-specified) in one shard: 5·10⁷ edges, every node a hub. The runs
+// must come in blocks of at most partnerBlock partners and the shard
+// must allocate under 8 MB; written whole, the random side alone would
+// take 200 MB.
+func TestUniformPairingHoldsNothingSizedByTheDegree(t *testing.T) {
+	cfg := twoTypeConfig(2000, dist.Unspecified(), dist.NewGaussian(50_000, 1))
+	p, err := newPlan(cfg, Options{Seed: 1, ShardEdges: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := &p.shards[0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := newShardScratch()
+	m, err := sp.draw(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	edges, longest := 0, 0
+	err = sp.pair(s, m, func(_ graph.NodeID, partners []int32, _ int32) error {
+		edges += len(partners)
+		longest = max(longest, len(partners))
+		return nil
+	})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if edges != m || m < 1000*49_990 {
+		t.Errorf("paired %d edges of %d, want all of about 5·10⁷", edges, m)
+	}
+	if longest > partnerBlock {
+		t.Errorf("a run of %d partners, want at most %d", longest, partnerBlock)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 8<<20 {
+		t.Errorf("the shard allocated %.1f MB, want under 8 MB", float64(alloc)/(1<<20))
 	}
 }

@@ -84,6 +84,7 @@ type PartitionedSink struct {
 	typeNames  []string
 	typeCounts []int
 	predNames  []string
+	nodes      int // the layout's node count: ids are in [0, nodes)
 
 	files    []io.WriteCloser
 	ws       []*bufio.Writer
@@ -130,6 +131,9 @@ func newPartitionedSink(dir string, typeNames []string, typeCounts []int, predNa
 		files:      make([]io.WriteCloser, len(predNames)),
 		ws:         make([]*bufio.Writer, len(predNames)),
 		per:        make([]int, len(predNames)),
+	}
+	for _, c := range typeCounts {
+		ps.nodes += c
 	}
 	if binaryMode {
 		ps.prevs = make([]int64, len(predNames))
@@ -211,12 +215,13 @@ func EncodePartitionedEdges(srcs, dsts []graph.NodeID, binaryMode bool) []byte {
 	return out
 }
 
-// AddEdgeBatch implements EdgeSink. Each edge is rendered straight
-// into the predicate writer's free space, where Write finds it in
-// place: a text line, or a binary pair — the zigzag deltas of src and
-// dst against the predicate's previous pair.
+// AddEdgeBatch implements EdgeSink. A batch outside the layout is
+// refused whole (checkEdges). Each edge is rendered straight into the
+// predicate writer's free space, where Write finds it in place: a text
+// line, or a binary pair — the zigzag deltas of src and dst against the
+// predicate's previous pair.
 func (ps *PartitionedSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
-	if err := checkBatch(srcs, dsts); err != nil {
+	if err := checkEdges("PartitionedSink", pred, srcs, dsts, len(ps.predNames), ps.nodes); err != nil {
 		return err
 	}
 	ps.per[pred] += len(srcs)
@@ -239,8 +244,8 @@ func (ps *PartitionedSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.No
 // edgeLines implements renderingSink: text mode renders every
 // predicate's file with the same predicate-less line; binary mode's
 // deltas depend on the previous edge, so it takes batches.
-func (ps *PartitionedSink) edgeLines() []graph.EdgeLine {
-	if ps.binary {
+func (ps *PartitionedSink) edgeLines(preds, nodes int) []graph.EdgeLine {
+	if ps.binary || preds > len(ps.predNames) || nodes > ps.nodes {
 		return nil
 	}
 	lines := make([]graph.EdgeLine, len(ps.predNames))

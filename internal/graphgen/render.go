@@ -20,8 +20,9 @@ import (
 type renderingSink interface {
 	EdgeSink
 	// edgeLines returns the line encoder of every predicate, indexed by
-	// PredID, or nil when this instance does not render text.
-	edgeLines() []graph.EdgeLine
+	// PredID, or nil when this instance does not render text or a plan
+	// of preds predicates over nodes node ids does not fit its layout.
+	edgeLines(preds, nodes int) []graph.EdgeLine
 	// addRendered consumes one shard's edges of pred, already rendered:
 	// the concatenation of chunks is what AddEdgeBatch would have
 	// written for them. The chunks belong to the caller again once it returns.

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -194,6 +195,8 @@ func edgesCounted(s EdgeSink) int {
 		return s.edges
 	case *countingSink:
 		return s.edges
+	case *WriterSink:
+		return bytes.Count(s.buf, []byte{'\n'}) // the header is written at construction
 	case multiEdgeSink:
 		n := 0
 		for _, m := range s {
@@ -205,13 +208,21 @@ func edgesCounted(s EdgeSink) int {
 }
 
 // TestMismatchedBatchRefused: every sink answers a batch whose columns
-// do not pair up with an error — never a panic, never a partial write.
-// A MultiEdgeSink must refuse it before its first member, a
-// countingSink that does not check its columns, counts a single edge.
+// do not pair up, or whose predicate lies outside its layout, with an
+// error naming it — never a panic, never a partial write. Every sink but
+// GraphSink also refuses node ids outside [0, nodes). A MultiEdgeSink
+// must refuse a mismatched batch before its first member, a countingSink
+// that checks nothing, counts a single edge; a batch outside the layout
+// reaches that member and is refused by the next.
 func TestMismatchedBatchRefused(t *testing.T) {
 	cfg, err := usecases.ByName("bib", 300)
 	if err != nil {
 		t.Fatal(err)
+	}
+	_, typeCounts, predNames := Layout(cfg)
+	nodes := 0
+	for _, c := range typeCounts {
+		nodes += c
 	}
 	srcs, dsts := []graph.NodeID{1, 2, 3}, []graph.NodeID{4, 5}
 	sinks := map[string]func(t *testing.T) EdgeSink{
@@ -277,7 +288,85 @@ func TestMismatchedBatchRefused(t *testing.T) {
 					t.Errorf("refused batch still counted %d edges", n)
 				}
 			}
+			type outside struct {
+				pred       graph.PredID
+				src, dst   graph.NodeID
+				mentioning string
+			}
+			cases := []outside{
+				{-1, 1, 2, "predicate -1"},
+				{graph.PredID(len(predNames)), 1, 2, fmt.Sprintf("predicate %d", len(predNames))},
+			}
+			if name != "GraphSink" {
+				cases = append(cases,
+					outside{0, -5, 2, "node id -5"},
+					outside{0, 1, 1 << 30, fmt.Sprintf("node id %d", 1<<30)},
+					outside{0, graph.NodeID(nodes), 2, fmt.Sprintf("node id %d", nodes)})
+			}
+			for _, c := range cases {
+				sink := mk(t)
+				a, b := []graph.NodeID{0, c.src, 3}, []graph.NodeID{4, c.dst, 5}
+				err := sink.AddEdgeBatch(c.pred, a, b)
+				if err == nil || !strings.Contains(err.Error(), c.mentioning) {
+					t.Errorf("pred %d, edge (%d, %d): got error %v, want one naming %s", c.pred, c.src, c.dst, err, c.mentioning)
+				}
+				abortSink(sink)
+				if err := sink.Flush(); err != nil {
+					t.Errorf("flush after a refused batch: %v", err)
+				}
+				want := 0
+				if name == "MultiEdgeSink" {
+					want = len(a)
+				}
+				if n := edgesCounted(sink); n != want {
+					t.Errorf("pred %d, edge (%d, %d): refused batch counted %d edges, want %d", c.pred, c.src, c.dst, n, want)
+				}
+			}
 		})
+	}
+}
+
+// TestEmitIntoForeignLayoutRefused emits lsn into sinks laid out for
+// bib, whose schema has fewer predicates: the run must end with an
+// error, not a panic, and a partition directory must be left without
+// index.json.
+func TestEmitIntoForeignLayoutRefused(t *testing.T) {
+	bib, err := usecases.ByName("bib", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lsn, err := usecases.ByName("lsn", 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, bibPreds := Layout(bib)
+	_, _, lsnPreds := Layout(lsn)
+	if len(lsnPreds) <= len(bibPreds) {
+		t.Fatalf("lsn has %d predicates, bib %d: no foreign predicate to emit", len(lsnPreds), len(bibPreds))
+	}
+	for _, mode := range []string{"writer", "text", "binary"} {
+		for _, par := range []int{1, 4} {
+			dir := t.TempDir()
+			var sink EdgeSink
+			switch mode {
+			case "writer":
+				sink, err = NewWriterSink(io.Discard, bib)
+			case "text":
+				sink, err = NewPartitionedSink(dir, bib)
+			case "binary":
+				sink, err = NewBinaryPartitionedSink(dir, bib)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := Emit(lsn, Options{Seed: 3, Parallelism: par}, sink)
+			if err == nil || !strings.Contains(err.Error(), "outside") {
+				t.Errorf("%s, par %d: Emit returned %d edges and error %v, want a layout error", mode, par, n, err)
+			}
+			if _, err := os.Stat(filepath.Join(dir, partitionIndexFile)); !os.IsNotExist(err) {
+				t.Errorf("%s, par %d: index.json exists after a refused run (%v)", mode, par, err)
+			}
+		}
 	}
 }
 

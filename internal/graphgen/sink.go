@@ -39,6 +39,27 @@ func checkBatch(srcs, dsts []graph.NodeID) error {
 	return nil
 }
 
+// checkEdges is checkBatch plus the sink's layout: a predicate outside
+// its preds predicates or a node id outside [0, nodes) has no line, file
+// or header entry to go to, so the batch is refused whole, before any
+// of it is written.
+func checkEdges(sink string, pred graph.PredID, srcs, dsts []graph.NodeID, preds, nodes int) error {
+	if err := checkBatch(srcs, dsts); err != nil {
+		return err
+	}
+	if pred < 0 || int(pred) >= preds {
+		return fmt.Errorf("graphgen: %s: predicate %d outside the schema's %d predicates", sink, pred, preds)
+	}
+	for _, ids := range [2][]graph.NodeID{srcs, dsts} {
+		for _, id := range ids {
+			if id < 0 || int(id) >= nodes {
+				return fmt.Errorf("graphgen: %s: node id %d outside [0, %d)", sink, id, nodes)
+			}
+		}
+	}
+	return nil
+}
+
 // Layout resolves a configuration's contiguous node layout: the node
 // types with their resolved counts (global node ids number the types
 // one after another in schema order) and the predicate names in schema
@@ -198,11 +219,12 @@ func (s *WriterSink) drain() error {
 }
 
 // AddEdgeBatch implements EdgeSink; it is the path a WriterSink behind
-// a MultiEdgeSink is fed through. Each line is rendered in place at the
+// a MultiEdgeSink is fed through. A batch outside the header's layout
+// is refused whole (checkEdges). Each line is rendered in place at the
 // end of the buffer, which is drained first whenever the longest
 // possible line might not fit.
 func (s *WriterSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) error {
-	if err := checkBatch(srcs, dsts); err != nil {
+	if err := checkEdges("WriterSink", pred, srcs, dsts, len(s.lines), s.nodes); err != nil {
 		return err
 	}
 	line := s.lines[pred]
@@ -218,7 +240,12 @@ func (s *WriterSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) 
 }
 
 // edgeLines implements renderingSink.
-func (s *WriterSink) edgeLines() []graph.EdgeLine { return s.lines }
+func (s *WriterSink) edgeLines(preds, nodes int) []graph.EdgeLine {
+	if preds > len(s.lines) || nodes > s.nodes {
+		return nil
+	}
+	return s.lines
+}
 
 // addRendered implements renderingSink: whatever the sink rendered
 // itself goes out first, then the shard's chunks, written through as
