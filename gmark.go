@@ -250,7 +250,7 @@ func ParsePathExpr(s string) (PathExpr, error) { return regpath.Parse(s) }
 type WorkloadGenerator = querygen.Generator
 
 // NewWorkloadGenerator builds a generator (precomputing the schema
-// graph, distance matrix and selectivity graph of Section 5.2.3).
+// graph, its path counts and the selectivity graphs of Section 5.2.3).
 func NewWorkloadGenerator(cfg WorkloadConfig) (*WorkloadGenerator, error) {
 	return querygen.New(cfg)
 }

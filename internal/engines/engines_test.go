@@ -3,6 +3,7 @@ package engines
 import (
 	"errors"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,6 +11,7 @@ import (
 	"gmark/internal/graph"
 	"gmark/internal/query"
 	"gmark/internal/regpath"
+	"gmark/internal/translate"
 )
 
 func randomGraph(r *rand.Rand, n, preds, edges int) *graph.Graph {
@@ -431,6 +433,44 @@ func TestEnginesRandomizedAgreement(t *testing.T) {
 			if got != want {
 				t.Fatalf("trial %d: %s = %d, want %d on\n%s", trial, eng.Name(), got, want, q)
 			}
+		}
+	}
+}
+
+// TestStarLabelMatchesCypher pins the openCypher restriction of Section
+// 7.1 on both sides that apply it: the one label the Cypher text keeps
+// under a star (-[:X*0..]->) must be the label engine G traverses. Both
+// scan every disjunct in order for the first non-inverse symbol and,
+// when every symbol is inverse, take the first symbol's predicate
+// forward.
+func TestStarLabelMatchesCypher(t *testing.T) {
+	g, err := graph.New([]string{"t"}, []int{4}, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Freeze()
+	for _, c := range []struct{ expr, label string }{
+		{"(a-.b)*", "b"},  // the first non-inverse symbol is not the first symbol
+		{"(a-+b)*", "b"},  // nor in the first disjunct
+		{"(a-)*", "a"},    // every symbol inverse: the first, taken forward
+		{"(b-.a-)*", "b"}, // likewise across a concatenation
+	} {
+		q := chainQuery(false, c.expr)
+		text, err := translate.AppendTo(nil, translate.OpenCypher, q, translate.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", c.expr, err)
+		}
+		want := "-[:" + c.label + "*0..]->"
+		if !strings.Contains(string(text), want) {
+			t.Errorf("%s: Cypher text %q lacks %s", c.expr, text, want)
+		}
+		cq, err := compile(g, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pred, ok := restrictedStarLabel(&cq.rules[0].body[0])
+		if !ok || g.PredName(pred) != c.label {
+			t.Errorf("%s: engine G traverses %q (ok %v), want %q", c.expr, g.PredName(pred), ok, c.label)
 		}
 	}
 }

@@ -197,9 +197,9 @@ func (e *GraphDB) traversePaths(g eval.Source, paths [][]csym, from int32, forwa
 }
 
 // traverseStar evaluates a variable-length pattern under the
-// openCypher restriction: only the first non-inverse symbol of the
-// first disjunct survives; the traversal is a BFS over that single
-// label (Cypher's *0.. semantics).
+// openCypher restriction: only one label survives
+// (restrictedStarLabel); the traversal is a BFS over that single label
+// (Cypher's *0.. semantics).
 func (e *GraphDB) traverseStar(g eval.Source, cj *compiledConjunct, from int32, forward bool, m *eval.Meter, visit func(int32) error) error {
 	label, ok := restrictedStarLabel(cj)
 	if !ok {
@@ -233,7 +233,10 @@ func (e *GraphDB) traverseStar(g eval.Source, cj *compiledConjunct, from int32, 
 	return nil
 }
 
-// restrictedStarLabel picks the surviving label per Section 7.1.
+// restrictedStarLabel picks the surviving label per Section 7.1: the
+// first non-inverse symbol, scanning every disjunct in order, else the
+// first symbol's predicate taken forward — the label translate's
+// openCypher text keeps.
 func restrictedStarLabel(cj *compiledConjunct) (graph.PredID, bool) {
 	for _, p := range cj.paths {
 		for _, s := range p {

@@ -157,8 +157,10 @@ func (g *Graph) AddEdge(src NodeID, pred PredID, dst NodeID) {
 // AddEdgeBatch appends a batch of equally-labeled edges: edge i is
 // (srcs[i], pred, dsts[i]). Batches are how the generation pipeline's
 // per-constraint shards land in the graph; appending a batch costs two
-// bulk copies instead of len(srcs) calls. It must not be called after
-// Freeze.
+// bulk copies instead of len(srcs) calls. A batch whose columns differ
+// in length, whose predicate lies outside the graph or that names a node
+// id outside [0, NumNodes) is refused whole, before anything is
+// appended. It must not be called after Freeze.
 func (g *Graph) AddEdgeBatch(pred PredID, srcs, dsts []NodeID) error {
 	if g.frozen {
 		panic("graph: AddEdgeBatch after Freeze")
@@ -168,6 +170,14 @@ func (g *Graph) AddEdgeBatch(pred PredID, srcs, dsts []NodeID) error {
 	}
 	if pred < 0 || int(pred) >= len(g.predNames) {
 		return fmt.Errorf("graph: predicate %d outside the graph's %d predicates", pred, len(g.predNames))
+	}
+	n := g.NumNodes()
+	for _, ids := range [2][]NodeID{srcs, dsts} {
+		for _, id := range ids {
+			if id < 0 || int(id) >= n {
+				return fmt.Errorf("graph: node id %d outside [0, %d)", id, n)
+			}
+		}
 	}
 	g.srcs[pred] = append(g.srcs[pred], srcs...)
 	g.dsts[pred] = append(g.dsts[pred], dsts...)

@@ -179,6 +179,45 @@ func TestFreezeGuards(t *testing.T) {
 	}()
 }
 
+// TestAddEdgeBatchRefusesBadBatches: a batch whose columns differ in
+// length, whose predicate lies outside the graph or that names a node id
+// outside [0, NumNodes) is refused with an error naming it, and nothing
+// of it is appended, so Freeze still builds the graph.
+func TestAddEdgeBatchRefusesBadBatches(t *testing.T) {
+	g, err := New([]string{"u", "v"}, []int{2, 3}, []string{"a", "b"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		pred       PredID
+		srcs, dsts []NodeID
+		mentioning string
+	}{
+		{0, []NodeID{0, 1}, []NodeID{2}, "2 sources, 1 targets"},
+		{2, []NodeID{0}, []NodeID{2}, "predicate 2"},
+		{-1, []NodeID{0}, []NodeID{2}, "predicate -1"},
+		{0, []NodeID{0, -5}, []NodeID{2, 3}, "node id -5"},
+		{1, []NodeID{0, 1}, []NodeID{2, 1 << 30}, fmt.Sprintf("node id %d", 1<<30)},
+		{1, []NodeID{5}, []NodeID{0}, "node id 5"},
+	}
+	for _, c := range cases {
+		err := g.AddEdgeBatch(c.pred, c.srcs, c.dsts)
+		if err == nil || !strings.Contains(err.Error(), c.mentioning) {
+			t.Errorf("AddEdgeBatch(%d, %v, %v) = %v, want an error naming %s", c.pred, c.srcs, c.dsts, err, c.mentioning)
+		}
+	}
+	if err := g.AddEdgeBatch(1, []NodeID{4}, []NodeID{0}); err != nil {
+		t.Fatalf("a batch inside the graph was refused: %v", err)
+	}
+	if g.NumEdges() != 1 {
+		t.Errorf("NumEdges = %d after refused batches and one edge, want 1", g.NumEdges())
+	}
+	g.Freeze()
+	if got := g.Out(4, 1); !slices.Equal(got, []NodeID{0}) {
+		t.Errorf("Out(4, b) = %v, want [0]", got)
+	}
+}
+
 func TestWriteNTriples(t *testing.T) {
 	g := tiny(t)
 	var buf bytes.Buffer

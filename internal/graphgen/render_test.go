@@ -209,8 +209,8 @@ func edgesCounted(s EdgeSink) int {
 
 // TestMismatchedBatchRefused: every sink answers a batch whose columns
 // do not pair up, or whose predicate lies outside its layout, with an
-// error naming it — never a panic, never a partial write. Every sink but
-// GraphSink also refuses node ids outside [0, nodes). A MultiEdgeSink
+// error naming it — never a panic, never a partial write. Every sink
+// also refuses node ids outside [0, nodes). A MultiEdgeSink
 // must refuse a mismatched batch before its first member, a countingSink
 // that checks nothing, counts a single edge; a batch outside the layout
 // reaches that member and is refused by the next.
@@ -296,12 +296,9 @@ func TestMismatchedBatchRefused(t *testing.T) {
 			cases := []outside{
 				{-1, 1, 2, "predicate -1"},
 				{graph.PredID(len(predNames)), 1, 2, fmt.Sprintf("predicate %d", len(predNames))},
-			}
-			if name != "GraphSink" {
-				cases = append(cases,
-					outside{0, -5, 2, "node id -5"},
-					outside{0, 1, 1 << 30, fmt.Sprintf("node id %d", 1<<30)},
-					outside{0, graph.NodeID(nodes), 2, fmt.Sprintf("node id %d", nodes)})
+				{0, -5, 2, "node id -5"},
+				{0, 1, 1 << 30, fmt.Sprintf("node id %d", 1<<30)},
+				{0, graph.NodeID(nodes), 2, fmt.Sprintf("node id %d", nodes)},
 			}
 			for _, c := range cases {
 				sink := mk(t)

@@ -400,6 +400,68 @@ func TestCSRSpillSinkRejectsBadEdges(t *testing.T) {
 	}
 }
 
+// TestCSRSpillDrainFailure pins the failure path of a drain that
+// cannot append to a run file: a directory sits at the run path of the
+// unit that spills the most pairs, so opening it fails with EISDIR
+// (even as root). Emit must return that path's error and leave no
+// manifest, no temp run directory and no goroutine behind.
+func TestCSRSpillDrainFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	defer func(old int) { csrSpillBufferEdges = old }(csrSpillBufferEdges)
+	csrSpillBufferEdges = 256
+
+	cfg, err := usecases.ByName("lsn", 1500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A clean run finds the unit that spills the most pairs.
+	probe, err := NewCSRSpillSinkWith(filepath.Join(t.TempDir(), "csr"), cfg, 64, SpillCompressVarint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Emit(cfg, Options{Seed: 19, Parallelism: 1}, probe); err != nil {
+		t.Fatal(err)
+	}
+	unit := 0
+	for u, pairs := range probe.disk {
+		if pairs > probe.disk[unit] {
+			unit = u
+		}
+	}
+	if probe.disk[unit] == 0 {
+		t.Fatal("no unit spilled")
+	}
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		goroutines := runtime.NumGoroutine()
+		dir := filepath.Join(t.TempDir(), "csr")
+		sink, err := NewCSRSpillSinkWith(dir, cfg, 64, SpillCompressVarint)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocked := sink.runPath(unit)
+		if err := os.MkdirAll(blocked, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Emit(cfg, Options{Seed: 19, Parallelism: procs}, sink)
+		if err == nil || !strings.Contains(err.Error(), blocked) {
+			t.Fatalf("procs %d: Emit = %v, want the error of %s", procs, err, blocked)
+		}
+		if _, err := OpenCSRSpill(dir); err == nil {
+			t.Fatalf("procs %d: a failed drain left a manifest", procs)
+		}
+		if _, err := os.Stat(filepath.Join(dir, csrRunDir)); !os.IsNotExist(err) {
+			t.Fatalf("procs %d: a failed drain left the temp run directory behind (err=%v)", procs, err)
+		}
+		for i := 0; runtime.NumGoroutine() > goroutines; i++ {
+			if i == 100 {
+				t.Fatalf("procs %d: %d goroutines before Emit, %d after", procs, goroutines, runtime.NumGoroutine())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+}
+
 // runLosingSink removes, just before the wrapped sink's Flush, the run
 // files of three of its spilled units — the second, a middle one and
 // the last: the "temp directory lost part of a run" failure, placed

@@ -118,20 +118,19 @@ type Generator struct {
 	cfg Config
 	est *selectivity.Estimator
 	sg  *selectivity.SchemaGraph
-	// gsel caches the selectivity graph per path-length window. Every
-	// window reachable through the relaxation ladder is precomputed in
-	// New, so the map is never written after construction and is safe
-	// for concurrent reads (this replaces the lazily-mutated cache the
-	// single-threaded generator used to carry).
+	// paths holds the nb_path tables every path-sampling call reads,
+	// built once for the widest relaxation window (which contains every
+	// narrower one) instead of once per sampled disjunct.
+	paths *selectivity.PathCounts
+	// gsel caches the selectivity graph per path-length window, read
+	// off paths. Every window reachable through the relaxation ladder
+	// is precomputed in New, so the map is never written after
+	// construction and is safe for concurrent reads.
 	gsel map[query.Interval]*selectivity.SelectivityGraph
 	// walks holds the G_sel walk-count table of every (ladder window,
 	// configured class) pair, to walks of Size.Conjuncts.Max edges —
 	// the longest a class chain draws — so no walk rebuilds one.
 	walks map[walkKey]*selectivity.ClassWalks
-	// paths holds the nb_path tables every path-sampling call reads,
-	// built once for the widest relaxation window (which contains every
-	// narrower one) instead of once per sampled disjunct.
-	paths *selectivity.PathCounts
 	// startNodes caches the G_S identity nodes that have at least one
 	// outgoing edge (usable walk starts).
 	startNodes []int
@@ -146,9 +145,10 @@ type walkKey struct {
 	class  query.SelectivityClass
 }
 
-// New builds a generator, precomputing the schema graph, its distance
-// matrix, the selectivity graphs of every relaxation window with their
-// walk-count tables, and the nb_path tables of the widest one.
+// New builds a generator, precomputing the schema graph, the nb_path
+// tables of the widest relaxation window, and from them the
+// selectivity graph of every relaxation window with its walk-count
+// tables.
 func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -177,18 +177,18 @@ func New(cfg Config) (*Generator, error) {
 	// The relaxation ladder only ever requests the windows
 	// lengthWindow(0..maxRelaxation); building them here freezes the
 	// cache before any worker can observe it.
+	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
 	for relax := 0; relax <= maxRelaxation; relax++ {
 		w := g.lengthWindow(relax)
 		if _, ok := g.gsel[w]; ok {
 			continue
 		}
-		gs := sg.Selectivity(w.Min, w.Max)
+		gs := g.paths.Selectivity(w.Min, w.Max)
 		g.gsel[w] = gs
 		for _, c := range cfg.Classes {
 			g.walks[walkKey{w, c}] = gs.ClassWalks(c, cfg.Size.Conjuncts.Max)
 		}
 	}
-	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
 	g.seq = worker{g: g, rng: prng.New(cfg.Seed)}
 	return g, nil
 }

@@ -1,9 +1,9 @@
 // Package selectivity implements gMark's schema-driven selectivity
 // estimation for binary queries (paper, Section 5.2): the algebra of
-// selectivity classes (Table 1 and Fig. 7), the schema graph G_S, the
-// distance matrix D, the selectivity graph G_sel (Section 5.2.3), and
-// the weighted random path sampling used during query generation
-// (Section 5.2.4).
+// selectivity classes (Table 1 and Fig. 7), the schema graph G_S and
+// the selectivity graph G_sel (Section 5.2.3), and the weighted random
+// walk and path sampling used during query generation (Section 5.2.4),
+// all read off one set of nb_path counts.
 package selectivity
 
 import "fmt"

@@ -21,34 +21,36 @@ type SelEdge struct {
 	To  int // index into SchemaGraph.Nodes
 }
 
-// SchemaGraph bundles the three data structures of Section 5.2.3: the
-// schema graph G_S, the all-pairs distance matrix D over its nodes,
-// and, per workload length interval, the selectivity graph G_sel.
+// SchemaGraph is the schema graph G_S of Section 5.2.3(a). Everything
+// query generation reads from it comes from one quantity, the number
+// of label paths of each length between its nodes (PathCounts): the
+// selectivity graph G_sel of a length window, the class walks over
+// G_sel and the path draws. The paper's distance matrix D is not
+// built; the counts already say which lengths connect two nodes.
 //
 // Concurrency contract: a SchemaGraph is immutable after
-// NewSchemaGraph returns. All sampling methods (SamplePathTo,
-// CountPathsTo, Selectivity, and the PathCounts samplers) only read
-// the graph; their randomness comes exclusively from the
-// *rand.Rand the caller passes in. Concurrent use is therefore safe as
-// long as each goroutine brings its own RNG — which is exactly how the
-// query-generation pipeline's emission workers operate. The same
-// holds for SelectivityGraph and its Walk methods.
+// NewSchemaGraph returns, and so are the PathCounts, SelectivityGraph
+// and ClassWalks built from it. Their samplers only read; their
+// randomness comes exclusively from the *rand.Rand the caller passes
+// in. Concurrent use is therefore safe as long as each goroutine
+// brings its own RNG — which is exactly how the query-generation
+// pipeline's emission workers operate.
 type SchemaGraph struct {
-	est   *Estimator
 	Nodes []SelNode
 	// Out[i] lists the labeled edges leaving node i.
 	Out [][]SelEdge
-	// Dist[i][j] is the shortest-path length from i to j in G_S, or -1.
-	Dist [][]int
+	// succ[i][k] is Out[i][k].To: the successor lists the walk counts
+	// and the weighted pick read.
+	succ [][]int
 
 	index map[SelNode]int
 	// identity[t] is the node (t, Identity(kind(t))).
 	identity []int
 }
 
-// NewSchemaGraph builds G_S and the distance matrix for a schema.
+// NewSchemaGraph builds G_S for a schema.
 func NewSchemaGraph(est *Estimator) *SchemaGraph {
-	sg := &SchemaGraph{est: est, index: make(map[SelNode]int)}
+	sg := &SchemaGraph{index: make(map[SelNode]int)}
 	nTypes := est.NumTypes()
 
 	// Enumerate the permitted (type, triple) pairs: for a growing type
@@ -78,6 +80,7 @@ func NewSchemaGraph(est *Estimator) *SchemaGraph {
 	// Edges: extending a path ending at (T, tr) with symbol a: T -> T'
 	// moves to (T', tr . sel_{T,T'}(a)).
 	sg.Out = make([][]SelEdge, len(sg.Nodes))
+	sg.succ = make([][]int, len(sg.Nodes))
 	for i, n := range sg.Nodes {
 		for _, te := range est.TypeEdges(n.Type) {
 			next := SelNode{Type: te.To, Triple: ConcatTriples(n.Triple, te.Base)}
@@ -88,6 +91,7 @@ func NewSchemaGraph(est *Estimator) *SchemaGraph {
 				continue
 			}
 			sg.Out[i] = append(sg.Out[i], SelEdge{Sym: te.Sym, To: j})
+			sg.succ[i] = append(sg.succ[i], j)
 		}
 	}
 
@@ -95,34 +99,7 @@ func NewSchemaGraph(est *Estimator) *SchemaGraph {
 	for t := 0; t < nTypes; t++ {
 		sg.identity[t] = sg.index[SelNode{Type: t, Triple: Identity(est.Kind(t))}]
 	}
-
-	sg.Dist = allPairsBFS(sg.Out, len(sg.Nodes))
 	return sg
-}
-
-// allPairsBFS computes the distance matrix D (Section 5.2.3(b)).
-func allPairsBFS(out [][]SelEdge, n int) [][]int {
-	d := make([][]int, n)
-	for s := 0; s < n; s++ {
-		row := make([]int, n)
-		for i := range row {
-			row[i] = -1
-		}
-		row[s] = 0
-		queue := []int{s}
-		for len(queue) > 0 {
-			v := queue[0]
-			queue = queue[1:]
-			for _, e := range out[v] {
-				if row[e.To] < 0 {
-					row[e.To] = row[v] + 1
-					queue = append(queue, e.To)
-				}
-			}
-		}
-		d[s] = row
-	}
-	return d
 }
 
 // IdentityNode returns the G_S node (T, (Type(T), =, Type(T))) for
@@ -145,131 +122,45 @@ func (sg *SchemaGraph) ClassOf(i int) query.SelectivityClass {
 	}
 }
 
-// SelectivityGraph is G_sel for a given path-length interval: an
-// unlabeled graph over the G_S nodes with an edge i -> j whenever G_S
-// has a path from i to j of length within [lmin, lmax]
-// (Section 5.2.3(c)).
-type SelectivityGraph struct {
-	sg         *SchemaGraph
-	LMin, LMax int
-	// Adj[i] lists successors of node i.
-	Adj [][]int
-}
-
-// Selectivity builds G_sel for the interval [lmin, lmax].
-func (sg *SchemaGraph) Selectivity(lmin, lmax int) *SelectivityGraph {
-	n := len(sg.Nodes)
-	gsel := &SelectivityGraph{sg: sg, LMin: lmin, LMax: lmax, Adj: make([][]int, n)}
-	for s := 0; s < n; s++ {
-		// reach[v] true if v reachable at the current length.
-		reach := make([]bool, n)
-		reach[s] = true
-		marked := make([]bool, n)
-		for l := 0; l <= lmax; l++ {
-			if l >= lmin {
-				for v := 0; v < n; v++ {
-					if reach[v] {
-						marked[v] = true
-					}
-				}
-			}
-			if l == lmax {
-				break
-			}
-			next := make([]bool, n)
-			for v := 0; v < n; v++ {
-				if !reach[v] {
-					continue
-				}
-				for _, e := range sg.Out[v] {
-					next[e.To] = true
-				}
-			}
-			reach = next
-		}
-		for v := 0; v < n; v++ {
-			if marked[v] {
-				gsel.Adj[s] = append(gsel.Adj[s], v)
-			}
-		}
-	}
-	return gsel
-}
-
-// WalkToClass draws, uniformly at random among all candidates, a walk
-// of exactly steps edges in G_sel that starts at an identity node and
-// ends at a node of the requested selectivity class (Section 5.2.4).
-// It returns the node sequence (steps+1 nodes) or false when no such
-// walk exists. It builds the walk-count table for this one call;
-// ClassWalks builds it once for many.
-func (gsel *SelectivityGraph) WalkToClass(rng *rand.Rand, steps int, class query.SelectivityClass) ([]int, bool) {
-	return gsel.Walk(rng, steps, gsel.sg.identity, gsel.inClass(class))
-}
-
-// inClass is the target predicate of a class walk.
-func (gsel *SelectivityGraph) inClass(class query.SelectivityClass) func(int) bool {
-	return func(v int) bool { return gsel.sg.ClassOf(v) == class }
-}
-
-// Walk draws, uniformly at random among all candidates, a walk of
-// exactly steps edges in G_sel starting at one of the given start
-// nodes and ending at a node satisfying isTarget. The draw is weighted
-// by the walk-count saturation algorithm of Section 5.2.4.
-func (gsel *SelectivityGraph) Walk(rng *rand.Rand, steps int, startCandidates []int, isTarget func(int) bool) ([]int, bool) {
-	return gsel.drawWalk(rng, gsel.walkCounts(isTarget, steps), steps, startCandidates)
-}
-
-// walkCounts returns nbw with nbw[i][v] the number of walks of i edges
-// from v ending in a target, for i <= steps. Row i depends only on the
-// rows below it, so a table to a longer length contains every shorter
-// one.
-func (gsel *SelectivityGraph) walkCounts(isTarget func(int) bool, steps int) [][]float64 {
-	n := len(gsel.sg.Nodes)
-	flat := make([]float64, (steps+1)*n)
-	nbw := make([][]float64, steps+1)
-	for i := range nbw {
-		nbw[i] = flat[i*n : (i+1)*n : (i+1)*n]
+// countWalks returns nbw with nbw[l][v] the number of walks of l edges
+// along adj from v that end at a target, for every l <= maxLen: the
+// nb_path function of Section 5.2.4 over G_S's successor lists, the
+// walk count over G_sel's. It is float-valued so long walks cannot
+// overflow. Row l depends only on row l-1, so a table to a longer
+// length starts with the table to every shorter one.
+func countWalks(adj [][]int, isTarget func(int) bool, maxLen int) [][]float64 {
+	n := len(adj)
+	flat := make([]float64, (maxLen+1)*n)
+	nbw := make([][]float64, maxLen+1)
+	for l := range nbw {
+		nbw[l] = flat[l*n : (l+1)*n : (l+1)*n]
 	}
 	for v := 0; v < n; v++ {
 		if isTarget(v) {
 			nbw[0][v] = 1
 		}
 	}
-	for i := 1; i <= steps; i++ {
+	for l := 1; l <= maxLen; l++ {
 		for v := 0; v < n; v++ {
 			var s float64
-			for _, w := range gsel.Adj[v] {
-				s += nbw[i-1][w]
+			for _, w := range adj[v] {
+				s += nbw[l-1][w]
 			}
-			nbw[i][v] = s
+			nbw[l][v] = s
 		}
 	}
 	return nbw
 }
 
-// drawWalk draws a walk of exactly steps edges from a walk-count table
-// reaching at least steps: a start among starts, then one successor per
-// step, each weighted by its count. It reads the table only.
-func (gsel *SelectivityGraph) drawWalk(rng *rand.Rand, nbw [][]float64, steps int, starts []int) ([]int, bool) {
-	cur, ok := weightedPick(rng, starts, nbw[steps])
-	if !ok {
-		return nil, false
-	}
-	walk := make([]int, 1, steps+1)
-	walk[0] = cur
-	for i := steps; i > 0; i-- {
-		if cur, ok = weightedPick(rng, gsel.Adj[cur], nbw[i-1]); !ok {
-			return nil, false
-		}
-		walk = append(walk, cur)
-	}
-	return walk, true
-}
-
-// weightedPick draws one of cands with probability proportional to
-// weight[c] (a walk count: never negative), skipping those of weight
-// zero; false, without drawing, when every weight is zero. It consumes
-// one Float64.
+// weightedPick draws the index k of one of cands with probability
+// proportional to weight[cands[k]] (a walk count: never negative),
+// skipping those of weight zero; false, without drawing, when every
+// weight is zero. It consumes one Float64.
+//
+// Every walk and path draw takes its steps through it: when the
+// current node's count in row l is nonzero, the pick over its
+// successors weighted by row l-1 sums to that same count, so a step of
+// a walk that exists always finds a successor.
 func weightedPick(rng *rand.Rand, cands []int, weight []float64) (int, bool) {
 	var total float64
 	for _, c := range cands {
@@ -280,12 +171,12 @@ func weightedPick(rng *rand.Rand, cands []int, weight []float64) (int, bool) {
 	}
 	u := rng.Float64() * total
 	pick, acc := -1, 0.0
-	for _, c := range cands {
+	for k, c := range cands {
 		w := weight[c]
 		if w == 0 {
 			continue
 		}
-		pick = c
+		pick = k
 		acc += w
 		if u < acc {
 			break
@@ -294,105 +185,49 @@ func weightedPick(rng *rand.Rand, cands []int, weight []float64) (int, bool) {
 	return pick, true
 }
 
-// ClassWalks is WalkToClass's walk-count table for one selectivity
-// class, built once up to a maximum walk length. It is immutable after
-// construction and safe for concurrent use under the SchemaGraph
-// contract. Memory: (maxSteps+1) x |G_S| float64.
-type ClassWalks struct {
-	gsel  *SelectivityGraph
-	class query.SelectivityClass
-	nbw   [][]float64
+// PathCounts holds the nb_path tables towards every target set the
+// query generator samples a path to — one G_S node, all nodes of one
+// type, or any node — up to one maximum path length. A table to length
+// L starts with the table to every shorter length, so one set built
+// for the widest window serves all narrower ones, and the tables to
+// single nodes give every window's G_sel (Selectivity). It is
+// immutable after construction and safe for concurrent use under the
+// SchemaGraph contract. Memory: (|G_S| + types + 1) tables of
+// (maxLen+1) x |G_S| float64.
+type PathCounts struct {
+	sg *SchemaGraph
+	// ToNode[v] counts the paths ending at node v, ToType[t] those
+	// ending at any node of type t, ToAny those ending anywhere; each
+	// is indexed [length][from].
+	ToNode [][][]float64
+	ToType [][][]float64
+	ToAny  [][]float64
 }
 
-// ClassWalks builds the table for walks of up to maxSteps edges ending
-// in class.
-func (gsel *SelectivityGraph) ClassWalks(class query.SelectivityClass, maxSteps int) *ClassWalks {
-	return &ClassWalks{gsel: gsel, class: class, nbw: gsel.walkCounts(gsel.inClass(class), maxSteps)}
+// PathCounts builds the tables for paths of up to maxLen edges.
+func (sg *SchemaGraph) PathCounts(maxLen int) *PathCounts {
+	pc := &PathCounts{
+		sg:     sg,
+		ToNode: make([][][]float64, len(sg.Nodes)),
+		ToType: make([][][]float64, len(sg.identity)),
+		ToAny:  countWalks(sg.succ, func(int) bool { return true }, maxLen),
+	}
+	for v := range pc.ToNode {
+		pc.ToNode[v] = countWalks(sg.succ, func(u int) bool { return u == v }, maxLen)
+	}
+	for t := range pc.ToType {
+		pc.ToType[t] = countWalks(sg.succ, func(u int) bool { return sg.Nodes[u].Type == t }, maxLen)
+	}
+	return pc
 }
 
-// Walk is WalkToClass(rng, steps, class) drawn from the prebuilt table:
-// the same walk and the same RNG consumption. A walk longer than the
-// table falls back to WalkToClass.
-func (cw *ClassWalks) Walk(rng *rand.Rand, steps int) ([]int, bool) {
-	if steps >= len(cw.nbw) {
-		return cw.gsel.WalkToClass(rng, steps, cw.class)
-	}
-	return cw.gsel.drawWalk(rng, cw.nbw, steps, cw.gsel.sg.identity)
-}
-
-// CountPathsTo computes, for every length l <= maxLen and every G_S
-// node v, the number of label paths of length l from v ending in a
-// node satisfying isTarget (the nb_path function of Section 5.2.4,
-// float-valued to avoid overflow on long paths).
-func (sg *SchemaGraph) CountPathsTo(isTarget func(int) bool, maxLen int) [][]float64 {
-	n := len(sg.Nodes)
-	cnt := make([][]float64, maxLen+1)
-	cnt[0] = make([]float64, n)
-	for v := 0; v < n; v++ {
-		if isTarget(v) {
-			cnt[0][v] = 1
-		}
-	}
-	for l := 1; l <= maxLen; l++ {
-		cnt[l] = make([]float64, n)
-		for v := 0; v < n; v++ {
-			var s float64
-			for _, e := range sg.Out[v] {
-				s += cnt[l-1][e.To]
-			}
-			cnt[l][v] = s
-		}
-	}
-	return cnt
-}
-
-// SamplePathTo draws a uniform random label path of exactly length
-// edges starting at `from`, weighted by a count table from
-// CountPathsTo. It returns the path and the end node, or false when no
-// such path exists.
-func (sg *SchemaGraph) SamplePathTo(rng *rand.Rand, from, length int, cnt [][]float64) (regpath.Path, int, bool) {
-	if cnt[length][from] == 0 {
-		return nil, -1, false
-	}
-	path := make(regpath.Path, 0, length)
-	cur := from
-	for l := length; l > 0; l-- {
-		// One weighted draw among the edges that still reach a target
-		// in l-1 steps: sum their counts, then take the first whose
-		// running sum passes the drawn point.
-		var total float64
-		for _, e := range sg.Out[cur] {
-			total += cnt[l-1][e.To]
-		}
-		if total == 0 {
-			return nil, -1, false
-		}
-		u := rng.Float64() * total
-		var pick SelEdge
-		acc := 0.0
-		for _, e := range sg.Out[cur] {
-			c := cnt[l-1][e.To]
-			if c == 0 {
-				continue
-			}
-			pick = e
-			acc += c
-			if u < acc {
-				break
-			}
-		}
-		path = append(path, pick.Sym)
-		cur = pick.To
-	}
-	return path, cur, true
-}
-
-// samplePathWithin draws a label path from `from` to a target of the
-// count table cnt with length in [lmin, lmax], choosing the length
-// proportionally to the number of available paths of each length
-// (cnt[0][from] is 1 exactly when `from` is itself a target); false
+// sample draws a label path from `from` to a target of the count table
+// cnt with length in [lmin, lmax], uniformly among all such paths: the
+// length proportionally to the number of paths of each length
+// (cnt[0][from] is 1 exactly when `from` is itself a target), then one
+// weighted edge per step. It returns the path and its end node; false
 // when none exists. cnt must reach lmax.
-func (sg *SchemaGraph) samplePathWithin(rng *rand.Rand, from int, cnt [][]float64, lmin, lmax int) (regpath.Path, int, bool) {
+func (pc *PathCounts) sample(rng *rand.Rand, from int, cnt [][]float64, lmin, lmax int) (regpath.Path, int, bool) {
 	var total float64
 	for l := lmin; l <= lmax; l++ {
 		total += cnt[l][from]
@@ -414,51 +249,20 @@ func (sg *SchemaGraph) samplePathWithin(rng *rand.Rand, from int, cnt [][]float6
 			break
 		}
 	}
-	if length == 0 {
-		return regpath.Path{}, from, true
+	path := make(regpath.Path, 0, length)
+	cur := from
+	for l := length; l > 0; l-- {
+		k, _ := weightedPick(rng, pc.sg.succ[cur], cnt[l-1])
+		path = append(path, pc.sg.Out[cur][k].Sym)
+		cur = pc.sg.succ[cur][k]
 	}
-	return sg.SamplePathTo(rng, from, length, cnt)
-}
-
-// PathCounts holds the nb_path tables (CountPathsTo) towards every
-// target set the query generator samples a path to — one G_S node, all
-// nodes of one type, or any node — up to one maximum path length. A
-// table to length L contains the table to every shorter length, so one
-// set built for the widest window serves all narrower ones. It is
-// immutable after construction and safe for concurrent use under the
-// SchemaGraph contract. Memory: (|G_S| + types + 1) tables of
-// (maxLen+1) x |G_S| float64.
-type PathCounts struct {
-	sg *SchemaGraph
-	// ToNode[v] counts the paths ending at node v, ToType[t] those
-	// ending at any node of type t, ToAny those ending anywhere; each
-	// is indexed [length][from] like CountPathsTo's result.
-	ToNode [][][]float64
-	ToType [][][]float64
-	ToAny  [][]float64
-}
-
-// PathCounts builds the tables for paths of up to maxLen edges.
-func (sg *SchemaGraph) PathCounts(maxLen int) *PathCounts {
-	pc := &PathCounts{
-		sg:     sg,
-		ToNode: make([][][]float64, len(sg.Nodes)),
-		ToType: make([][][]float64, len(sg.identity)),
-		ToAny:  sg.CountPathsTo(func(int) bool { return true }, maxLen),
-	}
-	for v := range pc.ToNode {
-		pc.ToNode[v] = sg.CountPathsTo(func(u int) bool { return u == v }, maxLen)
-	}
-	for t := range pc.ToType {
-		pc.ToType[t] = sg.CountPathsTo(func(u int) bool { return sg.Nodes[u].Type == t }, maxLen)
-	}
-	return pc
+	return path, cur, true
 }
 
 // SampleToNode draws a label path from `from` to the G_S node target
 // with length in [lmin, lmax]; false when none exists.
 func (pc *PathCounts) SampleToNode(rng *rand.Rand, from, target, lmin, lmax int) (regpath.Path, bool) {
-	p, _, ok := pc.sg.samplePathWithin(rng, from, pc.ToNode[target], lmin, lmax)
+	p, _, ok := pc.sample(rng, from, pc.ToNode[target], lmin, lmax)
 	return p, ok
 }
 
@@ -466,12 +270,80 @@ func (pc *PathCounts) SampleToNode(rng *rand.Rand, from, target, lmin, lmax int)
 // with length in [lmin, lmax], returning the path and its end node;
 // false when none exists.
 func (pc *PathCounts) SampleToType(rng *rand.Rand, from, t, lmin, lmax int) (regpath.Path, int, bool) {
-	return pc.sg.samplePathWithin(rng, from, pc.ToType[t], lmin, lmax)
+	return pc.sample(rng, from, pc.ToType[t], lmin, lmax)
 }
 
 // SampleToAny draws a label path from `from` to any node with length
 // in [lmin, lmax], returning the path and its end node; false when
 // none exists.
 func (pc *PathCounts) SampleToAny(rng *rand.Rand, from, lmin, lmax int) (regpath.Path, int, bool) {
-	return pc.sg.samplePathWithin(rng, from, pc.ToAny, lmin, lmax)
+	return pc.sample(rng, from, pc.ToAny, lmin, lmax)
+}
+
+// SelectivityGraph is G_sel for a path-length window: an unlabeled
+// graph over the G_S nodes with an edge i -> j whenever G_S has a path
+// from i to j whose length lies in the window (Section 5.2.3(c)).
+type SelectivityGraph struct {
+	sg *SchemaGraph
+	// Adj[i] lists the successors of node i in ascending order.
+	Adj [][]int
+}
+
+// Selectivity builds G_sel for the window [lmin, lmax], reading the
+// ToNode tables: i -> j iff ToNode[j][l][i] > 0 for some l in the
+// window. lmax must not exceed the tables' maximum length.
+func (pc *PathCounts) Selectivity(lmin, lmax int) *SelectivityGraph {
+	adj := make([][]int, len(pc.sg.Nodes))
+	for i := range adj {
+		for j, cnt := range pc.ToNode {
+			for l := lmin; l <= lmax; l++ {
+				if cnt[l][i] > 0 {
+					adj[i] = append(adj[i], j)
+					break
+				}
+			}
+		}
+	}
+	return &SelectivityGraph{sg: pc.sg, Adj: adj}
+}
+
+// ClassWalks is the walk-count table of one selectivity class over
+// G_sel, built once up to a maximum walk length. It is immutable after
+// construction and safe for concurrent use under the SchemaGraph
+// contract. Memory: (maxSteps+1) x |G_S| float64.
+type ClassWalks struct {
+	gsel *SelectivityGraph
+	nbw  [][]float64
+}
+
+// ClassWalks builds the table for walks of up to maxSteps edges ending
+// in class.
+func (gsel *SelectivityGraph) ClassWalks(class query.SelectivityClass, maxSteps int) *ClassWalks {
+	sg := gsel.sg
+	return &ClassWalks{gsel: gsel, nbw: countWalks(gsel.Adj, func(v int) bool { return sg.ClassOf(v) == class }, maxSteps)}
+}
+
+// Walk draws, uniformly at random among all candidates, a walk of
+// exactly steps edges in G_sel that starts at an identity node and
+// ends at a node of the table's class (Section 5.2.4): a start
+// weighted by its count, then one successor per step weighted by its
+// count in the row below. It returns the node sequence (steps+1 nodes),
+// or false, without drawing, when no such walk exists. steps must not
+// exceed the table's maximum.
+func (cw *ClassWalks) Walk(rng *rand.Rand, steps int) ([]int, bool) {
+	starts := cw.gsel.sg.identity
+	k, ok := weightedPick(rng, starts, cw.nbw[steps])
+	if !ok {
+		return nil, false
+	}
+	cur := starts[k]
+	walk := make([]int, 1, steps+1)
+	walk[0] = cur
+	for l := steps; l > 0; l-- {
+		succ := cw.gsel.Adj[cur]
+		k, _ = weightedPick(rng, succ, cw.nbw[l-1])
+		cur = succ[k]
+		walk = append(walk, cur)
+	}
+	return walk, true
 }

@@ -3,6 +3,7 @@ package selectivity
 import (
 	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -70,32 +71,73 @@ func TestExample52Edge(t *testing.T) {
 	}
 }
 
+// bruteForceGsel is G_sel for the window [lmin, lmax] by a layered
+// breadth-first search over G_S's edges, independent of the path
+// counts: i -> j iff j is reachable from i in exactly l edges for some
+// l in the window.
+func bruteForceGsel(sg *SchemaGraph, lmin, lmax int) [][]int {
+	n := len(sg.Nodes)
+	adj := make([][]int, n)
+	for s := 0; s < n; s++ {
+		reach := make([]bool, n)
+		reach[s] = true
+		marked := make([]bool, n)
+		for l := 0; l <= lmax; l++ {
+			next := make([]bool, n)
+			for v, r := range reach {
+				if !r {
+					continue
+				}
+				if l >= lmin {
+					marked[v] = true
+				}
+				for _, e := range sg.Out[v] {
+					next[e.To] = true
+				}
+			}
+			reach = next
+		}
+		for v, m := range marked {
+			if m {
+				adj[s] = append(adj[s], v)
+			}
+		}
+	}
+	return adj
+}
+
+// TestDistanceMatrix: the paper's distance matrix D is not built, as
+// the path counts hold it. For every pair, the shortest length with a
+// nonzero count must be the breadth-first distance over G_S.
 func TestDistanceMatrix(t *testing.T) {
 	sg := newSG(t)
 	n := len(sg.Nodes)
-	for i := 0; i < n; i++ {
-		if sg.Dist[i][i] != 0 {
-			t.Errorf("Dist[%d][%d] = %d", i, i, sg.Dist[i][i])
+	pc := sg.PathCounts(n) // a shortest path has fewer than n edges
+	for s := 0; s < n; s++ {
+		dist := make([]int, n)
+		for i := range dist {
+			dist[i] = -1
 		}
-	}
-	// Direct edges have distance 1.
-	for i := 0; i < n; i++ {
-		for _, e := range sg.Out[i] {
-			if e.To != i && sg.Dist[i][e.To] != 1 {
-				t.Errorf("edge %d->%d but Dist=%d", i, e.To, sg.Dist[i][e.To])
-			}
-		}
-	}
-	// Triangle inequality on a sample.
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if sg.Dist[i][j] < 0 {
-				continue
-			}
-			for _, e := range sg.Out[j] {
-				if d := sg.Dist[i][e.To]; d >= 0 && d > sg.Dist[i][j]+1 {
-					t.Errorf("triangle violated: %d->%d->%d", i, j, e.To)
+		dist[s] = 0
+		for queue := []int{s}; len(queue) > 0; queue = queue[1:] {
+			v := queue[0]
+			for _, e := range sg.Out[v] {
+				if dist[e.To] < 0 {
+					dist[e.To] = dist[v] + 1
+					queue = append(queue, e.To)
 				}
+			}
+		}
+		for j := 0; j < n; j++ {
+			shortest := -1
+			for l := 0; l <= n; l++ {
+				if pc.ToNode[j][l][s] > 0 {
+					shortest = l
+					break
+				}
+			}
+			if shortest != dist[j] {
+				t.Errorf("%d -> %d: shortest counted length %d, breadth-first distance %d", s, j, shortest, dist[j])
 			}
 		}
 	}
@@ -103,12 +145,11 @@ func TestDistanceMatrix(t *testing.T) {
 
 func TestSelectivityGraphWindow(t *testing.T) {
 	sg := newSG(t)
-	gsel := sg.Selectivity(1, 2)
-	// Every G_sel edge must be witnessed by a path of length 1 or 2.
-	for from, succs := range gsel.Adj {
-		for _, to := range succs {
-			if d := sg.Dist[from][to]; d < 0 || d > 2 {
-				t.Errorf("G_sel edge %d->%d has shortest distance %d", from, to, d)
+	pc := sg.PathCounts(5)
+	for lmin := 0; lmin <= 5; lmin++ {
+		for lmax := max(lmin, 1); lmax <= 5; lmax++ {
+			if got, want := pc.Selectivity(lmin, lmax).Adj, bruteForceGsel(sg, lmin, lmax); !reflect.DeepEqual(got, want) {
+				t.Errorf("G_sel [%d,%d] from the counts = %v, breadth-first = %v", lmin, lmax, got, want)
 			}
 		}
 	}
@@ -116,7 +157,7 @@ func TestSelectivityGraphWindow(t *testing.T) {
 
 func TestSelectivityGraphZeroLength(t *testing.T) {
 	sg := newSG(t)
-	gsel := sg.Selectivity(0, 1)
+	gsel := sg.PathCounts(1).Selectivity(0, 1)
 	// With lmin=0 every node has a self-loop.
 	for v := range gsel.Adj {
 		found := false
@@ -133,11 +174,12 @@ func TestSelectivityGraphZeroLength(t *testing.T) {
 
 func TestWalkToClassEndsInClass(t *testing.T) {
 	sg := newSG(t)
-	gsel := sg.Selectivity(1, 3)
+	gsel := sg.PathCounts(3).Selectivity(1, 3)
 	rng := rand.New(rand.NewSource(5))
 	for _, class := range []query.SelectivityClass{query.Constant, query.Linear, query.Quadratic} {
+		cw := gsel.ClassWalks(class, 3)
 		for steps := 1; steps <= 3; steps++ {
-			walk, ok := gsel.WalkToClass(rng, steps, class)
+			walk, ok := cw.Walk(rng, steps)
 			if !ok {
 				continue // not all (steps, class) pairs are satisfiable
 			}
@@ -154,13 +196,7 @@ func TestWalkToClassEndsInClass(t *testing.T) {
 			}
 			// Consecutive nodes are G_sel neighbors.
 			for i := 0; i+1 < len(walk); i++ {
-				ok := false
-				for _, w := range gsel.Adj[walk[i]] {
-					if w == walk[i+1] {
-						ok = true
-					}
-				}
-				if !ok {
+				if !slices.Contains(gsel.Adj[walk[i]], walk[i+1]) {
 					t.Errorf("walk step %d->%d not a G_sel edge", walk[i], walk[i+1])
 				}
 			}
@@ -170,21 +206,21 @@ func TestWalkToClassEndsInClass(t *testing.T) {
 
 func TestWalkToClassQuadraticReachable(t *testing.T) {
 	sg := newSG(t)
-	gsel := sg.Selectivity(1, 2)
+	gsel := sg.PathCounts(2).Selectivity(1, 2)
 	rng := rand.New(rand.NewSource(6))
 	// a-.a gives x within 2 steps of length <= 2 each.
-	if _, ok := gsel.WalkToClass(rng, 1, query.Quadratic); !ok {
+	if _, ok := gsel.ClassWalks(query.Quadratic, 1).Walk(rng, 1); !ok {
 		t.Error("quadratic should be reachable in one 2-length step (a-.a)")
 	}
 }
 
 func TestWalkZeroSteps(t *testing.T) {
 	sg := newSG(t)
-	gsel := sg.Selectivity(1, 2)
+	gsel := sg.PathCounts(2).Selectivity(1, 2)
 	rng := rand.New(rand.NewSource(7))
 	// Zero steps: only the identity nodes themselves; T3 is fixed so a
 	// constant walk of zero steps exists (its identity is (1,=,1)).
-	walk, ok := gsel.WalkToClass(rng, 0, query.Constant)
+	walk, ok := gsel.ClassWalks(query.Constant, 0).Walk(rng, 0)
 	if !ok {
 		t.Fatal("zero-step constant walk should exist via T3")
 	}
@@ -192,7 +228,7 @@ func TestWalkZeroSteps(t *testing.T) {
 		t.Errorf("walk = %v", walk)
 	}
 	// Quadratic in zero steps is impossible: identities are never x.
-	if _, ok := gsel.WalkToClass(rng, 0, query.Quadratic); ok {
+	if _, ok := gsel.ClassWalks(query.Quadratic, 0).Walk(rng, 0); ok {
 		t.Error("zero-step quadratic walk should not exist")
 	}
 }
@@ -201,8 +237,8 @@ func TestCountPathsAndSample(t *testing.T) {
 	sg := newSG(t)
 	rng := rand.New(rand.NewSource(8))
 	from := sg.IdentityNode(0) // T1
-	isT2 := func(v int) bool { return sg.Nodes[v].Type == 1 }
-	cnt := sg.CountPathsTo(isT2, 3)
+	pc := sg.PathCounts(3)
+	cnt := pc.ToType[1] // paths ending at T2
 	// There must be at least one path of length 1 (the b edge).
 	if cnt[1][from] == 0 {
 		t.Fatal("no length-1 path T1 -> T2")
@@ -211,14 +247,14 @@ func TestCountPathsAndSample(t *testing.T) {
 		if cnt[l][from] == 0 {
 			continue
 		}
-		p, end, ok := sg.SamplePathTo(rng, from, l, cnt)
+		p, end, ok := pc.SampleToType(rng, from, 1, l, l)
 		if !ok {
-			t.Fatalf("SamplePathTo failed at length %d despite count %g", l, cnt[l][from])
+			t.Fatalf("SampleToType failed at length %d despite count %g", l, cnt[l][from])
 		}
 		if len(p) != l {
 			t.Fatalf("sampled path length %d, want %d", len(p), l)
 		}
-		if !isT2(end) {
+		if sg.Nodes[end].Type != 1 {
 			t.Fatalf("sampled path ends at type %d", sg.Nodes[end].Type)
 		}
 	}

@@ -14,10 +14,10 @@ const maxCypherExpansions = 16
 // appendOpenCypher renders the query in openCypher. Since openCypher has
 // no general regular path expressions, disjunctions of multi-symbol
 // paths are expanded into UNION branches (capped; beyond the cap only
-// the first disjunct is kept), and starred sub-expressions keep only
-// the first non-inverse symbol of their first disjunct — the
-// restriction discussed in Section 7.1, which makes recursive Cypher
-// queries incomparable to the other syntaxes.
+// the first disjunct is kept), and starred sub-expressions keep a
+// single label (starLabel) — the restriction discussed in Section 7.1,
+// which makes recursive Cypher queries incomparable to the other
+// syntaxes.
 func appendOpenCypher(dst []byte, q *query.Query, opt Options) ([]byte, error) {
 	start := len(dst)
 	first := true
@@ -146,9 +146,10 @@ func appendCypherNode(dst []byte, v query.Var) []byte {
 	return append(appendName(append(dst, '('), "x", v), ')')
 }
 
-// starLabel picks the first non-inverse symbol of the first disjunct;
-// if every symbol is inverse, the first symbol's predicate is used
-// without the inverse (the translation is lossy either way).
+// starLabel picks the first non-inverse symbol, scanning every
+// disjunct in order; if every symbol is inverse, the first symbol's
+// predicate is used without the inverse (the translation is lossy
+// either way). Engine G's restrictedStarLabel picks the same label.
 func starLabel(e regpath.Expr) string {
 	for _, p := range e.Paths {
 		for _, s := range p {

@@ -182,14 +182,16 @@ func TestQuadraticChokepointPresent(t *testing.T) {
 			t.Fatal(err)
 		}
 		sg := selectivity.NewSchemaGraph(est)
+		pc := sg.PathCounts(4)
 		found := false
 		for i := range sg.Nodes {
 			if sg.Alpha(i) == 2 {
 				// Reachable from some identity node within 4 steps?
 				for tIdx := 0; tIdx < est.NumTypes(); tIdx++ {
-					d := sg.Dist[sg.IdentityNode(tIdx)][i]
-					if d >= 0 && d <= 4 {
-						found = true
+					for l := 0; l <= 4; l++ {
+						if pc.ToNode[i][l][sg.IdentityNode(tIdx)] > 0 {
+							found = true
+						}
 					}
 				}
 			}
