@@ -103,13 +103,96 @@ func edgeCaseQueries() []struct {
 	}
 }
 
+// widenedConfigs are the pinned workloads the presets never reach:
+// several rules, arities other than 2, p_r = 1, four disjuncts and
+// zero-length paths, each edited onto a preset with all four shapes.
+var widenedConfigs = []struct {
+	name    string
+	kind    string
+	classes bool
+	edit    func(*querygen.Config)
+}{
+	{"rules-1-3.arity-0-1", "con", false, func(c *querygen.Config) {
+		c.Size.Rules, c.Arity = query.Interval{Min: 1, Max: 3}, query.Interval{Min: 0, Max: 1}
+	}},
+	{"rules-1-3.arity-0-1.classes", "con", true, func(c *querygen.Config) {
+		c.Size.Rules, c.Arity = query.Interval{Min: 1, Max: 3}, query.Interval{Min: 0, Max: 1}
+	}},
+	{"arity-3-5", "con", false, func(c *querygen.Config) { c.Arity = query.Interval{Min: 3, Max: 5} }},
+	{"rec-p1", "rec", false, func(c *querygen.Config) { c.RecursionProb = 1 }},
+	{"rec-p1.classes", "rec", true, func(c *querygen.Config) { c.RecursionProb = 1 }},
+	{"dis-4-4", "dis", false, func(c *querygen.Config) { c.Size.Disjuncts = query.Interval{Min: 4, Max: 4} }},
+	{"dis-4-4.classes", "dis", true, func(c *querygen.Config) { c.Size.Disjuncts = query.Interval{Min: 4, Max: 4} }},
+	{"len-0-3", "len", false, func(c *querygen.Config) { c.Size.Length = query.Interval{Min: 0, Max: 3} }},
+}
+
+// pinWidened adds the widenedConfigs rows (200 queries each through
+// GenerateWith) and, per use case and preset, ten GenerateWithClass
+// queries per class from a generator configured for Constant only, so
+// Linear and Quadratic are classes missing from Config.Classes.
+func pinWidened(t *testing.T, rows *pinRows) {
+	t.Helper()
+	shapes := []query.Shape{query.Chain, query.Star, query.Cycle, query.StarChain}
+	classes := []query.SelectivityClass{query.Constant, query.Linear, query.Quadratic}
+	for _, uc := range usecases.Names {
+		gcfg, err := usecases.ByName(uc, 100_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, wc := range widenedConfigs {
+			cfg, err := usecases.Workload(wc.kind, gcfg, 22)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Count, cfg.Shapes = 200, shapes
+			if wc.classes {
+				cfg.Classes = classes
+			}
+			wc.edit(&cfg)
+			name := fmt.Sprintf("wide.%s.%s", uc, wc.name)
+			gen, err := querygen.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			qs, err := gen.GenerateWith(querygen.Options{Parallelism: 2})
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			rows.pinQueries(name, qs)
+		}
+		for _, kind := range usecases.WorkloadKinds {
+			cfg, err := usecases.Workload(kind, gcfg, 22)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Classes = classes[:1]
+			gen, err := querygen.New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var qs []*query.Query
+			for _, class := range classes {
+				for i := 0; i < 10; i++ {
+					q, err := gen.GenerateWithClass(class)
+					if err != nil {
+						t.Fatalf("seq.%s.%s: %v", uc, kind, err)
+					}
+					qs = append(qs, q)
+				}
+			}
+			rows.pinQueries(fmt.Sprintf("seq.%s.%s", uc, kind), qs)
+		}
+	}
+}
+
 // TestRenderedBytesPinned pins every byte the query half renders: the
 // CRC32 of QueryFileContent and of the count-wrapped translation, per
 // syntax, of 200-query workloads for every use case x preset x shape x
-// with/without selectivity classes, plus hand-written edge cases. The
-// table was recorded before the append-style renderers replaced the
-// string builders, so a renderer change that moves a byte shows up as
-// a named row. Re-record with -update-pins.
+// with/without selectivity classes, plus hand-written edge cases and
+// the widened configurations of pinWidened. The table was recorded
+// before the append-style renderers replaced the string builders, so a
+// renderer change that moves a byte shows up as a named row. Re-record
+// with -update-pins.
 func TestRenderedBytesPinned(t *testing.T) {
 	var rows pinRows
 	shapes := []query.Shape{query.Chain, query.Star, query.Cycle, query.StarChain}
@@ -149,6 +232,7 @@ func TestRenderedBytesPinned(t *testing.T) {
 	for _, ec := range edgeCaseQueries() {
 		rows.pinQueries("edge."+ec.name, []*query.Query{ec.q})
 	}
+	pinWidened(t, &rows)
 
 	golden := filepath.Join("testdata", "rendered.crc")
 	if *updatePins {
