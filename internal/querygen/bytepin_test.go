@@ -124,6 +124,11 @@ var widenedConfigs = []struct {
 	{"dis-4-4", "dis", false, func(c *querygen.Config) { c.Size.Disjuncts = query.Interval{Min: 4, Max: 4} }},
 	{"dis-4-4.classes", "dis", true, func(c *querygen.Config) { c.Size.Disjuncts = query.Interval{Min: 4, Max: 4} }},
 	{"len-0-3", "len", false, func(c *querygen.Config) { c.Size.Length = query.Interval{Min: 0, Max: 3} }},
+	// Unblocked by clamping a plain query's arity over all its rules:
+	// generation used to fail on the first query.
+	{"rules-2-2.arity-3-3", "con", false, func(c *querygen.Config) {
+		c.Size.Rules, c.Arity = query.Interval{Min: 2, Max: 2}, query.Interval{Min: 3, Max: 3}
+	}},
 }
 
 // pinWidened adds the widenedConfigs rows (200 queries each through

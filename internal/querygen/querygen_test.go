@@ -376,3 +376,36 @@ func TestEmptySchemaFails(t *testing.T) {
 		t.Error("schema without edges should fail")
 	}
 }
+
+// TestMultiRulePlainQueriesShareArity: every rule of a query gets one
+// head size. With two rules and arity 3, a one-conjunct chain (two
+// variables) next to a longer rule used to keep arity 3 for the
+// longer one and fail the whole workload in Query.Validate.
+func TestMultiRulePlainQueriesShareArity(t *testing.T) {
+	gcfg, err := usecases.ByName("bib", 2000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg, err := usecases.Workload("con", gcfg, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Size.Rules = query.Interval{Min: 2, Max: 2}
+	cfg.Arity = query.Interval{Min: 3, Max: 3}
+	for _, shape := range []query.Shape{query.Chain, query.Star, query.Cycle, query.StarChain} {
+		cfg.Shapes = []query.Shape{shape}
+		gen, err := querygen.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		qs, err := gen.GenerateWith(querygen.Options{})
+		if err != nil {
+			t.Fatalf("%s: %v", shape, err)
+		}
+		for i, q := range qs {
+			if len(q.Rules) != 2 || q.Arity() > 3 {
+				t.Errorf("%s query %d: %d rules, arity %d\n%s", shape, i, len(q.Rules), q.Arity(), q)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package querygen
 
 import (
 	"fmt"
+	"slices"
 
 	"gmark/internal/query"
 	"gmark/internal/regpath"
@@ -36,28 +37,35 @@ func (w *worker) plainQuery(shape query.Shape, arity, numRules int) (*query.Quer
 	}
 
 	// Projection: a uniform random subset of each rule's variables, of
-	// the drawn arity (clamped to the variable count).
+	// the drawn arity. All rules of a query share one arity, so it is
+	// clamped to the fewest variables any rule has.
+	vars := make([][]query.Var, len(q.Rules))
 	for i := range q.Rules {
-		q.Rules[i].Head = w.pickProjection(&q.Rules[i], arity)
+		vars[i] = ruleVars(&q.Rules[i])
+		arity = min(arity, len(vars[i]))
+	}
+	for i := range q.Rules {
+		q.Rules[i].Head = w.pickProjection(vars[i], arity)
 	}
 	return q, q.Validate()
 }
 
-// pickProjection draws head variables for a rule.
-func (w *worker) pickProjection(r *query.Rule, arity int) []query.Var {
-	seen := map[query.Var]bool{}
+// ruleVars lists a rule's variables in order of first occurrence.
+func ruleVars(r *query.Rule) []query.Var {
 	var vars []query.Var
 	for _, c := range r.Body {
 		for _, v := range []query.Var{c.Src, c.Dst} {
-			if !seen[v] {
-				seen[v] = true
+			if !slices.Contains(vars, v) {
 				vars = append(vars, v)
 			}
 		}
 	}
-	if arity > len(vars) {
-		arity = len(vars)
-	}
+	return vars
+}
+
+// pickProjection draws arity of the variables vars (at most
+// len(vars)) as a rule head, in ascending order.
+func (w *worker) pickProjection(vars []query.Var, arity int) []query.Var {
 	// Partial Fisher-Yates, then restore ascending order for
 	// readability.
 	for i := 0; i < arity; i++ {
@@ -65,11 +73,7 @@ func (w *worker) pickProjection(r *query.Rule, arity int) []query.Var {
 		vars[i], vars[j] = vars[j], vars[i]
 	}
 	head := append([]query.Var(nil), vars[:arity]...)
-	for i := 1; i < len(head); i++ {
-		for j := i; j > 0 && head[j] < head[j-1]; j-- {
-			head[j], head[j-1] = head[j-1], head[j]
-		}
-	}
+	slices.Sort(head)
 	return head
 }
 
