@@ -129,6 +129,9 @@ var widenedConfigs = []struct {
 	{"rules-2-2.arity-3-3", "con", false, func(c *querygen.Config) {
 		c.Size.Rules, c.Arity = query.Interval{Min: 2, Max: 2}, query.Interval{Min: 3, Max: 3}
 	}},
+	// Changed by drawing class steps from lengths of at least one: the
+	// classed chains used to contain eps conjuncts.
+	{"len-0-3.classes", "len", true, func(c *querygen.Config) { c.Size.Length = query.Interval{Min: 0, Max: 3} }},
 }
 
 // pinWidened adds the widenedConfigs rows (200 queries each through

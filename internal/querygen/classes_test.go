@@ -16,41 +16,46 @@ import (
 
 // TestEstimatorAgreesAcrossUseCases: for every use case, the estimator
 // applied to the generator's own non-recursive output must return the
-// declared class — generation and estimation share one algebra.
+// declared class — generation and estimation share one algebra. The
+// window {0, 3} admits zero-length paths: a class step must still draw
+// a path of at least one edge, or an eps conjunct drops the walk's type.
 func TestEstimatorAgreesAcrossUseCases(t *testing.T) {
 	for _, name := range usecases.Names {
 		gcfg, err := usecases.ByName(name, 1000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		wcfg, err := usecases.Workload("con", gcfg, 21)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gen, err := querygen.New(wcfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		est := gen.Estimator()
-		for _, class := range []query.SelectivityClass{query.Constant, query.Linear, query.Quadratic} {
-			for i := 0; i < 5; i++ {
-				q, err := gen.GenerateWithClass(class)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !q.HasClass || q.HasRecursion() {
-					continue
-				}
-				got, ok, err := est.EstimateClass(q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !ok {
-					t.Errorf("%s: estimator rejects its own query:\n%s", name, q)
-					continue
-				}
-				if got != class {
-					t.Errorf("%s: declared %v, estimator says %v:\n%s", name, class, got, q)
+		for _, length := range []query.Interval{{Min: 1, Max: 3}, {Min: 0, Max: 3}} {
+			wcfg, err := usecases.Workload("con", gcfg, 21)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wcfg.Size.Length = length
+			gen, err := querygen.New(wcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			est := gen.Estimator()
+			for _, class := range []query.SelectivityClass{query.Constant, query.Linear, query.Quadratic} {
+				for i := 0; i < 10; i++ {
+					q, err := gen.GenerateWithClass(class)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !q.HasClass || q.HasRecursion() {
+						continue
+					}
+					got, ok, err := est.EstimateClass(q)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !ok {
+						t.Errorf("%s %v: estimator rejects its own query:\n%s", name, length, q)
+						continue
+					}
+					if got != class {
+						t.Errorf("%s %v: declared %v, estimator says %v:\n%s", name, length, class, got, q)
+					}
 				}
 			}
 		}

@@ -183,7 +183,9 @@ func New(cfg Config) (*Generator, error) {
 		if _, ok := g.gsel[w]; ok {
 			continue
 		}
-		gs := g.paths.Selectivity(w.Min, w.Max)
+		// A class step draws paths of at least one edge: an eps step
+		// would leave the walk's type behind (the star draws likewise).
+		gs := g.paths.Selectivity(max(w.Min, 1), w.Max)
 		g.gsel[w] = gs
 		for _, c := range cfg.Classes {
 			g.walks[walkKey{w, c}] = gs.ClassWalks(c, cfg.Size.Conjuncts.Max)
@@ -335,7 +337,7 @@ func (w *worker) classChainRule(class query.SelectivityClass) (query.Rule, bool,
 					continue
 				}
 			}
-			rule, ok := w.instantiateChain(walk, starred, window, true)
+			rule, ok := w.instantiateChain(walk, starred, query.Interval{Min: max(window.Min, 1), Max: window.Max}, true)
 			if !ok {
 				continue
 			}
