@@ -302,8 +302,8 @@ func TestEmitEmptyWorkload(t *testing.T) {
 }
 
 // TestSequentialAPIUnaffectedByPipeline checks that running the
-// pipeline does not perturb the sequential GenerateOne stream (the
-// pipeline must not consume the generator's seeded RNG).
+// pipeline does not perturb the sequential GenerateWithClass stream
+// (the pipeline must not consume the generator's seeded RNG).
 func TestSequentialAPIUnaffectedByPipeline(t *testing.T) {
 	wcfg := pipelineConfig(t, "bib", 17)
 
@@ -311,7 +311,7 @@ func TestSequentialAPIUnaffectedByPipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q1, err := gen1.GenerateOne()
+	q1, err := gen1.GenerateWithClass(query.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -323,7 +323,7 @@ func TestSequentialAPIUnaffectedByPipeline(t *testing.T) {
 	if _, err := gen2.GenerateWith(querygen.Options{Parallelism: 4}); err != nil {
 		t.Fatal(err)
 	}
-	q2, err := gen2.GenerateOne()
+	q2, err := gen2.GenerateWithClass(query.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -43,6 +43,7 @@ package querygen
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"gmark/internal/prng"
 	"gmark/internal/query"
@@ -111,9 +112,9 @@ const attemptsPerQuery = 4
 // Generator generates queries for one configuration. After New
 // returns, every field except the sequential-API RNG (seq.rng) is
 // read-only, so the emission pipeline may share one Generator across
-// any number of workers. The stateful convenience methods GenerateOne
-// and GenerateWithClass draw from the shared seq stream and are NOT
-// safe for concurrent use; Generate, GenerateWith and Emit are.
+// any number of workers. The stateful convenience method
+// GenerateWithClass draws from the shared seq stream and is NOT safe
+// for concurrent use; GenerateWith, Emit and EmitWindow are.
 type Generator struct {
 	cfg Config
 	est *selectivity.Estimator
@@ -180,9 +181,6 @@ func New(cfg Config) (*Generator, error) {
 	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
 	for relax := 0; relax <= maxRelaxation; relax++ {
 		w := g.lengthWindow(relax)
-		if _, ok := g.gsel[w]; ok {
-			continue
-		}
 		// A class step draws paths of at least one edge: an eps step
 		// would leave the walk's type behind (the star draws likewise).
 		gs := g.paths.Selectivity(max(w.Min, 1), w.Max)
@@ -210,29 +208,8 @@ func (g *Generator) classWalks(w query.Interval, class query.SelectivityClass) *
 // relax steps on both sides (never below 1 on the low side unless the
 // configuration itself allows zero-length paths).
 func (g *Generator) lengthWindow(relax int) query.Interval {
-	lo := g.cfg.Size.Length.Min - relax
-	floor := 1
-	if g.cfg.Size.Length.Min == 0 {
-		floor = 0
-	}
-	if lo < floor {
-		lo = floor
-	}
-	return query.Interval{Min: lo, Max: g.cfg.Size.Length.Max + relax}
-}
-
-// GenerateOne draws one query according to the configuration, from the
-// generator's sequential RNG stream. Not safe for concurrent use.
-func (g *Generator) GenerateOne() (*query.Query, error) {
-	w := &g.seq
-	shape := w.pickShape()
-	if len(g.cfg.Classes) > 0 && shape == query.Chain {
-		class := g.cfg.Classes[w.rng.Intn(len(g.cfg.Classes))]
-		return g.GenerateWithClass(class)
-	}
-	numRules := w.interval(g.cfg.Size.Rules)
-	arity := w.interval(g.cfg.Arity)
-	return w.plainQuery(shape, arity, numRules)
+	l := g.cfg.Size.Length
+	return query.Interval{Min: max(l.Min-relax, min(l.Min, 1)), Max: l.Max + relax}
 }
 
 // GenerateWithClass draws one binary chain query whose estimated
@@ -252,10 +229,6 @@ func (g *Generator) GenerateWithClass(class query.SelectivityClass) (*query.Quer
 type worker struct {
 	g   *Generator
 	rng *rand.Rand
-}
-
-func (w *worker) pickShape() query.Shape {
-	return pickShapeFrom(w.rng, w.g.cfg.Shapes)
 }
 
 // pickShapeFrom draws a shape from the configured list (chain when the
@@ -282,22 +255,18 @@ func drawInterval(rng *rand.Rand, iv query.Interval) int {
 func (w *worker) classQuery(class query.SelectivityClass, numRules int) (*query.Query, error) {
 	q := &query.Query{Shape: query.Chain, HasClass: true, Class: class}
 	for r := 0; r < numRules; r++ {
-		rule, relaxed, ok := w.classChainRule(class)
+		rule, relax, ok := w.classChainRule(class)
 		if !ok {
 			// Last resort: drop the selectivity constraint for this
 			// rule (the paper always outputs a result).
-			rule, ok = w.plainBinaryChainRule()
+			rule, _, ok = w.ladder(func(window query.Interval) (query.Rule, bool) { return w.plainRule(query.Chain, window) })
 			if !ok {
 				return nil, fmt.Errorf("querygen: could not instantiate chain rule under schema")
 			}
-			q.Rules = append(q.Rules, rule)
-			q.HasClass = false
-			q.Relaxed = true
-			continue
+			rule.Head = []query.Var{rule.Body[0].Src, rule.Body[len(rule.Body)-1].Dst}
+			q.HasClass, q.Relaxed = false, true
 		}
-		if relaxed {
-			q.Relaxed = true
-		}
+		q.Relaxed = q.Relaxed || relax > 0
 		q.Rules = append(q.Rules, rule)
 	}
 	// All rules of a query share one arity; the class machinery fixes
@@ -305,108 +274,100 @@ func (w *worker) classQuery(class query.SelectivityClass, numRules int) (*query.
 	return q, q.Validate()
 }
 
-// classChainRule draws one chain rule targeting a selectivity class,
-// applying the relaxation ladder: re-draw layouts, then widen the
-// path-length window.
-func (w *worker) classChainRule(class query.SelectivityClass) (query.Rule, bool, bool) {
-	g := w.g
-	for relax := 0; relax <= maxRelaxation; relax++ {
-		window := g.lengthWindow(relax)
-		walks := g.classWalks(window, class)
-		for attempt := 0; attempt < attemptsPerQuery; attempt++ {
-			numConjuncts := w.interval(g.cfg.Size.Conjuncts)
-			starred := make([]bool, numConjuncts)
-			walkSteps := 0
-			for i := range starred {
-				if w.rng.Float64() < g.cfg.RecursionProb {
-					starred[i] = true
-				} else {
-					walkSteps++
-				}
-			}
-			walk, ok := walks.Walk(w.rng, walkSteps)
-			if !ok {
-				// Retry with all conjuncts unstarred before widening.
-				if walkSteps != numConjuncts {
-					walk, ok = walks.Walk(w.rng, numConjuncts)
-					if ok {
-						starred = make([]bool, numConjuncts)
-					}
-				}
-				if !ok {
-					continue
-				}
-			}
-			rule, ok := w.instantiateChain(walk, starred, query.Interval{Min: max(window.Min, 1), Max: window.Max}, true)
-			if !ok {
-				continue
-			}
-			return rule, relax > 0, true
+// ladder runs the relaxation ladder (Section 5.2.4): up to
+// attemptsPerQuery draws of build in each window lengthWindow(0),
+// lengthWindow(1), ..., lengthWindow(maxRelaxation). It returns the
+// first rule built and the ladder step (relax) that built it.
+func (w *worker) ladder(build func(window query.Interval) (query.Rule, bool)) (query.Rule, int, bool) {
+	for attempt := 0; attempt < attemptsPerQuery*(maxRelaxation+1); attempt++ {
+		relax := attempt / attemptsPerQuery
+		if rule, ok := build(w.g.lengthWindow(relax)); ok {
+			return rule, relax, true
 		}
 	}
-	return query.Rule{}, false, false
+	return query.Rule{}, 0, false
 }
 
-// instantiateChain converts a G_sel walk plus a star layout into a
-// chain rule with head (x0, xk). When exact is true every disjunct
-// connects the exact G_S walk nodes (preserving the selectivity
-// triple); otherwise disjuncts only respect the endpoint types.
-func (w *worker) instantiateChain(walk []int, starred []bool, window query.Interval, exact bool) (query.Rule, bool) {
-	var body []query.Conjunct
-	nextVar := query.Var(1)
-	walkIdx := 0
-	cur := query.Var(0)
-	for i := 0; i < len(starred); i++ {
-		var expr regpath.Expr
-		var ok bool
-		if starred[i] {
-			expr, ok = w.starExpr(walk[walkIdx], window)
-		} else {
-			expr, ok = w.stepExpr(walk[walkIdx], walk[walkIdx+1], window, exact)
-			walkIdx++
+// classChainRule draws one chain rule targeting a selectivity class
+// through the relaxation ladder: a star layout, then a G_sel walk of
+// the class over the unstarred conjuncts (all conjuncts, unstarred, if
+// that fails), then the walk's instantiation.
+func (w *worker) classChainRule(class query.SelectivityClass) (query.Rule, int, bool) {
+	g := w.g
+	return w.ladder(func(window query.Interval) (query.Rule, bool) {
+		walks := g.classWalks(window, class)
+		numConjuncts := w.interval(g.cfg.Size.Conjuncts)
+		starred := make([]bool, numConjuncts)
+		walkSteps := 0
+		for i := range starred {
+			if w.rng.Float64() < g.cfg.RecursionProb {
+				starred[i] = true
+			} else {
+				walkSteps++
+			}
+		}
+		walk, ok := walks.Walk(w.rng, walkSteps)
+		if !ok && walkSteps != numConjuncts {
+			if walk, ok = walks.Walk(w.rng, numConjuncts); ok {
+				clear(starred)
+			}
 		}
 		if !ok {
 			return query.Rule{}, false
 		}
-		body = append(body, query.Conjunct{Src: cur, Dst: nextVar, Expr: expr})
-		cur = nextVar
-		nextVar++
+		// A class step draws paths of at least one edge, like G_sel.
+		window.Min = max(window.Min, 1)
+		return w.instantiateChain(walk, starred, window)
+	})
+}
+
+// instantiateChain converts a G_sel walk plus a star layout into a
+// chain rule with head (x0, xk). Every disjunct of a walk step
+// connects the exact G_S walk nodes, preserving the selectivity
+// triple.
+func (w *worker) instantiateChain(walk []int, starred []bool, window query.Interval) (query.Rule, bool) {
+	var body []query.Conjunct
+	for i, star := range starred {
+		var expr regpath.Expr
+		var ok bool
+		if star {
+			expr, ok = w.starExpr(walk[0], window)
+		} else {
+			a, b := walk[0], walk[1]
+			expr, ok = w.disjunction(func(int) (regpath.Path, bool) {
+				return w.g.paths.SampleToNode(w.rng, a, b, window.Min, window.Max)
+			})
+			walk = walk[1:]
+		}
+		if !ok {
+			return query.Rule{}, false
+		}
+		body = append(body, query.Conjunct{Src: query.Var(i), Dst: query.Var(i + 1), Expr: expr})
 	}
 	if len(body) == 0 {
 		return query.Rule{}, false
 	}
-	return query.Rule{Head: []query.Var{0, cur}, Body: body}, true
+	return query.Rule{Head: []query.Var{0, query.Var(len(body))}, Body: body}, true
 }
 
-// stepExpr instantiates one placeholder for a walk step from G_S node
-// a to node b: a disjunction of label paths with lengths in the
-// window.
-func (w *worker) stepExpr(a, b int, window query.Interval, exact bool) (regpath.Expr, bool) {
-	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
-	targetType := w.g.sg.Nodes[b].Type
+// disjunction instantiates one placeholder (Fig. 6, line 4): it draws
+// the disjunct count from Size.Disjuncts, then that many label paths,
+// sample(d) drawing the d-th, and returns them as one disjunction
+// without duplicates. It stops at the first failed draw, and fails
+// only when the first one fails.
+func (w *worker) disjunction(sample func(d int) (regpath.Path, bool)) (regpath.Expr, bool) {
+	n := w.interval(w.g.cfg.Size.Disjuncts)
 	var paths []regpath.Path
-	for d := 0; d < numDisjuncts; d++ {
-		var p regpath.Path
-		var ok bool
-		if exact {
-			p, ok = w.g.paths.SampleToNode(w.rng, a, b, window.Min, window.Max)
-		} else {
-			p, _, ok = w.g.paths.SampleToType(w.rng, a, targetType, window.Min, window.Max)
-		}
+	for d := 0; d < n; d++ {
+		p, ok := sample(d)
 		if !ok {
-			if d == 0 {
-				return regpath.Expr{}, false
-			}
-			break // fewer disjuncts than requested: accept
+			break
 		}
-		if !containsPath(paths, p) {
+		if !slices.ContainsFunc(paths, p.Equal) {
 			paths = append(paths, p)
 		}
 	}
-	if len(paths) == 0 {
-		return regpath.Expr{}, false
-	}
-	return regpath.Expr{Paths: paths}, true
+	return regpath.Expr{Paths: paths}, len(paths) > 0
 }
 
 // starExpr instantiates a recursive conjunct at G_S node a: the inner
@@ -416,50 +377,11 @@ func (w *worker) stepExpr(a, b int, window query.Interval, exact bool) (regpath.
 func (w *worker) starExpr(a int, window query.Interval) (regpath.Expr, bool) {
 	sg := w.g.sg
 	t := sg.Nodes[a].Type
-	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
-	lmin := window.Min
-	if lmin < 1 {
-		lmin = 1 // an eps disjunct under a star is pointless
-	}
-	var paths []regpath.Path
-	for d := 0; d < numDisjuncts; d++ {
+	lmin := max(window.Min, 1) // an eps disjunct under a star is pointless
+	expr, ok := w.disjunction(func(int) (regpath.Path, bool) {
 		p, _, ok := w.g.paths.SampleToType(w.rng, sg.IdentityNode(t), t, lmin, window.Max)
-		if !ok {
-			if d == 0 {
-				return regpath.Expr{}, false
-			}
-			break
-		}
-		if !containsPath(paths, p) {
-			paths = append(paths, p)
-		}
-	}
-	if len(paths) == 0 {
-		return regpath.Expr{}, false
-	}
-	return regpath.Expr{Paths: paths, Star: true}, true
-}
-
-// plainBinaryChainRule draws an unconstrained chain rule projected on
-// its endpoints, for selectivity-constrained workloads whose class
-// walk could not be satisfied.
-func (w *worker) plainBinaryChainRule() (query.Rule, bool) {
-	for attempt := 0; attempt < attemptsPerQuery*(maxRelaxation+1); attempt++ {
-		window := w.g.lengthWindow(attempt / attemptsPerQuery)
-		rule, ok := w.plainChain(w.interval(w.g.cfg.Size.Conjuncts), window)
-		if ok {
-			rule.Head = []query.Var{rule.Body[0].Src, rule.Body[len(rule.Body)-1].Dst}
-			return rule, true
-		}
-	}
-	return query.Rule{}, false
-}
-
-func containsPath(paths []regpath.Path, p regpath.Path) bool {
-	for _, q := range paths {
-		if q.Equal(p) {
-			return true
-		}
-	}
-	return false
+		return p, ok
+	})
+	expr.Star = true
+	return expr, ok
 }

@@ -28,6 +28,16 @@ func bibConfig(t *testing.T, seed int64) querygen.Config {
 	}
 }
 
+// firstQuery returns query 0 of the generator's workload.
+func firstQuery(t *testing.T, gen *querygen.Generator) *query.Query {
+	t.Helper()
+	qs, err := gen.GenerateWith(querygen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qs[0]
+}
+
 func TestConfigValidate(t *testing.T) {
 	cfg := bibConfig(t, 1)
 	if err := cfg.Validate(); err != nil {
@@ -177,10 +187,7 @@ func TestShapeChain(t *testing.T) {
 	cfg.Shapes = []query.Shape{query.Chain}
 	cfg.Size.Conjuncts = query.Interval{Min: 3, Max: 3}
 	gen, _ := querygen.New(cfg)
-	q, err := gen.GenerateOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := firstQuery(t, gen)
 	r := q.Rules[0]
 	if len(r.Body) != 3 {
 		t.Fatalf("conjuncts = %d", len(r.Body))
@@ -197,10 +204,7 @@ func TestShapeStar(t *testing.T) {
 	cfg.Shapes = []query.Shape{query.Star}
 	cfg.Size.Conjuncts = query.Interval{Min: 3, Max: 3}
 	gen, _ := querygen.New(cfg)
-	q, err := gen.GenerateOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := firstQuery(t, gen)
 	for _, c := range q.Rules[0].Body {
 		if c.Src != 0 {
 			t.Errorf("star conjunct source = %v, want ?x0", c.Src)
@@ -216,10 +220,7 @@ func TestShapeCycle(t *testing.T) {
 	cfg.Shapes = []query.Shape{query.Cycle}
 	cfg.Size.Conjuncts = query.Interval{Min: 4, Max: 4}
 	gen, _ := querygen.New(cfg)
-	q, err := gen.GenerateOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := firstQuery(t, gen)
 	// In a cycle, the in/out degree structure closes: x0 appears as
 	// source twice, and the chain endpoint appears as destination
 	// twice.
@@ -248,10 +249,7 @@ func TestShapeStarChain(t *testing.T) {
 	cfg.Shapes = []query.Shape{query.StarChain}
 	cfg.Size.Conjuncts = query.Interval{Min: 4, Max: 4}
 	gen, _ := querygen.New(cfg)
-	q, err := gen.GenerateOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := firstQuery(t, gen)
 	if len(q.Rules[0].Body) != 4 {
 		t.Fatalf("conjuncts = %d", len(q.Rules[0].Body))
 	}
@@ -266,12 +264,12 @@ func TestRecursionProbability(t *testing.T) {
 	cfg.RecursionProb = 1.0
 	cfg.Size.Conjuncts = query.Interval{Min: 1, Max: 1}
 	gen, _ := querygen.New(cfg)
+	qs, err := gen.GenerateWith(querygen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	recursive := 0
-	for i := 0; i < cfg.Count; i++ {
-		q, err := gen.GenerateOne()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, q := range qs {
 		if q.HasRecursion() {
 			recursive++
 		}
@@ -283,11 +281,11 @@ func TestRecursionProbability(t *testing.T) {
 	cfg.RecursionProb = 0
 	cfg.Seed = 11
 	gen2, _ := querygen.New(cfg)
-	for i := 0; i < 20; i++ {
-		q, err := gen2.GenerateOne()
-		if err != nil {
-			t.Fatal(err)
-		}
+	qs, err = gen2.GenerateWith(querygen.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range qs {
 		if q.HasRecursion() {
 			t.Fatal("with p_r=0 no query should be recursive")
 		}
@@ -299,10 +297,7 @@ func TestArityZeroAndHigher(t *testing.T) {
 	cfg.Arity = query.Interval{Min: 0, Max: 0}
 	cfg.Classes = nil
 	gen, _ := querygen.New(cfg)
-	q, err := gen.GenerateOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q := firstQuery(t, gen)
 	if q.Arity() != 0 {
 		t.Errorf("arity = %d, want 0", q.Arity())
 	}
@@ -311,10 +306,7 @@ func TestArityZeroAndHigher(t *testing.T) {
 	cfg.Size.Conjuncts = query.Interval{Min: 3, Max: 3}
 	cfg.Seed = 13
 	gen2, _ := querygen.New(cfg)
-	q2, err := gen2.GenerateOne()
-	if err != nil {
-		t.Fatal(err)
-	}
+	q2 := firstQuery(t, gen2)
 	if q2.Arity() != 3 {
 		t.Errorf("arity = %d, want 3", q2.Arity())
 	}

@@ -11,28 +11,15 @@ import (
 // plainQuery draws one query of the given shape without selectivity
 // control: skeleton first (Fig. 6, line 2), projection variables
 // (line 3), then schema-typed placeholder instantiation (line 4). The
-// arity and rule count are decided by the caller (the planning stage
-// pre-draws them; the sequential API draws them from its own stream).
+// arity and rule count are pre-drawn by the planning stage.
 func (w *worker) plainQuery(shape query.Shape, arity, numRules int) (*query.Query, error) {
 	q := &query.Query{Shape: shape}
-
 	for r := 0; r < numRules; r++ {
-		var rule query.Rule
-		var ok bool
-		for attempt := 0; attempt < attemptsPerQuery*(maxRelaxation+1); attempt++ {
-			relax := attempt / attemptsPerQuery
-			window := w.g.lengthWindow(relax)
-			rule, ok = w.plainRule(shape, window)
-			if ok {
-				if relax > 0 {
-					q.Relaxed = true
-				}
-				break
-			}
-		}
+		rule, relax, ok := w.ladder(func(window query.Interval) (query.Rule, bool) { return w.plainRule(shape, window) })
 		if !ok {
 			return nil, fmt.Errorf("querygen: could not instantiate %s rule under schema", shape)
 		}
+		q.Relaxed = q.Relaxed || relax > 0
 		q.Rules = append(q.Rules, rule)
 	}
 
@@ -82,7 +69,8 @@ func (w *worker) plainRule(shape query.Shape, window query.Interval) (query.Rule
 	numConjuncts := w.interval(w.g.cfg.Size.Conjuncts)
 	switch shape {
 	case query.Chain:
-		return w.plainChain(numConjuncts, window)
+		body, _, ok := w.walkChain(numConjuncts, window)
+		return query.Rule{Body: body}, ok
 	case query.Star:
 		return w.plainStar(numConjuncts, window)
 	case query.Cycle:
@@ -112,10 +100,14 @@ func (w *worker) walkFromType(t int) walkState {
 // typeOf returns the node type at the walk position.
 func (ws *walkState) typeOf() int { return ws.w.g.sg.Nodes[ws.node].Type }
 
-// step instantiates one conjunct expression and advances the walk.
-// With probability p_r the conjunct is starred and the walk stays on
-// the same type.
-func (ws *walkState) step(window query.Interval, allowStar bool) (regpath.Expr, bool) {
+// anyType lets step's first path choose the conjunct's end type.
+const anyType = -1
+
+// step instantiates one conjunct expression ending on type endType
+// (anyType: whichever type the first disjunct reaches) and advances
+// the walk. With allowStar, with probability p_r the conjunct is
+// starred and the walk stays on the same type.
+func (ws *walkState) step(window query.Interval, allowStar bool, endType int) (regpath.Expr, bool) {
 	w := ws.w
 	sg := w.g.sg
 	if allowStar && w.rng.Float64() < w.g.cfg.RecursionProb {
@@ -125,74 +117,50 @@ func (ws *walkState) step(window query.Interval, allowStar bool) (regpath.Expr, 
 		}
 		// No loop back to this type: fall through to a plain step.
 	}
-	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
-	first, end, ok := w.g.paths.SampleToAny(w.rng, ws.node, window.Min, window.Max)
-	if !ok {
-		return regpath.Expr{}, false
-	}
-	endType := sg.Nodes[end].Type
-	paths := []regpath.Path{first}
-	for d := 1; d < numDisjuncts; d++ {
-		p, _, ok := w.g.paths.SampleToType(w.rng, ws.node, endType, window.Min, window.Max)
-		if !ok {
-			break
-		}
-		if !containsPath(paths, p) {
-			paths = append(paths, p)
-		}
-	}
-	ws.node = sg.IdentityNode(endType)
-	return regpath.Expr{Paths: paths}, true
-}
-
-// stepToType instantiates one conjunct constrained to end on a given
-// type (used to close cycles).
-func (ws *walkState) stepToType(window query.Interval, endType int) (regpath.Expr, bool) {
-	w := ws.w
-	sg := w.g.sg
-	numDisjuncts := w.interval(w.g.cfg.Size.Disjuncts)
-	var paths []regpath.Path
-	for d := 0; d < numDisjuncts; d++ {
-		p, _, ok := w.g.paths.SampleToType(w.rng, ws.node, endType, window.Min, window.Max)
-		if !ok {
-			if d == 0 {
-				return regpath.Expr{}, false
+	expr, ok := w.disjunction(func(int) (regpath.Path, bool) {
+		if endType == anyType {
+			p, end, ok := w.g.paths.SampleToAny(w.rng, ws.node, window.Min, window.Max)
+			if ok {
+				endType = sg.Nodes[end].Type
 			}
-			break
+			return p, ok
 		}
-		if !containsPath(paths, p) {
-			paths = append(paths, p)
-		}
+		p, _, ok := w.g.paths.SampleToType(w.rng, ws.node, endType, window.Min, window.Max)
+		return p, ok
+	})
+	if ok {
+		ws.node = sg.IdentityNode(endType)
 	}
-	ws.node = sg.IdentityNode(endType)
-	return regpath.Expr{Paths: paths}, true
+	return expr, ok
 }
 
-// plainChain: (?x0,P1,?x1), (?x1,P2,?x2), ...
-func (w *worker) plainChain(numConjuncts int, window query.Interval) (query.Rule, bool) {
+// walkChain walks numConjuncts steps from a random start:
+// (?x0,P1,?x1), (?x1,P2,?x2), ... It returns the body and the type of
+// each variable x0 .. x_numConjuncts.
+func (w *worker) walkChain(numConjuncts int, window query.Interval) ([]query.Conjunct, []int, bool) {
 	ws := w.newWalk()
+	types := make([]int, 1, numConjuncts+1)
+	types[0] = ws.typeOf()
 	var body []query.Conjunct
-	cur := query.Var(0)
-	for i := 0; i < numConjuncts; i++ {
-		expr, ok := ws.step(window, true)
+	for i := range numConjuncts {
+		expr, ok := ws.step(window, true, anyType)
 		if !ok {
-			return query.Rule{}, false
+			return nil, nil, false
 		}
-		body = append(body, query.Conjunct{Src: cur, Dst: cur + 1, Expr: expr})
-		cur++
+		body = append(body, query.Conjunct{Src: query.Var(i), Dst: query.Var(i + 1), Expr: expr})
+		types = append(types, ws.typeOf())
 	}
-	return query.Rule{Body: body}, true
+	return body, types, true
 }
 
 // plainStar: all conjuncts share the starting variable:
 // (?x0,P1,?x1), (?x0,P2,?x2), ...
 func (w *worker) plainStar(numConjuncts int, window query.Interval) (query.Rule, bool) {
 	center := w.newWalk()
-	centerType := center.typeOf()
 	var body []query.Conjunct
 	for i := 0; i < numConjuncts; i++ {
-		ws := w.walkFromType(centerType)
-		expr, ok := ws.step(window, true)
+		ws := w.walkFromType(center.typeOf())
+		expr, ok := ws.step(window, true, anyType)
 		if !ok {
 			return query.Rule{}, false
 		}
@@ -207,53 +175,30 @@ func (w *worker) plainCycle(numConjuncts int, window query.Interval) (query.Rule
 		// A 1-conjunct cycle is a self-loop (?x0, P, ?x0); the schema
 		// must admit a path returning to the start type.
 		ws := w.newWalk()
-		t := ws.typeOf()
-		expr, ok := ws.stepToType(window, t)
-		if !ok {
-			return query.Rule{}, false
-		}
-		return query.Rule{Body: []query.Conjunct{{Src: 0, Dst: 0, Expr: expr}}}, true
+		expr, ok := ws.step(window, false, ws.typeOf())
+		return query.Rule{Body: []query.Conjunct{{Src: 0, Dst: 0, Expr: expr}}}, ok
 	}
-	c1 := (numConjuncts + 1) / 2
-	c2 := numConjuncts - c1
-
 	// Forward chain x0 .. xm.
-	ws := w.newWalk()
-	startType := ws.typeOf()
-	var body []query.Conjunct
-	cur := query.Var(0)
-	for i := 0; i < c1; i++ {
-		expr, ok := ws.step(window, true)
-		if !ok {
-			return query.Rule{}, false
-		}
-		body = append(body, query.Conjunct{Src: cur, Dst: cur + 1, Expr: expr})
-		cur++
+	m := (numConjuncts + 1) / 2
+	body, types, ok := w.walkChain(m, window)
+	if !ok {
+		return query.Rule{}, false
 	}
-	endVar, endType := cur, ws.typeOf()
-
 	// Second chain x0 -> ... -> xm with fresh intermediates; the last
-	// conjunct is constrained to land on the end type.
-	ws2 := w.walkFromType(startType)
-	prev := query.Var(0)
-	for i := 0; i < c2; i++ {
-		last := i == c2-1
-		var expr regpath.Expr
-		var ok bool
-		if last {
-			expr, ok = ws2.stepToType(window, endType)
-		} else {
-			expr, ok = ws2.step(window, false)
+	// conjunct is constrained to land on xm's type.
+	ws := w.walkFromType(types[0])
+	src := query.Var(0)
+	for i := m + 1; i <= numConjuncts; i++ {
+		dst, endType := query.Var(i), anyType
+		if i == numConjuncts {
+			dst, endType = query.Var(m), types[m]
 		}
+		expr, ok := ws.step(window, false, endType)
 		if !ok {
 			return query.Rule{}, false
 		}
-		dst := endVar + query.Var(i) + 1
-		if last {
-			dst = endVar
-		}
-		body = append(body, query.Conjunct{Src: prev, Dst: dst, Expr: expr})
-		prev = dst
+		body = append(body, query.Conjunct{Src: src, Dst: dst, Expr: expr})
+		src = dst
 	}
 	return query.Rule{Body: body}, true
 }
@@ -261,31 +206,18 @@ func (w *worker) plainCycle(numConjuncts int, window query.Interval) (query.Rule
 // plainStarChain: a chain with star branches hanging off its joints.
 func (w *worker) plainStarChain(numConjuncts int, window query.Interval) (query.Rule, bool) {
 	chainLen := (numConjuncts + 1) / 2
-	branches := numConjuncts - chainLen
-
-	ws := w.newWalk()
-	var body []query.Conjunct
-	varTypes := []int{ws.typeOf()} // type of x0, x1, ...
-	cur := query.Var(0)
-	for i := 0; i < chainLen; i++ {
-		expr, ok := ws.step(window, true)
-		if !ok {
-			return query.Rule{}, false
-		}
-		body = append(body, query.Conjunct{Src: cur, Dst: cur + 1, Expr: expr})
-		varTypes = append(varTypes, ws.typeOf())
-		cur++
+	body, types, ok := w.walkChain(chainLen, window)
+	if !ok {
+		return query.Rule{}, false
 	}
-	nextVar := cur + 1
-	for b := 0; b < branches; b++ {
-		at := w.rng.Intn(len(varTypes))
-		wb := w.walkFromType(varTypes[at])
-		expr, ok := wb.step(window, true)
+	for dst := chainLen + 1; dst <= numConjuncts; dst++ {
+		at := w.rng.Intn(len(types))
+		wb := w.walkFromType(types[at])
+		expr, ok := wb.step(window, true, anyType)
 		if !ok {
 			return query.Rule{}, false
 		}
-		body = append(body, query.Conjunct{Src: query.Var(at), Dst: nextVar, Expr: expr})
-		nextVar++
+		body = append(body, query.Conjunct{Src: query.Var(at), Dst: query.Var(dst), Expr: expr})
 	}
 	return query.Rule{Body: body}, true
 }

@@ -148,7 +148,7 @@ func TestSyntaxDirSinkAddAfterFlush(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := gen.GenerateOne()
+	q, err := gen.GenerateWithClass(query.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestSyntaxDirSinkReportsLowestFailedFile(t *testing.T) {
 
 	// A full batch fails inside AddQuery; the next AddQuery and Flush
 	// replay its error.
-	q, err := gen.GenerateOne()
+	q, err := gen.GenerateWithClass(query.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestSyntaxDirSinkHoldsNoGoroutine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	q, err := gen.GenerateOne()
+	q, err := gen.GenerateWithClass(query.Linear)
 	if err != nil {
 		t.Fatal(err)
 	}
