@@ -98,6 +98,11 @@ func (c *Config) Validate() error {
 	if c.Size.Length.Max == 0 {
 		return fmt.Errorf("querygen: maximum path length must be >= 1")
 	}
+	for _, class := range c.Classes {
+		if class > query.Quadratic {
+			return fmt.Errorf("querygen: unknown selectivity class %v", class)
+		}
+	}
 	return nil
 }
 
@@ -123,14 +128,10 @@ type Generator struct {
 	// built once for the widest relaxation window (which contains every
 	// narrower one) instead of once per sampled disjunct.
 	paths *selectivity.PathCounts
-	// gsel caches the selectivity graph per path-length window, read
-	// off paths. Every window reachable through the relaxation ladder
-	// is precomputed in New, so the map is never written after
-	// construction and is safe for concurrent reads.
-	gsel map[query.Interval]*selectivity.SelectivityGraph
 	// walks holds the G_sel walk-count table of every (ladder window,
-	// configured class) pair, to walks of Size.Conjuncts.Max edges —
-	// the longest a class chain draws — so no walk rebuilds one.
+	// class) pair, to walks of Size.Conjuncts.Max edges — the longest
+	// a class chain draws — so no walk rebuilds one. Built in New and
+	// never written after, it is safe for concurrent reads.
 	walks map[walkKey]*selectivity.ClassWalks
 	// startNodes caches the G_S identity nodes that have at least one
 	// outgoing edge (usable walk starts).
@@ -149,7 +150,7 @@ type walkKey struct {
 // New builds a generator, precomputing the schema graph, the nb_path
 // tables of the widest relaxation window, and from them the
 // selectivity graph of every relaxation window with its walk-count
-// tables.
+// table for each class.
 func New(cfg Config) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -163,7 +164,6 @@ func New(cfg Config) (*Generator, error) {
 		cfg:   cfg,
 		est:   est,
 		sg:    sg,
-		gsel:  make(map[query.Interval]*selectivity.SelectivityGraph),
 		walks: make(map[walkKey]*selectivity.ClassWalks),
 	}
 	for t := 0; t < est.NumTypes(); t++ {
@@ -176,32 +176,20 @@ func New(cfg Config) (*Generator, error) {
 		return nil, fmt.Errorf("querygen: schema admits no edges at all")
 	}
 	// The relaxation ladder only ever requests the windows
-	// lengthWindow(0..maxRelaxation); building them here freezes the
-	// cache before any worker can observe it.
+	// lengthWindow(0..maxRelaxation); building their tables here
+	// freezes them before any worker can observe them.
 	g.paths = sg.PathCounts(g.lengthWindow(maxRelaxation).Max)
 	for relax := 0; relax <= maxRelaxation; relax++ {
 		w := g.lengthWindow(relax)
 		// A class step draws paths of at least one edge: an eps step
 		// would leave the walk's type behind (the star draws likewise).
 		gs := g.paths.Selectivity(max(w.Min, 1), w.Max)
-		g.gsel[w] = gs
-		for _, c := range cfg.Classes {
+		for c := query.Constant; c <= query.Quadratic; c++ {
 			g.walks[walkKey{w, c}] = gs.ClassWalks(c, cfg.Size.Conjuncts.Max)
 		}
 	}
 	g.seq = worker{g: g, rng: prng.New(cfg.Seed)}
 	return g, nil
-}
-
-// classWalks returns the walk-count table of a ladder window and a
-// class. Configured classes hit the frozen cache; an unconfigured one
-// (GenerateWithClass) gets a table built on the fly without touching
-// the cache, keeping the method safe for concurrent use.
-func (g *Generator) classWalks(w query.Interval, class query.SelectivityClass) *selectivity.ClassWalks {
-	if cw, ok := g.walks[walkKey{w, class}]; ok {
-		return cw
-	}
-	return g.gsel[w].ClassWalks(class, g.cfg.Size.Conjuncts.Max)
 }
 
 // lengthWindow returns the configured path-length window, widened by
@@ -218,6 +206,9 @@ func (g *Generator) lengthWindow(relax int) query.Interval {
 // whether the class constraint had to be dropped. Not safe for
 // concurrent use.
 func (g *Generator) GenerateWithClass(class query.SelectivityClass) (*query.Query, error) {
+	if class > query.Quadratic {
+		return nil, fmt.Errorf("querygen: unknown selectivity class %v", class)
+	}
 	w := &g.seq
 	return w.classQuery(class, w.interval(g.cfg.Size.Rules))
 }
@@ -295,7 +286,7 @@ func (w *worker) ladder(build func(window query.Interval) (query.Rule, bool)) (q
 func (w *worker) classChainRule(class query.SelectivityClass) (query.Rule, int, bool) {
 	g := w.g
 	return w.ladder(func(window query.Interval) (query.Rule, bool) {
-		walks := g.classWalks(window, class)
+		walks := g.walks[walkKey{window, class}]
 		numConjuncts := w.interval(g.cfg.Size.Conjuncts)
 		starred := make([]bool, numConjuncts)
 		walkSteps := 0

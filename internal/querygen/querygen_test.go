@@ -63,6 +63,18 @@ func TestConfigValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("zero max length should fail")
 	}
+	bad = cfg
+	bad.Classes = []query.SelectivityClass{query.Linear, query.Quadratic + 1}
+	if err := bad.Validate(); err == nil {
+		t.Error("unknown selectivity class should fail")
+	}
+	gen, err := querygen.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gen.GenerateWithClass(query.Quadratic + 1); err == nil {
+		t.Error("GenerateWithClass of an unknown class should fail")
+	}
 }
 
 func TestGenerateCountAndValidity(t *testing.T) {
