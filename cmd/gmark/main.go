@@ -119,6 +119,41 @@ func mibBytes(flag string, n int64) (int64, error) {
 	return n << 20, nil
 }
 
+// evalFlags are the flags of the -eval-spill verb; every other flag of
+// run belongs to generation.
+var evalFlags = map[string]bool{
+	"eval-spill":    true,
+	"eval-query":    true,
+	"eval-cache-mb": true,
+	"eval-engine":   true,
+	"eval-workers":  true,
+	"spill-mmap":    true,
+}
+
+// checkVerb refuses a flag set on the command line that the chosen
+// verb would ignore: an evaluation flag without -eval-spill, or a
+// generation flag with it. Like a malformed flag, the refusal is
+// reported on the flag set's output together with the usage.
+func checkVerb(fs *flag.FlagSet, evaluating bool) error {
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if err != nil || f.Name == "eval-spill" || evalFlags[f.Name] == evaluating {
+			return
+		}
+		if evaluating {
+			err = fmt.Errorf("-%s is a generation flag; it does not apply with -eval-spill", f.Name)
+		} else {
+			err = fmt.Errorf("-%s applies only with -eval-spill", f.Name)
+		}
+	})
+	if err == nil {
+		return nil
+	}
+	fmt.Fprintln(fs.Output(), err)
+	fs.Usage()
+	return flagError{err}
+}
+
 // run is the batch CLI: it parses args, generates (or, with
 // -eval-spill, evaluates) and logs its progress to stderr.
 func run(args []string, stderr io.Writer) error {
@@ -134,17 +169,16 @@ func run(args []string, stderr io.Writer) error {
 		classes     = fs.String("selectivity", "constant,linear,quadratic", "comma-separated selectivity classes, or empty to disable selectivity control")
 		seed        = fs.Int64("seed", 1, "random seed")
 		outDir      = fs.String("out", "out", "output directory")
-		ntriples    = fs.Bool("ntriples", false, "also write the graph as N-Triples")
+		ntriples    = fs.Bool("ntriples", false, "also write the graph as N-Triples (holds the instance in memory)")
 		checkTol    = fs.Float64("consistency", 0.25, "warn when in/out expected edge counts drift more than this fraction")
 		profile     = fs.Bool("profile", false, "print the workload diversity profile to stderr (streamed; the workload is never re-scanned)")
-		stream      = fs.Bool("stream", false, "stream the graph to disk without materializing it (for very large instances)")
 		par         = fs.Int("parallelism", 0, "graph- and workload-generation workers (0 = all cores; output is seed-deterministic for any value)")
 		shardEdges  = fs.Int("shard-edges", 0, "target edges per graph-emission shard (0 = default 128K; negative disables intra-constraint sharding)")
 		partition   = fs.Bool("partition", false, "also write the graph partitioned by predicate (one edge file each + index.json) under <out>/partitioned")
 		partBinary  = fs.Bool("partition-binary", false, "write -partition edge files as binary delta-varint pairs instead of text lines (severalfold smaller; implies -partition)")
-		csrSpill    = fs.Bool("csr-spill", false, "also spill the graph as node-range-sharded binary CSR files under <out>/csr")
+		csrSpill    = fs.Bool("csr-spill", false, "also spill the graph as node-range-sharded binary CSR files under <out>/csr (written during emission, without holding the instance)")
 		spillComp   = fs.String("spill-compress", "varint", "CSR spill shard encoding: none (legacy v2), raw (mappable fixed-width v3), varint (delta-varint v3), deflate (varint + per-shard DEFLATE frame when smaller), zstd (reserved)")
-		verify      = fs.Bool("verify", false, "check the generated instance's degree statistics against the configured distributions (materialized path only)")
+		verify      = fs.Bool("verify", false, "check the generated instance's degree statistics against the configured distributions (holds the instance in memory)")
 		workloadOut = fs.String("workload-out", "", "directory for per-query translated files (default <out>/queries)")
 		syntax      = fs.String("syntax", "sparql,cypher,sql,datalog", "comma-separated translation syntaxes for the per-query files, or empty to skip translation")
 		manifestOut = fs.String("manifest", manifest.DefaultName, "filename (relative to -out) of the JSON run manifest indexing all artifacts; empty disables")
@@ -175,11 +209,11 @@ func run(args []string, stderr io.Writer) error {
 		return err
 	}
 
+	if err := checkVerb(fs, *evalSpill != ""); err != nil {
+		return err
+	}
 	if *evalSpill != "" {
 		return evalOverSpill(lg, *evalSpill, *evalQuery, evalCacheBytes, *evalEngine, *evalWorkers, *evalMmap)
-	}
-	if *evalEngine != "" {
-		return errors.New("-eval-engine requires -eval-spill")
 	}
 
 	comp, err := graphgen.ParseSpillCompression(*spillComp)
@@ -207,8 +241,12 @@ func run(args []string, stderr io.Writer) error {
 		if err != nil {
 			return err
 		}
-		if w, err := doc.WorkloadConfig(); err == nil {
-			wcfg = w
+		// The -workload preset stands in only for a missing section: a
+		// section WorkloadConfig refuses fails the run.
+		if doc.Workload != nil {
+			if wcfg, err = doc.WorkloadConfig(); err != nil {
+				return err
+			}
 			haveWorkloadCfg = true
 		}
 	} else {
@@ -253,92 +291,59 @@ func run(args []string, stderr io.Writer) error {
 		man.Config = *configPath
 	}
 
-	var partDir, csrDir string
-	if *partition {
-		partDir = filepath.Join(*outDir, "partitioned")
-	}
-	if *csrSpill {
-		csrDir = filepath.Join(*outDir, "csr")
-	}
-
-	// Graph generation: materialized by default, streaming for very
-	// large instances. Both paths run the same sharded pipeline; only
-	// the sinks differ — and one pass can feed several of them.
+	// Graph generation: one pass of the sharded pipeline feeds every
+	// output. graph.txt is written as the edges are drawn; the instance
+	// is held in memory only when -verify or -ntriples needs the frozen
+	// graph.
 	genOpt := graphgen.Options{Seed: *seed, Parallelism: *par, ShardEdges: *shardEdges}
-	graphPath := filepath.Join(*outDir, "graph.txt")
 	man.Graph.EdgeList = "graph.txt"
-	if *stream {
-		err := writeFile(graphPath, func(w *os.File) error {
-			ws, err := graphgen.NewWriterSink(w, gcfg)
-			if err != nil {
-				return err
-			}
-			sinks := []graphgen.EdgeSink{ws}
-			if partDir != "" {
-				ps, err := newPartSink(partDir, gcfg, *partBinary)
-				if err != nil {
-					return err
-				}
-				sinks = append(sinks, ps)
-			}
-			if csrDir != "" {
-				cs, err := graphgen.NewCSRSpillSinkWith(csrDir, gcfg, 0, comp)
-				if err != nil {
-					return err
-				}
-				sinks = append(sinks, cs)
-			}
-			n, err := graphgen.Emit(gcfg, genOpt, graphgen.MultiEdgeSink(sinks...))
-			if err == nil {
-				lg.Printf("graph (streamed): %d nodes, %d edges", ws.Nodes(), n)
-				man.Graph.Nodes, man.Graph.Edges = ws.Nodes(), n
-			}
-			return err
-		})
+	partDir, csrDir := filepath.Join(*outDir, "partitioned"), filepath.Join(*outDir, "csr")
+	var gs *graphgen.GraphSink
+	err = writeFile(filepath.Join(*outDir, "graph.txt"), func(w *os.File) error {
+		ws, err := graphgen.NewWriterSink(w, gcfg)
 		if err != nil {
 			return err
 		}
-		if *ntriples {
-			lg.Printf("note: -ntriples requires the materialized path; skipped under -stream")
-		}
-		if *verify {
-			lg.Printf("note: -verify requires the materialized path; skipped under -stream")
-		}
-	} else {
-		// One pipeline pass feeds the in-memory graph and every extra
-		// output format with batch delivery; the graph is frozen after
-		// the pass drains (exactly what graphgen.Generate does).
-		gs, err := graphgen.NewGraphSinkFor(gcfg)
-		if err != nil {
-			return err
-		}
-		sinks := []graphgen.EdgeSink{gs}
-		if partDir != "" {
+		sinks := []graphgen.EdgeSink{ws}
+		if *partition {
 			ps, err := newPartSink(partDir, gcfg, *partBinary)
 			if err != nil {
 				return err
 			}
 			sinks = append(sinks, ps)
 		}
-		if _, err := graphgen.Emit(gcfg, genOpt, graphgen.MultiEdgeSink(sinks...)); err != nil {
-			return err
-		}
-		g := gs.Graph()
-		g.Freeze()
-		lg.Printf("graph: %d nodes, %d edges", g.NumNodes(), g.NumEdges())
-		man.Graph.Nodes, man.Graph.Edges = g.NumNodes(), g.NumEdges()
-		if partDir != "" {
-			lg.Printf("partitioned: %d predicates in %s", g.NumPredicates(), partDir)
-		}
-		if csrDir != "" {
-			// The frozen graph already holds both CSR directions;
-			// spill those instead of buffering a second edge copy in a
-			// CSRSpillSink and rebuilding the adjacency.
-			if err := graphgen.WriteCSRSpillFromGraphWith(csrDir, g, 0, comp); err != nil {
+		if *csrSpill {
+			cs, err := graphgen.NewCSRSpillSinkWith(csrDir, gcfg, 0, comp)
+			if err != nil {
 				return err
 			}
-			lg.Printf("csr spill: %d predicates in %s", g.NumPredicates(), csrDir)
+			sinks = append(sinks, cs)
 		}
+		if *verify || *ntriples {
+			if gs, err = graphgen.NewGraphSinkFor(gcfg); err != nil {
+				return err
+			}
+			sinks = append(sinks, gs)
+		}
+		n, err := graphgen.Emit(gcfg, genOpt, graphgen.MultiEdgeSink(sinks...))
+		man.Graph.Nodes, man.Graph.Edges = ws.Nodes(), n
+		return err
+	})
+	if err != nil {
+		return err
+	}
+	lg.Printf("graph: %d nodes, %d edges", man.Graph.Nodes, man.Graph.Edges)
+	if *partition {
+		man.Graph.PartitionedDir = "partitioned"
+		lg.Printf("partitioned: %d predicates in %s", len(gcfg.Schema.Predicates), partDir)
+	}
+	if *csrSpill {
+		man.Graph.CSRSpillDir = "csr"
+		lg.Printf("csr spill: %d predicates in %s", len(gcfg.Schema.Predicates), csrDir)
+	}
+	if gs != nil {
+		g := gs.Graph()
+		g.Freeze()
 		if *verify {
 			reports := graphstat.Check(g, gcfg, *checkTol)
 			bad := 0
@@ -354,11 +359,6 @@ func run(args []string, stderr io.Writer) error {
 				lg.Printf("verify: all %d distribution sides consistent with the configuration", len(reports))
 			}
 		}
-		if err := writeFile(graphPath, func(w *os.File) error {
-			return g.WriteEdgeList(w)
-		}); err != nil {
-			return err
-		}
 		if *ntriples {
 			if err := writeFile(filepath.Join(*outDir, "graph.nt"), func(w *os.File) error {
 				return g.WriteNTriples(w, "")
@@ -367,12 +367,6 @@ func run(args []string, stderr io.Writer) error {
 			}
 			man.Graph.NTriples = "graph.nt"
 		}
-	}
-	if partDir != "" {
-		man.Graph.PartitionedDir = "partitioned"
-	}
-	if csrDir != "" {
-		man.Graph.CSRSpillDir = "csr"
 	}
 
 	// Workload generation: one pipeline pass fans queries out to every

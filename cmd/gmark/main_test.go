@@ -19,6 +19,7 @@ import (
 	"gmark/internal/regpath"
 	"gmark/internal/serve"
 	"gmark/internal/testutil"
+	"gmark/internal/usecases"
 )
 
 var countLine = regexp.MustCompile(`count\(([^)]*)\) = (\d+)`)
@@ -201,5 +202,164 @@ func TestServeFlagsRejectBadLimits(t *testing.T) {
 	}
 	if want := (serve.Options{CacheBytes: 3 << 20, MaxJobs: 4, MaxNodes: 5, MaxQueries: 6, Parallelism: 2}); addr != "127.0.0.1:0" || opt != want {
 		t.Errorf("parsed %q %+v, want 127.0.0.1:0 %+v", addr, opt, want)
+	}
+}
+
+// TestOneEdgeListWriter: graph.txt is the bytes graphgen.Emit writes
+// into a WriterSink for the same configuration and seed, in the default
+// run (the WriterSink alone, rendered by the emit workers) and in a run
+// that also holds the frozen graph (the WriterSink fed batches behind a
+// MultiEdgeSink).
+func TestOneEdgeListWriter(t *testing.T) {
+	cfg, err := usecases.ByName("bib", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want bytes.Buffer
+	ws, err := graphgen.NewWriterSink(&want, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := graphgen.Emit(cfg, graphgen.Options{Seed: 5, Parallelism: 1}, ws); err != nil {
+		t.Fatal(err)
+	}
+	for _, flags := range [][]string{nil, {"-verify", "-ntriples"}} {
+		out := t.TempDir()
+		args := append([]string{"-usecase", "bib", "-nodes", "1000", "-seed", "5", "-queries", "1", "-syntax", "", "-out", out}, flags...)
+		var stderr bytes.Buffer
+		if err := run(args, &stderr); err != nil {
+			t.Fatalf("%v: %v\n%s", flags, err, stderr.String())
+		}
+		got, err := os.ReadFile(filepath.Join(out, "graph.txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%v: graph.txt (%d bytes) is not the WriterSink's output (%d bytes)", flags, len(got), want.Len())
+		}
+	}
+}
+
+// workloadXML is a -config document whose workload section asks for ten
+// queries; each case of TestMalformedWorkloadSectionFails breaks it.
+const workloadXML = `<?xml version="1.0"?>
+<gmark>
+  <graph nodes="300">
+    <types>
+      <type name="user" proportion="0.9"/>
+      <type name="room" fixed="20"/>
+    </types>
+    <predicates>
+      <predicate name="follows" proportion="0.8"/>
+      <predicate name="joined" proportion="0.2"/>
+    </predicates>
+    <constraints>
+      <constraint source="user" target="user" predicate="follows">
+        <in type="zipfian" s="1.8"/>
+        <out type="zipfian" s="1.8"/>
+      </constraint>
+      <constraint source="user" target="room" predicate="joined">
+        <out type="uniform" min="1" max="3"/>
+      </constraint>
+    </constraints>
+  </graph>
+  <workload count="10" arity-min="2" arity-max="2" recursion="0.25" seed="5">
+    <shapes><shape>chain</shape><shape>star</shape></shapes>
+    <selectivities><selectivity>linear</selectivity></selectivities>
+    <size rules-min="1" rules-max="1" conjuncts-min="1" conjuncts-max="2"
+          disjuncts-min="1" disjuncts-max="2" length-min="1" length-max="3"/>
+  </workload>
+</gmark>`
+
+// TestMalformedWorkloadSectionFails: the -workload preset stands in for
+// a missing <workload> section only. A section WorkloadConfig refuses
+// fails the run before any file is written, and a well-formed one is
+// the workload generated.
+func TestMalformedWorkloadSectionFails(t *testing.T) {
+	for _, c := range []struct{ name, from, to, want string }{
+		{"well-formed", "", "", ""},
+		{"unknown shape", "<shape>star</shape>", "<shape>triangle</shape>", "triangle"},
+		{"unknown selectivity", "<selectivity>linear</selectivity>", "<selectivity>cubic</selectivity>", "cubic"},
+		{"invalid config", `recursion="0.25"`, `recursion="1.5"`, "recursion"},
+		{"no section", workloadXML[strings.Index(workloadXML, "  <workload"):strings.Index(workloadXML, "</gmark>")], "", ""},
+	} {
+		doc := workloadXML
+		if c.from != "" {
+			doc = strings.Replace(doc, c.from, c.to, 1)
+		}
+		config := filepath.Join(t.TempDir(), "config.xml")
+		if err := os.WriteFile(config, []byte(doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		out := t.TempDir()
+		var stderr bytes.Buffer
+		err := run([]string{"-config", config, "-queries", "3", "-syntax", "", "-out", out}, &stderr)
+		if c.want != "" {
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s: err = %v, want an error naming %q", c.name, err, c.want)
+			}
+			if entries, _ := os.ReadDir(out); len(entries) != 0 {
+				t.Errorf("%s: wrote %d files", c.name, len(entries))
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", c.name, err, stderr.String())
+		}
+		want := "workload: 10 queries"
+		if c.name == "no section" {
+			want = "workload: 3 queries" // the -workload preset, -queries long
+		}
+		if !strings.Contains(stderr.String(), want) {
+			t.Errorf("%s: the log does not say %q:\n%s", c.name, want, stderr.String())
+		}
+	}
+}
+
+// TestFlagsOfTheOtherVerbRejected: a flag the chosen verb would ignore
+// is a flag error naming it, reported with the usage, before anything
+// is generated or evaluated: an evaluation flag without -eval-spill,
+// and a generation flag with it.
+func TestFlagsOfTheOtherVerbRejected(t *testing.T) {
+	_, spill := testutil.Spill(t, "bib", 200, 100, 5)
+	evaluate := []string{"-eval-spill", spill, "-eval-query", "authors"}
+	for _, c := range []struct {
+		flag  string
+		extra []string
+		eval  bool
+	}{
+		{"-eval-query", []string{"-eval-query", "authors"}, false},
+		{"-eval-cache-mb", []string{"-eval-cache-mb", "16"}, false},
+		{"-eval-engine", []string{"-eval-engine", "S"}, false},
+		{"-eval-workers", []string{"-eval-workers", "2"}, false},
+		{"-spill-mmap", []string{"-spill-mmap"}, false},
+		{"-nodes", []string{"-nodes", "300"}, true},
+		{"-partition", []string{"-partition"}, true},
+		{"-csr-spill", []string{"-csr-spill"}, true},
+		{"-seed", []string{"-seed", "3"}, true},
+		{"-parallelism", []string{"-parallelism", "2"}, true},
+	} {
+		out := t.TempDir()
+		args := []string{"-queries", "1", "-syntax", "", "-out", out}
+		if c.eval {
+			args = evaluate
+		}
+		args = append(append([]string(nil), args...), c.extra...)
+		var stderr bytes.Buffer
+		err := run(args, &stderr)
+		var fe flagError
+		if !errors.As(err, &fe) || !strings.Contains(err.Error(), c.flag+" ") {
+			t.Errorf("%v: err = %v, want a flag error naming %s", args, err, c.flag)
+			continue
+		}
+		if !strings.Contains(stderr.String(), err.Error()) || !strings.Contains(stderr.String(), "-eval-spill string") {
+			t.Errorf("%v: the error and usage were not reported:\n%s", args, stderr.String())
+		}
+		if countLine.MatchString(stderr.String()) {
+			t.Errorf("%v: evaluated before refusing", args)
+		}
+		if entries, _ := os.ReadDir(out); len(entries) != 0 {
+			t.Errorf("%v: wrote %d files", args, len(entries))
+		}
 	}
 }

@@ -16,22 +16,23 @@ var updatePins = flag.Bool("update-pins", false, "rewrite testdata/modes.crc fro
 
 // TestGenerationModesPinned runs every generation mode of the batch CLI
 // on bib@1000, seed 5 (five queries), and compares the CRC32 of each file it writes
-// against testdata/modes.crc: the materialized default, -stream,
-// -partition (text and binary), -csr-spill in three shard encodings and
-// -ntriples. An intended byte change is re-recorded with -update-pins.
+// against testdata/modes.crc: the default, -partition (text and
+// binary), -csr-spill in three shard encodings, -ntriples, and every
+// extra output at once next to the frozen graph -verify and -ntriples
+// hold. An intended byte change is re-recorded with -update-pins.
 func TestGenerationModesPinned(t *testing.T) {
 	modes := []struct {
 		name  string
 		flags []string
 	}{
 		{"default", nil},
-		{"stream", []string{"-stream"}},
 		{"partition", []string{"-partition"}},
 		{"partition-binary", []string{"-partition-binary"}},
 		{"csr-none", []string{"-csr-spill", "-spill-compress", "none"}},
 		{"csr-varint", []string{"-csr-spill", "-spill-compress", "varint"}},
 		{"csr-raw", []string{"-csr-spill", "-spill-compress", "raw"}},
 		{"ntriples", []string{"-ntriples"}},
+		{"graph-sink", []string{"-verify", "-ntriples", "-partition", "-csr-spill"}},
 	}
 	var rows bytes.Buffer
 	for _, m := range modes {

@@ -7,7 +7,7 @@ import (
 )
 
 // EdgeLine is THE encoder of the textual edge formats: the edge list's
-// "src pred dst\n" (WriteEdgeList, graphgen.WriterSink) and the text
+// "src pred dst\n" (graphgen.WriterSink) and the text
 // partition's "src dst\n" (graphgen.PartitionedSink, the slice server's
 // enc=text). Every writer of either layout appends through it, so the
 // lines ReadEdgeList parses have one definition in the module.

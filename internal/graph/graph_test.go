@@ -240,13 +240,27 @@ func TestWriteNTriples(t *testing.T) {
 	}
 }
 
+// edgeListText renders g in the edge-list format ReadEdgeList parses,
+// as graphgen.WriterSink writes it: the layout header, then one line
+// per edge, here in Edges order.
+func edgeListText(g *Graph) []byte {
+	b := fmt.Appendf(nil, "# gmark graph nodes=%d\n# types", g.NumNodes())
+	for t := 0; t < g.NumTypes(); t++ {
+		b = fmt.Appendf(b, " %s:%d", g.TypeName(t), g.TypeCount(t))
+	}
+	b = append(b, "\n# predicates"...)
+	for p := 0; p < g.NumPredicates(); p++ {
+		b = fmt.Appendf(b, " %s", g.PredName(PredID(p)))
+	}
+	b = append(b, '\n')
+	lines := NewEdgeLines(g.predNames)
+	g.Edges(func(e Edge) { b = lines[e.Pred].Append(b, e.Src, e.Dst) })
+	return b
+}
+
 func TestEdgeListRoundTrip(t *testing.T) {
 	g := tiny(t)
-	var buf bytes.Buffer
-	if err := g.WriteEdgeList(&buf); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := ReadEdgeList(bytes.NewReader(edgeListText(g)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,6 +280,12 @@ func TestEdgeListRoundTrip(t *testing.T) {
 		if g.TypeName(tIdx) != g2.TypeName(tIdx) || g.TypeCount(tIdx) != g2.TypeCount(tIdx) {
 			t.Errorf("type %d mismatch", tIdx)
 		}
+	}
+	// A first line that also carries the edge count, as older files
+	// do, is a comment like any other.
+	old := bytes.Replace(edgeListText(g), []byte("\n"), fmt.Appendf(nil, " edges=%d\n", g.NumEdges()), 1)
+	if g3, err := ReadEdgeList(bytes.NewReader(old)); err != nil || g3.NumEdges() != g.NumEdges() {
+		t.Fatalf("header with edges=: err = %v", err)
 	}
 }
 

@@ -32,7 +32,8 @@ func (g *Graph) WriteNTriples(w io.Writer, base string) error {
 		if err != nil {
 			return
 		}
-		// Built in the writer's free space, like WriteEdgeList's lines.
+		// Built in the writer's free space: Write then finds the bytes
+		// already in place.
 		b := append(bw.AvailableBuffer(), nodeIRIs[g.TypeOf(e.Src)]...)
 		b = appendNodeID(b, e.Src)
 		b = append(b, predIRIs[e.Pred]...)
@@ -46,37 +47,12 @@ func (g *Graph) WriteNTriples(w io.Writer, base string) error {
 	return bw.Flush()
 }
 
-// WriteEdgeList writes the compact whitespace-separated edge list
-// format "src pred dst" used by the open-source gMark tool, preceded by
-// a header describing the node layout.
-func (g *Graph) WriteEdgeList(w io.Writer) error {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	fmt.Fprintf(bw, "# gmark graph nodes=%d edges=%d\n", g.NumNodes(), g.NumEdges())
-	fmt.Fprintf(bw, "# types")
-	for t := range g.typeNames {
-		fmt.Fprintf(bw, " %s:%d", g.typeNames[t], g.TypeCount(t))
-	}
-	fmt.Fprintln(bw)
-	fmt.Fprintf(bw, "# predicates %s\n", strings.Join(g.predNames, " "))
-	lines := NewEdgeLines(g.predNames)
-	var err error
-	g.Edges(func(e Edge) {
-		if err != nil {
-			return
-		}
-		// Rendered straight into the writer's free space: Write then
-		// finds the bytes already in place.
-		_, err = bw.Write(lines[e.Pred].Append(bw.AvailableBuffer(), e.Src, e.Dst))
-	})
-	if err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// ReadEdgeList parses the format produced by WriteEdgeList.
+// ReadEdgeList parses the edge-list format graphgen.WriterSink writes:
+// the "# types" and "# predicates" header lines, then one "src pred
+// dst" line per edge. Any other "#" line is ignored, so a file that
+// also carries an edge count in its first line still loads.
 //
-//lint:ignore unused test oracle shared by the graph and graphgen tests, which parse WriterSink and WriteEdgeList output with it
+//lint:ignore unused test oracle shared by the graph and graphgen tests, which parse WriterSink output with it
 func ReadEdgeList(r io.Reader) (*Graph, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)

@@ -336,14 +336,7 @@ func TestBinaryPartitionRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var a, b bytes.Buffer
-	if err := g.WriteEdgeList(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := loaded.WriteEdgeList(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(graphText(g), graphText(loaded)) {
 		t.Fatal("binary partition round trip differs from the generated graph")
 	}
 }

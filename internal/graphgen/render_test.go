@@ -128,57 +128,55 @@ func TestRenderedShardsSpanChunks(t *testing.T) {
 	}
 }
 
-// TestWriteEdgeListMatchesFmt pins graph.WriteEdgeList's body to the
-// fmt formatting it used before it shared the line encoder, and to the
-// multiset of lines WriterSink streams for the same instance.
-func TestWriteEdgeListMatchesFmt(t *testing.T) {
+// TestWriterSinkMatchesFmt pins the edge list WriterSink streams, its
+// header and every line, to the fmt formatting of the layout and of the
+// edges Emit delivers, in delivery order; read back, it is the instance
+// Generate materializes.
+func TestWriterSinkMatchesFmt(t *testing.T) {
 	cfg, err := usecases.ByName("bib", 3000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := Options{Seed: 17}
-	g, err := Generate(cfg, opt)
-	if err != nil {
+	var delivered edgeListSink
+	if _, err := Emit(cfg, opt, &delivered); err != nil {
 		t.Fatal(err)
+	}
+	typeNames, typeCounts, predNames := Layout(cfg)
+	nodes := 0
+	for _, c := range typeCounts {
+		nodes += c
 	}
 	var want bytes.Buffer
-	fmt.Fprintf(&want, "# gmark graph nodes=%d edges=%d\n# types", g.NumNodes(), g.NumEdges())
-	for i := 0; i < g.NumTypes(); i++ {
-		fmt.Fprintf(&want, " %s:%d", g.TypeName(i), g.TypeCount(i))
+	fmt.Fprintf(&want, "# gmark graph nodes=%d\n# types", nodes)
+	for i, name := range typeNames {
+		fmt.Fprintf(&want, " %s:%d", name, typeCounts[i])
 	}
 	want.WriteString("\n# predicates")
-	for i := 0; i < g.NumPredicates(); i++ {
-		fmt.Fprintf(&want, " %s", g.PredName(graph.PredID(i)))
+	for _, name := range predNames {
+		fmt.Fprintf(&want, " %s", name)
 	}
 	want.WriteByte('\n')
-	header := want.Len()
-	g.Edges(func(e graph.Edge) {
-		fmt.Fprintf(&want, "%d %s %d\n", e.Src, g.PredName(e.Pred), e.Dst)
-	})
-	got := edgeListBytes(t, g)
-	if !bytes.Equal(got, want.Bytes()) {
-		t.Fatal("WriteEdgeList differs from the fmt formatting")
+	for i, src := range delivered.srcs {
+		fmt.Fprintf(&want, "%d %s %d\n", src, predNames[delivered.preds[i]], delivered.dsts[i])
 	}
-	back, err := graph.ReadEdgeList(bytes.NewReader(got))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(edgeListBytes(t, back), got) {
-		t.Fatal("ReadEdgeList(WriteEdgeList(g)) does not round-trip")
-	}
-
 	var streamed bytes.Buffer
 	if _, err := stream(cfg, opt, &streamed); err != nil {
 		t.Fatal(err)
 	}
-	sortedBody := func(b []byte) []byte {
-		lines := bytes.Split(bytes.TrimSuffix(b, []byte("\n")), []byte("\n"))
-		sort.Slice(lines, func(i, j int) bool { return bytes.Compare(lines[i], lines[j]) < 0 })
-		return bytes.Join(lines, []byte("\n"))
+	if !bytes.Equal(streamed.Bytes(), want.Bytes()) {
+		t.Fatal("WriterSink differs from the fmt formatting")
 	}
-	_, sbody, _ := bytes.Cut(streamed.Bytes(), []byte("# predicates"))
-	if !bytes.Equal(sortedBody(got[header:]), sortedBody(sbody[bytes.IndexByte(sbody, '\n')+1:])) {
-		t.Fatal("WriterSink lines are not WriteEdgeList's lines")
+	back, err := graph.ReadEdgeList(&streamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Generate(cfg, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(graphText(back), graphText(g)) {
+		t.Fatal("ReadEdgeList(WriterSink output) is not Generate's instance")
 	}
 }
 

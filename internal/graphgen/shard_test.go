@@ -54,7 +54,7 @@ func TestShardBoundaryDeterminism(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s shard=%d par=%d: %v", name, shardEdges, par, err)
 				}
-				gl := edgeListBytes(t, g)
+				gl := graphText(g)
 				if refStream == nil {
 					refStream, refGraph = sb.Bytes(), gl
 					continue
@@ -97,7 +97,7 @@ func TestSingleDominantConstraintShards(t *testing.T) {
 		if g.NumEdges() == 0 {
 			t.Fatal("no edges generated")
 		}
-		gl := edgeListBytes(t, g)
+		gl := graphText(g)
 		if ref == nil {
 			ref = gl
 			continue
@@ -337,7 +337,7 @@ func TestPartitionedSinkRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(edgeListBytes(t, g), edgeListBytes(t, loaded)) {
+	if !bytes.Equal(graphText(g), graphText(loaded)) {
 		t.Fatal("loaded partitioned graph differs from the generated one")
 	}
 }

@@ -124,9 +124,10 @@ func (s *GraphSink) AddEdgeBatch(pred graph.PredID, srcs, dsts []graph.NodeID) e
 // sink can be reused across multiple emission passes if desired.
 func (s *GraphSink) Flush() error { return nil }
 
-// WriterSink streams edges as the textual edge-list format of
-// graph.WriteEdgeList ("src pred dst" over global node ids), preceded
-// by the node-layout header that graph.ReadEdgeList accepts. Lines are
+// WriterSink streams edges as the textual edge-list format ("src pred
+// dst" over global node ids, in emission order), preceded by the
+// node-layout header that graph.ReadEdgeList accepts; it is the one
+// writer of that format. Lines are
 // rendered by graph.EdgeLine, in place: by the sink into its own buffer
 // when it is fed batches (behind a MultiEdgeSink), and by the emit
 // workers themselves when Emit drives it directly (it is a

@@ -17,7 +17,7 @@ import (
 type streamStats struct{ Nodes, Edges int }
 
 // stream generates cfg straight to w in edge-list form, without
-// materializing it: Emit into a WriterSink, as cmd/gmark -stream runs.
+// materializing it: Emit into a WriterSink, as cmd/gmark writes graph.txt.
 func stream(cfg *schema.GraphConfig, opt Options, w io.Writer) (streamStats, error) {
 	ws, err := NewWriterSink(w, cfg)
 	if err != nil {
